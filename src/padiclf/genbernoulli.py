@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .bernoulli import bernoulli_poly_eval
+from .bernoulli import ProgressionPowerSum, bernoulli_poly_eval
 from .dirichlet import DirichletCharacter, char_power, make_teich_char, teichmuller_int
 from .errors import NotMultipleOfConductor
 from .padic import PadicNum
@@ -40,6 +40,7 @@ __all__ = [
     "twisted_mean_limit",
     "unit_power_sum",
     "level_decompose",
+    "unit_character_lifts",
 ]
 
 
@@ -160,22 +161,39 @@ def _twist_preconditions(chi: DirichletCharacter, k: int, j: int):
     return d, m
 
 
+def unit_character_lifts(psi: DirichletCharacter, modulus: int,
+                         relprec: int) -> dict[int, int]:
+    """{x: psi(x) as an integer mod p^relprec} over the units x mod `modulus`.
+
+    `modulus` must be a multiple of psi's level with the same prime
+    factors as d*p, so its units are the residues coprime to dp.
+    """
+    p = psi.p
+    labels = psi.labels
+    q = psi.level
+    lift = {t: teichmuller_int(p, t, relprec) for t in set(labels.values())}
+    return {x: lift[labels[x % q]] for x in range(modulus) if math.gcd(x, modulus) == 1}
+
+
 def _twisted_unit_sum(chi: DirichletCharacter, k: int, j: int, exponent: int,
                       relprec: int) -> PadicNum:
-    """sum over units a of d*p^j of chi omega^(-k)(a) * a^exponent, mod p^relprec."""
+    """sum over units a of d*p^j of chi omega^(-k)(a) * a^exponent, mod p^relprec.
+
+    With psi = chi omega^(-k) and L = lcm(cond psi, dp), psi is constant on
+    each progression a = r + L*s (r a unit mod L, 0 <= a < d p^j), whose
+    power sum has a closed form; the cost is O(phi(L) * exponent) whatever
+    the level, and L need not divide d p^j.
+    """
     p = chi.p
     d, _ = level_decompose(chi.level, p)
     psi = chi_omega_minus_k(chi, k)
-    q = psi.level
-    P = p**relprec
-    labels = psi.labels
-    omega_of = {t: teichmuller_int(p, t, relprec) for t in set(labels.values())}
-    dp = d * p
+    D = d * p**j
+    L = math.lcm(psi.level, d * p)
+    power_sum = ProgressionPowerSum(exponent, L, p**relprec)
     total = 0
-    for a in range(d * p**j):
-        if math.gcd(a, dp) != 1:
-            continue
-        total += omega_of[labels[a % q]] * pow(a, exponent, P)
+    for r, lift in unit_character_lifts(psi, L, relprec).items():
+        # the progression ends at the first r + L*s >= D
+        total += lift * power_sum(r, r - (r - D) // L * L)
     return PadicNum.from_int_mod(p, total, relprec)
 
 

@@ -7,8 +7,23 @@ principal-unit part of a.  The level-j Riemann sum is
 
     S_j = sum over units a mod d*p^j of integrand(a) * E_c(j, a)
 
-and the L-value is the stabilizing limit of the S_j.  Its interpolation
-property at negative integers is checked against the closed form
+and the L-value is the stabilizing limit of the S_j.  Each S_j is
+computed without visiting the d*p^j units.  Put psi = chi omega^(-1),
+D = d*p^j and L = lcm(cond psi, dp), which divides D.  With
+b = c^(-1) a mod D and t = floor(c b / D) in [0, c),
+
+    a = c b - D t   and   E_c(j, a) = (c - 1)/2 - t,
+
+and psi omega^(-k)(a) depends only on c b mod L.  So b runs over
+r + L s (r a unit mod L, 0 <= s < D/L); on each run of s with one value
+of t the summand is a degree-k polynomial in s, summed in closed form by
+Faulhaber's formula (bernoulli.ProgressionPowerSum).  One sum costs
+O(phi(L) * min(c, D/L) * k) integer operations, independent of j.  This
+is the regrouping behind Washington, Introduction to Cyclotomic Fields,
+section 5.2 and Theorem 5.11.
+
+The interpolation property at negative integers is checked against the
+closed form
 
     (1/n) * (1 - chi(c) <c>^n) * (1 - chi omega^(-n)(p) p^(n-1))
          * B_(n, chi omega^(-n))
@@ -34,9 +49,15 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from .bernoulli import ProgressionPowerSum
 from .dirichlet import DirichletCharacter, teichmuller_int
 from .errors import InsufficientPrecision, LevelTooLow, NotCoprime
-from .genbernoulli import chi_omega_minus_k, general_bernoulli, level_decompose
+from .genbernoulli import (
+    chi_omega_minus_k,
+    general_bernoulli,
+    level_decompose,
+    unit_character_lifts,
+)
 from .measure import BernoulliParams
 from .modarith import UnitResidue, is_prime
 from .padic import PadicNum
@@ -190,40 +211,47 @@ def integrand_eval(params: LpParams, w: Weight, a: UnitResidue) -> PadicNum:
 
 
 def riemann_sum(params: LpParams, w: Weight, j: int) -> PadicNum:
-    """The level-j sum of integrand(a) * E_c(j, a) over units a mod d*p^j.
+    """The level-j sum of integrand(a) * E_c(j, a) over units a mod D = d*p^j.
 
     Every term is p-integral (E_c lands in Z + (c-1)/2 and the integrand
     is a unit times a root of unity), so the sum is accumulated as a
     single integer mod p^relprec; the result is exact at that absolute
     precision.
+
+    The terms are regrouped (see the module docstring): with
+    b = c^(-1) a mod D and t = floor(c b / D), a = c b - D t and
+    E_c(j, a) = (c-1)/2 - t.  For b = r + L s, L = lcm(cond psi, dp), each
+    run of s sharing one t contributes (c-1-2t)/2 times a power sum of
+    a = c r - D t + c L s over a progression, in closed form; t then jumps
+    to the next run.  Cost: O(phi(L) * min(c, D/L) * k) integer
+    operations, independent of j.
     """
     if j < params.m:
         raise LevelTooLow(f"integration level {j} is below the character level {params.m}")
     p, d, c, N = params.p, params.d, params.c, params.relprec
     P = p**N
-    psi = params.chi_omega_inv
-    q = psi.level
-    psi_label = psi.labels
-    omega_of = {t: teichmuller_int(p, t, N) for t in set(psi_label.values())}
-    teich_inv = {
-        r: pow(teichmuller_int(p, r, N), -1, P) for r in range(1, p)
-    }
-    D = d * p**j
-    cinv = pow(c, -1, D)
-    inv2 = pow(2, -1, P)
-    dp = d * p
     k = w.k
+    D = d * p**j
+    psi = params.chi_omega_inv
+    L = math.lcm(psi.level, d * p)
+    lifts = unit_character_lifts(psi, L, N)
+    teich_inv_k = {r: pow(teichmuller_int(p, r, N), -k, P) for r in range(1, p)}
+    step = c * L
+    power_sum = ProgressionPowerSum(k, step, P)
     total = 0
-    for a in range(d * p**j):
-        if math.gcd(a, dp) != 1:
-            continue
-        chi_u = omega_of[psi_label[a % q]]
-        wt_u = pow(a * teich_inv[a % p] % P, k, P)
-        # E_c(j, a) = I + (c-1)/2 with I an exact integer
-        big_i = (a - c * ((cinv * a) % D)) // D
-        e_u = (2 * big_i + c - 1) * inv2 % P
-        total = (total + chi_u * wt_u % P * e_u) % P
-    return PadicNum.from_int_mod(p, total, N)
+    for r in lifts:
+        # y = c*b runs over c*r + step*s for 0 <= s < D/L
+        y, end = c * r, c * (r + D)
+        inner = 0
+        while y < end:
+            t = y // D
+            # the first y of the progression at or past (t+1)*D, capped at end
+            y1 = min(end, y + -((y - (t + 1) * D) // step) * step)
+            inner += (c - 1 - 2 * t) * power_sum(y - t * D, y1 - t * D)
+            y = y1
+        a = c * r % L
+        total = (total + lifts[a] * teich_inv_k[a % p] * inner) % P
+    return PadicNum.from_int_mod(p, total * pow(2, -1, P) % P, N)
 
 
 def p_adic_L(params: LpParams, w: Weight) -> EvalReport:

@@ -109,6 +109,22 @@ def test_verify_pass_exit_zero(capsys):
     assert obj["pass"] is True and obj["sign"] in ("+", "-")
 
 
+def test_high_levels_at_p11_finish(capsys):
+    # levels 9-12 at p=11 hold about 2.4e10 units in all; the sums are
+    # computed in closed form per residue progression instead
+    args = ["--p", "11", "--d", "1", "--m", "1", "--char", "omega^2", "--c", "2",
+            "--jmin", "9", "--jmax", "12", "--prec", "8"]
+    code, out, _ = run_cli(capsys, "lp-eval", *args, "--weight-k", "3")
+    assert code == 0
+    report = json.loads(out)
+    assert report["converged"] is True and 9 <= report["level_used"] <= 12
+    code, out, _ = run_cli(capsys, "verify", *args, "--n", "4")
+    assert code == 0
+    obj = json.loads(out)
+    assert obj["pass"] is True and obj["sign"] == "+"
+    assert obj["lhs"] == report["value"]
+
+
 def test_verify_failing_target_exit_one(capsys):
     code, out, _ = run_cli(capsys, "verify", "--p", "5", "--d", "1", "--m", "1",
                            "--char", "omega^2", "--c", "3", "--n", "2",

@@ -79,6 +79,21 @@ class TestDistribution:
                     assert (2 * v).denominator == 1
                     assert v.denominator % p != 0
 
+    def test_units_value_is_half_minus_carry(self):
+        # the identity the Riemann-sum kernel regroups by: with b = c^(-1) a
+        # mod D, E_c(n, a) = (c-1)/2 - floor(c b / D), and a = c b - D floor(c b / D)
+        for p, d, c in ((3, 1, 2), (3, 4, 7), (5, 1, 3), (5, 3, 11), (7, 4, 201)):
+            params = BernoulliParams(p, d, c)
+            for n in (1, 2, 3):
+                D = d * p**n
+                for a in range(D):
+                    if math.gcd(a, d * p) != 1:
+                        continue
+                    b = pow(c, -1, D) * a % D
+                    t = c * b // D
+                    assert c * b - D * t == a
+                    assert bernoulli_distribution(params, n, a) == Fraction(c - 1, 2) - t
+
     def test_refine_sum_example(self):
         assert distribution_refine_sum(P312, 1, 1) == Fraction(-1, 2)
 

@@ -1,0 +1,93 @@
+"""The closed-form progression sums against brute force.
+
+riemann_sum and the twisted unit sums regroup their terms into arithmetic
+progressions summed by Faulhaber's formula; here they are compared with
+the term-by-term oracles in oracles.py for full PadicNum equality (value
+and precision).  Characters are chi_d * omega^e at level d*p^m, with
+chi_d the real character of conductor d in {3, 4} given by a label table
+loaded through a `table:` spec, or trivial for d = 1.
+"""
+
+import json
+import math
+
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from oracles import riemann_sum_bruteforce, twisted_unit_sum_bruteforce
+from padiclf.bernoulli import ProgressionPowerSum
+from padiclf.dirichlet import parse_character_spec
+from padiclf.genbernoulli import _twisted_unit_sum
+from padiclf.lfunction import LpParams, Weight, riemann_sum
+
+RELPREC = 10
+# residues of the real character of conductor d with value -1
+REAL_MINUS = {1: set(), 3: {2}, 4: {3}}
+
+
+@pytest.fixture(scope="module")
+def table_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("tables")
+
+
+def even_character(table_dir, p: int, d: int, m: int, e: int):
+    """chi_d * omega^e at level d*p^m, through a `table:` spec when d > 1."""
+    level = d * p**m
+    if d == 1:
+        return parse_character_spec(f"omega^{e}", p, relprec=RELPREC).change_level(level)
+    entries = {
+        str(a): (-1 if a % d in REAL_MINUS[d] else 1) * pow(a, e, p) % p
+        for a in range(level) if math.gcd(a, d * p) == 1
+    }
+    path = table_dir / f"chi_{p}_{d}_{m}_{e}.json"
+    path.write_text(json.dumps({"p": p, "modulus": level, "entries": entries}))
+    return parse_character_spec(f"table:{path}", p, relprec=RELPREC)
+
+
+@st.composite
+def characters(draw):
+    p = draw(st.sampled_from([3, 5, 7]))
+    d = draw(st.sampled_from([1, 3, 4]))
+    assume(d != p)
+    m = draw(st.integers(1, 2))
+    # chi_d is odd for d in {3, 4}, so omega's exponent must match its parity
+    e = draw(st.sampled_from(range(0 if d == 1 else 1, p - 1, 2)))
+    return p, d, m, e
+
+
+@given(k=st.integers(0, 8), step=st.integers(1, 60), u0=st.integers(-10**6, 10**6),
+       n=st.integers(0, 40), modulus=st.sampled_from([1, 7, 3**10, 2**61 - 1]))
+def test_progression_power_sum_matches_direct_sum(k, step, u0, n, modulus):
+    u1 = u0 + n * step
+    expected = sum(u**k for u in range(u0, u1, step)) % modulus
+    assert ProgressionPowerSum(k, step, modulus)(u0, u1) == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(char=characters(), c=st.integers(2, 200), k=st.integers(0, 6), dj=st.integers(0, 3))
+def test_riemann_sum_matches_oracle(table_dir, char, c, k, dj):
+    p, d, m, e = char
+    while math.gcd(c, d * p) != 1:
+        c += 1
+    chi = even_character(table_dir, p, d, m, e)
+    params = LpParams(p=p, d=d, c=c, m=m, chi=chi, relprec=RELPREC, j_max=m + 3)
+    j = m + dj
+    fast = riemann_sum(params, Weight(k), j)
+    slow = riemann_sum_bruteforce(params, Weight(k), j)
+    assert fast == slow
+    assert fast.abs_precision == slow.abs_precision
+
+
+@settings(max_examples=150, deadline=None)
+@given(char=characters(), k=st.integers(1, 6), j=st.integers(1, 5),
+       shift=st.sampled_from([0, 1]))
+def test_twisted_unit_sum_matches_oracle(table_dir, char, k, j, shift):
+    # j may lie below m, where the period of the twist does not divide d*p^j
+    p, d, m, e = char
+    assume(j <= m + 3)
+    chi = even_character(table_dir, p, d, m, e)
+    fast = _twisted_unit_sum(chi, k, j, k - shift, RELPREC)
+    slow = twisted_unit_sum_bruteforce(chi, k, j, k - shift, RELPREC)
+    assert fast == slow
+    assert fast.abs_precision == slow.abs_precision
