@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import random
 import sys
 from fractions import Fraction
@@ -26,7 +25,7 @@ from .measure import (
     distribution_refine_sum,
     norm_bound_check,
 )
-from .modarith import is_prime
+from .modarith import require_odd_prime
 from .suite import random_cylinder
 
 USAGE_ERROR = 2
@@ -41,11 +40,6 @@ def _frac_str(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-def _require_odd_prime(p: int) -> None:
-    if not is_prime(p) or p == 2:
-        raise ValueError("p must be an odd prime")
-
-
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="padiclf",
@@ -53,7 +47,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     top.add_argument("--prec", type=int, default=8, help="working relative precision")
     top.add_argument("--seed", type=int, default=0, help="seed for randomized sweeps")
-    top.add_argument("--json", action="store_true", help="reserved; output is always JSON")
     sub = top.add_subparsers(dest="command", required=True)
 
     q = sub.add_parser("bernoulli", help="exact Bernoulli number and polynomial")
@@ -99,9 +92,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _make_lp_params(args, prec: int) -> LpParams:
-    _require_odd_prime(args.p)
-    if math.gcd(args.d, args.p) != 1:
-        raise ValueError("d must be coprime to p")
+    # validate (p, d, c) before the level d*p^m is built from them
+    BernoulliParams(args.p, args.d, args.c)
     if args.m < 1:
         raise ValueError("m must be >= 1")
     level = args.d * args.p**args.m
@@ -132,7 +124,7 @@ def _cmd_bernoulli(args) -> int:
 
 
 def _cmd_genbernoulli(args, prec: int) -> int:
-    _require_odd_prime(args.p)
+    require_odd_prime(args.p)
     if args.n < 0:
         raise ValueError("n must be >= 0")
     chi = parse_character_spec(args.char, args.p, relprec=prec)
@@ -149,7 +141,7 @@ def _cmd_genbernoulli(args, prec: int) -> int:
 
 
 def _cmd_char_info(args, prec: int) -> int:
-    _require_odd_prime(args.p)
+    require_odd_prime(args.p)
     chi = parse_character_spec(args.char, args.p, relprec=prec)
     _emit({
         "p": chi.p,
@@ -195,8 +187,6 @@ def _cmd_measure_check(args, prec: int, seed: int) -> int:
 
 def _cmd_lp_eval(args, prec: int) -> int:
     params = _make_lp_params(args, prec)
-    if args.weight_k < 0:
-        raise ValueError("weight exponent must be >= 0")
     report = p_adic_L(params, Weight(args.weight_k))
     _emit(report.to_json())
     return 0

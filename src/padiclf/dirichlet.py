@@ -23,7 +23,7 @@ from .modarith import (
     UnitResidue,
     crt_combine,
     divisors,
-    is_prime,
+    require_odd_prime,
     units_of,
 )
 from .padic import DEFAULT_RELPREC, PadicNum
@@ -50,8 +50,7 @@ def teichmuller_int(p: int, a: int, relprec: int) -> int:
     reduced mod p^relprec: the unique (p-1)-st root of unity congruent
     to a mod p.
     """
-    if not is_prime(p) or p == 2:
-        raise ValueError("p must be an odd prime")
+    require_odd_prime(p)
     a %= p
     if a == 0:
         raise NotAUnit(f"{a} is not a unit modulo {p}")
@@ -75,8 +74,7 @@ class DirichletCharacter:
     """A character of (Z/levelZ)^x with values omega(label) in mu_(p-1)."""
 
     def __init__(self, p: int, level: int, labels: dict, relprec: int = DEFAULT_RELPREC):
-        if not is_prime(p) or p == 2:
-            raise ValueError("p must be an odd prime")
+        require_odd_prime(p)
         if level < 1:
             raise ValueError("level must be a positive integer")
         self.p = p

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import LevelOrder, NotCoprime
-from .modarith import Residue, is_prime, partition_range
+from .modarith import Residue, partition_range, require_odd_prime
 from .padic import DEFAULT_RELPREC, PadicNum, rational_valuation
 
 __all__ = [
@@ -60,8 +60,7 @@ class BernoulliParams:
     c: int
 
     def __post_init__(self):
-        if not is_prime(self.p) or self.p == 2:
-            raise ValueError("p must be an odd prime")
+        require_odd_prime(self.p)
         if self.d < 1:
             raise ValueError("d must be a positive integer")
         if math.gcd(self.d, self.p) != 1:

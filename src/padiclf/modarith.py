@@ -23,6 +23,7 @@ __all__ = [
     "units_of",
     "partition_range",
     "is_prime",
+    "require_odd_prime",
     "divisors",
 ]
 
@@ -175,6 +176,12 @@ def is_prime(n: int) -> bool:
             return False
         f += 2
     return True
+
+
+def require_odd_prime(p: int) -> None:
+    """Raise ValueError unless p is an odd prime."""
+    if not is_prime(p) or p == 2:
+        raise ValueError("p must be an odd prime")
 
 
 def divisors(n: int) -> list[int]:

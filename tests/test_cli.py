@@ -96,7 +96,7 @@ def test_lp_eval_report(capsys):
     assert code == 0
     obj = json.loads(out)
     assert obj["converged"] is True
-    assert set(obj) == {"value", "level_used", "converged", "tail_valuation"}
+    assert set(obj) == {"value", "level_used", "converged"}
 
 
 def test_verify_pass_exit_zero(capsys):
