@@ -8,6 +8,17 @@ computations on labels, and values can be emitted as p-adic numbers at
 any requested precision.  Characters whose order does not divide p - 1
 have no such table and are rejected at construction.
 
+Every table is validated when a character is built, derived characters
+included.  A table sending 1 to 1 is a homomorphism iff
+chi(a g) = chi(a) chi(g) for every unit a and every generator g of
+(Z/nZ)^x: writing h as a word in the generators, induction on the word
+length gives chi(h) as the product of the generator values, and then
+chi(a h) = chi(a) chi(h).  The generators come from the CRT: a
+primitive root for each odd prime power, -1 for 4, and -1 and 5 for 2^e
+with e >= 3, each lifted with 1 in the other slots.  So building a
+character costs O(phi(n) * #generators) table look-ups, with
+#generators at most one more than the number of primes dividing n.
+
 The unique character mod 1 is even, has conductor 1, and evaluates to 1
 everywhere (including at 0, the sole element of Z/1Z, which is a unit).
 """
@@ -24,7 +35,7 @@ from .modarith import (
     crt_combine,
     divisors,
     require_odd_prime,
-    units_of,
+    unit_ints,
 )
 from .padic import DEFAULT_RELPREC, PadicNum
 
@@ -70,6 +81,57 @@ def teichmuller(p: int, a, relprec: int = DEFAULT_RELPREC) -> PadicNum:
     return PadicNum.from_unit(p, 0, teichmuller_int(p, a, relprec), relprec)
 
 
+def _factorize(n: int) -> dict[int, int]:
+    """{prime: exponent} for n >= 1, by trial division."""
+    out: dict[int, int] = {}
+    f = 2
+    while f * f <= n:
+        while n % f == 0:
+            out[f] = out.get(f, 0) + 1
+            n //= f
+        f += 1 if f == 2 else 2
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
+
+
+def _primitive_root(q: int, e: int) -> int:
+    """A generator of (Z/q^e Z)^x for an odd prime q.
+
+    A primitive root g mod q generates every (Z/q^e Z)^x unless
+    g^(q-1) = 1 mod q^2, in which case g + q does.
+    """
+    primes = _factorize(q - 1)
+    g = next(g for g in range(2, q)
+             if all(pow(g, (q - 1) // r, q) != 1 for r in primes))
+    if e > 1 and pow(g, q - 1, q * q) == 1:
+        g += q
+    return g
+
+
+def _generators(n: int, factors: dict[int, int]) -> list[tuple[int, int]]:
+    """Generators of (Z/nZ)^x with their orders, as (g mod n, ord g).
+
+    Per prime power q^e of n: a primitive root of order phi(q^e) for odd
+    q, -1 for 4, and -1 and 5 (order 2^(e-2)) for 2^e with e >= 3; each
+    lifted through the CRT with 1 in the other slots.
+    """
+    gens = []
+    for q, e in factors.items():
+        qe = q**e
+        if q != 2:
+            local = [(_primitive_root(q, e), qe - qe // q)]
+        elif e == 1:
+            local = []
+        elif e == 2:
+            local = [(-1, 2)]
+        else:
+            local = [(-1, 2), (5, 2 ** (e - 2))]
+        for g, order in local:
+            gens.append((crt_combine(qe, n // qe, g, 1).value, order))
+    return gens
+
+
 class DirichletCharacter:
     """A character of (Z/levelZ)^x with values omega(label) in mu_(p-1)."""
 
@@ -85,39 +147,41 @@ class DirichletCharacter:
         self._validate()
 
     def _validate(self):
-        units = [u.value for u in units_of(self.level)]
-        missing = [a for a in units if a not in self._labels]
-        if missing:
-            raise ValueError(f"character table is missing units {missing[:5]}")
-        extra = [a for a in self._labels if a not in set(units)]
-        if extra:
+        """Check the table on the generators (module docstring)."""
+        n, p, labels = self.level, self.p, self._labels
+        factors = _factorize(n)
+        phi = math.prod(q**e - q ** (e - 1) for q, e in factors.items())
+        # phi(n) distinct unit keys are exactly the units
+        if len(labels) != phi or not all(
+            0 <= a < n and math.gcd(a, n) == 1 for a in labels
+        ):
+            units = unit_ints(n)
+            missing = [a for a in units if a not in labels]
+            if missing:
+                raise ValueError(f"character table is missing units {missing[:5]}")
+            unit_set = set(units)
+            extra = [a for a in labels if a not in unit_set]
             raise ValueError(f"character table has non-unit keys {extra[:5]}")
-        for a, t in self._labels.items():
-            if t % self.p == 0:
-                raise NotAUnit(f"value label {t} at {a} is not a unit mod {self.p}")
-        ident = 1 % self.level
-        if self._labels[ident] != 1:
+        for a, t in labels.items():
+            if t == 0:
+                raise NotAUnit(f"value label {t} at {a} is not a unit mod {p}")
+        if labels[1 % n] != 1:
             raise ValueError("character does not send 1 to 1")
-        # order obstruction first: a value's order must divide p - 1
-        for a in units:
-            if pow(self._labels[a], self._order_of_unit(a), self.p) != 1:
+        gens = _generators(n, factors)
+        # order obstruction first: chi(g)^ord(g) must be 1 in mu_(p-1)
+        for g, order in gens:
+            if pow(labels[g], order, p) != 1:
                 raise UnsupportedOrder(
-                    f"value at {a} would need order not dividing {self.p - 1}"
+                    f"value at the generator {g} has order not dividing "
+                    f"ord({g}) = {order}: no character into mu_{p - 1} takes it"
                 )
-        for a in units:
-            for b in units:
-                ab = (a * b) % self.level
-                if (self._labels[a] * self._labels[b] - self._labels[ab]) % self.p:
+        for g, _ in gens:
+            tg = labels[g]
+            for a, t in labels.items():
+                if (t * tg - labels[a * g % n]) % p:
                     raise ValueError(
-                        f"character table is not multiplicative at the pair ({a}, {b})"
+                        f"character table is not multiplicative at the pair ({a}, {g})"
                     )
-
-    def _order_of_unit(self, a: int) -> int:
-        k, x = 1, a % self.level
-        while x != 1 % self.level:
-            x = (x * a) % self.level
-            k += 1
-        return k
 
     # ---------------- evaluation ----------------
 
@@ -157,7 +221,7 @@ class DirichletCharacter:
     def order(self) -> int:
         """Order of the character in the group of characters."""
         acc = 1
-        for t in self._labels.values():
+        for t in set(self._labels.values()):
             k, x = 1, t % self.p
             while x != 1:
                 x = (x * t) % self.p
@@ -171,9 +235,7 @@ class DirichletCharacter:
         """Extend to level m (level | m): a maps to chi(a mod level)."""
         if m % self.level:
             raise NotDivisible(f"{self.level} does not divide {m}")
-        labels = {
-            u.value: self._labels[u.value % self.level] for u in units_of(m)
-        }
+        labels = {a: self._labels[a % self.level] for a in unit_ints(m)}
         return DirichletCharacter(self.p, m, labels, self.relprec)
 
     def factors_through(self, d: int) -> bool:
@@ -203,8 +265,7 @@ class DirichletCharacter:
         """The unique character at the conductor extending back to this one."""
         f = self.conductor()
         labels = {}
-        for u in units_of(f):
-            b = u.value
+        for b in unit_ints(f):
             for t in range(self.level // f):
                 a = b + t * f
                 if math.gcd(a, self.level) == 1:
@@ -219,11 +280,10 @@ class DirichletCharacter:
         if self.p != other.p:
             raise ValueError("characters live over different primes")
         lev = math.lcm(self.level, other.level)
-        a_ext = self.change_level(lev)
-        b_ext = other.change_level(lev)
+        la, lb = self._labels, other._labels
         labels = {
-            a: (a_ext._labels[a] * b_ext._labels[a]) % self.p
-            for a in a_ext._labels
+            a: la[a % self.level] * lb[a % other.level] % self.p
+            for a in unit_ints(lev)
         }
         prod = DirichletCharacter(
             self.p, lev, labels, min(self.relprec, other.relprec)
@@ -268,7 +328,7 @@ class DirichletCharacter:
 
 
 def trivial_character(p: int, level: int = 1, relprec: int = DEFAULT_RELPREC) -> DirichletCharacter:
-    labels = {u.value: 1 for u in units_of(level)}
+    labels = dict.fromkeys(unit_ints(level), 1)
     return DirichletCharacter(p, level, labels, relprec)
 
 
@@ -298,12 +358,8 @@ def decompose_coprime(chi: DirichletCharacter, m: int, n: int):
         raise NotCoprime(f"gcd({m}, {n}) != 1")
     if chi.level != m * n:
         raise ValueError(f"character has level {chi.level}, expected {m * n}")
-    labels1 = {
-        u.value: chi.label(crt_combine(m, n, u.value, 1).value) for u in units_of(m)
-    }
-    labels2 = {
-        u.value: chi.label(crt_combine(m, n, 1, u.value).value) for u in units_of(n)
-    }
+    labels1 = {a: chi.label(crt_combine(m, n, a, 1).value) for a in unit_ints(m)}
+    labels2 = {b: chi.label(crt_combine(m, n, 1, b).value) for b in unit_ints(n)}
     chi1 = DirichletCharacter(chi.p, m, labels1, chi.relprec)
     chi2 = DirichletCharacter(chi.p, n, labels2, chi.relprec)
     return chi1, chi2
@@ -315,7 +371,8 @@ def load_table_character(path: str, relprec: int = DEFAULT_RELPREC) -> Dirichlet
     Schema: { "p": int, "modulus": int, "entries": { "<a>": t_a, ... } }
     where each t_a is an integer coprime to p; the stored value at a is
     the Teichmuller lift of t_a.  The loader validates completeness over
-    the units and multiplicativity, naming the first offending pair.
+    the units and multiplicativity on the generators, naming the first
+    offending pair (a, g) with g a generator.
     """
     with open(path) as fh:
         obj = json.load(fh)

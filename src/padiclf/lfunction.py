@@ -147,13 +147,20 @@ class EvalReport:
 
 @dataclass
 class VerifyReport:
-    """Outcome of one interpolation check at a negative integer."""
+    """Outcome of one interpolation check at a negative integer.
+
+    valuation_of_difference is the valuation of the winning difference
+    L -+ R, or None when it is the exact zero; valuation_is_exact is False
+    when the difference vanished at the working precision, so that the
+    valuation is only a lower bound.
+    """
 
     lhs: PadicNum
     rhs: PadicNum
     sign: str | None
     valuation_of_difference: int | None
     passed: bool
+    valuation_is_exact: bool | None = None
     converged: bool = True
     level_used: int | None = None
     valuation_minus: int | None = field(default=None, repr=False)
@@ -165,6 +172,7 @@ class VerifyReport:
             "rhs": self.rhs.to_json(),
             "sign": self.sign,
             "valuation_of_difference": self.valuation_of_difference,
+            "valuation_is_exact": self.valuation_is_exact,
             "pass": self.passed,
         }
 
@@ -322,16 +330,18 @@ def verify_interpolation(params: LpParams, n: int,
             passed=False, converged=False, level_used=report.level_used,
         )
     lhs = report.value
-    v_minus, ok_minus = _certified_valuation(lhs - rhs, T)
-    v_plus, ok_plus = _certified_valuation(lhs + rhs, T)
+    minus, plus = lhs - rhs, lhs + rhs
+    v_minus, ok_minus = _certified_valuation(minus, T)
+    v_plus, ok_plus = _certified_valuation(plus, T)
     if ok_minus == ok_plus:
-        sign, vdiff, passed = None, None, False
+        sign, vdiff, exact = None, None, None
     elif ok_minus:
-        sign, vdiff, passed = "+", v_minus, True
+        sign, vdiff, exact = "+", v_minus, minus.valuation_is_exact
     else:
-        sign, vdiff, passed = "-", v_plus, True
+        sign, vdiff, exact = "-", v_plus, plus.valuation_is_exact
     return VerifyReport(
         lhs=lhs, rhs=rhs, sign=sign, valuation_of_difference=vdiff,
-        passed=passed, converged=True, level_used=report.level_used,
+        passed=sign is not None, valuation_is_exact=exact,
+        converged=True, level_used=report.level_used,
         valuation_minus=v_minus, valuation_plus=v_plus,
     )

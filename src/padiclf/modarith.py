@@ -20,6 +20,7 @@ __all__ = [
     "inverse_mod",
     "crt_split",
     "crt_combine",
+    "unit_ints",
     "units_of",
     "partition_range",
     "is_prime",
@@ -144,13 +145,16 @@ def crt_combine(d: int, q: int, a, b) -> Residue:
     return Residue(d * q, (av + d * t) % (d * q))
 
 
-def units_of(n: int) -> list[UnitResidue]:
-    """All units of Z/nZ in increasing representative order (length phi(n))."""
+def unit_ints(n: int) -> list[int]:
+    """The least representatives of the units of Z/nZ, increasing (length phi(n))."""
     if n < 1:
         raise ValueError("modulus must be a positive integer")
-    return [
-        UnitResidue(Residue(n, a)) for a in range(n) if math.gcd(a, n) == 1
-    ]
+    return [a for a in range(n) if math.gcd(a, n) == 1]
+
+
+def units_of(n: int) -> list[UnitResidue]:
+    """All units of Z/nZ in increasing representative order (length phi(n))."""
+    return [UnitResidue(Residue(n, a)) for a in unit_ints(n)]
 
 
 def partition_range(d: int, p: int, x: int) -> tuple[list[int], list[int]]:

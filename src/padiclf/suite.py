@@ -362,6 +362,7 @@ def _c10_interpolation(seed):
                 "n": n,
                 "sign": rep.sign,
                 "valuation_of_difference": rep.valuation_of_difference,
+                "valuation_is_exact": rep.valuation_is_exact,
                 "level_used": rep.level_used,
                 "converged": rep.converged,
             }

@@ -1,7 +1,8 @@
-"""Brute-force oracles for the closed-form sums in padiclf.
+"""Brute-force oracles for the fast paths in padiclf.
 
-Each visits every unit residue at the level, exactly as the sums are
-defined, so the fast paths in the library can be checked against them.
+Each visits every unit residue at the level (every pair of units, for
+the character-table check), exactly as the objects are defined, so the
+fast paths in the library can be checked against them.
 """
 
 from __future__ import annotations
@@ -9,8 +10,49 @@ from __future__ import annotations
 import math
 
 from padiclf.dirichlet import teichmuller_int
+from padiclf.errors import NotAUnit, UnsupportedOrder
 from padiclf.genbernoulli import chi_omega_minus_k, level_decompose
+from padiclf.modarith import units_of
 from padiclf.padic import PadicNum
+
+
+def validate_bruteforce(p: int, level: int, labels: dict) -> None:
+    """Check a label table {unit a: t} mod level as a character into mu_(p-1).
+
+    Completeness over the units, nonzero labels, 1 -> 1, then the order of
+    the value at every unit, then chi(a b) = chi(a) chi(b) for every pair:
+    O(phi(level)^2).  Returns None for a character table and raises as the
+    library's constructor does otherwise (UnsupportedOrder may come where
+    the constructor, which checks orders on generators only, raises
+    ValueError).
+    """
+    labels = {int(a): int(t) % p for a, t in labels.items()}
+    units = [u.value for u in units_of(level)]
+    missing = [a for a in units if a not in labels]
+    if missing:
+        raise ValueError(f"character table is missing units {missing[:5]}")
+    unit_set = set(units)
+    extra = [a for a in labels if a not in unit_set]
+    if extra:
+        raise ValueError(f"character table has non-unit keys {extra[:5]}")
+    for a, t in labels.items():
+        if t == 0:
+            raise NotAUnit(f"value label {t} at {a} is not a unit mod {p}")
+    if labels[1 % level] != 1:
+        raise ValueError("character does not send 1 to 1")
+    for a in units:
+        order, x = 1, a
+        while x != 1 % level:
+            x = x * a % level
+            order += 1
+        if pow(labels[a], order, p) != 1:
+            raise UnsupportedOrder(f"value at {a} would need order not dividing {p - 1}")
+    for a in units:
+        for b in units:
+            if (labels[a] * labels[b] - labels[a * b % level]) % p:
+                raise ValueError(
+                    f"character table is not multiplicative at the pair ({a}, {b})"
+                )
 
 
 def riemann_sum_bruteforce(params, w, j: int) -> PadicNum:

@@ -105,8 +105,54 @@ def test_verify_pass_exit_zero(capsys):
                            "--prec", "12", "--target", "4")
     assert code == 0
     obj = json.loads(out)
-    assert set(obj) == {"lhs", "rhs", "sign", "valuation_of_difference", "pass"}
+    assert set(obj) == {"lhs", "rhs", "sign", "valuation_of_difference",
+                        "valuation_is_exact", "pass"}
     assert obj["pass"] is True and obj["sign"] in ("+", "-")
+
+
+def test_verify_valuation_is_a_lower_bound(capsys):
+    # L - R vanishes to all 7 certified digits of S_7 (L = R = 1 here), so
+    # 7 only bounds the valuation of the difference from below
+    code, out, _ = run_cli(capsys, "verify", "--p", "5", "--d", "1", "--m", "1",
+                           "--char", "omega^2", "--c", "2", "--n", "2",
+                           "--prec", "12", "--target", "4")
+    assert code == 0
+    obj = json.loads(out)
+    assert obj["valuation_of_difference"] == 7
+    assert obj["valuation_is_exact"] is False
+
+
+def test_level_3125_matches_level_5(capsys):
+    # omega^2 at level 5^5 and at level 5 both sum S_8 over the same
+    # primitive psi = omega, so the L-values agree
+    args = ["--p", "5", "--d", "1", "--char", "omega^2", "--c", "3",
+            "--weight-k", "2", "--prec", "8", "--jmax", "8"]
+    reports = []
+    for m in ("5", "1"):
+        code, out, _ = run_cli(capsys, "lp-eval", *args, "--m", m)
+        assert code == 0
+        reports.append(json.loads(out))
+    assert reports[0] == reports[1]
+    assert reports[0]["value"]["unit"] == 85986 and reports[0]["level_used"] == 8
+
+
+def test_char_info_large_table(capsys, tmp_path):
+    # omega * (2/.) * (./3) at level 2^3 * 3 * 5^4 = 15000 (4000 units):
+    # conductor 5 * 8 * 3, order lcm(4, 2, 2), parity (-1)(+1)(-1)
+    level = 15000
+    entries = {}
+    for a in range(level):
+        if a % 2 and a % 3 and a % 5:
+            sign = (1 if a % 8 in (1, 7) else -1) * (1 if a % 3 == 1 else -1)
+            entries[str(a)] = sign * a % 5
+    path = tmp_path / "chi.json"
+    path.write_text(json.dumps({"p": 5, "modulus": level, "entries": entries}))
+    code, out, _ = run_cli(capsys, "char-info", "--p", "5", "--char", f"table:{path}")
+    assert code == 0
+    obj = json.loads(out)
+    assert obj["level"] == level and len(obj["table"]) == 4000
+    assert obj["conductor"] == 120 and obj["order"] == 4
+    assert obj["parity"] == "even" and obj["is_primitive"] is False
 
 
 def test_high_levels_at_p11_finish(capsys):

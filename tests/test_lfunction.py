@@ -243,7 +243,8 @@ class TestVerify:
     def test_json_schema(self):
         report = verify_interpolation(main_params(), 2)
         obj = report.to_json()
-        assert set(obj) == {"lhs", "rhs", "sign", "valuation_of_difference", "pass"}
+        assert set(obj) == {"lhs", "rhs", "sign", "valuation_of_difference",
+                            "valuation_is_exact", "pass"}
 
     def test_small_n_rejected(self):
         with pytest.raises(ValueError):
