@@ -8,6 +8,7 @@ pass, 1 verification failure, 2 usage or validation error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -19,12 +20,7 @@ from .dirichlet import parse_character_spec
 from .errors import PadicLFError
 from .genbernoulli import general_bernoulli, general_bernoulli_exact
 from .lfunction import LpParams, Weight, p_adic_L, verify_interpolation
-from .measure import (
-    BernoulliParams,
-    bernoulli_distribution,
-    distribution_refine_sum,
-    norm_bound_check,
-)
+from .measure import BernoulliParams, compatibility_failures, norm_bound_check
 from .modarith import require_odd_prime
 from .suite import random_cylinder
 
@@ -40,7 +36,9 @@ def _frac_str(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # built once per process: building costs about 15 times a parse
     top = argparse.ArgumentParser(
         prog="padiclf",
         description="Exact p-adic L-values from Bernoulli-measure Riemann sums.",
@@ -157,16 +155,11 @@ def _cmd_char_info(args, prec: int) -> int:
 
 def _cmd_measure_check(args, prec: int, seed: int) -> int:
     params = BernoulliParams(args.p, args.d, args.c)
-    counterexamples = []
-    for m in range(args.max_level + 1):
-        for x in range(args.d * args.p**m):
-            coarse = bernoulli_distribution(params, m, x)
-            fine = distribution_refine_sum(params, m, x)
-            if coarse != fine:
-                counterexamples.append({
-                    "kind": "compatibility", "level": m, "x": x,
-                    "coarse": _frac_str(coarse), "refined_sum": _frac_str(fine),
-                })
+    counterexamples = [
+        {"kind": "compatibility", "level": m, "x": x,
+         "coarse": _frac_str(coarse), "refined_sum": _frac_str(fine)}
+        for m, x, coarse, fine in compatibility_failures(params, args.max_level)
+    ]
     rng = random.Random(seed)
     for i in range(100):
         f = random_cylinder(rng, args.p, args.d,

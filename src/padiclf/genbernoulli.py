@@ -27,6 +27,7 @@ from fractions import Fraction
 from .bernoulli import ProgressionPowerSum, bernoulli_poly_eval
 from .dirichlet import DirichletCharacter, char_power, make_teich_char, teichmuller_int
 from .errors import NotMultipleOfConductor
+from .modarith import unit_ints
 from .padic import PadicNum
 
 __all__ = [
@@ -172,7 +173,7 @@ def unit_character_lifts(psi: DirichletCharacter, modulus: int,
     labels = psi.labels
     q = psi.level
     lift = {t: teichmuller_int(p, t, relprec) for t in set(labels.values())}
-    return {x: lift[labels[x % q]] for x in range(modulus) if math.gcd(x, modulus) == 1}
+    return {x: lift[labels[x % q]] for x in unit_ints(modulus)}
 
 
 def _twisted_unit_sum(chi: DirichletCharacter, k: int, j: int, exponent: int,

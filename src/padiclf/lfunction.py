@@ -9,18 +9,15 @@ principal-unit part of a.  The level-j Riemann sum is
 
 and the L-value is their limit as j grows.  Each S_j is computed
 without visiting the d*p^j units.  Put psi = chi omega^(-1),
-D = d*p^j and L = lcm(cond psi, dp), which divides D.  With
-b = c^(-1) a mod D and t = floor(c b / D) in [0, c),
-
-    a = c b - D t   and   E_c(j, a) = (c - 1)/2 - t,
-
-and psi omega^(-k)(a) depends only on c b mod L.  So b runs over
-r + L s (r a unit mod L, 0 <= s < D/L); on each run of s with one value
-of t the summand is a degree-k polynomial in s, summed in closed form by
-Faulhaber's formula (bernoulli.ProgressionPowerSum).  One sum costs
-O(phi(L) * min(c, D/L) * k) integer operations, independent of j.  This
-is the regrouping behind Washington, Introduction to Cyclotomic Fields,
-section 5.2 and Theorem 5.11.
+D = d*p^j and L = lcm(cond psi, dp), which divides D.  Take E_c in the
+carry form of the padiclf.measure docstring, through b = c^(-1) a mod D
+and its carry t; psi omega^(-k)(a) depends only on c b mod L.  So b
+runs over r + L s (r a unit mod L, 0 <= s < D/L); on each run of s with
+one value of t the summand is a degree-k polynomial in s, summed in
+closed form by Faulhaber's formula (bernoulli.ProgressionPowerSum).  One
+sum costs O(phi(L) * min(c, D/L) * k) integer operations, independent
+of j.  This is the regrouping behind Washington, Introduction to
+Cyclotomic Fields, section 5.2 and Theorem 5.11.
 
 Certified precision: on a level-j clopen a + d p^j Z_p with j >= m the
 factor psi is constant and <x>^k = <a>^k mod p^j, while E_c is
@@ -216,13 +213,12 @@ def riemann_sum(params: LpParams, w: Weight, j: int) -> PadicNum:
     single integer mod p^relprec; the result is exact at that absolute
     precision.
 
-    The terms are regrouped (see the module docstring): with
-    b = c^(-1) a mod D and t = floor(c b / D), a = c b - D t and
-    E_c(j, a) = (c-1)/2 - t.  For b = r + L s, L = lcm(cond psi, dp), each
-    run of s sharing one t contributes (c-1-2t)/2 times a power sum of
-    a = c r - D t + c L s over a progression, in closed form; t then jumps
-    to the next run.  Cost: O(phi(L) * min(c, D/L) * k) integer
-    operations, independent of j.
+    The terms are regrouped (see the module docstring) by the carry t of
+    E_c in the form the padiclf.measure docstring states.  For
+    b = r + L s, L = lcm(cond psi, dp), each run of s sharing one t
+    contributes (c-1-2t)/2 times a power sum of a = c r - D t + c L s
+    over a progression, in closed form; t then jumps to the next run.
+    Cost: O(phi(L) * min(c, D/L) * k) integer operations, independent of j.
     """
     if j < params.m:
         raise LevelTooLow(f"integration level {j} is below the character level {params.m}")

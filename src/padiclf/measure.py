@@ -2,22 +2,23 @@
 
 The clopen basis of the space is indexed by residues a mod d*p^n (the
 product view is reachable through the CRT).  Fixing an auxiliary c >= 2
-with gcd(c, dp) = 1, the measure of the level-n basic clopen set at a is
+with gcd(c, dp) = 1, put D = d*p^n (the modulus of the level itself),
+A the least representative of a, b = c^(-1) A mod D and t = floor(c b / D),
+so that t lies in [0, c) and
 
-    E_c(n, a) = {A / D} - c * {(c^(-1) A mod D) / D} + (c - 1)/2
+    a = c b - D t   and   E_c(n, a) = (c - 1)/2 - t.
 
-with D = d*p^n (the modulus of the level itself), A the least
-representative of a, and c^(-1) an integer inverse of c mod D.  The
-first two terms combine to an integer, so E_c takes values in
-Z + (c-1)/2 and in particular is p-integral for odd p.  Its load-bearing
-property is distribution compatibility: the sum of level-(n+1) values
-over the p lifts of a equals the level-n value exactly, for every
-admissible c.  Two rival readings of the formula are rejected by that
-very property and kept only as documentation: shifting the denominator
-one level down (D = d*p^(n+1)) breaks compatibility for most c (for
-example p=5, d=1, c=3, m=1), and dividing by c inside the fractional
-part instead of multiplying by an integer inverse collapses the value to
-the constant (c-1)/2, whose refined sum picks up a factor p.
+This is the measure of the level-n basic clopen set at a, the classical
+{A/D} - c {b/D} + (c - 1)/2 with the two fractional parts combined into
+the carry t.  E_c takes values in Z + (c-1)/2 and in particular is
+p-integral for odd p.  Its load-bearing property is distribution
+compatibility: the sum of level-(n+1) values over the p lifts of a
+equals the level-n value exactly, for every admissible c.  That property
+rejects the two rival readings of the fractional-part formula.  Shifting
+the denominator one level down (D = d*p^(n+1)) breaks compatibility for
+most c (for example p=5, d=1, c=3, m=1).  Dividing by c inside the
+fractional part, {A/D} - c {A/(cD)} + (c - 1)/2, is the constant
+(c - 1)/2, whose refined sum is p (c - 1)/2.
 
 Cylinder (locally constant) functions are total value tables at a level;
 applying the measure to one is a finite sum, and refining the level does
@@ -32,7 +33,7 @@ from fractions import Fraction
 
 from .errors import LevelOrder, NotCoprime
 from .modarith import Residue, partition_range, require_odd_prime
-from .padic import DEFAULT_RELPREC, PadicNum, rational_valuation
+from .padic import DEFAULT_RELPREC, PadicNum
 
 __all__ = [
     "BernoulliParams",
@@ -44,6 +45,7 @@ __all__ = [
     "bernoulli_distribution",
     "bernoulli_distribution_div_by_c",
     "distribution_refine_sum",
+    "compatibility_failures",
     "measure_apply",
     "extend_by_zero",
     "units_cylinder",
@@ -167,40 +169,21 @@ def equi_class(d: int, p: int, n: int, m: int, a: Residue) -> list[Residue]:
     return [Residue(mod, a.value + t * step) for t in range(p ** (m - n))]
 
 
-def _fract(x: Fraction) -> Fraction:
-    return x - math.floor(x)
-
-
 def bernoulli_distribution(params: BernoulliParams, n: int, a) -> Fraction:
-    """E_c(n, a) as an exact rational (integer-inverse form, D = d*p^n)."""
+    """E_c(n, a) = (c-1)/2 - floor(c b / D), b = c^(-1) A mod D, D = d*p^n."""
     p, d, c = params.p, params.d, params.c
     D = d * p**n
     A = a.value if isinstance(a, Residue) else int(a) % D
-    if D == 1:
-        return Fraction(c - 1, 2)
-    cinv = pow(c, -1, D)
-    return (
-        _fract(Fraction(A, D))
-        - c * _fract(Fraction((cinv * A) % D, D))
-        + Fraction(c - 1, 2)
-    )
+    return Fraction(c - 1 - 2 * (c * (pow(c, -1, D) * A % D) // D), 2)
 
 
 def bernoulli_distribution_div_by_c(params: BernoulliParams, n: int, a) -> Fraction:
-    """Diagnostic variant dividing by c inside the fractional part.
+    """The rival reading {A/D} - c {A/(cD)} + (c-1)/2, which fails compatibility.
 
-    Violates distribution compatibility (the value collapses to the
-    constant (c-1)/2, so the refined sum picks up a factor p); kept only
-    to document that the integer-inverse form above is the right reading.
+    It is the constant (c-1)/2: 0 <= A < D < cD gives {A/(cD)} = A/(cD),
+    so the first two terms cancel.  Its refined sum is p (c-1)/2.
     """
-    p, d, c = params.p, params.d, params.c
-    D = d * p**n
-    A = a.value if isinstance(a, Residue) else int(a) % D
-    return (
-        _fract(Fraction(A, D))
-        - c * _fract(Fraction(A, c * D))
-        + Fraction(c - 1, 2)
-    )
+    return Fraction(params.c - 1, 2)
 
 
 def distribution_refine_sum(params: BernoulliParams, m: int, x,
@@ -216,6 +199,20 @@ def distribution_refine_sum(params: BernoulliParams, m: int, x,
         (dist(params, m + 1, y) for y in equi_class(d, p, m, m + 1, x)),
         Fraction(0),
     )
+
+
+def compatibility_failures(params: BernoulliParams, max_level: int,
+                           dist=bernoulli_distribution) -> list[tuple]:
+    """Every (m, x, coarse, fine) with m <= max_level and x mod d*p^m where the
+    level-m value `coarse` differs from the refined sum `fine`."""
+    failures = []
+    for m in range(max_level + 1):
+        for x in range(params.d * params.p**m):
+            coarse = dist(params, m, x)
+            fine = distribution_refine_sum(params, m, x, dist)
+            if coarse != fine:
+                failures.append((m, x, coarse, fine))
+    return failures
 
 
 def measure_apply(params: BernoulliParams, f: CylinderFunction,
@@ -248,11 +245,7 @@ def units_cylinder(d: int, p: int, level: int, unit_values: dict) -> CylinderFun
 
 def extend_by_zero(f: CylinderFunction) -> CylinderFunction:
     """Keep f on the units of the space, exact zero off them."""
-    units, nonunits = partition_range(f.d, f.p, f.level)
-    zero = PadicNum.exact_zero(f.p)
-    vals = {a: f.values[a] for a in units}
-    vals.update({a: zero for a in nonunits})
-    return CylinderFunction(f.d, f.p, f.level, vals)
+    return units_cylinder(f.d, f.p, f.level, f.values)
 
 
 def norm_bound_check(params: BernoulliParams, f: CylinderFunction,
@@ -262,15 +255,9 @@ def norm_bound_check(params: BernoulliParams, f: CylinderFunction,
     K = 1 + ||c|| + ||(c-1)/2|| with exact rational p-adic norms.
     Returns (lhs, rhs, ok).
     """
-    p = params.p
-
-    def pnorm(q) -> Fraction:
-        v = rational_valuation(p, q)
-        if v == math.inf:
-            return Fraction(0)
-        return Fraction(1, p**v) if v >= 0 else Fraction(p ** (-v))
-
+    p, c = params.p, params.c
     lhs = measure_apply(params, f, relprec).norm()
-    K = 1 + pnorm(params.c) + pnorm(Fraction(params.c - 1, 2))
+    K = (1 + PadicNum.from_rational(p, c).norm()
+         + PadicNum.from_rational(p, Fraction(c - 1, 2)).norm())
     rhs = K * f.sup_norm()
     return lhs, rhs, lhs <= rhs

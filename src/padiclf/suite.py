@@ -38,9 +38,8 @@ from .lfunction import LpParams, Weight, riemann_sum, verify_interpolation
 from .measure import (
     BernoulliParams,
     CylinderFunction,
-    bernoulli_distribution,
     bernoulli_distribution_div_by_c,
-    distribution_refine_sum,
+    compatibility_failures,
     measure_apply,
     norm_bound_check,
 )
@@ -219,22 +218,14 @@ def _c5_distribution_compatibility(seed):
                 if math.gcd(c, d * p) != 1:
                     continue
                 params = BernoulliParams(p, d, c)
-                for m in range(4):
-                    for x in range(d * p**m):
-                        coarse = bernoulli_distribution(params, m, x)
-                        fine = distribution_refine_sum(params, m, x)
-                        if coarse != fine:
-                            failures.append((p, d, c, m, x))
-                        v_coarse = bernoulli_distribution_div_by_c(params, m, x)
-                        v_fine = distribution_refine_sum(
-                            params, m, x, dist=bernoulli_distribution_div_by_c
-                        )
-                        if v_coarse != v_fine and len(variant_failed_on) < 3:
-                            variant_failed_on.append((p, d, c, m, x))
+                failures += [(p, d, c, m, x)
+                             for m, x, _, _ in compatibility_failures(params, 3)]
+                variant = compatibility_failures(params, 3, bernoulli_distribution_div_by_c)
+                variant_failed_on += [(p, d, c, m, x) for m, x, _, _ in variant]
     diagnostic_ok = bool(variant_failed_on)
     return (not failures) and diagnostic_ok, {
         "failures": failures,
-        "division_variant_counterexamples": variant_failed_on,
+        "division_variant_counterexamples": variant_failed_on[:3],
     }
 
 

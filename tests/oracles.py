@@ -1,19 +1,52 @@
 """Brute-force oracles for the fast paths in padiclf.
 
 Each visits every unit residue at the level (every pair of units, for
-the character-table check), exactly as the objects are defined, so the
-fast paths in the library can be checked against them.
+the character-table check), or evaluates a formula in its textbook
+form, exactly as the objects are defined, so the fast paths in the
+library can be checked against them.
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 from padiclf.dirichlet import teichmuller_int
 from padiclf.errors import NotAUnit, UnsupportedOrder
 from padiclf.genbernoulli import chi_omega_minus_k, level_decompose
-from padiclf.modarith import units_of
+from padiclf.modarith import Residue, units_of
 from padiclf.padic import PadicNum
+
+
+def _fract(x: Fraction) -> Fraction:
+    return x - math.floor(x)
+
+
+def bernoulli_distribution_fract(params, n: int, a) -> Fraction:
+    """E_c(n, a) in its fractional-part form {A/D} - c {(c^(-1) A mod D)/D} + (c-1)/2."""
+    p, d, c = params.p, params.d, params.c
+    D = d * p**n
+    A = a.value if isinstance(a, Residue) else int(a) % D
+    if D == 1:
+        return Fraction(c - 1, 2)
+    cinv = pow(c, -1, D)
+    return (
+        _fract(Fraction(A, D))
+        - c * _fract(Fraction((cinv * A) % D, D))
+        + Fraction(c - 1, 2)
+    )
+
+
+def bernoulli_distribution_div_by_c_fract(params, n: int, a) -> Fraction:
+    """The division rival reading as written: {A/D} - c {A/(cD)} + (c-1)/2."""
+    p, d, c = params.p, params.d, params.c
+    D = d * p**n
+    A = a.value if isinstance(a, Residue) else int(a) % D
+    return (
+        _fract(Fraction(A, D))
+        - c * _fract(Fraction(A, c * D))
+        + Fraction(c - 1, 2)
+    )
 
 
 def validate_bruteforce(p: int, level: int, labels: dict) -> None:

@@ -48,3 +48,14 @@ def test_interpolation_valuations_are_lower_bounds():
     for case in result.detail["cases"]:
         assert case["valuation_is_exact"] is False
         assert case["valuation_of_difference"] == case["level_used"]
+
+
+def test_compatibility_detail_is_pinned():
+    # the genuine E_c fails nowhere; the division reading fails first at
+    # (p, d, c, level, x) = (3, 1, 2, 0, 0), (3, 1, 2, 1, 0), (3, 1, 2, 1, 1)
+    crit = next(c for c in ALL_CRITERIA if c.number == 5)
+    assert crit.run(seed=SEED).detail == {
+        "failures": [],
+        "division_variant_counterexamples": [(3, 1, 2, 0, 0), (3, 1, 2, 1, 0),
+                                             (3, 1, 2, 1, 1)],
+    }

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from padiclf.cli import main
+from padiclf.cli import _build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -73,6 +73,24 @@ def test_bad_table_names_pair(capsys, tmp_path):
 def test_unknown_flag_usage_error(capsys):
     code, _, _ = run_cli(capsys, "bernoulli", "--wat", "1")
     assert code == 2
+
+
+def test_parser_reused_across_calls(capsys):
+    # one process, three calls on the parser that is built once: a usage
+    # error that sets the global --prec, then the same lp-eval twice
+    lp = ["lp-eval", "--p", "5", "--d", "1", "--m", "1", "--char", "omega^2",
+          "--c", "2", "--weight-k", "1"]
+    code, out, err = run_cli(capsys, "--prec", "3", *lp, "--jmax", "seven")
+    assert code == 2 and out == "" and "--jmax" in err
+    first = run_cli(capsys, *lp)
+    second = run_cli(capsys, *lp)
+    assert first == second
+    code, out, err = first
+    assert code == 0 and err == ""
+    # the default --prec 8 and --jmax 7, not the usage error's --prec 3
+    assert json.loads(out)["level_used"] == 7
+    assert _build_parser() is _build_parser()
+    assert _build_parser().parse_args(lp) == _build_parser.__wrapped__().parse_args(lp)
 
 
 def test_measure_check_passes(capsys):

@@ -3,7 +3,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from oracles import bernoulli_distribution_div_by_c_fract, bernoulli_distribution_fract
 from padiclf.errors import LevelOrder, NotCoprime
 from padiclf.measure import (
     BernoulliParams,
@@ -12,6 +15,7 @@ from padiclf.measure import (
     bernoulli_distribution,
     bernoulli_distribution_div_by_c,
     char_fn,
+    compatibility_failures,
     cylinder_decompose,
     distribution_refine_sum,
     equi_class,
@@ -24,6 +28,9 @@ from padiclf.modarith import Residue, partition_range
 from padiclf.padic import PadicNum, eq_mod
 
 P312 = BernoulliParams(3, 1, 2)
+# the (p, d, c) grid of suite criterion 5, swept there at levels 0-3
+C5_GRID = [BernoulliParams(p, d, c) for p in (3, 5, 7) for d in (1, 2, 4)
+           for c in (2, 3, 7) if math.gcd(d, p) == 1 and math.gcd(c, d * p) == 1]
 
 
 def random_cylinder(rng, p, d, level, relprec=8):
@@ -80,19 +87,34 @@ class TestDistribution:
                     assert v.denominator % p != 0
 
     def test_units_value_is_half_minus_carry(self):
-        # the identity the Riemann-sum kernel regroups by: with b = c^(-1) a
-        # mod D, E_c(n, a) = (c-1)/2 - floor(c b / D), and a = c b - D floor(c b / D)
+        # the carry form against the fractional-part oracle at every residue,
+        # and the identity the Riemann-sum kernel regroups by: with
+        # b = c^(-1) a mod D, E_c(n, a) = (c-1)/2 - floor(c b / D), and
+        # a = c b - D floor(c b / D)
         for p, d, c in ((3, 1, 2), (3, 4, 7), (5, 1, 3), (5, 3, 11), (7, 4, 201)):
             params = BernoulliParams(p, d, c)
-            for n in (1, 2, 3):
+            for n in range(4):
                 D = d * p**n
                 for a in range(D):
-                    if math.gcd(a, d * p) != 1:
-                        continue
                     b = pow(c, -1, D) * a % D
                     t = c * b // D
                     assert c * b - D * t == a
-                    assert bernoulli_distribution(params, n, a) == Fraction(c - 1, 2) - t
+                    expected = bernoulli_distribution_fract(params, n, a)
+                    assert expected == Fraction(c - 1, 2) - t
+                    assert bernoulli_distribution(params, n, a) == expected
+                    assert bernoulli_distribution(params, n, Residue(D, a)) == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(p=st.sampled_from((3, 5, 7, 11)), d=st.integers(1, 12),
+           c=st.integers(2, 10**4), n=st.integers(0, 4),
+           a=st.integers(-10**6, 10**6), as_residue=st.booleans())
+    def test_matches_fract_oracle(self, p, d, c, n, a, as_residue):
+        assume(math.gcd(d, p) == 1 and math.gcd(c, d * p) == 1)
+        params = BernoulliParams(p, d, c)
+        D = d * p**n
+        x = Residue(D, a % D) if as_residue else a
+        assert bernoulli_distribution(params, n, x) == \
+            bernoulli_distribution_fract(params, n, x)
 
     def test_refine_sum_example(self):
         assert distribution_refine_sum(P312, 1, 1) == Fraction(-1, 2)
@@ -118,6 +140,19 @@ class TestDistribution:
         assert bad != good
         # the variant collapses to the constant (c-1)/2
         assert good == Fraction(1, 2) and bad == Fraction(3, 2)
+        # on the criterion-5 grid it is that constant as written with
+        # fractional parts, and it fails at every residue, where the genuine
+        # distribution fails at none
+        for params in C5_GRID:
+            p, d, half = params.p, params.d, Fraction(params.c - 1, 2)
+            for m in range(4):
+                for x in range(d * p**m):
+                    assert bernoulli_distribution_div_by_c(params, m, x) == half
+                    assert bernoulli_distribution_div_by_c_fract(params, m, x) == half
+            failures = compatibility_failures(params, 3, bernoulli_distribution_div_by_c)
+            assert failures == [(m, x, half, p * half)
+                                for m in range(4) for x in range(d * p**m)]
+            assert compatibility_failures(params, 3) == []
 
     def test_shifted_denominator_fails_compatibility(self):
         # the one-level-down denominator reading is not a distribution
