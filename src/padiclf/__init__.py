@@ -25,6 +25,7 @@ from .dirichlet import (
     trivial_character,
 )
 from .errors import (
+    CostLimitExceeded,
     DivisionByZero,
     InsufficientPrecision,
     LevelOrder,
@@ -40,7 +41,6 @@ from .genbernoulli import (
     general_bernoulli,
     general_bernoulli_coeffs,
     general_bernoulli_exact,
-    general_bernoulli_via_multiple,
     twisted_mean_limit,
     twisted_mean_truncation,
     unit_power_sum,
@@ -65,7 +65,6 @@ from .measure import (
     cylinder_decompose,
     distribution_refine_sum,
     equi_class,
-    extend_by_zero,
     measure_apply,
     norm_bound_check,
     units_cylinder,

@@ -39,3 +39,7 @@ class LevelOrder(PadicLFError):
 
 class LevelTooLow(PadicLFError):
     """Raised when an integration level is below the character's level."""
+
+
+class CostLimitExceeded(PadicLFError):
+    """Raised before a computation whose estimated cost is above a fixed limit."""

@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .bernoulli import ProgressionPowerSum, bernoulli_poly_eval
+from .bernoulli import ProgressionPowerSum, bernoulli
 from .dirichlet import DirichletCharacter, char_power, make_teich_char, teichmuller_int
 from .errors import NotMultipleOfConductor
 from .modarith import unit_ints
@@ -35,7 +35,6 @@ __all__ = [
     "chi_omega_minus_k",
     "general_bernoulli_coeffs",
     "general_bernoulli",
-    "general_bernoulli_via_multiple",
     "general_bernoulli_exact",
     "twisted_mean_truncation",
     "twisted_mean_limit",
@@ -73,6 +72,14 @@ def general_bernoulli_coeffs(chi: DirichletCharacter, m: int, F: int | None = No
     c_t = F^(m-1) * sum of B_m(a/F) over 1 <= a <= F whose primitive
     character value has label t.  Zero coefficients are dropped, so the
     dict is independent of the multiple F chosen.
+
+    Expanding B_m(a/F) = sum_i C(m,i) * B_i * (a/F)^(m-i) gives
+
+        c_t = sum_i C(m,i) * B_i * F^(i-1) * S_(t,m-i),
+
+    where S_(t,j) is the sum of a^j over the same a.  So the loop over a
+    accumulates integer power sums only, and each c_t is one Fraction over
+    the common denominator of the weights C(m,i) * B_i * F^(i-1).
     """
     chi0 = chi.associated_primitive()
     f = chi0.level
@@ -80,15 +87,22 @@ def general_bernoulli_coeffs(chi: DirichletCharacter, m: int, F: int | None = No
         F = f
     if F < 1 or F % f:
         raise NotMultipleOfConductor(f"{F} is not a positive multiple of the conductor {f}")
-    coeffs: dict[int, Fraction] = {}
+    sums: dict[int, list[int]] = {}
     for a in range(1, F + 1):
         r = a % f
         if f > 1 and math.gcd(r, f) != 1:
             continue
-        t = chi0.label(r)
-        coeffs[t] = coeffs.get(t, Fraction(0)) + bernoulli_poly_eval(m, Fraction(a, F))
-    scale = Fraction(F) ** (m - 1)
-    return {t: scale * c for t, c in coeffs.items() if c != 0}
+        s = sums.setdefault(chi0.label(r), [0] * (m + 1))
+        x = 1
+        for j in range(m + 1):
+            s[j] += x
+            x *= a
+    weights = [math.comb(m, i) * bernoulli(i) * Fraction(F) ** (i - 1) for i in range(m + 1)]
+    den = math.lcm(*(w.denominator for w in weights))
+    nums = [int(w * den) for w in weights]
+    coeffs = {t: Fraction(sum(n * s[m - i] for i, n in enumerate(nums)), den)
+              for t, s in sums.items()}
+    return {t: c for t, c in coeffs.items() if c != 0}
 
 
 def _embed_label_sum(p: int, coeffs: dict, relprec: int) -> PadicNum:
@@ -122,14 +136,6 @@ def general_bernoulli(chi: DirichletCharacter, m: int,
     """B_(m,chi) as a p-adic number (conductor-length sum)."""
     n = relprec if relprec is not None else chi.relprec
     return _embed_label_sum(chi.p, general_bernoulli_coeffs(chi, m), n)
-
-
-def general_bernoulli_via_multiple(chi: DirichletCharacter, m: int, F: int,
-                                   relprec: int | None = None) -> PadicNum:
-    """B_(m,chi) computed over a multiple F of the conductor; equal to
-    general_bernoulli(chi, m) exactly."""
-    n = relprec if relprec is not None else chi.relprec
-    return _embed_label_sum(chi.p, general_bernoulli_coeffs(chi, m, F), n)
 
 
 def general_bernoulli_exact(chi: DirichletCharacter, m: int,

@@ -22,7 +22,24 @@ fractional part, {A/D} - c {A/(cD)} + (c - 1)/2, is the constant
 
 Cylinder (locally constant) functions are total value tables at a level;
 applying the measure to one is a finite sum, and refining the level does
-not change the result.
+not change the result.  cylinder_decompose stays although only tests call
+it: a test pins the clopen decomposition f = sum f(a) * char_fn(U_a)
+through it.
+
+measure_apply returns the PadicNum that the fold sum_a f(a) * E_c(a), with
+each E_c(a) embedded at relative precision relprec, would return, from one
+integer accumulator.  An entry counts when it is not an exact zero and
+E_c(a) != 0; write e = v_p(2 E_c(a)).  A finite entry p^v u with relative
+precision r gives a term of absolute precision v + e + min(r, relprec),
+and an entry O(p^T) one of absolute precision T + e.  W is the least of
+these and vmin the least valuation v of a finite counted entry.  The
+accumulator sums u * p^(v - vmin) * (c - 1 - 2t) over the finite counted
+entries and halves once mod p^(W - vmin).  The outcome is
+
+  * the exact zero when no entry counts;
+  * O(p^W) when no finite entry counts, when W <= vmin, or when the
+    accumulator vanishes mod p^(W - vmin);
+  * otherwise p^vmin times the halved accumulator, known mod p^(W - vmin).
 """
 
 from __future__ import annotations
@@ -31,7 +48,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import LevelOrder, NotCoprime
+from .errors import CostLimitExceeded, LevelOrder, NotCoprime
 from .modarith import Residue, partition_range, require_odd_prime
 from .padic import DEFAULT_RELPREC, PadicNum
 
@@ -46,8 +63,8 @@ __all__ = [
     "bernoulli_distribution_div_by_c",
     "distribution_refine_sum",
     "compatibility_failures",
+    "MAX_SWEEP_EVALUATIONS",
     "measure_apply",
-    "extend_by_zero",
     "units_cylinder",
     "norm_bound_check",
 ]
@@ -131,7 +148,8 @@ class CylinderFunction:
 
     def sup_norm(self) -> Fraction:
         """Sup of the p-adic norms of the table entries (exact rational)."""
-        return max(v.norm() for v in self.values.values())
+        entries = [v for v in self.values.values() if not v.is_exact_zero()]
+        return min(entries, key=PadicNum.valuation).norm() if entries else Fraction(0)
 
     def __repr__(self):
         return f"CylinderFunction(d={self.d}, p={self.p}, level={self.level})"
@@ -201,10 +219,30 @@ def distribution_refine_sum(params: BernoulliParams, m: int, x,
     )
 
 
+# The most distribution values one compatibility sweep may evaluate.
+MAX_SWEEP_EVALUATIONS = 2_000_000
+
+
 def compatibility_failures(params: BernoulliParams, max_level: int,
                            dist=bernoulli_distribution) -> list[tuple]:
     """Every (m, x, coarse, fine) with m <= max_level and x mod d*p^m where the
-    level-m value `coarse` differs from the refined sum `fine`."""
+    level-m value `coarse` differs from the refined sum `fine`.
+
+    Level m evaluates dist (p + 1) * d * p^m times; a sweep over more than
+    MAX_SWEEP_EVALUATIONS in all is refused up front with CostLimitExceeded.
+    """
+    if max_level < 0:
+        raise ValueError(f"max_level must be >= 0, got {max_level}")
+    p = params.p
+    # the exponent is capped so that a huge max_level costs nothing to refuse
+    top = min(max_level, 64)
+    evaluations = (p + 1) * params.d * (p ** (top + 1) - 1) // (p - 1)
+    if evaluations > MAX_SWEEP_EVALUATIONS:
+        more = "more than " if top < max_level else ""
+        raise CostLimitExceeded(
+            f"a compatibility sweep to level {max_level} needs {more}{evaluations} "
+            f"E_c evaluations, over the limit of {MAX_SWEEP_EVALUATIONS}"
+        )
     failures = []
     for m in range(max_level + 1):
         for x in range(params.d * params.p**m):
@@ -220,18 +258,41 @@ def measure_apply(params: BernoulliParams, f: CylinderFunction,
     """Integrate a cylinder function: sum of f(a) * E_c(level, a) over the level.
 
     Refining f first gives the identical value (eventual constancy of the
-    level sums), which is what makes the measure well defined.
+    level sums), which is what makes the measure well defined.  The sum is
+    one integer accumulator; its precision rule is in the module docstring.
     """
     if (f.d, f.p) != (params.d, params.p):
         raise ValueError("cylinder function does not match the measure parameters")
-    p = params.p
-    acc = PadicNum.exact_zero(p)
-    for a, v in f.values.items():
-        if v.is_exact_zero():
+    if relprec < 1:
+        raise ValueError("relative precision must be >= 1")
+    p, c = params.p, params.c
+    D = f.modulus
+    cinv = pow(c, -1, D)
+    absprec = math.inf
+    terms = []  # (v, u * 2 E_c(a)) for the finite counted entries p^v u
+    for a, x in f.values.items():
+        if x.is_exact_zero():
             continue
-        w = PadicNum.from_rational(p, bernoulli_distribution(params, f.level, a), relprec)
-        acc = acc + v * w
-    return acc
+        if x.p != p:
+            raise ValueError(f"prime mismatch: {x.p} vs {p}")
+        two_e = c - 1 - 2 * (c * (cinv * a % D) // D)
+        if two_e == 0:
+            continue
+        e = 0
+        while two_e % p ** (e + 1) == 0:
+            e += 1
+        v = x.valuation()
+        absprec = min(absprec, e + min(x.abs_precision, v + relprec))
+        if x.is_nonzero():
+            terms.append((v, x.unit * two_e))
+    if absprec == math.inf:
+        return PadicNum.exact_zero(p)
+    vmin = min((v for v, _ in terms), default=absprec)
+    if vmin >= absprec:
+        return PadicNum.zero_at_precision(p, absprec)
+    window = absprec - vmin
+    acc = sum(m * p ** (v - vmin) for v, m in terms)
+    return PadicNum.from_int_mod(p, acc * pow(2, -1, p**window), window, shift=vmin)
 
 
 def units_cylinder(d: int, p: int, level: int, unit_values: dict) -> CylinderFunction:
@@ -241,11 +302,6 @@ def units_cylinder(d: int, p: int, level: int, unit_values: dict) -> CylinderFun
     vals = {a: unit_values[a] for a in units}
     vals.update({a: zero for a in nonunits})
     return CylinderFunction(d, p, level, vals)
-
-
-def extend_by_zero(f: CylinderFunction) -> CylinderFunction:
-    """Keep f on the units of the space, exact zero off them."""
-    return units_cylinder(f.d, f.p, f.level, f.values)
 
 
 def norm_bound_check(params: BernoulliParams, f: CylinderFunction,

@@ -11,9 +11,11 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+from padiclf.bernoulli import bernoulli_poly_eval
 from padiclf.dirichlet import teichmuller_int
-from padiclf.errors import NotAUnit, UnsupportedOrder
+from padiclf.errors import NotAUnit, NotMultipleOfConductor, UnsupportedOrder
 from padiclf.genbernoulli import chi_omega_minus_k, level_decompose
+from padiclf.measure import bernoulli_distribution
 from padiclf.modarith import Residue, units_of
 from padiclf.padic import PadicNum
 
@@ -132,3 +134,35 @@ def twisted_unit_sum_bruteforce(chi, k: int, j: int, exponent: int,
             continue
         total += omega_of[labels[a % q]] * pow(a, exponent, P)
     return PadicNum.from_int_mod(p, total, relprec)
+
+
+def measure_apply_fold(params, f, relprec: int) -> PadicNum:
+    """sum of f(a) * E_c(level, a) as a PadicNum fold, E_c(a) embedded at relprec."""
+    p = params.p
+    acc = PadicNum.exact_zero(p)
+    for a, v in f.values.items():
+        if v.is_exact_zero():
+            continue
+        w = PadicNum.from_rational(p, bernoulli_distribution(params, f.level, a), relprec)
+        acc = acc + v * w
+    return acc
+
+
+def general_bernoulli_coeffs_fraction(chi, m: int, F: int | None = None) -> dict:
+    """{t: F^(m-1) * sum of B_m(a/F) over 1 <= a <= F with label t}, nonzero only,
+    evaluating the Fraction polynomial B_m at every a."""
+    chi0 = chi.associated_primitive()
+    f = chi0.level
+    if F is None:
+        F = f
+    if F < 1 or F % f:
+        raise NotMultipleOfConductor(f"{F} is not a positive multiple of the conductor {f}")
+    coeffs: dict[int, Fraction] = {}
+    for a in range(1, F + 1):
+        r = a % f
+        if f > 1 and math.gcd(r, f) != 1:
+            continue
+        t = chi0.label(r)
+        coeffs[t] = coeffs.get(t, Fraction(0)) + bernoulli_poly_eval(m, Fraction(a, F))
+    scale = Fraction(F) ** (m - 1)
+    return {t: scale * c for t, c in coeffs.items() if c != 0}

@@ -107,6 +107,23 @@ def test_measure_check_invalid_params(capsys):
     assert "gcd" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("--p", "7", "--d", "4", "--c", "3", "--max-level", "-1"),
+     "error: max_level must be >= 0, got -1\n"),
+    # 8*4*(7^10-1)/6 evaluations; this argv used to hang
+    (("--p", "7", "--d", "4", "--c", "3", "--max-level", "9"),
+     "error: a compatibility sweep to level 9 needs 1506534656 E_c evaluations, "
+     "over the limit of 2000000\n"),
+    # just past the limit: 8*13*(7^6-1)/6 = 2039232
+    (("--p", "7", "--d", "13", "--c", "2", "--max-level", "5"),
+     "error: a compatibility sweep to level 5 needs 2039232 E_c evaluations, "
+     "over the limit of 2000000\n"),
+])
+def test_measure_check_refuses_bad_max_level(capsys, argv, message):
+    code, out, err = run_cli(capsys, "measure-check", *argv)
+    assert (code, out, err) == (2, "", message)
+
+
 def test_lp_eval_report(capsys):
     code, out, _ = run_cli(capsys, "lp-eval", "--p", "5", "--d", "1", "--m", "1",
                            "--char", "omega^2", "--c", "2", "--weight-k", "1",

@@ -1,16 +1,19 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import general_bernoulli_coeffs_fraction
 from padiclf.bernoulli import bernoulli
 from padiclf.dirichlet import DirichletCharacter, char_power, make_teich_char, trivial_character
 from padiclf.errors import NotMultipleOfConductor
 from padiclf.genbernoulli import (
+    _embed_label_sum,
     chi_omega_minus_k,
     general_bernoulli,
     general_bernoulli_coeffs,
     general_bernoulli_exact,
-    general_bernoulli_via_multiple,
     level_decompose,
     omega_inverse_exponent,
     twisted_mean_limit,
@@ -18,6 +21,7 @@ from padiclf.genbernoulli import (
     unit_power_sum,
 )
 from padiclf.padic import PadicNum, eq_mod
+from test_character_validation import genuine_tables
 
 QUAD3 = DirichletCharacter(5, 3, {1: 1, 2: 4})
 
@@ -71,15 +75,25 @@ class TestGeneralBernoulli:
                 for t in (2, 3):
                     assert general_bernoulli_coeffs(chi, m, t * f) == base
 
+    @settings(max_examples=150, deadline=None)
+    @given(table=genuine_tables(), m=st.integers(0, 8))
+    def test_matches_fraction_oracle(self, table, m):
+        chi = DirichletCharacter(*table)
+        f = chi.conductor()
+        for F in (f, 2 * f, 3 * f):
+            assert general_bernoulli_coeffs(chi, m, F) == \
+                general_bernoulli_coeffs_fraction(chi, m, F)
+
     def test_f_independence_embedded(self):
         om3 = char_power(make_teich_char(5, 10), 3)
         a = general_bernoulli(om3, 3, 10)
-        b = general_bernoulli_via_multiple(om3, 3, 15, 10)
+        b = _embed_label_sum(5, general_bernoulli_coeffs(om3, 3, 15), 10)
         assert a == b
 
     def test_rejects_non_multiple(self):
-        with pytest.raises(NotMultipleOfConductor):
-            general_bernoulli_via_multiple(QUAD3, 2, 4)
+        for F in (4, 0, -3):
+            with pytest.raises(NotMultipleOfConductor):
+                general_bernoulli_coeffs(QUAD3, 2, F)
 
     def test_nonprimitive_input_uses_primitive_part(self):
         lifted = QUAD3.change_level(15)

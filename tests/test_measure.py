@@ -6,9 +6,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import bernoulli_distribution_div_by_c_fract, bernoulli_distribution_fract
-from padiclf.errors import LevelOrder, NotCoprime
+from oracles import (
+    bernoulli_distribution_div_by_c_fract,
+    bernoulli_distribution_fract,
+    measure_apply_fold,
+)
+from padiclf.errors import CostLimitExceeded, LevelOrder, NotCoprime
 from padiclf.measure import (
+    MAX_SWEEP_EVALUATIONS,
     BernoulliParams,
     ClopenSet,
     CylinderFunction,
@@ -19,7 +24,6 @@ from padiclf.measure import (
     cylinder_decompose,
     distribution_refine_sum,
     equi_class,
-    extend_by_zero,
     measure_apply,
     norm_bound_check,
     units_cylinder,
@@ -42,6 +46,23 @@ def random_cylinder(rng, p, d, level, relprec=8):
             vals[a] = PadicNum.from_rational(
                 p, Fraction(rng.randint(-200, 200), rng.randint(1, 40)), relprec
             )
+    return CylinderFunction(d, p, level, vals)
+
+
+def mixed_cylinder(rng, p, d, level, kinds):
+    """Entries drawn from `kinds`: exact zeros, O(p^T) values and finite values
+    of valuation -4..4 with relative precision 1..14."""
+    vals = {}
+    for a in range(d * p**level):
+        kind = rng.choice(kinds)
+        if kind == "zero":
+            vals[a] = PadicNum.exact_zero(p)
+        elif kind == "pez":
+            vals[a] = PadicNum.zero_at_precision(p, rng.randint(-4, 8))
+        else:
+            r = rng.randint(1, 14)
+            unit = rng.randrange(p ** (r - 1)) * p + rng.randint(1, p - 1)
+            vals[a] = PadicNum.from_unit(p, rng.randint(-4, 4), unit, r)
     return CylinderFunction(d, p, level, vals)
 
 
@@ -172,6 +193,28 @@ class TestDistribution:
         assert mismatches
 
 
+class TestSweepLimit:
+    def test_negative_level_refused(self):
+        with pytest.raises(ValueError, match="max_level must be >= 0"):
+            compatibility_failures(P312, -1)
+
+    def test_refused_just_past_the_limit_before_any_evaluation(self):
+        class Started(Exception):
+            pass
+
+        def started(*args):
+            raise Started
+
+        # (p+1) d sum_{m<=5} 7^m is 1882368 at d = 12, 2039232 at d = 13
+        assert MAX_SWEEP_EVALUATIONS == 2_000_000
+        with pytest.raises(Started):
+            compatibility_failures(BernoulliParams(7, 12, 5), 5, started)
+        with pytest.raises(CostLimitExceeded, match=r"needs 2039232 E_c"):
+            compatibility_failures(BernoulliParams(7, 13, 2), 5, started)
+        with pytest.raises(CostLimitExceeded, match=r"level 1000000000 needs more than"):
+            compatibility_failures(P312, 10**9, started)
+
+
 class TestEquiClass:
     def test_examples(self):
         assert [r.value for r in equi_class(1, 3, 1, 2, Residue(3, 1))] == [1, 4, 7]
@@ -203,6 +246,16 @@ class TestCylinders:
         g = f.refine_level(2)
         ones = [b for b in range(9) if g.values[b].is_nonzero()]
         assert ones == [1, 4, 7]
+
+    def test_sup_norm_is_norm_of_least_valuation(self):
+        rng = random.Random(13)
+        for kinds in (("zero",), ("zero", "pez"), ("zero", "finite"), ("pez", "finite")):
+            for level in (0, 1, 2):
+                f = mixed_cylinder(rng, 5, 2, level, kinds)
+                expected = max(v.norm() for v in f.values.values())
+                assert f.sup_norm() == expected
+                assert type(f.sup_norm()) is Fraction
+        assert mixed_cylinder(rng, 3, 1, 2, ("zero",)).sup_norm() == 0
 
     def test_total_table_required(self):
         with pytest.raises(ValueError, match="missing"):
@@ -263,6 +316,54 @@ class TestMeasureApply:
             common = min(lhs.abs_precision, rhs.abs_precision)
             assert eq_mod(lhs, rhs, common)
 
+    @settings(max_examples=300, deadline=None)
+    @given(p=st.sampled_from((3, 5, 7, 11)), d=st.integers(1, 6), c=st.integers(2, 40),
+           level=st.integers(0, 3), relprec=st.integers(1, 12),
+           kinds=st.sampled_from([("zero",), ("pez",), ("finite",), ("zero", "pez"),
+                                  ("zero", "finite"), ("pez", "finite"),
+                                  ("zero", "pez", "finite")]),
+           seed=st.integers(0, 2**32))
+    def test_matches_fold_oracle(self, p, d, c, level, relprec, kinds, seed):
+        assume(math.gcd(d, p) == 1 and math.gcd(c, d * p) == 1)
+        params = BernoulliParams(p, d, c)
+        f = mixed_cylinder(random.Random(seed), p, d, level, kinds)
+        assert measure_apply(params, f, relprec) == measure_apply_fold(params, f, relprec)
+
+    def test_outcome_kinds(self):
+        # the three outcomes of the fold, each reached on its own
+        one = PadicNum.one(3, 8)
+        zero = PadicNum.exact_zero(3)
+        e0, e1 = (PadicNum.from_rational(3, bernoulli_distribution(P312, 1, a), 8)
+                  for a in (0, 1))
+        cases = [
+            # every entry an exact zero, or E_c(a) = 0 (c = 3, t = 1 at a = 1)
+            (P312, {0: zero, 1: zero, 2: zero}, "zero"),
+            (BernoulliParams(5, 1, 3),
+             {a: PadicNum.one(5, 8) if a == 1 else PadicNum.exact_zero(5) for a in range(5)},
+             "zero"),
+            # no finite entry, then W <= vmin, then an accumulator that cancels
+            (P312, {0: PadicNum.zero_at_precision(3, 4), 1: zero, 2: zero}, "pez"),
+            (P312, {0: PadicNum.zero_at_precision(3, 1), 1: PadicNum.from_unit(3, 2, 1, 8),
+                    2: zero}, "pez"),
+            (P312, {0: e1, 1: -e0, 2: zero}, "pez"),
+            (P312, {0: one, 1: zero, 2: one}, "finite"),
+        ]
+        for params, values, kind in cases:
+            f = CylinderFunction(params.d, params.p, 1, values)
+            got = measure_apply(params, f, 8)
+            assert got == measure_apply_fold(params, f, 8)
+            assert kind == ("zero" if got.is_exact_zero() else
+                            "pez" if got.is_zero_at_precision() else "finite")
+
+
+    def test_rejects_bad_input_as_the_fold_does(self):
+        f = CylinderFunction(1, 5, 0, {0: PadicNum.one(3, 8)})
+        for fn in (measure_apply, measure_apply_fold):
+            with pytest.raises(ValueError, match="prime mismatch"):
+                fn(BernoulliParams(5, 1, 2), f, 8)
+            with pytest.raises(ValueError, match="relative precision"):
+                fn(P312, char_fn(ClopenSet(1, 3, 0, Residue(1, 0)), 8), 0)
+
 
 class TestExtendByZero:
     def test_example(self):
@@ -274,15 +375,18 @@ class TestExtendByZero:
     def test_idempotent(self):
         one = PadicNum.one(3, 8)
         f = units_cylinder(1, 3, 1, {1: one, 2: one})
-        g = extend_by_zero(f)
+        g = units_cylinder(f.d, f.p, f.level, f.values)
         assert all((g.values[a] == f.values[a]) for a in range(3))
 
     def test_support_is_unit_partition(self):
         rng = random.Random(5)
-        f = extend_by_zero(random_cylinder(rng, 5, 2, 1))
+        f = random_cylinder(rng, 5, 2, 1)
+        g = units_cylinder(f.d, f.p, f.level, f.values)
         units, nonunits = partition_range(2, 5, 1)
         for a in nonunits:
-            assert f.values[a].is_exact_zero()
+            assert g.values[a].is_exact_zero()
+        for a in units:
+            assert g.values[a] == f.values[a]
 
 
 class TestNormBound:
