@@ -21,7 +21,6 @@ from .dirichlet import (
     load_table_character,
     make_teich_char,
     parse_character_spec,
-    teichmuller,
     trivial_character,
 )
 from .errors import (
@@ -54,7 +53,6 @@ from .lfunction import (
     riemann_sum,
     special_value_closed_form,
     verify_interpolation,
-    weight_eval,
 )
 from .measure import (
     BernoulliParams,
@@ -73,10 +71,8 @@ from .modarith import (
     Residue,
     UnitResidue,
     crt_combine,
-    crt_split,
     inverse_mod,
     partition_range,
-    reduce,
     units_of,
 )
 from .padic import DEFAULT_RELPREC, PadicNum, eq_mod, rational_valuation

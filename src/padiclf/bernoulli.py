@@ -11,8 +11,9 @@ function t / (e^t - 1), so B_1 = -1/2.  The polynomials are
     B_n(X) = sum_{i=0}^{n} C(n, i) * B_i * X^(n-i).
 
 Faulhaber's formula turns them into closed-form power sums over an
-arithmetic progression (ProgressionPowerSum), which is how the Riemann
-sums and twisted unit sums avoid visiting every residue.
+arithmetic progression (ProgressionPowerSum).  The one progression-sum
+kernel, genbernoulli._unit_sum, is built on it: that is how the Riemann
+sums and the twisted unit sums avoid visiting every residue.
 """
 
 from __future__ import annotations
@@ -68,10 +69,6 @@ class RationalPolynomial:
     @staticmethod
     def monomial(n: int, c=1) -> "RationalPolynomial":
         return RationalPolynomial.make([0] * n + [c])
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
 
     def eval(self, q) -> Fraction:
         q = Fraction(q)

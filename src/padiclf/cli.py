@@ -18,7 +18,7 @@ from . import suite as suite_mod
 from .bernoulli import bernoulli, bernoulli_poly
 from .dirichlet import parse_character_spec
 from .errors import PadicLFError
-from .genbernoulli import general_bernoulli, general_bernoulli_exact
+from .genbernoulli import _embed_label_sum, _exact_label_sum, general_bernoulli_coeffs
 from .lfunction import LpParams, Weight, p_adic_L, verify_interpolation
 from .measure import BernoulliParams, compatibility_failures, norm_bound_check
 from .modarith import require_odd_prime
@@ -101,8 +101,6 @@ def _make_lp_params(args, prec: int) -> LpParams:
             f"character level {chi.level} does not divide d*p^m = {level}"
         )
     chi = chi.change_level(level)
-    if not chi.is_even():
-        raise ValueError("chi must be even for the interpolation machinery")
     j_min = args.jmin if args.jmin is not None else args.m
     return LpParams(p=args.p, d=args.d, c=args.c, m=args.m, chi=chi,
                     relprec=prec, j_min=j_min, j_max=args.jmax,
@@ -126,8 +124,10 @@ def _cmd_genbernoulli(args, prec: int) -> int:
     if args.n < 0:
         raise ValueError("n must be >= 0")
     chi = parse_character_spec(args.char, args.p, relprec=prec)
-    value = general_bernoulli(chi, args.n, prec)
-    exact = general_bernoulli_exact(chi, args.n)
+    # one coefficient dict gives both the p-adic value and the exact Fraction
+    coeffs = general_bernoulli_coeffs(chi, args.n)
+    value = _embed_label_sum(chi.p, coeffs, prec)
+    exact = _exact_label_sum(chi.p, coeffs)
     _emit({
         "p": args.p,
         "char": args.char,

@@ -21,6 +21,10 @@ character costs O(phi(n) * #generators) table look-ups, with
 
 The unique character mod 1 is even, has conductor 1, and evaluates to 1
 everywhere (including at 0, the sole element of Z/1Z, which is a unit).
+
+decompose_coprime stays although only tests call it: it is the CRT split
+of a character of level m*n into characters of levels m and n, and a test
+pins that their product recovers the character.
 """
 
 from __future__ import annotations
@@ -40,7 +44,6 @@ from .modarith import (
 from .padic import DEFAULT_RELPREC, PadicNum
 
 __all__ = [
-    "teichmuller",
     "teichmuller_int",
     "DirichletCharacter",
     "trivial_character",
@@ -69,16 +72,6 @@ def teichmuller_int(p: int, a: int, relprec: int) -> int:
     if a not in cache:
         cache[a] = pow(a, p ** (relprec - 1), p**relprec)
     return cache[a]
-
-
-def teichmuller(p: int, a, relprec: int = DEFAULT_RELPREC) -> PadicNum:
-    """The Teichmuller root of unity omega(a), as a p-adic unit.
-
-    omega(a) = a mod p and omega(a)^(p-1) = 1 mod p^relprec.
-    """
-    if isinstance(a, UnitResidue):
-        a = a.value
-    return PadicNum.from_unit(p, 0, teichmuller_int(p, a, relprec), relprec)
 
 
 def _factorize(n: int) -> dict[int, int]:
@@ -213,11 +206,6 @@ class DirichletCharacter:
         """The label table {unit: t}; treat as read-only."""
         return self._labels
 
-    @property
-    def table(self) -> dict:
-        """The value table as p-adic units at the character's precision."""
-        return {a: self.value(a) for a in sorted(self._labels)}
-
     def order(self) -> int:
         """Order of the character in the group of characters."""
         acc = 1
@@ -294,9 +282,6 @@ class DirichletCharacter:
         """chi(-1) = 1; every character here is even or odd, never neither."""
         t = self._labels[(self.level - 1) % self.level]
         return t % self.p == 1
-
-    def is_odd(self) -> bool:
-        return not self.is_even()
 
     def parity(self) -> str:
         return "even" if self.is_even() else "odd"

@@ -17,11 +17,16 @@ The finite-level checks: the truncated twisted power mean
 approaches (1 - chi omega^(-k)(p) p^(k-1)) * B_(k, chi omega^(-k)) as j
 grows, and the bare unit power sum with exponent k - 1 approaches 0;
 both are computed at a given level so valuation growth can be observed.
+Both are sums over the units a mod d p^j, and so is the Riemann sum of
+padiclf.lfunction: all three go through _unit_sum, the one kernel that
+regroups such a sum into residue progressions summed in closed form
+(Washington, Introduction to Cyclotomic Fields, section 5.2 and ch. 12).
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from fractions import Fraction
 
 from .bernoulli import ProgressionPowerSum, bernoulli
@@ -40,7 +45,6 @@ __all__ = [
     "twisted_mean_limit",
     "unit_power_sum",
     "level_decompose",
-    "unit_character_lifts",
 ]
 
 
@@ -138,11 +142,8 @@ def general_bernoulli(chi: DirichletCharacter, m: int,
     return _embed_label_sum(chi.p, general_bernoulli_coeffs(chi, m), n)
 
 
-def general_bernoulli_exact(chi: DirichletCharacter, m: int,
-                            F: int | None = None):
-    """B_(m,chi) as an exact Fraction when all values are +-1, else None."""
-    coeffs = general_bernoulli_coeffs(chi, m, F)
-    p = chi.p
+def _exact_label_sum(p: int, coeffs: dict):
+    """sum_t c_t * omega(t) as a Fraction when every label t is +-1 mod p, else None."""
     acc = Fraction(0)
     for t, c in coeffs.items():
         if t % p == 1:
@@ -152,6 +153,12 @@ def general_bernoulli_exact(chi: DirichletCharacter, m: int,
         else:
             return None
     return acc
+
+
+def general_bernoulli_exact(chi: DirichletCharacter, m: int,
+                            F: int | None = None):
+    """B_(m,chi) as an exact Fraction when all values are +-1, else None."""
+    return _exact_label_sum(chi.p, general_bernoulli_coeffs(chi, m, F))
 
 
 def _twist_preconditions(chi: DirichletCharacter, k: int, j: int):
@@ -168,40 +175,50 @@ def _twist_preconditions(chi: DirichletCharacter, k: int, j: int):
     return d, m
 
 
-def unit_character_lifts(psi: DirichletCharacter, modulus: int,
-                         relprec: int) -> dict[int, int]:
-    """{x: psi(x) as an integer mod p^relprec} over the units x mod `modulus`.
+def _unit_sum(psi: DirichletCharacter, d: int, j: int, e: int, k: int, relprec: int,
+              weights: Sequence[int] = (1,)) -> int:
+    """The sum of psi(a) omega(a)^(-e) a^k w(a) over the units a mod D = d*p^j, mod p^relprec.
 
-    `modulus` must be a multiple of psi's level with the same prime
-    factors as d*p, so its units are the residues coprime to dp.
+    This is the one progression-sum kernel: riemann_sum integrates against
+    w = 2 E_c and the twisted sums take w = 1.  w(a) = weights[t], where t
+    is the carry of a under c = len(weights) in the carry form of E_c
+    (padiclf.measure docstring): a = c b - D t with b = c^(-1) a mod D.
+    So 2 E_c is range(c - 1, -c - 1, -2), and weights = (1,) is w = 1,
+    with c = 1, t = 0 and b = a.
+
+    With L = lcm(level of psi, dp), b runs over the progressions r + L s
+    (r a unit mod L), each ending at its first term >= D.  On each run of
+    s sharing one t, a = c r - D t + c L s is a progression of step c L
+    on which psi omega^(-e) takes its value at c r mod L (this needs L | D
+    when c > 1), and the sum of a^k over it has a closed form
+    (bernoulli.ProgressionPowerSum).  Cost: O(phi(L) * min(c, D/L + 1) * k)
+    integer operations, whatever j.
     """
     p = psi.p
-    labels = psi.labels
-    q = psi.level
-    lift = {t: teichmuller_int(p, t, relprec) for t in set(labels.values())}
-    return {x: lift[labels[x % q]] for x in unit_ints(modulus)}
-
-
-def _twisted_unit_sum(chi: DirichletCharacter, k: int, j: int, exponent: int,
-                      relprec: int) -> PadicNum:
-    """sum over units a of d*p^j of chi omega^(-k)(a) * a^exponent, mod p^relprec.
-
-    With psi = chi omega^(-k) and L = lcm(cond psi, dp), psi is constant on
-    each progression a = r + L*s (r a unit mod L, 0 <= a < d p^j), whose
-    power sum has a closed form; the cost is O(phi(L) * exponent) whatever
-    the level, and L need not divide d p^j.
-    """
-    p = chi.p
-    d, _ = level_decompose(chi.level, p)
-    psi = chi_omega_minus_k(chi, k)
+    P = p**relprec
+    c = len(weights)
     D = d * p**j
     L = math.lcm(psi.level, d * p)
-    power_sum = ProgressionPowerSum(exponent, L, p**relprec)
+    labels, q = psi.labels, psi.level
+    omega = {x: teichmuller_int(p, x, relprec) for x in range(1, p)}
+    # the label of omega(x)^(-e)
+    twist = {x: pow(x, -e, p) for x in range(1, p)}
+    step = c * L
+    power_sum = ProgressionPowerSum(k, step, P)
     total = 0
-    for r, lift in unit_character_lifts(psi, L, relprec).items():
-        # the progression ends at the first r + L*s >= D
-        total += lift * power_sum(r, r - (r - D) // L * L)
-    return PadicNum.from_int_mod(p, total, relprec)
+    for r in unit_ints(L):
+        # y = c*b runs over c*r + step*s up to c times the first r + L*s >= D
+        y, end = c * r, c * (r - (r - D) // L * L)
+        inner = 0
+        while y < end:
+            t = y // D
+            # the first y of the progression at or past (t+1)*D, capped at end
+            y1 = min(end, y + -((y - (t + 1) * D) // step) * step)
+            inner += weights[t] * power_sum(y - t * D, y1 - t * D)
+            y = y1
+        a = c * r % L
+        total = (total + omega[labels[a % q] * twist[a % p] % p] * inner) % P
+    return total
 
 
 def twisted_mean_truncation(chi: DirichletCharacter, k: int, j: int,
@@ -215,8 +232,8 @@ def twisted_mean_truncation(chi: DirichletCharacter, k: int, j: int,
     n = relprec if relprec is not None else chi.relprec
     p = chi.p
     d, _ = _twist_preconditions(chi, k, j)
-    s = _twisted_unit_sum(chi, k, j, k, n)
-    return s * PadicNum.from_rational(p, Fraction(1, d * p**j), n)
+    s = _unit_sum(chi_omega_minus_k(chi, k), d, j, 0, k, n)
+    return PadicNum.from_int_mod(p, s, n) * PadicNum.from_rational(p, Fraction(1, d * p**j), n)
 
 
 def twisted_mean_limit(chi: DirichletCharacter, k: int,
@@ -239,7 +256,8 @@ def unit_power_sum(chi: DirichletCharacter, k: int, j: int,
     Odd k makes chi omega^(-k) odd (for even chi) and is rejected.
     """
     n = relprec if relprec is not None else chi.relprec
-    _twist_preconditions(chi, k, j)
+    d, _ = _twist_preconditions(chi, k, j)
     if k % 2:
         raise ValueError("k must be even (parity mismatch otherwise)")
-    return _twisted_unit_sum(chi, k, j, k - 1, n)
+    s = _unit_sum(chi_omega_minus_k(chi, k), d, j, 0, k - 1, n)
+    return PadicNum.from_int_mod(chi.p, s, n)

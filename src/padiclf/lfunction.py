@@ -8,16 +8,18 @@ principal-unit part of a.  The level-j Riemann sum is
     S_j = sum over units a mod d*p^j of integrand(a) * E_c(j, a)
 
 and the L-value is their limit as j grows.  Each S_j is computed
-without visiting the d*p^j units.  Put psi = chi omega^(-1),
-D = d*p^j and L = lcm(cond psi, dp), which divides D.  Take E_c in the
-carry form of the padiclf.measure docstring, through b = c^(-1) a mod D
-and its carry t; psi omega^(-k)(a) depends only on c b mod L.  So b
-runs over r + L s (r a unit mod L, 0 <= s < D/L); on each run of s with
-one value of t the summand is a degree-k polynomial in s, summed in
-closed form by Faulhaber's formula (bernoulli.ProgressionPowerSum).  One
-sum costs O(phi(L) * min(c, D/L) * k) integer operations, independent
-of j.  This is the regrouping behind Washington, Introduction to
-Cyclotomic Fields, section 5.2 and Theorem 5.11.
+without visiting the d*p^j units, by the one progression-sum kernel
+genbernoulli._unit_sum that the twisted unit sums also use.  Put
+psi = chi omega^(-1), D = d*p^j and L = lcm(cond psi, dp), which
+divides D.  Take E_c in the carry form of the padiclf.measure docstring,
+through b = c^(-1) a mod D and its carry t; psi omega^(-k)(a) depends
+only on c b mod L.  So b runs over r + L s (r a unit mod L,
+0 <= s < D/L); on each run of s with one value of t the summand is a
+degree-k polynomial in s, summed in closed form by Faulhaber's formula
+(bernoulli.ProgressionPowerSum).  One sum costs
+O(phi(L) * min(c, D/L) * k) integer operations, independent of j.  This
+is the regrouping behind Washington, Introduction to Cyclotomic Fields,
+section 5.2 and Theorem 5.11.
 
 Certified precision: on a level-j clopen a + d p^j Z_p with j >= m the
 factor psi is constant and <x>^k = <a>^k mod p^j, while E_c is
@@ -45,18 +47,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
-from .bernoulli import ProgressionPowerSum
 from .dirichlet import DirichletCharacter, teichmuller_int
 from .errors import InsufficientPrecision, LevelTooLow, NotCoprime
-from .genbernoulli import (
-    chi_omega_minus_k,
-    general_bernoulli,
-    level_decompose,
-    unit_character_lifts,
-)
+from .genbernoulli import _unit_sum, chi_omega_minus_k, general_bernoulli
 from .measure import BernoulliParams
-from .modarith import UnitResidue
 from .padic import PadicNum
 
 __all__ = [
@@ -65,8 +61,6 @@ __all__ = [
     "EvalReport",
     "VerifyReport",
     "principal_unit_power",
-    "weight_eval",
-    "integrand_eval",
     "riemann_sum",
     "p_adic_L",
     "special_value_closed_form",
@@ -115,14 +109,11 @@ class LpParams:
             raise ValueError("d must divide the conductor of chi")
         if self.j_max < self.m:
             raise ValueError(f"j_max={self.j_max} is below the character level m={self.m}")
-        self._chi_omega_inv = None
 
-    @property
+    @cached_property
     def chi_omega_inv(self) -> DirichletCharacter:
         """The primitive character attached to chi * omega^(-1), cached."""
-        if self._chi_omega_inv is None:
-            self._chi_omega_inv = chi_omega_minus_k(self.chi, 1)
-        return self._chi_omega_inv
+        return chi_omega_minus_k(self.chi, 1)
 
 
 @dataclass
@@ -184,67 +175,25 @@ def principal_unit_power(p: int, lift: int, k: int, relprec: int) -> PadicNum:
     return PadicNum.from_unit(p, 0, pow(base, k, P), relprec)
 
 
-def weight_eval(p: int, w: Weight, a: UnitResidue, relprec: int) -> PadicNum:
-    """Evaluate <a>^k at the least representative of a unit residue mod d*p^j.
-
-    The result lies in 1 + pZ_p, so it is 1 whenever k = 0.
-    """
-    return principal_unit_power(p, a.value, w.k, relprec)
-
-
-def integrand_eval(params: LpParams, w: Weight, a: UnitResidue) -> PadicNum:
-    """chi omega^(-1)(a) * <a>^k at a unit a mod d*p^j, j >= m."""
-    p = params.p
-    d, j = level_decompose(a.modulus, p)
-    if d != params.d or j < params.m:
-        raise LevelTooLow(
-            f"unit modulus {a.modulus} is not d*p^j with j >= m={params.m}"
-        )
-    psi = params.chi_omega_inv
-    chi_val = psi.asso_eval(a.value % psi.level, params.relprec)
-    return chi_val * principal_unit_power(p, a.value, w.k, params.relprec)
-
-
 def riemann_sum(params: LpParams, w: Weight, j: int) -> PadicNum:
-    """The level-j sum of integrand(a) * E_c(j, a) over units a mod D = d*p^j.
+    """The level-j sum of chi omega^(-1)(a) <a>^k E_c(j, a) over units a mod D = d*p^j.
 
     Every term is p-integral (E_c lands in Z + (c-1)/2 and the integrand
     is a unit times a root of unity), so the sum is accumulated as a
     single integer mod p^relprec; the result is exact at that absolute
     precision.
 
-    The terms are regrouped (see the module docstring) by the carry t of
-    E_c in the form the padiclf.measure docstring states.  For
-    b = r + L s, L = lcm(cond psi, dp), each run of s sharing one t
-    contributes (c-1-2t)/2 times a power sum of a = c r - D t + c L s
-    over a progression, in closed form; t then jumps to the next run.
+    As <a>^k = omega(a)^(-k) a^k, the sum is half the kernel sum
+    genbernoulli._unit_sum with psi = chi omega^(-1), e = k and w = 2 E_c,
+    regrouped by the carry t of E_c (module docstring).
     Cost: O(phi(L) * min(c, D/L) * k) integer operations, independent of j.
     """
     if j < params.m:
         raise LevelTooLow(f"integration level {j} is below the character level {params.m}")
-    p, d, c, N = params.p, params.d, params.c, params.relprec
+    p, c, k, N = params.p, params.c, w.k, params.relprec
     P = p**N
-    k = w.k
-    D = d * p**j
-    psi = params.chi_omega_inv
-    L = math.lcm(psi.level, d * p)
-    lifts = unit_character_lifts(psi, L, N)
-    teich_inv_k = {r: pow(teichmuller_int(p, r, N), -k, P) for r in range(1, p)}
-    step = c * L
-    power_sum = ProgressionPowerSum(k, step, P)
-    total = 0
-    for r in lifts:
-        # y = c*b runs over c*r + step*s for 0 <= s < D/L
-        y, end = c * r, c * (r + D)
-        inner = 0
-        while y < end:
-            t = y // D
-            # the first y of the progression at or past (t+1)*D, capped at end
-            y1 = min(end, y + -((y - (t + 1) * D) // step) * step)
-            inner += (c - 1 - 2 * t) * power_sum(y - t * D, y1 - t * D)
-            y = y1
-        a = c * r % L
-        total = (total + lifts[a] * teich_inv_k[a % p] * inner) % P
+    # 2 E_c at the carry t is c - 1 - 2t
+    total = _unit_sum(params.chi_omega_inv, params.d, j, k, k, N, range(c - 1, -c - 1, -2))
     return PadicNum.from_int_mod(p, total * pow(2, -1, P) % P, N)
 
 

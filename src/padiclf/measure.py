@@ -22,9 +22,13 @@ fractional part, {A/D} - c {A/(cD)} + (c - 1)/2, is the constant
 
 Cylinder (locally constant) functions are total value tables at a level;
 applying the measure to one is a finite sum, and refining the level does
-not change the result.  cylinder_decompose stays although only tests call
-it: a test pins the clopen decomposition f = sum f(a) * char_fn(U_a)
-through it.
+not change the result.  Four paper objects stay although only tests call
+them, because tests pin properties of the measure through them:
+  * ClopenSet and char_fn, a basic clopen set U and its characteristic
+    function, whose integral is the distribution value E_c(U);
+  * cylinder_decompose, the clopen decomposition f = sum f(a) char_fn(U_a);
+  * units_cylinder, a function on the units extended by zero, through
+    which a test integrates the L-function integrand with measure_apply.
 
 measure_apply returns the PadicNum that the fold sum_a f(a) * E_c(a), with
 each E_c(a) embedded at relative precision relprec, would return, from one

@@ -16,9 +16,7 @@ from .errors import NotAUnit, NotCoprime
 __all__ = [
     "Residue",
     "UnitResidue",
-    "reduce",
     "inverse_mod",
-    "crt_split",
     "crt_combine",
     "unit_ints",
     "units_of",
@@ -100,13 +98,6 @@ class UnitResidue:
         return f"{self.value} mod {self.modulus} (unit)"
 
 
-def reduce(n: int, x: int) -> Residue:
-    """Reduce the integer x modulo n, n >= 1."""
-    if n < 1:
-        raise ValueError("modulus must be a positive integer")
-    return Residue(n, x % n)
-
-
 def inverse_mod(c: int, n: int) -> UnitResidue:
     """The unit b with c*b = 1 (mod n).  Raises NotAUnit if gcd(c, n) != 1."""
     if n < 1:
@@ -116,15 +107,6 @@ def inverse_mod(c: int, n: int) -> UnitResidue:
     except ValueError as exc:
         raise NotAUnit(f"{c} is not invertible modulo {n}") from exc
     return UnitResidue(Residue(n, b))
-
-
-def crt_split(d: int, q: int, x: Residue) -> tuple[Residue, Residue]:
-    """Split x mod d*q into its components mod d and mod q (d, q coprime)."""
-    if math.gcd(d, q) != 1:
-        raise NotCoprime(f"gcd({d}, {q}) != 1")
-    if x.modulus != d * q:
-        raise ValueError(f"expected a residue mod {d * q}, got mod {x.modulus}")
-    return reduce(d, x.value), reduce(q, x.value)
 
 
 def crt_combine(d: int, q: int, a, b) -> Residue:

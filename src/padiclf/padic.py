@@ -29,7 +29,6 @@ import math
 from fractions import Fraction
 
 from .errors import DivisionByZero, InsufficientPrecision
-from .modarith import Residue
 
 __all__ = [
     "PadicNum",
@@ -138,14 +137,6 @@ class PadicNum:
             w //= p
             t += 1
         return cls.from_unit(p, shift + t, w, window - t)
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "PadicNum":
-        if obj.get("zero"):
-            return cls.exact_zero(obj["p"])
-        if "zero_to_precision" in obj:
-            return cls.zero_at_precision(obj["p"], obj["zero_to_precision"])
-        return cls.from_unit(obj["p"], obj["valuation"], obj["unit"], obj["relprec"])
 
     # ---------------- predicates and accessors ----------------
 
@@ -302,10 +293,6 @@ class PadicNum:
         if self._v < 0:
             raise ValueError("appr is defined only for nonnegative valuation")
         return (self._unit * self.p**self._v) % self.p**n
-
-    def to_zmod_pow(self, n: int) -> Residue:
-        """Canonical projection to Z/p^nZ."""
-        return Residue(self.p**n, self.appr(n))
 
     # ---------------- comparison, serialization, display ----------------
 

@@ -13,8 +13,9 @@ from fractions import Fraction
 
 from padiclf.bernoulli import bernoulli_poly_eval
 from padiclf.dirichlet import teichmuller_int
-from padiclf.errors import NotAUnit, NotMultipleOfConductor, UnsupportedOrder
+from padiclf.errors import LevelTooLow, NotAUnit, NotMultipleOfConductor, UnsupportedOrder
 from padiclf.genbernoulli import chi_omega_minus_k, level_decompose
+from padiclf.lfunction import principal_unit_power
 from padiclf.measure import bernoulli_distribution
 from padiclf.modarith import Residue, units_of
 from padiclf.padic import PadicNum
@@ -88,6 +89,28 @@ def validate_bruteforce(p: int, level: int, labels: dict) -> None:
                 raise ValueError(
                     f"character table is not multiplicative at the pair ({a}, {b})"
                 )
+
+
+def weight_eval(p: int, w, a, relprec: int) -> PadicNum:
+    """<a>^k at the least representative of a unit residue a mod d*p^j.
+
+    The result lies in 1 + pZ_p, so it is 1 whenever k = 0.
+    """
+    return principal_unit_power(p, a.value, w.k, relprec)
+
+
+def integrand_eval(params, w, a) -> PadicNum:
+    """chi omega^(-1)(a) * <a>^k at a unit a mod d*p^j, j >= m: the per-unit
+    integrand that riemann_sum regroups into progressions."""
+    p = params.p
+    d, j = level_decompose(a.modulus, p)
+    if d != params.d or j < params.m:
+        raise LevelTooLow(
+            f"unit modulus {a.modulus} is not d*p^j with j >= m={params.m}"
+        )
+    psi = params.chi_omega_inv
+    chi_val = psi.asso_eval(a.value % psi.level, params.relprec)
+    return chi_val * principal_unit_power(p, a.value, w.k, params.relprec)
 
 
 def riemann_sum_bruteforce(params, w, j: int) -> PadicNum:

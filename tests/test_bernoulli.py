@@ -45,7 +45,7 @@ def test_poly_examples():
 def test_poly_monic():
     for n in range(15):
         assert bernoulli_poly(n).coeffs[-1] == 1
-        assert bernoulli_poly(n).degree == n
+        assert len(bernoulli_poly(n).coeffs) == n + 1
 
 
 def test_eval_examples():
@@ -89,7 +89,7 @@ def test_negative_index_rejected():
 
 def test_polynomial_helpers():
     f = RationalPolynomial.make([1, 0, Fraction(1, 2), 0])
-    assert f.degree == 2
+    assert len(f.coeffs) == 3
     assert f.eval(2) == 3
     g = f + f.scale(-1)
     assert g.coeffs == ()

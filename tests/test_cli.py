@@ -220,6 +220,13 @@ def test_verify_odd_character_rejected(capsys):
     assert code == 2 and "even" in err
 
 
+def test_lp_eval_odd_character_rejected(capsys):
+    # LpParams makes the evenness check; the CLI passes its error through
+    code, out, err = run_cli(capsys, "lp-eval", "--p", "5", "--d", "1", "--m", "1",
+                             "--char", "omega^1", "--c", "2", "--weight-k", "1")
+    assert (code, out, err) == (2, "", "error: chi must be even\n")
+
+
 def test_verify_global_prec_flag(capsys):
     code, out, _ = run_cli(capsys, "--prec", "12", "verify", "--p", "5", "--d", "1",
                            "--m", "1", "--char", "omega^2", "--c", "2", "--n", "2",

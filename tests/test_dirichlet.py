@@ -10,7 +10,6 @@ from padiclf.dirichlet import (
     load_table_character,
     make_teich_char,
     parse_character_spec,
-    teichmuller,
     teichmuller_int,
     trivial_character,
 )
@@ -30,7 +29,7 @@ def teich_root_oracle(p, a, N):
 
 class TestTeichmuller:
     def test_examples(self):
-        assert teichmuller(5, 1, 4).unit == 1
+        assert teichmuller_int(5, 1, 4) == 1
         assert teichmuller_int(5, 2, 3) == 57
         assert teichmuller_int(5, 4, 3) == 5**3 - 1
 
@@ -63,16 +62,16 @@ class TestTeichmuller:
 class TestConstruction:
     def test_teich_char_tables(self):
         om5 = make_teich_char(5, 3)
-        assert {a: v.unit for a, v in om5.table.items()} == {1: 1, 2: 57, 3: 68, 4: 124}
+        assert {a: om5.value(a).unit for a in om5.labels} == {1: 1, 2: 57, 3: 68, 4: 124}
         om3 = make_teich_char(3, 4)
-        assert {a: v.unit for a, v in om3.table.items()} == {1: 1, 2: 3**4 - 1}
+        assert {a: om3.value(a).unit for a in om3.labels} == {1: 1, 2: 3**4 - 1}
 
     def test_values_are_roots_of_unity(self):
         for chi in (make_teich_char(7, 5), trivial_character(7, 10),
                     DirichletCharacter(5, 8, {1: 1, 3: 4, 5: 4, 7: 1})):
             mod = chi.p**chi.relprec
-            for v in chi.table.values():
-                assert pow(v.unit, chi.p - 1, mod) == 1
+            for a in chi.labels:
+                assert pow(chi.value(a).unit, chi.p - 1, mod) == 1
 
     def test_missing_entry_rejected(self):
         with pytest.raises(ValueError, match="missing"):
@@ -219,8 +218,9 @@ class TestParity:
         for p in (3, 5, 7):
             for k in range(p - 1):
                 chi = char_power(make_teich_char(p), k)
-                assert chi.is_even() != chi.is_odd()
-                assert chi.is_odd() == (k % 2 == 1)
+                # chi(-1) = +-1, and it is +1 exactly for even k
+                assert chi.label(-1) in (1, p - 1)
+                assert chi.is_even() == (k % 2 == 0)
 
 
 class TestDecompose:
@@ -282,7 +282,7 @@ class TestSpecsAndTables:
             {"p": 5, "modulus": 3, "entries": {"1": 1, "2": 4}}
         ))
         chi = parse_character_spec(f"table:{path}", 5)
-        assert chi.conductor() == 3 and chi.is_odd()
+        assert chi.conductor() == 3 and not chi.is_even()
         with pytest.raises(ValueError, match="over p="):
             parse_character_spec(f"table:{path}", 7)
 

@@ -4,19 +4,18 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oracles import integrand_eval, weight_eval
 from padiclf.dirichlet import DirichletCharacter, char_power, make_teich_char
 from padiclf.errors import InsufficientPrecision, LevelTooLow, NotCoprime
 from padiclf.lfunction import (
     EvalReport,
     LpParams,
     Weight,
-    integrand_eval,
     p_adic_L,
     principal_unit_power,
     riemann_sum,
     special_value_closed_form,
     verify_interpolation,
-    weight_eval,
 )
 from padiclf.measure import BernoulliParams, measure_apply, units_cylinder
 from padiclf.modarith import Residue, UnitResidue, partition_range
@@ -181,7 +180,7 @@ class TestPAdicL:
         report = p_adic_L(main_params(), Weight(1))
         obj = report.to_json()
         assert set(obj) == {"value", "level_used", "converged"}
-        assert PadicNum.from_json(obj["value"]) == report.value
+        assert obj["value"] == report.value.to_json()
 
     def test_increment_valuations_nondecreasing(self):
         for c, k in ((3, 1), (3, 3), (2, 3)):

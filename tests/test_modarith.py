@@ -9,12 +9,10 @@ from padiclf.modarith import (
     Residue,
     UnitResidue,
     crt_combine,
-    crt_split,
     divisors,
     inverse_mod,
     is_prime,
     partition_range,
-    reduce,
     units_of,
 )
 
@@ -46,18 +44,20 @@ def egcd(a, b):
 
 
 class TestReduce:
+    """x mod n is Residue(n, x % n)."""
+
     def test_examples(self):
-        assert reduce(5, 7).value == 2
-        assert reduce(9, -1).value == 8
-        assert reduce(15, 15).value == 0
+        assert Residue(5, 7 % 5).value == 2
+        assert Residue(9, -1 % 9).value == 8
+        assert Residue(15, 15 % 15).value == 0
 
     def test_rejects_zero_modulus(self):
         with pytest.raises(ValueError):
-            reduce(0, 3)
+            Residue(0, 0)
 
     @given(st.integers(1, 200), st.integers(-10**9, 10**9))
     def test_periodicity(self, n, x):
-        assert reduce(n, x + n) == reduce(n, x)
+        assert Residue(n, (x + n) % n) == Residue(n, x % n)
 
 
 class TestResidueArithmetic:
@@ -110,9 +110,10 @@ class TestInverseMod:
 
 class TestCrt:
     def test_split_examples(self):
-        assert crt_split(3, 5, Residue(15, 7)) == (Residue(3, 1), Residue(5, 2))
-        assert crt_split(1, 5, Residue(5, 3)) == (Residue(1, 0), Residue(5, 3))
-        assert crt_split(2, 9, Residue(18, 11)) == (Residue(2, 1), Residue(9, 2))
+        # the CRT components of x mod d*q are x mod d and x mod q
+        assert crt_combine(3, 5, Residue(3, 7 % 3), Residue(5, 7 % 5)) == Residue(15, 7)
+        assert crt_combine(1, 5, Residue(1, 3 % 1), Residue(5, 3)) == Residue(5, 3)
+        assert crt_combine(2, 9, Residue(2, 11 % 2), Residue(9, 11 % 9)) == Residue(18, 11)
 
     def test_combine_examples(self):
         assert crt_combine(3, 5, 1, 2).value == 7
@@ -121,7 +122,7 @@ class TestCrt:
 
     def test_not_coprime(self):
         with pytest.raises(NotCoprime):
-            crt_split(2, 4, Residue(8, 3))
+            crt_combine(2, 4, 1, 3)
         with pytest.raises(NotCoprime):
             crt_combine(6, 4, 1, 1)
 
@@ -131,8 +132,7 @@ class TestCrt:
                 if math.gcd(d, q) != 1 or d * q > 500:
                     continue
                 for x in range(d * q):
-                    a, b = crt_split(d, q, Residue(d * q, x))
-                    assert crt_combine(d, q, a, b).value == x
+                    assert crt_combine(d, q, x % d, x % q).value == x
 
     @given(st.integers(1, 40), st.integers(1, 40), st.integers(0, 10**6))
     @settings(max_examples=200)

@@ -1,25 +1,28 @@
-"""The closed-form progression sums against brute force.
+"""The one progression-sum kernel against brute force.
 
-riemann_sum and the twisted unit sums regroup their terms into arithmetic
-progressions summed by Faulhaber's formula; here they are compared with
-the term-by-term oracles in oracles.py for full PadicNum equality (value
-and precision).  Characters are chi_d * omega^e at level d*p^m, with
-chi_d the real character of conductor d in {3, 4} given by a label table
-loaded through a `table:` spec, or trivial for d = 1.
+genbernoulli._unit_sum regroups a sum over the units a mod d*p^j into
+arithmetic progressions summed by Faulhaber's formula.  With the weight
+2 E_c it is the Riemann sum, with the weight 1 the twisted unit sum; each
+is compared here with its term-by-term oracle in oracles.py for full
+PadicNum equality (value and precision).  Characters are chi_d * omega^e
+at level d*p^m, with chi_d the real character of conductor d in {3, 4}
+given by a label table loaded through a `table:` spec, or trivial for
+d = 1.
 """
 
 import json
 import math
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from oracles import riemann_sum_bruteforce, twisted_unit_sum_bruteforce
 from padiclf.bernoulli import ProgressionPowerSum
 from padiclf.dirichlet import parse_character_spec
-from padiclf.genbernoulli import _twisted_unit_sum
+from padiclf.genbernoulli import _unit_sum, chi_omega_minus_k
 from padiclf.lfunction import LpParams, Weight, riemann_sum
+from padiclf.padic import PadicNum
 
 RELPREC = 10
 # residues of the real character of conductor d with value -1
@@ -64,6 +67,9 @@ def test_progression_power_sum_matches_direct_sum(k, step, u0, n, modulus):
     assert ProgressionPowerSum(k, step, modulus)(u0, u1) == expected
 
 
+# c > D/L: every run holds one term (D/L = 1 for omega^2 at p = 5, level 5)
+@example(char=(5, 1, 1, 2), c=101, k=3, dj=0)
+@example(char=(7, 4, 2, 1), c=197, k=6, dj=1)
 @settings(max_examples=150, deadline=None)
 @given(char=characters(), c=st.integers(2, 200), k=st.integers(0, 6), dj=st.integers(0, 3))
 def test_riemann_sum_matches_oracle(table_dir, char, c, k, dj):
@@ -73,21 +79,39 @@ def test_riemann_sum_matches_oracle(table_dir, char, c, k, dj):
     chi = even_character(table_dir, p, d, m, e)
     params = LpParams(p=p, d=d, c=c, m=m, chi=chi, relprec=RELPREC, j_max=m + 3)
     j = m + dj
-    fast = riemann_sum(params, Weight(k), j)
+    P = p**RELPREC
+    # w = 2 E_c: the carry t weighs c - 1 - 2t
+    twice = _unit_sum(params.chi_omega_inv, d, j, k, k, RELPREC, range(c - 1, -c - 1, -2))
+    fast = PadicNum.from_int_mod(p, twice * pow(2, -1, P), RELPREC)
     slow = riemann_sum_bruteforce(params, Weight(k), j)
     assert fast == slow
     assert fast.abs_precision == slow.abs_precision
+    assert riemann_sum(params, Weight(k), j) == slow
 
 
+# j < m: the sum runs below the level d*p^m of the character
+@example(char=(5, 4, 2, 1), k=1, j=1, shift=0, c=3)
+@example(char=(7, 1, 2, 2), k=3, j=1, shift=1, c=1)
 @settings(max_examples=150, deadline=None)
 @given(char=characters(), k=st.integers(1, 6), j=st.integers(1, 5),
-       shift=st.sampled_from([0, 1]))
-def test_twisted_unit_sum_matches_oracle(table_dir, char, k, j, shift):
-    # j may lie below m, where the period of the twist does not divide d*p^j
+       shift=st.sampled_from([0, 1]), c=st.integers(1, 60))
+def test_twisted_unit_sum_matches_oracle(table_dir, char, k, j, shift, c):
     p, d, m, e = char
     assume(j <= m + 3)
+    while math.gcd(c, d * p) != 1:
+        c += 1
     chi = even_character(table_dir, p, d, m, e)
-    fast = _twisted_unit_sum(chi, k, j, k - shift, RELPREC)
+    psi = chi_omega_minus_k(chi, k)
     slow = twisted_unit_sum_bruteforce(chi, k, j, k - shift, RELPREC)
-    assert fast == slow
-    assert fast.abs_precision == slow.abs_precision
+    cases = [
+        # w = 1 walked through the carry runs of c: every carry weighs 1
+        (psi, (1,) * c),
+        # psi at the level of chi: L = d*p^m does not divide d*p^j when
+        # j < m, and the progressions must stop below d*p^j
+        (psi.change_level(d * p**m), (1,)),
+    ]
+    for twist, weights in cases:
+        total = _unit_sum(twist, d, j, 0, k - shift, RELPREC, weights)
+        fast = PadicNum.from_int_mod(p, total, RELPREC)
+        assert fast == slow
+        assert fast.abs_precision == slow.abs_precision
