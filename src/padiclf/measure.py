@@ -22,13 +22,16 @@ fractional part, {A/D} - c {A/(cD)} + (c - 1)/2, is the constant
 
 Cylinder (locally constant) functions are total value tables at a level;
 applying the measure to one is a finite sum, and refining the level does
-not change the result.  Four paper objects stay although only tests call
+not change the result.  Six paper objects stay although only tests call
 them, because tests pin properties of the measure through them:
   * ClopenSet and char_fn, a basic clopen set U and its characteristic
     function, whose integral is the distribution value E_c(U);
   * cylinder_decompose, the clopen decomposition f = sum f(a) char_fn(U_a);
   * units_cylinder, a function on the units extended by zero, through
-    which a test integrates the L-function integrand with measure_apply.
+    which a test integrates the L-function integrand with measure_apply;
+  * equi_class, the fibre of reduction (the Lean equi_class), and
+    distribution_refine_sum, the sum over it, which state compatibility
+    residue by residue; the tests hold compatibility_failures to them.
 
 measure_apply returns the PadicNum that the fold sum_a f(a) * E_c(a), with
 each E_c(a) embedded at relative precision relprec, would return, from one
@@ -44,17 +47,29 @@ entries and halves once mod p^(W - vmin).  The outcome is
   * O(p^W) when no finite entry counts, when W <= vmin, or when the
     accumulator vanishes mod p^(W - vmin);
   * otherwise p^vmin times the halved accumulator, known mod p^(W - vmin).
+
+measure_apply reads (2 E_c(a), v_p(2 E_c(a))) for every a from a carry table
+built once per (params, level) and kept in a bounded cache.  The table walks b
+over [0, D) and files the carry t = floor(c b / D) under a = c b - D t,
+so it needs no modular inverse, and each of the at most c values of t
+has its valuation taken once.
+
+compatibility_failures sweeps in one pass: it evaluates the distribution
+once at every residue of levels 0 to max_level + 1, and the refined sum
+over the lifts x + k d p^m (k < p) of x mod d p^m is the slice
+fine[x::d p^m] of the next level's values.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import CostLimitExceeded, LevelOrder, NotCoprime
 from .modarith import Residue, partition_range, require_odd_prime
-from .padic import DEFAULT_RELPREC, PadicNum
+from .padic import DEFAULT_RELPREC, PadicNum, rational_valuation
 
 __all__ = [
     "BernoulliParams",
@@ -68,6 +83,7 @@ __all__ = [
     "distribution_refine_sum",
     "compatibility_failures",
     "MAX_SWEEP_EVALUATIONS",
+    "carry_table",
     "measure_apply",
     "units_cylinder",
     "norm_bound_check",
@@ -232,15 +248,17 @@ def compatibility_failures(params: BernoulliParams, max_level: int,
     """Every (m, x, coarse, fine) with m <= max_level and x mod d*p^m where the
     level-m value `coarse` differs from the refined sum `fine`.
 
-    Level m evaluates dist (p + 1) * d * p^m times; a sweep over more than
-    MAX_SWEEP_EVALUATIONS in all is refused up front with CostLimitExceeded.
+    The sweep evaluates dist once at each residue of levels 0 to
+    max_level + 1.  A sweep whose bound (p + 1) * d * sum_(m <= max_level) p^m
+    on that count exceeds MAX_SWEEP_EVALUATIONS is refused up front with
+    CostLimitExceeded.
     """
     if max_level < 0:
         raise ValueError(f"max_level must be >= 0, got {max_level}")
-    p = params.p
+    p, d = params.p, params.d
     # the exponent is capped so that a huge max_level costs nothing to refuse
     top = min(max_level, 64)
-    evaluations = (p + 1) * params.d * (p ** (top + 1) - 1) // (p - 1)
+    evaluations = (p + 1) * d * (p ** (top + 1) - 1) // (p - 1)
     if evaluations > MAX_SWEEP_EVALUATIONS:
         more = "more than " if top < max_level else ""
         raise CostLimitExceeded(
@@ -248,13 +266,38 @@ def compatibility_failures(params: BernoulliParams, max_level: int,
             f"E_c evaluations, over the limit of {MAX_SWEEP_EVALUATIONS}"
         )
     failures = []
+    coarse = [dist(params, 0, x) for x in range(d)]
     for m in range(max_level + 1):
-        for x in range(params.d * params.p**m):
-            coarse = dist(params, m, x)
-            fine = distribution_refine_sum(params, m, x, dist)
-            if coarse != fine:
-                failures.append((m, x, coarse, fine))
+        step = d * p**m
+        fine = [dist(params, m + 1, y) for y in range(step * p)]
+        for x, value in enumerate(coarse):
+            refined = sum(fine[x::step], Fraction(0))
+            if value != refined:
+                failures.append((m, x, value, refined))
+        coarse = fine
     return failures
+
+
+@functools.lru_cache(maxsize=32)
+def carry_table(params: BernoulliParams, level: int) -> tuple:
+    """(2 E_c(level, a), v_p(2 E_c(level, a))) at index a, for a mod d*p^level.
+
+    2 E_c(level, a) = c - 1 - 2t for the carry t = floor(c b / D) of
+    b = c^(-1) a mod D; walking b gives a = c b - D t directly.  A zero value
+    has valuation math.inf.
+    """
+    p, c = params.p, params.c
+    D = params.d * p**level
+    by_carry = {}
+    table = [None] * D
+    for b in range(D):
+        t, a = divmod(c * b, D)
+        entry = by_carry.get(t)
+        if entry is None:
+            two_e = c - 1 - 2 * t
+            entry = by_carry[t] = (two_e, rational_valuation(p, two_e))
+        table[a] = entry
+    return tuple(table)
 
 
 def measure_apply(params: BernoulliParams, f: CylinderFunction,
@@ -269,26 +312,24 @@ def measure_apply(params: BernoulliParams, f: CylinderFunction,
         raise ValueError("cylinder function does not match the measure parameters")
     if relprec < 1:
         raise ValueError("relative precision must be >= 1")
-    p, c = params.p, params.c
-    D = f.modulus
-    cinv = pow(c, -1, D)
+    p = params.p
     absprec = math.inf
     terms = []  # (v, u * 2 E_c(a)) for the finite counted entries p^v u
-    for a, x in f.values.items():
+    for x, (two_e, e) in zip(f.values.values(), carry_table(params, f.level)):
         if x.is_exact_zero():
             continue
         if x.p != p:
             raise ValueError(f"prime mismatch: {x.p} vs {p}")
-        two_e = c - 1 - 2 * (c * (cinv * a % D) // D)
         if two_e == 0:
             continue
-        e = 0
-        while two_e % p ** (e + 1) == 0:
-            e += 1
-        v = x.valuation()
-        absprec = min(absprec, e + min(x.abs_precision, v + relprec))
         if x.is_nonzero():
+            v = x.valuation()
+            term_prec = v + e + min(x.relprec, relprec)
             terms.append((v, x.unit * two_e))
+        else:
+            term_prec = x.abs_precision + e
+        if term_prec < absprec:
+            absprec = term_prec
     if absprec == math.inf:
         return PadicNum.exact_zero(p)
     vmin = min((v for v, _ in terms), default=absprec)

@@ -232,13 +232,33 @@ def _c5_distribution_compatibility(seed):
 # ---------------------------------------------------------------- criterion 6
 
 def random_cylinder(rng, p, d, level, relprec=8) -> CylinderFunction:
+    """A table at `level`: an exact zero with probability 1/10, otherwise the
+    rational num/den with num in [-999, 999] and den in [1, 60] at relprec.
+
+    Each entry draws rng.random() and, unless that makes it zero, num and
+    then den.  The entry is p^(v_p(num) - v_p(den)) times the unit
+    num'/den' mod p^relprec of the p-free parts; reducing num/den by their
+    gcd first would change neither.
+    """
+    zero = PadicNum.exact_zero(p)
+    mod = p**relprec
     vals = {}
     for a in range(d * p**level):
         if rng.random() < 0.1:
-            vals[a] = PadicNum.exact_zero(p)
-        else:
-            q = Fraction(rng.randint(-999, 999), rng.randint(1, 60))
-            vals[a] = PadicNum.from_rational(p, q, relprec)
+            vals[a] = zero
+            continue
+        num, den = rng.randrange(-999, 1000), rng.randrange(1, 61)
+        if num == 0:
+            vals[a] = zero
+            continue
+        v = 0
+        while num % p == 0:
+            num //= p
+            v += 1
+        while den % p == 0:
+            den //= p
+            v -= 1
+        vals[a] = PadicNum.from_unit(p, v, num * pow(den, -1, mod), relprec)
     return CylinderFunction(d, p, level, vals)
 
 

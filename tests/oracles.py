@@ -16,7 +16,7 @@ from padiclf.dirichlet import teichmuller_int
 from padiclf.errors import LevelTooLow, NotAUnit, NotMultipleOfConductor, UnsupportedOrder
 from padiclf.genbernoulli import chi_omega_minus_k, level_decompose
 from padiclf.lfunction import principal_unit_power
-from padiclf.measure import bernoulli_distribution
+from padiclf.measure import CylinderFunction, bernoulli_distribution, distribution_refine_sum
 from padiclf.modarith import Residue, units_of
 from padiclf.padic import PadicNum
 
@@ -189,3 +189,30 @@ def general_bernoulli_coeffs_fraction(chi, m: int, F: int | None = None) -> dict
         coeffs[t] = coeffs.get(t, Fraction(0)) + bernoulli_poly_eval(m, Fraction(a, F))
     scale = Fraction(F) ** (m - 1)
     return {t: scale * c for t, c in coeffs.items() if c != 0}
+
+
+def random_cylinder_fraction(rng, p, d, level, relprec=8) -> CylinderFunction:
+    """suite.random_cylinder with every entry built as a Fraction and embedded
+    with PadicNum.from_rational."""
+    vals = {}
+    for a in range(d * p**level):
+        if rng.random() < 0.1:
+            vals[a] = PadicNum.exact_zero(p)
+        else:
+            q = Fraction(rng.randint(-999, 999), rng.randint(1, 60))
+            vals[a] = PadicNum.from_rational(p, q, relprec)
+    return CylinderFunction(d, p, level, vals)
+
+
+def compatibility_failures_bruteforce(params, max_level: int,
+                                      dist=bernoulli_distribution) -> list[tuple]:
+    """measure.compatibility_failures residue by residue: dist at x against
+    distribution_refine_sum over the fibre of x, for every x at every level."""
+    failures = []
+    for m in range(max_level + 1):
+        for x in range(params.d * params.p**m):
+            coarse = dist(params, m, x)
+            fine = distribution_refine_sum(params, m, x, dist)
+            if coarse != fine:
+                failures.append((m, x, coarse, fine))
+    return failures

@@ -5,10 +5,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import integrand_eval, weight_eval
-from padiclf.dirichlet import DirichletCharacter, char_power, make_teich_char
+from padiclf.dirichlet import char_power, make_teich_char
 from padiclf.errors import InsufficientPrecision, LevelTooLow, NotCoprime
 from padiclf.lfunction import (
-    EvalReport,
     LpParams,
     Weight,
     p_adic_L,
@@ -17,7 +16,7 @@ from padiclf.lfunction import (
     special_value_closed_form,
     verify_interpolation,
 )
-from padiclf.measure import BernoulliParams, measure_apply, units_cylinder
+from padiclf.measure import measure_apply, units_cylinder
 from padiclf.modarith import Residue, UnitResidue, partition_range
 from padiclf.padic import PadicNum, eq_mod
 

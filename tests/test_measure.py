@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 from oracles import (
     bernoulli_distribution_div_by_c_fract,
     bernoulli_distribution_fract,
+    compatibility_failures_bruteforce,
     measure_apply_fold,
+    random_cylinder_fraction,
 )
 from padiclf.errors import CostLimitExceeded, LevelOrder, NotCoprime
 from padiclf.measure import (
@@ -19,6 +21,7 @@ from padiclf.measure import (
     CylinderFunction,
     bernoulli_distribution,
     bernoulli_distribution_div_by_c,
+    carry_table,
     char_fn,
     compatibility_failures,
     cylinder_decompose,
@@ -29,12 +32,22 @@ from padiclf.measure import (
     units_cylinder,
 )
 from padiclf.modarith import Residue, partition_range
-from padiclf.padic import PadicNum, eq_mod
+from padiclf.padic import PadicNum, eq_mod, rational_valuation
+from padiclf.suite import random_cylinder as suite_random_cylinder
 
 P312 = BernoulliParams(3, 1, 2)
 # the (p, d, c) grid of suite criterion 5, swept there at levels 0-3
 C5_GRID = [BernoulliParams(p, d, c) for p in (3, 5, 7) for d in (1, 2, 4)
            for c in (2, 3, 7) if math.gcd(d, p) == 1 and math.gcd(c, d * p) == 1]
+
+
+def shifted_denominator(pr, n, a):
+    """The rival reading with the denominator one level down, D = d*p^(n+1)."""
+    D = pr.d * pr.p ** (n + 1)
+    A = a.value if isinstance(a, Residue) else int(a) % (pr.d * pr.p**n)
+    cinv = pow(pr.c, -1, D)
+    return (Fraction(A, D) - pr.c * Fraction((cinv * A) % D, D)
+            + Fraction(pr.c - 1, 2))
 
 
 def random_cylinder(rng, p, d, level, relprec=8):
@@ -178,19 +191,43 @@ class TestDistribution:
     def test_shifted_denominator_fails_compatibility(self):
         # the one-level-down denominator reading is not a distribution
         params = BernoulliParams(5, 1, 3)
-
-        def shifted(pr, n, a):
-            D = pr.d * pr.p ** (n + 1)
-            A = a.value if isinstance(a, Residue) else int(a) % (pr.d * pr.p**n)
-            cinv = pow(pr.c, -1, D)
-            return (Fraction(A, D) - pr.c * Fraction((cinv * A) % D, D)
-                    + Fraction(pr.c - 1, 2))
-
         mismatches = [
             x for x in range(5)
-            if distribution_refine_sum(params, 1, x, dist=shifted) != shifted(params, 1, x)
+            if distribution_refine_sum(params, 1, x, dist=shifted_denominator)
+            != shifted_denominator(params, 1, x)
         ]
         assert mismatches
+
+
+class TestSweep:
+    @pytest.mark.parametrize("dist", [bernoulli_distribution, bernoulli_distribution_div_by_c,
+                                      shifted_denominator])
+    def test_matches_residue_by_residue_oracle(self, dist):
+        for params in C5_GRID:
+            assert compatibility_failures(params, 3, dist) == \
+                compatibility_failures_bruteforce(params, 3, dist)
+
+    def test_evaluates_each_residue_once(self):
+        seen = []
+
+        def counted(params, n, a):
+            seen.append((n, a))
+            return bernoulli_distribution(params, n, a)
+
+        params = BernoulliParams(5, 2, 3)
+        assert compatibility_failures(params, 2, counted) == []
+        assert sorted(seen) == [(n, a) for n in range(4) for a in range(2 * 5**n)]
+
+
+class TestCarryTable:
+    @settings(max_examples=200, deadline=None)
+    @given(params=st.sampled_from(C5_GRID), level=st.integers(0, 4))
+    def test_matches_distribution(self, params, level):
+        table = carry_table(params, level)
+        assert len(table) == params.d * params.p**level
+        for a, (two_e, e) in enumerate(table):
+            value = 2 * bernoulli_distribution(params, level, a)
+            assert two_e == value and e == rational_valuation(params.p, value)
 
 
 class TestSweepLimit:
@@ -282,6 +319,20 @@ class TestCylinders:
         pairs = [(c, cl) for c, cl in cylinder_decompose(char_fn(U, 8))
                  if c.is_nonzero()]
         assert len(pairs) == 1 and pairs[0][1] == U
+
+
+class TestSuiteRandomCylinder:
+    @settings(max_examples=150, deadline=None)
+    @given(p=st.sampled_from((3, 5, 7, 11)), d=st.sampled_from((1, 2, 4)),
+           level=st.integers(0, 3), relprec=st.integers(1, 12), seed=st.integers(0, 2**32))
+    def test_matches_fraction_oracle(self, p, d, level, relprec, seed):
+        # the same entries from the same draws, leaving the rng in the same state
+        rng, oracle_rng = random.Random(seed), random.Random(seed)
+        f = suite_random_cylinder(rng, p, d, level, relprec)
+        g = random_cylinder_fraction(oracle_rng, p, d, level, relprec)
+        assert (f.d, f.p, f.level) == (g.d, g.p, g.level)
+        assert [repr(v) for v in f.values.values()] == [repr(v) for v in g.values.values()]
+        assert rng.getstate() == oracle_rng.getstate()
 
 
 class TestMeasureApply:

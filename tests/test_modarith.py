@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from padiclf.errors import NotAUnit, NotCoprime
 from padiclf.modarith import (
     Residue,
-    UnitResidue,
     crt_combine,
     divisors,
     inverse_mod,
