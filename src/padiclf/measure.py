@@ -22,8 +22,10 @@ fractional part, {A/D} - c {A/(cD)} + (c - 1)/2, is the constant
 
 Cylinder (locally constant) functions are total value tables at a level;
 applying the measure to one is a finite sum, and refining the level does
-not change the result.  Six paper objects stay although only tests call
+not change the result.  Seven paper objects stay although only tests call
 them, because tests pin properties of the measure through them:
+  * bernoulli_distribution, the value E_c(n, a) at one residue, which the
+    carry tables and the oracles are checked against;
   * ClopenSet and char_fn, a basic clopen set U and its characteristic
     function, whose integral is the distribution value E_c(U);
   * cylinder_decompose, the clopen decomposition f = sum f(a) char_fn(U_a);
@@ -40,30 +42,38 @@ E_c(a) != 0; write e = v_p(2 E_c(a)).  A finite entry p^v u with relative
 precision r gives a term of absolute precision v + e + min(r, relprec),
 and an entry O(p^T) one of absolute precision T + e.  W is the least of
 these and vmin the least valuation v of a finite counted entry.  The
-accumulator sums u * p^(v - vmin) * (c - 1 - 2t) over the finite counted
-entries and halves once mod p^(W - vmin).  The outcome is
+accumulator sums u * (c - 1 - 2t) over the finite counted entries of each
+valuation v, adds up those sums times p^(v - vmin) and halves once mod
+p^(W - vmin).  The outcome is
 
   * the exact zero when no entry counts;
   * O(p^W) when no finite entry counts, when W <= vmin, or when the
     accumulator vanishes mod p^(W - vmin);
   * otherwise p^vmin times the halved accumulator, known mod p^(W - vmin).
 
-measure_apply reads (2 E_c(a), v_p(2 E_c(a))) for every a from a carry table
-built once per (params, level) and kept in a bounded cache.  The table walks b
-over [0, D) and files the carry t = floor(c b / D) under a = c b - D t,
-so it needs no modular inverse, and each of the at most c values of t
-has its valuation taken once.
+measure_apply reads 2 E_c(a) and v_p(2 E_c(a)) for every a from two
+tables built once per (params, level) and kept in bounded caches,
+carry_table and carry_valuations, and each entry's state with one
+PadicNum.state call.  Since a = c b - D t with gcd(c, D) = 1, the carry
+is t = -a D^(-1) mod c, so carry_table is at most c constant slices
+a = r, r + c, r + 2c, ... and needs no per-residue arithmetic.
 
-compatibility_failures sweeps in one pass: it evaluates the distribution
-once at every residue of levels 0 to max_level + 1, and the refined sum
-over the lifts x + k d p^m (k < p) of x mod d p^m is the slice
-fine[x::d p^m] of the next level's values.
+compatibility_failures sweeps in one pass over integer tables.  Its table
+hook values(params, n) gives the doubled values 2 mu(n, a) at
+a = 0 .. d p^n - 1 of the reading mu under test; the genuine E_c is
+carry_table itself and the division reading is div_by_c_table, the
+constant c - 1.  The sweep reads each level 0 to max_level + 1 once; the
+refined sums of level m are the sums over k < p of the slices
+[k d p^m, (k + 1) d p^m) of level m + 1, because the lifts of x mod d p^m
+are x + k d p^m.  A Fraction is made only for a failure it reports, and
+the carry tables it reads are the ones measure_apply reuses.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -79,13 +89,15 @@ __all__ = [
     "cylinder_decompose",
     "equi_class",
     "bernoulli_distribution",
-    "bernoulli_distribution_div_by_c",
+    "div_by_c_table",
     "distribution_refine_sum",
     "compatibility_failures",
     "MAX_SWEEP_EVALUATIONS",
     "carry_table",
+    "carry_valuations",
     "measure_apply",
     "units_cylinder",
+    "norm_bound_constant",
     "norm_bound_check",
 ]
 
@@ -127,18 +139,26 @@ class ClopenSet:
 
 
 class CylinderFunction:
-    """A locally constant function given by a total value table at a level."""
+    """A locally constant function given by a total value table at a level.
+
+    `values` iterates in residue order 0 .. d*p^level - 1, which
+    measure_apply relies on.  A table already in that order is kept as
+    given, not copied; any other is rebuilt in that order, dropping keys
+    beyond the level.
+    """
 
     def __init__(self, d: int, p: int, level: int, values: dict):
         self.d = d
         self.p = p
         self.level = level
         size = d * p**level
-        self.values = {}
-        for a in range(size):
-            if a not in values:
-                raise ValueError(f"value table is missing residue {a} mod {size}")
-            self.values[a] = values[a]
+        if list(values) != list(range(size)):
+            try:
+                values = {a: values[a] for a in range(size)}
+            except KeyError as missing:
+                raise ValueError(
+                    f"value table is missing residue {missing.args[0]} mod {size}") from None
+        self.values = values
 
     @property
     def modulus(self) -> int:
@@ -148,18 +168,17 @@ class CylinderFunction:
         """Represent the same function on the finer quotient at `level`."""
         if level < self.level:
             raise LevelOrder(f"cannot refine from level {self.level} down to {level}")
-        size = self.d * self.p**level
-        vals = {b: self.values[b % self.modulus] for b in range(size)}
-        return CylinderFunction(self.d, self.p, level, vals)
+        # b mod the old modulus runs through the old residues in order, p^k times
+        vals = list(self.values.values()) * self.p ** (level - self.level)
+        return CylinderFunction(self.d, self.p, level, dict(enumerate(vals)))
 
     def __add__(self, other: "CylinderFunction") -> "CylinderFunction":
         if (self.d, self.p) != (other.d, other.p):
             raise ValueError("cylinder functions live on different spaces")
         lev = max(self.level, other.level)
         f, g = self.refine_level(lev), other.refine_level(lev)
-        return CylinderFunction(
-            self.d, self.p, lev, {a: f.values[a] + g.values[a] for a in f.values}
-        )
+        vals = map(operator.add, f.values.values(), g.values.values())
+        return CylinderFunction(self.d, self.p, lev, dict(enumerate(vals)))
 
     def scale(self, coeff: PadicNum) -> "CylinderFunction":
         return CylinderFunction(
@@ -167,9 +186,10 @@ class CylinderFunction:
         )
 
     def sup_norm(self) -> Fraction:
-        """Sup of the p-adic norms of the table entries (exact rational)."""
-        entries = [v for v in self.values.values() if not v.is_exact_zero()]
-        return min(entries, key=PadicNum.valuation).norm() if entries else Fraction(0)
+        """Sup of the p-adic norms of the table entries (exact rational):
+        p^(-v) for the least valuation v, or 0 when every entry is an exact zero.
+        """
+        return min(self.values.values(), key=PadicNum.valuation).norm()
 
     def __repr__(self):
         return f"CylinderFunction(d={self.d}, p={self.p}, level={self.level})"
@@ -215,13 +235,14 @@ def bernoulli_distribution(params: BernoulliParams, n: int, a) -> Fraction:
     return Fraction(c - 1 - 2 * (c * (pow(c, -1, D) * A % D) // D), 2)
 
 
-def bernoulli_distribution_div_by_c(params: BernoulliParams, n: int, a) -> Fraction:
-    """The rival reading {A/D} - c {A/(cD)} + (c-1)/2, which fails compatibility.
+def div_by_c_table(params: BernoulliParams, n: int) -> tuple:
+    """The rival reading {A/D} - c {A/(cD)} + (c-1)/2 at level n, doubled, as a
+    table hook of compatibility_failures; it fails compatibility.
 
-    It is the constant (c-1)/2: 0 <= A < D < cD gives {A/(cD)} = A/(cD),
-    so the first two terms cancel.  Its refined sum is p (c-1)/2.
+    It is the constant c - 1: 0 <= A < D < cD gives {A/(cD)} = A/(cD),
+    so the first two terms cancel.  Its refined sum is p (c-1).
     """
-    return Fraction(params.c - 1, 2)
+    return (params.c - 1,) * (params.d * params.p**n)
 
 
 def distribution_refine_sum(params: BernoulliParams, m: int, x,
@@ -239,18 +260,45 @@ def distribution_refine_sum(params: BernoulliParams, m: int, x,
     )
 
 
-# The most distribution values one compatibility sweep may evaluate.
+@functools.lru_cache(maxsize=32)
+def carry_table(params: BernoulliParams, level: int) -> tuple:
+    """2 E_c(level, a) = c - 1 - 2t at index a, for a mod D = d*p^level.
+
+    The carry t of a = c b - D t is fixed by a mod c: t = -a D^(-1) mod c.
+    So the table is at most c constant slices a = r, r + c, r + 2c, ...
+    """
+    c = params.c
+    D = params.d * params.p**level
+    d_inv = pow(D, -1, c)
+    table = [0] * D
+    for r in range(min(c, D)):
+        table[r::c] = [c - 1 - 2 * (-r * d_inv % c)] * len(range(r, D, c))
+    return tuple(table)
+
+
+@functools.lru_cache(maxsize=32)
+def carry_valuations(params: BernoulliParams, level: int) -> tuple:
+    """v_p(2 E_c(level, a)) at index a, math.inf where the value is 0."""
+    table = carry_table(params, level)
+    valuation = {x: rational_valuation(params.p, x) for x in set(table)}
+    return tuple(map(valuation.__getitem__, table))
+
+
+# The most distribution values one compatibility sweep may read.
 MAX_SWEEP_EVALUATIONS = 2_000_000
 
 
 def compatibility_failures(params: BernoulliParams, max_level: int,
-                           dist=bernoulli_distribution) -> list[tuple]:
+                           values=carry_table) -> list[tuple]:
     """Every (m, x, coarse, fine) with m <= max_level and x mod d*p^m where the
-    level-m value `coarse` differs from the refined sum `fine`.
+    level-m value `coarse` differs from the refined sum `fine`, both reported
+    as Fractions.
 
-    The sweep evaluates dist once at each residue of levels 0 to
-    max_level + 1.  A sweep whose bound (p + 1) * d * sum_(m <= max_level) p^m
-    on that count exceeds MAX_SWEEP_EVALUATIONS is refused up front with
+    `values(params, n)` is the level-n table of doubled distribution values
+    2 mu(n, a) at a = 0 .. d*p^n - 1; it defaults to carry_table, the genuine
+    2 E_c.  The sweep reads it once at each level 0 to max_level + 1.  A
+    sweep whose bound (p + 1) * d * sum_(m <= max_level) p^m on the values
+    read exceeds MAX_SWEEP_EVALUATIONS is refused up front with
     CostLimitExceeded.
     """
     if max_level < 0:
@@ -266,38 +314,17 @@ def compatibility_failures(params: BernoulliParams, max_level: int,
             f"E_c evaluations, over the limit of {MAX_SWEEP_EVALUATIONS}"
         )
     failures = []
-    coarse = [dist(params, 0, x) for x in range(d)]
+    coarse = values(params, 0)
     for m in range(max_level + 1):
         step = d * p**m
-        fine = [dist(params, m + 1, y) for y in range(step * p)]
-        for x, value in enumerate(coarse):
-            refined = sum(fine[x::step], Fraction(0))
-            if value != refined:
-                failures.append((m, x, value, refined))
+        fine = values(params, m + 1)
+        refined = list(map(sum, zip(*(fine[k * step:(k + 1) * step] for k in range(p)))))
+        if any(map(operator.ne, coarse, refined)):
+            failures += [(m, x, Fraction(value, 2), Fraction(total, 2))
+                         for x, (value, total) in enumerate(zip(coarse, refined))
+                         if value != total]
         coarse = fine
     return failures
-
-
-@functools.lru_cache(maxsize=32)
-def carry_table(params: BernoulliParams, level: int) -> tuple:
-    """(2 E_c(level, a), v_p(2 E_c(level, a))) at index a, for a mod d*p^level.
-
-    2 E_c(level, a) = c - 1 - 2t for the carry t = floor(c b / D) of
-    b = c^(-1) a mod D; walking b gives a = c b - D t directly.  A zero value
-    has valuation math.inf.
-    """
-    p, c = params.p, params.c
-    D = params.d * p**level
-    by_carry = {}
-    table = [None] * D
-    for b in range(D):
-        t, a = divmod(c * b, D)
-        entry = by_carry.get(t)
-        if entry is None:
-            two_e = c - 1 - 2 * t
-            entry = by_carry[t] = (two_e, rational_valuation(p, two_e))
-        table[a] = entry
-    return tuple(table)
 
 
 def measure_apply(params: BernoulliParams, f: CylinderFunction,
@@ -314,29 +341,30 @@ def measure_apply(params: BernoulliParams, f: CylinderFunction,
         raise ValueError("relative precision must be >= 1")
     p = params.p
     absprec = math.inf
-    terms = []  # (v, u * 2 E_c(a)) for the finite counted entries p^v u
-    for x, (two_e, e) in zip(f.values.values(), carry_table(params, f.level)):
-        if x.is_exact_zero():
+    sums = {}  # v -> sum of u * 2 E_c(a) over the finite counted entries p^v u
+    for (xp, v, u, r), two_e, e in zip(map(PadicNum.state, f.values.values()),
+                                       carry_table(params, f.level),
+                                       carry_valuations(params, f.level)):
+        if v is None:  # an exact zero
             continue
-        if x.p != p:
-            raise ValueError(f"prime mismatch: {x.p} vs {p}")
+        if xp != p:
+            raise ValueError(f"prime mismatch: {xp} vs {p}")
         if two_e == 0:
             continue
-        if x.is_nonzero():
-            v = x.valuation()
-            term_prec = v + e + min(x.relprec, relprec)
-            terms.append((v, x.unit * two_e))
+        if u is None:  # O(p^v)
+            term_prec = v + e
         else:
-            term_prec = x.abs_precision + e
+            term_prec = v + e + (r if r < relprec else relprec)
+            sums[v] = sums.get(v, 0) + u * two_e
         if term_prec < absprec:
             absprec = term_prec
     if absprec == math.inf:
         return PadicNum.exact_zero(p)
-    vmin = min((v for v, _ in terms), default=absprec)
+    vmin = min(sums, default=absprec)
     if vmin >= absprec:
         return PadicNum.zero_at_precision(p, absprec)
     window = absprec - vmin
-    acc = sum(m * p ** (v - vmin) for v, m in terms)
+    acc = sum(m * p ** (v - vmin) for v, m in sums.items())
     return PadicNum.from_int_mod(p, acc * pow(2, -1, p**window), window, shift=vmin)
 
 
@@ -349,16 +377,18 @@ def units_cylinder(d: int, p: int, level: int, unit_values: dict) -> CylinderFun
     return CylinderFunction(d, p, level, vals)
 
 
+@functools.lru_cache(maxsize=64)
+def norm_bound_constant(p: int, c: int) -> Fraction:
+    """K = 1 + ||c|| + ||(c-1)/2||, which is 2 + p^(-v_p(c-1)) as c and 2 are
+    prime to p."""
+    return 2 + Fraction(1, p ** rational_valuation(p, c - 1))
+
+
 def norm_bound_check(params: BernoulliParams, f: CylinderFunction,
                      relprec: int = DEFAULT_RELPREC):
-    """Check the measure bound ||E_c(f)|| <= K * ||f||.
-
-    K = 1 + ||c|| + ||(c-1)/2|| with exact rational p-adic norms.
-    Returns (lhs, rhs, ok).
+    """Check the measure bound ||E_c(f)|| <= K * ||f|| with exact rational
+    p-adic norms and K = norm_bound_constant(p, c).  Returns (lhs, rhs, ok).
     """
-    p, c = params.p, params.c
     lhs = measure_apply(params, f, relprec).norm()
-    K = (1 + PadicNum.from_rational(p, c).norm()
-         + PadicNum.from_rational(p, Fraction(c - 1, 2)).norm())
-    rhs = K * f.sup_norm()
+    rhs = norm_bound_constant(params.p, params.c) * f.sup_norm()
     return lhs, rhs, lhs <= rhs

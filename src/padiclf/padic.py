@@ -95,7 +95,7 @@ class PadicNum:
         unit %= p**relprec
         if unit % p == 0:
             raise ValueError(f"{unit} is not a unit modulo {p}")
-        return cls(p, _FINITE, v=v, unit=unit, relprec=relprec)
+        return cls(p, _FINITE, v, unit, relprec)
 
     @classmethod
     def one(cls, p: int, relprec: int = DEFAULT_RELPREC) -> "PadicNum":
@@ -184,6 +184,13 @@ class PadicNum:
     @property
     def valuation_is_exact(self) -> bool:
         return self._kind != _PEZ
+
+    def state(self) -> tuple:
+        """(p, v, unit, relprec) in one read, for loops over many values.
+
+        v is None for the exact zero; unit and relprec are None for O(p^v).
+        """
+        return self.p, self._v, self._unit, self._relprec
 
     def norm(self) -> Fraction:
         """p-adic norm p^(-nu) as an exact rational (an upper bound for O(p^T))."""

@@ -8,6 +8,7 @@ both run the same functions.  Profiles: "fast" finishes in seconds,
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass
@@ -38,8 +39,8 @@ from .lfunction import LpParams, Weight, riemann_sum, verify_interpolation
 from .measure import (
     BernoulliParams,
     CylinderFunction,
-    bernoulli_distribution_div_by_c,
     compatibility_failures,
+    div_by_c_table,
     measure_apply,
     norm_bound_check,
 )
@@ -220,7 +221,7 @@ def _c5_distribution_compatibility(seed):
                 params = BernoulliParams(p, d, c)
                 failures += [(p, d, c, m, x)
                              for m, x, _, _ in compatibility_failures(params, 3)]
-                variant = compatibility_failures(params, 3, bernoulli_distribution_div_by_c)
+                variant = compatibility_failures(params, 3, div_by_c_table)
                 variant_failed_on += [(p, d, c, m, x) for m, x, _, _ in variant]
     diagnostic_ok = bool(variant_failed_on)
     return (not failures) and diagnostic_ok, {
@@ -231,35 +232,60 @@ def _c5_distribution_compatibility(seed):
 
 # ---------------------------------------------------------------- criterion 6
 
+# random_cylinder's draws: num in [-999, 999] and den in [1, 60]
+_NUM_LOW, _NUM_COUNT = -999, 1999
+_DEN_LOW, _DEN_COUNT = 1, 60
+_NUM_BITS, _DEN_BITS = _NUM_COUNT.bit_length(), _DEN_COUNT.bit_length()
+
+
+@functools.lru_cache(maxsize=16)
+def _draw_tables(p: int, relprec: int) -> tuple:
+    """random_cylinder's draws by their raw bits: (v_p(num), num / p^v) for
+    each num, None for num = 0, and (v_p(den), (den / p^v)^(-1) mod p^relprec)
+    for each den."""
+    def split(n):
+        v = rational_valuation(p, n)
+        return v, n // p**v
+
+    nums = tuple(split(n) if n else None for n in range(_NUM_LOW, _NUM_LOW + _NUM_COUNT))
+    dens = tuple((v, pow(u, -1, p**relprec))
+                 for v, u in map(split, range(_DEN_LOW, _DEN_LOW + _DEN_COUNT)))
+    return nums, dens
+
+
 def random_cylinder(rng, p, d, level, relprec=8) -> CylinderFunction:
     """A table at `level`: an exact zero with probability 1/10, otherwise the
     rational num/den with num in [-999, 999] and den in [1, 60] at relprec.
 
     Each entry draws rng.random() and, unless that makes it zero, num and
-    then den.  The entry is p^(v_p(num) - v_p(den)) times the unit
-    num'/den' mod p^relprec of the p-free parts; reducing num/den by their
-    gcd first would change neither.
+    then den, each by rejection sampling on rng.getrandbits(k) with k the
+    bit length of the range's size.  That is how random.Random.randrange
+    draws, so the entries and the rng state after them are those of
+    rng.randrange(-999, 1000) and rng.randrange(1, 61).  The entry is
+    p^(v_p(num) - v_p(den)) times the unit num'/den' mod p^relprec of the
+    p-free parts; reducing num/den by their gcd first would change neither.
     """
     zero = PadicNum.exact_zero(p)
-    mod = p**relprec
-    vals = {}
-    for a in range(d * p**level):
-        if rng.random() < 0.1:
-            vals[a] = zero
+    nums, dens = _draw_tables(p, relprec)
+    uniform, getrandbits, from_unit = rng.random, rng.getrandbits, PadicNum.from_unit
+    vals = []
+    for _ in range(d * p**level):
+        if uniform() < 0.1:
+            vals.append(zero)
             continue
-        num, den = rng.randrange(-999, 1000), rng.randrange(1, 61)
-        if num == 0:
-            vals[a] = zero
+        i = getrandbits(_NUM_BITS)
+        while i >= _NUM_COUNT:
+            i = getrandbits(_NUM_BITS)
+        j = getrandbits(_DEN_BITS)
+        while j >= _DEN_COUNT:
+            j = getrandbits(_DEN_BITS)
+        num = nums[i]
+        if num is None:
+            vals.append(zero)
             continue
-        v = 0
-        while num % p == 0:
-            num //= p
-            v += 1
-        while den % p == 0:
-            den //= p
-            v -= 1
-        vals[a] = PadicNum.from_unit(p, v, num * pow(den, -1, mod), relprec)
-    return CylinderFunction(d, p, level, vals)
+        vd, den_inv = dens[j]
+        vals.append(from_unit(p, num[0] - vd, num[1] * den_inv, relprec))
+    return CylinderFunction(d, p, level, dict(enumerate(vals)))
 
 
 def _c6_boundedness(seed):

@@ -204,6 +204,14 @@ def random_cylinder_fraction(rng, p, d, level, relprec=8) -> CylinderFunction:
     return CylinderFunction(d, p, level, vals)
 
 
+def level_table(dist):
+    """The table hook of measure.compatibility_failures for a per-residue dist:
+    level n -> the doubled values 2 dist(params, n, a) at every a mod d*p^n."""
+    def table(params, n: int) -> list:
+        return [2 * dist(params, n, a) for a in range(params.d * params.p**n)]
+    return table
+
+
 def compatibility_failures_bruteforce(params, max_level: int,
                                       dist=bernoulli_distribution) -> list[tuple]:
     """measure.compatibility_failures residue by residue: dist at x against

@@ -21,6 +21,9 @@ ALLOWED = {
     "measure.char_fn": "the characteristic function of a clopen set",
     "measure.cylinder_decompose": "the clopen decomposition f = sum f(a) char_fn(U_a)",
     "measure.units_cylinder": "a function on the units extended by zero to the level",
+    "measure.bernoulli_distribution": (
+        "the paper's E_c(n, a) at one residue, and the reference the oracles and "
+        "the carry-table tests check against"),
     "measure.equi_class": (
         "the fibre of reduction from level m down to level n, the Lean equi_class"),
     "measure.distribution_refine_sum": (

@@ -10,6 +10,7 @@ from oracles import (
     bernoulli_distribution_div_by_c_fract,
     bernoulli_distribution_fract,
     compatibility_failures_bruteforce,
+    level_table,
     measure_apply_fold,
     random_cylinder_fraction,
 )
@@ -20,15 +21,17 @@ from padiclf.measure import (
     ClopenSet,
     CylinderFunction,
     bernoulli_distribution,
-    bernoulli_distribution_div_by_c,
     carry_table,
+    carry_valuations,
     char_fn,
     compatibility_failures,
     cylinder_decompose,
     distribution_refine_sum,
+    div_by_c_table,
     equi_class,
     measure_apply,
     norm_bound_check,
+    norm_bound_constant,
     units_cylinder,
 )
 from padiclf.modarith import Residue, partition_range
@@ -169,21 +172,21 @@ class TestDistribution:
 
     def test_division_variant_fails_compatibility(self):
         bad = distribution_refine_sum(P312, 1, 1,
-                                      dist=bernoulli_distribution_div_by_c)
-        good = bernoulli_distribution_div_by_c(P312, 1, 1)
+                                      dist=bernoulli_distribution_div_by_c_fract)
+        good = bernoulli_distribution_div_by_c_fract(P312, 1, 1)
         assert bad != good
         # the variant collapses to the constant (c-1)/2
         assert good == Fraction(1, 2) and bad == Fraction(3, 2)
         # on the criterion-5 grid it is that constant as written with
-        # fractional parts, and it fails at every residue, where the genuine
-        # distribution fails at none
+        # fractional parts, its doubled table is the constant c - 1, and it
+        # fails at every residue, where the genuine distribution fails at none
         for params in C5_GRID:
             p, d, half = params.p, params.d, Fraction(params.c - 1, 2)
             for m in range(4):
+                assert div_by_c_table(params, m) == (2 * half,) * (d * p**m)
                 for x in range(d * p**m):
-                    assert bernoulli_distribution_div_by_c(params, m, x) == half
                     assert bernoulli_distribution_div_by_c_fract(params, m, x) == half
-            failures = compatibility_failures(params, 3, bernoulli_distribution_div_by_c)
+            failures = compatibility_failures(params, 3, div_by_c_table)
             assert failures == [(m, x, half, p * half)
                                 for m in range(4) for x in range(d * p**m)]
             assert compatibility_failures(params, 3) == []
@@ -199,33 +202,60 @@ class TestDistribution:
         assert mismatches
 
 
-class TestSweep:
-    @pytest.mark.parametrize("dist", [bernoulli_distribution, bernoulli_distribution_div_by_c,
-                                      shifted_denominator])
-    def test_matches_residue_by_residue_oracle(self, dist):
-        for params in C5_GRID:
-            assert compatibility_failures(params, 3, dist) == \
-                compatibility_failures_bruteforce(params, 3, dist)
+# each reading of the distribution as a per-residue form, with the level
+# table the library sweeps for it where it has one
+READINGS = {
+    "bernoulli_distribution": (bernoulli_distribution, carry_table),
+    "bernoulli_distribution_div_by_c": (bernoulli_distribution_div_by_c_fract, div_by_c_table),
+    "shifted_denominator": (shifted_denominator, None),
+}
 
-    def test_evaluates_each_residue_once(self):
+
+class TestSweep:
+    @pytest.mark.parametrize("reading", list(READINGS))
+    def test_matches_residue_by_residue_oracle(self, reading):
+        dist, table = READINGS[reading]
+        for params in C5_GRID:
+            expected = compatibility_failures_bruteforce(params, 3, dist)
+            assert compatibility_failures(params, 3, level_table(dist)) == expected
+            if table is not None:
+                assert compatibility_failures(params, 3, table) == expected
+
+    @settings(max_examples=40, deadline=None)
+    @given(p=st.sampled_from((3, 5, 7, 11, 13)), d=st.sampled_from((1, 2, 4)),
+           c=st.integers(2, 13), max_level=st.integers(0, 3))
+    def test_integer_sweep_matches_bruteforce(self, p, d, c, max_level):
+        assume(math.gcd(c, d * p) == 1)
+        params = BernoulliParams(p, d, c)
+        assert compatibility_failures(params, max_level) == \
+            compatibility_failures_bruteforce(params, max_level) == []
+        # and it reports every residue where the division reading fails
+        half = Fraction(c - 1, 2)
+        assert compatibility_failures(params, max_level, div_by_c_table) == \
+            [(m, x, half, p * half) for m in range(max_level + 1) for x in range(d * p**m)]
+
+    def test_reads_each_level_once(self):
         seen = []
 
-        def counted(params, n, a):
-            seen.append((n, a))
-            return bernoulli_distribution(params, n, a)
+        def counted(params, n):
+            seen.append(n)
+            return carry_table(params, n)
 
         params = BernoulliParams(5, 2, 3)
         assert compatibility_failures(params, 2, counted) == []
-        assert sorted(seen) == [(n, a) for n in range(4) for a in range(2 * 5**n)]
+        assert seen == [0, 1, 2, 3]
 
 
 class TestCarryTable:
     @settings(max_examples=200, deadline=None)
-    @given(params=st.sampled_from(C5_GRID), level=st.integers(0, 4))
+    @given(params=st.sampled_from(C5_GRID + [BernoulliParams(5, 3, 101),
+                                             BernoulliParams(7, 1, 400)]),
+           level=st.integers(0, 4))
     def test_matches_distribution(self, params, level):
         table = carry_table(params, level)
-        assert len(table) == params.d * params.p**level
-        for a, (two_e, e) in enumerate(table):
+        valuations = carry_valuations(params, level)
+        assert len(table) == len(valuations) == params.d * params.p**level
+        for a, (two_e, e) in enumerate(zip(table, valuations)):
             value = 2 * bernoulli_distribution(params, level, a)
             assert two_e == value and e == rational_valuation(params.p, value)
 
@@ -297,6 +327,18 @@ class TestCylinders:
     def test_total_table_required(self):
         with pytest.raises(ValueError, match="missing"):
             CylinderFunction(1, 3, 1, {0: PadicNum.one(3, 4)})
+
+    def test_unordered_table_is_put_in_residue_order(self):
+        # measure_apply pairs the entries with the carry table by position
+        rng = random.Random(17)
+        for p, d, c in ((3, 1, 2), (5, 2, 3), (7, 4, 3)):
+            params = BernoulliParams(p, d, c)
+            for level in (1, 2):
+                f = random_cylinder(rng, p, d, level)
+                backwards = dict(reversed(f.values.items()))
+                g = CylinderFunction(d, p, level, backwards)
+                assert list(g.values) == list(range(d * p**level))
+                assert measure_apply(params, g, 8) == measure_apply(params, f, 8)
 
     def test_decompose_recombine_all_levels_up_to_two(self):
         rng = random.Random(7)
@@ -458,6 +500,15 @@ class TestNormBound:
                 f = random_cylinder(rng, p, d, rng.randint(0, 2))
                 lhs, rhs, ok = norm_bound_check(params, f)
                 assert ok, (p, d, c, lhs, rhs)
+
+    def test_bound_constant_is_the_norm_sum(self):
+        more = [BernoulliParams(p, 1, c) for p in (11, 13) for c in range(2, 300)
+                if c % p]
+        for params in C5_GRID + more:
+            p, c = params.p, params.c
+            assert norm_bound_constant(p, c) == (
+                1 + PadicNum.from_rational(p, c).norm()
+                + PadicNum.from_rational(p, Fraction(c - 1, 2)).norm())
 
     def test_bound_constant(self):
         # K = 1 + |c| + |(c-1)/2| as exact rationals

@@ -224,3 +224,20 @@ def test_norm_values():
     assert PadicNum.from_rational(5, 50, 4).norm() == Fraction(1, 25)
     assert PadicNum.from_rational(5, Fraction(1, 5), 4).norm() == 5
     assert PadicNum.exact_zero(5).norm() == 0
+
+
+@pytest.mark.parametrize("x", [
+    PadicNum.exact_zero(7),
+    PadicNum.zero_at_precision(7, 5),
+    PadicNum.from_rational(7, Fraction(-3, 4), 6),
+    PadicNum.from_rational(7, Fraction(5, 49), 6),
+])
+def test_state_is_the_accessors_in_one_read(x):
+    p, v, unit, relprec = x.state()
+    assert p == x.p
+    if x.is_exact_zero():
+        assert v is None and unit is None and relprec is None
+    elif x.is_zero_at_precision():
+        assert v == x.abs_precision and unit is None and relprec is None
+    else:
+        assert (v, unit, relprec) == (x.valuation(), x.unit, x.relprec)
