@@ -33,7 +33,7 @@ from .bernoulli import ProgressionPowerSum, bernoulli
 from .dirichlet import DirichletCharacter, char_power, make_teich_char, teichmuller_int
 from .errors import NotMultipleOfConductor
 from .modarith import unit_ints
-from .padic import PadicNum
+from .padic import PadicNum, split_p_power
 
 __all__ = [
     "omega_inverse_exponent",
@@ -44,17 +44,7 @@ __all__ = [
     "twisted_mean_truncation",
     "twisted_mean_limit",
     "unit_power_sum",
-    "level_decompose",
 ]
-
-
-def level_decompose(level: int, p: int) -> tuple[int, int]:
-    """Write level = d * p^m with gcd(d, p) = 1; returns (d, m)."""
-    m = 0
-    while level % p == 0:
-        level //= p
-        m += 1
-    return level, m
 
 
 def omega_inverse_exponent(p: int, k: int) -> int:
@@ -121,12 +111,7 @@ def _embed_label_sum(p: int, coeffs: dict, relprec: int) -> PadicNum:
     den = 1
     for c in coeffs.values():
         den = den * c.denominator // math.gcd(den, c.denominator)
-    vden = 0
-    odd_part = den
-    while odd_part % p == 0:
-        odd_part //= p
-        vden += 1
-    window = relprec + vden
+    window = relprec + split_p_power(p, den)[0]
     mod = p**window
     total = 0
     for t, c in sorted(coeffs.items()):
@@ -163,7 +148,7 @@ def general_bernoulli_exact(chi: DirichletCharacter, m: int,
 
 def _twist_preconditions(chi: DirichletCharacter, k: int, j: int):
     p = chi.p
-    d, m = level_decompose(chi.level, p)
+    m, d = split_p_power(p, chi.level)
     if m < 1:
         raise ValueError(f"character level {chi.level} is not divisible by p={p}")
     if not chi.is_even():

@@ -51,7 +51,7 @@ from functools import cached_property
 
 from .dirichlet import DirichletCharacter, teichmuller_int
 from .errors import InsufficientPrecision, LevelTooLow, NotCoprime
-from .genbernoulli import _unit_sum, chi_omega_minus_k, general_bernoulli
+from .genbernoulli import _unit_sum, chi_omega_minus_k, twisted_mean_limit
 from .measure import BernoulliParams
 from .padic import PadicNum
 
@@ -224,8 +224,9 @@ def special_value_closed_form(params: LpParams, n: int,
                               relprec: int | None = None) -> PadicNum:
     """The closed-form target at the weight-(n-1) evaluation, n >= 1:
 
-    (1/n)(1 - chi(c) <c>^n)(1 - chi omega^(-n)(p) p^(n-1)) B_(n, chi omega^(-n)).
+    (1/n)(1 - chi(c) <c>^n)(1 - chi omega^(-n)(p) p^(n-1)) B_(n, chi omega^(-n)),
 
+    the last two factors being genbernoulli.twisted_mean_limit(chi, n).
     The Euler-type factor at p uses the extension by zero, so it
     degenerates to 1 when p divides the twisted conductor.
     """
@@ -234,18 +235,8 @@ def special_value_closed_form(params: LpParams, n: int,
     N = relprec if relprec is not None else params.relprec
     p, c = params.p, params.c
     chi = params.chi
-    psi = chi_omega_minus_k(chi, n)
-    one = PadicNum.one(p, N)
-    c_factor = one - chi.value(c % chi.level, N) * principal_unit_power(p, c, n, N)
-    p_factor = one - psi.asso_eval(p % psi.level, N) * PadicNum.from_rational(
-        p, p ** (n - 1), N
-    )
-    return (
-        PadicNum.from_rational(p, Fraction(1, n), N)
-        * c_factor
-        * p_factor
-        * general_bernoulli(psi, n, N)
-    )
+    c_factor = PadicNum.one(p, N) - chi.value(c % chi.level, N) * principal_unit_power(p, c, n, N)
+    return PadicNum.from_rational(p, Fraction(1, n), N) * c_factor * twisted_mean_limit(chi, n, N)
 
 
 def _certified_valuation(diff: PadicNum, threshold: int):

@@ -20,8 +20,10 @@ most c (for example p=5, d=1, c=3, m=1).  Dividing by c inside the
 fractional part, {A/D} - c {A/(cD)} + (c - 1)/2, is the constant
 (c - 1)/2, whose refined sum is p (c - 1)/2.
 
-Cylinder (locally constant) functions are total value tables at a level;
-applying the measure to one is a finite sum, and refining the level does
+A cylinder (locally constant) function at level n is a function on the
+finite quotient Z/(d p^n)Z, stored as the tuple of its values indexed by
+the residue a = 0 .. d p^n - 1, the format of the carry tables below.
+Applying the measure to one is a finite sum, and refining the level does
 not change the result.  Seven paper objects stay although only tests call
 them, because tests pin properties of the measure through them:
   * bernoulli_distribution, the value E_c(n, a) at one residue, which the
@@ -53,10 +55,13 @@ p^(W - vmin).  The outcome is
 
 measure_apply reads 2 E_c(a) and v_p(2 E_c(a)) for every a from two
 tables built once per (params, level) and kept in bounded caches,
-carry_table and carry_valuations, and each entry's state with one
-PadicNum.state call.  Since a = c b - D t with gcd(c, D) = 1, the carry
-is t = -a D^(-1) mod c, so carry_table is at most c constant slices
-a = r, r + c, r + 2c, ... and needs no per-residue arithmetic.
+carry_table and carry_valuations, zipped against the value tuple, and
+each entry's state with one PadicNum.state call.  Since a = c b - D t
+with gcd(c, D) = 1, the carry is t = -a D^(-1) mod c, so carry_table is
+at most c constant slices a = r, r + c, r + 2c, ... and needs no
+per-residue arithmetic.  The same pass yields the least valuation of an
+entry that is not an exact zero, so norm_bound_check has ||f|| without
+reading the entries a second time.
 
 compatibility_failures sweeps in one pass over integer tables.  Its table
 hook values(params, n) gives the doubled values 2 mu(n, a) at
@@ -74,6 +79,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -139,26 +145,23 @@ class ClopenSet:
 
 
 class CylinderFunction:
-    """A locally constant function given by a total value table at a level.
-
-    `values` iterates in residue order 0 .. d*p^level - 1, which
-    measure_apply relies on.  A table already in that order is kept as
-    given, not copied; any other is rebuilt in that order, dropping keys
-    beyond the level.
+    """A locally constant function at a level, as the tuple `values` of its
+    values at the residues a = 0 .. d*p^level - 1, indexed by a: the format
+    of carry_table.  Any sequence of that length is taken as that tuple;
+    anything else, such as a dict (which iterates over its keys), is refused.
     """
 
-    def __init__(self, d: int, p: int, level: int, values: dict):
+    def __init__(self, d: int, p: int, level: int, values: Sequence):
+        if not isinstance(values, Sequence):
+            raise TypeError("cylinder function values must be a sequence indexed by residue, "
+                            f"not a {type(values).__name__}")
         self.d = d
         self.p = p
         self.level = level
-        size = d * p**level
-        if list(values) != list(range(size)):
-            try:
-                values = {a: values[a] for a in range(size)}
-            except KeyError as missing:
-                raise ValueError(
-                    f"value table is missing residue {missing.args[0]} mod {size}") from None
-        self.values = values
+        self.values = tuple(values)
+        if len(self.values) != self.modulus:
+            raise ValueError(
+                f"value table has {len(self.values)} entries, expected {self.modulus}")
 
     @property
     def modulus(self) -> int:
@@ -169,27 +172,18 @@ class CylinderFunction:
         if level < self.level:
             raise LevelOrder(f"cannot refine from level {self.level} down to {level}")
         # b mod the old modulus runs through the old residues in order, p^k times
-        vals = list(self.values.values()) * self.p ** (level - self.level)
-        return CylinderFunction(self.d, self.p, level, dict(enumerate(vals)))
+        return CylinderFunction(self.d, self.p, level,
+                                self.values * self.p ** (level - self.level))
 
     def __add__(self, other: "CylinderFunction") -> "CylinderFunction":
         if (self.d, self.p) != (other.d, other.p):
             raise ValueError("cylinder functions live on different spaces")
         lev = max(self.level, other.level)
         f, g = self.refine_level(lev), other.refine_level(lev)
-        vals = map(operator.add, f.values.values(), g.values.values())
-        return CylinderFunction(self.d, self.p, lev, dict(enumerate(vals)))
+        return CylinderFunction(self.d, self.p, lev, tuple(map(operator.add, f.values, g.values)))
 
     def scale(self, coeff: PadicNum) -> "CylinderFunction":
-        return CylinderFunction(
-            self.d, self.p, self.level, {a: coeff * v for a, v in self.values.items()}
-        )
-
-    def sup_norm(self) -> Fraction:
-        """Sup of the p-adic norms of the table entries (exact rational):
-        p^(-v) for the least valuation v, or 0 when every entry is an exact zero.
-        """
-        return min(self.values.values(), key=PadicNum.valuation).norm()
+        return CylinderFunction(self.d, self.p, self.level, tuple(coeff * v for v in self.values))
 
     def __repr__(self):
         return f"CylinderFunction(d={self.d}, p={self.p}, level={self.level})"
@@ -198,22 +192,15 @@ class CylinderFunction:
 def char_fn(clopen: ClopenSet, relprec: int = DEFAULT_RELPREC) -> CylinderFunction:
     """Characteristic function of a basic clopen set: 1 on it, 0 elsewhere."""
     p = clopen.p
-    one = PadicNum.one(p, relprec)
-    zero = PadicNum.exact_zero(p)
-    size = clopen.d * p**clopen.level
-    return CylinderFunction(
-        clopen.d, p, clopen.level,
-        {a: (one if a == clopen.base.value else zero) for a in range(size)},
-    )
+    values = [PadicNum.exact_zero(p)] * clopen.base.modulus
+    values[clopen.base.value] = PadicNum.one(p, relprec)
+    return CylinderFunction(clopen.d, p, clopen.level, values)
 
 
 def cylinder_decompose(f: CylinderFunction):
     """Write f as sum of f(a) * char_fn(U_a) over the level's clopen basis."""
     mod = f.modulus
-    return [
-        (f.values[a], ClopenSet(f.d, f.p, f.level, Residue(mod, a)))
-        for a in range(mod)
-    ]
+    return [(v, ClopenSet(f.d, f.p, f.level, Residue(mod, a))) for a, v in enumerate(f.values)]
 
 
 def equi_class(d: int, p: int, n: int, m: int, a: Residue) -> list[Residue]:
@@ -327,28 +314,26 @@ def compatibility_failures(params: BernoulliParams, max_level: int,
     return failures
 
 
-def measure_apply(params: BernoulliParams, f: CylinderFunction,
-                  relprec: int = DEFAULT_RELPREC) -> PadicNum:
-    """Integrate a cylinder function: sum of f(a) * E_c(level, a) over the level.
-
-    Refining f first gives the identical value (eventual constancy of the
-    level sums), which is what makes the measure well defined.  The sum is
-    one integer accumulator; its precision rule is in the module docstring.
-    """
+def _integrate(params: BernoulliParams, f: CylinderFunction, relprec: int) -> tuple:
+    """(measure_apply(params, f, relprec), the least valuation of f's entries),
+    the latter math.inf when every entry is an exact zero, from one read of
+    each entry."""
     if (f.d, f.p) != (params.d, params.p):
         raise ValueError("cylinder function does not match the measure parameters")
     if relprec < 1:
         raise ValueError("relative precision must be >= 1")
     p = params.p
-    absprec = math.inf
+    absprec = least = math.inf
     sums = {}  # v -> sum of u * 2 E_c(a) over the finite counted entries p^v u
-    for (xp, v, u, r), two_e, e in zip(map(PadicNum.state, f.values.values()),
+    for (xp, v, u, r), two_e, e in zip(map(PadicNum.state, f.values),
                                        carry_table(params, f.level),
                                        carry_valuations(params, f.level)):
         if v is None:  # an exact zero
             continue
         if xp != p:
             raise ValueError(f"prime mismatch: {xp} vs {p}")
+        if v < least:
+            least = v
         if two_e == 0:
             continue
         if u is None:  # O(p^v)
@@ -359,22 +344,36 @@ def measure_apply(params: BernoulliParams, f: CylinderFunction,
         if term_prec < absprec:
             absprec = term_prec
     if absprec == math.inf:
-        return PadicNum.exact_zero(p)
+        return PadicNum.exact_zero(p), least
     vmin = min(sums, default=absprec)
     if vmin >= absprec:
-        return PadicNum.zero_at_precision(p, absprec)
+        return PadicNum.zero_at_precision(p, absprec), least
     window = absprec - vmin
     acc = sum(m * p ** (v - vmin) for v, m in sums.items())
-    return PadicNum.from_int_mod(p, acc * pow(2, -1, p**window), window, shift=vmin)
+    return PadicNum.from_int_mod(p, acc * pow(2, -1, p**window), window, shift=vmin), least
 
 
-def units_cylinder(d: int, p: int, level: int, unit_values: dict) -> CylinderFunction:
-    """Build a total table from values given on the units, zero elsewhere."""
-    zero = PadicNum.exact_zero(p)
-    units, nonunits = partition_range(d, p, level)
-    vals = {a: unit_values[a] for a in units}
-    vals.update({a: zero for a in nonunits})
-    return CylinderFunction(d, p, level, vals)
+def measure_apply(params: BernoulliParams, f: CylinderFunction,
+                  relprec: int = DEFAULT_RELPREC) -> PadicNum:
+    """Integrate a cylinder function: sum of f(a) * E_c(level, a) over the level.
+
+    Refining f first gives the identical value (eventual constancy of the
+    level sums), which is what makes the measure well defined.  The sum is
+    one integer accumulator; its precision rule is in the module docstring.
+    """
+    return _integrate(params, f, relprec)[0]
+
+
+def units_cylinder(d: int, p: int, level: int, unit_values) -> CylinderFunction:
+    """Build a total table from values given on the units, zero elsewhere.
+
+    unit_values is indexed by residue: a dict over the units, or a whole
+    table such as another cylinder function's values.
+    """
+    values = [PadicNum.exact_zero(p)] * (d * p**level)
+    for a in partition_range(d, p, level)[0]:
+        values[a] = unit_values[a]
+    return CylinderFunction(d, p, level, values)
 
 
 @functools.lru_cache(maxsize=64)
@@ -388,7 +387,13 @@ def norm_bound_check(params: BernoulliParams, f: CylinderFunction,
                      relprec: int = DEFAULT_RELPREC):
     """Check the measure bound ||E_c(f)|| <= K * ||f|| with exact rational
     p-adic norms and K = norm_bound_constant(p, c).  Returns (lhs, rhs, ok).
+
+    ||f|| is p^(-v) for the least valuation v of an entry, or 0 when every
+    entry is an exact zero; it comes from the same read of the entries as
+    E_c(f).
     """
-    lhs = measure_apply(params, f, relprec).norm()
-    rhs = norm_bound_constant(params.p, params.c) * f.sup_norm()
+    value, least = _integrate(params, f, relprec)
+    lhs = value.norm()
+    sup = Fraction(0) if least == math.inf else Fraction(params.p) ** -least
+    rhs = norm_bound_constant(params.p, params.c) * sup
     return lhs, rhs, lhs <= rhs

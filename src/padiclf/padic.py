@@ -35,6 +35,7 @@ __all__ = [
     "DEFAULT_RELPREC",
     "eq_mod",
     "rational_valuation",
+    "split_p_power",
 ]
 
 DEFAULT_RELPREC = 8
@@ -44,21 +45,23 @@ _PEZ = "zero-at-prec"   # cancelled to precision, O(p^T)
 _FINITE = "finite"
 
 
+def split_p_power(p: int, n: int) -> tuple[int, int]:
+    """(v, n / p^v) for a nonzero integer n, where v = v_p(n)."""
+    if n == 0:
+        raise ValueError("0 has no p-adic valuation to split off")
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v, n
+
+
 def rational_valuation(p: int, q) -> int | float:
     """p-adic valuation of a rational (math.inf for 0)."""
     q = Fraction(q)
     if q == 0:
         return math.inf
-    v = 0
-    n = q.numerator
-    while n % p == 0:
-        n //= p
-        v += 1
-    d = q.denominator
-    while d % p == 0:
-        d //= p
-        v -= 1
-    return v
+    return split_p_power(p, q.numerator)[0] - split_p_power(p, q.denominator)[0]
 
 
 class PadicNum:
@@ -107,15 +110,8 @@ class PadicNum:
         q = Fraction(q)
         if q == 0:
             return cls.exact_zero(p)
-        num, den = q.numerator, q.denominator
-        vn = 0
-        while num % p == 0:
-            num //= p
-            vn += 1
-        vd = 0
-        while den % p == 0:
-            den //= p
-            vd += 1
+        vn, num = split_p_power(p, q.numerator)
+        vd, den = split_p_power(p, q.denominator)
         mod = p**relprec
         unit = num * pow(den, -1, mod) % mod
         return cls.from_unit(p, vn - vd, unit, relprec)
@@ -132,10 +128,7 @@ class PadicNum:
         w = value % (p**window)
         if w == 0:
             return cls.zero_at_precision(p, shift + window)
-        t = 0
-        while w % p == 0:
-            w //= p
-            t += 1
+        t, w = split_p_power(p, w)
         return cls.from_unit(p, shift + t, w, window - t)
 
     # ---------------- predicates and accessors ----------------

@@ -45,7 +45,7 @@ from .measure import (
     norm_bound_check,
 )
 from .modarith import divisors, units_of
-from .padic import PadicNum, eq_mod, rational_valuation
+from .padic import PadicNum, eq_mod, rational_valuation, split_p_power
 
 __all__ = ["Criterion", "CriterionResult", "ALL_CRITERIA", "run_profile",
            "conductor_bruteforce", "random_cylinder"]
@@ -243,13 +243,10 @@ def _draw_tables(p: int, relprec: int) -> tuple:
     """random_cylinder's draws by their raw bits: (v_p(num), num / p^v) for
     each num, None for num = 0, and (v_p(den), (den / p^v)^(-1) mod p^relprec)
     for each den."""
-    def split(n):
-        v = rational_valuation(p, n)
-        return v, n // p**v
-
-    nums = tuple(split(n) if n else None for n in range(_NUM_LOW, _NUM_LOW + _NUM_COUNT))
+    nums = tuple(split_p_power(p, n) if n else None
+                 for n in range(_NUM_LOW, _NUM_LOW + _NUM_COUNT))
     dens = tuple((v, pow(u, -1, p**relprec))
-                 for v, u in map(split, range(_DEN_LOW, _DEN_LOW + _DEN_COUNT)))
+                 for v, u in (split_p_power(p, n) for n in range(_DEN_LOW, _DEN_LOW + _DEN_COUNT)))
     return nums, dens
 
 
@@ -285,7 +282,7 @@ def random_cylinder(rng, p, d, level, relprec=8) -> CylinderFunction:
             continue
         vd, den_inv = dens[j]
         vals.append(from_unit(p, num[0] - vd, num[1] * den_inv, relprec))
-    return CylinderFunction(d, p, level, dict(enumerate(vals)))
+    return CylinderFunction(d, p, level, vals)
 
 
 def _c6_boundedness(seed):

@@ -14,11 +14,17 @@ from fractions import Fraction
 from padiclf.bernoulli import bernoulli_poly_eval
 from padiclf.dirichlet import teichmuller_int
 from padiclf.errors import LevelTooLow, NotAUnit, NotMultipleOfConductor, UnsupportedOrder
-from padiclf.genbernoulli import chi_omega_minus_k, level_decompose
+from padiclf.genbernoulli import chi_omega_minus_k
 from padiclf.lfunction import principal_unit_power
-from padiclf.measure import CylinderFunction, bernoulli_distribution, distribution_refine_sum
+from padiclf.measure import (
+    CylinderFunction,
+    bernoulli_distribution,
+    distribution_refine_sum,
+    measure_apply,
+    norm_bound_constant,
+)
 from padiclf.modarith import Residue, units_of
-from padiclf.padic import PadicNum
+from padiclf.padic import PadicNum, split_p_power
 
 
 def _fract(x: Fraction) -> Fraction:
@@ -103,7 +109,7 @@ def integrand_eval(params, w, a) -> PadicNum:
     """chi omega^(-1)(a) * <a>^k at a unit a mod d*p^j, j >= m: the per-unit
     integrand that riemann_sum regroups into progressions."""
     p = params.p
-    d, j = level_decompose(a.modulus, p)
+    j, d = split_p_power(p, a.modulus)
     if d != params.d or j < params.m:
         raise LevelTooLow(
             f"unit modulus {a.modulus} is not d*p^j with j >= m={params.m}"
@@ -144,7 +150,7 @@ def twisted_unit_sum_bruteforce(chi, k: int, j: int, exponent: int,
                                 relprec: int) -> PadicNum:
     """sum of chi omega^(-k)(a) * a^exponent over units a mod d*p^j, mod p^relprec."""
     p = chi.p
-    d, _ = level_decompose(chi.level, p)
+    _, d = split_p_power(p, chi.level)
     psi = chi_omega_minus_k(chi, k)
     q = psi.level
     P = p**relprec
@@ -163,12 +169,19 @@ def measure_apply_fold(params, f, relprec: int) -> PadicNum:
     """sum of f(a) * E_c(level, a) as a PadicNum fold, E_c(a) embedded at relprec."""
     p = params.p
     acc = PadicNum.exact_zero(p)
-    for a, v in f.values.items():
+    for a, v in enumerate(f.values):
         if v.is_exact_zero():
             continue
         w = PadicNum.from_rational(p, bernoulli_distribution(params, f.level, a), relprec)
         acc = acc + v * w
     return acc
+
+
+def norm_bound_check_two_pass(params, f, relprec: int) -> tuple:
+    """measure.norm_bound_check with ||f|| read in a second pass over the entries."""
+    lhs = measure_apply(params, f, relprec).norm()
+    rhs = norm_bound_constant(params.p, params.c) * max(v.norm() for v in f.values)
+    return lhs, rhs, lhs <= rhs
 
 
 def general_bernoulli_coeffs_fraction(chi, m: int, F: int | None = None) -> dict:
@@ -194,13 +207,13 @@ def general_bernoulli_coeffs_fraction(chi, m: int, F: int | None = None) -> dict
 def random_cylinder_fraction(rng, p, d, level, relprec=8) -> CylinderFunction:
     """suite.random_cylinder with every entry built as a Fraction and embedded
     with PadicNum.from_rational."""
-    vals = {}
-    for a in range(d * p**level):
+    vals = []
+    for _ in range(d * p**level):
         if rng.random() < 0.1:
-            vals[a] = PadicNum.exact_zero(p)
+            vals.append(PadicNum.exact_zero(p))
         else:
             q = Fraction(rng.randint(-999, 999), rng.randint(1, 60))
-            vals[a] = PadicNum.from_rational(p, q, relprec)
+            vals.append(PadicNum.from_rational(p, q, relprec))
     return CylinderFunction(d, p, level, vals)
 
 

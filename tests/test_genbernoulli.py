@@ -14,7 +14,6 @@ from padiclf.genbernoulli import (
     general_bernoulli,
     general_bernoulli_coeffs,
     general_bernoulli_exact,
-    level_decompose,
     omega_inverse_exponent,
     twisted_mean_limit,
     twisted_mean_truncation,
@@ -24,12 +23,6 @@ from padiclf.padic import PadicNum, eq_mod
 from test_character_validation import genuine_tables
 
 QUAD3 = DirichletCharacter(5, 3, {1: 1, 2: 4})
-
-
-def test_level_decompose():
-    assert level_decompose(75, 5) == (3, 2)
-    assert level_decompose(7, 5) == (7, 0)
-    assert level_decompose(1, 3) == (1, 0)
 
 
 def test_omega_inverse_exponent():

@@ -12,6 +12,7 @@ from oracles import (
     compatibility_failures_bruteforce,
     level_table,
     measure_apply_fold,
+    norm_bound_check_two_pass,
     random_cylinder_fraction,
 )
 from padiclf.errors import CostLimitExceeded, LevelOrder, NotCoprime
@@ -54,31 +55,31 @@ def shifted_denominator(pr, n, a):
 
 
 def random_cylinder(rng, p, d, level, relprec=8):
-    vals = {}
-    for a in range(d * p**level):
+    vals = []
+    for _ in range(d * p**level):
         if rng.random() < 0.15:
-            vals[a] = PadicNum.exact_zero(p)
+            vals.append(PadicNum.exact_zero(p))
         else:
-            vals[a] = PadicNum.from_rational(
+            vals.append(PadicNum.from_rational(
                 p, Fraction(rng.randint(-200, 200), rng.randint(1, 40)), relprec
-            )
+            ))
     return CylinderFunction(d, p, level, vals)
 
 
 def mixed_cylinder(rng, p, d, level, kinds):
     """Entries drawn from `kinds`: exact zeros, O(p^T) values and finite values
     of valuation -4..4 with relative precision 1..14."""
-    vals = {}
-    for a in range(d * p**level):
+    vals = []
+    for _ in range(d * p**level):
         kind = rng.choice(kinds)
         if kind == "zero":
-            vals[a] = PadicNum.exact_zero(p)
+            vals.append(PadicNum.exact_zero(p))
         elif kind == "pez":
-            vals[a] = PadicNum.zero_at_precision(p, rng.randint(-4, 8))
+            vals.append(PadicNum.zero_at_precision(p, rng.randint(-4, 8)))
         else:
             r = rng.randint(1, 14)
             unit = rng.randrange(p ** (r - 1)) * p + rng.randint(1, p - 1)
-            vals[a] = PadicNum.from_unit(p, rng.randint(-4, 4), unit, r)
+            vals.append(PadicNum.from_unit(p, rng.randint(-4, 4), unit, r))
     return CylinderFunction(d, p, level, vals)
 
 
@@ -306,7 +307,7 @@ class TestCylinders:
 
     def test_char_fn_level_zero_constant(self):
         f = char_fn(ClopenSet(1, 3, 0, Residue(1, 0)), 8)
-        assert list(f.values) == [0] and f.values[0].unit == 1
+        assert len(f.values) == 1 and f.values[0].unit == 1
 
     def test_refine_is_constant_on_fibers(self):
         f = char_fn(ClopenSet(1, 3, 1, Residue(3, 1)), 8)
@@ -314,31 +315,18 @@ class TestCylinders:
         ones = [b for b in range(9) if g.values[b].is_nonzero()]
         assert ones == [1, 4, 7]
 
-    def test_sup_norm_is_norm_of_least_valuation(self):
-        rng = random.Random(13)
-        for kinds in (("zero",), ("zero", "pez"), ("zero", "finite"), ("pez", "finite")):
-            for level in (0, 1, 2):
-                f = mixed_cylinder(rng, 5, 2, level, kinds)
-                expected = max(v.norm() for v in f.values.values())
-                assert f.sup_norm() == expected
-                assert type(f.sup_norm()) is Fraction
-        assert mixed_cylinder(rng, 3, 1, 2, ("zero",)).sup_norm() == 0
-
     def test_total_table_required(self):
-        with pytest.raises(ValueError, match="missing"):
-            CylinderFunction(1, 3, 1, {0: PadicNum.one(3, 4)})
-
-    def test_unordered_table_is_put_in_residue_order(self):
-        # measure_apply pairs the entries with the carry table by position
-        rng = random.Random(17)
-        for p, d, c in ((3, 1, 2), (5, 2, 3), (7, 4, 3)):
-            params = BernoulliParams(p, d, c)
-            for level in (1, 2):
-                f = random_cylinder(rng, p, d, level)
-                backwards = dict(reversed(f.values.items()))
-                g = CylinderFunction(d, p, level, backwards)
-                assert list(g.values) == list(range(d * p**level))
-                assert measure_apply(params, g, 8) == measure_apply(params, f, 8)
+        one = PadicNum.one(3, 4)
+        for values in ((one,), (one,) * 4, []):
+            with pytest.raises(ValueError, match="expected 3"):
+                CylinderFunction(1, 3, 1, values)
+        # a dict would otherwise become the tuple of its keys
+        with pytest.raises(TypeError, match="not a dict"):
+            CylinderFunction(1, 3, 1, {a: one for a in range(3)})
+        with pytest.raises(TypeError, match="not a set"):
+            CylinderFunction(1, 3, 0, {one})
+        f = CylinderFunction(1, 3, 1, [one] * 3)
+        assert f.values == (one,) * 3 and type(f.values) is tuple
 
     def test_decompose_recombine_all_levels_up_to_two(self):
         rng = random.Random(7)
@@ -373,7 +361,7 @@ class TestSuiteRandomCylinder:
         f = suite_random_cylinder(rng, p, d, level, relprec)
         g = random_cylinder_fraction(oracle_rng, p, d, level, relprec)
         assert (f.d, f.p, f.level) == (g.d, g.p, g.level)
-        assert [repr(v) for v in f.values.values()] == [repr(v) for v in g.values.values()]
+        assert [repr(v) for v in f.values] == [repr(v) for v in g.values]
         assert rng.getstate() == oracle_rng.getstate()
 
 
@@ -386,7 +374,7 @@ class TestMeasureApply:
             assert tracked_equal(v, target)
 
     def test_zero_function(self):
-        f = CylinderFunction(1, 3, 1, {a: PadicNum.exact_zero(3) for a in range(3)})
+        f = CylinderFunction(1, 3, 1, (PadicNum.exact_zero(3),) * 3)
         assert measure_apply(P312, f, 8).is_exact_zero()
 
     def test_refinement_invariance(self):
@@ -430,16 +418,16 @@ class TestMeasureApply:
                   for a in (0, 1))
         cases = [
             # every entry an exact zero, or E_c(a) = 0 (c = 3, t = 1 at a = 1)
-            (P312, {0: zero, 1: zero, 2: zero}, "zero"),
+            (P312, (zero, zero, zero), "zero"),
             (BernoulliParams(5, 1, 3),
-             {a: PadicNum.one(5, 8) if a == 1 else PadicNum.exact_zero(5) for a in range(5)},
+             [PadicNum.one(5, 8) if a == 1 else PadicNum.exact_zero(5) for a in range(5)],
              "zero"),
             # no finite entry, then W <= vmin, then an accumulator that cancels
-            (P312, {0: PadicNum.zero_at_precision(3, 4), 1: zero, 2: zero}, "pez"),
-            (P312, {0: PadicNum.zero_at_precision(3, 1), 1: PadicNum.from_unit(3, 2, 1, 8),
-                    2: zero}, "pez"),
-            (P312, {0: e1, 1: -e0, 2: zero}, "pez"),
-            (P312, {0: one, 1: zero, 2: one}, "finite"),
+            (P312, (PadicNum.zero_at_precision(3, 4), zero, zero), "pez"),
+            (P312, (PadicNum.zero_at_precision(3, 1), PadicNum.from_unit(3, 2, 1, 8), zero),
+             "pez"),
+            (P312, (e1, -e0, zero), "pez"),
+            (P312, (one, zero, one), "finite"),
         ]
         for params, values, kind in cases:
             f = CylinderFunction(params.d, params.p, 1, values)
@@ -450,7 +438,7 @@ class TestMeasureApply:
 
 
     def test_rejects_bad_input_as_the_fold_does(self):
-        f = CylinderFunction(1, 5, 0, {0: PadicNum.one(3, 8)})
+        f = CylinderFunction(1, 5, 0, (PadicNum.one(3, 8),))
         for fn in (measure_apply, measure_apply_fold):
             with pytest.raises(ValueError, match="prime mismatch"):
                 fn(BernoulliParams(5, 1, 2), f, 8)
@@ -488,9 +476,40 @@ class TestNormBound:
         assert ok and lhs == 1 and rhs == 3
 
     def test_zero_function(self):
-        f = CylinderFunction(1, 3, 1, {a: PadicNum.exact_zero(3) for a in range(3)})
+        f = CylinderFunction(1, 3, 1, (PadicNum.exact_zero(3),) * 3)
         lhs, rhs, ok = norm_bound_check(P312, f)
         assert ok and lhs == 0
+
+    def test_rhs_is_bound_times_norm_of_least_valuation(self):
+        rng = random.Random(13)
+        params = BernoulliParams(5, 2, 3)
+        K = norm_bound_constant(5, 3)
+        for kinds in (("zero",), ("zero", "pez"), ("zero", "finite"), ("pez", "finite")):
+            for level in (0, 1, 2):
+                f = mixed_cylinder(rng, 5, 2, level, kinds)
+                _, rhs, _ = norm_bound_check(params, f)
+                assert rhs == K * max(v.norm() for v in f.values)
+                assert type(rhs) is Fraction
+        assert norm_bound_check(P312, mixed_cylinder(rng, 3, 1, 2, ("zero",)))[1] == 0
+        # an entry counts where E_c vanishes, as E_c(1, 1) does at c = 3
+        zero = PadicNum.exact_zero(5)
+        f = CylinderFunction(1, 5, 1, (zero, PadicNum.from_unit(5, -2, 1, 8), zero, zero, zero))
+        assert norm_bound_check(BernoulliParams(5, 1, 3), f) == (0, 25 * K, True)
+
+    @settings(max_examples=300, deadline=None)
+    @given(p=st.sampled_from((3, 5, 7, 11)), d=st.integers(1, 6), c=st.integers(2, 40),
+           level=st.integers(0, 3), relprec=st.integers(1, 12),
+           kinds=st.sampled_from([("zero",), ("pez",), ("finite",), ("zero", "pez"),
+                                  ("zero", "finite"), ("pez", "finite"),
+                                  ("zero", "pez", "finite")]),
+           seed=st.integers(0, 2**32))
+    def test_matches_two_pass_oracle(self, p, d, c, level, relprec, kinds, seed):
+        # odd c gives entries with 2 E_c = 0, which the integral skips but ||f|| reads
+        assume(math.gcd(d, p) == 1 and math.gcd(c, d * p) == 1)
+        params = BernoulliParams(p, d, c)
+        f = mixed_cylinder(random.Random(seed), p, d, level, kinds)
+        assert norm_bound_check(params, f, relprec) == \
+            norm_bound_check_two_pass(params, f, relprec)
 
     def test_randomized_sweep(self):
         rng = random.Random(0)

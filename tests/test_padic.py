@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from padiclf.errors import DivisionByZero, InsufficientPrecision
-from padiclf.padic import PadicNum, eq_mod, rational_valuation
+from padiclf.padic import PadicNum, eq_mod, rational_valuation, split_p_power
 
 rationals = st.fractions(
     min_value=-10**6, max_value=10**6, max_denominator=10**4
@@ -218,6 +218,24 @@ def test_rational_valuation_helper():
     assert rational_valuation(5, 50) == 2
     assert rational_valuation(3, Fraction(5, 9)) == -2
     assert rational_valuation(3, 0) == math.inf
+
+
+def test_split_p_power():
+    assert split_p_power(5, 75) == (2, 3)
+    assert split_p_power(5, 7) == (0, 7)
+    assert split_p_power(3, 1) == (0, 1)
+    assert split_p_power(5, -75) == (2, -3)
+    assert split_p_power(3, -1) == (0, -1)
+    assert split_p_power(3, -162) == (4, -2)
+    with pytest.raises(ValueError):
+        split_p_power(3, 0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(p=small_primes, n=st.integers(-10**12, 10**12).filter(bool))
+def test_split_p_power_matches_oracle(p, n):
+    v, u = split_p_power(p, n)
+    assert v == nu_oracle(p, n) and p**v * u == n and u % p != 0
 
 
 def test_norm_values():
