@@ -1,23 +1,58 @@
 """Dirichlet characters on (Z/nZ)^x valued in the (p-1)-st roots of unity of Z_p^x.
 
 Every admissible value is the Teichmuller lift omega(t) of a unique unit
-t mod p, so a character is stored exactly as a table of mod-p labels:
-chi(a) = omega(label(a)).  All structural operations (level change,
-conductor, primitivity, multiplication, parity) are then exact integer
-computations on labels, and values can be emitted as p-adic numbers at
-any requested precision.  Characters whose order does not divide p - 1
-have no such table and are rejected at construction.
+t mod p, its label.  Through the CRT, (Z/nZ)^x is the product of the unit
+groups of the prime powers q^a exactly dividing n, generated by a
+primitive root g_q for odd q, by -1 for 4, and by -1 and 5 (of order
+2^(a-2)) for 2^a with a >= 3 (Washington, Introduction to Cyclotomic
+Fields, ch. 3); each is lifted with 1 in the other slots.  g_q is the
+least primitive root mod q, plus q when its (q-1)-st power is 1 mod q^2,
+so that it generates (Z/q^aZ)^x for every a: one root serves every power
+of q.
 
-Every table is validated when a character is built, derived characters
-included.  A table sending 1 to 1 is a homomorphism iff
-chi(a g) = chi(a) chi(g) for every unit a and every generator g of
-(Z/nZ)^x: writing h as a word in the generators, induction on the word
-length gives chi(h) as the product of the generator values, and then
-chi(a h) = chi(a) chi(h).  The generators come from the CRT: a
-primitive root for each odd prime power, -1 for 4, and -1 and 5 for 2^e
-with e >= 3, each lifted with 1 in the other slots.  So building a
-character costs O(phi(n) * #generators) table look-ups, with
-#generators at most one more than the number of primes dividing n.
+A character is stored as (p, level, exponents): chi(g_i) = omega(r)^e_i
+at the i-th generator g_i of the level, with r the least primitive root
+mod p and e_i taken mod p - 1.  Characters whose order does not divide
+p - 1 have no such vector and are rejected at construction.  Each
+structural operation costs O(#generators), at most one more than the
+number of primes dividing the level:
+
+* the product adds exponent vectors and a power scales them;
+* a change of level keeps the exponent at every generator whose prime
+  and local generator the new level shares (the same g_q, -1 or 5) and
+  puts 0 at the others;
+* chi(-1) = omega(r)^s, with s the sum of e_q phi(q^a)/2 over the odd q
+  (-1 = g_q^(phi(q^a)/2) mod q^a) plus the exponent at -1;
+* the order is the lcm of the orders (p-1)/gcd(e_i, p-1) of the values;
+* the conductor is the product of the local conductors: q^(1 + v_q(o))
+  for odd q, o the order of chi(g_q); at 2, 2^(v_2(o) + 2) for o > 1 the
+  order of chi(5), else 4 if chi(-1) != 1; 1 where the local character
+  is trivial.  A local character mod q^a factors through q^b exactly when
+  it is trivial on 1 + q^b Z_q, which g_q^(phi(q^b)) (or 5^(2^(b-2)))
+  generates;
+* the associated primitive character keeps the exponents at the
+  generators of the conductor, a change of level downwards.
+
+Label tables are built only where one is read: `labels` and `to_json` at
+the character's own level, and the point values (label, value,
+asso_eval) from the table of the associated primitive character at the
+conductor.  Building one walks the powers of each generator in turn,
+O(phi(level)).
+
+A table given to the constructor is checked in one O(phi(n)) pass once
+it is known to hold exactly the units, nonzero labels and 1 -> 1:
+UnsupportedOrder is raised where a label at a generator has an order not
+dividing its generator's, the exponents are read off the labels at the
+generators (O(ord g) steps each, never O(p)), and the table these
+exponents generate must equal the input.  On a mismatch the error names
+a pair (a, g), g a generator, with chi(a g) != chi(a) chi(g).  The table
+is built from 1 by steps a -> a g, each from a unit built earlier, so at
+the first unit z, in the order built, where the two tables differ, the
+step a -> z = a g starts where they agree, and the input fails at
+(a, g); trying a = z g^(-1) for each generator g finds such a pair.  Since
+phi(n) >= sqrt(n/2) for every n, a table with fewer entries is refused
+as incomplete before n is factored, naming the first missing units found
+by scanning upwards.
 
 The unique character mod 1 is even, has conductor 1, and evaluates to 1
 everywhere (including at 0, the sole element of Z/1Z, which is a unit).
@@ -29,19 +64,14 @@ pins that their product recovers the character.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import json
 import math
 
 from .errors import NotAUnit, NotCoprime, NotDivisible, UnsupportedOrder
-from .modarith import (
-    Residue,
-    UnitResidue,
-    crt_combine,
-    divisors,
-    require_odd_prime,
-    unit_ints,
-)
-from .padic import DEFAULT_RELPREC, PadicNum
+from .modarith import Residue, UnitResidue, crt_combine, require_odd_prime
+from .padic import DEFAULT_RELPREC, PadicNum, split_p_power
 
 __all__ = [
     "teichmuller_int",
@@ -75,7 +105,7 @@ def teichmuller_int(p: int, a: int, relprec: int) -> int:
 
 
 def _factorize(n: int) -> dict[int, int]:
-    """{prime: exponent} for n >= 1, by trial division."""
+    """{prime: exponent} for n >= 1, by trial division, primes increasing."""
     out: dict[int, int] = {}
     f = 2
     while f * f <= n:
@@ -88,93 +118,176 @@ def _factorize(n: int) -> dict[int, int]:
     return out
 
 
-def _primitive_root(q: int, e: int) -> int:
-    """A generator of (Z/q^e Z)^x for an odd prime q.
+def _primitive_root(q: int) -> int:
+    """A generator of (Z/q^a Z)^x for every a >= 1, q an odd prime.
 
-    A primitive root g mod q generates every (Z/q^e Z)^x unless
-    g^(q-1) = 1 mod q^2, in which case g + q does.
+    A primitive root g mod q generates every (Z/q^a Z)^x unless
+    g^(q-1) = 1 mod q^2, in which case g + q does; it is taken at a = 1
+    too, so that the root does not depend on a.
     """
     primes = _factorize(q - 1)
     g = next(g for g in range(2, q)
              if all(pow(g, (q - 1) // r, q) != 1 for r in primes))
-    if e > 1 and pow(g, q - 1, q * q) == 1:
+    if pow(g, q - 1, q * q) == 1:
         g += q
     return g
 
 
-def _generators(n: int, factors: dict[int, int]) -> list[tuple[int, int]]:
-    """Generators of (Z/nZ)^x with their orders, as (g mod n, ord g).
+@functools.lru_cache(maxsize=64)
+def _root(p: int) -> int:
+    """r, the least primitive root mod p: chi(g_i) = omega(r)^e_i."""
+    return _primitive_root(p) % p
 
-    Per prime power q^e of n: a primitive root of order phi(q^e) for odd
-    q, -1 for 4, and -1 and 5 (order 2^(e-2)) for 2^e with e >= 3; each
-    lifted through the CRT with 1 in the other slots.
+
+def _exponent(p: int, t: int, order: int) -> int:
+    """e with r^e = t mod p, given t^order = 1 mod p.
+
+    t^d = 1 for d = gcd(order, p - 1), so e is a multiple j (p-1)/d with
+    0 <= j < d: O(order) steps, never O(p).
+    """
+    d = math.gcd(order, p - 1)
+    step = pow(_root(p), (p - 1) // d, p)
+    j, x = 0, 1
+    while x != t:
+        j, x = j + 1, x * step % p
+    return j * ((p - 1) // d)
+
+
+@functools.lru_cache(maxsize=256)
+def _generators(n: int) -> tuple[tuple[int, int, int, int], ...]:
+    """Generators of (Z/nZ)^x as (q, local generator, g mod n, ord g).
+
+    Per prime power q^a of n, primes increasing: the root g_q of order
+    phi(q^a) for odd q, -1 for 4, and -1 and 5 (order 2^(a-2)) for 2^a
+    with a >= 3; g is the local generator lifted through the CRT with 1
+    in the other slots.  (q, local generator) names a generator across
+    levels.
     """
     gens = []
-    for q, e in factors.items():
-        qe = q**e
+    for q, a in _factorize(n).items():
+        qa = q**a
         if q != 2:
-            local = [(_primitive_root(q, e), qe - qe // q)]
-        elif e == 1:
+            local = [(_primitive_root(q), qa - qa // q)]
+        elif a == 1:
             local = []
-        elif e == 2:
+        elif a == 2:
             local = [(-1, 2)]
         else:
-            local = [(-1, 2), (5, 2 ** (e - 2))]
-        for g, order in local:
-            gens.append((crt_combine(qe, n // qe, g, 1).value, order))
-    return gens
+            local = [(-1, 2), (5, 2 ** (a - 2))]
+        for x, order in local:
+            gens.append((q, x, crt_combine(qa, n // qa, x, 1).value, order))
+    return tuple(gens)
+
+
+def _label_table(p: int, n: int, gens, exponents) -> dict[int, int]:
+    """{unit a mod n: label} of the character with these exponents on gens.
+
+    Multiplies the units reached so far by each power of one generator
+    after another, so every unit is reached once: O(phi(n)).
+    """
+    keys, labels = [1 % n], [1]
+    for (_, _, g, order), e in zip(gens, exponents):
+        t = pow(_root(p), e, p)
+        g_pows, t_pows = [1], [1]
+        for _ in range(order - 1):
+            g_pows.append(g_pows[-1] * g % n)
+            t_pows.append(t_pows[-1] * t % p)
+        keys = [a * x % n for x in g_pows for a in keys]
+        labels = [s * y % p for y in t_pows for s in labels]
+    return dict(zip(keys, labels))
+
+
+def _missing_units(n: int, labels: dict, count: int) -> list[int]:
+    """The first `count` units mod n, upwards, that are not keys of labels."""
+    out = []
+    for a in range(n):
+        if a not in labels and math.gcd(a, n) == 1:
+            out.append(a)
+            if len(out) == count:
+                break
+    return out
+
+
+def _require_prime_level(p: int, level: int) -> None:
+    require_odd_prime(p)
+    if level < 1:
+        raise ValueError("level must be a positive integer")
 
 
 class DirichletCharacter:
-    """A character of (Z/levelZ)^x with values omega(label) in mu_(p-1)."""
+    """A character of (Z/levelZ)^x with values omega(label) in mu_(p-1),
+    stored as its exponents on the generators of the level."""
 
     def __init__(self, p: int, level: int, labels: dict, relprec: int = DEFAULT_RELPREC):
-        require_odd_prime(p)
-        if level < 1:
-            raise ValueError("level must be a positive integer")
-        self.p = p
-        self.level = level
-        self.relprec = relprec
-        self._labels = {int(a): int(t) % p for a, t in labels.items()}
-        self._conductor = None
-        self._validate()
-
-    def _validate(self):
-        """Check the table on the generators (module docstring)."""
-        n, p, labels = self.level, self.p, self._labels
-        factors = _factorize(n)
-        phi = math.prod(q**e - q ** (e - 1) for q, e in factors.items())
-        # phi(n) distinct unit keys are exactly the units
-        if len(labels) != phi or not all(
-            0 <= a < n and math.gcd(a, n) == 1 for a in labels
-        ):
-            units = unit_ints(n)
-            missing = [a for a in units if a not in labels]
-            if missing:
-                raise ValueError(f"character table is missing units {missing[:5]}")
+        """The character with the label table {unit: t}, checked as the
+        module docstring says."""
+        _require_prime_level(p, level)
+        n = level
+        labels = {int(a): int(t) % p for a, t in labels.items()}
+        if 2 * len(labels) ** 2 < n:
+            raise ValueError(
+                f"character table is missing units {_missing_units(n, labels, 5)}"
+            )
+        gens = _generators(n)
+        phi = math.prod(order for *_, order in gens)
+        if (len(labels) != phi or min(labels) < 0 or max(labels) >= n
+                or set(map(math.gcd, labels, itertools.repeat(n))) != {1}):
+            units = [a for a in labels if 0 <= a < n and math.gcd(a, n) == 1]
+            if len(units) < phi:
+                missing = _missing_units(n, labels, min(5, phi - len(units)))
+                raise ValueError(f"character table is missing units {missing}")
             unit_set = set(units)
             extra = [a for a in labels if a not in unit_set]
             raise ValueError(f"character table has non-unit keys {extra[:5]}")
-        for a, t in labels.items():
-            if t == 0:
-                raise NotAUnit(f"value label {t} at {a} is not a unit mod {p}")
+        if 0 in labels.values():
+            a = next(a for a, t in labels.items() if t == 0)
+            raise NotAUnit(f"value label 0 at {a} is not a unit mod {p}")
         if labels[1 % n] != 1:
             raise ValueError("character does not send 1 to 1")
-        gens = _generators(n, factors)
         # order obstruction first: chi(g)^ord(g) must be 1 in mu_(p-1)
-        for g, order in gens:
+        for _, _, g, order in gens:
             if pow(labels[g], order, p) != 1:
                 raise UnsupportedOrder(
                     f"value at the generator {g} has order not dividing "
                     f"ord({g}) = {order}: no character into mu_{p - 1} takes it"
                 )
-        for g, _ in gens:
-            tg = labels[g]
-            for a, t in labels.items():
-                if (t * tg - labels[a * g % n]) % p:
-                    raise ValueError(
-                        f"character table is not multiplicative at the pair ({a}, {g})"
-                    )
+        exponents = tuple(_exponent(p, labels[g], order) for _, _, g, order in gens)
+        table = _label_table(p, n, gens, exponents)
+        if table != labels:
+            z = next(z for z, t in table.items() if labels[z] != t)
+            pairs = ((z * pow(g, -1, n) % n, g) for _, _, g, _ in gens)
+            a, g = next((a, g) for a, g in pairs if (labels[a] * labels[g] - labels[z]) % p)
+            raise ValueError(
+                f"character table is not multiplicative at the pair ({a}, {g})"
+            )
+        self._set(p, n, exponents, relprec, labels)
+
+    @classmethod
+    def _of(cls, p: int, level: int, exponents: tuple, relprec: int) -> "DirichletCharacter":
+        """The character with these exponents on _generators(level), unchecked."""
+        chi = cls.__new__(cls)
+        chi._set(p, level, exponents, relprec)
+        return chi
+
+    def _set(self, p, level, exponents, relprec, labels=None):
+        self.p = p
+        self.level = level
+        self.relprec = relprec
+        self.exponents = exponents
+        self._gens = _generators(level)
+        self._labels = labels
+        self._conductor = None
+        self._prim = None  # the associated primitive character, if not self
+
+    def _exponents_at(self, level: int) -> tuple:
+        """The exponent of this character at each generator of `level` that
+        names one of its own generators, 0 at the others (module docstring)."""
+        own = {(q, x): e for (q, x, _, _), e in zip(self._gens, self.exponents)}
+        return tuple(own.get((q, x), 0) for q, x, _, _ in _generators(level))
+
+    def _at(self, level: int) -> "DirichletCharacter":
+        """The character with _exponents_at(level) at that level."""
+        return DirichletCharacter._of(self.p, level, self._exponents_at(level), self.relprec)
 
     # ---------------- evaluation ----------------
 
@@ -183,9 +296,10 @@ class DirichletCharacter:
         if isinstance(a, (UnitResidue, Residue)):
             a = a.value
         a %= self.level
-        if a not in self._labels:
+        if math.gcd(a, self.level) != 1:
             raise NotAUnit(f"{a} is not a unit modulo {self.level}")
-        return self._labels[a]
+        prim = self.associated_primitive()
+        return prim.labels[a % prim.level]
 
     def value(self, a, relprec: int | None = None) -> PadicNum:
         """chi(a) as a p-adic unit, for a unit a."""
@@ -197,53 +311,45 @@ class DirichletCharacter:
         if isinstance(x, (UnitResidue, Residue)):
             x = x.value
         x %= self.level
-        if x in self._labels:
+        if math.gcd(x, self.level) == 1:
             return self.value(x, relprec)
         return PadicNum.exact_zero(self.p)
 
     @property
     def labels(self) -> dict:
-        """The label table {unit: t}; treat as read-only."""
+        """The label table {unit: t} at the level, built on first read;
+        treat as read-only."""
+        if self._labels is None:
+            self._labels = _label_table(self.p, self.level, self._gens, self.exponents)
         return self._labels
 
     def order(self) -> int:
         """Order of the character in the group of characters."""
-        acc = 1
-        for t in set(self._labels.values()):
-            k, x = 1, t % self.p
-            while x != 1:
-                x = (x * t) % self.p
-                k += 1
-            acc = acc * k // math.gcd(acc, k)
-        return acc
+        m = self.p - 1
+        return math.lcm(*(m // math.gcd(e, m) for e in self.exponents))
 
     # ---------------- structure ----------------
 
     def change_level(self, m: int) -> "DirichletCharacter":
         """Extend to level m (level | m): a maps to chi(a mod level)."""
+        if m < 1:
+            raise ValueError("level must be a positive integer")
         if m % self.level:
             raise NotDivisible(f"{self.level} does not divide {m}")
-        labels = {a: self._labels[a % self.level] for a in unit_ints(m)}
-        return DirichletCharacter(self.p, m, labels, self.relprec)
-
-    def factors_through(self, d: int) -> bool:
-        """True iff the character only depends on the argument mod d (d | level)."""
-        if self.level % d:
-            raise NotDivisible(f"{d} does not divide {self.level}")
-        seen: dict[int, int] = {}
-        for a, t in self._labels.items():
-            r = a % d
-            if seen.setdefault(r, t) != t:
-                return False
-        return True
+        return self._at(m)
 
     def conductor(self) -> int:
-        """Least divisor of the level the character factors through."""
+        """Least divisor of the level the character factors through: the
+        product of the local conductors (module docstring)."""
         if self._conductor is None:
-            for d in divisors(self.level):
-                if self.factors_through(d):
-                    self._conductor = d
-                    break
+            m = self.p - 1
+            need: dict[int, int] = {}
+            for (q, x, _, _), e in zip(self._gens, self.exponents):
+                if e:
+                    o = m // math.gcd(e, m)
+                    b = 2 if x == -1 else split_p_power(q, o)[0] + (2 if q == 2 else 1)
+                    need[q] = max(need.get(q, 0), b)
+            self._conductor = math.prod(q**b for q, b in need.items())
         return self._conductor
 
     def is_primitive(self) -> bool:
@@ -252,14 +358,11 @@ class DirichletCharacter:
     def associated_primitive(self) -> "DirichletCharacter":
         """The unique character at the conductor extending back to this one."""
         f = self.conductor()
-        labels = {}
-        for b in unit_ints(f):
-            for t in range(self.level // f):
-                a = b + t * f
-                if math.gcd(a, self.level) == 1:
-                    labels[b] = self._labels[a]
-                    break
-        return DirichletCharacter(self.p, f, labels, self.relprec)
+        if f == self.level:
+            return self
+        if self._prim is None:
+            self._prim = self._at(f)
+        return self._prim
 
     def __mul__(self, other: "DirichletCharacter") -> "DirichletCharacter":
         """Primitive character attached to the product at the lcm level."""
@@ -268,20 +371,21 @@ class DirichletCharacter:
         if self.p != other.p:
             raise ValueError("characters live over different primes")
         lev = math.lcm(self.level, other.level)
-        la, lb = self._labels, other._labels
-        labels = {
-            a: la[a % self.level] * lb[a % other.level] % self.p
-            for a in unit_ints(lev)
-        }
-        prod = DirichletCharacter(
-            self.p, lev, labels, min(self.relprec, other.relprec)
-        )
+        m = self.p - 1
+        exponents = tuple((x + y) % m for x, y in
+                          zip(self._exponents_at(lev), other._exponents_at(lev)))
+        prod = DirichletCharacter._of(self.p, lev, exponents, min(self.relprec, other.relprec))
         return prod.associated_primitive()
 
     def is_even(self) -> bool:
         """chi(-1) = 1; every character here is even or odd, never neither."""
-        t = self._labels[(self.level - 1) % self.level]
-        return t % self.p == 1
+        s = 0
+        for (q, x, _, order), e in zip(self._gens, self.exponents):
+            if q != 2:
+                s += e * (order // 2)
+            elif x == -1:
+                s += e
+        return s % (self.p - 1) == 0
 
     def parity(self) -> str:
         return "even" if self.is_even() else "odd"
@@ -292,11 +396,11 @@ class DirichletCharacter:
         return (
             self.p == other.p
             and self.level == other.level
-            and self._labels == other._labels
+            and self.exponents == other.exponents
         )
 
     def __hash__(self):
-        return hash((self.p, self.level, tuple(sorted(self._labels.items()))))
+        return hash((self.p, self.level, self.exponents))
 
     def __repr__(self):
         return (
@@ -308,46 +412,48 @@ class DirichletCharacter:
         return {
             "p": self.p,
             "modulus": self.level,
-            "entries": {str(a): t for a, t in sorted(self._labels.items())},
+            "entries": {str(a): t for a, t in sorted(self.labels.items())},
         }
 
 
 def trivial_character(p: int, level: int = 1, relprec: int = DEFAULT_RELPREC) -> DirichletCharacter:
-    labels = dict.fromkeys(unit_ints(level), 1)
-    return DirichletCharacter(p, level, labels, relprec)
+    _require_prime_level(p, level)
+    return DirichletCharacter._of(p, level, (0,) * len(_generators(level)), relprec)
 
 
 def make_teich_char(p: int, relprec: int = DEFAULT_RELPREC) -> DirichletCharacter:
-    """The Teichmuller character omega of level p (order p - 1)."""
-    labels = {a: a for a in range(1, p)}
-    return DirichletCharacter(p, p, labels, relprec)
+    """The Teichmuller character omega of level p (order p - 1).
+
+    The generator of level p is congruent to r mod p, and omega sends it
+    to omega(r): exponent 1.
+    """
+    require_odd_prime(p)
+    return DirichletCharacter._of(p, p, (1,), relprec)
 
 
 def char_power(chi: DirichletCharacter, k: int) -> DirichletCharacter:
     """Pointwise k-th power at the same level (k >= 0)."""
     if k < 0:
         raise ValueError("use a nonnegative exponent (orders are finite)")
-    labels = {a: pow(t, k, chi.p) for a, t in chi._labels.items()}
-    return DirichletCharacter(chi.p, chi.level, labels, chi.relprec)
+    m = chi.p - 1
+    return DirichletCharacter._of(chi.p, chi.level, tuple(e * k % m for e in chi.exponents),
+                                  chi.relprec)
 
 
 def decompose_coprime(chi: DirichletCharacter, m: int, n: int):
     """Split a character of level m*n (m, n coprime) into CRT factors.
 
     Returns (chi1 of level m, chi2 of level n) with chi1(a) = chi(a, 1)
-    and chi2(b) = chi(1, b) through the CRT isomorphism; the product of
-    their level-mn extensions is chi, and chi1 is primitive whenever m
-    divides the conductor.
+    and chi2(b) = chi(1, b) through the CRT isomorphism: the exponents
+    at the generators of m and of n.  The product of their level-mn
+    extensions is chi, and chi1 is primitive whenever m divides the
+    conductor.
     """
     if math.gcd(m, n) != 1:
         raise NotCoprime(f"gcd({m}, {n}) != 1")
     if chi.level != m * n:
         raise ValueError(f"character has level {chi.level}, expected {m * n}")
-    labels1 = {a: chi.label(crt_combine(m, n, a, 1).value) for a in unit_ints(m)}
-    labels2 = {b: chi.label(crt_combine(m, n, 1, b).value) for b in unit_ints(n)}
-    chi1 = DirichletCharacter(chi.p, m, labels1, chi.relprec)
-    chi2 = DirichletCharacter(chi.p, n, labels2, chi.relprec)
-    return chi1, chi2
+    return chi._at(m), chi._at(n)
 
 
 def load_table_character(path: str, relprec: int = DEFAULT_RELPREC) -> DirichletCharacter:
@@ -355,17 +461,17 @@ def load_table_character(path: str, relprec: int = DEFAULT_RELPREC) -> Dirichlet
 
     Schema: { "p": int, "modulus": int, "entries": { "<a>": t_a, ... } }
     where each t_a is an integer coprime to p; the stored value at a is
-    the Teichmuller lift of t_a.  The loader validates completeness over
-    the units and multiplicativity on the generators, naming the first
-    offending pair (a, g) with g a generator.
+    the Teichmuller lift of t_a.  The constructor checks the table in one
+    pass (module docstring), naming an offending pair (a, g) with g a
+    generator.
     """
     with open(path) as fh:
         obj = json.load(fh)
     for key in ("p", "modulus", "entries"):
         if key not in obj:
             raise ValueError(f"character table file is missing the '{key}' field")
-    labels = {int(a): int(t) for a, t in obj["entries"].items()}
-    return DirichletCharacter(int(obj["p"]), int(obj["modulus"]), labels, relprec)
+    # the constructor reads the keys and labels as integers
+    return DirichletCharacter(int(obj["p"]), int(obj["modulus"]), obj["entries"], relprec)
 
 
 def parse_character_spec(spec: str, p: int, level: int | None = None,

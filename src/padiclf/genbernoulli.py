@@ -81,12 +81,13 @@ def general_bernoulli_coeffs(chi: DirichletCharacter, m: int, F: int | None = No
         F = f
     if F < 1 or F % f:
         raise NotMultipleOfConductor(f"{F} is not a positive multiple of the conductor {f}")
+    labels = chi0.labels
     sums: dict[int, list[int]] = {}
     for a in range(1, F + 1):
-        r = a % f
-        if f > 1 and math.gcd(r, f) != 1:
+        t = labels.get(a % f)
+        if t is None:
             continue
-        s = sums.setdefault(chi0.label(r), [0] * (m + 1))
+        s = sums.setdefault(t, [0] * (m + 1))
         x = 1
         for j in range(m + 1):
             s[j] += x

@@ -23,7 +23,7 @@ from padiclf.measure import (
     measure_apply,
     norm_bound_constant,
 )
-from padiclf.modarith import Residue, units_of
+from padiclf.modarith import Residue, crt_combine, divisors, unit_ints, units_of
 from padiclf.padic import PadicNum, split_p_power
 
 
@@ -95,6 +95,69 @@ def validate_bruteforce(p: int, level: int, labels: dict) -> None:
                 raise ValueError(
                     f"character table is not multiplicative at the pair ({a}, {b})"
                 )
+
+
+class TableCharacter:
+    """A character as its whole label table {unit a mod level: t}, every
+    operation done entry by entry: the level change and the product and
+    power tables over all units, the conductor as the least divisor of the
+    level the table factors through, the primitive table by searching each
+    class mod the conductor for a unit, the order from the values."""
+
+    def __init__(self, p: int, level: int, labels: dict):
+        self.p, self.level, self.labels = p, level, dict(labels)
+
+    @classmethod
+    def trivial(cls, p: int, level: int) -> "TableCharacter":
+        return cls(p, level, dict.fromkeys(unit_ints(level), 1))
+
+    def order(self) -> int:
+        acc = 1
+        for t in set(self.labels.values()):
+            k, x = 1, t
+            while x != 1:
+                x = x * t % self.p
+                k += 1
+            acc = math.lcm(acc, k)
+        return acc
+
+    def is_even(self) -> bool:
+        return self.labels[(self.level - 1) % self.level] == 1
+
+    def change_level(self, m: int) -> "TableCharacter":
+        return TableCharacter(self.p, m,
+                              {a: self.labels[a % self.level] for a in unit_ints(m)})
+
+    def power(self, k: int) -> "TableCharacter":
+        return TableCharacter(self.p, self.level,
+                              {a: pow(t, k, self.p) for a, t in self.labels.items()})
+
+    def factors_through(self, d: int) -> bool:
+        seen: dict[int, int] = {}
+        return all(seen.setdefault(a % d, t) == t for a, t in self.labels.items())
+
+    def conductor(self) -> int:
+        return next(d for d in divisors(self.level) if self.factors_through(d))
+
+    def associated_primitive(self) -> "TableCharacter":
+        f = self.conductor()
+        labels = {}
+        for b in unit_ints(f):
+            a = next(b + t * f for t in range(self.level // f)
+                     if math.gcd(b + t * f, self.level) == 1)
+            labels[b] = self.labels[a]
+        return TableCharacter(self.p, f, labels)
+
+    def __mul__(self, other: "TableCharacter") -> "TableCharacter":
+        lev = math.lcm(self.level, other.level)
+        labels = {a: self.labels[a % self.level] * other.labels[a % other.level] % self.p
+                  for a in unit_ints(lev)}
+        return TableCharacter(self.p, lev, labels).associated_primitive()
+
+    def decompose_coprime(self, m: int, n: int) -> tuple:
+        first = {a: self.labels[crt_combine(m, n, a, 1).value] for a in unit_ints(m)}
+        second = {b: self.labels[crt_combine(m, n, 1, b).value] for b in unit_ints(n)}
+        return TableCharacter(self.p, m, first), TableCharacter(self.p, n, second)
 
 
 def weight_eval(p: int, w, a, relprec: int) -> PadicNum:

@@ -1,6 +1,7 @@
-"""Character-table validation on generators against the all-pairs oracle.
+"""Character-table validation in one pass against the all-pairs oracle.
 
-DirichletCharacter checks a table on the generators of (Z/nZ)^x only;
+DirichletCharacter reads exponents off the labels at the generators of
+(Z/nZ)^x and compares the table they generate with the input;
 validate_bruteforce in oracles.py checks the value order at every unit
 and every pair of units.  Both must accept exactly the same tables.
 Genuine characters are built here without the library's generators: a
@@ -75,9 +76,9 @@ def two_power_component(draw, p: int, Q: int) -> dict[int, int]:
 
 
 @st.composite
-def genuine_tables(draw):
-    p = draw(st.sampled_from([3, 5, 7, 11]))
-    n = draw(st.integers(1, 200))
+def genuine_tables(draw, primes=(3, 5, 7, 11), max_level=200):
+    p = draw(st.sampled_from(primes))
+    n = draw(st.integers(1, max_level))
     components = []
     for q, e in prime_powers(n).items():
         Q = q ** draw(st.integers(0, e))

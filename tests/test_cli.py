@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from padiclf import dirichlet
 from padiclf.cli import _build_parser, main
 
 
@@ -250,3 +251,65 @@ def test_character_spec_round_trip_through_cli(capsys, spec):
     assert code == 0
     obj = json.loads(out)
     assert json.loads(json.dumps(obj)) == obj
+
+
+@pytest.mark.parametrize("m", [12, 40])
+def test_lp_eval_cost_is_flat_in_the_character_level(capsys, monkeypatch, m):
+    # chi = omega^2 at level 5^m is read only through the primitive
+    # chi omega^(-1) = omega of level 5, so the level costs nothing: the
+    # value equals the level-5 character's at the same J, and no label
+    # table is built above level 5
+    built = []
+    build = dirichlet._label_table
+
+    def counted(p, n, gens, exponents):
+        if n > 5:
+            raise AssertionError(f"label table built at level {n}")
+        built.append(n)
+        return build(p, n, gens, exponents)
+
+    monkeypatch.setattr(dirichlet, "_label_table", counted)
+    J = max(m, 12)
+    args = ["lp-eval", "--p", "5", "--d", "1", "--char", "omega^2", "--c", "2",
+            "--weight-k", "2", "--prec", "12", "--jmax", str(J)]
+    reports = []
+    for argv in (["--m", str(m)], ["--m", "1", "--jmin", str(J)]):
+        code, out, err = run_cli(capsys, *args, *argv)
+        assert (code, err) == (0, "")
+        reports.append(json.loads(out))
+    assert reports[0] == reports[1]
+    assert reports[0]["value"] == {"p": 5, "valuation": 0, "unit": 7540471, "relprec": 12}
+    assert reports[0]["level_used"] == J
+    assert set(built) == {5}
+
+
+@pytest.mark.parametrize("modulus, missing", [
+    (10**18 + 3, [2, 3, 4, 5, 6]),
+    (10**60, [3, 7, 9, 11, 13]),
+])
+def test_table_with_huge_modulus_is_refused(capsys, tmp_path, modulus, missing):
+    # phi(n) >= sqrt(n/2), so one entry cannot cover the units; the table
+    # is refused before the modulus is factored or its units listed
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"p": 5, "modulus": modulus, "entries": {"1": 1}}))
+    code, out, err = run_cli(capsys, "char-info", "--p", "5", "--char", f"table:{path}")
+    assert (code, out) == (2, "")
+    assert err == f"error: character table is missing units {missing}\n"
+
+
+def test_large_p_costs_nothing_in_p(capsys, tmp_path):
+    # the trivial character and a table of modulus 3 over p = 10^9 + 7 are
+    # read without walking the p - 1 powers of the root mod p
+    p = 10**9 + 7
+    code, out, err = run_cli(capsys, "char-info", "--p", str(p), "--char", "triv")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["table"] == {"0": 1}
+    path = tmp_path / "quadratic.json"
+    path.write_text(json.dumps({"p": p, "modulus": 3, "entries": {"1": 1, "2": p - 1}}))
+    code, out, err = run_cli(capsys, "char-info", "--p", str(p), "--char", f"table:{path}")
+    assert (code, err) == (0, "")
+    info = json.loads(out)
+    assert (info["conductor"], info["parity"], info["table"]) == (3, "odd", {"1": 1, "2": p - 1})
+    code, out, err = run_cli(capsys, "genbernoulli", "--p", str(p), "--char", "triv", "--n", "2")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["exact"] == "1/6"

@@ -14,7 +14,7 @@ from padiclf.dirichlet import (
 )
 from padiclf.errors import NotAUnit, NotCoprime, NotDivisible, UnsupportedOrder
 from padiclf.modarith import units_of
-from padiclf.suite import conductor_bruteforce
+from padiclf.suite import conductor_bruteforce, factors_through
 
 
 def teich_root_oracle(p, a, N):
@@ -144,11 +144,11 @@ class TestConductor:
 
     def test_factors_through(self):
         quad9 = DirichletCharacter(5, 3, {1: 1, 2: 4}).change_level(9)
-        assert trivial_character(5, 12).factors_through(1)
-        assert quad9.factors_through(3)
-        assert not make_teich_char(5).factors_through(1)
+        assert factors_through(trivial_character(5, 12), 1)
+        assert factors_through(quad9, 3)
+        assert not factors_through(make_teich_char(5), 1)
         with pytest.raises(NotDivisible):
-            quad9.factors_through(2)
+            factors_through(quad9, 2)
 
     def test_against_bruteforce_small_levels(self):
         chars = []
