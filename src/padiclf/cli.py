@@ -22,14 +22,14 @@ from .genbernoulli import _embed_label_sum, _exact_label_sum, general_bernoulli_
 from .lfunction import LpParams, Weight, p_adic_L, verify_interpolation
 from .measure import BernoulliParams, compatibility_failures, norm_bound_check
 from .modarith import require_odd_prime
+from .padic import DEFAULT_RELPREC
 from .suite import random_cylinder
 
 USAGE_ERROR = 2
 
 
 def _emit(obj) -> None:
-    json.dump(obj, sys.stdout)
-    sys.stdout.write("\n")
+    sys.stdout.write(json.dumps(obj) + "\n")
 
 
 def _frac_str(q: Fraction) -> str:
@@ -43,67 +43,68 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="padiclf",
         description="Exact p-adic L-values from Bernoulli-measure Riemann sums.",
     )
-    top.add_argument("--prec", type=int, default=8, help="working relative precision")
+    top.add_argument("--prec", type=int, default=DEFAULT_RELPREC,
+                     help="working relative precision")
     top.add_argument("--seed", type=int, default=0, help="seed for randomized sweeps")
     sub = top.add_subparsers(dest="command", required=True)
 
     q = sub.add_parser("bernoulli", help="exact Bernoulli number and polynomial")
     q.add_argument("--n", type=int, required=True)
+    q.set_defaults(run=_cmd_bernoulli)
 
     g = sub.add_parser("genbernoulli", help="generalized Bernoulli number")
     g.add_argument("--p", type=int, required=True)
     g.add_argument("--char", required=True, help='"triv" | "omega^<k>" | "table:<path>"')
     g.add_argument("--n", type=int, required=True)
+    g.set_defaults(run=_cmd_genbernoulli)
 
     ci = sub.add_parser("char-info", help="level, conductor, parity of a character")
     ci.add_argument("--p", type=int, required=True)
     ci.add_argument("--char", required=True)
+    ci.set_defaults(run=_cmd_char_info)
 
     mc = sub.add_parser("measure-check", help="distribution and boundedness sweeps")
     mc.add_argument("--p", type=int, required=True)
     mc.add_argument("--d", type=int, required=True)
     mc.add_argument("--c", type=int, required=True)
     mc.add_argument("--max-level", type=int, default=3)
+    mc.set_defaults(run=_cmd_measure_check)
 
-    lp = sub.add_parser("lp-eval", help="evaluate the p-adic L-function at a weight")
-    for name, req, default in (("--p", True, None), ("--d", True, None),
-                               ("--m", True, None), ("--c", True, None),
-                               ("--weight-k", True, None), ("--jmax", False, 7),
-                               ("--jmin", False, None), ("--target", False, 4)):
-        lp.add_argument(name, type=int, required=req, default=default)
-    lp.add_argument("--char", required=True)
-    lp.add_argument("--prec", type=int, dest="prec_override", default=None,
-                    help="override the global precision")
-
-    vf = sub.add_parser("verify", help="check interpolation at a negative integer")
-    for name, req, default in (("--p", True, None), ("--d", True, None),
-                               ("--m", True, None), ("--c", True, None),
-                               ("--n", True, None), ("--jmax", False, 7),
-                               ("--jmin", False, None), ("--target", False, 4)):
-        vf.add_argument(name, type=int, required=req, default=default)
-    vf.add_argument("--char", required=True)
-    vf.add_argument("--prec", type=int, dest="prec_override", default=None)
+    for name, weight, help_, run in (
+            ("lp-eval", "--weight-k", "evaluate the p-adic L-function at a weight", _cmd_lp_eval),
+            ("verify", "--n", "check interpolation at a negative integer", _cmd_verify)):
+        lp = sub.add_parser(name, help=help_)
+        for flag in ("--p", "--d", "--m", "--c", weight):
+            lp.add_argument(flag, type=int, required=True)
+        lp.add_argument("--jmax", type=int, default=LpParams.j_max)
+        lp.add_argument("--jmin", type=int, default=LpParams.j_min)
+        lp.add_argument("--target", type=int, default=LpParams.target_valuation)
+        lp.add_argument("--char", required=True)
+        # writes the global --prec when given
+        lp.add_argument("--prec", type=int, default=argparse.SUPPRESS,
+                        help="override the global precision")
+        lp.set_defaults(run=run)
 
     st = sub.add_parser("suite", help="run the bundled verification suite")
     st.add_argument("--profile", choices=("fast", "full"), default="fast")
+    st.set_defaults(run=_cmd_suite)
     return top
 
 
-def _make_lp_params(args, prec: int) -> LpParams:
+def _make_lp_params(args) -> LpParams:
     # validate (p, d, c) before the level d*p^m is built from them
     BernoulliParams(args.p, args.d, args.c)
     if args.m < 1:
         raise ValueError("m must be >= 1")
     level = args.d * args.p**args.m
-    chi = parse_character_spec(args.char, args.p, level=level, relprec=prec)
+    chi = parse_character_spec(args.char, args.p, relprec=args.prec)
     if level % chi.level:
         raise ValueError(
             f"character level {chi.level} does not divide d*p^m = {level}"
         )
     chi = chi.change_level(level)
-    j_min = args.jmin if args.jmin is not None else args.m
     return LpParams(p=args.p, d=args.d, c=args.c, m=args.m, chi=chi,
-                    relprec=prec, j_min=j_min, j_max=args.jmax,
+                    relprec=args.prec, j_min=args.jmin, j_max=args.jmax,
                     target_valuation=args.target)
 
 
@@ -119,14 +120,14 @@ def _cmd_bernoulli(args) -> int:
     return 0
 
 
-def _cmd_genbernoulli(args, prec: int) -> int:
+def _cmd_genbernoulli(args) -> int:
     require_odd_prime(args.p)
     if args.n < 0:
         raise ValueError("n must be >= 0")
-    chi = parse_character_spec(args.char, args.p, relprec=prec)
+    chi = parse_character_spec(args.char, args.p, relprec=args.prec)
     # one coefficient dict gives both the p-adic value and the exact Fraction
     coeffs = general_bernoulli_coeffs(chi, args.n)
-    value = _embed_label_sum(chi.p, coeffs, prec)
+    value = _embed_label_sum(chi.p, coeffs, args.prec)
     exact = _exact_label_sum(chi.p, coeffs)
     _emit({
         "p": args.p,
@@ -138,9 +139,9 @@ def _cmd_genbernoulli(args, prec: int) -> int:
     return 0
 
 
-def _cmd_char_info(args, prec: int) -> int:
+def _cmd_char_info(args) -> int:
     require_odd_prime(args.p)
-    chi = parse_character_spec(args.char, args.p, relprec=prec)
+    chi = parse_character_spec(args.char, args.p, relprec=args.prec)
     _emit({
         "p": chi.p,
         "level": chi.level,
@@ -153,18 +154,18 @@ def _cmd_char_info(args, prec: int) -> int:
     return 0
 
 
-def _cmd_measure_check(args, prec: int, seed: int) -> int:
+def _cmd_measure_check(args) -> int:
     params = BernoulliParams(args.p, args.d, args.c)
     counterexamples = [
         {"kind": "compatibility", "level": m, "x": x,
          "coarse": _frac_str(coarse), "refined_sum": _frac_str(fine)}
         for m, x, coarse, fine in compatibility_failures(params, args.max_level)
     ]
-    rng = random.Random(seed)
+    rng = random.Random(args.seed)
     for i in range(100):
         f = random_cylinder(rng, args.p, args.d,
-                            rng.randint(0, min(args.max_level, 3)), prec)
-        lhs, rhs, ok = norm_bound_check(params, f, prec)
+                            rng.randint(0, min(args.max_level, 3)), args.prec)
+        lhs, rhs, ok = norm_bound_check(params, f, args.prec)
         if not ok:
             counterexamples.append({
                 "kind": "boundedness", "sample": i,
@@ -178,28 +179,28 @@ def _cmd_measure_check(args, prec: int, seed: int) -> int:
     return 0 if not counterexamples else 1
 
 
-def _cmd_lp_eval(args, prec: int) -> int:
-    params = _make_lp_params(args, prec)
+def _cmd_lp_eval(args) -> int:
+    params = _make_lp_params(args)
     report = p_adic_L(params, Weight(args.weight_k))
     _emit(report.to_json())
     return 0
 
 
-def _cmd_verify(args, prec: int) -> int:
-    params = _make_lp_params(args, prec)
+def _cmd_verify(args) -> int:
+    params = _make_lp_params(args)
     report = verify_interpolation(params, args.n)
     _emit(report.to_json())
     return 0 if report.passed else 1
 
 
-def _cmd_suite(args, seed: int) -> int:
-    results = suite_mod.run_profile(args.profile, seed)
+def _cmd_suite(args) -> int:
+    results = suite_mod.run_profile(args.profile, args.seed)
     for r in results:
         print(f"[{'PASS' if r.passed else 'FAIL'}] criterion {r.number}: {r.name}",
               file=sys.stderr)
     _emit({
         "profile": args.profile,
-        "seed": seed,
+        "seed": args.seed,
         "pass": all(r.passed for r in results),
         "results": [r.to_json() for r in results],
     })
@@ -207,34 +208,15 @@ def _cmd_suite(args, seed: int) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    prec = getattr(args, "prec_override", None)
-    if prec is None:
-        prec = args.prec
-    if prec < 1:
+    if args.prec < 1:
         print("error: --prec must be >= 1", file=sys.stderr)
         return USAGE_ERROR
-    seed = args.seed
     try:
-        if args.command == "bernoulli":
-            return _cmd_bernoulli(args)
-        if args.command == "genbernoulli":
-            return _cmd_genbernoulli(args, prec)
-        if args.command == "char-info":
-            return _cmd_char_info(args, prec)
-        if args.command == "measure-check":
-            return _cmd_measure_check(args, prec, seed)
-        if args.command == "lp-eval":
-            return _cmd_lp_eval(args, prec)
-        if args.command == "verify":
-            return _cmd_verify(args, prec)
-        if args.command == "suite":
-            return _cmd_suite(args, seed)
-        raise ValueError(f"unknown command {args.command!r}")
+        return args.run(args)
     except (PadicLFError, ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

@@ -474,16 +474,16 @@ def load_table_character(path: str, relprec: int = DEFAULT_RELPREC) -> Dirichlet
     return DirichletCharacter(int(obj["p"]), int(obj["modulus"]), obj["entries"], relprec)
 
 
-def parse_character_spec(spec: str, p: int, level: int | None = None,
+def parse_character_spec(spec: str, p: int,
                          relprec: int = DEFAULT_RELPREC) -> DirichletCharacter:
     """Parse a character spec: "triv" | "omega^<k>" | "table:<path>".
 
-    "triv" is the trivial character (at `level` when given, else mod 1);
-    "omega^k" is the k-th power of the Teichmuller character at level p.
+    "triv" is the trivial character mod 1; "omega^k" is the k-th power of
+    the Teichmuller character at level p.  change_level lifts either.
     """
     spec = spec.strip()
     if spec == "triv":
-        return trivial_character(p, level if level else 1, relprec)
+        return trivial_character(p, 1, relprec)
     if spec.startswith("omega^"):
         try:
             k = int(spec[len("omega^"):])

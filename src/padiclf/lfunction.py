@@ -53,7 +53,7 @@ from .dirichlet import DirichletCharacter, teichmuller_int
 from .errors import InsufficientPrecision, LevelTooLow, NotCoprime
 from .genbernoulli import _unit_sum, chi_omega_minus_k, twisted_mean_limit
 from .measure import BernoulliParams
-from .padic import PadicNum
+from .padic import DEFAULT_RELPREC, PadicNum
 
 __all__ = [
     "Weight",
@@ -88,13 +88,13 @@ class LpParams:
     c: int
     m: int
     chi: DirichletCharacter
-    relprec: int = 8
+    relprec: int = DEFAULT_RELPREC
     j_min: int = 1
     j_max: int = 7
     target_valuation: int = 4
 
     def __post_init__(self):
-        self.bernoulli_params = BernoulliParams(self.p, self.d, self.c)
+        BernoulliParams(self.p, self.d, self.c)
         if self.m < 1:
             raise ValueError("m must be >= 1")
         if self.chi.p != self.p:
@@ -247,17 +247,15 @@ def _certified_valuation(diff: PadicNum, threshold: int):
     return v, v >= threshold
 
 
-def verify_interpolation(params: LpParams, n: int,
-                         threshold: int | None = None) -> VerifyReport:
+def verify_interpolation(params: LpParams, n: int) -> VerifyReport:
     """Compare the integral at weight n-1 with the closed form at n (n >= 2).
 
-    Exactly one of L - R, L + R must reach the threshold valuation; the
+    Exactly one of L - R, L + R must reach params.target_valuation; the
     winning sign is reported so a caller can pin it across a whole suite.
     A non-converged integral propagates as a failed report.
     """
     if n < 2:
         raise ValueError("n must be >= 2")
-    T = threshold if threshold is not None else params.target_valuation
     report = p_adic_L(params, Weight(n - 1))
     rhs = special_value_closed_form(params, n)
     if not report.converged:
@@ -267,8 +265,8 @@ def verify_interpolation(params: LpParams, n: int,
         )
     lhs = report.value
     minus, plus = lhs - rhs, lhs + rhs
-    v_minus, ok_minus = _certified_valuation(minus, T)
-    v_plus, ok_plus = _certified_valuation(plus, T)
+    v_minus, ok_minus = _certified_valuation(minus, params.target_valuation)
+    v_plus, ok_plus = _certified_valuation(plus, params.target_valuation)
     if ok_minus == ok_plus:
         sign, vdiff, exact = None, None, None
     elif ok_minus:

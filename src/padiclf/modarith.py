@@ -11,7 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import NotAUnit, NotCoprime
+from .errors import CostLimitExceeded, NotAUnit, NotCoprime
+from .padic import split_p_power
 
 __all__ = [
     "Residue",
@@ -150,17 +151,34 @@ def partition_range(d: int, p: int, x: int) -> tuple[list[int], list[int]]:
     return units, nonunits
 
 
+# Miller-Rabin on the 13 primes up to 41 decides primality exactly below
+# _MR_LIMIT, the least strong pseudoprime to all of them (Sorenson and
+# Webster, Math. Comp. 86, 2017)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3_317_044_064_679_887_385_961_981
+
+
 def is_prime(n: int) -> bool:
-    """Deterministic trial-division primality test, adequate at desk scale."""
+    """Deterministic Miller-Rabin test, exact for n < _MR_LIMIT; at or above it
+    it raises CostLimitExceeded unless one of the bases divides n."""
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    if n >= _MR_LIMIT:
+        raise CostLimitExceeded(f"primality of {n} is decided only below {_MR_LIMIT}")
+    s, odd = split_p_power(2, n - 1)
+    for a in _MR_BASES:
+        x = pow(a, odd, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 

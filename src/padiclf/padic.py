@@ -12,6 +12,13 @@ The second state is what a p-adic Riemann sum produces when all tracked
 digits cancel; comparing it at precision beyond T raises
 InsufficientPrecision instead of silently answering.
 
+A PadicNum's slots are (p, v, unit, relprec), exactly what state()
+returns; which of them are None gives the kind:
+
+  * v is None:                the exact zero (unit, relprec None);
+  * unit is None, v an int:   O(p^v);
+  * all four set:             p^v * unit + O(p^(v + relprec)).
+
 Precision propagation rules:
 
   mul:  valuations add, relative precision is the min of the operands'.
@@ -40,10 +47,6 @@ __all__ = [
 
 DEFAULT_RELPREC = 8
 
-_ZERO = "zero"          # exact zero
-_PEZ = "zero-at-prec"   # cancelled to precision, O(p^T)
-_FINITE = "finite"
-
 
 def split_p_power(p: int, n: int) -> tuple[int, int]:
     """(v, n / p^v) for a nonzero integer n, where v = v_p(n)."""
@@ -71,11 +74,10 @@ class PadicNum:
     exact_zero, zero_at_precision, one); the raw constructor is internal.
     """
 
-    __slots__ = ("p", "_kind", "_v", "_unit", "_relprec")
+    __slots__ = ("p", "_v", "_unit", "_relprec")
 
-    def __init__(self, p, kind, v=None, unit=None, relprec=None):
+    def __init__(self, p, v=None, unit=None, relprec=None):
         self.p = p
-        self._kind = kind
         self._v = v
         self._unit = unit
         self._relprec = relprec
@@ -84,12 +86,12 @@ class PadicNum:
 
     @classmethod
     def exact_zero(cls, p: int) -> "PadicNum":
-        return cls(p, _ZERO)
+        return cls(p)
 
     @classmethod
     def zero_at_precision(cls, p: int, absprec: int) -> "PadicNum":
         """A value known only to be 0 modulo p^absprec."""
-        return cls(p, _PEZ, v=absprec)
+        return cls(p, absprec)
 
     @classmethod
     def from_unit(cls, p: int, v: int, unit: int, relprec: int) -> "PadicNum":
@@ -98,7 +100,7 @@ class PadicNum:
         unit %= p**relprec
         if unit % p == 0:
             raise ValueError(f"{unit} is not a unit modulo {p}")
-        return cls(p, _FINITE, v, unit, relprec)
+        return cls(p, v, unit, relprec)
 
     @classmethod
     def one(cls, p: int, relprec: int = DEFAULT_RELPREC) -> "PadicNum":
@@ -134,32 +136,32 @@ class PadicNum:
     # ---------------- predicates and accessors ----------------
 
     def is_exact_zero(self) -> bool:
-        return self._kind == _ZERO
+        return self._v is None
 
     def is_zero_at_precision(self) -> bool:
-        return self._kind == _PEZ
+        return self._v is not None and self._unit is None
 
     def is_nonzero(self) -> bool:
-        return self._kind == _FINITE
+        return self._unit is not None
 
     @property
     def abs_precision(self):
         """Absolute precision: digits are exact below p^abs_precision."""
-        if self._kind == _ZERO:
+        if self._v is None:
             return math.inf
-        if self._kind == _PEZ:
+        if self._unit is None:
             return self._v
         return self._v + self._relprec
 
     @property
     def relprec(self) -> int:
-        if self._kind != _FINITE:
+        if self._unit is None:
             raise ValueError("relative precision is only defined for nonzero values")
         return self._relprec
 
     @property
     def unit(self) -> int:
-        if self._kind != _FINITE:
+        if self._unit is None:
             raise ValueError("unit part is only defined for nonzero values")
         return self._unit
 
@@ -170,24 +172,22 @@ class PadicNum:
         value that vanished at precision T this returns the lower bound T;
         check valuation_is_exact to distinguish.
         """
-        if self._kind == _ZERO:
+        if self._v is None:
             return math.inf
         return self._v
 
     @property
     def valuation_is_exact(self) -> bool:
-        return self._kind != _PEZ
+        return not self.is_zero_at_precision()
 
     def state(self) -> tuple:
-        """(p, v, unit, relprec) in one read, for loops over many values.
-
-        v is None for the exact zero; unit and relprec are None for O(p^v).
-        """
+        """The slots (p, v, unit, relprec) in one read, for loops over many
+        values; the None pattern is the kind (module docstring)."""
         return self.p, self._v, self._unit, self._relprec
 
     def norm(self) -> Fraction:
         """p-adic norm p^(-nu) as an exact rational (an upper bound for O(p^T))."""
-        if self._kind == _ZERO:
+        if self._v is None:
             return Fraction(0)
         v = self._v
         return Fraction(1, self.p**v) if v >= 0 else Fraction(self.p ** (-v))
@@ -203,14 +203,14 @@ class PadicNum:
     def __add__(self, other: "PadicNum") -> "PadicNum":
         self._require_same_prime(other)
         p = self.p
-        if self._kind == _ZERO:
+        if self._v is None:
             return other
-        if other._kind == _ZERO:
+        if other._v is None:
             return self
         absprec = min(self.abs_precision, other.abs_precision)
-        if self._kind == _PEZ or other._kind == _PEZ:
-            x = other if self._kind == _PEZ else self
-            if x._kind == _PEZ or x._v >= absprec:
+        if self._unit is None or other._unit is None:
+            x = other if self._unit is None else self
+            if x._unit is None or x._v >= absprec:
                 return PadicNum.zero_at_precision(p, absprec)
             return PadicNum.from_unit(p, x._v, x._unit, absprec - x._v)
         v0 = min(self._v, other._v)
@@ -219,7 +219,7 @@ class PadicNum:
         return PadicNum.from_int_mod(p, w, window, shift=v0)
 
     def __neg__(self) -> "PadicNum":
-        if self._kind != _FINITE:
+        if self._unit is None:
             return self
         return PadicNum.from_unit(self.p, self._v, -self._unit, self._relprec)
 
@@ -229,9 +229,9 @@ class PadicNum:
     def __mul__(self, other: "PadicNum") -> "PadicNum":
         self._require_same_prime(other)
         p = self.p
-        if self._kind == _ZERO or other._kind == _ZERO:
+        if self._v is None or other._v is None:
             return PadicNum.exact_zero(p)
-        if self._kind == _PEZ or other._kind == _PEZ:
+        if self._unit is None or other._unit is None:
             # nu(xy) >= bound(x) + nu(y) in every mixed case
             return PadicNum.zero_at_precision(p, self._v + other._v)
         return PadicNum.from_unit(
@@ -242,9 +242,9 @@ class PadicNum:
         )
 
     def inverse(self) -> "PadicNum":
-        if self._kind == _ZERO:
+        if self._v is None:
             raise DivisionByZero("cannot invert an exact zero")
-        if self._kind == _PEZ:
+        if self._unit is None:
             raise InsufficientPrecision(
                 f"cannot invert a value known only as O({self.p}^{self._v})"
             )
@@ -259,11 +259,11 @@ class PadicNum:
             raise TypeError("exponent must be an integer")
         if k < 0:
             return self.inverse() ** (-k)
-        if self._kind == _ZERO:
+        if self._v is None:
             if k == 0:
                 raise ValueError("0^0 is undefined here")
             return self
-        if self._kind == _PEZ:
+        if self._unit is None:
             if k == 0:
                 raise ValueError("cannot raise O(p^T) to the power 0")
             return PadicNum.zero_at_precision(self.p, k * self._v)
@@ -282,13 +282,13 @@ class PadicNum:
         """
         if n < 0:
             raise ValueError("n must be >= 0")
-        if self._kind == _ZERO:
+        if self._v is None:
             return 0
         if n > self.abs_precision:
             raise InsufficientPrecision(
                 f"requested {n} digits, absolute precision is {self.abs_precision}"
             )
-        if self._kind == _PEZ:
+        if self._unit is None:
             return 0
         if self._v < 0:
             raise ValueError("appr is defined only for nonnegative valuation")
@@ -297,24 +297,18 @@ class PadicNum:
     # ---------------- comparison, serialization, display ----------------
 
     def __eq__(self, other) -> bool:
-        """Structural equality: same prime, kind, and tracked digits."""
+        """Structural equality: same state, so same prime, kind and tracked digits."""
         if not isinstance(other, PadicNum):
             return NotImplemented
-        return (
-            self.p == other.p
-            and self._kind == other._kind
-            and self._v == other._v
-            and self._unit == other._unit
-            and self._relprec == other._relprec
-        )
+        return self.state() == other.state()
 
     def __hash__(self):
-        return hash((self.p, self._kind, self._v, self._unit, self._relprec))
+        return hash(self.state())
 
     def to_json(self) -> dict:
-        if self._kind == _ZERO:
+        if self._v is None:
             return {"p": self.p, "zero": True}
-        if self._kind == _PEZ:
+        if self._unit is None:
             return {"p": self.p, "zero_to_precision": self._v}
         return {
             "p": self.p,
@@ -324,9 +318,9 @@ class PadicNum:
         }
 
     def __repr__(self):
-        if self._kind == _ZERO:
+        if self._v is None:
             return f"0 (exact, {self.p}-adic)"
-        if self._kind == _PEZ:
+        if self._unit is None:
             return f"O({self.p}^{self._v})"
         return f"{self._unit}*{self.p}^{self._v} + O({self.p}^{self.abs_precision})"
 

@@ -46,7 +46,7 @@ from .measure import (
     norm_bound_check,
 )
 from .modarith import divisors, units_of
-from .padic import PadicNum, eq_mod, rational_valuation, split_p_power
+from .padic import DEFAULT_RELPREC, PadicNum, eq_mod, rational_valuation, split_p_power
 
 __all__ = ["Criterion", "CriterionResult", "ALL_CRITERIA", "run_profile",
            "conductor_bruteforce", "factors_through", "random_cylinder"]
@@ -265,7 +265,7 @@ def _draw_tables(p: int, relprec: int) -> tuple:
     return nums, dens
 
 
-def random_cylinder(rng, p, d, level, relprec=8) -> CylinderFunction:
+def random_cylinder(rng, p, d, level, relprec=DEFAULT_RELPREC) -> CylinderFunction:
     """A table at `level`: an exact zero with probability 1/10, otherwise the
     rational num/den with num in [-999, 999] and den in [1, 60] at relprec.
 

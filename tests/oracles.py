@@ -24,7 +24,7 @@ from padiclf.measure import (
     norm_bound_constant,
 )
 from padiclf.modarith import Residue, crt_combine, divisors, unit_ints, units_of
-from padiclf.padic import PadicNum, split_p_power
+from padiclf.padic import DEFAULT_RELPREC, PadicNum, split_p_power
 
 
 def _fract(x: Fraction) -> Fraction:
@@ -267,7 +267,7 @@ def general_bernoulli_coeffs_fraction(chi, m: int, F: int | None = None) -> dict
     return {t: scale * c for t, c in coeffs.items() if c != 0}
 
 
-def random_cylinder_fraction(rng, p, d, level, relprec=8) -> CylinderFunction:
+def random_cylinder_fraction(rng, p, d, level, relprec=DEFAULT_RELPREC) -> CylinderFunction:
     """suite.random_cylinder with every entry built as a Fraction and embedded
     with PadicNum.from_rational."""
     vals = []
@@ -300,3 +300,17 @@ def compatibility_failures_bruteforce(params, max_level: int,
             if coarse != fine:
                 failures.append((m, x, coarse, fine))
     return failures
+
+
+def is_prime_trial(n: int) -> bool:
+    """Primality by trial division up to sqrt(n): modarith.is_prime by definition."""
+    if n < 2:
+        return False
+    if n % 2 == 0:
+        return n == 2
+    f = 3
+    while f * f <= n:
+        if n % f == 0:
+            return False
+        f += 2
+    return True

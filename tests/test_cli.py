@@ -228,6 +228,34 @@ def test_lp_eval_odd_character_rejected(capsys):
     assert (code, out, err) == (2, "", "error: chi must be even\n")
 
 
+@pytest.mark.parametrize("command, weight", [("lp-eval", "--weight-k"), ("verify", "--n")])
+def test_subcommand_prec_overrides_the_global_flag(command, weight):
+    argv = [command, "--p", "5", "--d", "1", "--m", "1", "--char", "omega^2",
+            "--c", "2", weight, "2"]
+    parse = _build_parser().parse_args
+    assert parse(["--prec", "3", *argv, "--prec", "12"]).prec == 12
+    assert parse(["--prec", "3", *argv]).prec == 3
+    assert parse(argv).prec == 8
+
+
+def test_subcommand_prec_zero_is_refused(capsys):
+    # the subcommand's 0 is not mistaken for an absent flag
+    code, out, err = run_cli(capsys, "--prec", "12", "lp-eval", "--p", "5", "--d", "1",
+                             "--m", "1", "--char", "omega^2", "--c", "2",
+                             "--weight-k", "1", "--prec", "0")
+    assert (code, out, err) == (2, "", "error: --prec must be >= 1\n")
+
+
+def test_missing_jmin_starts_at_m(capsys):
+    # with --prec below m the level used is the start of the range, m
+    args = ["lp-eval", "--p", "5", "--d", "1", "--m", "3", "--char", "omega^2",
+            "--c", "2", "--weight-k", "2", "--prec", "2", "--target", "2"]
+    without = run_cli(capsys, *args)
+    with_m = run_cli(capsys, *args, "--jmin", "3")
+    assert without == with_m and without[0] == 0
+    assert json.loads(without[1])["level_used"] == 3
+
+
 def test_verify_global_prec_flag(capsys):
     code, out, _ = run_cli(capsys, "--prec", "12", "verify", "--p", "5", "--d", "1",
                            "--m", "1", "--char", "omega^2", "--c", "2", "--n", "2",
@@ -300,7 +328,24 @@ def test_table_with_huge_modulus_is_refused(capsys, tmp_path, modulus, missing):
 def test_large_p_costs_nothing_in_p(capsys, tmp_path):
     # the trivial character and a table of modulus 3 over p = 10^9 + 7 are
     # read without walking the p - 1 powers of the root mod p
-    p = 10**9 + 7
+    _three_calls_over(capsys, tmp_path, 10**9 + 7)
+
+
+def test_p_near_10_18_is_decided_at_once(capsys, tmp_path):
+    # primality of p by Miller-Rabin, not by trial division to sqrt(p)
+    _three_calls_over(capsys, tmp_path, 10**18 + 3)
+
+
+def test_p_beyond_the_primality_limit_is_refused(capsys):
+    # 10^60 + 7 has no factor up to 41, and Miller-Rabin on the 13 bases
+    # up to 41 is exact only below 3317044064679887385961981
+    code, out, err = run_cli(capsys, "char-info", "--p", str(10**60 + 7), "--char", "triv")
+    assert (code, out) == (2, "")
+    assert err == (f"error: primality of {10**60 + 7} is decided only below "
+                   "3317044064679887385961981\n")
+
+
+def _three_calls_over(capsys, tmp_path, p):
     code, out, err = run_cli(capsys, "char-info", "--p", str(p), "--char", "triv")
     assert (code, err) == (0, "")
     assert json.loads(out)["table"] == {"0": 1}

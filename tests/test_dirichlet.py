@@ -253,7 +253,7 @@ class TestDecompose:
 class TestSpecsAndTables:
     def test_parse_specs(self):
         assert parse_character_spec("triv", 5) == trivial_character(5, 1)
-        assert parse_character_spec("triv", 5, level=15) == trivial_character(5, 15)
+        assert parse_character_spec("triv", 5).change_level(15) == trivial_character(5, 15)
         assert parse_character_spec("omega^2", 5) == char_power(make_teich_char(5), 2)
         with pytest.raises(ValueError):
             parse_character_spec("omega^x", 5)

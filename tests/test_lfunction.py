@@ -16,7 +16,7 @@ from padiclf.lfunction import (
     special_value_closed_form,
     verify_interpolation,
 )
-from padiclf.measure import measure_apply, units_cylinder
+from padiclf.measure import BernoulliParams, measure_apply, units_cylinder
 from padiclf.modarith import Residue, UnitResidue, partition_range
 from padiclf.padic import PadicNum, eq_mod
 
@@ -129,7 +129,7 @@ class TestRiemannSum:
         # units and integrate with the generic measure machinery
         params = main_params(relprec=10)
         psi = params.chi_omega_inv
-        bp = params.bernoulli_params
+        bp = BernoulliParams(params.p, params.d, params.c)
         for j in (1, 2, 3):
             units, _ = partition_range(1, 5, j)
             f = units_cylinder(1, 5, j,
@@ -144,7 +144,7 @@ class TestRiemannSum:
         # pointwise; check with explicit term accumulation at level 2
         params = main_params(relprec=10)
         psi = params.chi_omega_inv
-        bp = params.bernoulli_params
+        bp = BernoulliParams(params.p, params.d, params.c)
         units, _ = partition_range(1, 5, 2)
         from padiclf.measure import bernoulli_distribution
         acc = PadicNum.exact_zero(5)

@@ -4,8 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from padiclf.errors import NotAUnit, NotCoprime
+from oracles import is_prime_trial
+from padiclf.errors import CostLimitExceeded, NotAUnit, NotCoprime
 from padiclf.modarith import (
+    _MR_LIMIT,
     Residue,
     crt_combine,
     divisors,
@@ -191,6 +193,36 @@ class TestPartitionRange:
 def test_is_prime_small():
     primes = [n for n in range(60) if is_prime(n)]
     assert primes == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59]
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.integers(-10, 10**6))
+def test_is_prime_matches_trial_division(n):
+    assert is_prime(n) == is_prime_trial(n)
+
+
+@pytest.mark.parametrize("n, factors", [
+    # strong pseudoprimes to the first nine prime bases (the first one to
+    # the first eleven, the second to the first twelve)
+    (3825123056546413051, (149491, 747451, 34233211)),
+    (318665857834031151167461, (399165290221, 798330580441)),
+])
+def test_is_prime_rejects_strong_pseudoprimes(n, factors):
+    assert math.prod(factors) == n
+    assert is_prime(n) is False
+
+
+def test_is_prime_near_10_18_and_above_the_limit():
+    assert is_prime(10**18 + 3) and is_prime(10**18 + 9)
+    assert not is_prime(10**18 + 1)
+    # the limit itself passes all 13 bases although it is composite, so
+    # the test refuses it and every larger n that no base divides
+    assert 1287836182261 * 2575672364521 == _MR_LIMIT
+    with pytest.raises(CostLimitExceeded):
+        is_prime(_MR_LIMIT)
+    with pytest.raises(CostLimitExceeded):
+        is_prime(10**60 + 7)
+    assert not is_prime(10**60)
 
 
 def test_divisors():

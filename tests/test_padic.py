@@ -259,3 +259,36 @@ def test_state_is_the_accessors_in_one_read(x):
         assert v == x.abs_precision and unit is None and relprec is None
     else:
         assert (v, unit, relprec) == (x.valuation(), x.unit, x.relprec)
+
+
+@st.composite
+def padic_with_json(draw):
+    """(x, the to_json the constructor's arguments fix) for an exact zero,
+    an O(p^T) or a finite value, from small ranges so that equal states recur."""
+    p = draw(st.sampled_from([3, 5]))
+    kind = draw(st.sampled_from(["zero", "O", "finite"]))
+    if kind == "zero":
+        return PadicNum.exact_zero(p), {"p": p, "zero": True}
+    v = draw(st.integers(-2, 3))
+    if kind == "O":
+        return PadicNum.zero_at_precision(p, v), {"p": p, "zero_to_precision": v}
+    r = draw(st.integers(1, 3))
+    u = draw(st.integers(1, 40).filter(lambda u: u % p))
+    return (PadicNum.from_unit(p, v, u, r),
+            {"p": p, "valuation": v, "unit": u % p**r, "relprec": r})
+
+
+@settings(max_examples=300, deadline=None)
+@given(padic_with_json(), padic_with_json())
+def test_state_is_the_value(a, b):
+    for x, as_json in (a, b):
+        _, v, unit, relprec = x.state()
+        kinds = (x.is_exact_zero(), x.is_zero_at_precision(), x.is_nonzero())
+        assert kinds.count(True) == 1
+        assert kinds == (v is None, v is not None and unit is None, unit is not None)
+        assert x.to_json() == as_json
+        assert PadicNum(*x.state()) == x
+    x, y = a[0], b[0]
+    assert (x == y) == (x.state() == y.state())
+    if x == y:
+        assert hash(x) == hash(y)
