@@ -67,14 +67,7 @@ from .measure import (
     norm_bound_check,
     units_cylinder,
 )
-from .modarith import (
-    Residue,
-    UnitResidue,
-    crt_combine,
-    inverse_mod,
-    partition_range,
-    units_of,
-)
+from .modarith import Residue, crt_combine, partition_range, units_of
 from .padic import DEFAULT_RELPREC, PadicNum, eq_mod, rational_valuation
 
 __version__ = "0.1.0"

@@ -37,7 +37,9 @@ Label tables are built only where one is read: `labels` and `to_json` at
 the character's own level, and the point values (label, value,
 asso_eval) from the table of the associated primitive character at the
 conductor.  Building one walks the powers of each generator in turn,
-O(phi(level)).
+O(phi(level)).  A table of more than MAX_TABLE_UNITS entries, and a
+modulus or p - 1 that trial division up to MAX_TRIAL_DIVISOR does not
+factor, raise CostLimitExceeded instead of running for hours.
 
 A table given to the constructor is checked in one O(phi(n)) pass once
 it is known to hold exactly the units, nonzero labels and 1 -> 1:
@@ -69,11 +71,13 @@ import itertools
 import json
 import math
 
-from .errors import NotAUnit, NotCoprime, NotDivisible, UnsupportedOrder
-from .modarith import Residue, UnitResidue, crt_combine, require_odd_prime
+from .errors import CostLimitExceeded, NotAUnit, NotCoprime, NotDivisible, UnsupportedOrder
+from .modarith import crt_combine, is_prime, require_odd_prime
 from .padic import DEFAULT_RELPREC, PadicNum, split_p_power
 
 __all__ = [
+    "MAX_TRIAL_DIVISOR",
+    "MAX_TABLE_UNITS",
     "teichmuller_int",
     "DirichletCharacter",
     "trivial_character",
@@ -84,6 +88,11 @@ __all__ = [
     "load_table_character",
 ]
 
+# trial division past this divisor is refused (_factorize)
+MAX_TRIAL_DIVISOR = 10**6
+# the most entries a label table is built with (_label_table)
+MAX_TABLE_UNITS = 10**6
+
 _TEICH_CACHE: dict[tuple[int, int], dict[int, int]] = {}
 
 
@@ -92,29 +101,51 @@ def teichmuller_int(p: int, a: int, relprec: int) -> int:
 
     a^(p^k) stabilizes mod p^(k+1), so the lift equals a^(p^(relprec-1))
     reduced mod p^relprec: the unique (p-1)-st root of unity congruent
-    to a mod p.
+    to a mod p.  p is checked when its cache entry is made, so a p that
+    fails never gets one.
     """
-    require_odd_prime(p)
+    cache = _TEICH_CACHE.get((p, relprec))
+    if cache is None:
+        require_odd_prime(p)
+        cache = _TEICH_CACHE[p, relprec] = {}
     a %= p
     if a == 0:
         raise NotAUnit(f"{a} is not a unit modulo {p}")
-    cache = _TEICH_CACHE.setdefault((p, relprec), {})
     if a not in cache:
         cache[a] = pow(a, p ** (relprec - 1), p**relprec)
     return cache[a]
 
 
+def _is_one_or_prime(n: int) -> bool:
+    try:
+        return n == 1 or is_prime(n)
+    except CostLimitExceeded:
+        return False
+
+
 def _factorize(n: int) -> dict[int, int]:
-    """{prime: exponent} for n >= 1, by trial division, primes increasing."""
+    """{prime: exponent} for n >= 1, by trial division, primes increasing.
+
+    The division stops once the cofactor is 1 or prime; a cofactor not
+    known to be either when the divisor passes MAX_TRIAL_DIVISOR raises
+    CostLimitExceeded.
+    """
     out: dict[int, int] = {}
     f = 2
-    while f * f <= n:
-        while n % f == 0:
-            out[f] = out.get(f, 0) + 1
-            n //= f
+    done = _is_one_or_prime(n)
+    while not done and f * f <= n:
+        if f > MAX_TRIAL_DIVISOR:
+            raise CostLimitExceeded(
+                f"factoring {n} would need trial division past {MAX_TRIAL_DIVISOR}"
+            )
+        if n % f == 0:
+            while n % f == 0:
+                out[f] = out.get(f, 0) + 1
+                n //= f
+            done = _is_one_or_prime(n)
         f += 1 if f == 2 else 2
     if n > 1:
-        out[n] = out.get(n, 0) + 1
+        out[n] = 1
     return out
 
 
@@ -183,8 +214,14 @@ def _label_table(p: int, n: int, gens, exponents) -> dict[int, int]:
     """{unit a mod n: label} of the character with these exponents on gens.
 
     Multiplies the units reached so far by each power of one generator
-    after another, so every unit is reached once: O(phi(n)).
+    after another, so every unit is reached once: O(phi(n)).  A table of
+    more than MAX_TABLE_UNITS entries raises CostLimitExceeded unbuilt.
     """
+    units = math.prod(order for *_, order in gens)
+    if units > MAX_TABLE_UNITS:
+        raise CostLimitExceeded(
+            f"a label table mod {n} has {units} entries, over the limit of {MAX_TABLE_UNITS}"
+        )
     keys, labels = [1 % n], [1]
     for (_, _, g, order), e in zip(gens, exponents):
         t = pow(_root(p), e, p)
@@ -293,8 +330,6 @@ class DirichletCharacter:
 
     def label(self, a) -> int:
         """The mod-p label t with chi(a) = omega(t), for a unit a."""
-        if isinstance(a, (UnitResidue, Residue)):
-            a = a.value
         a %= self.level
         if math.gcd(a, self.level) != 1:
             raise NotAUnit(f"{a} is not a unit modulo {self.level}")
@@ -308,8 +343,6 @@ class DirichletCharacter:
 
     def asso_eval(self, x, relprec: int | None = None) -> PadicNum:
         """Extension by zero: chi on units, exact zero elsewhere."""
-        if isinstance(x, (UnitResidue, Residue)):
-            x = x.value
         x %= self.level
         if math.gcd(x, self.level) == 1:
             return self.value(x, relprec)

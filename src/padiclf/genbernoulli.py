@@ -32,11 +32,10 @@ from fractions import Fraction
 from .bernoulli import ProgressionPowerSum, bernoulli
 from .dirichlet import DirichletCharacter, char_power, make_teich_char, teichmuller_int
 from .errors import NotMultipleOfConductor
-from .modarith import unit_ints
+from .modarith import units_of
 from .padic import PadicNum, split_p_power
 
 __all__ = [
-    "omega_inverse_exponent",
     "chi_omega_minus_k",
     "general_bernoulli_coeffs",
     "general_bernoulli",
@@ -47,16 +46,10 @@ __all__ = [
 ]
 
 
-def omega_inverse_exponent(p: int, k: int) -> int:
-    """The exponent e with omega^(-k) = omega^e, using omega's order p - 1."""
-    return (p - 1 - (k % (p - 1))) % (p - 1)
-
-
 def chi_omega_minus_k(chi: DirichletCharacter, k: int) -> DirichletCharacter:
-    """The primitive character attached to chi * omega^(-k)."""
+    """The primitive character attached to chi * omega^(-k); omega has order p - 1."""
     p = chi.p
-    om = char_power(make_teich_char(p, chi.relprec), omega_inverse_exponent(p, k))
-    return chi * om
+    return chi * char_power(make_teich_char(p, chi.relprec), -k % (p - 1))
 
 
 def general_bernoulli_coeffs(chi: DirichletCharacter, m: int, F: int | None = None) -> dict:
@@ -100,6 +93,12 @@ def general_bernoulli_coeffs(chi: DirichletCharacter, m: int, F: int | None = No
     return {t: c for t, c in coeffs.items() if c != 0}
 
 
+def _omega_sum(p: int, coeffs: dict, window: int) -> int:
+    """sum_t c_t * omega(t) mod p^window for integer coefficients c_t,
+    one Teichmuller lift per label t."""
+    return sum(c * teichmuller_int(p, t, window) for t, c in coeffs.items()) % p**window
+
+
 def _embed_label_sum(p: int, coeffs: dict, relprec: int) -> PadicNum:
     """Embed sum_t c_t * omega(t) keeping the full relative precision.
 
@@ -109,14 +108,9 @@ def _embed_label_sum(p: int, coeffs: dict, relprec: int) -> PadicNum:
     """
     if not coeffs:
         return PadicNum.exact_zero(p)
-    den = 1
-    for c in coeffs.values():
-        den = den * c.denominator // math.gcd(den, c.denominator)
+    den = math.lcm(*(c.denominator for c in coeffs.values()))
     window = relprec + split_p_power(p, den)[0]
-    mod = p**window
-    total = 0
-    for t, c in sorted(coeffs.items()):
-        total = (total + int(c * den) * teichmuller_int(p, t, window)) % mod
+    total = _omega_sum(p, {t: int(c * den) for t, c in coeffs.items()}, window)
     s = PadicNum.from_int_mod(p, total, window)
     return s * PadicNum.from_rational(p, Fraction(1, den), window)
 
@@ -161,9 +155,9 @@ def _twist_preconditions(chi: DirichletCharacter, k: int, j: int):
     return d, m
 
 
-def _unit_sum(psi: DirichletCharacter, d: int, j: int, e: int, k: int, relprec: int,
+def _unit_sum(psi: DirichletCharacter, d: int, j: int, k: int, relprec: int,
               weights: Sequence[int] = (1,)) -> int:
-    """The sum of psi(a) omega(a)^(-e) a^k w(a) over the units a mod D = d*p^j, mod p^relprec.
+    """The sum of psi(a) a^k w(a) over the units a mod D = d*p^j, mod p^relprec.
 
     This is the one progression-sum kernel: riemann_sum integrates against
     w = 2 E_c and the twisted sums take w = 1.  w(a) = weights[t], where t
@@ -175,10 +169,11 @@ def _unit_sum(psi: DirichletCharacter, d: int, j: int, e: int, k: int, relprec: 
     With L = lcm(level of psi, dp), b runs over the progressions r + L s
     (r a unit mod L), each ending at its first term >= D.  On each run of
     s sharing one t, a = c r - D t + c L s is a progression of step c L
-    on which psi omega^(-e) takes its value at c r mod L (this needs L | D
-    when c > 1), and the sum of a^k over it has a closed form
-    (bernoulli.ProgressionPowerSum).  Cost: O(phi(L) * min(c, D/L + 1) * k)
-    integer operations, whatever j.
+    on which psi takes its value at c r mod L (this needs L | D when
+    c > 1), and the sum of a^k over it has a closed form
+    (bernoulli.ProgressionPowerSum).  The progression sums are added up
+    per label of psi, and each label is lifted once.  Cost:
+    O(phi(L) * min(c, D/L + 1) * k) integer operations, whatever j.
     """
     p = psi.p
     P = p**relprec
@@ -186,13 +181,10 @@ def _unit_sum(psi: DirichletCharacter, d: int, j: int, e: int, k: int, relprec: 
     D = d * p**j
     L = math.lcm(psi.level, d * p)
     labels, q = psi.labels, psi.level
-    omega = {x: teichmuller_int(p, x, relprec) for x in range(1, p)}
-    # the label of omega(x)^(-e)
-    twist = {x: pow(x, -e, p) for x in range(1, p)}
     step = c * L
     power_sum = ProgressionPowerSum(k, step, P)
-    total = 0
-    for r in unit_ints(L):
+    by_label: dict[int, int] = {}
+    for r in units_of(L):
         # y = c*b runs over c*r + step*s up to c times the first r + L*s >= D
         y, end = c * r, c * (r - (r - D) // L * L)
         inner = 0
@@ -202,9 +194,9 @@ def _unit_sum(psi: DirichletCharacter, d: int, j: int, e: int, k: int, relprec: 
             y1 = min(end, y + -((y - (t + 1) * D) // step) * step)
             inner += weights[t] * power_sum(y - t * D, y1 - t * D)
             y = y1
-        a = c * r % L
-        total = (total + omega[labels[a % q] * twist[a % p] % p] * inner) % P
-    return total
+        t = labels[c * r % q]
+        by_label[t] = by_label.get(t, 0) + inner
+    return _omega_sum(p, by_label, relprec)
 
 
 def twisted_mean_truncation(chi: DirichletCharacter, k: int, j: int,
@@ -218,7 +210,7 @@ def twisted_mean_truncation(chi: DirichletCharacter, k: int, j: int,
     n = relprec if relprec is not None else chi.relprec
     p = chi.p
     d, _ = _twist_preconditions(chi, k, j)
-    s = _unit_sum(chi_omega_minus_k(chi, k), d, j, 0, k, n)
+    s = _unit_sum(chi_omega_minus_k(chi, k), d, j, k, n)
     return PadicNum.from_int_mod(p, s, n) * PadicNum.from_rational(p, Fraction(1, d * p**j), n)
 
 
@@ -245,5 +237,5 @@ def unit_power_sum(chi: DirichletCharacter, k: int, j: int,
     d, _ = _twist_preconditions(chi, k, j)
     if k % 2:
         raise ValueError("k must be even (parity mismatch otherwise)")
-    s = _unit_sum(chi_omega_minus_k(chi, k), d, j, 0, k - 1, n)
+    s = _unit_sum(chi_omega_minus_k(chi, k), d, j, k - 1, n)
     return PadicNum.from_int_mod(chi.p, s, n)

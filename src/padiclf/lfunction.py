@@ -9,10 +9,11 @@ principal-unit part of a.  The level-j Riemann sum is
 
 and the L-value is their limit as j grows.  Each S_j is computed
 without visiting the d*p^j units, by the one progression-sum kernel
-genbernoulli._unit_sum that the twisted unit sums also use.  Put
-psi = chi omega^(-1), D = d*p^j and L = lcm(cond psi, dp), which
-divides D.  Take E_c in the carry form of the padiclf.measure docstring,
-through b = c^(-1) a mod D and its carry t; psi omega^(-k)(a) depends
+genbernoulli._unit_sum that the twisted unit sums also use.  As
+<a>^k = omega(a)^(-k) a^k, the summand is psi(a) a^k E_c(j, a) with
+psi = chi omega^(-(k+1)).  Put D = d*p^j and L = lcm(cond psi, dp),
+which divides D.  Take E_c in the carry form of the padiclf.measure
+docstring, through b = c^(-1) a mod D and its carry t; psi(a) depends
 only on c b mod L.  So b runs over r + L s (r a unit mod L,
 0 <= s < D/L); on each run of s with one value of t the summand is a
 degree-k polynomial in s, summed in closed form by Faulhaber's formula
@@ -47,7 +48,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 
 from .dirichlet import DirichletCharacter, teichmuller_int
 from .errors import InsufficientPrecision, LevelTooLow, NotCoprime
@@ -109,11 +109,6 @@ class LpParams:
             raise ValueError("d must divide the conductor of chi")
         if self.j_max < self.m:
             raise ValueError(f"j_max={self.j_max} is below the character level m={self.m}")
-
-    @cached_property
-    def chi_omega_inv(self) -> DirichletCharacter:
-        """The primitive character attached to chi * omega^(-1), cached."""
-        return chi_omega_minus_k(self.chi, 1)
 
 
 @dataclass
@@ -184,7 +179,7 @@ def riemann_sum(params: LpParams, w: Weight, j: int) -> PadicNum:
     precision.
 
     As <a>^k = omega(a)^(-k) a^k, the sum is half the kernel sum
-    genbernoulli._unit_sum with psi = chi omega^(-1), e = k and w = 2 E_c,
+    genbernoulli._unit_sum with psi = chi omega^(-(k+1)) and w = 2 E_c,
     regrouped by the carry t of E_c (module docstring).
     Cost: O(phi(L) * min(c, D/L) * k) integer operations, independent of j.
     """
@@ -193,7 +188,8 @@ def riemann_sum(params: LpParams, w: Weight, j: int) -> PadicNum:
     p, c, k, N = params.p, params.c, w.k, params.relprec
     P = p**N
     # 2 E_c at the carry t is c - 1 - 2t
-    total = _unit_sum(params.chi_omega_inv, params.d, j, k, k, N, range(c - 1, -c - 1, -2))
+    total = _unit_sum(chi_omega_minus_k(params.chi, k + 1), params.d, j, k, N,
+                      range(c - 1, -c - 1, -2))
     return PadicNum.from_int_mod(p, total * pow(2, -1, P) % P, N)
 
 

@@ -11,15 +11,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import CostLimitExceeded, NotAUnit, NotCoprime
+from .errors import CostLimitExceeded, NotCoprime
 from .padic import split_p_power
 
 __all__ = [
     "Residue",
-    "UnitResidue",
-    "inverse_mod",
     "crt_combine",
-    "unit_ints",
     "units_of",
     "partition_range",
     "is_prime",
@@ -62,52 +59,8 @@ class Residue:
     def __neg__(self) -> "Residue":
         return Residue(self.modulus, (-self.value) % self.modulus)
 
-    def is_unit(self) -> bool:
-        return math.gcd(self.value, self.modulus) == 1
-
     def __repr__(self):
         return f"{self.value} mod {self.modulus}"
-
-
-@dataclass(frozen=True)
-class UnitResidue:
-    """A residue certified coprime to its modulus."""
-
-    residue: Residue
-
-    def __post_init__(self):
-        if not self.residue.is_unit():
-            raise NotAUnit(
-                f"{self.residue.value} is not a unit modulo {self.residue.modulus}"
-            )
-
-    @property
-    def value(self) -> int:
-        return self.residue.value
-
-    @property
-    def modulus(self) -> int:
-        return self.residue.modulus
-
-    def __mul__(self, other: "UnitResidue") -> "UnitResidue":
-        return UnitResidue(self.residue * other.residue)
-
-    def inverse(self) -> "UnitResidue":
-        return inverse_mod(self.value, self.modulus)
-
-    def __repr__(self):
-        return f"{self.value} mod {self.modulus} (unit)"
-
-
-def inverse_mod(c: int, n: int) -> UnitResidue:
-    """The unit b with c*b = 1 (mod n).  Raises NotAUnit if gcd(c, n) != 1."""
-    if n < 1:
-        raise ValueError("modulus must be a positive integer")
-    try:
-        b = pow(c, -1, n)
-    except ValueError as exc:
-        raise NotAUnit(f"{c} is not invertible modulo {n}") from exc
-    return UnitResidue(Residue(n, b))
 
 
 def crt_combine(d: int, q: int, a, b) -> Residue:
@@ -128,16 +81,11 @@ def crt_combine(d: int, q: int, a, b) -> Residue:
     return Residue(d * q, (av + d * t) % (d * q))
 
 
-def unit_ints(n: int) -> list[int]:
+def units_of(n: int) -> list[int]:
     """The least representatives of the units of Z/nZ, increasing (length phi(n))."""
     if n < 1:
         raise ValueError("modulus must be a positive integer")
     return [a for a in range(n) if math.gcd(a, n) == 1]
-
-
-def units_of(n: int) -> list[UnitResidue]:
-    """All units of Z/nZ in increasing representative order (length phi(n))."""
-    return [UnitResidue(Residue(n, a)) for a in unit_ints(n)]
 
 
 def partition_range(d: int, p: int, x: int) -> tuple[list[int], list[int]]:

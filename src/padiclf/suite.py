@@ -142,11 +142,11 @@ def conductor_bruteforce(chi: DirichletCharacter) -> int:
         ok = True
         for u in units_of(dd):
             seen = {table[a] for a in range(chi.level)
-                    if a % dd == u.value and math.gcd(a, chi.level) == 1}
+                    if a % dd == u and math.gcd(a, chi.level) == 1}
             if len(seen) != 1:
                 ok = False
                 break
-            labels[u.value] = seen.pop()
+            labels[u] = seen.pop()
         if ok:
             cand = DirichletCharacter(chi.p, dd, labels, chi.relprec)
             if cand.change_level(chi.level) == chi:

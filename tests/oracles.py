@@ -23,7 +23,7 @@ from padiclf.measure import (
     measure_apply,
     norm_bound_constant,
 )
-from padiclf.modarith import Residue, crt_combine, divisors, unit_ints, units_of
+from padiclf.modarith import Residue, crt_combine, divisors, units_of
 from padiclf.padic import DEFAULT_RELPREC, PadicNum, split_p_power
 
 
@@ -69,7 +69,7 @@ def validate_bruteforce(p: int, level: int, labels: dict) -> None:
     ValueError).
     """
     labels = {int(a): int(t) % p for a, t in labels.items()}
-    units = [u.value for u in units_of(level)]
+    units = units_of(level)
     missing = [a for a in units if a not in labels]
     if missing:
         raise ValueError(f"character table is missing units {missing[:5]}")
@@ -109,7 +109,7 @@ class TableCharacter:
 
     @classmethod
     def trivial(cls, p: int, level: int) -> "TableCharacter":
-        return cls(p, level, dict.fromkeys(unit_ints(level), 1))
+        return cls(p, level, dict.fromkeys(units_of(level), 1))
 
     def order(self) -> int:
         acc = 1
@@ -126,7 +126,7 @@ class TableCharacter:
 
     def change_level(self, m: int) -> "TableCharacter":
         return TableCharacter(self.p, m,
-                              {a: self.labels[a % self.level] for a in unit_ints(m)})
+                              {a: self.labels[a % self.level] for a in units_of(m)})
 
     def power(self, k: int) -> "TableCharacter":
         return TableCharacter(self.p, self.level,
@@ -142,7 +142,7 @@ class TableCharacter:
     def associated_primitive(self) -> "TableCharacter":
         f = self.conductor()
         labels = {}
-        for b in unit_ints(f):
+        for b in units_of(f):
             a = next(b + t * f for t in range(self.level // f)
                      if math.gcd(b + t * f, self.level) == 1)
             labels[b] = self.labels[a]
@@ -151,12 +151,12 @@ class TableCharacter:
     def __mul__(self, other: "TableCharacter") -> "TableCharacter":
         lev = math.lcm(self.level, other.level)
         labels = {a: self.labels[a % self.level] * other.labels[a % other.level] % self.p
-                  for a in unit_ints(lev)}
+                  for a in units_of(lev)}
         return TableCharacter(self.p, lev, labels).associated_primitive()
 
     def decompose_coprime(self, m: int, n: int) -> tuple:
-        first = {a: self.labels[crt_combine(m, n, a, 1).value] for a in unit_ints(m)}
-        second = {b: self.labels[crt_combine(m, n, 1, b).value] for b in unit_ints(n)}
+        first = {a: self.labels[crt_combine(m, n, a, 1).value] for a in units_of(m)}
+        second = {b: self.labels[crt_combine(m, n, 1, b).value] for b in units_of(n)}
         return TableCharacter(self.p, m, first), TableCharacter(self.p, n, second)
 
 
@@ -177,7 +177,7 @@ def integrand_eval(params, w, a) -> PadicNum:
         raise LevelTooLow(
             f"unit modulus {a.modulus} is not d*p^j with j >= m={params.m}"
         )
-    psi = params.chi_omega_inv
+    psi = chi_omega_minus_k(params.chi, 1)
     chi_val = psi.asso_eval(a.value % psi.level, params.relprec)
     return chi_val * principal_unit_power(p, a.value, w.k, params.relprec)
 
@@ -186,7 +186,7 @@ def riemann_sum_bruteforce(params, w, j: int) -> PadicNum:
     """sum of chi omega^(-1)(a) <a>^k E_c(j, a) over units a mod d*p^j, mod p^relprec."""
     p, d, c, N = params.p, params.d, params.c, params.relprec
     P = p**N
-    psi = params.chi_omega_inv
+    psi = chi_omega_minus_k(params.chi, 1)
     q = psi.level
     psi_label = psi.labels
     omega_of = {t: teichmuller_int(p, t, N) for t in set(psi_label.values())}
@@ -300,6 +300,20 @@ def compatibility_failures_bruteforce(params, max_level: int,
             if coarse != fine:
                 failures.append((m, x, coarse, fine))
     return failures
+
+
+def factorize_trial(n: int) -> dict[int, int]:
+    """{prime: exponent} of n >= 1 by trial division by every f up to sqrt(n)."""
+    out: dict[int, int] = {}
+    f = 2
+    while f * f <= n:
+        while n % f == 0:
+            out[f] = out.get(f, 0) + 1
+            n //= f
+        f += 1
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
 
 
 def is_prime_trial(n: int) -> bool:

@@ -30,7 +30,7 @@ ALLOWED = {
         "the sum over a fibre that compatibility equates to the coarse value; "
         "the traced benchmark run (perfbench/spans.py) wraps it by name"),
     "modarith.partition_range": (
-        "splits range(d*p^x) by coprimality to d*p, which at level 0 is not unit_ints"),
+        "splits range(d*p^x) by coprimality to d*p, which at level 0 is not units_of"),
 }
 
 

@@ -284,7 +284,7 @@ def test_character_spec_round_trip_through_cli(capsys, spec):
 @pytest.mark.parametrize("m", [12, 40])
 def test_lp_eval_cost_is_flat_in_the_character_level(capsys, monkeypatch, m):
     # chi = omega^2 at level 5^m is read only through the primitive
-    # chi omega^(-1) = omega of level 5, so the level costs nothing: the
+    # chi omega^(-3) = omega^3 of level 5, so the level costs nothing: the
     # value equals the level-5 character's at the same J, and no label
     # table is built above level 5
     built = []
@@ -343,6 +343,35 @@ def test_p_beyond_the_primality_limit_is_refused(capsys):
     assert (code, out) == (2, "")
     assert err == (f"error: primality of {10**60 + 7} is decided only below "
                    "3317044064679887385961981\n")
+
+
+def test_p_minus_one_with_a_large_prime_factor(capsys, tmp_path):
+    # 1000000000000007243 - 1 = 2 q with q prime: factoring stops at q
+    _three_calls_over(capsys, tmp_path, 1000000000000007243)
+
+
+def test_p_minus_one_beyond_trial_division_is_refused(capsys, tmp_path):
+    # p - 1 = 2 (10^9 + 7)(10^9 + 9): the root mod p needs p - 1 factored,
+    # which trial division up to MAX_TRIAL_DIVISOR does not do; the trivial
+    # character needs no root
+    p = 2 * (10**9 + 7) * (10**9 + 9) + 1
+    path = tmp_path / "quadratic.json"
+    path.write_text(json.dumps({"p": p, "modulus": 3, "entries": {"1": 1, "2": -1}}))
+    code, out, err = run_cli(capsys, "char-info", "--p", str(p), "--char", f"table:{path}")
+    assert (code, out) == (2, "")
+    assert err == (f"error: factoring {(p - 1) // 2} would need trial division past "
+                   f"{dirichlet.MAX_TRIAL_DIVISOR}\n")
+    code, out, err = run_cli(capsys, "char-info", "--p", str(p), "--char", "triv")
+    assert (code, err) == (0, "")
+
+
+def test_table_of_omega_k_over_large_p_is_refused(capsys):
+    # omega^2 at level p = 10^18 + 3 has p - 1 entries: refused before one is built
+    p = 10**18 + 3
+    code, out, err = run_cli(capsys, "char-info", "--p", str(p), "--char", "omega^2")
+    assert (code, out) == (2, "")
+    assert err == (f"error: a label table mod {p} has {p - 1} entries, over the limit "
+                   f"of {dirichlet.MAX_TABLE_UNITS}\n")
 
 
 def _three_calls_over(capsys, tmp_path, p):

@@ -1,7 +1,11 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import factorize_trial
+from padiclf import dirichlet
 from padiclf.dirichlet import (
     DirichletCharacter,
     char_power,
@@ -12,7 +16,13 @@ from padiclf.dirichlet import (
     teichmuller_int,
     trivial_character,
 )
-from padiclf.errors import NotAUnit, NotCoprime, NotDivisible, UnsupportedOrder
+from padiclf.errors import (
+    CostLimitExceeded,
+    NotAUnit,
+    NotCoprime,
+    NotDivisible,
+    UnsupportedOrder,
+)
 from padiclf.modarith import units_of
 from padiclf.suite import conductor_bruteforce, factors_through
 
@@ -56,6 +66,43 @@ class TestTeichmuller:
             teichmuller_int(6, 1, 4)
         with pytest.raises(NotAUnit):
             teichmuller_int(5, 10, 4)
+
+    def test_p_is_checked_once_per_cache_entry(self, monkeypatch):
+        checked = []
+        check = dirichlet.require_odd_prime
+
+        def counted(p):
+            checked.append(p)
+            check(p)
+
+        monkeypatch.setattr(dirichlet, "require_odd_prime", counted)
+        monkeypatch.setattr(dirichlet, "_TEICH_CACHE", {})
+        for a in range(1, 200):
+            if a % 101:
+                assert teichmuller_int(101, a, 5) % 101 == a % 101
+        assert checked == [101]
+        # a p that fails gets no cache entry, so every call raises
+        for _ in range(3):
+            with pytest.raises(ValueError):
+                teichmuller_int(15, 2, 5)
+        assert checked == [101, 15, 15, 15]
+
+
+class TestFactorize:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 10**6 - 1))
+    def test_matches_trial_division(self, n):
+        assert dirichlet._factorize(n) == factorize_trial(n)
+
+    def test_stops_at_a_prime_cofactor(self):
+        # the safe prime 1000000000000007243 = 2 q + 1 with q prime
+        q = 500000000000003621
+        assert dirichlet._factorize(2 * q) == {2: 1, q: 1}
+
+    def test_refuses_a_composite_cofactor_past_the_bound(self):
+        # the cofactor (10^9 + 7)(10^9 + 9) has no factor up to the bound
+        with pytest.raises(CostLimitExceeded, match="trial division past"):
+            dirichlet._factorize(2 * (10**9 + 7) * (10**9 + 9))
 
 
 class TestConstruction:
@@ -237,7 +284,7 @@ class TestDecompose:
         om = make_teich_char(5)
         quad3 = DirichletCharacter(5, 3, {1: 1, 2: 4})
         chi = DirichletCharacter(5, 15, {
-            u.value: (quad3.label(u.value % 3) * om.label(u.value % 5)) % 5
+            u: (quad3.label(u % 3) * om.label(u % 5)) % 5
             for u in units_of(15)
         })
         c1, c2 = decompose_coprime(chi, 3, 5)
@@ -291,7 +338,7 @@ def test_multiplicativity_invariant_on_all_paths():
     for chi in (make_teich_char(7, 4),
                 char_power(make_teich_char(7, 4), 3).change_level(21),
                 make_teich_char(5) * DirichletCharacter(5, 3, {1: 1, 2: 4})):
-        units = [u.value for u in units_of(chi.level)]
+        units = units_of(chi.level)
         for a in units:
             for b in units:
                 lhs = chi.label(a) * chi.label(b) % chi.p

@@ -14,7 +14,6 @@ from padiclf.genbernoulli import (
     general_bernoulli,
     general_bernoulli_coeffs,
     general_bernoulli_exact,
-    omega_inverse_exponent,
     twisted_mean_limit,
     twisted_mean_truncation,
     unit_power_sum,
@@ -25,16 +24,10 @@ from test_character_validation import genuine_tables
 QUAD3 = DirichletCharacter(5, 3, {1: 1, 2: 4})
 
 
-def test_omega_inverse_exponent():
-    assert omega_inverse_exponent(5, 2) == 2
-    assert omega_inverse_exponent(5, 4) == 0
-    assert omega_inverse_exponent(5, 1) == 3
-    assert omega_inverse_exponent(3, 2) == 0
-    # omega^e really is the inverse power
-    om = make_teich_char(5)
-    for k in range(1, 6):
-        e = omega_inverse_exponent(5, k)
-        assert char_power(om, k) * char_power(om, e) == trivial_character(5, 1)
+@given(p=st.sampled_from([3, 5, 7, 11, 13, 43]), k=st.integers(1, 5))
+def test_omega_inverse_exponent(p, k):
+    # twisting omega^k by omega^(-k) leaves the trivial character mod 1
+    assert chi_omega_minus_k(char_power(make_teich_char(p), k), k) == trivial_character(p, 1)
 
 
 class TestGeneralBernoulli:

@@ -5,13 +5,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import is_prime_trial
-from padiclf.errors import CostLimitExceeded, NotAUnit, NotCoprime
+from padiclf.errors import CostLimitExceeded, NotCoprime
 from padiclf.modarith import (
     _MR_LIMIT,
     Residue,
     crt_combine,
     divisors,
-    inverse_mod,
     is_prime,
     partition_range,
     units_of,
@@ -34,14 +33,6 @@ def phi_by_factorization(n):
     if m > 1:
         out *= m - 1
     return out
-
-
-def egcd(a, b):
-    """Extended Euclid oracle: returns (g, x, y) with a*x + b*y = g."""
-    if b == 0:
-        return a, 1, 0
-    g, x, y = egcd(b, a % b)
-    return g, y, x - (a // b) * y
 
 
 class TestReduce:
@@ -76,37 +67,6 @@ class TestResidueArithmetic:
     def test_unreduced_rejected(self):
         with pytest.raises(ValueError):
             Residue(5, 5)
-
-
-class TestInverseMod:
-    def test_examples(self):
-        assert inverse_mod(2, 9).value == 5
-        assert inverse_mod(1, 7).value == 1
-        assert inverse_mod(2, 27).value == 14
-
-    def test_not_a_unit(self):
-        with pytest.raises(NotAUnit):
-            inverse_mod(6, 9)
-
-    def test_against_brute_force(self):
-        for n in range(1, 101):
-            for c in range(n):
-                if math.gcd(c, n) != 1:
-                    continue
-                found = [b for b in range(n) if (b * c) % n == 1 % n]
-                assert [inverse_mod(c, n).value] == found
-
-    @given(st.integers(2, 500), st.integers(-1000, 1000))
-    def test_agrees_with_extended_euclid(self, n, c):
-        if math.gcd(c, n) != 1:
-            with pytest.raises(NotAUnit):
-                inverse_mod(c, n)
-        else:
-            g, x, _ = egcd(c % n, n)
-            assert inverse_mod(c, n).value == x % n
-
-    def test_trivial_ring(self):
-        assert inverse_mod(0, 1).value == 0
 
 
 class TestCrt:
@@ -146,18 +106,13 @@ class TestCrt:
 
 class TestUnits:
     def test_examples(self):
-        assert [u.value for u in units_of(5)] == [1, 2, 3, 4]
-        assert [u.value for u in units_of(1)] == [0]
-        assert [u.value for u in units_of(12)] == [1, 5, 7, 11]
+        assert units_of(5) == [1, 2, 3, 4]
+        assert units_of(1) == [0]
+        assert units_of(12) == [1, 5, 7, 11]
 
     def test_counts_match_phi(self):
         for n in range(1, 501):
             assert len(units_of(n)) == phi_by_factorization(n)
-
-    def test_unit_inverse(self):
-        for u in units_of(36):
-            v = u.inverse()
-            assert (u * v).value == 1
 
 
 class TestPartitionRange:
