@@ -163,9 +163,10 @@ def _cmd_measure_check(args) -> int:
     ]
     rng = random.Random(args.seed)
     for i in range(100):
-        f = random_cylinder(rng, args.p, args.d,
-                            rng.randint(0, min(args.max_level, 3)), args.prec)
-        lhs, rhs, ok = norm_bound_check(params, f, args.prec)
+        level = rng.randint(0, min(args.max_level, 3))
+        # the sample is not bound to a name, so it is freed before the next is drawn
+        lhs, rhs, ok = norm_bound_check(
+            params, random_cylinder(rng, args.p, args.d, level, args.prec), args.prec)
         if not ok:
             counterexamples.append({
                 "kind": "boundedness", "sample": i,

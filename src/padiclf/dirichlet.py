@@ -315,6 +315,7 @@ class DirichletCharacter:
         self._labels = labels
         self._conductor = None
         self._prim = None  # the associated primitive character, if not self
+        self._twists = {}  # genbernoulli.chi_omega_minus_k's results, by -k mod p - 1
 
     def _exponents_at(self, level: int) -> tuple:
         """The exponent of this character at each generator of `level` that

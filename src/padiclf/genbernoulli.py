@@ -47,9 +47,15 @@ __all__ = [
 
 
 def chi_omega_minus_k(chi: DirichletCharacter, k: int) -> DirichletCharacter:
-    """The primitive character attached to chi * omega^(-k); omega has order p - 1."""
+    """The primitive character attached to chi * omega^(-k); omega has order
+    p - 1.  It is kept on chi by -k mod p - 1, so one twist of chi is made,
+    and its label table built, once."""
     p = chi.p
-    return chi * char_power(make_teich_char(p, chi.relprec), -k % (p - 1))
+    e = -k % (p - 1)
+    psi = chi._twists.get(e)
+    if psi is None:
+        psi = chi._twists[e] = chi * char_power(make_teich_char(p, chi.relprec), e)
+    return psi
 
 
 def general_bernoulli_coeffs(chi: DirichletCharacter, m: int, F: int | None = None) -> dict:

@@ -21,8 +21,11 @@ fractional part, {A/D} - c {A/(cD)} + (c - 1)/2, is the constant
 (c - 1)/2, whose refined sum is p (c - 1)/2.
 
 A cylinder (locally constant) function at level n is a function on the
-finite quotient Z/(d p^n)Z, stored as the tuple of its values indexed by
-the residue a = 0 .. d p^n - 1, the format of the carry tables below.
+finite quotient Z/(d p^n)Z, stored as the tuple `states` of its values'
+PadicNum.state() tuples (p, v, unit, relprec) indexed by the residue
+a = 0 .. d p^n - 1, the format of the carry tables below.  Its `values`
+are rebuilt from the states on each read, and CylinderFunction._of builds
+one from states, so that random draws and refinement make no PadicNum.
 Applying the measure to one is a finite sum, and refining the level does
 not change the result.  Seven paper objects stay although only tests call
 them, because tests pin properties of the measure through them:
@@ -55,13 +58,12 @@ p^(W - vmin).  The outcome is
 
 measure_apply reads 2 E_c(a) and v_p(2 E_c(a)) for every a from two
 tables built once per (params, level) and kept in bounded caches,
-carry_table and carry_valuations, zipped against the value tuple, and
-each entry's state with one PadicNum.state call.  Since a = c b - D t
-with gcd(c, D) = 1, the carry is t = -a D^(-1) mod c, so carry_table is
-at most c constant slices a = r, r + c, r + 2c, ... and needs no
-per-residue arithmetic.  The same pass yields the least valuation of an
-entry that is not an exact zero, so norm_bound_check has ||f|| without
-reading the entries a second time.
+carry_table and carry_valuations, zipped against the stored states.
+Since a = c b - D t with gcd(c, D) = 1, the carry is t = -a D^(-1) mod c,
+so carry_table is at most c constant slices a = r, r + c, r + 2c, ... and
+needs no per-residue arithmetic.  The same pass yields the least valuation
+of an entry that is not an exact zero, so norm_bound_check has ||f||
+without reading the entries a second time.
 
 compatibility_failures sweeps in one pass over integer tables.  Its table
 hook values(params, n) gives the doubled values 2 mu(n, a) at
@@ -77,6 +79,7 @@ the carry tables it reads are the ones measure_apply reuses.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 from collections.abc import Sequence
@@ -145,23 +148,41 @@ class ClopenSet:
 
 
 class CylinderFunction:
-    """A locally constant function at a level, as the tuple `values` of its
-    values at the residues a = 0 .. d*p^level - 1, indexed by a: the format
-    of carry_table.  Any sequence of that length is taken as that tuple;
+    """A locally constant function at a level, stored as the tuple `states`
+    of its entries' PadicNum.state() tuples (p, v, unit, relprec) at the
+    residues a = 0 .. d*p^level - 1, indexed by a: the format of carry_table.
+    Any sequence of PadicNums of that length is taken as the entries;
     anything else, such as a dict (which iterates over its keys), is refused.
+    `values` rebuilds the PadicNums from `states` on each read, and _of
+    builds a function from states without making a PadicNum.
     """
 
     def __init__(self, d: int, p: int, level: int, values: Sequence):
         if not isinstance(values, Sequence):
             raise TypeError("cylinder function values must be a sequence indexed by residue, "
                             f"not a {type(values).__name__}")
+        self._set(d, p, level, tuple(map(PadicNum.state, values)))
+        if len(self.states) != self.modulus:
+            raise ValueError(
+                f"value table has {len(self.states)} entries, expected {self.modulus}")
+
+    @classmethod
+    def _of(cls, d: int, p: int, level: int, states: tuple) -> "CylinderFunction":
+        """The function with these entry states at `level`, unchecked."""
+        f = cls.__new__(cls)
+        f._set(d, p, level, states)
+        return f
+
+    def _set(self, d, p, level, states):
         self.d = d
         self.p = p
         self.level = level
-        self.values = tuple(values)
-        if len(self.values) != self.modulus:
-            raise ValueError(
-                f"value table has {len(self.values)} entries, expected {self.modulus}")
+        self.states = states
+
+    @property
+    def values(self) -> tuple:
+        """The entries as PadicNums, rebuilt from `states` on each read."""
+        return tuple(itertools.starmap(PadicNum, self.states))
 
     @property
     def modulus(self) -> int:
@@ -172,8 +193,8 @@ class CylinderFunction:
         if level < self.level:
             raise LevelOrder(f"cannot refine from level {self.level} down to {level}")
         # b mod the old modulus runs through the old residues in order, p^k times
-        return CylinderFunction(self.d, self.p, level,
-                                self.values * self.p ** (level - self.level))
+        return CylinderFunction._of(self.d, self.p, level,
+                                    self.states * self.p ** (level - self.level))
 
     def __add__(self, other: "CylinderFunction") -> "CylinderFunction":
         if (self.d, self.p) != (other.d, other.p):
@@ -325,8 +346,7 @@ def _integrate(params: BernoulliParams, f: CylinderFunction, relprec: int) -> tu
     p = params.p
     absprec = least = math.inf
     sums = {}  # v -> sum of u * 2 E_c(a) over the finite counted entries p^v u
-    for (xp, v, u, r), two_e, e in zip(map(PadicNum.state, f.values),
-                                       carry_table(params, f.level),
+    for (xp, v, u, r), two_e, e in zip(f.states, carry_table(params, f.level),
                                        carry_valuations(params, f.level)):
         if v is None:  # an exact zero
             continue

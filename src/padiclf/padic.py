@@ -13,7 +13,10 @@ digits cancel; comparing it at precision beyond T raises
 InsufficientPrecision instead of silently answering.
 
 A PadicNum's slots are (p, v, unit, relprec), exactly what state()
-returns; which of them are None gives the kind:
+returns, and state() round-trips through the raw constructor:
+PadicNum(*x.state()) == x.  So a table of many values can be stored as
+their states (measure.CylinderFunction does).  Which of them are None
+gives the kind:
 
   * v is None:                the exact zero (unit, relprec None);
   * unit is None, v an int:   O(p^v);

@@ -276,14 +276,20 @@ def random_cylinder(rng, p, d, level, relprec=DEFAULT_RELPREC) -> CylinderFuncti
     rng.randrange(-999, 1000) and rng.randrange(1, 61).  The entry is
     p^(v_p(num) - v_p(den)) times the unit num'/den' mod p^relprec of the
     p-free parts; reducing num/den by their gcd first would change neither.
+    Entries are appended as their PadicNum states (p, v, unit, relprec), with
+    the unit reduced and checked as PadicNum.from_unit does, and no PadicNum
+    is built.
     """
-    zero = PadicNum.exact_zero(p)
+    if relprec < 1:
+        raise ValueError("relative precision must be >= 1")
+    zero = PadicNum.exact_zero(p).state()
+    mod = p**relprec
     nums, dens = _draw_tables(p, relprec)
-    uniform, getrandbits, from_unit = rng.random, rng.getrandbits, PadicNum.from_unit
-    vals = []
+    uniform, getrandbits = rng.random, rng.getrandbits
+    states = []
     for _ in range(d * p**level):
         if uniform() < 0.1:
-            vals.append(zero)
+            states.append(zero)
             continue
         i = getrandbits(_NUM_BITS)
         while i >= _NUM_COUNT:
@@ -293,11 +299,14 @@ def random_cylinder(rng, p, d, level, relprec=DEFAULT_RELPREC) -> CylinderFuncti
             j = getrandbits(_DEN_BITS)
         num = nums[i]
         if num is None:
-            vals.append(zero)
+            states.append(zero)
             continue
         vd, den_inv = dens[j]
-        vals.append(from_unit(p, num[0] - vd, num[1] * den_inv, relprec))
-    return CylinderFunction(d, p, level, vals)
+        unit = num[1] * den_inv % mod
+        if unit % p == 0:
+            raise ValueError(f"{unit} is not a unit modulo {p}")
+        states.append((p, num[0] - vd, unit, relprec))
+    return CylinderFunction._of(d, p, level, tuple(states))
 
 
 def _c6_boundedness(seed):

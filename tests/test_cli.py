@@ -311,6 +311,25 @@ def test_lp_eval_cost_is_flat_in_the_character_level(capsys, monkeypatch, m):
     assert set(built) == {5}
 
 
+def test_verify_builds_the_twist_table_once(capsys, monkeypatch):
+    # riemann_sum at weight n - 1 and twisted_mean_limit at n both read
+    # chi omega^(-n) = omega^4, which is made and tabled once; the other
+    # table is chi = omega^2 itself, read for chi(c) in the closed form
+    built = []
+    build = dirichlet._label_table
+
+    def counted(p, n, gens, exponents):
+        built.append((n, exponents))
+        return build(p, n, gens, exponents)
+
+    monkeypatch.setattr(dirichlet, "_label_table", counted)
+    code, out, err = run_cli(capsys, "verify", "--p", "7", "--d", "1", "--m", "1",
+                             "--char", "omega^2", "--c", "3", "--n", "4", "--prec", "8")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["pass"] is True
+    assert built == [(7, (4,)), (7, (2,))]
+
+
 @pytest.mark.parametrize("modulus, missing", [
     (10**18 + 3, [2, 3, 4, 5, 6]),
     (10**60, [3, 7, 9, 11, 13]),

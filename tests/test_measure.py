@@ -69,6 +69,11 @@ def random_cylinder(rng, p, d, level, relprec=8):
 def mixed_cylinder(rng, p, d, level, kinds):
     """Entries drawn from `kinds`: exact zeros, O(p^T) values and finite values
     of valuation -4..4 with relative precision 1..14."""
+    return CylinderFunction(d, p, level, mixed_values(rng, p, d, level, kinds))
+
+
+def mixed_values(rng, p, d, level, kinds):
+    """mixed_cylinder's entries as a list of PadicNums."""
     vals = []
     for _ in range(d * p**level):
         kind = rng.choice(kinds)
@@ -80,7 +85,7 @@ def mixed_cylinder(rng, p, d, level, kinds):
             r = rng.randint(1, 14)
             unit = rng.randrange(p ** (r - 1)) * p + rng.randint(1, p - 1)
             vals.append(PadicNum.from_unit(p, rng.randint(-4, 4), unit, r))
-    return CylinderFunction(d, p, level, vals)
+    return vals
 
 
 def tracked_equal(x, y):
@@ -344,6 +349,22 @@ class TestCylinders:
                     else:
                         assert tracked_equal(x, y)
 
+    @settings(max_examples=150, deadline=None)
+    @given(p=st.sampled_from((3, 5, 7, 11)), d=st.integers(1, 6), level=st.integers(0, 3),
+           kinds=st.sampled_from([("zero",), ("pez",), ("finite",), ("zero", "pez"),
+                                  ("zero", "finite"), ("pez", "finite"),
+                                  ("zero", "pez", "finite")]),
+           seed=st.integers(0, 2**32))
+    def test_states_round_trip(self, p, d, level, kinds, seed):
+        # the entries are stored as their states and rebuilt on each read
+        assume(math.gcd(d, p) == 1)
+        vals = mixed_values(random.Random(seed), p, d, level, kinds)
+        f = CylinderFunction(d, p, level, vals)
+        assert f.values == tuple(vals)
+        assert f.states == tuple(v.state() for v in vals)
+        g = CylinderFunction._of(d, p, level, f.states)
+        assert (g.d, g.p, g.level, g.states, g.values) == (d, p, level, f.states, f.values)
+
     def test_char_fn_decomposes_to_itself(self):
         U = ClopenSet(1, 5, 1, Residue(5, 2))
         pairs = [(c, cl) for c, cl in cylinder_decompose(char_fn(U, 8))
@@ -363,6 +384,35 @@ class TestSuiteRandomCylinder:
         assert (f.d, f.p, f.level) == (g.d, g.p, g.level)
         assert [repr(v) for v in f.values] == [repr(v) for v in g.values]
         assert rng.getstate() == oracle_rng.getstate()
+
+    @settings(max_examples=60, deadline=None)
+    @given(p=st.sampled_from((3, 5, 7, 11)), d=st.integers(1, 4), c=st.integers(2, 40),
+           level=st.integers(0, 3), relprec=st.integers(1, 12), seed=st.integers(0, 2**32))
+    def test_bound_and_integral_match_oracles(self, p, d, c, level, relprec, seed):
+        # on the drawn states and on their refinement one level up
+        assume(math.gcd(d, p) == 1 and math.gcd(c, d * p) == 1)
+        params = BernoulliParams(p, d, c)
+        f = suite_random_cylinder(random.Random(seed), p, d, level, relprec)
+        for g in (f, f.refine_level(level + 1)):
+            assert norm_bound_check(params, g, relprec) == \
+                norm_bound_check_two_pass(params, g, relprec)
+            assert measure_apply(params, g, relprec) == measure_apply_fold(params, g, relprec)
+
+    def test_builds_no_padicnum_per_entry(self, monkeypatch):
+        # drawing and bounding 2 * 5^3 entries builds no PadicNum per entry
+        built = []
+        init = PadicNum.__init__
+
+        def counted(self, *args):
+            built.append(args)
+            init(self, *args)
+
+        monkeypatch.setattr(PadicNum, "__init__", counted)
+        f = suite_random_cylinder(random.Random(1), 5, 2, 3)
+        lhs, rhs, ok = norm_bound_check(BernoulliParams(5, 2, 3), f)
+        assert ok and rhs > 0 and len(f.states) == 250
+        # the exact zero whose state every zero entry shares, and the integral
+        assert len(built) == 2
 
 
 class TestMeasureApply:
