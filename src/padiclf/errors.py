@@ -34,7 +34,7 @@ class InsufficientPrecision(PadicLFError):
 
 
 class LevelOrder(PadicLFError):
-    """Raised when refinement levels are passed in the wrong order."""
+    """Raised for a negative level, or for refinement levels in the wrong order."""
 
 
 class LevelTooLow(PadicLFError):

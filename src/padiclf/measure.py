@@ -58,12 +58,20 @@ p^(W - vmin).  The outcome is
 
 measure_apply reads 2 E_c(a) and v_p(2 E_c(a)) for every a from two
 tables built once per (params, level) and kept in bounded caches,
-carry_table and carry_valuations, zipped against the stored states.
-Since a = c b - D t with gcd(c, D) = 1, the carry is t = -a D^(-1) mod c,
-so carry_table is at most c constant slices a = r, r + c, r + 2c, ... and
-needs no per-residue arithmetic.  The same pass yields the least valuation
-of an entry that is not an exact zero, so norm_bound_check has ||f||
-without reading the entries a second time.
+carry_table and carry_valuations, zipped against the stored states; one
+call fetches both in one cached lookup.  Since a = c b - D t with
+gcd(c, D) = 1, the carry is t = -a D^(-1) mod c, so carry_table is at most
+c constant slices a = r, r + c, r + 2c, ... and needs no per-residue
+arithmetic.  The same pass yields the least valuation of an entry that is
+not an exact zero, so norm_bound_check has ||f|| without reading the
+entries a second time.
+
+norm_bound_check's verdict (lhs, rhs, ok) is a function of four integers
+alone: p, c, the integral's stored valuation (None for the exact zero, W
+for O(p^W), v otherwise) and the least valuation of f.  It is kept in a
+bounded cache keyed by them, so a sample pays its entries and one lookup;
+the Fractions p^(-v), K p^(-least) and their comparison are made once per
+distinct key.
 
 compatibility_failures sweeps in one pass over integer tables.  Its table
 hook values(params, n) gives the doubled values 2 mu(n, a) at
@@ -158,6 +166,8 @@ class CylinderFunction:
     """
 
     def __init__(self, d: int, p: int, level: int, values: Sequence):
+        if level < 0:
+            raise LevelOrder(f"level must be >= 0, got {level}")
         if not isinstance(values, Sequence):
             raise TypeError("cylinder function values must be a sequence indexed by residue, "
                             f"not a {type(values).__name__}")
@@ -292,6 +302,12 @@ def carry_valuations(params: BernoulliParams, level: int) -> tuple:
     return tuple(map(valuation.__getitem__, table))
 
 
+@functools.lru_cache(maxsize=32)
+def _carry_tables(params: BernoulliParams, level: int) -> tuple:
+    """(carry_table, carry_valuations) at (params, level), from one lookup."""
+    return carry_table(params, level), carry_valuations(params, level)
+
+
 # The most distribution values one compatibility sweep may read.
 MAX_SWEEP_EVALUATIONS = 2_000_000
 
@@ -346,8 +362,7 @@ def _integrate(params: BernoulliParams, f: CylinderFunction, relprec: int) -> tu
     p = params.p
     absprec = least = math.inf
     sums = {}  # v -> sum of u * 2 E_c(a) over the finite counted entries p^v u
-    for (xp, v, u, r), two_e, e in zip(f.states, carry_table(params, f.level),
-                                       carry_valuations(params, f.level)):
+    for (xp, v, u, r), two_e, e in zip(f.states, *_carry_tables(params, f.level)):
         if v is None:  # an exact zero
             continue
         if xp != p:
@@ -370,7 +385,8 @@ def _integrate(params: BernoulliParams, f: CylinderFunction, relprec: int) -> tu
         return PadicNum.zero_at_precision(p, absprec), least
     window = absprec - vmin
     acc = sum(m * p ** (v - vmin) for v, m in sums.items())
-    return PadicNum.from_int_mod(p, acc * pow(2, -1, p**window), window, shift=vmin), least
+    # (p^window + 1) / 2 is the inverse of 2 mod p^window, as p is odd
+    return PadicNum.from_int_mod(p, acc * ((p**window + 1) // 2), window, shift=vmin), least
 
 
 def measure_apply(params: BernoulliParams, f: CylinderFunction,
@@ -403,6 +419,17 @@ def norm_bound_constant(p: int, c: int) -> Fraction:
     return 2 + Fraction(1, p ** rational_valuation(p, c - 1))
 
 
+@functools.lru_cache(maxsize=256)
+def _bound_verdict(p: int, c: int, v, least) -> tuple:
+    """(lhs, rhs, ok) for an integral of stored valuation v (None for the
+    exact zero) and a function of least valuation `least` (math.inf when
+    every entry is an exact zero)."""
+    lhs = Fraction(0) if v is None else Fraction(p) ** -v
+    sup = Fraction(0) if least == math.inf else Fraction(p) ** -least
+    rhs = norm_bound_constant(p, c) * sup
+    return lhs, rhs, lhs <= rhs
+
+
 def norm_bound_check(params: BernoulliParams, f: CylinderFunction,
                      relprec: int = DEFAULT_RELPREC):
     """Check the measure bound ||E_c(f)|| <= K * ||f|| with exact rational
@@ -410,10 +437,10 @@ def norm_bound_check(params: BernoulliParams, f: CylinderFunction,
 
     ||f|| is p^(-v) for the least valuation v of an entry, or 0 when every
     entry is an exact zero; it comes from the same read of the entries as
-    E_c(f).
+    E_c(f).  ||E_c(f)|| is p^(-w) for the integral's stored valuation w (an
+    upper bound for O(p^w)), or 0 for the exact zero.  The verdict depends on
+    p, c, w and v alone and is read from a bounded cache keyed by them, so
+    the Fractions and their comparison are made once per distinct key.
     """
     value, least = _integrate(params, f, relprec)
-    lhs = value.norm()
-    sup = Fraction(0) if least == math.inf else Fraction(params.p) ** -least
-    rhs = norm_bound_constant(params.p, params.c) * sup
-    return lhs, rhs, lhs <= rhs
+    return _bound_verdict(params.p, params.c, value.state()[1], least)

@@ -28,7 +28,7 @@ from .dirichlet import (
     teichmuller_int,
     trivial_character,
 )
-from .errors import NotDivisible
+from .errors import LevelOrder, NotDivisible
 from .genbernoulli import (
     general_bernoulli_coeffs,
     general_bernoulli_exact,
@@ -255,14 +255,17 @@ _NUM_BITS, _DEN_BITS = _NUM_COUNT.bit_length(), _DEN_COUNT.bit_length()
 
 @functools.lru_cache(maxsize=16)
 def _draw_tables(p: int, relprec: int) -> tuple:
-    """random_cylinder's draws by their raw bits: (v_p(num), num / p^v) for
+    """random_cylinder's per-call constants: (nums, dens, zero, p^relprec).
+
+    nums and dens hold the draws by their raw bits: (v_p(num), num / p^v) for
     each num, None for num = 0, and (v_p(den), (den / p^v)^(-1) mod p^relprec)
-    for each den."""
+    for each den.  zero is the exact zero's state."""
+    mod = p**relprec
     nums = tuple(split_p_power(p, n) if n else None
                  for n in range(_NUM_LOW, _NUM_LOW + _NUM_COUNT))
-    dens = tuple((v, pow(u, -1, p**relprec))
+    dens = tuple((v, pow(u, -1, mod))
                  for v, u in (split_p_power(p, n) for n in range(_DEN_LOW, _DEN_LOW + _DEN_COUNT)))
-    return nums, dens
+    return nums, dens, PadicNum.exact_zero(p).state(), mod
 
 
 def random_cylinder(rng, p, d, level, relprec=DEFAULT_RELPREC) -> CylinderFunction:
@@ -278,13 +281,13 @@ def random_cylinder(rng, p, d, level, relprec=DEFAULT_RELPREC) -> CylinderFuncti
     p-free parts; reducing num/den by their gcd first would change neither.
     Entries are appended as their PadicNum states (p, v, unit, relprec), with
     the unit reduced and checked as PadicNum.from_unit does, and no PadicNum
-    is built.
+    is built.  A negative level is refused with LevelOrder.
     """
     if relprec < 1:
         raise ValueError("relative precision must be >= 1")
-    zero = PadicNum.exact_zero(p).state()
-    mod = p**relprec
-    nums, dens = _draw_tables(p, relprec)
+    if level < 0:
+        raise LevelOrder(f"level must be >= 0, got {level}")
+    nums, dens, zero, mod = _draw_tables(p, relprec)
     uniform, getrandbits = rng.random, rng.getrandbits
     states = []
     for _ in range(d * p**level):

@@ -29,6 +29,9 @@ ALLOWED = {
     "measure.distribution_refine_sum": (
         "the sum over a fibre that compatibility equates to the coarse value; "
         "the traced benchmark run (perfbench/spans.py) wraps it by name"),
+    "padic.PadicNum.norm": (
+        "the p-adic norm, through which the two-pass oracle and the boundedness "
+        "tests state ||E_c(f)|| <= K ||f||; norm_bound_check reads it from valuations"),
     "modarith.partition_range": (
         "splits range(d*p^x) by coprimality to d*p, which at level 0 is not units_of"),
 }

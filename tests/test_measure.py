@@ -15,6 +15,7 @@ from oracles import (
     norm_bound_check_two_pass,
     random_cylinder_fraction,
 )
+from padiclf import measure
 from padiclf.errors import CostLimitExceeded, LevelOrder, NotCoprime
 from padiclf.measure import (
     MAX_SWEEP_EVALUATIONS,
@@ -365,6 +366,10 @@ class TestCylinders:
         g = CylinderFunction._of(d, p, level, f.states)
         assert (g.d, g.p, g.level, g.states, g.values) == (d, p, level, f.states, f.values)
 
+    def test_negative_level_refused(self):
+        with pytest.raises(LevelOrder, match="level must be >= 0, got -1"):
+            CylinderFunction(1, 5, -1, [])
+
     def test_char_fn_decomposes_to_itself(self):
         U = ClopenSet(1, 5, 1, Residue(5, 2))
         pairs = [(c, cl) for c, cl in cylinder_decompose(char_fn(U, 8))
@@ -400,6 +405,7 @@ class TestSuiteRandomCylinder:
 
     def test_builds_no_padicnum_per_entry(self, monkeypatch):
         # drawing and bounding 2 * 5^3 entries builds no PadicNum per entry
+        suite_random_cylinder(random.Random(0), 5, 2, 0)  # warms the draw tables at (5, 8)
         built = []
         init = PadicNum.__init__
 
@@ -411,8 +417,15 @@ class TestSuiteRandomCylinder:
         f = suite_random_cylinder(random.Random(1), 5, 2, 3)
         lhs, rhs, ok = norm_bound_check(BernoulliParams(5, 2, 3), f)
         assert ok and rhs > 0 and len(f.states) == 250
-        # the exact zero whose state every zero entry shares, and the integral
-        assert len(built) == 2
+        # the integral; the draw tables hold the exact zero's state
+        assert len(built) == 1
+
+    def test_negative_level_refused(self):
+        rng = random.Random(1)
+        state = rng.getstate()
+        with pytest.raises(LevelOrder, match="level must be >= 0, got -1"):
+            suite_random_cylinder(rng, 5, 1, -1)
+        assert rng.getstate() == state
 
 
 class TestMeasureApply:
@@ -560,6 +573,36 @@ class TestNormBound:
         f = mixed_cylinder(random.Random(seed), p, d, level, kinds)
         assert norm_bound_check(params, f, relprec) == \
             norm_bound_check_two_pass(params, f, relprec)
+
+    def test_warm_verdict_makes_no_fraction(self, monkeypatch):
+        # the verdict is a cached function of (p, c, the integral's stored
+        # valuation, the least valuation of f): a warm call makes no Fraction
+        rng = random.Random(5)
+        grid = (BernoulliParams(3, 1, 2), BernoulliParams(5, 2, 3), BernoulliParams(7, 1, 3))
+        samples = [(params, suite_random_cylinder(rng, params.p, params.d, rng.randint(0, 2)))
+                   for params in (grid[i % 3] for i in range(100))]
+        verdicts = [norm_bound_check(params, f) for params, f in samples]
+        assert all(ok for _, _, ok in verdicts) and any(lhs != 0 for lhs, _, _ in verdicts)
+        measure._bound_verdict.cache_clear()
+        assert [norm_bound_check(params, f) for params, f in samples] == verdicts
+        made = []
+        new = Fraction.__new__
+
+        def counted(cls, *args, **kwargs):
+            made.append(args)
+            return new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", staticmethod(counted))
+        if "_from_coprime_ints" in vars(Fraction):  # arithmetic bypasses __new__ on 3.12+
+            from_ints = vars(Fraction)["_from_coprime_ints"].__func__
+
+            def counted_ints(cls, *args):
+                made.append(args)
+                return from_ints(cls, *args)
+
+            monkeypatch.setattr(Fraction, "_from_coprime_ints", classmethod(counted_ints))
+        assert [norm_bound_check(params, f) for params, f in samples] == verdicts
+        assert made == []
 
     def test_randomized_sweep(self):
         rng = random.Random(0)
