@@ -8,7 +8,6 @@ computed closed form in generalized Bernoulli numbers.
 """
 
 from .bernoulli import (
-    RationalPolynomial,
     bernoulli,
     bernoulli_poly,
     bernoulli_poly_eval,
@@ -67,7 +66,7 @@ from .measure import (
     norm_bound_check,
     units_cylinder,
 )
-from .modarith import Residue, crt_combine, partition_range, units_of
+from .modarith import crt_combine, partition_range, units_of
 from .padic import DEFAULT_RELPREC, PadicNum, eq_mod, rational_valuation
 
 __version__ = "0.1.0"

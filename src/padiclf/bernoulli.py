@@ -19,14 +19,12 @@ sums and the twisted unit sums avoid visiting every residue.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
 __all__ = [
     "bernoulli_prime",
     "bernoulli",
-    "RationalPolynomial",
     "bernoulli_poly",
     "bernoulli_poly_eval",
     "ProgressionPowerSum",
@@ -53,68 +51,26 @@ def bernoulli(n: int) -> Fraction:
     return (-1) ** n * bernoulli_prime(n)
 
 
-@dataclass(frozen=True)
-class RationalPolynomial:
-    """A polynomial with exact rational coefficients, coeffs[i] on X^i."""
-
-    coeffs: tuple
-
-    @staticmethod
-    def make(cs) -> "RationalPolynomial":
-        cs = [Fraction(c) for c in cs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        return RationalPolynomial(tuple(cs))
-
-    @staticmethod
-    def monomial(n: int, c=1) -> "RationalPolynomial":
-        return RationalPolynomial.make([0] * n + [c])
-
-    def eval(self, q) -> Fraction:
-        q = Fraction(q)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * q + c
-        return acc
-
-    def __add__(self, other: "RationalPolynomial") -> "RationalPolynomial":
-        n = max(len(self.coeffs), len(other.coeffs))
-        cs = [Fraction(0)] * n
-        for i, c in enumerate(self.coeffs):
-            cs[i] += c
-        for i, c in enumerate(other.coeffs):
-            cs[i] += c
-        return RationalPolynomial.make(cs)
-
-    def scale(self, r) -> "RationalPolynomial":
-        r = Fraction(r)
-        return RationalPolynomial.make([r * c for c in self.coeffs])
-
-    def __repr__(self):
-        if not self.coeffs:
-            return "0"
-        parts = [f"({c})*X^{i}" for i, c in enumerate(self.coeffs) if c != 0]
-        return " + ".join(parts)
+_BPOLY: dict[int, tuple] = {}
 
 
-_BPOLY: dict[int, RationalPolynomial] = {}
-
-
-def bernoulli_poly(n: int) -> RationalPolynomial:
-    """The degree-n Bernoulli polynomial B_n(X), monic with exact coefficients."""
+def bernoulli_poly(n: int) -> tuple:
+    """The degree-n Bernoulli polynomial B_n(X) as the tuple of its exact
+    coefficients, that of X^i at index i (monic, so of length n + 1)."""
     if n < 0:
         raise ValueError("n must be >= 0")
     if n not in _BPOLY:
-        cs = [Fraction(0)] * (n + 1)
-        for i in range(n + 1):
-            cs[n - i] = comb(n, i) * bernoulli(i)
-        _BPOLY[n] = RationalPolynomial.make(cs)
+        _BPOLY[n] = tuple(comb(n, i) * bernoulli(i) for i in range(n, -1, -1))
     return _BPOLY[n]
 
 
 def bernoulli_poly_eval(n: int, q) -> Fraction:
-    """Exact value of B_n at a rational point."""
-    return bernoulli_poly(n).eval(q)
+    """Exact value of B_n at a rational point, by Horner's rule."""
+    q = Fraction(q)
+    acc = Fraction(0)
+    for c in reversed(bernoulli_poly(n)):
+        acc = acc * q + c
+    return acc
 
 
 class ProgressionPowerSum:
@@ -139,7 +95,7 @@ class ProgressionPowerSum:
             raise ValueError("k must be >= 0")
         if step < 1:
             raise ValueError("step must be >= 1")
-        coeffs = bernoulli_poly(k + 1).coeffs
+        coeffs = bernoulli_poly(k + 1)
         den = math.lcm(*(c.denominator for c in coeffs))
         self.k = k
         self.step = step

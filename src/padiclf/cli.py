@@ -111,11 +111,10 @@ def _make_lp_params(args) -> LpParams:
 def _cmd_bernoulli(args) -> int:
     if args.n < 0:
         raise ValueError("n must be >= 0")
-    poly = bernoulli_poly(args.n)
     _emit({
         "n": args.n,
         "value": _frac_str(bernoulli(args.n)),
-        "poly": [_frac_str(c) for c in poly.coeffs],
+        "poly": [_frac_str(c) for c in bernoulli_poly(args.n)],
     })
     return 0
 
@@ -218,7 +217,7 @@ def main(argv=None) -> int:
         return USAGE_ERROR
     try:
         return args.run(args)
-    except (PadicLFError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (PadicLFError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

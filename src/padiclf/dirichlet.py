@@ -70,6 +70,7 @@ import functools
 import itertools
 import json
 import math
+import operator
 
 from .errors import CostLimitExceeded, NotAUnit, NotCoprime, NotDivisible, UnsupportedOrder
 from .modarith import crt_combine, is_prime, require_odd_prime
@@ -206,7 +207,7 @@ def _generators(n: int) -> tuple[tuple[int, int, int, int], ...]:
         else:
             local = [(-1, 2), (5, 2 ** (a - 2))]
         for x, order in local:
-            gens.append((q, x, crt_combine(qa, n // qa, x, 1).value, order))
+            gens.append((q, x, crt_combine(qa, n // qa, x, 1), order))
     return tuple(gens)
 
 
@@ -245,6 +246,14 @@ def _missing_units(n: int, labels: dict, count: int) -> list[int]:
     return out
 
 
+def _as_int(x, what: str) -> int:
+    """operator.index(x), which refuses floats and None, or ValueError naming `what`."""
+    try:
+        return operator.index(x)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, not {x!r}") from None
+
+
 def _require_prime_level(p: int, level: int) -> None:
     require_odd_prime(p)
     if level < 1:
@@ -260,7 +269,12 @@ class DirichletCharacter:
         module docstring says."""
         _require_prime_level(p, level)
         n = level
-        labels = {int(a): int(t) % p for a, t in labels.items()}
+        try:
+            labels = {int(a): operator.index(t) % p for a, t in labels.items()}
+        except TypeError:
+            for a, t in labels.items():
+                _as_int(t, f"the character table label at {a}")
+            raise
         if 2 * len(labels) ** 2 < n:
             raise ValueError(
                 f"character table is missing units {_missing_units(n, labels, 5)}"
@@ -495,17 +509,23 @@ def load_table_character(path: str, relprec: int = DEFAULT_RELPREC) -> Dirichlet
 
     Schema: { "p": int, "modulus": int, "entries": { "<a>": t_a, ... } }
     where each t_a is an integer coprime to p; the stored value at a is
-    the Teichmuller lift of t_a.  The constructor checks the table in one
-    pass (module docstring), naming an offending pair (a, g) with g a
-    generator.
+    the Teichmuller lift of t_a.  A top level or entries that are not
+    objects, and a p, modulus or t_a that is not an integer (a float, a
+    string, null), raise ValueError.  The constructor checks the table in
+    one pass (module docstring), naming an offending pair (a, g).
     """
     with open(path) as fh:
         obj = json.load(fh)
+    if not isinstance(obj, dict):
+        raise ValueError("a character table file must hold a JSON object")
     for key in ("p", "modulus", "entries"):
         if key not in obj:
             raise ValueError(f"character table file is missing the '{key}' field")
+    if not isinstance(obj["entries"], dict):
+        raise ValueError("the 'entries' of a character table file must be a JSON object")
+    p, modulus = (_as_int(obj[key], f"the character table's '{key}'") for key in ("p", "modulus"))
     # the constructor reads the keys and labels as integers
-    return DirichletCharacter(int(obj["p"]), int(obj["modulus"]), obj["entries"], relprec)
+    return DirichletCharacter(p, modulus, obj["entries"], relprec)
 
 
 def parse_character_spec(spec: str, p: int,

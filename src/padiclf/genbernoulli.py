@@ -29,7 +29,7 @@ import math
 from collections.abc import Sequence
 from fractions import Fraction
 
-from .bernoulli import ProgressionPowerSum, bernoulli
+from .bernoulli import ProgressionPowerSum, bernoulli_poly
 from .dirichlet import DirichletCharacter, char_power, make_teich_char, teichmuller_int
 from .errors import NotMultipleOfConductor
 from .modarith import units_of
@@ -91,7 +91,8 @@ def general_bernoulli_coeffs(chi: DirichletCharacter, m: int, F: int | None = No
         for j in range(m + 1):
             s[j] += x
             x *= a
-    weights = [math.comb(m, i) * bernoulli(i) * Fraction(F) ** (i - 1) for i in range(m + 1)]
+    # C(m,i) * B_i is the coefficient of X^(m-i) in B_m(X)
+    weights = [w * Fraction(F) ** (i - 1) for i, w in enumerate(reversed(bernoulli_poly(m)))]
     den = math.lcm(*(w.denominator for w in weights))
     nums = [int(w * den) for w in weights]
     coeffs = {t: Fraction(sum(n * s[m - i] for i, n in enumerate(nums)), den)

@@ -95,7 +95,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import CostLimitExceeded, LevelOrder, NotCoprime
-from .modarith import Residue, partition_range, require_odd_prime
+from .modarith import partition_range, require_odd_prime
 from .padic import DEFAULT_RELPREC, PadicNum, rational_valuation
 
 __all__ = [
@@ -141,18 +141,17 @@ class BernoulliParams:
 
 @dataclass(frozen=True)
 class ClopenSet:
-    """The basic clopen set at level n: the fiber over base in Z/(d*p^n)Z."""
+    """The basic clopen set at level n: the fiber over base in [0, d*p^n)."""
 
     d: int
     p: int
     level: int
-    base: Residue
+    base: int
 
     def __post_init__(self):
-        if self.base.modulus != self.d * self.p**self.level:
-            raise ValueError(
-                f"base modulus {self.base.modulus} != {self.d}*{self.p}^{self.level}"
-            )
+        if not 0 <= self.base < self.d * self.p**self.level:
+            raise ValueError(f"base {self.base} is not reduced modulo "
+                             f"{self.d}*{self.p}^{self.level}")
 
 
 class CylinderFunction:
@@ -213,9 +212,6 @@ class CylinderFunction:
         f, g = self.refine_level(lev), other.refine_level(lev)
         return CylinderFunction(self.d, self.p, lev, tuple(map(operator.add, f.values, g.values)))
 
-    def scale(self, coeff: PadicNum) -> "CylinderFunction":
-        return CylinderFunction(self.d, self.p, self.level, tuple(coeff * v for v in self.values))
-
     def __repr__(self):
         return f"CylinderFunction(d={self.d}, p={self.p}, level={self.level})"
 
@@ -223,34 +219,31 @@ class CylinderFunction:
 def char_fn(clopen: ClopenSet, relprec: int = DEFAULT_RELPREC) -> CylinderFunction:
     """Characteristic function of a basic clopen set: 1 on it, 0 elsewhere."""
     p = clopen.p
-    values = [PadicNum.exact_zero(p)] * clopen.base.modulus
-    values[clopen.base.value] = PadicNum.one(p, relprec)
+    values = [PadicNum.exact_zero(p)] * (clopen.d * p**clopen.level)
+    values[clopen.base] = PadicNum.one(p, relprec)
     return CylinderFunction(clopen.d, p, clopen.level, values)
 
 
 def cylinder_decompose(f: CylinderFunction):
     """Write f as sum of f(a) * char_fn(U_a) over the level's clopen basis."""
-    mod = f.modulus
-    return [(v, ClopenSet(f.d, f.p, f.level, Residue(mod, a))) for a, v in enumerate(f.values)]
+    return [(v, ClopenSet(f.d, f.p, f.level, a)) for a, v in enumerate(f.values)]
 
 
-def equi_class(d: int, p: int, n: int, m: int, a: Residue) -> list[Residue]:
-    """Residues mod d*p^m reducing to a mod d*p^n (an arithmetic progression)."""
+def equi_class(d: int, p: int, n: int, m: int, a: int) -> list[int]:
+    """The residues mod d*p^m, increasing, that reduce to a in [0, d*p^n)."""
     if m < n:
         raise LevelOrder(f"target level {m} is below source level {n}")
-    if a.modulus != d * p**n:
-        raise ValueError(f"residue has modulus {a.modulus}, expected {d * p**n}")
     step = d * p**n
-    mod = d * p**m
-    return [Residue(mod, a.value + t * step) for t in range(p ** (m - n))]
+    if not 0 <= a < step:
+        raise ValueError(f"{a} is not reduced modulo {step}")
+    return list(range(a, d * p**m, step))
 
 
-def bernoulli_distribution(params: BernoulliParams, n: int, a) -> Fraction:
-    """E_c(n, a) = (c-1)/2 - floor(c b / D), b = c^(-1) A mod D, D = d*p^n."""
+def bernoulli_distribution(params: BernoulliParams, n: int, a: int) -> Fraction:
+    """E_c(n, a) = (c-1)/2 - floor(c b / D), b = c^(-1) a mod D, D = d*p^n."""
     p, d, c = params.p, params.d, params.c
     D = d * p**n
-    A = a.value if isinstance(a, Residue) else int(a) % D
-    return Fraction(c - 1 - 2 * (c * (pow(c, -1, D) * A % D) // D), 2)
+    return Fraction(c - 1 - 2 * (c * (pow(c, -1, D) * a % D) // D), 2)
 
 
 def div_by_c_table(params: BernoulliParams, n: int) -> tuple:
@@ -263,17 +256,15 @@ def div_by_c_table(params: BernoulliParams, n: int) -> tuple:
     return (params.c - 1,) * (params.d * params.p**n)
 
 
-def distribution_refine_sum(params: BernoulliParams, m: int, x,
+def distribution_refine_sum(params: BernoulliParams, m: int, x: int,
                             dist=bernoulli_distribution) -> Fraction:
-    """Sum of level-(m+1) measure values over the p lifts of x.
+    """Sum of level-(m+1) measure values over the p lifts of x mod d*p^m.
 
     Equals dist(params, m, x) exactly for the genuine distribution.
     """
     d, p = params.d, params.p
-    if not isinstance(x, Residue):
-        x = Residue(d * p**m, int(x) % (d * p**m))
     return sum(
-        (dist(params, m + 1, y) for y in equi_class(d, p, m, m + 1, x)),
+        (dist(params, m + 1, y) for y in equi_class(d, p, m, m + 1, x % (d * p**m))),
         Fraction(0),
     )
 

@@ -1,4 +1,4 @@
-"""Exact modular arithmetic: residues, units, CRT, and coprimality partitions.
+"""Exact modular arithmetic: units, CRT, primality and coprimality partitions.
 
 All moduli are arbitrary-precision Python ints and representatives are
 always the least nonnegative residue.  Z/1Z is the one-point ring whose
@@ -9,13 +9,11 @@ characters are well defined downstream.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import CostLimitExceeded, NotCoprime
 from .padic import split_p_power
 
 __all__ = [
-    "Residue",
     "crt_combine",
     "units_of",
     "partition_range",
@@ -25,60 +23,13 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Residue:
-    """An element of Z/nZ stored by its least nonnegative representative."""
-
-    modulus: int
-    value: int
-
-    def __post_init__(self):
-        if self.modulus < 1:
-            raise ValueError("modulus must be a positive integer")
-        if not 0 <= self.value < self.modulus:
-            raise ValueError(f"{self.value} is not reduced modulo {self.modulus}")
-
-    def _require_same_modulus(self, other: "Residue") -> None:
-        if self.modulus != other.modulus:
-            raise ValueError(
-                f"modulus mismatch: {self.modulus} vs {other.modulus}"
-            )
-
-    def __add__(self, other: "Residue") -> "Residue":
-        self._require_same_modulus(other)
-        return Residue(self.modulus, (self.value + other.value) % self.modulus)
-
-    def __sub__(self, other: "Residue") -> "Residue":
-        self._require_same_modulus(other)
-        return Residue(self.modulus, (self.value - other.value) % self.modulus)
-
-    def __mul__(self, other: "Residue") -> "Residue":
-        self._require_same_modulus(other)
-        return Residue(self.modulus, (self.value * other.value) % self.modulus)
-
-    def __neg__(self) -> "Residue":
-        return Residue(self.modulus, (-self.value) % self.modulus)
-
-    def __repr__(self):
-        return f"{self.value} mod {self.modulus}"
-
-
-def crt_combine(d: int, q: int, a, b) -> Residue:
-    """The residue mod d*q congruent to a mod d and b mod q (d, q coprime).
-
-    a and b may be Residues or plain ints.
-    """
+def crt_combine(d: int, q: int, a: int, b: int) -> int:
+    """The residue mod d*q congruent to a mod d and b mod q (d, q coprime)."""
     if math.gcd(d, q) != 1:
         raise NotCoprime(f"gcd({d}, {q}) != 1")
-    av = a.value if isinstance(a, Residue) else int(a) % d
-    bv = b.value if isinstance(b, Residue) else int(b) % q
-    if isinstance(a, Residue) and a.modulus != d:
-        raise ValueError(f"first component has modulus {a.modulus}, expected {d}")
-    if isinstance(b, Residue) and b.modulus != q:
-        raise ValueError(f"second component has modulus {b.modulus}, expected {q}")
     # x = a + d*t with t chosen so x = b mod q; pow(d, -1, 1) == 0 covers q == 1
-    t = ((bv - av) * pow(d, -1, q)) % q if q > 1 else 0
-    return Residue(d * q, (av + d * t) % (d * q))
+    t = ((b - a) * pow(d, -1, q)) % q if q > 1 else 0
+    return (a + d * t) % (d * q)
 
 
 def units_of(n: int) -> list[int]:

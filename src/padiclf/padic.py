@@ -52,7 +52,9 @@ DEFAULT_RELPREC = 8
 
 
 def split_p_power(p: int, n: int) -> tuple[int, int]:
-    """(v, n / p^v) for a nonzero integer n, where v = v_p(n)."""
+    """(v, n / p^v) for a nonzero integer n, where v = v_p(n), and p >= 2."""
+    if p < 2:
+        raise ValueError(f"p must be >= 2, got {p}")
     if n == 0:
         raise ValueError("0 has no p-adic valuation to split off")
     v = 0

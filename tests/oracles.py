@@ -23,7 +23,7 @@ from padiclf.measure import (
     measure_apply,
     norm_bound_constant,
 )
-from padiclf.modarith import Residue, crt_combine, divisors, units_of
+from padiclf.modarith import crt_combine, divisors, units_of
 from padiclf.padic import DEFAULT_RELPREC, PadicNum, split_p_power
 
 
@@ -31,11 +31,11 @@ def _fract(x: Fraction) -> Fraction:
     return x - math.floor(x)
 
 
-def bernoulli_distribution_fract(params, n: int, a) -> Fraction:
+def bernoulli_distribution_fract(params, n: int, a: int) -> Fraction:
     """E_c(n, a) in its fractional-part form {A/D} - c {(c^(-1) A mod D)/D} + (c-1)/2."""
     p, d, c = params.p, params.d, params.c
     D = d * p**n
-    A = a.value if isinstance(a, Residue) else int(a) % D
+    A = a % D
     if D == 1:
         return Fraction(c - 1, 2)
     cinv = pow(c, -1, D)
@@ -46,11 +46,11 @@ def bernoulli_distribution_fract(params, n: int, a) -> Fraction:
     )
 
 
-def bernoulli_distribution_div_by_c_fract(params, n: int, a) -> Fraction:
+def bernoulli_distribution_div_by_c_fract(params, n: int, a: int) -> Fraction:
     """The division rival reading as written: {A/D} - c {A/(cD)} + (c-1)/2."""
     p, d, c = params.p, params.d, params.c
     D = d * p**n
-    A = a.value if isinstance(a, Residue) else int(a) % D
+    A = a % D
     return (
         _fract(Fraction(A, D))
         - c * _fract(Fraction(A, c * D))
@@ -155,31 +155,30 @@ class TableCharacter:
         return TableCharacter(self.p, lev, labels).associated_primitive()
 
     def decompose_coprime(self, m: int, n: int) -> tuple:
-        first = {a: self.labels[crt_combine(m, n, a, 1).value] for a in units_of(m)}
-        second = {b: self.labels[crt_combine(m, n, 1, b).value] for b in units_of(n)}
+        first = {a: self.labels[crt_combine(m, n, a, 1)] for a in units_of(m)}
+        second = {b: self.labels[crt_combine(m, n, 1, b)] for b in units_of(n)}
         return TableCharacter(self.p, m, first), TableCharacter(self.p, n, second)
 
 
-def weight_eval(p: int, w, a, relprec: int) -> PadicNum:
-    """<a>^k at the least representative of a unit residue a mod d*p^j.
+def weight_eval(p: int, w, a: int, relprec: int) -> PadicNum:
+    """<a>^k at a unit a, the least representative of its residue mod d*p^j.
 
     The result lies in 1 + pZ_p, so it is 1 whenever k = 0.
     """
-    return principal_unit_power(p, a.value, w.k, relprec)
+    return principal_unit_power(p, a, w.k, relprec)
 
 
-def integrand_eval(params, w, a) -> PadicNum:
-    """chi omega^(-1)(a) * <a>^k at a unit a mod d*p^j, j >= m: the per-unit
-    integrand that riemann_sum regroups into progressions."""
-    p = params.p
-    j, d = split_p_power(p, a.modulus)
-    if d != params.d or j < params.m:
-        raise LevelTooLow(
-            f"unit modulus {a.modulus} is not d*p^j with j >= m={params.m}"
-        )
+def integrand_eval(params, w, j: int, a: int) -> PadicNum:
+    """chi omega^(-1)(a) * <a>^k at a unit a mod d*p^j, j >= m, given by its
+    least representative: the per-unit integrand that riemann_sum regroups
+    into progressions."""
+    if j < params.m:
+        raise LevelTooLow(f"unit level {j} is below m={params.m}")
+    if not 0 <= a < params.d * params.p**j:
+        raise ValueError(f"{a} is not reduced modulo {params.d}*{params.p}^{j}")
     psi = chi_omega_minus_k(params.chi, 1)
-    chi_val = psi.asso_eval(a.value % psi.level, params.relprec)
-    return chi_val * principal_unit_power(p, a.value, w.k, params.relprec)
+    chi_val = psi.asso_eval(a % psi.level, params.relprec)
+    return chi_val * principal_unit_power(params.p, a, w.k, params.relprec)
 
 
 def riemann_sum_bruteforce(params, w, j: int) -> PadicNum:

@@ -71,6 +71,28 @@ def test_bad_table_names_pair(capsys, tmp_path):
     assert "pair (" in err
 
 
+@pytest.mark.parametrize("table, message", [
+    ({"p": 5, "modulus": 5, "entries": [1, 2]},
+     "the 'entries' of a character table file must be a JSON object"),
+    ({"p": 5, "modulus": 5, "entries": {"1": 1, "2": None, "3": 3, "4": 4}},
+     "the character table label at 2 must be an integer, not None"),
+    ({"p": 5, "modulus": None, "entries": {"1": 1}},
+     "the character table's 'modulus' must be an integer, not None"),
+    (5, "a character table file must hold a JSON object"),
+    ({"p": 5.5, "modulus": 5, "entries": {"1": 1, "2": 2, "3": 3, "4": 4}},
+     "the character table's 'p' must be an integer, not 5.5"),
+    ({"p": 5, "modulus": 5, "entries": {"1": 1, "2": 4.7, "3": 3, "4": 4}},
+     "the character table label at 2 must be an integer, not 4.7"),
+], ids=["entries-list", "null-label", "null-modulus", "top-level-int", "float-p",
+        "float-label"])
+def test_malformed_table_file_is_a_usage_error(capsys, tmp_path, table, message):
+    # exit 1 means "verification failed"; a bad input file is exit 2
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(table))
+    code, out, err = run_cli(capsys, "char-info", "--p", "5", "--char", f"table:{path}")
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_unknown_flag_usage_error(capsys):
     code, _, _ = run_cli(capsys, "bernoulli", "--wat", "1")
     assert code == 2

@@ -18,7 +18,7 @@ from padiclf.lfunction import (
     verify_interpolation,
 )
 from padiclf.measure import BernoulliParams, measure_apply, units_cylinder
-from padiclf.modarith import Residue, partition_range
+from padiclf.modarith import partition_range
 from padiclf.padic import PadicNum, eq_mod
 
 
@@ -33,19 +33,16 @@ def main_params(c=2, relprec=12, j_max=7, target=4):
 
 class TestWeight:
     def test_k_zero_is_one(self):
-        a = Residue(25, 7)
-        assert weight_eval(5, Weight(0), a, 6) == PadicNum.one(5, 6)
+        assert weight_eval(5, Weight(0), 7, 6) == PadicNum.one(5, 6)
 
     def test_example_value(self):
         # <2> = 2 * omega(2)^(-1) = 2 * 68 = 11 mod 125
-        a = Residue(5, 2)
-        v = weight_eval(5, Weight(1), a, 3)
+        v = weight_eval(5, Weight(1), 2, 3)
         assert v.unit == 11
         assert v.unit % 5 == 1
 
     def test_one_fixed(self):
-        a = Residue(25, 1)
-        assert weight_eval(5, Weight(3), a, 6).unit == 1
+        assert weight_eval(5, Weight(3), 1, 6).unit == 1
 
     def test_lands_in_principal_units(self):
         for lift in (2, 3, 7, 11, 124):
@@ -94,14 +91,12 @@ class TestIntegrand:
         # chi = omega: chi * omega^(-1) is trivial, weight 0 integrand is 1...
         # omega is odd, so build the even square and check at a = 1 instead
         params = main_params()
-        a = Residue(5, 1)
-        assert integrand_eval(params, Weight(2), a).unit == 1
+        assert integrand_eval(params, Weight(2), 1, 1).unit == 1
 
     def test_matches_factor_product(self):
         params = main_params()
         psi = chi_omega_minus_k(params.chi, 1)
-        a = Residue(25, 7)
-        got = integrand_eval(params, Weight(3), a)
+        got = integrand_eval(params, Weight(3), 2, 7)
         expected = psi.value(7 % 5, 12) * principal_unit_power(5, 7, 3, 12)
         assert got == expected
 
@@ -109,7 +104,7 @@ class TestIntegrand:
         params = LpParams(p=5, d=1, c=2, m=2, chi=omega2().change_level(25),
                           relprec=12, j_max=5)
         with pytest.raises(LevelTooLow):
-            integrand_eval(params, Weight(1), Residue(5, 2))
+            integrand_eval(params, Weight(1), 1, 2)
 
 
 class TestRiemannSum:
@@ -149,8 +144,8 @@ class TestRiemannSum:
         from padiclf.measure import bernoulli_distribution
         acc = PadicNum.exact_zero(5)
         for a in units:
-            term = (integrand_eval(params, Weight(1), Residue(25, a))
-                    + integrand_eval(params, Weight(2), Residue(25, a)))
+            term = (integrand_eval(params, Weight(1), 2, a)
+                    + integrand_eval(params, Weight(2), 2, a))
             acc = acc + term * PadicNum.from_rational(5, bernoulli_distribution(bp, 2, a), 10)
         split = riemann_sum(params, Weight(1), 2) + riemann_sum(params, Weight(2), 2)
         assert eq_mod(acc, split, min(acc.abs_precision, split.abs_precision))

@@ -36,7 +36,7 @@ from padiclf.measure import (
     norm_bound_constant,
     units_cylinder,
 )
-from padiclf.modarith import Residue, partition_range
+from padiclf.modarith import partition_range
 from padiclf.padic import PadicNum, eq_mod, rational_valuation
 from padiclf.suite import random_cylinder as suite_random_cylinder
 
@@ -49,7 +49,7 @@ C5_GRID = [BernoulliParams(p, d, c) for p in (3, 5, 7) for d in (1, 2, 4)
 def shifted_denominator(pr, n, a):
     """The rival reading with the denominator one level down, D = d*p^(n+1)."""
     D = pr.d * pr.p ** (n + 1)
-    A = a.value if isinstance(a, Residue) else int(a) % (pr.d * pr.p**n)
+    A = a % (pr.d * pr.p**n)
     cinv = pow(pr.c, -1, D)
     return (Fraction(A, D) - pr.c * Fraction((cinv * A) % D, D)
             + Fraction(pr.c - 1, 2))
@@ -146,19 +146,27 @@ class TestDistribution:
                     expected = bernoulli_distribution_fract(params, n, a)
                     assert expected == Fraction(c - 1, 2) - t
                     assert bernoulli_distribution(params, n, a) == expected
-                    assert bernoulli_distribution(params, n, Residue(D, a)) == expected
 
     @settings(max_examples=300, deadline=None)
     @given(p=st.sampled_from((3, 5, 7, 11)), d=st.integers(1, 12),
            c=st.integers(2, 10**4), n=st.integers(0, 4),
-           a=st.integers(-10**6, 10**6), as_residue=st.booleans())
-    def test_matches_fract_oracle(self, p, d, c, n, a, as_residue):
+           a=st.integers(-10**6, 10**6))
+    def test_matches_fract_oracle(self, p, d, c, n, a):
+        assume(math.gcd(d, p) == 1 and math.gcd(c, d * p) == 1)
+        params = BernoulliParams(p, d, c)
+        assert bernoulli_distribution(params, n, a) == \
+            bernoulli_distribution_fract(params, n, a)
+
+    @settings(max_examples=200, deadline=None)
+    @given(p=st.sampled_from((3, 5, 7)), d=st.integers(1, 12), c=st.integers(2, 500),
+           n=st.integers(0, 4), a=st.integers(-10**6, 10**6))
+    def test_reads_a_mod_D(self, p, d, c, n, a):
         assume(math.gcd(d, p) == 1 and math.gcd(c, d * p) == 1)
         params = BernoulliParams(p, d, c)
         D = d * p**n
-        x = Residue(D, a % D) if as_residue else a
-        assert bernoulli_distribution(params, n, x) == \
-            bernoulli_distribution_fract(params, n, x)
+        value = bernoulli_distribution(params, n, a)
+        assert bernoulli_distribution(params, n, a + D) == value
+        assert bernoulli_distribution(params, n, a % D) == value
 
     def test_refine_sum_example(self):
         assert distribution_refine_sum(P312, 1, 1) == Fraction(-1, 2)
@@ -291,32 +299,38 @@ class TestSweepLimit:
 
 class TestEquiClass:
     def test_examples(self):
-        assert [r.value for r in equi_class(1, 3, 1, 2, Residue(3, 1))] == [1, 4, 7]
-        assert equi_class(1, 3, 2, 2, Residue(9, 5)) == [Residue(9, 5)]
+        assert equi_class(1, 3, 1, 2, 1) == [1, 4, 7]
+        assert equi_class(1, 3, 2, 2, 5) == [5]
+        assert equi_class(2, 5, 0, 1, 1) == [1, 3, 5, 7, 9]
 
     def test_partition(self):
         all_fine = []
         for a in range(9):
-            all_fine += [r.value for r in equi_class(1, 3, 2, 3, Residue(9, a))]
+            all_fine += equi_class(1, 3, 2, 3, a)
         assert sorted(all_fine) == list(range(27))
 
     def test_level_order(self):
         with pytest.raises(LevelOrder):
-            equi_class(1, 3, 2, 1, Residue(9, 0))
+            equi_class(1, 3, 2, 1, 0)
+
+    def test_unreduced_base_refused(self):
+        for a in (-1, 9):
+            with pytest.raises(ValueError, match=f"{a} is not reduced modulo 9"):
+                equi_class(1, 3, 2, 3, a)
 
 
 class TestCylinders:
     def test_char_fn_table(self):
-        f = char_fn(ClopenSet(1, 3, 1, Residue(3, 0)), 8)
+        f = char_fn(ClopenSet(1, 3, 1, 0), 8)
         assert f.values[0].unit == 1
         assert f.values[1].is_exact_zero() and f.values[2].is_exact_zero()
 
     def test_char_fn_level_zero_constant(self):
-        f = char_fn(ClopenSet(1, 3, 0, Residue(1, 0)), 8)
+        f = char_fn(ClopenSet(1, 3, 0, 0), 8)
         assert len(f.values) == 1 and f.values[0].unit == 1
 
     def test_refine_is_constant_on_fibers(self):
-        f = char_fn(ClopenSet(1, 3, 1, Residue(3, 1)), 8)
+        f = char_fn(ClopenSet(1, 3, 1, 1), 8)
         g = f.refine_level(2)
         ones = [b for b in range(9) if g.values[b].is_nonzero()]
         assert ones == [1, 4, 7]
@@ -341,7 +355,8 @@ class TestCylinders:
                 f = random_cylinder(rng, 3, 1, level)
                 acc = None
                 for coeff, clopen in cylinder_decompose(f):
-                    term = char_fn(clopen, 8).scale(coeff)
+                    g = char_fn(clopen, 8)
+                    term = CylinderFunction(g.d, g.p, g.level, [coeff * v for v in g.values])
                     acc = term if acc is None else acc + term
                 for a in range(3**level):
                     x, y = acc.values[a], f.values[a]
@@ -370,8 +385,14 @@ class TestCylinders:
         with pytest.raises(LevelOrder, match="level must be >= 0, got -1"):
             CylinderFunction(1, 5, -1, [])
 
+    def test_clopen_base_must_be_reduced(self):
+        assert ClopenSet(2, 3, 1, 5).base == 5
+        for base in (-1, 6):
+            with pytest.raises(ValueError, match=f"base {base} is not reduced modulo 2\\*3\\^1"):
+                ClopenSet(2, 3, 1, base)
+
     def test_char_fn_decomposes_to_itself(self):
-        U = ClopenSet(1, 5, 1, Residue(5, 2))
+        U = ClopenSet(1, 5, 1, 2)
         pairs = [(c, cl) for c, cl in cylinder_decompose(char_fn(U, 8))
                  if c.is_nonzero()]
         assert len(pairs) == 1 and pairs[0][1] == U
@@ -431,7 +452,7 @@ class TestSuiteRandomCylinder:
 class TestMeasureApply:
     def test_char_fn_gives_distribution_value(self):
         for a in range(3):
-            f = char_fn(ClopenSet(1, 3, 1, Residue(3, a)), 8)
+            f = char_fn(ClopenSet(1, 3, 1, a), 8)
             v = measure_apply(P312, f, 8)
             target = PadicNum.from_rational(3, bernoulli_distribution(P312, 1, a), 8)
             assert tracked_equal(v, target)
@@ -455,7 +476,8 @@ class TestMeasureApply:
             f = random_cylinder(rng, 5, 1, 1)
             g = random_cylinder(rng, 5, 1, 1)
             alpha = PadicNum.from_rational(5, Fraction(rng.randint(1, 50), rng.randint(1, 9)), 8)
-            lhs = measure_apply(params, f.scale(alpha) + g, 8)
+            alpha_f = CylinderFunction(f.d, f.p, f.level, [alpha * v for v in f.values])
+            lhs = measure_apply(params, alpha_f + g, 8)
             rhs = alpha * measure_apply(params, f, 8) + measure_apply(params, g, 8)
             common = min(lhs.abs_precision, rhs.abs_precision)
             assert eq_mod(lhs, rhs, common)
@@ -506,7 +528,7 @@ class TestMeasureApply:
             with pytest.raises(ValueError, match="prime mismatch"):
                 fn(BernoulliParams(5, 1, 2), f, 8)
             with pytest.raises(ValueError, match="relative precision"):
-                fn(P312, char_fn(ClopenSet(1, 3, 0, Residue(1, 0)), 8), 0)
+                fn(P312, char_fn(ClopenSet(1, 3, 0, 0), 8), 0)
 
 
 class TestExtendByZero:
@@ -535,7 +557,7 @@ class TestExtendByZero:
 
 class TestNormBound:
     def test_char_fn_example(self):
-        lhs, rhs, ok = norm_bound_check(P312, char_fn(ClopenSet(1, 3, 1, Residue(3, 1)), 8))
+        lhs, rhs, ok = norm_bound_check(P312, char_fn(ClopenSet(1, 3, 1, 1), 8))
         assert ok and lhs == 1 and rhs == 3
 
     def test_zero_function(self):
@@ -625,6 +647,6 @@ class TestNormBound:
     def test_bound_constant(self):
         # K = 1 + |c| + |(c-1)/2| as exact rationals
         params = BernoulliParams(5, 1, 6)  # c-1 = 5 has valuation 1
-        f = char_fn(ClopenSet(1, 5, 1, Residue(5, 1)), 8)
+        f = char_fn(ClopenSet(1, 5, 1, 1), 8)
         _, rhs, _ = norm_bound_check(params, f)
         assert rhs == 1 + 1 + Fraction(1, 5)

@@ -8,7 +8,6 @@ from oracles import is_prime_trial
 from padiclf.errors import CostLimitExceeded, NotCoprime
 from padiclf.modarith import (
     _MR_LIMIT,
-    Residue,
     crt_combine,
     divisors,
     is_prime,
@@ -35,51 +34,19 @@ def phi_by_factorization(n):
     return out
 
 
-class TestReduce:
-    """x mod n is Residue(n, x % n)."""
-
-    def test_examples(self):
-        assert Residue(5, 7 % 5).value == 2
-        assert Residue(9, -1 % 9).value == 8
-        assert Residue(15, 15 % 15).value == 0
-
-    def test_rejects_zero_modulus(self):
-        with pytest.raises(ValueError):
-            Residue(0, 0)
-
-    @given(st.integers(1, 200), st.integers(-10**9, 10**9))
-    def test_periodicity(self, n, x):
-        assert Residue(n, (x + n) % n) == Residue(n, x % n)
-
-
-class TestResidueArithmetic:
-    def test_closed_operations(self):
-        a, b = Residue(7, 3), Residue(7, 6)
-        assert (a + b) == Residue(7, 2)
-        assert (a * b) == Residue(7, 4)
-        assert (-a) == Residue(7, 4)
-        assert (a - b) == Residue(7, 4)
-
-    def test_modulus_mismatch(self):
-        with pytest.raises(ValueError):
-            Residue(7, 3) + Residue(5, 3)
-
-    def test_unreduced_rejected(self):
-        with pytest.raises(ValueError):
-            Residue(5, 5)
-
-
 class TestCrt:
     def test_split_examples(self):
         # the CRT components of x mod d*q are x mod d and x mod q
-        assert crt_combine(3, 5, Residue(3, 7 % 3), Residue(5, 7 % 5)) == Residue(15, 7)
-        assert crt_combine(1, 5, Residue(1, 3 % 1), Residue(5, 3)) == Residue(5, 3)
-        assert crt_combine(2, 9, Residue(2, 11 % 2), Residue(9, 11 % 9)) == Residue(18, 11)
+        assert crt_combine(3, 5, 7 % 3, 7 % 5) == 7
+        assert crt_combine(1, 5, 3 % 1, 3) == 3
+        assert crt_combine(2, 9, 11 % 2, 11 % 9) == 11
 
     def test_combine_examples(self):
-        assert crt_combine(3, 5, 1, 2).value == 7
-        assert crt_combine(3, 5, 0, 0).value == 0
-        assert crt_combine(2, 9, 1, 2).value == 11
+        assert crt_combine(3, 5, 1, 2) == 7
+        assert crt_combine(3, 5, 0, 0) == 0
+        assert crt_combine(2, 9, 1, 2) == 11
+        # any representatives of the components give the least residue
+        assert crt_combine(3, 5, -2, 12) == 7
 
     def test_not_coprime(self):
         with pytest.raises(NotCoprime):
@@ -93,15 +60,14 @@ class TestCrt:
                 if math.gcd(d, q) != 1 or d * q > 500:
                     continue
                 for x in range(d * q):
-                    assert crt_combine(d, q, x % d, x % q).value == x
+                    assert crt_combine(d, q, x % d, x % q) == x
 
-    @given(st.integers(1, 40), st.integers(1, 40), st.integers(0, 10**6))
+    @given(st.integers(1, 40), st.integers(1, 40), st.integers(-10**6, 10**6))
     @settings(max_examples=200)
     def test_combine_congruences(self, d, q, x):
         if math.gcd(d, q) != 1:
             return
-        r = crt_combine(d, q, x % d, x % q)
-        assert r.value % d == x % d and r.value % q == x % q
+        assert crt_combine(d, q, x % d, x % q) == x % (d * q)
 
 
 class TestUnits:

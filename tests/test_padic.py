@@ -231,6 +231,17 @@ def test_split_p_power():
         split_p_power(3, 0)
 
 
+def test_p_below_two_is_refused():
+    # p = 1 and p = -1 divide every integer, so the valuation loop would not end
+    for p in (1, 0, -1):
+        with pytest.raises(ValueError, match=f"p must be >= 2, got {p}"):
+            split_p_power(p, 5)
+    with pytest.raises(ValueError, match="p must be >= 2"):
+        rational_valuation(1, Fraction(3, 4))
+    with pytest.raises(ValueError, match="p must be >= 2"):
+        PadicNum.from_rational(1, Fraction(3, 4))
+
+
 @settings(max_examples=200, deadline=None)
 @given(p=small_primes, n=st.integers(-10**12, 10**12).filter(bool))
 def test_split_p_power_matches_oracle(p, n):
