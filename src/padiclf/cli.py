@@ -97,7 +97,7 @@ def _make_lp_params(args) -> LpParams:
     if args.m < 1:
         raise ValueError("m must be >= 1")
     level = args.d * args.p**args.m
-    chi = parse_character_spec(args.char, args.p, relprec=args.prec)
+    chi = parse_character_spec(args.char, args.p)
     if level % chi.level:
         raise ValueError(
             f"character level {chi.level} does not divide d*p^m = {level}"
@@ -123,7 +123,7 @@ def _cmd_genbernoulli(args) -> int:
     require_odd_prime(args.p)
     if args.n < 0:
         raise ValueError("n must be >= 0")
-    chi = parse_character_spec(args.char, args.p, relprec=args.prec)
+    chi = parse_character_spec(args.char, args.p)
     # one coefficient dict gives both the p-adic value and the exact Fraction
     coeffs = general_bernoulli_coeffs(chi, args.n)
     value = _embed_label_sum(chi.p, coeffs, args.prec)
@@ -140,7 +140,7 @@ def _cmd_genbernoulli(args) -> int:
 
 def _cmd_char_info(args) -> int:
     require_odd_prime(args.p)
-    chi = parse_character_spec(args.char, args.p, relprec=args.prec)
+    chi = parse_character_spec(args.char, args.p)
     _emit({
         "p": chi.p,
         "level": chi.level,

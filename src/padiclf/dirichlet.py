@@ -10,6 +10,9 @@ least primitive root mod q, plus q when its (q-1)-st power is 1 mod q^2,
 so that it generates (Z/q^aZ)^x for every a: one root serves every power
 of q.
 
+A character is exact: it carries no precision, and each evaluation
+(value, asso_eval, those of padiclf.genbernoulli) takes its own.
+
 A character is stored as (p, level, exponents): chi(g_i) = omega(r)^e_i
 at the i-th generator g_i of the level, with r the least primitive root
 mod p and e_i taken mod p - 1.  Characters whose order does not divide
@@ -264,15 +267,16 @@ class DirichletCharacter:
     """A character of (Z/levelZ)^x with values omega(label) in mu_(p-1),
     stored as its exponents on the generators of the level."""
 
-    def __init__(self, p: int, level: int, labels: dict, relprec: int = DEFAULT_RELPREC):
+    def __init__(self, p: int, level: int, labels: dict):
         """The character with the label table {unit: t}, checked as the
         module docstring says."""
         _require_prime_level(p, level)
         n = level
         try:
-            labels = {int(a): operator.index(t) % p for a, t in labels.items()}
+            labels = {operator.index(a): operator.index(t) % p for a, t in labels.items()}
         except TypeError:
             for a, t in labels.items():
+                _as_int(a, "a character table key")
                 _as_int(t, f"the character table label at {a}")
             raise
         if 2 * len(labels) ** 2 < n:
@@ -311,19 +315,18 @@ class DirichletCharacter:
             raise ValueError(
                 f"character table is not multiplicative at the pair ({a}, {g})"
             )
-        self._set(p, n, exponents, relprec, labels)
+        self._set(p, n, exponents, labels)
 
     @classmethod
-    def _of(cls, p: int, level: int, exponents: tuple, relprec: int) -> "DirichletCharacter":
+    def _of(cls, p: int, level: int, exponents: tuple) -> "DirichletCharacter":
         """The character with these exponents on _generators(level), unchecked."""
         chi = cls.__new__(cls)
-        chi._set(p, level, exponents, relprec)
+        chi._set(p, level, exponents)
         return chi
 
-    def _set(self, p, level, exponents, relprec, labels=None):
+    def _set(self, p, level, exponents, labels=None):
         self.p = p
         self.level = level
-        self.relprec = relprec
         self.exponents = exponents
         self._gens = _generators(level)
         self._labels = labels
@@ -339,7 +342,7 @@ class DirichletCharacter:
 
     def _at(self, level: int) -> "DirichletCharacter":
         """The character with _exponents_at(level) at that level."""
-        return DirichletCharacter._of(self.p, level, self._exponents_at(level), self.relprec)
+        return DirichletCharacter._of(self.p, level, self._exponents_at(level))
 
     # ---------------- evaluation ----------------
 
@@ -351,12 +354,12 @@ class DirichletCharacter:
         prim = self.associated_primitive()
         return prim.labels[a % prim.level]
 
-    def value(self, a, relprec: int | None = None) -> PadicNum:
-        """chi(a) as a p-adic unit, for a unit a."""
-        n = relprec if relprec is not None else self.relprec
-        return PadicNum.from_unit(self.p, 0, teichmuller_int(self.p, self.label(a), n), n)
+    def value(self, a, relprec: int = DEFAULT_RELPREC) -> PadicNum:
+        """chi(a) as a p-adic unit at relative precision relprec, for a unit a."""
+        t = teichmuller_int(self.p, self.label(a), relprec)
+        return PadicNum.from_unit(self.p, 0, t, relprec)
 
-    def asso_eval(self, x, relprec: int | None = None) -> PadicNum:
+    def asso_eval(self, x, relprec: int = DEFAULT_RELPREC) -> PadicNum:
         """Extension by zero: chi on units, exact zero elsewhere."""
         x %= self.level
         if math.gcd(x, self.level) == 1:
@@ -422,8 +425,7 @@ class DirichletCharacter:
         m = self.p - 1
         exponents = tuple((x + y) % m for x, y in
                           zip(self._exponents_at(lev), other._exponents_at(lev)))
-        prod = DirichletCharacter._of(self.p, lev, exponents, min(self.relprec, other.relprec))
-        return prod.associated_primitive()
+        return DirichletCharacter._of(self.p, lev, exponents).associated_primitive()
 
     def is_even(self) -> bool:
         """chi(-1) = 1; every character here is even or odd, never neither."""
@@ -464,19 +466,19 @@ class DirichletCharacter:
         }
 
 
-def trivial_character(p: int, level: int = 1, relprec: int = DEFAULT_RELPREC) -> DirichletCharacter:
+def trivial_character(p: int, level: int = 1) -> DirichletCharacter:
     _require_prime_level(p, level)
-    return DirichletCharacter._of(p, level, (0,) * len(_generators(level)), relprec)
+    return DirichletCharacter._of(p, level, (0,) * len(_generators(level)))
 
 
-def make_teich_char(p: int, relprec: int = DEFAULT_RELPREC) -> DirichletCharacter:
+def make_teich_char(p: int) -> DirichletCharacter:
     """The Teichmuller character omega of level p (order p - 1).
 
     The generator of level p is congruent to r mod p, and omega sends it
     to omega(r): exponent 1.
     """
     require_odd_prime(p)
-    return DirichletCharacter._of(p, p, (1,), relprec)
+    return DirichletCharacter._of(p, p, (1,))
 
 
 def char_power(chi: DirichletCharacter, k: int) -> DirichletCharacter:
@@ -484,8 +486,7 @@ def char_power(chi: DirichletCharacter, k: int) -> DirichletCharacter:
     if k < 0:
         raise ValueError("use a nonnegative exponent (orders are finite)")
     m = chi.p - 1
-    return DirichletCharacter._of(chi.p, chi.level, tuple(e * k % m for e in chi.exponents),
-                                  chi.relprec)
+    return DirichletCharacter._of(chi.p, chi.level, tuple(e * k % m for e in chi.exponents))
 
 
 def decompose_coprime(chi: DirichletCharacter, m: int, n: int):
@@ -504,18 +505,31 @@ def decompose_coprime(chi: DirichletCharacter, m: int, n: int):
     return chi._at(m), chi._at(n)
 
 
-def load_table_character(path: str, relprec: int = DEFAULT_RELPREC) -> DirichletCharacter:
+def _refuse_repeated_keys(pairs: list) -> dict:
+    """json's object_pairs_hook: the object as a dict, or ValueError naming
+    a key it repeats, which json.load would otherwise drop silently."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen = set()
+        key = next(k for k, _ in pairs if k in seen or seen.add(k))
+        raise ValueError(f"character table file repeats the key {key!r}")
+    return obj
+
+
+def load_table_character(path: str) -> DirichletCharacter:
     """Load a character table file.
 
     Schema: { "p": int, "modulus": int, "entries": { "<a>": t_a, ... } }
     where each t_a is an integer coprime to p; the stored value at a is
     the Teichmuller lift of t_a.  A top level or entries that are not
     objects, and a p, modulus or t_a that is not an integer (a float, a
-    string, null), raise ValueError.  The constructor checks the table in
-    one pass (module docstring), naming an offending pair (a, g).
+    string, null), raise ValueError, and so do an object that repeats a
+    key and two keys that name one residue ("2" and " 02").  The
+    constructor checks the table in one pass (module docstring), naming
+    an offending pair (a, g).
     """
     with open(path) as fh:
-        obj = json.load(fh)
+        obj = json.load(fh, object_pairs_hook=_refuse_repeated_keys)
     if not isinstance(obj, dict):
         raise ValueError("a character table file must hold a JSON object")
     for key in ("p", "modulus", "entries"):
@@ -524,20 +538,30 @@ def load_table_character(path: str, relprec: int = DEFAULT_RELPREC) -> Dirichlet
     if not isinstance(obj["entries"], dict):
         raise ValueError("the 'entries' of a character table file must be a JSON object")
     p, modulus = (_as_int(obj[key], f"the character table's '{key}'") for key in ("p", "modulus"))
-    # the constructor reads the keys and labels as integers
-    return DirichletCharacter(p, modulus, obj["entries"], relprec)
+    raw = obj["entries"]
+    entries = {int(a): t for a, t in raw.items()}
+    if len(entries) < len(raw):
+        first: dict[int, str] = {}
+        for key in raw:
+            a = first.setdefault(int(key), key)
+            if a != key:
+                raise ValueError(
+                    f"character table keys {a!r} and {key!r} name one residue {int(key)}")
+    # the constructor reads the labels as integers
+    return DirichletCharacter(p, modulus, entries)
 
 
-def parse_character_spec(spec: str, p: int,
-                         relprec: int = DEFAULT_RELPREC) -> DirichletCharacter:
+def parse_character_spec(spec: str, p: int, relprec: int | None = None) -> DirichletCharacter:
     """Parse a character spec: "triv" | "omega^<k>" | "table:<path>".
 
     "triv" is the trivial character mod 1; "omega^k" is the k-th power of
     the Teichmuller character at level p.  change_level lifts either.
+    A character is exact: relprec is never read, and is accepted because
+    perfbench/reference.py passes it.
     """
     spec = spec.strip()
     if spec == "triv":
-        return trivial_character(p, 1, relprec)
+        return trivial_character(p, 1)
     if spec.startswith("omega^"):
         try:
             k = int(spec[len("omega^"):])
@@ -545,9 +569,9 @@ def parse_character_spec(spec: str, p: int,
             raise ValueError(f"bad character spec {spec!r}: exponent must be an integer")
         if k < 0:
             raise ValueError("omega exponents must be nonnegative")
-        return char_power(make_teich_char(p, relprec), k)
+        return char_power(make_teich_char(p), k)
     if spec.startswith("table:"):
-        chi = load_table_character(spec[len("table:"):], relprec)
+        chi = load_table_character(spec[len("table:"):])
         if chi.p != p:
             raise ValueError(f"table character is over p={chi.p}, expected p={p}")
         return chi

@@ -33,7 +33,7 @@ from .bernoulli import ProgressionPowerSum, bernoulli_poly
 from .dirichlet import DirichletCharacter, char_power, make_teich_char, teichmuller_int
 from .errors import NotMultipleOfConductor
 from .modarith import units_of
-from .padic import PadicNum, split_p_power
+from .padic import DEFAULT_RELPREC, PadicNum, split_p_power
 
 __all__ = [
     "chi_omega_minus_k",
@@ -54,7 +54,7 @@ def chi_omega_minus_k(chi: DirichletCharacter, k: int) -> DirichletCharacter:
     e = -k % (p - 1)
     psi = chi._twists.get(e)
     if psi is None:
-        psi = chi._twists[e] = chi * char_power(make_teich_char(p, chi.relprec), e)
+        psi = chi._twists[e] = chi * char_power(make_teich_char(p), e)
     return psi
 
 
@@ -68,11 +68,12 @@ def general_bernoulli_coeffs(chi: DirichletCharacter, m: int, F: int | None = No
 
     Expanding B_m(a/F) = sum_i C(m,i) * B_i * (a/F)^(m-i) gives
 
-        c_t = sum_i C(m,i) * B_i * F^(i-1) * S_(t,m-i),
+        c_t = sum over the same a of sum_i C(m,i) * B_i * F^(i-1) * a^(m-i).
 
-    where S_(t,j) is the sum of a^j over the same a.  So the loop over a
-    accumulates integer power sums only, and each c_t is one Fraction over
-    the common denominator of the weights C(m,i) * B_i * F^(i-1).
+    Over the common denominator den of the weights C(m,i) * B_i * F^(i-1),
+    with numerators n_i, each a adds the integer h(a) = sum_i n_i a^(m-i),
+    evaluated by Horner's rule, to its label's total, and c_t is that
+    total over den.
     """
     chi0 = chi.associated_primitive()
     f = chi0.level
@@ -80,24 +81,21 @@ def general_bernoulli_coeffs(chi: DirichletCharacter, m: int, F: int | None = No
         F = f
     if F < 1 or F % f:
         raise NotMultipleOfConductor(f"{F} is not a positive multiple of the conductor {f}")
-    labels = chi0.labels
-    sums: dict[int, list[int]] = {}
-    for a in range(1, F + 1):
-        t = labels.get(a % f)
-        if t is None:
-            continue
-        s = sums.setdefault(t, [0] * (m + 1))
-        x = 1
-        for j in range(m + 1):
-            s[j] += x
-            x *= a
     # C(m,i) * B_i is the coefficient of X^(m-i) in B_m(X)
     weights = [w * Fraction(F) ** (i - 1) for i, w in enumerate(reversed(bernoulli_poly(m)))]
     den = math.lcm(*(w.denominator for w in weights))
     nums = [int(w * den) for w in weights]
-    coeffs = {t: Fraction(sum(n * s[m - i] for i, n in enumerate(nums)), den)
-              for t, s in sums.items()}
-    return {t: c for t, c in coeffs.items() if c != 0}
+    labels = chi0.labels
+    totals: dict[int, int] = {}
+    for a in range(1, F + 1):
+        t = labels.get(a % f)
+        if t is None:
+            continue
+        h = 0
+        for n in nums:
+            h = h * a + n
+        totals[t] = totals.get(t, 0) + h
+    return {t: Fraction(h, den) for t, h in totals.items() if h}
 
 
 def _omega_sum(p: int, coeffs: dict, window: int) -> int:
@@ -123,10 +121,9 @@ def _embed_label_sum(p: int, coeffs: dict, relprec: int) -> PadicNum:
 
 
 def general_bernoulli(chi: DirichletCharacter, m: int,
-                      relprec: int | None = None) -> PadicNum:
+                      relprec: int = DEFAULT_RELPREC) -> PadicNum:
     """B_(m,chi) as a p-adic number (conductor-length sum)."""
-    n = relprec if relprec is not None else chi.relprec
-    return _embed_label_sum(chi.p, general_bernoulli_coeffs(chi, m), n)
+    return _embed_label_sum(chi.p, general_bernoulli_coeffs(chi, m), relprec)
 
 
 def _exact_label_sum(p: int, coeffs: dict):
@@ -207,42 +204,38 @@ def _unit_sum(psi: DirichletCharacter, d: int, j: int, k: int, relprec: int,
 
 
 def twisted_mean_truncation(chi: DirichletCharacter, k: int, j: int,
-                            relprec: int | None = None) -> PadicNum:
+                            relprec: int = DEFAULT_RELPREC) -> PadicNum:
     """The level-j mean (1/(d p^j)) * sum_{units a < d p^j} chi omega^(-k)(a) a^k.
 
     The 1/(d p^j) factor costs j digits of absolute precision, so callers
     should supply relprec at least j plus the valuation they intend to
     resolve.
     """
-    n = relprec if relprec is not None else chi.relprec
     p = chi.p
     d, _ = _twist_preconditions(chi, k, j)
-    s = _unit_sum(chi_omega_minus_k(chi, k), d, j, k, n)
-    return PadicNum.from_int_mod(p, s, n) * PadicNum.from_rational(p, Fraction(1, d * p**j), n)
+    s = _unit_sum(chi_omega_minus_k(chi, k), d, j, k, relprec)
+    return (PadicNum.from_int_mod(p, s, relprec)
+            * PadicNum.from_rational(p, Fraction(1, d * p**j), relprec))
 
 
 def twisted_mean_limit(chi: DirichletCharacter, k: int,
-                       relprec: int | None = None) -> PadicNum:
+                       relprec: int = DEFAULT_RELPREC) -> PadicNum:
     """The limit target (1 - chi omega^(-k)(p) p^(k-1)) * B_(k, chi omega^(-k))."""
-    n = relprec if relprec is not None else chi.relprec
     p = chi.p
     _twist_preconditions(chi, k, 1)
     psi = chi_omega_minus_k(chi, k)
-    euler = PadicNum.one(p, n) - psi.asso_eval(p % psi.level, n) * PadicNum.from_rational(
-        p, p ** (k - 1), n
-    )
-    return euler * general_bernoulli(psi, k, n)
+    at_p = psi.asso_eval(p % psi.level, relprec) * PadicNum.from_rational(p, p ** (k - 1), relprec)
+    return (PadicNum.one(p, relprec) - at_p) * general_bernoulli(psi, k, relprec)
 
 
 def unit_power_sum(chi: DirichletCharacter, k: int, j: int,
-                   relprec: int | None = None) -> PadicNum:
+                   relprec: int = DEFAULT_RELPREC) -> PadicNum:
     """sum over units a of d*p^j of chi omega^(-k)(a) * a^(k-1); tends to 0 in j.
 
     Odd k makes chi omega^(-k) odd (for even chi) and is rejected.
     """
-    n = relprec if relprec is not None else chi.relprec
     d, _ = _twist_preconditions(chi, k, j)
     if k % 2:
         raise ValueError("k must be even (parity mismatch otherwise)")
-    s = _unit_sum(chi_omega_minus_k(chi, k), d, j, k - 1, n)
-    return PadicNum.from_int_mod(chi.p, s, n)
+    s = _unit_sum(chi_omega_minus_k(chi, k), d, j, k - 1, relprec)
+    return PadicNum.from_int_mod(chi.p, s, relprec)

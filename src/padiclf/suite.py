@@ -147,7 +147,7 @@ def conductor_bruteforce(chi: DirichletCharacter) -> int:
                 break
             labels[u] = seen.pop()
         if ok:
-            cand = DirichletCharacter(chi.p, dd, labels, chi.relprec)
+            cand = DirichletCharacter(chi.p, dd, labels)
             if cand.change_level(chi.level) == chi:
                 return dd
     raise AssertionError("a character always factors through its own level")
@@ -367,7 +367,7 @@ def _increasing(vals) -> bool:
 def _c8_twisted_mean_convergence(seed):
     failures = []
     detail = {}
-    chi = char_power(make_teich_char(5, 18), 2)
+    chi = char_power(make_teich_char(5), 2)
     for k in (2, 4):
         target = twisted_mean_limit(chi, k, 18)
         vals = []
@@ -385,7 +385,7 @@ def _c8_twisted_mean_convergence(seed):
 def _c9_unit_sum_decay(seed):
     failures = []
     detail = {}
-    chi = char_power(make_teich_char(5, 18), 2)
+    chi = char_power(make_teich_char(5), 2)
     for k in (2, 4):
         vals = [unit_power_sum(chi, k, j, 18).valuation() for j in range(2, 6)]
         detail[f"k={k}"] = vals
@@ -398,14 +398,14 @@ def _c9_unit_sum_decay(seed):
 
 def _c10_interpolation(seed):
     results = []
-    chi5 = char_power(make_teich_char(5, 12), 2)
+    chi5 = char_power(make_teich_char(5), 2)
     for c in (2, 3):
         for n in (2, 4):
             params = LpParams(p=5, d=1, c=c, m=1, chi=chi5, relprec=12,
                               j_min=1, j_max=7, target_valuation=4)
             rep = verify_interpolation(params, n)
             results.append(("p=5", c, n, rep))
-    chi3 = char_power(make_teich_char(3, 12), 0)
+    chi3 = char_power(make_teich_char(3), 0)
     for n in (2, 4):
         params = LpParams(p=3, d=1, c=2, m=1, chi=chi3, relprec=12,
                           j_min=1, j_max=9, target_valuation=4)

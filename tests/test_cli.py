@@ -48,6 +48,15 @@ def test_genbernoulli_table_char(capsys, tmp_path):
     assert json.loads(out)["exact"] == "-1/3"
 
 
+@pytest.mark.parametrize("prec", [5, 11])
+def test_genbernoulli_value_has_the_requested_precision(capsys, prec):
+    # a character is exact: the precision of B_(n,chi) is the one asked for
+    code, out, _ = run_cli(capsys, "--prec", str(prec), "genbernoulli", "--p", "5",
+                           "--char", "omega^2", "--n", "4")
+    assert code == 0
+    assert json.loads(out)["value"]["relprec"] == prec
+
+
 def test_char_info(capsys):
     code, out, _ = run_cli(capsys, "char-info", "--p", "5", "--char", "omega^2")
     assert code == 0
@@ -89,6 +98,23 @@ def test_malformed_table_file_is_a_usage_error(capsys, tmp_path, table, message)
     # exit 1 means "verification failed"; a bad input file is exit 2
     path = tmp_path / "malformed.json"
     path.write_text(json.dumps(table))
+    code, out, err = run_cli(capsys, "char-info", "--p", "5", "--char", f"table:{path}")
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+# json.dumps cannot write a repeated key, so these files are written as text;
+# at the first two, int() reads both keys as one residue
+@pytest.mark.parametrize("entries, message", [
+    ('"1": 1, "2": 3, "3": 3, "4": 4, " 02": 2',
+     "character table keys '2' and ' 02' name one residue 2"),
+    ('"1": 1, "2": 3, "3": 2, "4": 4, "+4": 4',
+     "character table keys '4' and '+4' name one residue 4"),
+    ('"1": 1, "2": 3, "2": 2, "3": 3, "4": 4',
+     "character table file repeats the key '2'"),
+], ids=["padded-key", "signed-key", "repeated-key"])
+def test_keys_naming_one_residue_are_refused(capsys, tmp_path, entries, message):
+    path = tmp_path / "dup.json"
+    path.write_text('{"p": 5, "modulus": 5, "entries": {' + entries + '}}')
     code, out, err = run_cli(capsys, "char-info", "--p", "5", "--char", f"table:{path}")
     assert (code, out, err) == (2, "", f"error: {message}\n")
 

@@ -24,6 +24,7 @@ from padiclf.errors import (
     UnsupportedOrder,
 )
 from padiclf.modarith import units_of
+from padiclf.padic import DEFAULT_RELPREC
 from padiclf.suite import conductor_bruteforce, factors_through
 
 
@@ -107,17 +108,21 @@ class TestFactorize:
 
 class TestConstruction:
     def test_teich_char_tables(self):
-        om5 = make_teich_char(5, 3)
-        assert {a: om5.value(a).unit for a in om5.labels} == {1: 1, 2: 57, 3: 68, 4: 124}
-        om3 = make_teich_char(3, 4)
-        assert {a: om3.value(a).unit for a in om3.labels} == {1: 1, 2: 3**4 - 1}
+        om5 = make_teich_char(5)
+        assert {a: om5.value(a, 3).unit for a in om5.labels} == {1: 1, 2: 57, 3: 68, 4: 124}
+        om3 = make_teich_char(3)
+        assert {a: om3.value(a, 4).unit for a in om3.labels} == {1: 1, 2: 3**4 - 1}
 
     def test_values_are_roots_of_unity(self):
-        for chi in (make_teich_char(7, 5), trivial_character(7, 10),
-                    DirichletCharacter(5, 8, {1: 1, 3: 4, 5: 4, 7: 1})):
-            mod = chi.p**chi.relprec
+        for chi, relprec in ((make_teich_char(7), 5), (trivial_character(7, 10), 8),
+                             (DirichletCharacter(5, 8, {1: 1, 3: 4, 5: 4, 7: 1}), 8)):
+            mod = chi.p**relprec
             for a in chi.labels:
-                assert pow(chi.value(a).unit, chi.p - 1, mod) == 1
+                assert pow(chi.value(a, relprec).unit, chi.p - 1, mod) == 1
+
+    def test_keys_are_read_as_integers_not_parsed(self):
+        with pytest.raises(ValueError, match="key must be an integer, not '2'"):
+            DirichletCharacter(5, 3, {1: 1, "2": 4})
 
     def test_missing_entry_rejected(self):
         with pytest.raises(ValueError, match="missing"):
@@ -150,16 +155,17 @@ class TestConstruction:
 
 class TestAssoEval:
     def test_unit_value(self):
-        om5 = make_teich_char(5, 3)
-        assert om5.asso_eval(2).unit == 57
+        om5 = make_teich_char(5)
+        assert om5.asso_eval(2, 3).unit == 57
 
     def test_nonunit_is_exact_zero(self):
-        om5 = make_teich_char(5, 3)
+        om5 = make_teich_char(5)
         assert om5.asso_eval(0).is_exact_zero()
         assert trivial_character(5, 6).asso_eval(3).is_exact_zero()
 
     def test_precision_override(self):
-        om5 = make_teich_char(5, 3)
+        om5 = make_teich_char(5)
+        assert om5.asso_eval(2).relprec == DEFAULT_RELPREC
         assert om5.asso_eval(2, relprec=5).relprec == 5
 
 
@@ -335,8 +341,8 @@ class TestSpecsAndTables:
 
 def test_multiplicativity_invariant_on_all_paths():
     # construction, power, level change, and product keep tables multiplicative
-    for chi in (make_teich_char(7, 4),
-                char_power(make_teich_char(7, 4), 3).change_level(21),
+    for chi in (make_teich_char(7),
+                char_power(make_teich_char(7), 3).change_level(21),
                 make_teich_char(5) * DirichletCharacter(5, 3, {1: 1, 2: 4})):
         units = units_of(chi.level)
         for a in units:

@@ -18,6 +18,7 @@ from padiclf.genbernoulli import (
     twisted_mean_truncation,
     unit_power_sum,
 )
+from padiclf.modarith import units_of
 from padiclf.padic import PadicNum, eq_mod
 from test_character_validation import genuine_tables
 
@@ -71,7 +72,7 @@ class TestGeneralBernoulli:
                 general_bernoulli_coeffs_fraction(chi, m, F)
 
     def test_f_independence_embedded(self):
-        om3 = char_power(make_teich_char(5, 10), 3)
+        om3 = char_power(make_teich_char(5), 3)
         a = general_bernoulli(om3, 3, 10)
         b = _embed_label_sum(5, general_bernoulli_coeffs(om3, 3, 15), 10)
         assert a == b
@@ -87,7 +88,7 @@ class TestGeneralBernoulli:
 
     def test_index_zero_is_character_orthogonality(self):
         # B_(0,chi) = (1/f) sum chi(a), zero for every nontrivial character
-        om = make_teich_char(5, 10)
+        om = make_teich_char(5)
         for chi in [QUAD3] + [char_power(om, k) for k in range(1, 4)]:
             exact = general_bernoulli_exact(chi, 0)
             if exact is not None:
@@ -96,7 +97,7 @@ class TestGeneralBernoulli:
 
     def test_parity_vanishing(self):
         # B_(m,chi) = 0 for m >= 1 unless chi(-1) = (-1)^m, except (trivial, m=1)
-        om = make_teich_char(5, 10)
+        om = make_teich_char(5)
         chars = [QUAD3] + [char_power(om, k) for k in range(4)]
         for chi in chars:
             sign = 1 if chi.is_even() else -1
@@ -113,7 +114,7 @@ class TestGeneralBernoulli:
 
     def test_parity_vanishing_exact_for_irrational_values(self):
         # exact oracle over the Q-basis {1, i} of the 4th roots of unity at p=5
-        om = make_teich_char(5, 10)
+        om = make_teich_char(5)
         for k in (1, 3):
             chi = char_power(om, k)  # odd character
             for m in (2, 4, 6):
@@ -124,9 +125,45 @@ class TestGeneralBernoulli:
                 assert coeffs.get(2, Fraction(0)) == coeffs.get(3, Fraction(0))
 
 
+@st.composite
+def omega_power_paths(draw):
+    """omega^k, k even, at one level L = p*mult, built along five paths
+    that must give equal characters."""
+    p = draw(st.sampled_from([3, 5, 7]))
+    k = draw(st.sampled_from(range(0, p - 1, 2)))
+    j = draw(st.integers(0, p - 2))
+    L = p * draw(st.sampled_from([1, 2, 3, 4, 6]))
+    omega = make_teich_char(p)
+    table = DirichletCharacter(p, L, {a: pow(a, k, p) for a in units_of(L)})
+    return [
+        table,
+        char_power(omega, k).change_level(L),
+        (char_power(omega, j) * char_power(omega, (k - j) % (p - 1))).change_level(L),
+        char_power(omega.change_level(L), k),
+        table.associated_primitive().change_level(L),
+    ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(chars=omega_power_paths(), n=st.integers(0, 6), twist=st.integers(1, 4),
+       relprec=st.integers(1, 20))
+def test_equal_characters_evaluate_alike(chars, n, twist, relprec):
+    # a character carries no precision: equal characters, however they were
+    # built, give the same value at the precision each evaluation is given
+    assert len(set(chars)) == 1
+    chi = chars[0]
+    units = units_of(chi.level)
+    want = (general_bernoulli(chi, n, relprec), twisted_mean_limit(chi, twist, relprec),
+            [chi.value(a, relprec) for a in units])
+    assert all(v.relprec == relprec for v in want[2])
+    for psi in chars[1:]:
+        assert (general_bernoulli(psi, n, relprec), twisted_mean_limit(psi, twist, relprec),
+                [psi.value(a, relprec) for a in units]) == want
+
+
 class TestTwistedMeans:
     def setup_method(self):
-        self.chi = char_power(make_teich_char(5, 16), 2)
+        self.chi = char_power(make_teich_char(5), 2)
 
     def test_twist_identities(self):
         assert chi_omega_minus_k(self.chi, 2) == trivial_character(5, 1)
@@ -167,7 +204,7 @@ class TestTwistedMeans:
                 for j in range(2, 6)] == [3, 5, 7, 9]
 
     def test_preconditions(self):
-        odd_chi = make_teich_char(5, 8)
+        odd_chi = make_teich_char(5)
         with pytest.raises(ValueError, match="even"):
             twisted_mean_truncation(odd_chi, 2, 2)
         with pytest.raises(ValueError, match="k must be even"):

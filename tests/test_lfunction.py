@@ -22,12 +22,12 @@ from padiclf.modarith import partition_range
 from padiclf.padic import PadicNum, eq_mod
 
 
-def omega2(relprec=12):
-    return char_power(make_teich_char(5, relprec), 2)
+def omega2():
+    return char_power(make_teich_char(5), 2)
 
 
 def main_params(c=2, relprec=12, j_max=7, target=4):
-    return LpParams(p=5, d=1, c=c, m=1, chi=omega2(relprec), relprec=relprec,
+    return LpParams(p=5, d=1, c=c, m=1, chi=omega2(), relprec=relprec,
                     j_min=1, j_max=j_max, target_valuation=target)
 
 
@@ -71,12 +71,12 @@ class TestLpParams:
         with pytest.raises(ValueError, match="level"):
             LpParams(p=5, d=1, c=2, m=2, chi=chi)
         with pytest.raises(ValueError, match="even"):
-            LpParams(p=5, d=1, c=2, m=1, chi=make_teich_char(5, 12))
+            LpParams(p=5, d=1, c=2, m=1, chi=make_teich_char(5))
         with pytest.raises(ValueError, match="j_max"):
             LpParams(p=5, d=1, c=2, m=2, chi=omega2().change_level(25), j_max=1)
 
     def test_d_must_divide_conductor(self):
-        chi = omega2(8).change_level(15)
+        chi = omega2().change_level(15)
         with pytest.raises(ValueError, match="conductor"):
             LpParams(p=5, d=3, c=2, m=1, chi=chi)
 
@@ -203,7 +203,7 @@ class TestClosedForm:
         assert eq_mod(got, want, 12)
 
     def test_p3_values(self):
-        chi3 = char_power(make_teich_char(3, 12), 0)
+        chi3 = char_power(make_teich_char(3), 0)
         params = LpParams(p=3, d=1, c=2, m=1, chi=chi3, relprec=12, j_max=9)
         # <2> = -2 exactly at p=3; targets (1/2)(1-4)(1-3)B_2 and (1/4)(1-16)(1-27)B_4;
         # the 3-divisible factor (1 - <2>^2) = -3 costs one tracked digit
@@ -216,7 +216,7 @@ class TestClosedForm:
         # chi omega^(-4) = omega^2 has conductor 5, so the factor at p is 1
         params = main_params()
         got = special_value_closed_form(params, 4)
-        psi = char_power(make_teich_char(5, 12), 2)
+        psi = char_power(make_teich_char(5), 2)
         assert psi.asso_eval(0).is_exact_zero()
         assert eq_mod(got, PadicNum.from_rational(5, -34, 12), 12)
 
@@ -273,7 +273,7 @@ def grid_points(draw):
 @settings(max_examples=60, deadline=None)
 def test_claimed_digits_match_closed_form(point, k, relprec, j_max):
     p, e, c = point
-    chi = char_power(make_teich_char(p, 30), e)
+    chi = char_power(make_teich_char(p), e)
     params = LpParams(p=p, d=1, c=c, m=1, chi=chi, relprec=relprec, j_max=j_max)
     value = p_adic_L(params, Weight(k)).value
     assert eq_mod(value, special_value_closed_form(params, k + 1, 30), value.abs_precision)
