@@ -11,7 +11,6 @@ from .bernoulli import (
     bernoulli,
     bernoulli_poly,
     bernoulli_poly_eval,
-    bernoulli_prime,
 )
 from .dirichlet import (
     DirichletCharacter,

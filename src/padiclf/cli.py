@@ -39,31 +39,35 @@ def _frac_str(q: Fraction) -> str:
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     # built once per process: building costs about 15 times a parse
+    # no parser reads a prefix of a flag as the flag: the top parser would
+    # otherwise take a subcommand's --p, given before the subcommand, as --prec
     top = argparse.ArgumentParser(
         prog="padiclf",
         description="Exact p-adic L-values from Bernoulli-measure Riemann sums.",
+        allow_abbrev=False,
     )
     top.add_argument("--prec", type=int, default=DEFAULT_RELPREC,
                      help="working relative precision")
     top.add_argument("--seed", type=int, default=0, help="seed for randomized sweeps")
     sub = top.add_subparsers(dest="command", required=True)
+    add_parser = functools.partial(sub.add_parser, allow_abbrev=False)
 
-    q = sub.add_parser("bernoulli", help="exact Bernoulli number and polynomial")
+    q = add_parser("bernoulli", help="exact Bernoulli number and polynomial")
     q.add_argument("--n", type=int, required=True)
     q.set_defaults(run=_cmd_bernoulli)
 
-    g = sub.add_parser("genbernoulli", help="generalized Bernoulli number")
+    g = add_parser("genbernoulli", help="generalized Bernoulli number")
     g.add_argument("--p", type=int, required=True)
     g.add_argument("--char", required=True, help='"triv" | "omega^<k>" | "table:<path>"')
     g.add_argument("--n", type=int, required=True)
     g.set_defaults(run=_cmd_genbernoulli)
 
-    ci = sub.add_parser("char-info", help="level, conductor, parity of a character")
+    ci = add_parser("char-info", help="level, conductor, parity of a character")
     ci.add_argument("--p", type=int, required=True)
     ci.add_argument("--char", required=True)
     ci.set_defaults(run=_cmd_char_info)
 
-    mc = sub.add_parser("measure-check", help="distribution and boundedness sweeps")
+    mc = add_parser("measure-check", help="distribution and boundedness sweeps")
     mc.add_argument("--p", type=int, required=True)
     mc.add_argument("--d", type=int, required=True)
     mc.add_argument("--c", type=int, required=True)
@@ -73,7 +77,7 @@ def _build_parser() -> argparse.ArgumentParser:
     for name, weight, help_, run in (
             ("lp-eval", "--weight-k", "evaluate the p-adic L-function at a weight", _cmd_lp_eval),
             ("verify", "--n", "check interpolation at a negative integer", _cmd_verify)):
-        lp = sub.add_parser(name, help=help_)
+        lp = add_parser(name, help=help_)
         for flag in ("--p", "--d", "--m", "--c", weight):
             lp.add_argument(flag, type=int, required=True)
         lp.add_argument("--jmax", type=int, default=LpParams.j_max)
@@ -85,7 +89,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="override the global precision")
         lp.set_defaults(run=run)
 
-    st = sub.add_parser("suite", help="run the bundled verification suite")
+    st = add_parser("suite", help="run the bundled verification suite")
     st.add_argument("--profile", choices=("fast", "full"), default="fast")
     st.set_defaults(run=_cmd_suite)
     return top

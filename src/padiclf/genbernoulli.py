@@ -29,7 +29,7 @@ import math
 from collections.abc import Sequence
 from fractions import Fraction
 
-from .bernoulli import ProgressionPowerSum, bernoulli_poly
+from .bernoulli import ProgressionPowerSum, bernoulli_poly_int
 from .dirichlet import DirichletCharacter, char_power, make_teich_char, teichmuller_int
 from .errors import NotMultipleOfConductor
 from .modarith import units_of
@@ -70,10 +70,10 @@ def general_bernoulli_coeffs(chi: DirichletCharacter, m: int, F: int | None = No
 
         c_t = sum over the same a of sum_i C(m,i) * B_i * F^(i-1) * a^(m-i).
 
-    Over the common denominator den of the weights C(m,i) * B_i * F^(i-1),
-    with numerators n_i, each a adds the integer h(a) = sum_i n_i a^(m-i),
-    evaluated by Horner's rule, to its label's total, and c_t is that
-    total over den.
+    With B_m(X)'s integer form (den, nums), C(m,i) * B_i = nums[m-i] / den,
+    so the weights are n_i / (den F) with n_i = nums[m-i] * F^i.  Each a
+    adds the integer h(a) = sum_i n_i a^(m-i), evaluated by Horner's rule,
+    to its label's total, and c_t is that total over den F.
     """
     chi0 = chi.associated_primitive()
     f = chi0.level
@@ -81,10 +81,12 @@ def general_bernoulli_coeffs(chi: DirichletCharacter, m: int, F: int | None = No
         F = f
     if F < 1 or F % f:
         raise NotMultipleOfConductor(f"{F} is not a positive multiple of the conductor {f}")
-    # C(m,i) * B_i is the coefficient of X^(m-i) in B_m(X)
-    weights = [w * Fraction(F) ** (i - 1) for i, w in enumerate(reversed(bernoulli_poly(m)))]
-    den = math.lcm(*(w.denominator for w in weights))
-    nums = [int(w * den) for w in weights]
+    den, nums = bernoulli_poly_int(m)
+    # n_i = nums[m-i] * F^i for i = 0..m, that of a^m first
+    weights, F_power = [], 1
+    for num in reversed(nums):
+        weights.append(num * F_power)
+        F_power *= F
     labels = chi0.labels
     totals: dict[int, int] = {}
     for a in range(1, F + 1):
@@ -92,10 +94,10 @@ def general_bernoulli_coeffs(chi: DirichletCharacter, m: int, F: int | None = No
         if t is None:
             continue
         h = 0
-        for n in nums:
+        for n in weights:
             h = h * a + n
         totals[t] = totals.get(t, 0) + h
-    return {t: Fraction(h, den) for t, h in totals.items() if h}
+    return {t: Fraction(h, den * F) for t, h in totals.items() if h}
 
 
 def _omega_sum(p: int, coeffs: dict, window: int) -> int:
@@ -174,33 +176,43 @@ def _unit_sum(psi: DirichletCharacter, d: int, j: int, k: int, relprec: int,
     (r a unit mod L), each ending at its first term >= D.  On each run of
     s sharing one t, a = c r - D t + c L s is a progression of step c L
     on which psi takes its value at c r mod L (this needs L | D when
-    c > 1), and the sum of a^k over it has a closed form
-    (bernoulli.ProgressionPowerSum).  The progression sums are added up
-    per label of psi, and each label is lifted once.  Cost:
+    c > 1), and the sum of a^k over it is (H(u1) - H(u0)) / div in the
+    closed form of bernoulli.ProgressionPowerSum.  H is evaluated by
+    Horner's rule on unreduced ints, with no reduction per step; the
+    weighted differences w (H(u1) - H(u0)) are added up per label of psi,
+    each label's total is an exact multiple of div and takes one
+    `% mod // div`, and each label is lifted once.  Cost:
     O(phi(L) * min(c, D/L + 1) * k) integer operations, whatever j.
     """
     p = psi.p
-    P = p**relprec
     c = len(weights)
     D = d * p**j
     L = math.lcm(psi.level, d * p)
-    labels, q = psi.labels, psi.level
     step = c * L
-    power_sum = ProgressionPowerSum(k, step, P)
+    # built first: a degree past bernoulli.MAX_BERNOULLI_DEGREE is refused
+    # before the label table is
+    power_sum = ProgressionPowerSum(k, step, p**relprec)
+    horner, mod, div = power_sum.horner, power_sum.mod, power_sum.div
+    labels, q = psi.labels, psi.level
     by_label: dict[int, int] = {}
     for r in units_of(L):
+        label = labels[c * r % q]
+        acc = by_label.get(label, 0)
         # y = c*b runs over c*r + step*s up to c times the first r + L*s >= D
         y, end = c * r, c * (r - (r - D) // L * L)
-        inner = 0
         while y < end:
             t = y // D
             # the first y of the progression at or past (t+1)*D, capped at end
             y1 = min(end, y + -((y - (t + 1) * D) // step) * step)
-            inner += weights[t] * power_sum(y - t * D, y1 - t * D)
+            u0, u1 = y - t * D, y1 - t * D
+            h0 = h1 = 0
+            for h in horner:
+                h0 = h0 * u0 + h
+                h1 = h1 * u1 + h
+            acc += weights[t] * (h1 - h0)
             y = y1
-        t = labels[c * r % q]
-        by_label[t] = by_label.get(t, 0) + inner
-    return _omega_sum(p, by_label, relprec)
+        by_label[label] = acc
+    return _omega_sum(p, {t: h % mod // div for t, h in by_label.items()}, relprec)
 
 
 def twisted_mean_truncation(chi: DirichletCharacter, k: int, j: int,

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from math import comb
 
 from padiclf.bernoulli import bernoulli_poly_eval
 from padiclf.dirichlet import teichmuller_int
@@ -25,6 +26,23 @@ from padiclf.measure import (
 )
 from padiclf.modarith import crt_combine, divisors, units_of
 from padiclf.padic import DEFAULT_RELPREC, PadicNum, split_p_power
+
+
+_BPRIME = [Fraction(1)]  # B'_0, extended on demand
+
+
+def bernoulli_prime(n: int) -> Fraction:
+    """B'_n = (-1)^n B_n (so B'_1 = +1/2), exact and memoized, by the O(n^2)
+    recurrence B'_n = 1 - sum_{k=0}^{n-1} C(n, k) * B'_k / (n - k + 1)."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    while len(_BPRIME) <= n:
+        m = len(_BPRIME)
+        acc = Fraction(1)
+        for k in range(m):
+            acc -= comb(m, k) * _BPRIME[k] / (m - k + 1)
+        _BPRIME.append(acc)
+    return _BPRIME[n]
 
 
 def _fract(x: Fraction) -> Fraction:

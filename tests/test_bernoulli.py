@@ -1,20 +1,52 @@
+import math
+import sys
 from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import bernoulli_prime
 from padiclf.bernoulli import (
+    MAX_BERNOULLI_DEGREE,
+    ProgressionPowerSum,
     bernoulli,
     bernoulli_poly,
     bernoulli_poly_eval,
-    bernoulli_prime,
+    bernoulli_poly_int,
 )
+from padiclf.dirichlet import make_teich_char
+from padiclf.errors import CostLimitExceeded
+from padiclf.genbernoulli import general_bernoulli_coeffs
+
+# the module, not the function the package exports under its name
+bernoulli_module = sys.modules["padiclf.bernoulli"]
 
 
 def test_bernoulli_prime_base_cases():
     assert bernoulli_prime(0) == 1
     assert bernoulli_prime(1) == Fraction(1, 2)
     assert bernoulli_prime(2) == Fraction(1, 6)
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(0, 300))
+def test_tangent_numbers_match_the_recurrence(n):
+    assert bernoulli(n) == (-1) ** n * bernoulli_prime(n)
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(0, 300))
+def test_integer_form_matches_the_polynomial(n):
+    den, nums = bernoulli_poly_int(n)
+    poly = bernoulli_poly(n)
+    # the coefficient of X^i is C(n, i) B_(n-i)
+    assert poly == tuple(comb(n, i) * (-1) ** (n - i) * bernoulli_prime(n - i)
+                         for i in range(n + 1))
+    assert den == math.lcm(*(c.denominator for c in poly))
+    assert all(type(num) is int for num in nums)
+    assert tuple(Fraction(num, den) for num in nums) == poly
 
 
 def test_bernoulli_signs():
@@ -83,6 +115,51 @@ def test_faulhaber():
 
 def test_negative_index_rejected():
     with pytest.raises(ValueError):
-        bernoulli_prime(-1)
+        bernoulli(-1)
     with pytest.raises(ValueError):
         bernoulli_poly(-2)
+
+
+class TestDegreeLimit:
+    @pytest.fixture
+    def fresh_table(self, monkeypatch):
+        """An empty table whose first tangent number raises Started."""
+
+        class Started(Exception):
+            pass
+
+        def started():
+            raise Started
+
+        for name, empty in (("_TABLE", [(1, 1)]), ("_COLUMN", []),
+                            ("_BPOLY_INT", {}), ("_BPOLY", {})):
+            monkeypatch.setattr(bernoulli_module, name, empty)
+        monkeypatch.setattr(bernoulli_module, "_next_tangent", started)
+        return Started
+
+    def test_refused_just_past_the_limit_before_any_work(self, fresh_table):
+        assert MAX_BERNOULLI_DEGREE == 2000
+        at_limit = (lambda: bernoulli(2000), lambda: bernoulli_poly(2000),
+                    lambda: bernoulli_poly_eval(2000, 1),
+                    lambda: ProgressionPowerSum(1999, 3, 7))
+        for call in at_limit:
+            with pytest.raises(fresh_table):
+                call()
+        chi = make_teich_char(5)
+        past = (lambda: bernoulli(2001), lambda: bernoulli_poly(2001),
+                lambda: ProgressionPowerSum(2000, 3, 7),
+                lambda: general_bernoulli_coeffs(chi, 2001))
+        for call in past:
+            with pytest.raises(CostLimitExceeded,
+                               match="B_2001 is past the maximum Bernoulli degree 2000"):
+                call()
+        with pytest.raises(CostLimitExceeded, match="B_20000 is past"):
+            bernoulli(20000)
+
+    def test_table_grows_in_blocks(self, monkeypatch):
+        monkeypatch.setattr(bernoulli_module, "_TABLE", [(1, 1)])
+        monkeypatch.setattr(bernoulli_module, "_COLUMN", [])
+        assert bernoulli(2) == Fraction(1, 6)
+        assert len(bernoulli_module._TABLE) == 65 and len(bernoulli_module._COLUMN) == 32
+        assert bernoulli(65) == 0
+        assert len(bernoulli_module._TABLE) == 129

@@ -124,6 +124,34 @@ def test_unknown_flag_usage_error(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    # --p before the subcommand is not a prefix of the global --prec
+    ["--p", "5", "genbernoulli", "--p", "7", "--char", "omega^2", "--n", "2"],
+    ["--pre", "5", "bernoulli", "--n", "2"],
+    ["measure-check", "--p", "5", "--d", "1", "--c", "2", "--max", "1"],
+    ["lp-eval", "--p", "5", "--d", "1", "--m", "1", "--char", "omega^2", "--c", "2",
+     "--weight", "1"],
+])
+def test_abbreviated_flag_is_a_usage_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert "error:" in err
+
+
+@pytest.mark.parametrize("argv, degree", [
+    (["bernoulli", "--n", "20000"], 20000),
+    (["lp-eval", "--p", "5", "--d", "1", "--m", "1", "--char", "omega^2", "--c", "2",
+      "--weight-k", "20000"], 20001),
+    (["genbernoulli", "--p", "5", "--char", "omega^2", "--n", "20000"], 20000),
+    (["verify", "--p", "5", "--d", "1", "--m", "1", "--char", "omega^2", "--c", "2",
+      "--n", "2001"], 2001),
+])
+def test_bernoulli_degree_past_the_limit_is_refused(capsys, argv, degree):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: B_{degree} is past the maximum Bernoulli degree 2000\n"
+
+
 def test_parser_reused_across_calls(capsys):
     # one process, three calls on the parser that is built once: a usage
     # error that sets the global --prec, then the same lp-eval twice

@@ -14,6 +14,7 @@ division; the brute-force sums are kept under 10^5 terms.
 
 import json
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -124,3 +125,33 @@ def test_twisted_unit_sum_matches_oracle(table_dir, char, k, j, shift, c):
         fast = PadicNum.from_int_mod(p, total, RELPREC)
         assert fast == slow
         assert fast.abs_precision == slow.abs_precision
+
+
+def test_warm_power_sum_and_unit_sum_make_no_fraction(monkeypatch):
+    # the Horner coefficients come from the cached integer form of B_(k+1),
+    # and the kernel works in ints: once warm, neither makes a Fraction
+    chi = parse_character_spec("omega^2", 5).change_level(25)
+    psi = chi_omega_minus_k(chi, 4)
+    weights = range(2, -4, -2)
+    expected = _unit_sum(psi, 1, 3, 3, RELPREC, weights)
+    ProgressionPowerSum(3, 75, 5**RELPREC)
+    made = []
+    new = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counted))
+    if "_from_coprime_ints" in vars(Fraction):  # arithmetic bypasses __new__ on 3.12+
+        from_ints = vars(Fraction)["_from_coprime_ints"].__func__
+
+        def counted_ints(cls, *args):
+            made.append(args)
+            return from_ints(cls, *args)
+
+        monkeypatch.setattr(Fraction, "_from_coprime_ints", classmethod(counted_ints))
+    power_sum = ProgressionPowerSum(3, 75, 5**RELPREC)
+    assert _unit_sum(psi, 1, 3, 3, RELPREC, weights) == expected
+    assert power_sum(2, 2 + 75 * 4) == sum(u**3 for u in range(2, 302, 75)) % 5**RELPREC
+    assert made == []
