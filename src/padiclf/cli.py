@@ -32,8 +32,30 @@ def _emit(obj) -> None:
     sys.stdout.write(json.dumps(obj) + "\n")
 
 
+# fewer digits than the least limit Python allows on converting an int to
+# a string (640), so that each block converts
+_BLOCK_DIGITS = 600
+
+
+def _int_str(n: int) -> str:
+    """str(n) at any length.  Past sys.get_int_max_str_digits() (4300 by
+    default) str() refuses, a guard meant for parsing untrusted strings,
+    so a longer n is written 600 digits at a time."""
+    try:
+        return str(n)
+    except ValueError:
+        pass
+    sign, n = ("-", -n) if n < 0 else ("", n)
+    block = 10**_BLOCK_DIGITS
+    blocks = []
+    while n >= block:
+        n, r = divmod(n, block)
+        blocks.append(f"{r:0{_BLOCK_DIGITS}d}")
+    return sign + str(n) + "".join(reversed(blocks))
+
+
 def _frac_str(q: Fraction) -> str:
-    return f"{q.numerator}/{q.denominator}"
+    return f"{_int_str(q.numerator)}/{_int_str(q.denominator)}"
 
 
 @functools.cache

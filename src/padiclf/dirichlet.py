@@ -13,6 +13,22 @@ of q.
 A character is exact: it carries no precision, and each evaluation
 (value, asso_eval, those of padiclf.genbernoulli) takes its own.
 
+A character is a value, and one value is one object, so that what a
+character keeps (its label table, conductor, primitive character and
+twists) is built once per value in a process, not once per call.  Every
+character built from exponents (omega and its powers, the trivial
+character, a change of level, a product, a primitive character) comes
+from DirichletCharacter._of, which keeps the last INTERNED_CHARACTERS
+(128) values it made, keyed by (p, level, exponents): since exponents
+are reduced mod p - 1, the key is exactly equality.  A table file is
+kept by its whole text, the last CACHED_TABLE_TEXTS (32) texts read
+(load_table_character): a file that changes in any byte is checked
+again, and an error is never kept.  At worst the two caches hold
+128 + 32 characters with a label table of MAX_TABLE_UNITS entries each,
+1.6 * 10^8 entries, and the 32 texts of such tables; a held character
+also keeps its primitive character and twists alive, each with a table
+of its own, after the cache has let them go.
+
 A character is stored as (p, level, exponents): chi(g_i) = omega(r)^e_i
 at the i-th generator g_i of the level, with r the least primitive root
 mod p and e_i taken mod p - 1.  Characters whose order does not divide
@@ -96,6 +112,10 @@ __all__ = [
 MAX_TRIAL_DIVISOR = 10**6
 # the most entries a label table is built with (_label_table)
 MAX_TABLE_UNITS = 10**6
+# the characters kept by DirichletCharacter._of, and the table texts by
+# _table_character (module docstring)
+INTERNED_CHARACTERS = 128
+CACHED_TABLE_TEXTS = 32
 
 _TEICH_CACHE: dict[tuple[int, int], dict[int, int]] = {}
 
@@ -250,7 +270,10 @@ def _missing_units(n: int, labels: dict, count: int) -> list[int]:
 
 
 def _as_int(x, what: str) -> int:
-    """operator.index(x), which refuses floats and None, or ValueError naming `what`."""
+    """operator.index(x), which refuses floats and None, or ValueError naming
+    `what`; a bool, which operator.index reads as 0 or 1, is refused too."""
+    if isinstance(x, bool):
+        raise ValueError(f"{what} must be an integer, not {x!r}")
     try:
         return operator.index(x)
     except TypeError:
@@ -318,8 +341,10 @@ class DirichletCharacter:
         self._set(p, n, exponents, labels)
 
     @classmethod
+    @functools.lru_cache(maxsize=INTERNED_CHARACTERS)
     def _of(cls, p: int, level: int, exponents: tuple) -> "DirichletCharacter":
-        """The character with these exponents on _generators(level), unchecked."""
+        """The character with these exponents on _generators(level), unchecked:
+        one shared instance per value (module docstring)."""
         chi = cls.__new__(cls)
         chi._set(p, level, exponents)
         return chi
@@ -523,13 +548,31 @@ def load_table_character(path: str) -> DirichletCharacter:
     where each t_a is an integer coprime to p; the stored value at a is
     the Teichmuller lift of t_a.  A top level or entries that are not
     objects, and a p, modulus or t_a that is not an integer (a float, a
-    string, null), raise ValueError, and so do an object that repeats a
-    key and two keys that name one residue ("2" and " 02").  The
-    constructor checks the table in one pass (module docstring), naming
-    an offending pair (a, g).
+    string, null, true or false), raise ValueError, and so do an object
+    that repeats a key and two keys that name one residue ("2" and
+    " 02").  The constructor checks the table in one pass (module
+    docstring), naming an offending pair (a, g).
+
+    The file is read on every call, and its whole text is the key under
+    which the checked character is kept: the last CACHED_TABLE_TEXTS (32)
+    texts read, so a file that changes in any byte is checked again, and
+    one that fails fails on every call.  One text thus gives one object,
+    and the characters derived from it are interned (module docstring).
+    At worst the kept characters hold 32 label tables of MAX_TABLE_UNITS
+    entries, 3.2 * 10^7 entries, besides their 32 texts.
     """
     with open(path) as fh:
-        obj = json.load(fh, object_pairs_hook=_refuse_repeated_keys)
+        text = fh.read()
+    return _table_character(text)
+
+
+@functools.lru_cache(maxsize=CACHED_TABLE_TEXTS)
+def _table_character(text: str) -> DirichletCharacter:
+    """The character a table file's text holds (load_table_character).
+
+    lru_cache keeps results only, so an error is raised afresh each time.
+    """
+    obj = json.loads(text, object_pairs_hook=_refuse_repeated_keys)
     if not isinstance(obj, dict):
         raise ValueError("a character table file must hold a JSON object")
     for key in ("p", "modulus", "entries"):
@@ -547,7 +590,10 @@ def load_table_character(path: str) -> DirichletCharacter:
             if a != key:
                 raise ValueError(
                     f"character table keys {a!r} and {key!r} name one residue {int(key)}")
-    # the constructor reads the labels as integers
+    # the constructor reads the labels as integers, and would read true as 1
+    if set(map(type, entries.values())) - {int}:
+        for a, t in entries.items():
+            _as_int(t, f"the character table label at {a}")
     return DirichletCharacter(p, modulus, entries)
 
 
@@ -572,6 +618,7 @@ def parse_character_spec(spec: str, p: int, relprec: int | None = None) -> Diric
         return char_power(make_teich_char(p), k)
     if spec.startswith("table:"):
         chi = load_table_character(spec[len("table:"):])
+        # outside the table cache, which one text serves whatever p is asked
         if chi.p != p:
             raise ValueError(f"table character is over p={chi.p}, expected p={p}")
         return chi

@@ -1,15 +1,41 @@
+import contextlib
 import json
+import sys
+from fractions import Fraction
 
 import pytest
 
 from padiclf import dirichlet
-from padiclf.cli import _build_parser, main
+from padiclf.cli import _build_parser, _int_str, main
+from padiclf.padic import PadicNum
 
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
     out, err = capsys.readouterr()
     return code, out, err
+
+
+def clear_character_caches():
+    # characters are interned and table files kept by text, so the tables
+    # that earlier calls in this process built would otherwise be reused
+    dirichlet.DirichletCharacter._of.cache_clear()
+    dirichlet._table_character.cache_clear()
+
+
+@pytest.fixture
+def empty_character_caches():
+    clear_character_caches()
+
+
+@contextlib.contextmanager
+def no_int_str_limit():
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_bernoulli_value(capsys):
@@ -92,14 +118,42 @@ def test_bad_table_names_pair(capsys, tmp_path):
      "the character table's 'p' must be an integer, not 5.5"),
     ({"p": 5, "modulus": 5, "entries": {"1": 1, "2": 4.7, "3": 3, "4": 4}},
      "the character table label at 2 must be an integer, not 4.7"),
+    # operator.index reads true as 1 and false as 0
+    ({"p": 5, "modulus": 3, "entries": {"1": True, "2": 4}},
+     "the character table label at 1 must be an integer, not True"),
+    ({"p": 5, "modulus": 3, "entries": {"1": 1, "2": False}},
+     "the character table label at 2 must be an integer, not False"),
+    ({"p": True, "modulus": 3, "entries": {"1": 1, "2": 4}},
+     "the character table's 'p' must be an integer, not True"),
+    ({"p": 5, "modulus": True, "entries": {"0": 1}},
+     "the character table's 'modulus' must be an integer, not True"),
 ], ids=["entries-list", "null-label", "null-modulus", "top-level-int", "float-p",
-        "float-label"])
+        "float-label", "true-label", "false-label", "true-p", "true-modulus"])
 def test_malformed_table_file_is_a_usage_error(capsys, tmp_path, table, message):
     # exit 1 means "verification failed"; a bad input file is exit 2
     path = tmp_path / "malformed.json"
     path.write_text(json.dumps(table))
     code, out, err = run_cli(capsys, "char-info", "--p", "5", "--char", f"table:{path}")
     assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_a_table_file_is_checked_again_when_its_text_changes(capsys, tmp_path):
+    # the checked character is kept by the file's text, not by its path,
+    # and an error is never kept
+    path = tmp_path / "chi.json"
+    good = json.dumps({"p": 5, "modulus": 8, "entries": {"1": 1, "3": 4, "5": 1, "7": 4}})
+    path.write_text(good)
+    argv = ["char-info", "--p", "5", "--char", f"table:{path}"]
+    first = run_cli(capsys, *argv)
+    assert first[0] == 0 and json.loads(first[1])["conductor"] == 4
+    path.write_text(json.dumps({"p": 5, "modulus": 8,
+                                "entries": {"1": 1, "3": 4, "5": 4, "7": 4}}))
+    for _ in range(2):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: character table is not multiplicative at the pair (")
+    path.write_text(good)
+    assert run_cli(capsys, *argv) == first
 
 
 # json.dumps cannot write a repeated key, so these files are written as text;
@@ -150,6 +204,29 @@ def test_bernoulli_degree_past_the_limit_is_refused(capsys, argv, degree):
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (2, "")
     assert err == f"error: B_{degree} is past the maximum Bernoulli degree 2000\n"
+
+
+def test_genbernoulli_prints_an_exact_value_past_the_int_string_limit(capsys):
+    # B_(2000, omega^2) is inside the degree bound, and its numerator has
+    # more digits than Python's default limit of 4300 on str(int)
+    code, out, err = run_cli(capsys, "genbernoulli", "--p", "5", "--char", "omega^2",
+                             "--n", "2000")
+    assert (code, err) == (0, "")
+    obj = json.loads(out)
+    num, den = obj["exact"].split("/")
+    assert len(num) > 4300
+    with no_int_str_limit():
+        exact = Fraction(int(num), int(den))
+    assert PadicNum.from_rational(5, exact, obj["value"]["relprec"]).to_json() == obj["value"]
+
+
+@pytest.mark.parametrize("n", [0, 7, 10**599, -(10**600), 10**4300 - 1, -(10**5000) // 7,
+                               3**20000],
+                         ids=["0", "7", "10^599", "-10^600", "10^4300-1", "-10^5000/7", "3^20000"])
+def test_int_str_writes_every_length(n):
+    with no_int_str_limit():
+        expected = str(n)
+    assert _int_str(n) == expected
 
 
 def test_parser_reused_across_calls(capsys):
@@ -358,7 +435,8 @@ def test_character_spec_round_trip_through_cli(capsys, spec):
 
 
 @pytest.mark.parametrize("m", [12, 40])
-def test_lp_eval_cost_is_flat_in_the_character_level(capsys, monkeypatch, m):
+def test_lp_eval_cost_is_flat_in_the_character_level(capsys, monkeypatch, m,
+                                                     empty_character_caches):
     # chi = omega^2 at level 5^m is read only through the primitive
     # chi omega^(-3) = omega^3 of level 5, so the level costs nothing: the
     # value equals the level-5 character's at the same J, and no label
@@ -387,7 +465,7 @@ def test_lp_eval_cost_is_flat_in_the_character_level(capsys, monkeypatch, m):
     assert set(built) == {5}
 
 
-def test_verify_builds_the_twist_table_once(capsys, monkeypatch):
+def test_verify_builds_the_twist_table_once(capsys, monkeypatch, empty_character_caches):
     # riemann_sum at weight n - 1 and twisted_mean_limit at n both read
     # chi omega^(-n) = omega^4, which is made and tabled once; the other
     # table is chi = omega^2 itself, read for chi(c) in the closed form
@@ -404,6 +482,41 @@ def test_verify_builds_the_twist_table_once(capsys, monkeypatch):
     assert (code, err) == (0, "")
     assert json.loads(out)["pass"] is True
     assert built == [(7, (4,)), (7, (2,))]
+
+
+def test_outputs_do_not_depend_on_the_order_of_calls(capsys, tmp_path):
+    # interned characters and kept table files carry tables, conductors and
+    # twists from one call to the next; no output may depend on which call
+    # built them first
+    omega2 = tmp_path / "omega2.json"
+    omega2.write_text(json.dumps({"p": 5, "modulus": 5,
+                                  "entries": {"1": 1, "2": 4, "3": 4, "4": 1}}))
+    # omega times the character mod 3: even, of conductor 15
+    mod15 = tmp_path / "mod15.json"
+    mod15.write_text(json.dumps({"p": 5, "modulus": 15, "entries": {
+        str(a): (a if a % 3 == 1 else -a) % 5 for a in range(15) if a % 3 and a % 5}}))
+    lp = ["--c", "2", "--prec", "10"]
+    argvs = [
+        ["lp-eval", "--p", "5", "--d", "1", "--m", "2", "--char", f"table:{omega2}",
+         "--weight-k", "3", *lp],
+        ["verify", "--p", "5", "--d", "3", "--m", "1", "--char", f"table:{mod15}",
+         "--n", "2", *lp],
+        ["char-info", "--p", "5", "--char", f"table:{mod15}"],
+        ["genbernoulli", "--p", "5", "--char", f"table:{mod15}", "--n", "4"],
+        ["lp-eval", "--p", "5", "--d", "3", "--m", "2", "--char", f"table:{mod15}",
+         "--weight-k", "2", *lp],
+        ["verify", "--p", "5", "--d", "1", "--m", "2", "--char", "omega^2", "--n", "4", *lp],
+        ["char-info", "--p", "5", "--char", "omega^2"],
+        ["genbernoulli", "--p", "5", "--char", f"table:{omega2}", "--n", "6"],
+        ["lp-eval", "--p", "5", "--d", "1", "--m", "1", "--char", "omega^2",
+         "--weight-k", "3", *lp],
+    ]
+    runs = []
+    for order in (argvs, argvs[::-1]):
+        clear_character_caches()
+        runs.append({tuple(argv): run_cli(capsys, *argv) for argv in order})
+    assert runs[0] == runs[1]
+    assert all(code in (0, 1) and err == "" for code, _, err in runs[0].values())
 
 
 @pytest.mark.parametrize("modulus, missing", [

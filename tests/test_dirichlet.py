@@ -320,6 +320,17 @@ class TestSpecsAndTables:
         loaded = load_table_character(str(path))
         assert loaded == quad8
 
+    def test_one_value_is_one_object(self, tmp_path):
+        # characters are interned by value and table files by text, so what
+        # a character keeps (label table, conductor, twists) is built once
+        chi = parse_character_spec("omega^2", 5).change_level(25)
+        assert chi is char_power(make_teich_char(5), 2).change_level(25)
+        assert chi.associated_primitive() is parse_character_spec("omega^2", 5)
+        assert make_teich_char(5) * make_teich_char(5) is chi.associated_primitive()
+        path = tmp_path / "chi.json"
+        path.write_text(json.dumps({"p": 5, "modulus": 3, "entries": {"1": 1, "2": 4}}))
+        assert load_table_character(str(path)) is load_table_character(str(path))
+
     def test_table_validation_error(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(
