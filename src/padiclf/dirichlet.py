@@ -20,14 +20,17 @@ character built from exponents (omega and its powers, the trivial
 character, a change of level, a product, a primitive character) comes
 from DirichletCharacter._of, which keeps the last INTERNED_CHARACTERS
 (128) values it made, keyed by (p, level, exponents): since exponents
-are reduced mod p - 1, the key is exactly equality.  A table file is
-kept by its whole text, the last CACHED_TABLE_TEXTS (32) texts read
+are reduced mod p - 1, the key is exactly equality.  A table file of
+at most MAX_CACHED_TABLE_TEXT (2048) characters is kept by its whole
+text, the last CACHED_TABLE_TEXTS (32) such texts read
 (load_table_character): a file that changes in any byte is checked
-again, and an error is never kept.  At worst the two caches hold
-128 + 32 characters with a label table of MAX_TABLE_UNITS entries each,
-1.6 * 10^8 entries, and the 32 texts of such tables; a held character
-also keeps its primitive character and twists alive, each with a table
-of its own, after the cache has let them go.
+again, and an error is never kept.  A longer file is checked on every
+read, so that a large table read once does not hold its memory while
+the cache fills.  At worst the two caches hold 128 characters with a
+label table of MAX_TABLE_UNITS entries each, 1.28 * 10^8 entries, and 32
+texts of 2048 characters with tables of at most 341 entries; a held
+character also keeps its primitive character and twists alive, each
+with a table of its own, after the cache has let them go.
 
 A character is stored as (p, level, exponents): chi(g_i) = omega(r)^e_i
 at the i-th generator g_i of the level, with r the least primitive root
@@ -113,9 +116,11 @@ MAX_TRIAL_DIVISOR = 10**6
 # the most entries a label table is built with (_label_table)
 MAX_TABLE_UNITS = 10**6
 # the characters kept by DirichletCharacter._of, and the table texts by
-# _table_character (module docstring)
+# _table_character, which keeps none longer than MAX_CACHED_TABLE_TEXT
+# characters (module docstring)
 INTERNED_CHARACTERS = 128
 CACHED_TABLE_TEXTS = 32
+MAX_CACHED_TABLE_TEXT = 2048
 
 _TEICH_CACHE: dict[tuple[int, int], dict[int, int]] = {}
 
@@ -553,16 +558,24 @@ def load_table_character(path: str) -> DirichletCharacter:
     " 02").  The constructor checks the table in one pass (module
     docstring), naming an offending pair (a, g).
 
-    The file is read on every call, and its whole text is the key under
-    which the checked character is kept: the last CACHED_TABLE_TEXTS (32)
+    The file is read on every call.  A text of at most
+    MAX_CACHED_TABLE_TEXT (2048) characters is the key under which the
+    checked character is kept: the last CACHED_TABLE_TEXTS (32) such
     texts read, so a file that changes in any byte is checked again, and
-    one that fails fails on every call.  One text thus gives one object,
-    and the characters derived from it are interned (module docstring).
-    At worst the kept characters hold 32 label tables of MAX_TABLE_UNITS
-    entries, 3.2 * 10^7 entries, besides their 32 texts.
+    one that fails fails on every call.  One such text thus gives one
+    object, and the characters derived from any table are interned
+    (module docstring).  An entry takes at least six characters of JSON
+    ('"a":t,'), so the kept characters hold at most 32 label tables of
+    341 entries, besides their 32 texts.  A longer text is checked on
+    every read and not kept: a large table read once, as by char-info,
+    would otherwise hold its memory until 32 more texts are read, and
+    the process would grow, a page at a time, through the calls that
+    fill the cache.
     """
     with open(path) as fh:
         text = fh.read()
+    if len(text) > MAX_CACHED_TABLE_TEXT:
+        return _table_character.__wrapped__(text)
     return _table_character(text)
 
 

@@ -331,6 +331,21 @@ class TestSpecsAndTables:
         path.write_text(json.dumps({"p": 5, "modulus": 3, "entries": {"1": 1, "2": 4}}))
         assert load_table_character(str(path)) is load_table_character(str(path))
 
+    def test_a_long_table_text_is_not_kept(self, tmp_path):
+        # a large table is checked on every read, so that one read once
+        # does not hold its memory in the cache
+        chi = char_power(make_teich_char(5), 2).change_level(1000)
+        text = json.dumps(chi.to_json())
+        assert len(text) > dirichlet.MAX_CACHED_TABLE_TEXT
+        path = tmp_path / "chi.json"
+        path.write_text(text)
+        kept = dirichlet._table_character.cache_info().currsize
+        first, second = load_table_character(str(path)), load_table_character(str(path))
+        assert first == second == chi and first is not second
+        assert dirichlet._table_character.cache_info().currsize == kept
+        # what is derived from it is interned all the same
+        assert first.associated_primitive() is second.associated_primitive()
+
     def test_table_validation_error(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(
