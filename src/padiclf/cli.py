@@ -3,16 +3,36 @@
 stdout carries exactly one JSON document per invocation; anything
 human-oriented goes to stderr.  Exit codes: 0 success or verification
 pass, 1 verification failure, 2 usage or validation error.
+
+The command line is read from one flag table: GLOBAL_FLAGS, given before
+the command, and COMMANDS, which maps each command to its function, its
+help line and its flags.  Each flag maps to its type (int, str or a
+tuple of choices) and its default, or REQUIRED; it sets the attribute
+named after it (--max-level sets max_level).  parse_argv reads an argv
+by that table:
+
+- a flag is spelled out in full, as `--flag value` or `--flag=value`,
+  and the last of a repeated flag wins; a value may be a negative
+  number, but no other token starting with '-';
+- --prec and --seed go before the command.  After it, lp-eval and
+  verify take --prec, which overrides the global one;
+- -h or --help prints the usage, made from the same table, to stdout
+  and exits 0.
+
+Any other argv (an unknown or abbreviated flag, a missing or unknown
+command, a missing required flag or value, a value that is not an int
+or not a choice, a stray argument) is a UsageError: main prints it as
+one `error:` line on stderr and exits 2.
 """
 
 from __future__ import annotations
 
-import argparse
-import functools
 import json
 import random
+import re
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
 from . import suite as suite_mod
 from .bernoulli import bernoulli, bernoulli_poly
@@ -58,63 +78,25 @@ def _frac_str(q: Fraction) -> str:
     return f"{_int_str(q.numerator)}/{_int_str(q.denominator)}"
 
 
-@functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    # built once per process: building costs about 15 times a parse
-    # no parser reads a prefix of a flag as the flag: the top parser would
-    # otherwise take a subcommand's --p, given before the subcommand, as --prec
-    top = argparse.ArgumentParser(
-        prog="padiclf",
-        description="Exact p-adic L-values from Bernoulli-measure Riemann sums.",
-        allow_abbrev=False,
-    )
-    top.add_argument("--prec", type=int, default=DEFAULT_RELPREC,
-                     help="working relative precision")
-    top.add_argument("--seed", type=int, default=0, help="seed for randomized sweeps")
-    sub = top.add_subparsers(dest="command", required=True)
-    add_parser = functools.partial(sub.add_parser, allow_abbrev=False)
+def _require_printable_units(p: int, digits: int) -> None:
+    """Refuse, before any work, units mod p^digits that str() may not write.
 
-    q = add_parser("bernoulli", help="exact Bernoulli number and polynomial")
-    q.add_argument("--n", type=int, required=True)
-    q.set_defaults(run=_cmd_bernoulli)
-
-    g = add_parser("genbernoulli", help="generalized Bernoulli number")
-    g.add_argument("--p", type=int, required=True)
-    g.add_argument("--char", required=True, help='"triv" | "omega^<k>" | "table:<path>"')
-    g.add_argument("--n", type=int, required=True)
-    g.set_defaults(run=_cmd_genbernoulli)
-
-    ci = add_parser("char-info", help="level, conductor, parity of a character")
-    ci.add_argument("--p", type=int, required=True)
-    ci.add_argument("--char", required=True)
-    ci.set_defaults(run=_cmd_char_info)
-
-    mc = add_parser("measure-check", help="distribution and boundedness sweeps")
-    mc.add_argument("--p", type=int, required=True)
-    mc.add_argument("--d", type=int, required=True)
-    mc.add_argument("--c", type=int, required=True)
-    mc.add_argument("--max-level", type=int, default=3)
-    mc.set_defaults(run=_cmd_measure_check)
-
-    for name, weight, help_, run in (
-            ("lp-eval", "--weight-k", "evaluate the p-adic L-function at a weight", _cmd_lp_eval),
-            ("verify", "--n", "check interpolation at a negative integer", _cmd_verify)):
-        lp = add_parser(name, help=help_)
-        for flag in ("--p", "--d", "--m", "--c", weight):
-            lp.add_argument(flag, type=int, required=True)
-        lp.add_argument("--jmax", type=int, default=LpParams.j_max)
-        lp.add_argument("--jmin", type=int, default=LpParams.j_min)
-        lp.add_argument("--target", type=int, default=LpParams.target_valuation)
-        lp.add_argument("--char", required=True)
-        # writes the global --prec when given
-        lp.add_argument("--prec", type=int, default=argparse.SUPPRESS,
-                        help="override the global precision")
-        lp.set_defaults(run=run)
-
-    st = add_parser("suite", help="run the bundled verification suite")
-    st.add_argument("--profile", choices=("fast", "full"), default="fast")
-    st.set_defaults(run=_cmd_suite)
-    return top
+    PadicNum.to_json writes a unit, which is below p^digits, as a JSON
+    number, and str() refuses an int of more than limit =
+    sys.get_int_max_str_digits() digits (0: no limit); so p^digits must be
+    at most 10^limit.  With b = p.bit_length(), p^digits < 2^(b digits),
+    which is at most 10^limit when b digits 0.30103 <= limit (log10 2 <
+    0.30103), and p^digits >= 2^((b - 1) digits), which is over 10^limit
+    when (b - 1) digits >= 4 limit.  Only between the two is p^digits built.
+    """
+    limit = sys.get_int_max_str_digits()
+    b = p.bit_length()
+    if not limit or b * digits * 30103 <= limit * 100000:
+        return
+    if (b - 1) * digits >= 4 * limit or p**digits > 10**limit:
+        raise ValueError(
+            f"a {p}-adic unit to {digits} digits can have more than {limit} decimal "
+            f"digits, Python's limit on converting an int to a string")
 
 
 def _make_lp_params(args) -> LpParams:
@@ -149,6 +131,7 @@ def _cmd_genbernoulli(args) -> int:
     require_odd_prime(args.p)
     if args.n < 0:
         raise ValueError("n must be >= 0")
+    _require_printable_units(args.p, args.prec)
     chi = parse_character_spec(args.char, args.p)
     # one coefficient dict gives both the p-adic value and the exact Fraction
     coeffs = general_bernoulli_coeffs(chi, args.n)
@@ -207,6 +190,8 @@ def _cmd_measure_check(args) -> int:
 
 def _cmd_lp_eval(args) -> int:
     params = _make_lp_params(args)
+    # the value is certified to min(prec, J) digits, and J <= jmax
+    _require_printable_units(params.p, min(args.prec, args.jmax))
     report = p_adic_L(params, Weight(args.weight_k))
     _emit(report.to_json())
     return 0
@@ -214,6 +199,8 @@ def _cmd_lp_eval(args) -> int:
 
 def _cmd_verify(args) -> int:
     params = _make_lp_params(args)
+    # the closed form, printed as rhs, carries prec digits
+    _require_printable_units(params.p, args.prec)
     report = verify_interpolation(params, args.n)
     _emit(report.to_json())
     return 0 if report.passed else 1
@@ -233,11 +220,164 @@ def _cmd_suite(args) -> int:
     return 0 if all(r.passed for r in results) else 1
 
 
+# ---------------- the flag table and its parser ----------------
+
+REQUIRED = object()  # a flag's default when the flag must be given
+
+_PREC = (int, DEFAULT_RELPREC)
+GLOBAL_FLAGS = {"--prec": _PREC, "--seed": (int, 0)}
+
+
+def _lp_flags(weight: str) -> dict:
+    flags = {flag: (int, REQUIRED) for flag in ("--p", "--d", "--m", "--c", weight)}
+    return {**flags,
+            "--char": (str, REQUIRED),
+            "--jmax": (int, LpParams.j_max),
+            "--jmin": (int, LpParams.j_min),
+            "--target": (int, LpParams.target_valuation),
+            # given after the command, it overrides the global --prec
+            "--prec": _PREC}
+
+
+COMMANDS = {
+    "bernoulli": (_cmd_bernoulli, "exact Bernoulli number and polynomial",
+                  {"--n": (int, REQUIRED)}),
+    "genbernoulli": (_cmd_genbernoulli, "generalized Bernoulli number",
+                     {"--p": (int, REQUIRED), "--char": (str, REQUIRED),
+                      "--n": (int, REQUIRED)}),
+    "char-info": (_cmd_char_info, "level, conductor, parity of a character",
+                  {"--p": (int, REQUIRED), "--char": (str, REQUIRED)}),
+    "measure-check": (_cmd_measure_check, "distribution and boundedness sweeps",
+                      {"--p": (int, REQUIRED), "--d": (int, REQUIRED),
+                       "--c": (int, REQUIRED), "--max-level": (int, 3)}),
+    "lp-eval": (_cmd_lp_eval, "evaluate the p-adic L-function at a weight",
+                _lp_flags("--weight-k")),
+    "verify": (_cmd_verify, "check interpolation at a negative integer",
+               _lp_flags("--n")),
+    "suite": (_cmd_suite, "run the bundled verification suite",
+              {"--profile": (("fast", "full"), "fast")}),
+}
+
+
+class UsageError(Exception):
+    """An argv the flag table refuses; main prints it on one stderr line."""
+
+
+class HelpRequested(Exception):
+    """-h or --help; the exception's text is the usage to print."""
+
+
+def _attribute(flag: str) -> str:
+    return flag[2:].replace("-", "_")
+
+
+def _compile(flags: dict) -> tuple:
+    """({flag: (attribute, type)}, {attribute: default}, [(flag, attribute)
+    of each required flag]) of one table of flags."""
+    return ({flag: (_attribute(flag), kind) for flag, (kind, _) in flags.items()},
+            {_attribute(flag): default for flag, (_, default) in flags.items()
+             if default is not REQUIRED},
+            [(flag, _attribute(flag)) for flag, (_, default) in flags.items()
+             if default is REQUIRED])
+
+
+_GLOBAL = _compile(GLOBAL_FLAGS)
+_COMPILED = {name: (run, *_compile(flags)) for name, (run, _, flags) in COMMANDS.items()}
+
+# the tokens that are values although they start with '-'
+_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
+
+
+def _is_flag(token: str) -> bool:
+    return token[:1] == "-" and token != "-" and not _NEGATIVE_NUMBER.match(token)
+
+
+def _value(flag: str, kind, text: str):
+    if kind is int:
+        try:
+            return int(text)
+        except ValueError:
+            raise UsageError(f"{flag}: invalid int value: {text!r}") from None
+    if kind is not str and text not in kind:
+        raise UsageError(f"{flag}: invalid choice: {text!r} (choose from {', '.join(kind)})")
+    return text
+
+
+def parse_argv(argv) -> SimpleNamespace:
+    """Read argv by the flag table (module docstring).
+
+    The namespace has the command, its function as `run`, and one
+    attribute for each global flag and each flag of the command, given
+    or defaulted.  Raises UsageError on an argv the table refuses, and
+    HelpRequested on -h or --help.
+    """
+    flags, values, required = _GLOBAL
+    values = dict(values)
+    command = None
+    tokens = iter(argv)
+    for token in tokens:
+        flag, eq, text = token.partition("=")
+        if flag in flags:
+            attribute, kind = flags[flag]
+            if not eq:
+                text = next(tokens, None)
+                if text is None or _is_flag(text):
+                    raise UsageError(f"{flag} needs a value")
+            values[attribute] = _value(flag, kind, text)
+        elif token == "-h" or token == "--help":
+            raise HelpRequested(_usage(command))
+        elif _is_flag(token):
+            where = f"for {command}" if command else "before the command"
+            raise UsageError(f"unknown flag {flag!r} {where}")
+        elif command is not None:
+            raise UsageError(f"unexpected argument {token!r} after {command}")
+        elif token not in _COMPILED:
+            raise UsageError(f"unknown command {token!r} (choose from {', '.join(COMMANDS)})")
+        else:
+            command = token
+            run, flags, defaults, required = _COMPILED[token]
+            # a command's default never overrides a global flag
+            values = {**defaults, **values, "command": token, "run": run}
+    if command is None:
+        raise UsageError(f"a command is required (choose from {', '.join(COMMANDS)})")
+    missing = [flag for flag, attribute in required if attribute not in values]
+    if missing:
+        raise UsageError(f"{command} needs {', '.join(missing)}")
+    return SimpleNamespace(**values)
+
+
+def _flags_usage(flags: dict) -> str:
+    words = []
+    for flag, (kind, default) in flags.items():
+        meta = "{" + ",".join(kind) + "}" if isinstance(kind, tuple) else _attribute(flag).upper()
+        words.append(f"{flag} {meta}" if default is REQUIRED else f"[{flag} {meta}={default}]")
+    return " ".join(words)
+
+
+def _usage(command: str | None) -> str:
+    """The usage of one command, or of all of them, from the flag table."""
+    lines = [f"usage: padiclf {_flags_usage(GLOBAL_FLAGS)} COMMAND FLAGS",
+             "Exact p-adic L-values from Bernoulli-measure Riemann sums.",
+             ""]
+    for name in [command] if command else COMMANDS:
+        _, help_, flags = COMMANDS[name]
+        lines += [f"{name} {_flags_usage(flags)}", f"    {help_}"]
+    lines += ["",
+              "CHAR is triv, omega^<k> or table:<path>.  A bracketed flag is optional,",
+              "with its default after '='; --prec after lp-eval or verify overrides",
+              "the --prec before the command.  -h or --help prints this."]
+    return "\n".join(lines) + "\n"
+
+
 def main(argv=None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
+        args = parse_argv(sys.argv[1:] if argv is None else argv)
+    except HelpRequested as help_:
+        sys.stdout.write(str(help_))
+        return 0
+    except UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return USAGE_ERROR
     if args.prec < 1:
         print("error: --prec must be >= 1", file=sys.stderr)
         return USAGE_ERROR

@@ -295,18 +295,20 @@ class DirichletCharacter:
     """A character of (Z/levelZ)^x with values omega(label) in mu_(p-1),
     stored as its exponents on the generators of the level."""
 
-    def __init__(self, p: int, level: int, labels: dict):
+    def __init__(self, p: int, level: int, labels: dict, *, _reduced: bool = False):
         """The character with the label table {unit: t}, checked as the
-        module docstring says."""
-        _require_prime_level(p, level)
+        module docstring says.  _reduced is for the table-file reader,
+        which has checked p and level and made labels {int: t mod p}."""
+        if not _reduced:
+            _require_prime_level(p, level)
+            try:
+                labels = {operator.index(a): operator.index(t) % p for a, t in labels.items()}
+            except TypeError:
+                for a, t in labels.items():
+                    _as_int(a, "a character table key")
+                    _as_int(t, f"the character table label at {a}")
+                raise
         n = level
-        try:
-            labels = {operator.index(a): operator.index(t) % p for a, t in labels.items()}
-        except TypeError:
-            for a, t in labels.items():
-                _as_int(a, "a character table key")
-                _as_int(t, f"the character table label at {a}")
-            raise
         if 2 * len(labels) ** 2 < n:
             raise ValueError(
                 f"character table is missing units {_missing_units(n, labels, 5)}"
@@ -595,19 +597,21 @@ def _table_character(text: str) -> DirichletCharacter:
         raise ValueError("the 'entries' of a character table file must be a JSON object")
     p, modulus = (_as_int(obj[key], f"the character table's '{key}'") for key in ("p", "modulus"))
     raw = obj["entries"]
-    entries = {int(a): t for a, t in raw.items()}
-    if len(entries) < len(raw):
+    # t % p below would read true as 1 and 4.7 as a label
+    if set(map(type, raw.values())) - {int}:
+        for key, t in raw.items():
+            _as_int(t, f"the character table label at {int(key)}")
+    _require_prime_level(p, modulus)
+    # the one conversion of the file's keys and labels
+    labels = {int(key): t % p for key, t in raw.items()}
+    if len(labels) < len(raw):
         first: dict[int, str] = {}
         for key in raw:
             a = first.setdefault(int(key), key)
             if a != key:
                 raise ValueError(
                     f"character table keys {a!r} and {key!r} name one residue {int(key)}")
-    # the constructor reads the labels as integers, and would read true as 1
-    if set(map(type, entries.values())) - {int}:
-        for a, t in entries.items():
-            _as_int(t, f"the character table label at {a}")
-    return DirichletCharacter(p, modulus, entries)
+    return DirichletCharacter(p, modulus, labels, _reduced=True)
 
 
 def parse_character_spec(spec: str, p: int, relprec: int | None = None) -> DirichletCharacter:

@@ -3,20 +3,32 @@
 Each visits every unit residue at the level (every pair of units, for
 the character-table check), or evaluates a formula in its textbook
 form, exactly as the objects are defined, so the fast paths in the
-library can be checked against them.
+library can be checked against them; argparse_cli_parser is the
+command line as the standard library's argparse reads it.
 """
 
 from __future__ import annotations
 
+import argparse
+import functools
 import math
 from fractions import Fraction
 from math import comb
 
 from padiclf.bernoulli import bernoulli_poly_eval
+from padiclf.cli import (
+    _cmd_bernoulli,
+    _cmd_char_info,
+    _cmd_genbernoulli,
+    _cmd_lp_eval,
+    _cmd_measure_check,
+    _cmd_suite,
+    _cmd_verify,
+)
 from padiclf.dirichlet import teichmuller_int
 from padiclf.errors import LevelTooLow, NotAUnit, NotMultipleOfConductor, UnsupportedOrder
 from padiclf.genbernoulli import chi_omega_minus_k
-from padiclf.lfunction import principal_unit_power
+from padiclf.lfunction import LpParams, principal_unit_power
 from padiclf.measure import (
     CylinderFunction,
     bernoulli_distribution,
@@ -345,3 +357,65 @@ def is_prime_trial(n: int) -> bool:
             return False
         f += 2
     return True
+
+
+@functools.cache
+def argparse_cli_parser() -> argparse.ArgumentParser:
+    """The command line as argparse reads it, the reference for
+    padiclf.cli.parse_argv: parse_args(argv) accepts the argvs that
+    parse_argv accepts, with the same attributes, and exits 2 on the rest."""
+    # built once per process: building costs about 15 times a parse
+    # no parser reads a prefix of a flag as the flag: the top parser would
+    # otherwise take a subcommand's --p, given before the subcommand, as --prec
+    top = argparse.ArgumentParser(
+        prog="padiclf",
+        description="Exact p-adic L-values from Bernoulli-measure Riemann sums.",
+        allow_abbrev=False,
+    )
+    top.add_argument("--prec", type=int, default=DEFAULT_RELPREC,
+                     help="working relative precision")
+    top.add_argument("--seed", type=int, default=0, help="seed for randomized sweeps")
+    sub = top.add_subparsers(dest="command", required=True)
+    add_parser = functools.partial(sub.add_parser, allow_abbrev=False)
+
+    q = add_parser("bernoulli", help="exact Bernoulli number and polynomial")
+    q.add_argument("--n", type=int, required=True)
+    q.set_defaults(run=_cmd_bernoulli)
+
+    g = add_parser("genbernoulli", help="generalized Bernoulli number")
+    g.add_argument("--p", type=int, required=True)
+    g.add_argument("--char", required=True, help='"triv" | "omega^<k>" | "table:<path>"')
+    g.add_argument("--n", type=int, required=True)
+    g.set_defaults(run=_cmd_genbernoulli)
+
+    ci = add_parser("char-info", help="level, conductor, parity of a character")
+    ci.add_argument("--p", type=int, required=True)
+    ci.add_argument("--char", required=True)
+    ci.set_defaults(run=_cmd_char_info)
+
+    mc = add_parser("measure-check", help="distribution and boundedness sweeps")
+    mc.add_argument("--p", type=int, required=True)
+    mc.add_argument("--d", type=int, required=True)
+    mc.add_argument("--c", type=int, required=True)
+    mc.add_argument("--max-level", type=int, default=3)
+    mc.set_defaults(run=_cmd_measure_check)
+
+    for name, weight, help_, run in (
+            ("lp-eval", "--weight-k", "evaluate the p-adic L-function at a weight", _cmd_lp_eval),
+            ("verify", "--n", "check interpolation at a negative integer", _cmd_verify)):
+        lp = add_parser(name, help=help_)
+        for flag in ("--p", "--d", "--m", "--c", weight):
+            lp.add_argument(flag, type=int, required=True)
+        lp.add_argument("--jmax", type=int, default=LpParams.j_max)
+        lp.add_argument("--jmin", type=int, default=LpParams.j_min)
+        lp.add_argument("--target", type=int, default=LpParams.target_valuation)
+        lp.add_argument("--char", required=True)
+        # writes the global --prec when given
+        lp.add_argument("--prec", type=int, default=argparse.SUPPRESS,
+                        help="override the global precision")
+        lp.set_defaults(run=run)
+
+    st = add_parser("suite", help="run the bundled verification suite")
+    st.add_argument("--profile", choices=("fast", "full"), default="fast")
+    st.set_defaults(run=_cmd_suite)
+    return top

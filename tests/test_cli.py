@@ -1,12 +1,15 @@
 import contextlib
 import json
+import os
+import subprocess
 import sys
 from fractions import Fraction
 
 import pytest
 
-from padiclf import dirichlet
-from padiclf.cli import _build_parser, _int_str, main
+import padiclf
+from padiclf import cli, dirichlet
+from padiclf.cli import COMMANDS, GLOBAL_FLAGS, _int_str, main, parse_argv
 from padiclf.padic import PadicNum
 
 
@@ -29,13 +32,14 @@ def empty_character_caches():
 
 
 @contextlib.contextmanager
-def no_int_str_limit():
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
+def int_str_limit(limit):
+    """Python's limit on the digits of str(int) set to `limit` (0: none)."""
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
     try:
         yield
     finally:
-        sys.set_int_max_str_digits(limit)
+        sys.set_int_max_str_digits(before)
 
 
 def test_bernoulli_value(capsys):
@@ -72,6 +76,15 @@ def test_genbernoulli_table_char(capsys, tmp_path):
                            "--char", f"table:{path}", "--n", "1")
     assert code == 0
     assert json.loads(out)["exact"] == "-1/3"
+
+
+def test_table_labels_are_read_mod_p(capsys, tmp_path):
+    # 6 and -1 are the labels 1 and 4 mod 5
+    path = tmp_path / "chi.json"
+    path.write_text(json.dumps({"p": 5, "modulus": 3, "entries": {"1": 6, "2": -1}}))
+    code, out, _ = run_cli(capsys, "char-info", "--p", "5", "--char", f"table:{path}")
+    assert code == 0
+    assert json.loads(out)["table"] == {"1": 1, "2": 4}
 
 
 @pytest.mark.parametrize("prec", [5, 11])
@@ -173,23 +186,79 @@ def test_keys_naming_one_residue_are_refused(capsys, tmp_path, entries, message)
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
-def test_unknown_flag_usage_error(capsys):
-    code, _, _ = run_cli(capsys, "bernoulli", "--wat", "1")
-    assert code == 2
-
-
-@pytest.mark.parametrize("argv", [
-    # --p before the subcommand is not a prefix of the global --prec
-    ["--p", "5", "genbernoulli", "--p", "7", "--char", "omega^2", "--n", "2"],
-    ["--pre", "5", "bernoulli", "--n", "2"],
-    ["measure-check", "--p", "5", "--d", "1", "--c", "2", "--max", "1"],
-    ["lp-eval", "--p", "5", "--d", "1", "--m", "1", "--char", "omega^2", "--c", "2",
-     "--weight", "1"],
-])
-def test_abbreviated_flag_is_a_usage_error(capsys, argv):
+def assert_one_line_usage_error(capsys, argv, named):
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (2, "")
-    assert "error:" in err
+    assert err.startswith("error:") and err.count("\n") == 1 and err.endswith("\n")
+    assert named in err
+
+
+def test_unknown_flag_usage_error(capsys):
+    assert_one_line_usage_error(capsys, ["bernoulli", "--wat", "1"], "--wat")
+
+
+@pytest.mark.parametrize("argv, abbreviated", [
+    # --p before the subcommand is not a prefix of the global --prec
+    pytest.param(["--p", "5", "genbernoulli", "--p", "7", "--char", "omega^2", "--n", "2"],
+                 "'--p'", id="argv0"),
+    pytest.param(["--pre", "5", "bernoulli", "--n", "2"], "'--pre'", id="argv1"),
+    pytest.param(["measure-check", "--p", "5", "--d", "1", "--c", "2", "--max", "1"],
+                 "'--max'", id="argv2"),
+    pytest.param(["lp-eval", "--p", "5", "--d", "1", "--m", "1", "--char", "omega^2",
+                  "--c", "2", "--weight", "1"], "'--weight'", id="argv3"),
+])
+def test_abbreviated_flag_is_a_usage_error(capsys, argv, abbreviated):
+    assert_one_line_usage_error(capsys, argv, abbreviated)
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["lp-eval", "--p", "5", "--jmax", "x"], "--jmax"),
+    (["bernoulli", "--n=seven"], "--n"),
+    (["--prec", "1.5", "bernoulli", "--n", "2"], "--prec"),
+    (["suite", "--profile", "fastest"], "--profile"),
+    ([], "command"),
+    (["--prec", "12"], "command"),
+    (["bernoli", "--n", "2"], "bernoli"),
+    (["lp-eval", "--p", "5", "--d", "1", "--m", "1", "--char", "omega^2", "--weight-k", "1"],
+     "--c"),
+    (["bernoulli", "--n"], "--n"),
+    (["genbernoulli", "--p", "5", "--char", "--n", "2"], "--char"),
+    (["bernoulli", "--n", "2", "3"], "'3'"),
+    (["bernoulli", "--n", "2", "--prec", "5"], "--prec"),
+    (["verify", "--p", "5", "--d", "1", "--m", "1", "--char", "omega^2", "--c", "2",
+      "--n", "2", "--seed", "1"], "--seed"),
+    # a token is quoted, so a newline in it stays on the one line
+    (["bernoulli", "--n", "2", "--a\nb"], "'--a\\nb'"),
+], ids=["invalid-int", "invalid-int-after-equals", "float-prec", "invalid-choice",
+        "no-argv", "no-command", "unknown-command", "missing-required-flag",
+        "missing-value", "flag-as-value", "stray-argument", "global-flag-after-command",
+        "seed-after-verify", "newline-in-flag"])
+def test_usage_error_is_one_stderr_line(capsys, argv, named):
+    assert_one_line_usage_error(capsys, argv, named)
+
+
+@pytest.mark.parametrize("argv, commands", [
+    (["--help"], list(COMMANDS)),
+    (["--prec", "12", "-h"], list(COMMANDS)),
+    (["verify", "--p", "5", "--help"], ["verify"]),
+    (["suite", "-h", "--wat"], ["suite"]),
+])
+def test_help_names_every_flag(capsys, argv, commands):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out.startswith("usage: padiclf ")
+    for command in commands:
+        assert f"\n{command} " in out
+        assert all(flag in out for flag in [*GLOBAL_FLAGS, *COMMANDS[command][2]])
+    assert all(f"\n{name} " not in out for name in COMMANDS if name not in commands)
+
+
+def test_importing_the_cli_leaves_argparse_out():
+    src = os.path.dirname(os.path.dirname(padiclf.__file__))
+    code = subprocess.run(
+        [sys.executable, "-c", "import sys, padiclf.cli; sys.exit('argparse' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": src}, timeout=60).returncode
+    assert code == 0
 
 
 @pytest.mark.parametrize("argv, degree", [
@@ -215,23 +284,62 @@ def test_genbernoulli_prints_an_exact_value_past_the_int_string_limit(capsys):
     obj = json.loads(out)
     num, den = obj["exact"].split("/")
     assert len(num) > 4300
-    with no_int_str_limit():
+    with int_str_limit(0):
         exact = Fraction(int(num), int(den))
     assert PadicNum.from_rational(5, exact, obj["value"]["relprec"]).to_json() == obj["value"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["genbernoulli", "--p", "5", "--char", "triv", "--n", "2"],
+    ["verify", "--p", "5", "--d", "1", "--m", "1", "--char", "omega^2", "--c", "3", "--n", "4"],
+    # the value has min(prec, jmax) digits
+    ["lp-eval", "--p", "5", "--d", "1", "--m", "1", "--char", "omega^2", "--c", "2",
+     "--weight-k", "2", "--jmax", str(10**9)],
+], ids=["genbernoulli", "verify", "lp-eval"])
+def test_units_past_the_int_string_limit_are_refused_before_any_work(capsys, monkeypatch,
+                                                                      argv):
+    # 5^915 < 10^640 < 5^916 and 5^6151 < 10^4300 < 5^6152, so a unit mod
+    # 5^916 can have 641 digits; 640 is the least limit Python allows,
+    # 4300 its default.  At 10^9 digits no power of 5 is built
+    def work(*args):
+        raise AssertionError("the computation started")
+
+    for name in ("general_bernoulli_coeffs", "p_adic_L", "verify_interpolation"):
+        monkeypatch.setattr(cli, name, work)
+    for limit, prec in ((640, 916), (4300, 6152), (4300, 10**9)):
+        with int_str_limit(limit):
+            code, out, err = run_cli(capsys, "--prec", str(prec), *argv)
+        assert (code, out) == (2, "")
+        assert err == (f"error: a 5-adic unit to {prec} digits can have more than {limit} "
+                       "decimal digits, Python's limit on converting an int to a string\n")
+
+
+def test_units_inside_the_int_string_limit_are_printed(capsys):
+    genbernoulli = ["genbernoulli", "--p", "5", "--char", "triv", "--n", "2"]
+    with int_str_limit(640):
+        code, out, err = run_cli(capsys, "--prec", "915", *genbernoulli)
+        assert (code, err) == (0, "") and json.loads(out)["value"]["relprec"] == 915
+        # lp-eval prints min(prec, jmax) digits, 7 at the default --jmax
+        code, out, err = run_cli(capsys, "--prec", "916", "lp-eval", "--p", "5", "--d", "1",
+                                 "--m", "1", "--char", "omega^2", "--c", "2", "--weight-k", "2")
+        assert (code, err) == (0, "") and json.loads(out)["value"]["relprec"] == 7
+    with int_str_limit(0):
+        code, out, err = run_cli(capsys, "--prec", "7000", *genbernoulli)
+        assert (code, err) == (0, "") and json.loads(out)["value"]["relprec"] == 7000
 
 
 @pytest.mark.parametrize("n", [0, 7, 10**599, -(10**600), 10**4300 - 1, -(10**5000) // 7,
                                3**20000],
                          ids=["0", "7", "10^599", "-10^600", "10^4300-1", "-10^5000/7", "3^20000"])
 def test_int_str_writes_every_length(n):
-    with no_int_str_limit():
+    with int_str_limit(0):
         expected = str(n)
     assert _int_str(n) == expected
 
 
 def test_parser_reused_across_calls(capsys):
-    # one process, three calls on the parser that is built once: a usage
-    # error that sets the global --prec, then the same lp-eval twice
+    # one process, three calls: a usage error that sets the global --prec,
+    # then the same lp-eval twice
     lp = ["lp-eval", "--p", "5", "--d", "1", "--m", "1", "--char", "omega^2",
           "--c", "2", "--weight-k", "1"]
     code, out, err = run_cli(capsys, "--prec", "3", *lp, "--jmax", "seven")
@@ -243,8 +351,7 @@ def test_parser_reused_across_calls(capsys):
     assert code == 0 and err == ""
     # the default --prec 8 and --jmax 7, not the usage error's --prec 3
     assert json.loads(out)["level_used"] == 7
-    assert _build_parser() is _build_parser()
-    assert _build_parser().parse_args(lp) == _build_parser.__wrapped__().parse_args(lp)
+    assert parse_argv(lp) == parse_argv(lp)
 
 
 def test_measure_check_passes(capsys):
@@ -385,7 +492,7 @@ def test_lp_eval_odd_character_rejected(capsys):
 def test_subcommand_prec_overrides_the_global_flag(command, weight):
     argv = [command, "--p", "5", "--d", "1", "--m", "1", "--char", "omega^2",
             "--c", "2", weight, "2"]
-    parse = _build_parser().parse_args
+    parse = parse_argv
     assert parse(["--prec", "3", *argv, "--prec", "12"]).prec == 12
     assert parse(["--prec", "3", *argv]).prec == 3
     assert parse(argv).prec == 8
