@@ -40,10 +40,9 @@ from .dirichlet import parse_character_spec
 from .errors import PadicLFError
 from .genbernoulli import _embed_label_sum, _exact_label_sum, general_bernoulli_coeffs
 from .lfunction import LpParams, Weight, p_adic_L, verify_interpolation
-from .measure import BernoulliParams, compatibility_failures, norm_bound_check
+from .measure import BernoulliParams, compatibility_failures
 from .modarith import require_odd_prime
 from .padic import DEFAULT_RELPREC
-from .suite import random_cylinder
 
 USAGE_ERROR = 2
 
@@ -172,9 +171,7 @@ def _cmd_measure_check(args) -> int:
     rng = random.Random(args.seed)
     for i in range(100):
         level = rng.randint(0, min(args.max_level, 3))
-        # the sample is not bound to a name, so it is freed before the next is drawn
-        lhs, rhs, ok = norm_bound_check(
-            params, random_cylinder(rng, args.p, args.d, level, args.prec), args.prec)
+        lhs, rhs, ok = suite_mod.random_bound_check(rng, params, level, args.prec)
         if not ok:
             counterexamples.append({
                 "kind": "boundedness", "sample": i,

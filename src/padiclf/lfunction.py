@@ -170,13 +170,13 @@ def principal_unit_power(p: int, lift: int, k: int, relprec: int) -> PadicNum:
     return PadicNum.from_unit(p, 0, pow(base, k, P), relprec)
 
 
-def riemann_sum(params: LpParams, w: Weight, j: int) -> PadicNum:
+def riemann_sum(params: LpParams, w: Weight, j: int, relprec: int | None = None) -> PadicNum:
     """The level-j sum of chi omega^(-1)(a) <a>^k E_c(j, a) over units a mod D = d*p^j.
 
     Every term is p-integral (E_c lands in Z + (c-1)/2 and the integrand
     is a unit times a root of unity), so the sum is accumulated as a
-    single integer mod p^relprec; the result is exact at that absolute
-    precision.
+    single integer mod p^relprec, params.relprec when relprec is None; the
+    result is exact at that absolute precision.
 
     As <a>^k = omega(a)^(-k) a^k, the sum is half the kernel sum
     genbernoulli._unit_sum with psi = chi omega^(-(k+1)) and w = 2 E_c,
@@ -185,7 +185,8 @@ def riemann_sum(params: LpParams, w: Weight, j: int) -> PadicNum:
     """
     if j < params.m:
         raise LevelTooLow(f"integration level {j} is below the character level {params.m}")
-    p, c, k, N = params.p, params.c, w.k, params.relprec
+    p, c, k = params.p, params.c, w.k
+    N = params.relprec if relprec is None else relprec
     P = p**N
     # 2 E_c at the carry t is c - 1 - 2t
     total = _unit_sum(chi_omega_minus_k(params.chi, k + 1), params.d, j, k, N,
@@ -199,8 +200,9 @@ def p_adic_L(params: LpParams, w: Weight) -> EvalReport:
     S_J agrees with the L-value mod p^J for every J >= m (module
     docstring), so J is relprec clamped into [max(j_min, m), j_max]: the
     lowest level certified to all relprec tracked digits, within the
-    allowed range.  The report is converged when the certified precision
-    min(relprec, J) reaches target_valuation.
+    allowed range.  S_J is summed mod p^min(relprec, J) alone, as the
+    digits past J are not certified.  The report is converged when the
+    certified precision min(relprec, J) reaches target_valuation.
     """
     if params.relprec < params.target_valuation:
         raise InsufficientPrecision(
@@ -211,8 +213,7 @@ def p_adic_L(params: LpParams, w: Weight) -> EvalReport:
         raise ValueError(f"empty level range: start {start} > j_max {params.j_max}")
     J = min(max(params.relprec, start), params.j_max)
     digits = min(params.relprec, J)
-    s = riemann_sum(params, w, J)
-    return EvalReport(value=PadicNum.from_int_mod(params.p, s.appr(digits), digits),
+    return EvalReport(value=riemann_sum(params, w, J, digits),
                       level_used=J, converged=digits >= params.target_valuation)
 
 

@@ -71,7 +71,12 @@ alone: p, c, the integral's stored valuation (None for the exact zero, W
 for O(p^W), v otherwise) and the least valuation of f.  It is kept in a
 bounded cache keyed by them, so a sample pays its entries and one lookup;
 the Fractions p^(-v), K p^(-least) and their comparison are made once per
-distinct key.
+distinct key.  norm_bound_check is the bound on a given cylinder function.
+measure-check and suite criterion 6 build none: suite.random_bound_check
+integrates each random entry as it is drawn, by the rule above through
+_halved_sum (the accumulator's last step, which _integrate shares), and
+reads the same cached verdict; it is tested against norm_bound_check on the
+cylinder suite.random_cylinder draws from the same rng state.
 
 compatibility_failures sweeps in one pass over integer tables.  Its table
 hook values(params, n) gives the doubled values 2 mu(n, a) at
@@ -369,15 +374,28 @@ def _integrate(params: BernoulliParams, f: CylinderFunction, relprec: int) -> tu
             sums[v] = sums.get(v, 0) + u * two_e
         if term_prec < absprec:
             absprec = term_prec
+    return _halved_sum(p, sums, absprec), least
+
+
+def _halved_sum(p: int, sums: dict, absprec) -> PadicNum:
+    """The integral from its accumulator (module docstring): sums maps each
+    valuation v to the sum of u * 2 E_c(a) over the finite counted entries
+    p^v u, and absprec is W, math.inf when no entry counts.
+
+    A unit u may be given as any integer congruent to it mod p^relprec, so
+    unreduced: the multiple of p^relprec it adds to sums[v] enters the
+    accumulator times p^(v - vmin) * 2 E_c(a), of valuation at least
+    v + e + relprec - vmin, which is at least the window W - vmin.
+    """
     if absprec == math.inf:
-        return PadicNum.exact_zero(p), least
+        return PadicNum.exact_zero(p)
     vmin = min(sums, default=absprec)
     if vmin >= absprec:
-        return PadicNum.zero_at_precision(p, absprec), least
+        return PadicNum.zero_at_precision(p, absprec)
     window = absprec - vmin
     acc = sum(m * p ** (v - vmin) for v, m in sums.items())
     # (p^window + 1) / 2 is the inverse of 2 mod p^window, as p is odd
-    return PadicNum.from_int_mod(p, acc * ((p**window + 1) // 2), window, shift=vmin), least
+    return PadicNum.from_int_mod(p, acc * ((p**window + 1) // 2), window, shift=vmin)
 
 
 def measure_apply(params: BernoulliParams, f: CylinderFunction,

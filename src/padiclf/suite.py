@@ -39,16 +39,19 @@ from .lfunction import LpParams, Weight, riemann_sum, verify_interpolation
 from .measure import (
     BernoulliParams,
     CylinderFunction,
+    _bound_verdict,
+    _carry_tables,
+    _halved_sum,
     compatibility_failures,
     div_by_c_table,
     measure_apply,
-    norm_bound_check,
 )
 from .modarith import divisors, units_of
 from .padic import DEFAULT_RELPREC, PadicNum, eq_mod, rational_valuation, split_p_power
 
 __all__ = ["Criterion", "CriterionResult", "ALL_CRITERIA", "run_profile",
-           "conductor_bruteforce", "factors_through", "random_cylinder"]
+           "conductor_bruteforce", "factors_through", "random_cylinder",
+           "random_bound_check"]
 
 
 @dataclass
@@ -254,17 +257,30 @@ _NUM_BITS, _DEN_BITS = _NUM_COUNT.bit_length(), _DEN_COUNT.bit_length()
 
 @functools.lru_cache(maxsize=16)
 def _draw_tables(p: int, relprec: int) -> tuple:
-    """random_cylinder's per-call constants: (nums, dens, zero, p^relprec).
+    """The per-call constants of the draws: (nums, dens, zero, p^relprec).
 
     nums and dens hold the draws by their raw bits: (v_p(num), num / p^v) for
     each num, None for num = 0, and (v_p(den), (den / p^v)^(-1) mod p^relprec)
-    for each den.  zero is the exact zero's state."""
+    for each den.  zero is the exact zero's state.  Every p-free numerator
+    and every inverse is checked once here to be a unit mod p, so the unit
+    of each entry drawn, the product of one of each, is one too."""
     mod = p**relprec
     nums = tuple(split_p_power(p, n) if n else None
                  for n in range(_NUM_LOW, _NUM_LOW + _NUM_COUNT))
     dens = tuple((v, pow(u, -1, mod))
                  for v, u in (split_p_power(p, n) for n in range(_DEN_LOW, _DEN_LOW + _DEN_COUNT)))
+    for u in [num[1] for num in nums if num] + [den[1] for den in dens]:
+        if u % p == 0:
+            raise ValueError(f"{u} is not a unit modulo {p}")
     return nums, dens, PadicNum.exact_zero(p).state(), mod
+
+
+def _check_draw(relprec: int, level: int) -> None:
+    """Refuse a draw at relprec < 1 or level < 0 before the rng is read."""
+    if relprec < 1:
+        raise ValueError("relative precision must be >= 1")
+    if level < 0:
+        raise LevelOrder(f"level must be >= 0, got {level}")
 
 
 def random_cylinder(rng, p, d, level, relprec=DEFAULT_RELPREC) -> CylinderFunction:
@@ -279,13 +295,11 @@ def random_cylinder(rng, p, d, level, relprec=DEFAULT_RELPREC) -> CylinderFuncti
     p^(v_p(num) - v_p(den)) times the unit num'/den' mod p^relprec of the
     p-free parts; reducing num/den by their gcd first would change neither.
     Entries are appended as their PadicNum states (p, v, unit, relprec), with
-    the unit reduced and checked as PadicNum.from_unit does, and no PadicNum
-    is built.  A negative level is refused with LevelOrder.
+    the unit reduced mod p^relprec; the draw tables have checked that it is
+    a unit, and no PadicNum is built.  A negative level is refused with
+    LevelOrder.
     """
-    if relprec < 1:
-        raise ValueError("relative precision must be >= 1")
-    if level < 0:
-        raise LevelOrder(f"level must be >= 0, got {level}")
+    _check_draw(relprec, level)
     nums, dens, zero, mod = _draw_tables(p, relprec)
     uniform, getrandbits = rng.random, rng.getrandbits
     states = []
@@ -304,11 +318,51 @@ def random_cylinder(rng, p, d, level, relprec=DEFAULT_RELPREC) -> CylinderFuncti
             states.append(zero)
             continue
         vd, den_inv = dens[j]
-        unit = num[1] * den_inv % mod
-        if unit % p == 0:
-            raise ValueError(f"{unit} is not a unit modulo {p}")
-        states.append((p, num[0] - vd, unit, relprec))
+        states.append((p, num[0] - vd, num[1] * den_inv % mod, relprec))
     return CylinderFunction._of(d, p, level, tuple(states))
+
+
+def random_bound_check(rng, params: BernoulliParams, level: int,
+                       relprec: int = DEFAULT_RELPREC) -> tuple:
+    """norm_bound_check(params, random_cylinder(rng, p, d, level, relprec),
+    relprec), leaving rng in the same state, in one pass over the draws.
+
+    Each entry makes random_cylinder's draws in its order and is integrated
+    as it is drawn, against the carry tables of (params, level), by the rule
+    of measure._integrate: sums[v] gains num' * den'^(-1) * 2 E_c(a), with
+    the unit left unreduced (measure._halved_sum says why that changes no
+    digit), and every drawn entry has relative precision relprec.  No
+    states, no CylinderFunction and no PadicNum per entry are made.  A
+    relprec below 1 or a negative level is refused before any draw.
+    """
+    _check_draw(relprec, level)
+    p = params.p
+    nums, dens, _, _ = _draw_tables(p, relprec)
+    uniform, getrandbits = rng.random, rng.getrandbits
+    least = low = math.inf  # the least v, and the least v + e of a counted entry
+    sums = {}
+    for two_e, e in zip(*_carry_tables(params, level)):
+        if uniform() < 0.1:
+            continue
+        i = getrandbits(_NUM_BITS)
+        while i >= _NUM_COUNT:
+            i = getrandbits(_NUM_BITS)
+        j = getrandbits(_DEN_BITS)
+        while j >= _DEN_COUNT:
+            j = getrandbits(_DEN_BITS)
+        num = nums[i]
+        if num is None:
+            continue
+        vd, den_inv = dens[j]
+        v = num[0] - vd
+        if v < least:
+            least = v
+        if two_e:
+            sums[v] = sums.get(v, 0) + num[1] * den_inv * two_e
+            if v + e < low:
+                low = v + e
+    value = _halved_sum(p, sums, low + relprec)
+    return _bound_verdict(p, params.c, value.state()[1], least)
 
 
 def _c6_boundedness(seed):
@@ -317,10 +371,10 @@ def _c6_boundedness(seed):
     for p, d, c, max_level in ((3, 1, 2, 3), (5, 2, 3, 3), (7, 4, 3, 2)):
         params = BernoulliParams(p, d, c)
         for _ in range(200):
-            f = random_cylinder(rng, p, d, rng.randint(0, max_level))
-            lhs, rhs, ok = norm_bound_check(params, f)
+            level = rng.randint(0, max_level)
+            lhs, rhs, ok = random_bound_check(rng, params, level)
             if not ok:
-                failures.append((p, d, c, f.level, str(lhs), str(rhs)))
+                failures.append((p, d, c, level, str(lhs), str(rhs)))
     return not failures, {"samples_per_set": 200, "failures": failures}
 
 

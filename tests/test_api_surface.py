@@ -29,9 +29,15 @@ ALLOWED = {
     "measure.distribution_refine_sum": (
         "the sum over a fibre that compatibility equates to the coarse value; "
         "the traced benchmark run (perfbench/spans.py) wraps it by name"),
+    "measure.norm_bound_check": (
+        "the bound on a given cylinder function; the reference random_bound_check "
+        "is tested against; perfbench/spans.py wraps it by name"),
     "padic.PadicNum.norm": (
         "the p-adic norm, through which the two-pass oracle and the boundedness "
         "tests state ||E_c(f)|| <= K ||f||; norm_bound_check reads it from valuations"),
+    "padic.PadicNum.appr": (
+        "the projection Z_p -> Z/p^nZ (the Lean appr), through which tests pin the "
+        "ring homomorphism and the tower of quotients"),
     "modarith.partition_range": (
         "splits range(d*p^x) by coprimality to d*p, which at level 0 is not units_of"),
 }

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 import padiclf
-from padiclf import cli, dirichlet
+from padiclf import cli, dirichlet, lfunction
 from padiclf.cli import COMMANDS, GLOBAL_FLAGS, _int_str, main, parse_argv
 from padiclf.padic import PadicNum
 
@@ -570,6 +570,28 @@ def test_lp_eval_cost_is_flat_in_the_character_level(capsys, monkeypatch, m,
     assert reports[0]["value"] == {"p": 5, "valuation": 0, "unit": 7540471, "relprec": 12}
     assert reports[0]["level_used"] == J
     assert set(built) == {5}
+
+
+def test_lp_eval_sums_only_the_certified_digits(capsys, monkeypatch):
+    # J = jmax = 7 certifies 7 digits, so at --prec 3000 the kernel works
+    # mod 5^7, not mod 5^3000, and prints what --prec 7 prints
+    moduli = []
+    kernel = lfunction._unit_sum
+
+    def counted(psi, d, j, k, relprec, weights=(1,)):
+        moduli.append(psi.p**relprec)
+        return kernel(psi, d, j, k, relprec, weights)
+
+    monkeypatch.setattr(lfunction, "_unit_sum", counted)
+    reports = []
+    for prec in ("3000", "7"):
+        code, out, err = run_cli(capsys, "--prec", prec, "lp-eval", "--p", "5", "--d", "1",
+                                 "--m", "1", "--char", "omega^2", "--c", "2", "--weight-k", "2")
+        assert (code, err) == (0, "")
+        reports.append(json.loads(out))
+    assert moduli == [5**7, 5**7]
+    assert reports[0] == reports[1]
+    assert reports[0]["value"]["relprec"] == 7
 
 
 def test_verify_builds_the_twist_table_once(capsys, monkeypatch, empty_character_caches):

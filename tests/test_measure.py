@@ -38,7 +38,7 @@ from padiclf.measure import (
 )
 from padiclf.modarith import partition_range
 from padiclf.padic import PadicNum, eq_mod, rational_valuation
-from padiclf.suite import random_cylinder as suite_random_cylinder
+from padiclf.suite import random_bound_check, random_cylinder as suite_random_cylinder
 
 P312 = BernoulliParams(3, 1, 2)
 # the (p, d, c) grid of suite criterion 5, swept there at levels 0-3
@@ -446,6 +446,47 @@ class TestSuiteRandomCylinder:
         state = rng.getstate()
         with pytest.raises(LevelOrder, match="level must be >= 0, got -1"):
             suite_random_cylinder(rng, 5, 1, -1)
+        assert rng.getstate() == state
+
+
+class TestRandomBoundCheck:
+    @settings(max_examples=150, deadline=None)
+    @given(p=st.sampled_from((3, 5, 7, 11)), d=st.integers(1, 4), c=st.integers(2, 40),
+           level=st.integers(0, 3), relprec=st.integers(1, 12), seed=st.integers(0, 2**32))
+    def test_matches_the_bound_on_the_drawn_cylinder(self, p, d, c, level, relprec, seed):
+        # the verdict on the cylinder random_cylinder draws, from the same draws
+        assume(math.gcd(d, p) == 1 and math.gcd(c, d * p) == 1)
+        params = BernoulliParams(p, d, c)
+        rng, oracle_rng = random.Random(seed), random.Random(seed)
+        f = suite_random_cylinder(oracle_rng, p, d, level, relprec)
+        assert random_bound_check(rng, params, level, relprec) == \
+            norm_bound_check(params, f, relprec)
+        assert rng.getstate() == oracle_rng.getstate()
+
+    def test_builds_at_most_one_padicnum(self, monkeypatch):
+        # a sample of 2 * 5^3 entries builds the integral alone
+        random_bound_check(random.Random(0), BernoulliParams(5, 2, 3), 0)  # warms the tables
+        built = []
+        init = PadicNum.__init__
+
+        def counted(self, *args):
+            built.append(args)
+            init(self, *args)
+
+        monkeypatch.setattr(PadicNum, "__init__", counted)
+        lhs, rhs, ok = random_bound_check(random.Random(1), BernoulliParams(5, 2, 3), 3)
+        assert ok and rhs > 0
+        assert len(built) == 1
+
+    @pytest.mark.parametrize("level, relprec, error, message", [
+        (-1, 8, LevelOrder, "level must be >= 0, got -1"),
+        (2, 0, ValueError, "relative precision must be >= 1"),
+    ])
+    def test_refused_before_any_draw(self, level, relprec, error, message):
+        rng = random.Random(1)
+        state = rng.getstate()
+        with pytest.raises(error, match=message):
+            random_bound_check(rng, BernoulliParams(5, 1, 2), level, relprec)
         assert rng.getstate() == state
 
 
