@@ -73,10 +73,14 @@ bounded cache keyed by them, so a sample pays its entries and one lookup;
 the Fractions p^(-v), K p^(-least) and their comparison are made once per
 distinct key.  norm_bound_check is the bound on a given cylinder function.
 measure-check and suite criterion 6 build none: suite.random_bound_check
-integrates each random entry as it is drawn, by the rule above through
-_halved_sum (the accumulator's last step, which _integrate shares), and
-reads the same cached verdict; it is tested against norm_bound_check on the
-cylinder suite.random_cylinder draws from the same rng state.
+integrates each random entry as it is drawn, exactly, into one integer: L
+times the rational 2 sum f(a) E_c(a), with L = lcm(1..60) a common
+denominator of every drawn entry.  It reads the same cached verdict at the
+integral's stored valuation, which is that integer's valuation less v_p(L),
+capped at W, since the fold above agrees with the exact sum below p^W.  A
+sample so costs the same at every relprec and builds no PadicNum; it is tested
+against norm_bound_check on the cylinder suite.random_cylinder draws from
+the same rng state.
 
 compatibility_failures sweeps in one pass over integer tables.  Its table
 hook values(params, n) gives the doubled values 2 mu(n, a) at

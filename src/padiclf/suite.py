@@ -41,7 +41,6 @@ from .measure import (
     CylinderFunction,
     _bound_verdict,
     _carry_tables,
-    _halved_sum,
     compatibility_failures,
     div_by_c_table,
     measure_apply,
@@ -253,17 +252,21 @@ def _c5_distribution_compatibility(seed):
 _NUM_LOW, _NUM_COUNT = -999, 1999
 _DEN_LOW, _DEN_COUNT = 1, 60
 _NUM_BITS, _DEN_BITS = _NUM_COUNT.bit_length(), _DEN_COUNT.bit_length()
+# L = lcm(1..60), which every drawn den divides, and L // den at each den index
+_DEN_LCM = math.lcm(*range(_DEN_LOW, _DEN_LOW + _DEN_COUNT))
+_DEN_SCALES = tuple(_DEN_LCM // den for den in range(_DEN_LOW, _DEN_LOW + _DEN_COUNT))
 
 
 @functools.lru_cache(maxsize=16)
 def _draw_tables(p: int, relprec: int) -> tuple:
-    """The per-call constants of the draws: (nums, dens, zero, p^relprec).
+    """random_cylinder's per-call constants: (nums, dens, zero, p^relprec).
 
     nums and dens hold the draws by their raw bits: (v_p(num), num / p^v) for
     each num, None for num = 0, and (v_p(den), (den / p^v)^(-1) mod p^relprec)
     for each den.  zero is the exact zero's state.  Every p-free numerator
     and every inverse is checked once here to be a unit mod p, so the unit
-    of each entry drawn, the product of one of each, is one too."""
+    of each entry drawn, the product of one of each, is one too.  The tables
+    grow with relprec; random_bound_check reads none of them."""
     mod = p**relprec
     nums = tuple(split_p_power(p, n) if n else None
                  for n in range(_NUM_LOW, _NUM_LOW + _NUM_COUNT))
@@ -273,6 +276,17 @@ def _draw_tables(p: int, relprec: int) -> tuple:
         if u % p == 0:
             raise ValueError(f"{u} is not a unit modulo {p}")
     return nums, dens, PadicNum.exact_zero(p).state(), mod
+
+
+@functools.lru_cache(maxsize=16)
+def _draw_valuations(p: int) -> tuple:
+    """(v_p(num) at each num index, None for num = 0; v_p(den) at each den
+    index; v_p(L)), which random_bound_check reads.  They do not depend on
+    relprec."""
+    nums = tuple(split_p_power(p, n)[0] if n else None
+                 for n in range(_NUM_LOW, _NUM_LOW + _NUM_COUNT))
+    dens = tuple(split_p_power(p, n)[0] for n in range(_DEN_LOW, _DEN_LOW + _DEN_COUNT))
+    return nums, dens, split_p_power(p, _DEN_LCM)[0]
 
 
 def _check_draw(relprec: int, level: int) -> None:
@@ -322,25 +336,48 @@ def random_cylinder(rng, p, d, level, relprec=DEFAULT_RELPREC) -> CylinderFuncti
     return CylinderFunction._of(d, p, level, tuple(states))
 
 
+def _capped_valuation(p: int, n: int, shift: int, cap: int) -> int:
+    """min(shift + v_p(n), cap), and cap for n = 0: the stored valuation of
+    measure._halved_sum(p, {shift: n}, cap).  The division by p stops at the
+    cap, so a large cap costs nothing."""
+    if n == 0:
+        return cap
+    v = shift
+    while v < cap:
+        n, r = divmod(n, p)
+        if r:
+            break
+        v += 1
+    return min(v, cap)
+
+
 def random_bound_check(rng, params: BernoulliParams, level: int,
                        relprec: int = DEFAULT_RELPREC) -> tuple:
     """norm_bound_check(params, random_cylinder(rng, p, d, level, relprec),
     relprec), leaving rng in the same state, in one pass over the draws.
 
     Each entry makes random_cylinder's draws in its order and is integrated
-    as it is drawn, against the carry tables of (params, level), by the rule
-    of measure._integrate: sums[v] gains num' * den'^(-1) * 2 E_c(a), with
-    the unit left unreduced (measure._halved_sum says why that changes no
-    digit), and every drawn entry has relative precision relprec.  No
-    states, no CylinderFunction and no PadicNum per entry are made.  A
-    relprec below 1 or a negative level is refused before any draw.
+    as it is drawn, exactly: acc gains num * (L // den) * 2 E_c(a) for
+    L = lcm(1..60), so acc is L times the rational 2 * sum f(a) E_c(a).
+    The verdict reads only the integral's stored valuation, and that is
+    min(v_p(acc) - v_p(L), W) with W = low + relprec, the least v + e of a
+    counted entry plus relprec (measure's module docstring), or None when no
+    entry counts.  That is _halved_sum(...).state()[1] of measure_apply's
+    fold: random_cylinder embeds num/den as p^v times a unit congruent to
+    num'/den' mod p^relprec, so each term of the fold differs from the exact
+    one by a multiple of p^(v + e + relprec), and the fold agrees with the
+    exact sum below p^W; halving keeps the valuation as p is odd, and
+    measure._halved_sum stores min(v_p, W).  The
+    cost is independent of relprec: one multiply-add per entry, valuations
+    from per-p tables, and no modular inverse or PadicNum.  A relprec below
+    1 or a negative level is refused before any draw.
     """
     _check_draw(relprec, level)
     p = params.p
-    nums, dens, _, _ = _draw_tables(p, relprec)
-    uniform, getrandbits = rng.random, rng.getrandbits
+    num_vals, den_vals, v_lcm = _draw_valuations(p)
+    scales, uniform, getrandbits = _DEN_SCALES, rng.random, rng.getrandbits
     least = low = math.inf  # the least v, and the least v + e of a counted entry
-    sums = {}
+    acc = 0
     for two_e, e in zip(*_carry_tables(params, level)):
         if uniform() < 0.1:
             continue
@@ -350,19 +387,18 @@ def random_bound_check(rng, params: BernoulliParams, level: int,
         j = getrandbits(_DEN_BITS)
         while j >= _DEN_COUNT:
             j = getrandbits(_DEN_BITS)
-        num = nums[i]
-        if num is None:
+        vn = num_vals[i]
+        if vn is None:
             continue
-        vd, den_inv = dens[j]
-        v = num[0] - vd
+        v = vn - den_vals[j]
         if v < least:
             least = v
         if two_e:
-            sums[v] = sums.get(v, 0) + num[1] * den_inv * two_e
+            acc += scales[j] * ((i + _NUM_LOW) * two_e)
             if v + e < low:
                 low = v + e
-    value = _halved_sum(p, sums, low + relprec)
-    return _bound_verdict(p, params.c, value.state()[1], least)
+    v_integral = None if low == math.inf else _capped_valuation(p, acc, -v_lcm, low + relprec)
+    return _bound_verdict(p, params.c, v_integral, least)
 
 
 def _c6_boundedness(seed):

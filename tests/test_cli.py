@@ -362,6 +362,13 @@ def test_measure_check_passes(capsys):
     assert obj["pass"] is True and obj["counterexamples"] == []
 
 
+def test_measure_check_cost_is_independent_of_prec(capsys):
+    # at --prec 1000000 this argv used to run for more than a minute
+    argv = ("--seed", "5", "measure-check", "--p", "7", "--d", "4", "--c", "3",
+            "--max-level", "3")
+    assert run_cli(capsys, "--prec", "1000000", *argv) == run_cli(capsys, "--prec", "12", *argv)
+
+
 def test_measure_check_invalid_params(capsys):
     code, _, err = run_cli(capsys, "measure-check", "--p", "5", "--d", "5", "--c", "2")
     assert code == 2

@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
@@ -38,7 +38,11 @@ from padiclf.measure import (
 )
 from padiclf.modarith import partition_range
 from padiclf.padic import PadicNum, eq_mod, rational_valuation
-from padiclf.suite import random_bound_check, random_cylinder as suite_random_cylinder
+from padiclf.suite import (
+    _capped_valuation,
+    random_bound_check,
+    random_cylinder as suite_random_cylinder,
+)
 
 P312 = BernoulliParams(3, 1, 2)
 # the (p, d, c) grid of suite criterion 5, swept there at levels 0-3
@@ -452,10 +456,18 @@ class TestSuiteRandomCylinder:
 class TestRandomBoundCheck:
     @settings(max_examples=150, deadline=None)
     @given(p=st.sampled_from((3, 5, 7, 11)), d=st.integers(1, 4), c=st.integers(2, 40),
-           level=st.integers(0, 3), relprec=st.integers(1, 12), seed=st.integers(0, 2**32))
+           level=st.integers(0, 3),
+           relprec=st.one_of(st.integers(1, 12), st.sampled_from((60, 1000))),
+           seed=st.integers(0, 2**32))
+    # integrals O(p^W) whose exact valuation passes W, where the cap sets the verdict
+    @example(p=3, d=1, c=2, level=1, relprec=1, seed=10)
+    @example(p=5, d=1, c=2, level=2, relprec=2, seed=85)
+    @example(p=7, d=2, c=3, level=2, relprec=1, seed=252)
     def test_matches_the_bound_on_the_drawn_cylinder(self, p, d, c, level, relprec, seed):
-        # the verdict on the cylinder random_cylinder draws, from the same draws
+        # the verdict on the cylinder random_cylinder draws, from the same draws;
+        # at relprec 1 or 2 some integrals are O(p^W), which the cap at W covers
         assume(math.gcd(d, p) == 1 and math.gcd(c, d * p) == 1)
+        assume(relprec <= 12 or level <= 2)
         params = BernoulliParams(p, d, c)
         rng, oracle_rng = random.Random(seed), random.Random(seed)
         f = suite_random_cylinder(oracle_rng, p, d, level, relprec)
@@ -463,9 +475,8 @@ class TestRandomBoundCheck:
             norm_bound_check(params, f, relprec)
         assert rng.getstate() == oracle_rng.getstate()
 
-    def test_builds_at_most_one_padicnum(self, monkeypatch):
-        # a sample of 2 * 5^3 entries builds the integral alone
-        random_bound_check(random.Random(0), BernoulliParams(5, 2, 3), 0)  # warms the tables
+    def test_builds_no_padicnum(self, monkeypatch):
+        # a sample of 2 * 5^3 entries reads its verdict off one exact integer
         built = []
         init = PadicNum.__init__
 
@@ -476,7 +487,23 @@ class TestRandomBoundCheck:
         monkeypatch.setattr(PadicNum, "__init__", counted)
         lhs, rhs, ok = random_bound_check(random.Random(1), BernoulliParams(5, 2, 3), 3)
         assert ok and rhs > 0
-        assert len(built) == 1
+        assert built == []
+
+    @settings(max_examples=300, deadline=None)
+    @given(p=st.sampled_from((3, 5, 7, 11)),
+           sums=st.dictionaries(st.integers(-4, 4),
+                                st.tuples(st.integers(-10**6, 10**6), st.integers(0, 40)),
+                                max_size=4),
+           offset=st.integers(-3, 45))
+    def test_capped_valuation_is_the_halved_sums_valuation(self, p, sums, offset):
+        # sums[v] = m * p^j: zero, highly p-divisible and negative accumulators,
+        # and W from below vmin to far above it
+        sums = {v: m * p**j for v, (m, j) in sums.items()}
+        vmin = min(sums, default=0)
+        absprec = vmin + offset
+        acc = sum(m * p ** (v - vmin) for v, m in sums.items())
+        assert _capped_valuation(p, acc, vmin, absprec) == \
+            measure._halved_sum(p, sums, absprec).state()[1]
 
     @pytest.mark.parametrize("level, relprec, error, message", [
         (-1, 8, LevelOrder, "level must be >= 0, got -1"),
