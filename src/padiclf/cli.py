@@ -99,8 +99,8 @@ def _require_printable_units(p: int, digits: int) -> None:
 
 
 def _make_lp_params(args) -> LpParams:
-    # validate (p, d, c) before the level d*p^m is built from them
-    BernoulliParams(args.p, args.d, args.c)
+    # validate (p, d, c) before the level d*p^m is built from them, and only here
+    measure_params = BernoulliParams(args.p, args.d, args.c)
     if args.m < 1:
         raise ValueError("m must be >= 1")
     level = args.d * args.p**args.m
@@ -112,7 +112,7 @@ def _make_lp_params(args) -> LpParams:
     chi = chi.change_level(level)
     return LpParams(p=args.p, d=args.d, c=args.c, m=args.m, chi=chi,
                     relprec=args.prec, j_min=args.jmin, j_max=args.jmax,
-                    target_valuation=args.target)
+                    target_valuation=args.target, bernoulli_params=measure_params)
 
 
 def _cmd_bernoulli(args) -> int:
@@ -168,10 +168,9 @@ def _cmd_measure_check(args) -> int:
          "coarse": _frac_str(coarse), "refined_sum": _frac_str(fine)}
         for m, x, coarse, fine in compatibility_failures(params, args.max_level)
     ]
-    rng = random.Random(args.seed)
-    for i in range(100):
-        level = rng.randint(0, min(args.max_level, 3))
-        lhs, rhs, ok = suite_mod.random_bound_check(rng, params, level, args.prec)
+    samples = suite_mod.random_bound_checks(random.Random(args.seed), params,
+                                            min(args.max_level, 3), 100, args.prec)
+    for i, (_, lhs, rhs, ok) in enumerate(samples):
         if not ok:
             counterexamples.append({
                 "kind": "boundedness", "sample": i,
@@ -244,7 +243,8 @@ COMMANDS = {
                       "--n": (int, REQUIRED)}),
     "char-info": (_cmd_char_info, "level, conductor, parity of a character",
                   {"--p": (int, REQUIRED), "--char": (str, REQUIRED)}),
-    "measure-check": (_cmd_measure_check, "distribution and boundedness sweeps",
+    "measure-check": (_cmd_measure_check, "compatibility to --max-level, boundedness of "
+                      "100 random cylinders at levels 0..min(--max-level, 3)",
                       {"--p": (int, REQUIRED), "--d": (int, REQUIRED),
                        "--c": (int, REQUIRED), "--max-level": (int, 3)}),
     "lp-eval": (_cmd_lp_eval, "evaluate the p-adic L-function at a weight",

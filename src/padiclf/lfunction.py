@@ -92,9 +92,15 @@ class LpParams:
     j_min: int = 1
     j_max: int = 7
     target_valuation: int = 4
+    # (p, d, c) as the measure's parameters; given when already validated
+    bernoulli_params: BernoulliParams | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        BernoulliParams(self.p, self.d, self.c)
+        given = self.bernoulli_params
+        if given is None:
+            self.bernoulli_params = BernoulliParams(self.p, self.d, self.c)
+        elif (given.p, given.d, given.c) != (self.p, self.d, self.c):
+            raise ValueError("bernoulli parameters differ from (p, d, c)")
         if self.m < 1:
             raise ValueError("m must be >= 1")
         if self.chi.p != self.p:

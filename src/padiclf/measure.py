@@ -72,15 +72,15 @@ for O(p^W), v otherwise) and the least valuation of f.  It is kept in a
 bounded cache keyed by them, so a sample pays its entries and one lookup;
 the Fractions p^(-v), K p^(-least) and their comparison are made once per
 distinct key.  norm_bound_check is the bound on a given cylinder function.
-measure-check and suite criterion 6 build none: suite.random_bound_check
-integrates each random entry as it is drawn, exactly, into one integer: L
-times the rational 2 sum f(a) E_c(a), with L = lcm(1..60) a common
-denominator of every drawn entry.  It reads the same cached verdict at the
-integral's stored valuation, which is that integer's valuation less v_p(L),
-capped at W, since the fold above agrees with the exact sum below p^W.  A
-sample so costs the same at every relprec and builds no PadicNum; it is tested
-against norm_bound_check on the cylinder suite.random_cylinder draws from
-the same rng state.
+measure-check and suite criterion 6 build none: suite.random_bound_checks
+draws all of a call's samples at levels 0 .. max_level (min(--max-level, 3)
+for measure-check) and integrates each random entry as it is drawn,
+exactly, into one integer: L times the rational 2 sum f(a) E_c(a), with
+L = lcm(1..60) a common denominator of every drawn entry, from per-level
+tables of shared (L/den * 2 E_c, v_p(2 E_c)) pairs.  The cached verdict is
+read at that integer's valuation less v_p(L), capped at W, since the fold
+above agrees with the exact sum below p^W.  A sample costs the same at every
+relprec, builds no PadicNum and is tested against norm_bound_check.
 
 compatibility_failures sweeps in one pass over integer tables.  Its table
 hook values(params, n) gives the doubled values 2 mu(n, a) at

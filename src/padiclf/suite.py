@@ -40,7 +40,7 @@ from .measure import (
     BernoulliParams,
     CylinderFunction,
     _bound_verdict,
-    _carry_tables,
+    carry_table,
     compatibility_failures,
     div_by_c_table,
     measure_apply,
@@ -50,7 +50,7 @@ from .padic import DEFAULT_RELPREC, PadicNum, eq_mod, rational_valuation, split_
 
 __all__ = ["Criterion", "CriterionResult", "ALL_CRITERIA", "run_profile",
            "conductor_bruteforce", "factors_through", "random_cylinder",
-           "random_bound_check"]
+           "random_bound_checks"]
 
 
 @dataclass
@@ -266,7 +266,7 @@ def _draw_tables(p: int, relprec: int) -> tuple:
     for each den.  zero is the exact zero's state.  Every p-free numerator
     and every inverse is checked once here to be a unit mod p, so the unit
     of each entry drawn, the product of one of each, is one too.  The tables
-    grow with relprec; random_bound_check reads none of them."""
+    grow with relprec; random_bound_checks reads none of them."""
     mod = p**relprec
     nums = tuple(split_p_power(p, n) if n else None
                  for n in range(_NUM_LOW, _NUM_LOW + _NUM_COUNT))
@@ -278,15 +278,31 @@ def _draw_tables(p: int, relprec: int) -> tuple:
     return nums, dens, PadicNum.exact_zero(p).state(), mod
 
 
+# a sample's least valuations start at _NO_ENTRY, which no v or v + e of a
+# drawn entry reaches; num = 0 is stored at _ZERO_NUM, above it less any v_p(den)
+_NO_ENTRY, _ZERO_NUM = 1 << 29, (1 << 29) + 8
+
+
 @functools.lru_cache(maxsize=16)
 def _draw_valuations(p: int) -> tuple:
-    """(v_p(num) at each num index, None for num = 0; v_p(den) at each den
-    index; v_p(L)), which random_bound_check reads.  They do not depend on
-    relprec."""
-    nums = tuple(split_p_power(p, n)[0] if n else None
+    """(v_p(num) at each num index, _ZERO_NUM for num = 0; v_p(den) at each
+    den index; v_p(L)), which random_bound_checks reads.  They do not depend
+    on relprec."""
+    nums = tuple(split_p_power(p, n)[0] if n else _ZERO_NUM
                  for n in range(_NUM_LOW, _NUM_LOW + _NUM_COUNT))
     dens = tuple(split_p_power(p, n)[0] for n in range(_DEN_LOW, _DEN_LOW + _DEN_COUNT))
     return nums, dens, split_p_power(p, _DEN_LCM)[0]
+
+
+@functools.lru_cache(maxsize=32)
+def _weighted_carry_table(params: BernoulliParams, level: int) -> tuple:
+    """At index a, the pair (weights, e): (L // den) * 2 E_c(level, a) at each
+    den index, None where 2 E_c(a) = 0, and e = v_p(2 E_c(a)).  Residues of
+    one value share one pair, so there are at most c pair objects."""
+    two_es = carry_table(params, level)
+    pairs = {x: (tuple(scale * x for scale in _DEN_SCALES), rational_valuation(params.p, x))
+             if x else (None, 0) for x in set(two_es)}
+    return tuple(map(pairs.__getitem__, two_es))
 
 
 def _check_draw(relprec: int, level: int) -> None:
@@ -351,64 +367,62 @@ def _capped_valuation(p: int, n: int, shift: int, cap: int) -> int:
     return min(v, cap)
 
 
-def random_bound_check(rng, params: BernoulliParams, level: int,
-                       relprec: int = DEFAULT_RELPREC) -> tuple:
-    """norm_bound_check(params, random_cylinder(rng, p, d, level, relprec),
-    relprec), leaving rng in the same state, in one pass over the draws.
+def random_bound_checks(rng, params: BernoulliParams, max_level: int, count: int,
+                        relprec: int = DEFAULT_RELPREC) -> list:
+    """count samples (level, lhs, rhs, ok): level as rng.randint(0, max_level)
+    draws it, and (lhs, rhs, ok) = norm_bound_check(params, random_cylinder(rng,
+    p, d, level, relprec), relprec), leaving rng as those calls leave it.
 
-    Each entry makes random_cylinder's draws in its order and is integrated
-    as it is drawn, exactly: acc gains num * (L // den) * 2 E_c(a) for
-    L = lcm(1..60), so acc is L times the rational 2 * sum f(a) E_c(a).
-    The verdict reads only the integral's stored valuation, and that is
-    min(v_p(acc) - v_p(L), W) with W = low + relprec, the least v + e of a
-    counted entry plus relprec (measure's module docstring), or None when no
-    entry counts.  That is _halved_sum(...).state()[1] of measure_apply's
-    fold: random_cylinder embeds num/den as p^v times a unit congruent to
-    num'/den' mod p^relprec, so each term of the fold differs from the exact
-    one by a multiple of p^(v + e + relprec), and the fold agrees with the
-    exact sum below p^W; halving keeps the valuation as p is odd, and
-    measure._halved_sum stores min(v_p, W).  The
-    cost is independent of relprec: one multiply-add per entry, valuations
-    from per-p tables, and no modular inverse or PadicNum.  A relprec below
-    1 or a negative level is refused before any draw.
+    Each entry makes random_cylinder's draws and is integrated as it is
+    drawn, exactly: acc gains num * (L // den) * 2 E_c(a) from
+    _weighted_carry_table, so acc is L = lcm(1..60) times 2 sum f(a) E_c(a).
+    The stored valuation of measure_apply's fold is min(v_p(acc) - v_p(L), W)
+    with W = low + relprec, low the least v + e of a counted entry (measure's
+    module docstring): each term of the fold differs from the exact one by a
+    multiple of p^(v + e + relprec), and halving keeps valuations as p is odd.
+    A relprec below 1 or a negative max_level is refused before any draw.
     """
-    _check_draw(relprec, level)
-    p = params.p
+    _check_draw(relprec, max_level)
+    p, c = params.p, params.c
     num_vals, den_vals, v_lcm = _draw_valuations(p)
-    scales, uniform, getrandbits = _DEN_SCALES, rng.random, rng.getrandbits
-    least = low = math.inf  # the least v, and the least v + e of a counted entry
-    acc = 0
-    for two_e, e in zip(*_carry_tables(params, level)):
-        if uniform() < 0.1:
-            continue
-        i = getrandbits(_NUM_BITS)
-        while i >= _NUM_COUNT:
-            i = getrandbits(_NUM_BITS)
-        j = getrandbits(_DEN_BITS)
-        while j >= _DEN_COUNT:
-            j = getrandbits(_DEN_BITS)
-        vn = num_vals[i]
-        if vn is None:
-            continue
-        v = vn - den_vals[j]
-        if v < least:
-            least = v
-        if two_e:
-            acc += scales[j] * ((i + _NUM_LOW) * two_e)
-            if v + e < low:
-                low = v + e
-    v_integral = None if low == math.inf else _capped_valuation(p, acc, -v_lcm, low + relprec)
-    return _bound_verdict(p, params.c, v_integral, least)
+    tables = [_weighted_carry_table(params, level) for level in range(max_level + 1)]
+    uniform, getrandbits, levels, samples = rng.random, rng.getrandbits, len(tables), []
+    num_bits, num_count, num_low = _NUM_BITS, _NUM_COUNT, _NUM_LOW
+    den_bits, den_count, level_bits = _DEN_BITS, _DEN_COUNT, levels.bit_length()
+    for _ in range(count):
+        level = getrandbits(level_bits)
+        while level >= levels:
+            level = getrandbits(level_bits)
+        least = low = _NO_ENTRY  # the least v, and the least v + e of a counted entry
+        acc = 0
+        for weights, e in tables[level]:
+            if uniform() < 0.1:
+                continue
+            i = getrandbits(num_bits)
+            while i >= num_count:
+                i = getrandbits(num_bits)
+            j = getrandbits(den_bits)
+            while j >= den_count:
+                j = getrandbits(den_bits)
+            v = num_vals[i] - den_vals[j]
+            if v < least:
+                least = v
+            if weights is not None:
+                acc += weights[j] * (i + num_low)
+                if v + e < low:
+                    low = v + e
+        stored = None if low == _NO_ENTRY else _capped_valuation(p, acc, -v_lcm, low + relprec)
+        samples.append((level, *_bound_verdict(p, c, stored,
+                                               math.inf if least == _NO_ENTRY else least)))
+    return samples
 
 
 def _c6_boundedness(seed):
     rng = random.Random(seed)
     failures = []
     for p, d, c, max_level in ((3, 1, 2, 3), (5, 2, 3, 3), (7, 4, 3, 2)):
-        params = BernoulliParams(p, d, c)
-        for _ in range(200):
-            level = rng.randint(0, max_level)
-            lhs, rhs, ok = random_bound_check(rng, params, level)
+        for level, lhs, rhs, ok in random_bound_checks(rng, BernoulliParams(p, d, c),
+                                                       max_level, 200):
             if not ok:
                 failures.append((p, d, c, level, str(lhs), str(rhs)))
     return not failures, {"samples_per_set": 200, "failures": failures}

@@ -30,7 +30,7 @@ ALLOWED = {
         "the sum over a fibre that compatibility equates to the coarse value; "
         "the traced benchmark run (perfbench/spans.py) wraps it by name"),
     "measure.norm_bound_check": (
-        "the bound on a given cylinder function; the reference random_bound_check "
+        "the bound on a given cylinder function; the reference random_bound_checks "
         "is tested against; perfbench/spans.py wraps it by name"),
     "padic.PadicNum.norm": (
         "the p-adic norm, through which the two-pass oracle and the boundedness "

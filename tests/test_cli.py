@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 import padiclf
-from padiclf import cli, dirichlet, lfunction
+from padiclf import cli, dirichlet, lfunction, measure
 from padiclf.cli import COMMANDS, GLOBAL_FLAGS, _int_str, main, parse_argv
 from padiclf.padic import PadicNum
 
@@ -493,6 +493,39 @@ def test_lp_eval_odd_character_rejected(capsys):
     code, out, err = run_cli(capsys, "lp-eval", "--p", "5", "--d", "1", "--m", "1",
                              "--char", "omega^1", "--c", "2", "--weight-k", "1")
     assert (code, out, err) == (2, "", "error: chi must be even\n")
+
+
+@pytest.mark.parametrize("command, weight", [("lp-eval", "--weight-k"), ("verify", "--n")])
+def test_lp_call_checks_p_d_c_once(capsys, monkeypatch, command, weight):
+    # the CLI checks (p, d, c) before it builds the level d*p^m and hands
+    # the BernoulliParams to LpParams, which then builds none
+    checked = []
+    post_init = measure.BernoulliParams.__post_init__
+
+    def counted(self):
+        checked.append((self.p, self.d, self.c))
+        post_init(self)
+
+    monkeypatch.setattr(measure.BernoulliParams, "__post_init__", counted)
+    for _ in range(2):
+        code, out, err = run_cli(capsys, command, "--p", "5", "--d", "1", "--m", "1",
+                                 "--char", "omega^2", "--c", "2", weight, "2")
+        assert (code, err) == (0, "")
+    assert checked == [(5, 1, 2)] * 2
+
+
+@pytest.mark.parametrize("p, d, c, message", [
+    ("4", "1", "2", "p must be an odd prime"),
+    ("5", "0", "2", "d must be a positive integer"),
+    ("5", "5", "2", "gcd(d=5, p=5) != 1"),
+    ("5", "1", "1", "c must be >= 2"),
+    ("5", "2", "10", "gcd(c=10, dp=10) != 1"),
+])
+@pytest.mark.parametrize("command, weight", [("lp-eval", "--weight-k"), ("verify", "--n")])
+def test_lp_call_refuses_bad_p_d_c(capsys, command, weight, p, d, c, message):
+    code, out, err = run_cli(capsys, command, "--p", p, "--d", d, "--m", "1",
+                             "--char", "omega^2", "--c", c, weight, "2")
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("command, weight", [("lp-eval", "--weight-k"), ("verify", "--n")])

@@ -75,6 +75,15 @@ class TestLpParams:
         with pytest.raises(ValueError, match="j_max"):
             LpParams(p=5, d=1, c=2, m=2, chi=omega2().change_level(25), j_max=1)
 
+    def test_bernoulli_params(self):
+        # built from (p, d, c) unless given; a given one must match them
+        chi = omega2()
+        assert LpParams(p=5, d=1, c=2, m=1, chi=chi).bernoulli_params == BernoulliParams(5, 1, 2)
+        given = BernoulliParams(5, 1, 2)
+        assert LpParams(p=5, d=1, c=2, m=1, chi=chi, bernoulli_params=given).bernoulli_params is given
+        with pytest.raises(ValueError, match="bernoulli parameters differ"):
+            LpParams(p=5, d=1, c=2, m=1, chi=chi, bernoulli_params=BernoulliParams(5, 1, 3))
+
     def test_d_must_divide_conductor(self):
         chi = omega2().change_level(15)
         with pytest.raises(ValueError, match="conductor"):

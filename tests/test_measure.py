@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -39,8 +40,10 @@ from padiclf.measure import (
 from padiclf.modarith import partition_range
 from padiclf.padic import PadicNum, eq_mod, rational_valuation
 from padiclf.suite import (
+    _DEN_LCM,
     _capped_valuation,
-    random_bound_check,
+    _weighted_carry_table,
+    random_bound_checks,
     random_cylinder as suite_random_cylinder,
 )
 
@@ -453,30 +456,95 @@ class TestSuiteRandomCylinder:
         assert rng.getstate() == state
 
 
+# draws (p, d, c, max_level, relprec, seed, count) at which some sample's
+# integral is O(p^W) with an exact valuation past W, so the cap sets its verdict
+CAPPED_DRAWS = [(3, 2, 5, 3, 1, 2, 3), (5, 1, 2, 2, 2, 136, 3), (7, 2, 3, 2, 1, 5, 3)]
+
+
+def with_capped_examples(test):
+    """test with each of CAPPED_DRAWS as a hypothesis example."""
+    names = ("p", "d", "c", "max_level", "relprec", "seed", "count")
+    for draw in CAPPED_DRAWS:
+        test = example(**dict(zip(names, draw)))(test)
+    return test
+
+
 class TestRandomBoundCheck:
     @settings(max_examples=150, deadline=None)
     @given(p=st.sampled_from((3, 5, 7, 11)), d=st.integers(1, 4), c=st.integers(2, 40),
-           level=st.integers(0, 3),
+           max_level=st.integers(0, 3),
            relprec=st.one_of(st.integers(1, 12), st.sampled_from((60, 1000))),
-           seed=st.integers(0, 2**32))
-    # integrals O(p^W) whose exact valuation passes W, where the cap sets the verdict
-    @example(p=3, d=1, c=2, level=1, relprec=1, seed=10)
-    @example(p=5, d=1, c=2, level=2, relprec=2, seed=85)
-    @example(p=7, d=2, c=3, level=2, relprec=1, seed=252)
-    def test_matches_the_bound_on_the_drawn_cylinder(self, p, d, c, level, relprec, seed):
-        # the verdict on the cylinder random_cylinder draws, from the same draws;
-        # at relprec 1 or 2 some integrals are O(p^W), which the cap at W covers
+           seed=st.integers(0, 2**32), count=st.integers(1, 3))
+    @with_capped_examples
+    # the one entry drawn is num = 0, an exact zero that sets neither ||f|| nor W
+    @example(p=3, d=1, c=2, max_level=0, relprec=8, seed=427, count=1)
+    def test_matches_the_bound_on_the_drawn_cylinder(self, p, d, c, max_level, relprec,
+                                                     seed, count):
+        # each sample's level as randint draws it and its verdict on the
+        # cylinder random_cylinder draws, from the same draws; at relprec 1 or
+        # 2 some integrals are O(p^W), which the cap at W covers
         assume(math.gcd(d, p) == 1 and math.gcd(c, d * p) == 1)
-        assume(relprec <= 12 or level <= 2)
+        assume(relprec <= 12 or max_level <= 2)
         params = BernoulliParams(p, d, c)
         rng, oracle_rng = random.Random(seed), random.Random(seed)
-        f = suite_random_cylinder(oracle_rng, p, d, level, relprec)
-        assert random_bound_check(rng, params, level, relprec) == \
-            norm_bound_check(params, f, relprec)
+        expected = []
+        for _ in range(count):
+            level = oracle_rng.randint(0, max_level)
+            f = suite_random_cylinder(oracle_rng, p, d, level, relprec)
+            expected.append((level, *norm_bound_check(params, f, relprec)))
+        assert random_bound_checks(rng, params, max_level, count, relprec) == expected
         assert rng.getstate() == oracle_rng.getstate()
 
+    @pytest.mark.parametrize("p, d, c, max_level, relprec, seed, count", CAPPED_DRAWS)
+    def test_capped_draws_reach_the_cap(self, p, d, c, max_level, relprec, seed, count):
+        # the exact integral of some sample, from the same draws as Fractions,
+        # has a valuation past the O(p^W) that measure_apply stores
+        params = BernoulliParams(p, d, c)
+        rng = random.Random(seed)
+        capped = 0
+        for _ in range(count):
+            level = rng.randint(0, max_level)
+            exact_rng = random.Random()
+            exact_rng.setstate(rng.getstate())
+            f = suite_random_cylinder(rng, p, d, level, relprec)
+            exact = sum((Fraction(exact_rng.randint(-999, 999), exact_rng.randint(1, 60))
+                         * bernoulli_distribution(params, level, a)
+                         for a in range(d * p**level) if exact_rng.random() >= 0.1), Fraction(0))
+            assert exact_rng.getstate() == rng.getstate()
+            _, w, unit, _ = measure_apply(params, f, relprec).state()
+            if unit is None and w is not None and rational_valuation(p, exact) > w:
+                capped += 1
+        assert capped
+
+    @pytest.mark.parametrize("seed, prec, p, d, c, digest", [
+        (5, 8, 7, 4, 3, "c496642e171bd8e798ce530d6cf95c0923bdc4adfd2efd2247f84329b878ea14"),
+        (9, 1, 5, 2, 3, "04f3f6e1df94de87da6ac0a12d5166d9a1b64d6ed4f8152846afd1b1c3eb1ff6"),
+    ])
+    def test_measure_check_verdicts_are_pinned(self, seed, prec, p, d, c, digest):
+        # the (lhs, rhs, ok) of all 100 samples of `--prec prec --seed seed
+        # measure-check --p p --d d --c c --max-level 3`, which a passing run
+        # does not print; the draws are randrange's on every Python
+        samples = random_bound_checks(random.Random(seed), BernoulliParams(p, d, c), 3, 100, prec)
+        text = "".join(f"{lhs} {rhs} {ok}\n" for _, lhs, rhs, ok in samples)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("params", C5_GRID + [BernoulliParams(5, 3, 37)])
+    def test_weighted_carry_table(self, params):
+        # one shared (weights, e) per distinct value of 2 E_c: at most c pairs
+        for level in range(4):
+            table = _weighted_carry_table(params, level)
+            assert len(table) == params.d * params.p**level
+            assert len({id(pair) for pair in table}) <= params.c
+            for a, (weights, e) in enumerate(table):
+                two_e = 2 * bernoulli_distribution(params, level, a)
+                if two_e == 0:
+                    assert weights is None
+                else:
+                    assert weights == tuple(_DEN_LCM // den * two_e for den in range(1, 61))
+                    assert e == rational_valuation(params.p, two_e)
+
     def test_builds_no_padicnum(self, monkeypatch):
-        # a sample of 2 * 5^3 entries reads its verdict off one exact integer
+        # samples of up to 2 * 5^3 entries read their verdicts off exact integers
         built = []
         init = PadicNum.__init__
 
@@ -485,8 +553,9 @@ class TestRandomBoundCheck:
             init(self, *args)
 
         monkeypatch.setattr(PadicNum, "__init__", counted)
-        lhs, rhs, ok = random_bound_check(random.Random(1), BernoulliParams(5, 2, 3), 3)
-        assert ok and rhs > 0
+        samples = random_bound_checks(random.Random(0), BernoulliParams(5, 2, 3), 3, 8)
+        assert {level for level, _, _, _ in samples} == {0, 1, 2, 3}
+        assert all(ok and rhs > 0 for _, _, rhs, ok in samples)
         assert built == []
 
     @settings(max_examples=300, deadline=None)
@@ -505,15 +574,16 @@ class TestRandomBoundCheck:
         assert _capped_valuation(p, acc, vmin, absprec) == \
             measure._halved_sum(p, sums, absprec).state()[1]
 
-    @pytest.mark.parametrize("level, relprec, error, message", [
+    @pytest.mark.parametrize("max_level, relprec, error, message", [
+        # at max_level -1 the level draw would read getrandbits(0) = 0 forever
         (-1, 8, LevelOrder, "level must be >= 0, got -1"),
         (2, 0, ValueError, "relative precision must be >= 1"),
     ])
-    def test_refused_before_any_draw(self, level, relprec, error, message):
+    def test_refused_before_any_draw(self, max_level, relprec, error, message):
         rng = random.Random(1)
         state = rng.getstate()
         with pytest.raises(error, match=message):
-            random_bound_check(rng, BernoulliParams(5, 1, 2), level, relprec)
+            random_bound_checks(rng, BernoulliParams(5, 1, 2), max_level, 5, relprec)
         assert rng.getstate() == state
 
 
