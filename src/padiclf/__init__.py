@@ -61,6 +61,7 @@ from .measure import (
     cylinder_decompose,
     distribution_refine_sum,
     equi_class,
+    integral,
     measure_apply,
     norm_bound_check,
     units_cylinder,

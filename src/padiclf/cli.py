@@ -169,7 +169,7 @@ def _cmd_measure_check(args) -> int:
         for m, x, coarse, fine in compatibility_failures(params, args.max_level)
     ]
     samples = suite_mod.random_bound_checks(random.Random(args.seed), params,
-                                            min(args.max_level, 3), 100, args.prec)
+                                            min(args.max_level, 3), 100)
     for i, (_, lhs, rhs, ok) in enumerate(samples):
         if not ok:
             counterexamples.append({

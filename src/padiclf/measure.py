@@ -21,66 +21,59 @@ fractional part, {A/D} - c {A/(cD)} + (c - 1)/2, is the constant
 (c - 1)/2, whose refined sum is p (c - 1)/2.
 
 A cylinder (locally constant) function at level n is a function on the
-finite quotient Z/(d p^n)Z, stored as the tuple `states` of its values'
-PadicNum.state() tuples (p, v, unit, relprec) indexed by the residue
-a = 0 .. d p^n - 1, the format of the carry tables below.  Its `values`
-are rebuilt from the states on each read, and CylinderFunction._of builds
-one from states, so that random draws and refinement make no PadicNum.
-Applying the measure to one is a finite sum, and refining the level does
-not change the result.  Seven paper objects stay although only tests call
-them, because tests pin properties of the measure through them:
+finite quotient Z/(d p^n)Z.  CylinderFunction takes rational values: it
+stores their integer numerators `nums` over one positive denominator `den`,
+indexed by the residue a = 0 .. d p^n - 1, the format of the carry tables
+below, and `values` returns them as Fractions.  Refining the level repeats
+the numerators and keeps den.  Eight paper objects stay although only
+tests call them, because tests pin properties of the measure through them:
+  * measure_apply, the integral E_c(f) as an element of Q_p;
   * bernoulli_distribution, the value E_c(n, a) at one residue, which the
     carry tables and the oracles are checked against;
   * ClopenSet and char_fn, a basic clopen set U and its characteristic
     function, whose integral is the distribution value E_c(U);
   * cylinder_decompose, the clopen decomposition f = sum f(a) char_fn(U_a);
-  * units_cylinder, a function on the units extended by zero, through
-    which a test integrates the L-function integrand with measure_apply;
+  * units_cylinder, a function on the units extended by zero;
   * equi_class, the fibre of reduction (the Lean equi_class), and
     distribution_refine_sum, the sum over it, which state compatibility
     residue by residue; the tests hold compatibility_failures to them.
 
-measure_apply returns the PadicNum that the fold sum_a f(a) * E_c(a), with
-each E_c(a) embedded at relative precision relprec, would return, from one
-integer accumulator.  An entry counts when it is not an exact zero and
-E_c(a) != 0; write e = v_p(2 E_c(a)).  A finite entry p^v u with relative
-precision r gives a term of absolute precision v + e + min(r, relprec),
-and an entry O(p^T) one of absolute precision T + e.  W is the least of
-these and vmin the least valuation v of a finite counted entry.  The
-accumulator sums u * (c - 1 - 2t) over the finite counted entries of each
-valuation v, adds up those sums times p^(v - vmin) and halves once mod
-p^(W - vmin).  The outcome is
+Rational step functions.  E_c takes values in (1/2)Z, so the integral of
+a step function with rational values is an exact rational, one dot
+product with the level's carry table:
 
-  * the exact zero when no entry counts;
-  * O(p^W) when no finite entry counts, when W <= vmin, or when the
-    accumulator vanishes mod p^(W - vmin);
-  * otherwise p^vmin times the halved accumulator, known mod p^(W - vmin).
+    integral(params, f) = sum_a nums[a] * carry_table[a] / (2 den).
 
-measure_apply reads 2 E_c(a) and v_p(2 E_c(a)) for every a from two
-tables built once per (params, level) and kept in bounded caches,
-carry_table and carry_valuations, zipped against the stored states; one
-call fetches both in one cached lookup.  Since a = c b - D t with
+Refining f does not change it (distribution compatibility).  Each reader
+of an integral reads this one: measure_apply embeds it once, with
+PadicNum.from_rational at the relative precision it is asked for, so every
+digit it claims is exact; norm_bound_check reads its exact valuation; suite
+criterion 7 compares it across refinement.  A step function with p-adic
+values, such as a character's Teichmuller lifts on the units, is not a
+CylinderFunction; the test oracle tests/oracles.py::measure_apply_fold
+integrates one term by term in PadicNum arithmetic.
+
+carry_table(params, level) holds 2 E_c(level, a) for every a, built once
+per (params, level) and kept in a bounded cache.  Since a = c b - D t with
 gcd(c, D) = 1, the carry is t = -a D^(-1) mod c, so carry_table is at most
 c constant slices a = r, r + c, r + 2c, ... and needs no per-residue
-arithmetic.  The same pass yields the least valuation of an entry that is
-not an exact zero, so norm_bound_check has ||f|| without reading the
-entries a second time.
+arithmetic.
 
 norm_bound_check's verdict (lhs, rhs, ok) is a function of four integers
-alone: p, c, the integral's stored valuation (None for the exact zero, W
-for O(p^W), v otherwise) and the least valuation of f.  It is kept in a
-bounded cache keyed by them, so a sample pays its entries and one lookup;
-the Fractions p^(-v), K p^(-least) and their comparison are made once per
-distinct key.  norm_bound_check is the bound on a given cylinder function.
-measure-check and suite criterion 6 build none: suite.random_bound_checks
-draws all of a call's samples at levels 0 .. max_level (min(--max-level, 3)
-for measure-check) and integrates each random entry as it is drawn,
-exactly, into one integer: L times the rational 2 sum f(a) E_c(a), with
-L = lcm(1..60) a common denominator of every drawn entry, from per-level
-tables of shared (L/den * 2 E_c, v_p(2 E_c)) pairs.  The cached verdict is
-read at that integer's valuation less v_p(L), capped at W, since the fold
-above agrees with the exact sum below p^W.  A sample costs the same at every
-relprec, builds no PadicNum and is tested against norm_bound_check.
+alone: p, c, the integral's valuation (None for the exact zero) and the
+least valuation of f, v_p(gcd(nums)) - v_p(den) (math.inf when f is 0).
+It is kept in a bounded cache keyed by them, so a sample pays one dot
+product, one gcd, their valuations and one lookup; the Fractions p^(-v), K p^(-least)
+and their comparison are made once per distinct key.  norm_bound_check is
+the bound on a given cylinder function.  measure-check and suite criterion
+6 build none: suite.random_bound_checks draws all of a call's samples at
+levels 0 .. max_level (min(--max-level, 3) for measure-check) and
+integrates each random entry as it is drawn, exactly, into one integer: L
+times the rational 2 sum f(a) E_c(a), with L = lcm(1..60) a common
+denominator of every drawn entry, from per-level tables of the weights
+L/den * 2 E_c.  The verdict is read at that integer's valuation less
+v_p(2 L), the integral's exact valuation, so a sample builds no PadicNum,
+and it is tested against norm_bound_check.
 
 compatibility_failures sweeps in one pass over integer tables.  Its table
 hook values(params, n) gives the doubled values 2 mu(n, a) at
@@ -90,14 +83,14 @@ constant c - 1.  The sweep reads each level 0 to max_level + 1 once; the
 refined sums of level m are the sums over k < p of the slices
 [k d p^m, (k + 1) d p^m) of level m + 1, because the lifts of x mod d p^m
 are x + k d p^m.  A Fraction is made only for a failure it reports, and
-the carry tables it reads are the ones measure_apply reuses.
+the carry tables it reads are the ones the integral reuses.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
+import numbers
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -105,7 +98,7 @@ from fractions import Fraction
 
 from .errors import CostLimitExceeded, LevelOrder, NotCoprime
 from .modarith import partition_range, require_odd_prime
-from .padic import DEFAULT_RELPREC, PadicNum, rational_valuation
+from .padic import DEFAULT_RELPREC, PadicNum, rational_valuation, split_p_power
 
 __all__ = [
     "BernoulliParams",
@@ -120,7 +113,7 @@ __all__ = [
     "compatibility_failures",
     "MAX_SWEEP_EVALUATIONS",
     "carry_table",
-    "carry_valuations",
+    "integral",
     "measure_apply",
     "units_cylinder",
     "norm_bound_constant",
@@ -164,13 +157,14 @@ class ClopenSet:
 
 
 class CylinderFunction:
-    """A locally constant function at a level, stored as the tuple `states`
-    of its entries' PadicNum.state() tuples (p, v, unit, relprec) at the
-    residues a = 0 .. d*p^level - 1, indexed by a: the format of carry_table.
-    Any sequence of PadicNums of that length is taken as the entries;
-    anything else, such as a dict (which iterates over its keys), is refused.
-    `values` rebuilds the PadicNums from `states` on each read, and _of
-    builds a function from states without making a PadicNum.
+    """A locally constant function at a level with rational values, stored as
+    the integer numerators `nums` over one positive denominator `den`, with
+    f(a) = nums[a] / den at the residues a = 0 .. d*p^level - 1, indexed by a:
+    the format of carry_table.  Any sequence of ints and Fractions of that
+    length is taken as the values; anything else, such as a dict (which
+    iterates over its keys) or a PadicNum entry, is refused.  `values`
+    returns the entries as Fractions, and _of builds a function from its
+    numerators and denominator unchecked.
     """
 
     def __init__(self, d: int, p: int, level: int, values: Sequence):
@@ -179,28 +173,34 @@ class CylinderFunction:
         if not isinstance(values, Sequence):
             raise TypeError("cylinder function values must be a sequence indexed by residue, "
                             f"not a {type(values).__name__}")
-        self._set(d, p, level, tuple(map(PadicNum.state, values)))
-        if len(self.states) != self.modulus:
+        for v in values:
+            if not isinstance(v, numbers.Rational):
+                raise TypeError(f"cylinder function values must be rationals, not {v!r}")
+        if len(values) != d * p**level:
             raise ValueError(
-                f"value table has {len(self.states)} entries, expected {self.modulus}")
+                f"value table has {len(values)} entries, expected {d * p**level}")
+        den = math.lcm(*(v.denominator for v in values))
+        self._set(d, p, level, tuple(v.numerator * (den // v.denominator) for v in values), den)
 
     @classmethod
-    def _of(cls, d: int, p: int, level: int, states: tuple) -> "CylinderFunction":
-        """The function with these entry states at `level`, unchecked."""
+    def _of(cls, d: int, p: int, level: int, nums: tuple, den: int) -> "CylinderFunction":
+        """The function nums[a] / den at `level`, unchecked."""
         f = cls.__new__(cls)
-        f._set(d, p, level, states)
+        f._set(d, p, level, nums, den)
         return f
 
-    def _set(self, d, p, level, states):
+    def _set(self, d, p, level, nums, den):
         self.d = d
         self.p = p
         self.level = level
-        self.states = states
+        self.nums = nums
+        self.den = den
 
     @property
     def values(self) -> tuple:
-        """The entries as PadicNums, rebuilt from `states` on each read."""
-        return tuple(itertools.starmap(PadicNum, self.states))
+        """The entries nums[a] / den as Fractions."""
+        den = self.den
+        return tuple(Fraction(n, den) for n in self.nums)
 
     @property
     def modulus(self) -> int:
@@ -212,7 +212,7 @@ class CylinderFunction:
             raise LevelOrder(f"cannot refine from level {self.level} down to {level}")
         # b mod the old modulus runs through the old residues in order, p^k times
         return CylinderFunction._of(self.d, self.p, level,
-                                    self.states * self.p ** (level - self.level))
+                                    self.nums * self.p ** (level - self.level), self.den)
 
     def __add__(self, other: "CylinderFunction") -> "CylinderFunction":
         if (self.d, self.p) != (other.d, other.p):
@@ -225,12 +225,11 @@ class CylinderFunction:
         return f"CylinderFunction(d={self.d}, p={self.p}, level={self.level})"
 
 
-def char_fn(clopen: ClopenSet, relprec: int = DEFAULT_RELPREC) -> CylinderFunction:
+def char_fn(clopen: ClopenSet) -> CylinderFunction:
     """Characteristic function of a basic clopen set: 1 on it, 0 elsewhere."""
-    p = clopen.p
-    values = [PadicNum.exact_zero(p)] * (clopen.d * p**clopen.level)
-    values[clopen.base] = PadicNum.one(p, relprec)
-    return CylinderFunction(clopen.d, p, clopen.level, values)
+    nums = [0] * (clopen.d * clopen.p**clopen.level)
+    nums[clopen.base] = 1
+    return CylinderFunction._of(clopen.d, clopen.p, clopen.level, tuple(nums), 1)
 
 
 def cylinder_decompose(f: CylinderFunction):
@@ -294,20 +293,6 @@ def carry_table(params: BernoulliParams, level: int) -> tuple:
     return tuple(table)
 
 
-@functools.lru_cache(maxsize=32)
-def carry_valuations(params: BernoulliParams, level: int) -> tuple:
-    """v_p(2 E_c(level, a)) at index a, math.inf where the value is 0."""
-    table = carry_table(params, level)
-    valuation = {x: rational_valuation(params.p, x) for x in set(table)}
-    return tuple(map(valuation.__getitem__, table))
-
-
-@functools.lru_cache(maxsize=32)
-def _carry_tables(params: BernoulliParams, level: int) -> tuple:
-    """(carry_table, carry_valuations) at (params, level), from one lookup."""
-    return carry_table(params, level), carry_valuations(params, level)
-
-
 # The most distribution values one compatibility sweep may read.
 MAX_SWEEP_EVALUATIONS = 2_000_000
 
@@ -351,75 +336,35 @@ def compatibility_failures(params: BernoulliParams, max_level: int,
     return failures
 
 
-def _integrate(params: BernoulliParams, f: CylinderFunction, relprec: int) -> tuple:
-    """(measure_apply(params, f, relprec), the least valuation of f's entries),
-    the latter math.inf when every entry is an exact zero, from one read of
-    each entry."""
+def _doubled_sum(params: BernoulliParams, f: CylinderFunction) -> int:
+    """2 den times the integral of f: sum_a nums[a] * 2 E_c(level, a)."""
     if (f.d, f.p) != (params.d, params.p):
         raise ValueError("cylinder function does not match the measure parameters")
-    if relprec < 1:
-        raise ValueError("relative precision must be >= 1")
-    p = params.p
-    absprec = least = math.inf
-    sums = {}  # v -> sum of u * 2 E_c(a) over the finite counted entries p^v u
-    for (xp, v, u, r), two_e, e in zip(f.states, *_carry_tables(params, f.level)):
-        if v is None:  # an exact zero
-            continue
-        if xp != p:
-            raise ValueError(f"prime mismatch: {xp} vs {p}")
-        if v < least:
-            least = v
-        if two_e == 0:
-            continue
-        if u is None:  # O(p^v)
-            term_prec = v + e
-        else:
-            term_prec = v + e + (r if r < relprec else relprec)
-            sums[v] = sums.get(v, 0) + u * two_e
-        if term_prec < absprec:
-            absprec = term_prec
-    return _halved_sum(p, sums, absprec), least
+    return sum(map(operator.mul, f.nums, carry_table(params, f.level)))
 
 
-def _halved_sum(p: int, sums: dict, absprec) -> PadicNum:
-    """The integral from its accumulator (module docstring): sums maps each
-    valuation v to the sum of u * 2 E_c(a) over the finite counted entries
-    p^v u, and absprec is W, math.inf when no entry counts.
-
-    A unit u may be given as any integer congruent to it mod p^relprec, so
-    unreduced: the multiple of p^relprec it adds to sums[v] enters the
-    accumulator times p^(v - vmin) * 2 E_c(a), of valuation at least
-    v + e + relprec - vmin, which is at least the window W - vmin.
-    """
-    if absprec == math.inf:
-        return PadicNum.exact_zero(p)
-    vmin = min(sums, default=absprec)
-    if vmin >= absprec:
-        return PadicNum.zero_at_precision(p, absprec)
-    window = absprec - vmin
-    acc = sum(m * p ** (v - vmin) for v, m in sums.items())
-    # (p^window + 1) / 2 is the inverse of 2 mod p^window, as p is odd
-    return PadicNum.from_int_mod(p, acc * ((p**window + 1) // 2), window, shift=vmin)
+def integral(params: BernoulliParams, f: CylinderFunction) -> Fraction:
+    """The exact integral sum_a f(a) E_c(level, a), one dot product with
+    carry_table (module docstring).  Refining f gives the same rational."""
+    return Fraction(_doubled_sum(params, f), 2 * f.den)
 
 
 def measure_apply(params: BernoulliParams, f: CylinderFunction,
                   relprec: int = DEFAULT_RELPREC) -> PadicNum:
-    """Integrate a cylinder function: sum of f(a) * E_c(level, a) over the level.
-
-    Refining f first gives the identical value (eventual constancy of the
-    level sums), which is what makes the measure well defined.  The sum is
-    one integer accumulator; its precision rule is in the module docstring.
-    """
-    return _integrate(params, f, relprec)[0]
+    """The integral of f as a PadicNum: the exact rational, embedded once at
+    relprec digits, and the exact zero when it is 0."""
+    if relprec < 1:
+        raise ValueError("relative precision must be >= 1")
+    return PadicNum.from_rational(params.p, integral(params, f), relprec)
 
 
 def units_cylinder(d: int, p: int, level: int, unit_values) -> CylinderFunction:
-    """Build a total table from values given on the units, zero elsewhere.
+    """Build a total table from rational values given on the units, zero elsewhere.
 
     unit_values is indexed by residue: a dict over the units, or a whole
     table such as another cylinder function's values.
     """
-    values = [PadicNum.exact_zero(p)] * (d * p**level)
+    values = [0] * (d * p**level)
     for a in partition_range(d, p, level)[0]:
         values[a] = unit_values[a]
     return CylinderFunction(d, p, level, values)
@@ -434,26 +379,26 @@ def norm_bound_constant(p: int, c: int) -> Fraction:
 
 @functools.lru_cache(maxsize=256)
 def _bound_verdict(p: int, c: int, v, least) -> tuple:
-    """(lhs, rhs, ok) for an integral of stored valuation v (None for the
-    exact zero) and a function of least valuation `least` (math.inf when
-    every entry is an exact zero)."""
+    """(lhs, rhs, ok) for an integral of valuation v (None when it is 0) and
+    a function of least valuation `least` (math.inf when every entry is 0)."""
     lhs = Fraction(0) if v is None else Fraction(p) ** -v
     sup = Fraction(0) if least == math.inf else Fraction(p) ** -least
     rhs = norm_bound_constant(p, c) * sup
     return lhs, rhs, lhs <= rhs
 
 
-def norm_bound_check(params: BernoulliParams, f: CylinderFunction,
-                     relprec: int = DEFAULT_RELPREC):
+def norm_bound_check(params: BernoulliParams, f: CylinderFunction):
     """Check the measure bound ||E_c(f)|| <= K * ||f|| with exact rational
     p-adic norms and K = norm_bound_constant(p, c).  Returns (lhs, rhs, ok).
 
-    ||f|| is p^(-v) for the least valuation v of an entry, or 0 when every
-    entry is an exact zero; it comes from the same read of the entries as
-    E_c(f).  ||E_c(f)|| is p^(-w) for the integral's stored valuation w (an
-    upper bound for O(p^w)), or 0 for the exact zero.  The verdict depends on
-    p, c, w and v alone and is read from a bounded cache keyed by them, so
-    the Fractions and their comparison are made once per distinct key.
+    ||E_c(f)|| is p^(-w) for the exact valuation w of the integral, or 0 when
+    it is 0; ||f|| is p^(-v) for the least valuation v of an entry,
+    v_p(gcd(nums)) - v_p(den), or 0 when every entry is 0.  The verdict
+    depends on p, c, w and v alone and is read from a bounded cache keyed by
+    them, so the Fractions and their comparison are made once per distinct key.
     """
-    value, least = _integrate(params, f, relprec)
-    return _bound_verdict(params.p, params.c, value.state()[1], least)
+    p, den = params.p, f.den
+    doubled, g = _doubled_sum(params, f), math.gcd(*f.nums)
+    v = None if doubled == 0 else split_p_power(p, doubled)[0] - split_p_power(p, 2 * den)[0]
+    least = math.inf if g == 0 else split_p_power(p, g)[0] - split_p_power(p, den)[0]
+    return _bound_verdict(p, params.c, v, least)

@@ -8,6 +8,7 @@ characters are well defined downstream.
 
 from __future__ import annotations
 
+import functools
 import math
 
 from .errors import CostLimitExceeded, NotCoprime
@@ -81,9 +82,16 @@ def is_prime(n: int) -> bool:
     return True
 
 
+@functools.lru_cache(maxsize=64)
+def _is_odd_prime(p: int) -> bool:
+    return p != 2 and is_prime(p)
+
+
 def require_odd_prime(p: int) -> None:
-    """Raise ValueError unless p is an odd prime."""
-    if not is_prime(p) or p == 2:
+    """Raise ValueError unless p is an odd prime.  The answer is kept for the
+    last 64 values of p, so the checks that one call makes on its p (the
+    measure parameters, then the Teichmuller character) test it once."""
+    if not _is_odd_prime(p):
         raise ValueError("p must be an odd prime")
 
 

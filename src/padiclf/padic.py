@@ -14,9 +14,8 @@ InsufficientPrecision instead of silently answering.
 
 A PadicNum's slots are (p, v, unit, relprec), exactly what state()
 returns, and state() round-trips through the raw constructor:
-PadicNum(*x.state()) == x.  So a table of many values can be stored as
-their states (measure.CylinderFunction does).  Which of them are None
-gives the kind:
+PadicNum(*x.state()) == x.  Equality and hashing read the state.  Which
+of its slots are None gives the kind:
 
   * v is None:                the exact zero (unit, relprec None);
   * unit is None, v an int:   O(p^v);
@@ -145,9 +144,6 @@ class PadicNum:
 
     def is_zero_at_precision(self) -> bool:
         return self._v is not None and self._unit is None
-
-    def is_nonzero(self) -> bool:
-        return self._unit is not None
 
     @property
     def abs_precision(self):

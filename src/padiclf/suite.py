@@ -43,10 +43,10 @@ from .measure import (
     carry_table,
     compatibility_failures,
     div_by_c_table,
-    measure_apply,
+    integral,
 )
 from .modarith import divisors, units_of
-from .padic import DEFAULT_RELPREC, PadicNum, eq_mod, rational_valuation, split_p_power
+from .padic import rational_valuation, split_p_power
 
 __all__ = ["Criterion", "CriterionResult", "ALL_CRITERIA", "run_profile",
            "conductor_bruteforce", "factors_through", "random_cylinder",
@@ -257,85 +257,56 @@ _DEN_LCM = math.lcm(*range(_DEN_LOW, _DEN_LOW + _DEN_COUNT))
 _DEN_SCALES = tuple(_DEN_LCM // den for den in range(_DEN_LOW, _DEN_LOW + _DEN_COUNT))
 
 
-@functools.lru_cache(maxsize=16)
-def _draw_tables(p: int, relprec: int) -> tuple:
-    """random_cylinder's per-call constants: (nums, dens, zero, p^relprec).
-
-    nums and dens hold the draws by their raw bits: (v_p(num), num / p^v) for
-    each num, None for num = 0, and (v_p(den), (den / p^v)^(-1) mod p^relprec)
-    for each den.  zero is the exact zero's state.  Every p-free numerator
-    and every inverse is checked once here to be a unit mod p, so the unit
-    of each entry drawn, the product of one of each, is one too.  The tables
-    grow with relprec; random_bound_checks reads none of them."""
-    mod = p**relprec
-    nums = tuple(split_p_power(p, n) if n else None
-                 for n in range(_NUM_LOW, _NUM_LOW + _NUM_COUNT))
-    dens = tuple((v, pow(u, -1, mod))
-                 for v, u in (split_p_power(p, n) for n in range(_DEN_LOW, _DEN_LOW + _DEN_COUNT)))
-    for u in [num[1] for num in nums if num] + [den[1] for den in dens]:
-        if u % p == 0:
-            raise ValueError(f"{u} is not a unit modulo {p}")
-    return nums, dens, PadicNum.exact_zero(p).state(), mod
-
-
-# a sample's least valuations start at _NO_ENTRY, which no v or v + e of a
-# drawn entry reaches; num = 0 is stored at _ZERO_NUM, above it less any v_p(den)
+# a sample's least valuation starts at _NO_ENTRY, which no v of a drawn
+# entry reaches; num = 0 is stored at _ZERO_NUM, above it less any v_p(den)
 _NO_ENTRY, _ZERO_NUM = 1 << 29, (1 << 29) + 8
 
 
 @functools.lru_cache(maxsize=16)
 def _draw_valuations(p: int) -> tuple:
     """(v_p(num) at each num index, _ZERO_NUM for num = 0; v_p(den) at each
-    den index; v_p(L)), which random_bound_checks reads.  They do not depend
-    on relprec."""
+    den index; v_p(2 L)), which random_bound_checks reads."""
     nums = tuple(split_p_power(p, n)[0] if n else _ZERO_NUM
                  for n in range(_NUM_LOW, _NUM_LOW + _NUM_COUNT))
     dens = tuple(split_p_power(p, n)[0] for n in range(_DEN_LOW, _DEN_LOW + _DEN_COUNT))
-    return nums, dens, split_p_power(p, _DEN_LCM)[0]
+    return nums, dens, split_p_power(p, 2 * _DEN_LCM)[0]
 
 
 @functools.lru_cache(maxsize=32)
 def _weighted_carry_table(params: BernoulliParams, level: int) -> tuple:
-    """At index a, the pair (weights, e): (L // den) * 2 E_c(level, a) at each
-    den index, None where 2 E_c(a) = 0, and e = v_p(2 E_c(a)).  Residues of
-    one value share one pair, so there are at most c pair objects."""
+    """At index a, the weights (L // den) * 2 E_c(level, a) at each den
+    index, None where 2 E_c(a) = 0.  Residues of one value share one tuple,
+    so there are at most c weight objects."""
     two_es = carry_table(params, level)
-    pairs = {x: (tuple(scale * x for scale in _DEN_SCALES), rational_valuation(params.p, x))
-             if x else (None, 0) for x in set(two_es)}
-    return tuple(map(pairs.__getitem__, two_es))
+    weights = {x: tuple(scale * x for scale in _DEN_SCALES) if x else None
+               for x in set(two_es)}
+    return tuple(map(weights.__getitem__, two_es))
 
 
-def _check_draw(relprec: int, level: int) -> None:
-    """Refuse a draw at relprec < 1 or level < 0 before the rng is read."""
-    if relprec < 1:
-        raise ValueError("relative precision must be >= 1")
+def _check_level(level: int) -> None:
+    """Refuse a draw at level < 0 before the rng is read."""
     if level < 0:
         raise LevelOrder(f"level must be >= 0, got {level}")
 
 
-def random_cylinder(rng, p, d, level, relprec=DEFAULT_RELPREC) -> CylinderFunction:
-    """A table at `level`: an exact zero with probability 1/10, otherwise the
-    rational num/den with num in [-999, 999] and den in [1, 60] at relprec.
+def random_cylinder(rng, p, d, level) -> CylinderFunction:
+    """A table at `level`: 0 with probability 1/10, otherwise the rational
+    num/den with num in [-999, 999] and den in [1, 60].
 
     Each entry draws rng.random() and, unless that makes it zero, num and
     then den, each by rejection sampling on rng.getrandbits(k) with k the
     bit length of the range's size.  That is how random.Random.randrange
     draws, so the entries and the rng state after them are those of
-    rng.randrange(-999, 1000) and rng.randrange(1, 61).  The entry is
-    p^(v_p(num) - v_p(den)) times the unit num'/den' mod p^relprec of the
-    p-free parts; reducing num/den by their gcd first would change neither.
-    Entries are appended as their PadicNum states (p, v, unit, relprec), with
-    the unit reduced mod p^relprec; the draw tables have checked that it is
-    a unit, and no PadicNum is built.  A negative level is refused with
-    LevelOrder.
+    rng.randrange(-999, 1000) and rng.randrange(1, 61).  Each entry is
+    stored as the numerator num * (L // den) over L = lcm(1..60).  A
+    negative level is refused with LevelOrder.
     """
-    _check_draw(relprec, level)
-    nums, dens, zero, mod = _draw_tables(p, relprec)
+    _check_level(level)
     uniform, getrandbits = rng.random, rng.getrandbits
-    states = []
+    nums = []
     for _ in range(d * p**level):
         if uniform() < 0.1:
-            states.append(zero)
+            nums.append(0)
             continue
         i = getrandbits(_NUM_BITS)
         while i >= _NUM_COUNT:
@@ -343,48 +314,24 @@ def random_cylinder(rng, p, d, level, relprec=DEFAULT_RELPREC) -> CylinderFuncti
         j = getrandbits(_DEN_BITS)
         while j >= _DEN_COUNT:
             j = getrandbits(_DEN_BITS)
-        num = nums[i]
-        if num is None:
-            states.append(zero)
-            continue
-        vd, den_inv = dens[j]
-        states.append((p, num[0] - vd, num[1] * den_inv % mod, relprec))
-    return CylinderFunction._of(d, p, level, tuple(states))
+        nums.append((i + _NUM_LOW) * _DEN_SCALES[j])
+    return CylinderFunction._of(d, p, level, tuple(nums), _DEN_LCM)
 
 
-def _capped_valuation(p: int, n: int, shift: int, cap: int) -> int:
-    """min(shift + v_p(n), cap), and cap for n = 0: the stored valuation of
-    measure._halved_sum(p, {shift: n}, cap).  The division by p stops at the
-    cap, so a large cap costs nothing."""
-    if n == 0:
-        return cap
-    v = shift
-    while v < cap:
-        n, r = divmod(n, p)
-        if r:
-            break
-        v += 1
-    return min(v, cap)
-
-
-def random_bound_checks(rng, params: BernoulliParams, max_level: int, count: int,
-                        relprec: int = DEFAULT_RELPREC) -> list:
+def random_bound_checks(rng, params: BernoulliParams, max_level: int, count: int) -> list:
     """count samples (level, lhs, rhs, ok): level as rng.randint(0, max_level)
     draws it, and (lhs, rhs, ok) = norm_bound_check(params, random_cylinder(rng,
-    p, d, level, relprec), relprec), leaving rng as those calls leave it.
+    p, d, level)), leaving rng as those calls leave it.
 
     Each entry makes random_cylinder's draws and is integrated as it is
     drawn, exactly: acc gains num * (L // den) * 2 E_c(a) from
-    _weighted_carry_table, so acc is L = lcm(1..60) times 2 sum f(a) E_c(a).
-    The stored valuation of measure_apply's fold is min(v_p(acc) - v_p(L), W)
-    with W = low + relprec, low the least v + e of a counted entry (measure's
-    module docstring): each term of the fold differs from the exact one by a
-    multiple of p^(v + e + relprec), and halving keeps valuations as p is odd.
-    A relprec below 1 or a negative max_level is refused before any draw.
+    _weighted_carry_table, so acc is L = lcm(1..60) times 2 sum f(a) E_c(a),
+    and the integral's valuation is v_p(acc) - v_p(2 L).  A negative
+    max_level is refused before any draw.
     """
-    _check_draw(relprec, max_level)
+    _check_level(max_level)
     p, c = params.p, params.c
-    num_vals, den_vals, v_lcm = _draw_valuations(p)
+    num_vals, den_vals, v_two_lcm = _draw_valuations(p)
     tables = [_weighted_carry_table(params, level) for level in range(max_level + 1)]
     uniform, getrandbits, levels, samples = rng.random, rng.getrandbits, len(tables), []
     num_bits, num_count, num_low = _NUM_BITS, _NUM_COUNT, _NUM_LOW
@@ -393,9 +340,9 @@ def random_bound_checks(rng, params: BernoulliParams, max_level: int, count: int
         level = getrandbits(level_bits)
         while level >= levels:
             level = getrandbits(level_bits)
-        least = low = _NO_ENTRY  # the least v, and the least v + e of a counted entry
+        least = _NO_ENTRY
         acc = 0
-        for weights, e in tables[level]:
+        for weights in tables[level]:
             if uniform() < 0.1:
                 continue
             i = getrandbits(num_bits)
@@ -409,11 +356,9 @@ def random_bound_checks(rng, params: BernoulliParams, max_level: int, count: int
                 least = v
             if weights is not None:
                 acc += weights[j] * (i + num_low)
-                if v + e < low:
-                    low = v + e
-        stored = None if low == _NO_ENTRY else _capped_valuation(p, acc, -v_lcm, low + relprec)
-        samples.append((level, *_bound_verdict(p, c, stored,
-                                               math.inf if least == _NO_ENTRY else least)))
+        samples.append((level, *_bound_verdict(
+            p, c, split_p_power(p, acc)[0] - v_two_lcm if acc else None,
+            math.inf if least == _NO_ENTRY else least)))
     return samples
 
 
@@ -430,28 +375,15 @@ def _c6_boundedness(seed):
 
 # ---------------------------------------------------------------- criterion 7
 
-def _tracked_equal(x: PadicNum, y: PadicNum) -> bool:
-    """Equal at every commonly tracked digit, with matching valuations."""
-    common = min(x.abs_precision, y.abs_precision)
-    if common == math.inf:
-        return x.is_exact_zero() and y.is_exact_zero()
-    if not eq_mod(x, y, common):
-        return False
-    if x.is_nonzero() and y.is_nonzero():
-        return x.valuation() == y.valuation()
-    return True
-
-
 def _c7_locally_constant_integration(seed):
     rng = random.Random(seed)
     failures = []
     params = BernoulliParams(5, 1, 2)
     for i in range(50):
         f = random_cylinder(rng, 5, 1, rng.randint(0, 3))
-        base = measure_apply(params, f)
+        base = integral(params, f)
         for extra in (1, 2):
-            refined = measure_apply(params, f.refine_level(f.level + extra))
-            if not _tracked_equal(base, refined):
+            if integral(params, f.refine_level(f.level + extra)) != base:
                 failures.append(("cylinder", i, extra))
     chi = char_power(make_teich_char(5), 2)
     lp = LpParams(p=5, d=1, c=2, m=1, chi=chi, relprec=8, j_max=4)

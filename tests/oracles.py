@@ -33,7 +33,6 @@ from padiclf.measure import (
     CylinderFunction,
     bernoulli_distribution,
     distribution_refine_sum,
-    measure_apply,
     norm_bound_constant,
 )
 from padiclf.modarith import crt_combine, divisors, units_of
@@ -257,22 +256,35 @@ def twisted_unit_sum_bruteforce(chi, k: int, j: int, exponent: int,
     return PadicNum.from_int_mod(p, total, relprec)
 
 
-def measure_apply_fold(params, f, relprec: int) -> PadicNum:
-    """sum of f(a) * E_c(level, a) as a PadicNum fold, E_c(a) embedded at relprec."""
+def measure_apply_fold(params, level: int, values, relprec: int) -> PadicNum:
+    """sum of f(a) * E_c(level, a) over the table `values` of f, as a PadicNum
+    fold: each E_c(a), and each rational f(a), embedded at relprec.  A
+    PadicNum entry, such as a Teichmuller lift, is taken as it is."""
     p = params.p
     acc = PadicNum.exact_zero(p)
-    for a, v in enumerate(f.values):
+    for a, v in enumerate(values):
+        if not isinstance(v, PadicNum):
+            v = PadicNum.from_rational(p, v, relprec)
         if v.is_exact_zero():
             continue
-        w = PadicNum.from_rational(p, bernoulli_distribution(params, f.level, a), relprec)
+        w = PadicNum.from_rational(p, bernoulli_distribution(params, level, a), relprec)
         acc = acc + v * w
     return acc
 
 
-def norm_bound_check_two_pass(params, f, relprec: int) -> tuple:
-    """measure.norm_bound_check with ||f|| read in a second pass over the entries."""
-    lhs = measure_apply(params, f, relprec).norm()
-    rhs = norm_bound_constant(params.p, params.c) * max(v.norm() for v in f.values)
+def integral_fract(params, f) -> Fraction:
+    """sum of f(a) * E_c(level, a) over f's values, E_c in its fractional-part form."""
+    return sum((v * bernoulli_distribution_fract(params, f.level, a)
+                for a, v in enumerate(f.values)), Fraction(0))
+
+
+def norm_bound_check_two_pass(params, f) -> tuple:
+    """measure.norm_bound_check from integral_fract and ||f|| read in a second
+    pass over the entries, with PadicNum norms."""
+    p = params.p
+    lhs = PadicNum.from_rational(p, integral_fract(params, f)).norm()
+    rhs = norm_bound_constant(p, params.c) * max(
+        PadicNum.from_rational(p, v).norm() for v in f.values)
     return lhs, rhs, lhs <= rhs
 
 
@@ -296,16 +308,15 @@ def general_bernoulli_coeffs_fraction(chi, m: int, F: int | None = None) -> dict
     return {t: scale * c for t, c in coeffs.items() if c != 0}
 
 
-def random_cylinder_fraction(rng, p, d, level, relprec=DEFAULT_RELPREC) -> CylinderFunction:
-    """suite.random_cylinder with every entry built as a Fraction and embedded
-    with PadicNum.from_rational."""
+def random_cylinder_fraction(rng, p, d, level) -> CylinderFunction:
+    """suite.random_cylinder with every entry drawn by randint and built as a
+    Fraction."""
     vals = []
     for _ in range(d * p**level):
         if rng.random() < 0.1:
-            vals.append(PadicNum.exact_zero(p))
+            vals.append(0)
         else:
-            q = Fraction(rng.randint(-999, 999), rng.randint(1, 60))
-            vals.append(PadicNum.from_rational(p, q, relprec))
+            vals.append(Fraction(rng.randint(-999, 999), rng.randint(1, 60)))
     return CylinderFunction(d, p, level, vals)
 
 

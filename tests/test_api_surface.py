@@ -29,12 +29,18 @@ ALLOWED = {
     "measure.distribution_refine_sum": (
         "the sum over a fibre that compatibility equates to the coarse value; "
         "the traced benchmark run (perfbench/spans.py) wraps it by name"),
+    "measure.measure_apply": (
+        "the integral E_c(f) as an element of Q_p, the exact integral embedded at "
+        "a relative precision; perfbench/spans.py wraps it by name"),
     "measure.norm_bound_check": (
         "the bound on a given cylinder function; the reference random_bound_checks "
         "is tested against; perfbench/spans.py wraps it by name"),
     "padic.PadicNum.norm": (
         "the p-adic norm, through which the two-pass oracle and the boundedness "
         "tests state ||E_c(f)|| <= K ||f||; norm_bound_check reads it from valuations"),
+    "padic.eq_mod": (
+        "congruence mod p^n of two p-adic values that both carry n digits, through "
+        "which tests compare a value with its oracle on the digits both certify"),
     "padic.PadicNum.appr": (
         "the projection Z_p -> Z/p^nZ (the Lean appr), through which tests pin the "
         "ring homomorphism and the tower of quotients"),

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 import padiclf
-from padiclf import cli, dirichlet, lfunction, measure
+from padiclf import cli, dirichlet, lfunction, measure, modarith
 from padiclf.cli import COMMANDS, GLOBAL_FLAGS, _int_str, main, parse_argv
 from padiclf.padic import PadicNum
 
@@ -512,6 +512,35 @@ def test_lp_call_checks_p_d_c_once(capsys, monkeypatch, command, weight):
                                  "--char", "omega^2", "--c", "2", weight, "2")
         assert (code, err) == (0, "")
     assert checked == [(5, 1, 2)] * 2
+
+
+@pytest.mark.parametrize("command, weight", [("lp-eval", "--weight-k"), ("verify", "--n")])
+def test_lp_call_tests_p_for_primality_once(capsys, monkeypatch, command, weight):
+    # the measure parameters and omega^2's Teichmuller character both check
+    # that p is an odd prime; only the first runs the test
+    modarith._is_odd_prime.cache_clear()
+    tested = []
+    is_prime = modarith.is_prime
+
+    def counted(n):
+        tested.append(n)
+        return is_prime(n)
+
+    monkeypatch.setattr(modarith, "is_prime", counted)
+    code, out, err = run_cli(capsys, command, "--p", "7", "--d", "1", "--m", "1",
+                             "--char", "omega^2", "--c", "2", weight, "2")
+    assert (code, err) == (0, "")
+    assert tested.count(7) == 1
+
+
+@pytest.mark.parametrize("p", ["1", "2", "4", "9"])
+@pytest.mark.parametrize("command, weight", [("lp-eval", "--weight-k"), ("verify", "--n")])
+def test_lp_call_refuses_a_p_that_is_not_an_odd_prime_every_time(capsys, command, weight, p):
+    # the kept answer is the refusal itself, with the same line and exit code
+    for _ in range(2):
+        code, out, err = run_cli(capsys, command, "--p", p, "--d", "1", "--m", "1",
+                                 "--char", "omega^2", "--c", "3", weight, "2")
+        assert (code, out, err) == (2, "", "error: p must be an odd prime\n")
 
 
 @pytest.mark.parametrize("p, d, c, message", [

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import integrand_eval, weight_eval
+from oracles import integrand_eval, measure_apply_fold, weight_eval
 from padiclf.dirichlet import char_power, make_teich_char
 from padiclf.errors import InsufficientPrecision, LevelTooLow, NotCoprime
 from padiclf.genbernoulli import chi_omega_minus_k
@@ -17,7 +17,7 @@ from padiclf.lfunction import (
     special_value_closed_form,
     verify_interpolation,
 )
-from padiclf.measure import BernoulliParams, measure_apply, units_cylinder
+from padiclf.measure import BernoulliParams
 from padiclf.modarith import partition_range
 from padiclf.padic import PadicNum, eq_mod
 
@@ -129,16 +129,16 @@ class TestRiemannSum:
         assert all(s == sums[0] for s in sums)
 
     def test_cross_check_against_measure_apply(self):
-        # independent route: build the integrand as a cylinder function on the
-        # units and integrate with the generic measure machinery
+        # independent route: build the integrand's table on the units, zero
+        # elsewhere, and integrate it term by term in PadicNum arithmetic
         params = main_params(relprec=10)
         psi = chi_omega_minus_k(params.chi, 1)
         bp = BernoulliParams(params.p, params.d, params.c)
         for j in (1, 2, 3):
-            units, _ = partition_range(1, 5, j)
-            f = units_cylinder(1, 5, j,
-                               {a: psi.asso_eval(a % psi.level, 10) for a in units})
-            via_measure = measure_apply(bp, f, 10)
+            values = [PadicNum.exact_zero(5)] * 5**j
+            for a in partition_range(1, 5, j)[0]:
+                values[a] = psi.asso_eval(a % psi.level, 10)
+            via_measure = measure_apply_fold(bp, j, values, 10)
             via_sum = riemann_sum(params, Weight(0), j)
             assert eq_mod(via_sum, via_measure,
                           min(via_sum.abs_precision, via_measure.abs_precision))

@@ -11,12 +11,13 @@ from oracles import (
     bernoulli_distribution_div_by_c_fract,
     bernoulli_distribution_fract,
     compatibility_failures_bruteforce,
+    integral_fract,
     level_table,
     measure_apply_fold,
     norm_bound_check_two_pass,
     random_cylinder_fraction,
 )
-from padiclf import measure
+from padiclf import cli, measure, suite
 from padiclf.errors import CostLimitExceeded, LevelOrder, NotCoprime
 from padiclf.measure import (
     MAX_SWEEP_EVALUATIONS,
@@ -25,13 +26,13 @@ from padiclf.measure import (
     CylinderFunction,
     bernoulli_distribution,
     carry_table,
-    carry_valuations,
     char_fn,
     compatibility_failures,
     cylinder_decompose,
     distribution_refine_sum,
     div_by_c_table,
     equi_class,
+    integral,
     measure_apply,
     norm_bound_check,
     norm_bound_constant,
@@ -41,7 +42,6 @@ from padiclf.modarith import partition_range
 from padiclf.padic import PadicNum, eq_mod, rational_valuation
 from padiclf.suite import (
     _DEN_LCM,
-    _capped_valuation,
     _weighted_carry_table,
     random_bound_checks,
     random_cylinder as suite_random_cylinder,
@@ -62,49 +62,26 @@ def shifted_denominator(pr, n, a):
             + Fraction(pr.c - 1, 2))
 
 
-def random_cylinder(rng, p, d, level, relprec=8):
+def random_cylinder(rng, p, d, level):
     vals = []
     for _ in range(d * p**level):
         if rng.random() < 0.15:
-            vals.append(PadicNum.exact_zero(p))
+            vals.append(0)
         else:
-            vals.append(PadicNum.from_rational(
-                p, Fraction(rng.randint(-200, 200), rng.randint(1, 40)), relprec
-            ))
+            vals.append(Fraction(rng.randint(-200, 200), rng.randint(1, 40)))
     return CylinderFunction(d, p, level, vals)
 
 
-def mixed_cylinder(rng, p, d, level, kinds):
-    """Entries drawn from `kinds`: exact zeros, O(p^T) values and finite values
-    of valuation -4..4 with relative precision 1..14."""
-    return CylinderFunction(d, p, level, mixed_values(rng, p, d, level, kinds))
+def rational_values(rng, p, d, level, zero_share):
+    """d*p^level entries: 0 with probability zero_share, otherwise
+    p^v * num / den with v in [-4, 4], num in [-50, 50] and den in [1, 30]."""
+    return [0 if rng.random() < zero_share else
+            Fraction(p) ** rng.randint(-4, 4) * Fraction(rng.randint(-50, 50), rng.randint(1, 30))
+            for _ in range(d * p**level)]
 
 
-def mixed_values(rng, p, d, level, kinds):
-    """mixed_cylinder's entries as a list of PadicNums."""
-    vals = []
-    for _ in range(d * p**level):
-        kind = rng.choice(kinds)
-        if kind == "zero":
-            vals.append(PadicNum.exact_zero(p))
-        elif kind == "pez":
-            vals.append(PadicNum.zero_at_precision(p, rng.randint(-4, 8)))
-        else:
-            r = rng.randint(1, 14)
-            unit = rng.randrange(p ** (r - 1)) * p + rng.randint(1, p - 1)
-            vals.append(PadicNum.from_unit(p, rng.randint(-4, 4), unit, r))
-    return vals
-
-
-def tracked_equal(x, y):
-    common = min(x.abs_precision, y.abs_precision)
-    if common == math.inf:
-        return x.is_exact_zero() and y.is_exact_zero()
-    if not eq_mod(x, y, common):
-        return False
-    if x.is_nonzero() and y.is_nonzero():
-        return x.valuation() == y.valuation()
-    return True
+def rational_cylinder(rng, p, d, level, zero_share):
+    return CylinderFunction(d, p, level, rational_values(rng, p, d, level, zero_share))
 
 
 class TestParams:
@@ -275,11 +252,9 @@ class TestCarryTable:
            level=st.integers(0, 4))
     def test_matches_distribution(self, params, level):
         table = carry_table(params, level)
-        valuations = carry_valuations(params, level)
-        assert len(table) == len(valuations) == params.d * params.p**level
-        for a, (two_e, e) in enumerate(zip(table, valuations)):
-            value = 2 * bernoulli_distribution(params, level, a)
-            assert two_e == value and e == rational_valuation(params.p, value)
+        assert len(table) == params.d * params.p**level
+        for a, two_e in enumerate(table):
+            assert two_e == 2 * bernoulli_distribution(params, level, a)
 
 
 class TestSweepLimit:
@@ -328,22 +303,21 @@ class TestEquiClass:
 
 class TestCylinders:
     def test_char_fn_table(self):
-        f = char_fn(ClopenSet(1, 3, 1, 0), 8)
-        assert f.values[0].unit == 1
-        assert f.values[1].is_exact_zero() and f.values[2].is_exact_zero()
+        f = char_fn(ClopenSet(1, 3, 1, 0))
+        assert f.values == (1, 0, 0) and (f.nums, f.den) == ((1, 0, 0), 1)
 
     def test_char_fn_level_zero_constant(self):
-        f = char_fn(ClopenSet(1, 3, 0, 0), 8)
-        assert len(f.values) == 1 and f.values[0].unit == 1
+        f = char_fn(ClopenSet(1, 3, 0, 0))
+        assert f.values == (1,)
 
     def test_refine_is_constant_on_fibers(self):
-        f = char_fn(ClopenSet(1, 3, 1, 1), 8)
+        f = char_fn(ClopenSet(1, 3, 1, 1))
         g = f.refine_level(2)
-        ones = [b for b in range(9) if g.values[b].is_nonzero()]
+        ones = [b for b in range(9) if g.values[b]]
         assert ones == [1, 4, 7]
 
     def test_total_table_required(self):
-        one = PadicNum.one(3, 4)
+        one = Fraction(1)
         for values in ((one,), (one,) * 4, []):
             with pytest.raises(ValueError, match="expected 3"):
                 CylinderFunction(1, 3, 1, values)
@@ -352,6 +326,9 @@ class TestCylinders:
             CylinderFunction(1, 3, 1, {a: one for a in range(3)})
         with pytest.raises(TypeError, match="not a set"):
             CylinderFunction(1, 3, 0, {one})
+        # the values are rationals: a p-adic entry is refused
+        with pytest.raises(TypeError, match="must be rationals"):
+            CylinderFunction(1, 3, 1, [one, PadicNum.one(3, 4), one])
         f = CylinderFunction(1, 3, 1, [one] * 3)
         assert f.values == (one,) * 3 and type(f.values) is tuple
 
@@ -362,31 +339,26 @@ class TestCylinders:
                 f = random_cylinder(rng, 3, 1, level)
                 acc = None
                 for coeff, clopen in cylinder_decompose(f):
-                    g = char_fn(clopen, 8)
+                    g = char_fn(clopen)
                     term = CylinderFunction(g.d, g.p, g.level, [coeff * v for v in g.values])
                     acc = term if acc is None else acc + term
-                for a in range(3**level):
-                    x, y = acc.values[a], f.values[a]
-                    if y.is_exact_zero():
-                        assert not x.is_nonzero()
-                    else:
-                        assert tracked_equal(x, y)
+                assert acc.values == f.values
 
     @settings(max_examples=150, deadline=None)
     @given(p=st.sampled_from((3, 5, 7, 11)), d=st.integers(1, 6), level=st.integers(0, 3),
-           kinds=st.sampled_from([("zero",), ("pez",), ("finite",), ("zero", "pez"),
-                                  ("zero", "finite"), ("pez", "finite"),
-                                  ("zero", "pez", "finite")]),
-           seed=st.integers(0, 2**32))
-    def test_states_round_trip(self, p, d, level, kinds, seed):
-        # the entries are stored as their states and rebuilt on each read
+           zero_share=st.sampled_from((0, 0.5, 1)), seed=st.integers(0, 2**32))
+    def test_states_round_trip(self, p, d, level, zero_share, seed):
+        # the entries are stored as integer numerators over the least common
+        # denominator and rebuilt as Fractions on each read
         assume(math.gcd(d, p) == 1)
-        vals = mixed_values(random.Random(seed), p, d, level, kinds)
+        vals = rational_values(random.Random(seed), p, d, level, zero_share)
         f = CylinderFunction(d, p, level, vals)
         assert f.values == tuple(vals)
-        assert f.states == tuple(v.state() for v in vals)
-        g = CylinderFunction._of(d, p, level, f.states)
-        assert (g.d, g.p, g.level, g.states, g.values) == (d, p, level, f.states, f.values)
+        assert f.den == math.lcm(*(Fraction(v).denominator for v in vals))
+        assert f.nums == tuple(v * f.den for v in vals)
+        g = CylinderFunction._of(d, p, level, f.nums, f.den)
+        assert (g.d, g.p, g.level, g.nums, g.den, g.values) == \
+            (d, p, level, f.nums, f.den, f.values)
 
     def test_negative_level_refused(self):
         with pytest.raises(LevelOrder, match="level must be >= 0, got -1"):
@@ -400,40 +372,39 @@ class TestCylinders:
 
     def test_char_fn_decomposes_to_itself(self):
         U = ClopenSet(1, 5, 1, 2)
-        pairs = [(c, cl) for c, cl in cylinder_decompose(char_fn(U, 8))
-                 if c.is_nonzero()]
+        pairs = [(c, cl) for c, cl in cylinder_decompose(char_fn(U)) if c]
         assert len(pairs) == 1 and pairs[0][1] == U
 
 
 class TestSuiteRandomCylinder:
     @settings(max_examples=150, deadline=None)
     @given(p=st.sampled_from((3, 5, 7, 11)), d=st.sampled_from((1, 2, 4)),
-           level=st.integers(0, 3), relprec=st.integers(1, 12), seed=st.integers(0, 2**32))
-    def test_matches_fraction_oracle(self, p, d, level, relprec, seed):
+           level=st.integers(0, 3), seed=st.integers(0, 2**32))
+    def test_matches_fraction_oracle(self, p, d, level, seed):
         # the same entries from the same draws, leaving the rng in the same state
         rng, oracle_rng = random.Random(seed), random.Random(seed)
-        f = suite_random_cylinder(rng, p, d, level, relprec)
-        g = random_cylinder_fraction(oracle_rng, p, d, level, relprec)
-        assert (f.d, f.p, f.level) == (g.d, g.p, g.level)
-        assert [repr(v) for v in f.values] == [repr(v) for v in g.values]
+        f = suite_random_cylinder(rng, p, d, level)
+        g = random_cylinder_fraction(oracle_rng, p, d, level)
+        assert (f.d, f.p, f.level) == (g.d, g.p, g.level) == (d, p, level)
+        assert f.den == _DEN_LCM and f.values == g.values
         assert rng.getstate() == oracle_rng.getstate()
 
     @settings(max_examples=60, deadline=None)
     @given(p=st.sampled_from((3, 5, 7, 11)), d=st.integers(1, 4), c=st.integers(2, 40),
            level=st.integers(0, 3), relprec=st.integers(1, 12), seed=st.integers(0, 2**32))
     def test_bound_and_integral_match_oracles(self, p, d, c, level, relprec, seed):
-        # on the drawn states and on their refinement one level up
+        # on the drawn function and on its refinement one level up
         assume(math.gcd(d, p) == 1 and math.gcd(c, d * p) == 1)
         params = BernoulliParams(p, d, c)
-        f = suite_random_cylinder(random.Random(seed), p, d, level, relprec)
+        f = suite_random_cylinder(random.Random(seed), p, d, level)
         for g in (f, f.refine_level(level + 1)):
-            assert norm_bound_check(params, g, relprec) == \
-                norm_bound_check_two_pass(params, g, relprec)
-            assert measure_apply(params, g, relprec) == measure_apply_fold(params, g, relprec)
+            assert norm_bound_check(params, g) == norm_bound_check_two_pass(params, g)
+            exact = integral_fract(params, g)
+            assert integral(params, g) == exact
+            assert measure_apply(params, g, relprec) == PadicNum.from_rational(p, exact, relprec)
 
     def test_builds_no_padicnum_per_entry(self, monkeypatch):
-        # drawing and bounding 2 * 5^3 entries builds no PadicNum per entry
-        suite_random_cylinder(random.Random(0), 5, 2, 0)  # warms the draw tables at (5, 8)
+        # drawing and bounding 2 * 5^3 entries builds no PadicNum at all
         built = []
         init = PadicNum.__init__
 
@@ -444,9 +415,8 @@ class TestSuiteRandomCylinder:
         monkeypatch.setattr(PadicNum, "__init__", counted)
         f = suite_random_cylinder(random.Random(1), 5, 2, 3)
         lhs, rhs, ok = norm_bound_check(BernoulliParams(5, 2, 3), f)
-        assert ok and rhs > 0 and len(f.states) == 250
-        # the integral; the draw tables hold the exact zero's state
-        assert len(built) == 1
+        assert ok and rhs > 0 and len(f.nums) == 250
+        assert built == []
 
     def test_negative_level_refused(self):
         rng = random.Random(1)
@@ -456,92 +426,118 @@ class TestSuiteRandomCylinder:
         assert rng.getstate() == state
 
 
-# draws (p, d, c, max_level, relprec, seed, count) at which some sample's
-# integral is O(p^W) with an exact valuation past W, so the cap sets its verdict
+# draws (p, d, c, max_level, relprec, seed, count) at which the PadicNum fold
+# at relprec 1 or 2 stores some sample's integral as O(p^W) with W below its
+# exact valuation: the samples where a verdict capped at W and the exact one
+# differ
 CAPPED_DRAWS = [(3, 2, 5, 3, 1, 2, 3), (5, 1, 2, 2, 2, 136, 3), (7, 2, 3, 2, 1, 5, 3)]
 
 
 def with_capped_examples(test):
-    """test with each of CAPPED_DRAWS as a hypothesis example."""
+    """test with each of CAPPED_DRAWS, less its relprec, as a hypothesis example."""
     names = ("p", "d", "c", "max_level", "relprec", "seed", "count")
     for draw in CAPPED_DRAWS:
-        test = example(**dict(zip(names, draw)))(test)
+        kwargs = dict(zip(names, draw))
+        del kwargs["relprec"]
+        test = example(**kwargs)(test)
     return test
+
+
+def exact_integrals(rng, params, max_level, count):
+    """(level, the exact integral) of each of count samples, drawn by randint
+    and random as Fractions, as random_bound_checks draws them."""
+    p, d = params.p, params.d
+    samples = []
+    for _ in range(count):
+        level = rng.randint(0, max_level)
+        exact = sum((Fraction(rng.randint(-999, 999), rng.randint(1, 60))
+                     * bernoulli_distribution_fract(params, level, a)
+                     for a in range(d * p**level) if rng.random() >= 0.1), Fraction(0))
+        samples.append((level, exact))
+    return samples
 
 
 class TestRandomBoundCheck:
     @settings(max_examples=150, deadline=None)
     @given(p=st.sampled_from((3, 5, 7, 11)), d=st.integers(1, 4), c=st.integers(2, 40),
-           max_level=st.integers(0, 3),
-           relprec=st.one_of(st.integers(1, 12), st.sampled_from((60, 1000))),
-           seed=st.integers(0, 2**32), count=st.integers(1, 3))
+           max_level=st.integers(0, 3), seed=st.integers(0, 2**32), count=st.integers(1, 3))
     @with_capped_examples
-    # the one entry drawn is num = 0, an exact zero that sets neither ||f|| nor W
-    @example(p=3, d=1, c=2, max_level=0, relprec=8, seed=427, count=1)
-    def test_matches_the_bound_on_the_drawn_cylinder(self, p, d, c, max_level, relprec,
-                                                     seed, count):
+    # the one entry drawn is num = 0, an exact zero that sets neither ||f|| nor the integral
+    @example(p=3, d=1, c=2, max_level=0, seed=427, count=1)
+    def test_matches_the_bound_on_the_drawn_cylinder(self, p, d, c, max_level, seed, count):
         # each sample's level as randint draws it and its verdict on the
-        # cylinder random_cylinder draws, from the same draws; at relprec 1 or
-        # 2 some integrals are O(p^W), which the cap at W covers
+        # cylinder random_cylinder draws, from the same draws
         assume(math.gcd(d, p) == 1 and math.gcd(c, d * p) == 1)
-        assume(relprec <= 12 or max_level <= 2)
         params = BernoulliParams(p, d, c)
         rng, oracle_rng = random.Random(seed), random.Random(seed)
         expected = []
         for _ in range(count):
             level = oracle_rng.randint(0, max_level)
-            f = suite_random_cylinder(oracle_rng, p, d, level, relprec)
-            expected.append((level, *norm_bound_check(params, f, relprec)))
-        assert random_bound_checks(rng, params, max_level, count, relprec) == expected
+            f = suite_random_cylinder(oracle_rng, p, d, level)
+            expected.append((level, *norm_bound_check(params, f)))
+        assert random_bound_checks(rng, params, max_level, count) == expected
         assert rng.getstate() == oracle_rng.getstate()
 
     @pytest.mark.parametrize("p, d, c, max_level, relprec, seed, count", CAPPED_DRAWS)
     def test_capped_draws_reach_the_cap(self, p, d, c, max_level, relprec, seed, count):
-        # the exact integral of some sample, from the same draws as Fractions,
-        # has a valuation past the O(p^W) that measure_apply stores
+        # every sample's lhs is p^(-v) for the exact valuation v of its
+        # integral, from the same draws as Fractions by randint and random,
+        # and some sample's exact valuation passes the O(p^W) that the fold
+        # at relprec stores, so a verdict capped at W would differ
         params = BernoulliParams(p, d, c)
-        rng = random.Random(seed)
-        capped = 0
+        rng, oracle_rng = random.Random(seed), random.Random(seed)
+        samples = random_bound_checks(rng, params, max_level, count)
+        for (level, lhs, _, _), (exact_level, exact) in zip(
+                samples, exact_integrals(oracle_rng, params, max_level, count)):
+            assert level == exact_level
+            assert lhs == (0 if exact == 0 else Fraction(p) ** -rational_valuation(p, exact))
+        assert rng.getstate() == oracle_rng.getstate()
+        rng, capped = random.Random(seed), 0
         for _ in range(count):
-            level = rng.randint(0, max_level)
-            exact_rng = random.Random()
-            exact_rng.setstate(rng.getstate())
-            f = suite_random_cylinder(rng, p, d, level, relprec)
-            exact = sum((Fraction(exact_rng.randint(-999, 999), exact_rng.randint(1, 60))
-                         * bernoulli_distribution(params, level, a)
-                         for a in range(d * p**level) if exact_rng.random() >= 0.1), Fraction(0))
-            assert exact_rng.getstate() == rng.getstate()
-            _, w, unit, _ = measure_apply(params, f, relprec).state()
-            if unit is None and w is not None and rational_valuation(p, exact) > w:
+            f = suite_random_cylinder(rng, p, d, rng.randint(0, max_level))
+            _, w, unit, _ = measure_apply_fold(params, f.level, f.values, relprec).state()
+            if unit is None and w is not None and rational_valuation(p, integral(params, f)) > w:
                 capped += 1
         assert capped
 
     @pytest.mark.parametrize("seed, prec, p, d, c, digest", [
         (5, 8, 7, 4, 3, "c496642e171bd8e798ce530d6cf95c0923bdc4adfd2efd2247f84329b878ea14"),
-        (9, 1, 5, 2, 3, "04f3f6e1df94de87da6ac0a12d5166d9a1b64d6ed4f8152846afd1b1c3eb1ff6"),
+        (9, 1, 5, 2, 3, "da105c9f205ada6e51b7aabf2036d6bd46eaca7587813885d07899b95b10e6c7"),
     ])
-    def test_measure_check_verdicts_are_pinned(self, seed, prec, p, d, c, digest):
+    def test_measure_check_verdicts_are_pinned(self, capsys, monkeypatch, seed, prec,
+                                               p, d, c, digest):
         # the (lhs, rhs, ok) of all 100 samples of `--prec prec --seed seed
         # measure-check --p p --d d --c c --max-level 3`, which a passing run
-        # does not print; the draws are randrange's on every Python
-        samples = random_bound_checks(random.Random(seed), BernoulliParams(p, d, c), 3, 100, prec)
-        text = "".join(f"{lhs} {rhs} {ok}\n" for _, lhs, rhs, ok in samples)
+        # does not print, at that --prec and at --prec 1000; the draws are
+        # randrange's on every Python
+        drawn = []
+
+        def recorded(*args):
+            drawn.append(random_bound_checks(*args))
+            return drawn[-1]
+
+        monkeypatch.setattr(suite, "random_bound_checks", recorded)
+        for argv_prec in (prec, 1000):
+            assert cli.main(["--prec", str(argv_prec), "--seed", str(seed), "measure-check",
+                             "--p", str(p), "--d", str(d), "--c", str(c)]) == 0
+        capsys.readouterr()
+        assert drawn[0] == drawn[1] and len(drawn[0]) == 100
+        text = "".join(f"{lhs} {rhs} {ok}\n" for _, lhs, rhs, ok in drawn[0])
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     @pytest.mark.parametrize("params", C5_GRID + [BernoulliParams(5, 3, 37)])
     def test_weighted_carry_table(self, params):
-        # one shared (weights, e) per distinct value of 2 E_c: at most c pairs
+        # one shared weights tuple per distinct nonzero value of 2 E_c: at most c
         for level in range(4):
             table = _weighted_carry_table(params, level)
             assert len(table) == params.d * params.p**level
-            assert len({id(pair) for pair in table}) <= params.c
-            for a, (weights, e) in enumerate(table):
+            assert len({id(weights) for weights in table}) <= params.c
+            for a, weights in enumerate(table):
                 two_e = 2 * bernoulli_distribution(params, level, a)
                 if two_e == 0:
                     assert weights is None
                 else:
                     assert weights == tuple(_DEN_LCM // den * two_e for den in range(1, 61))
-                    assert e == rational_valuation(params.p, two_e)
 
     def test_builds_no_padicnum(self, monkeypatch):
         # samples of up to 2 * 5^3 entries read their verdicts off exact integers
@@ -558,45 +554,25 @@ class TestRandomBoundCheck:
         assert all(ok and rhs > 0 for _, _, rhs, ok in samples)
         assert built == []
 
-    @settings(max_examples=300, deadline=None)
-    @given(p=st.sampled_from((3, 5, 7, 11)),
-           sums=st.dictionaries(st.integers(-4, 4),
-                                st.tuples(st.integers(-10**6, 10**6), st.integers(0, 40)),
-                                max_size=4),
-           offset=st.integers(-3, 45))
-    def test_capped_valuation_is_the_halved_sums_valuation(self, p, sums, offset):
-        # sums[v] = m * p^j: zero, highly p-divisible and negative accumulators,
-        # and W from below vmin to far above it
-        sums = {v: m * p**j for v, (m, j) in sums.items()}
-        vmin = min(sums, default=0)
-        absprec = vmin + offset
-        acc = sum(m * p ** (v - vmin) for v, m in sums.items())
-        assert _capped_valuation(p, acc, vmin, absprec) == \
-            measure._halved_sum(p, sums, absprec).state()[1]
-
-    @pytest.mark.parametrize("max_level, relprec, error, message", [
+    def test_refused_before_any_draw(self):
         # at max_level -1 the level draw would read getrandbits(0) = 0 forever
-        (-1, 8, LevelOrder, "level must be >= 0, got -1"),
-        (2, 0, ValueError, "relative precision must be >= 1"),
-    ])
-    def test_refused_before_any_draw(self, max_level, relprec, error, message):
         rng = random.Random(1)
         state = rng.getstate()
-        with pytest.raises(error, match=message):
-            random_bound_checks(rng, BernoulliParams(5, 1, 2), max_level, 5, relprec)
+        with pytest.raises(LevelOrder, match="level must be >= 0, got -1"):
+            random_bound_checks(rng, BernoulliParams(5, 1, 2), -1, 5)
         assert rng.getstate() == state
 
 
 class TestMeasureApply:
     def test_char_fn_gives_distribution_value(self):
         for a in range(3):
-            f = char_fn(ClopenSet(1, 3, 1, a), 8)
-            v = measure_apply(P312, f, 8)
-            target = PadicNum.from_rational(3, bernoulli_distribution(P312, 1, a), 8)
-            assert tracked_equal(v, target)
+            f = char_fn(ClopenSet(1, 3, 1, a))
+            value = bernoulli_distribution(P312, 1, a)
+            assert integral(P312, f) == value
+            assert measure_apply(P312, f, 8) == PadicNum.from_rational(3, value, 8)
 
     def test_zero_function(self):
-        f = CylinderFunction(1, 3, 1, (PadicNum.exact_zero(3),) * 3)
+        f = CylinderFunction(1, 3, 1, (0,) * 3)
         assert measure_apply(P312, f, 8).is_exact_zero()
 
     def test_refinement_invariance(self):
@@ -605,7 +581,7 @@ class TestMeasureApply:
             f = random_cylinder(rng, 3, 1, rng.randint(0, 2))
             base = measure_apply(P312, f, 8)
             for extra in (1, 2):
-                assert tracked_equal(base, measure_apply(P312, f.refine_level(f.level + extra), 8))
+                assert measure_apply(P312, f.refine_level(f.level + extra), 8) == base
 
     def test_linearity(self):
         rng = random.Random(11)
@@ -613,74 +589,85 @@ class TestMeasureApply:
         for _ in range(10):
             f = random_cylinder(rng, 5, 1, 1)
             g = random_cylinder(rng, 5, 1, 1)
-            alpha = PadicNum.from_rational(5, Fraction(rng.randint(1, 50), rng.randint(1, 9)), 8)
+            alpha = Fraction(rng.randint(1, 50), rng.randint(1, 9))
             alpha_f = CylinderFunction(f.d, f.p, f.level, [alpha * v for v in f.values])
-            lhs = measure_apply(params, alpha_f + g, 8)
-            rhs = alpha * measure_apply(params, f, 8) + measure_apply(params, g, 8)
-            common = min(lhs.abs_precision, rhs.abs_precision)
-            assert eq_mod(lhs, rhs, common)
+            assert integral(params, alpha_f + g) == alpha * integral(params, f) + integral(params, g)
+
+    @settings(max_examples=300, deadline=None)
+    @given(p=st.sampled_from((3, 5, 7, 11)), d=st.integers(1, 6), c=st.integers(2, 40),
+           level=st.integers(0, 3), zero_share=st.sampled_from((0, 0.1, 0.5, 1)),
+           seed=st.integers(0, 2**32))
+    def test_integral_matches_fract_oracle_and_refinement(self, p, d, c, level, zero_share,
+                                                          seed):
+        assume(math.gcd(d, p) == 1 and math.gcd(c, d * p) == 1)
+        params = BernoulliParams(p, d, c)
+        f = rational_cylinder(random.Random(seed), p, d, level, zero_share)
+        exact = integral(params, f)
+        assert exact == integral_fract(params, f)
+        for extra in (1, 2):
+            assert integral(params, f.refine_level(level + extra)) == exact
 
     @settings(max_examples=300, deadline=None)
     @given(p=st.sampled_from((3, 5, 7, 11)), d=st.integers(1, 6), c=st.integers(2, 40),
            level=st.integers(0, 3), relprec=st.integers(1, 12),
-           kinds=st.sampled_from([("zero",), ("pez",), ("finite",), ("zero", "pez"),
-                                  ("zero", "finite"), ("pez", "finite"),
-                                  ("zero", "pez", "finite")]),
-           seed=st.integers(0, 2**32))
-    def test_matches_fold_oracle(self, p, d, c, level, relprec, kinds, seed):
+           zero_share=st.sampled_from((0, 0.1, 0.5, 1)), seed=st.integers(0, 2**32))
+    def test_matches_fold_oracle(self, p, d, c, level, relprec, zero_share, seed):
+        # the embedded exact integral claims every digit the fold certifies
+        # and agrees with it on each of them
         assume(math.gcd(d, p) == 1 and math.gcd(c, d * p) == 1)
         params = BernoulliParams(p, d, c)
-        f = mixed_cylinder(random.Random(seed), p, d, level, kinds)
-        assert measure_apply(params, f, relprec) == measure_apply_fold(params, f, relprec)
+        f = rational_cylinder(random.Random(seed), p, d, level, zero_share)
+        got = measure_apply(params, f, relprec)
+        fold = measure_apply_fold(params, level, f.values, relprec)
+        if fold.is_exact_zero():
+            assert got.is_exact_zero()
+        else:
+            assert got.abs_precision >= fold.abs_precision
+            assert eq_mod(got, fold, fold.abs_precision)
 
     def test_outcome_kinds(self):
-        # the three outcomes of the fold, each reached on its own
-        one = PadicNum.one(3, 8)
-        zero = PadicNum.exact_zero(3)
-        e0, e1 = (PadicNum.from_rational(3, bernoulli_distribution(P312, 1, a), 8)
-                  for a in (0, 1))
+        # the exact zero when every entry is 0, when E_c vanishes at every
+        # nonzero entry or when the terms cancel; a finite value otherwise,
+        # also where the fold at relprec 1 can only say O(3)
+        e0, e1 = (bernoulli_distribution(P312, 1, a) for a in (0, 1))
         cases = [
-            # every entry an exact zero, or E_c(a) = 0 (c = 3, t = 1 at a = 1)
-            (P312, (zero, zero, zero), "zero"),
-            (BernoulliParams(5, 1, 3),
-             [PadicNum.one(5, 8) if a == 1 else PadicNum.exact_zero(5) for a in range(5)],
-             "zero"),
-            # no finite entry, then W <= vmin, then an accumulator that cancels
-            (P312, (PadicNum.zero_at_precision(3, 4), zero, zero), "pez"),
-            (P312, (PadicNum.zero_at_precision(3, 1), PadicNum.from_unit(3, 2, 1, 8), zero),
-             "pez"),
-            (P312, (e1, -e0, zero), "pez"),
-            (P312, (one, zero, one), "finite"),
+            (P312, (0, 0, 0), "zero"),
+            # E_c(1, 1) = 0 at c = 3
+            (BernoulliParams(5, 1, 3), [1 if a == 1 else 0 for a in range(5)], "zero"),
+            (P312, (e1, -e0, 0), "zero"),
+            (P312, (1, 0, 1), "finite"),
+            (P312, (1 / e0, (3**5 - 1) / e1, 0), "finite"),
         ]
         for params, values, kind in cases:
             f = CylinderFunction(params.d, params.p, 1, values)
             got = measure_apply(params, f, 8)
-            assert got == measure_apply_fold(params, f, 8)
-            assert kind == ("zero" if got.is_exact_zero() else
-                            "pez" if got.is_zero_at_precision() else "finite")
-
+            assert got == PadicNum.from_rational(params.p, integral_fract(params, f), 8)
+            assert kind == ("zero" if got.is_exact_zero() else "finite")
+        f = CylinderFunction(1, 3, 1, (1 / e0, (3**5 - 1) / e1, 0))
+        assert integral(P312, f) == 3**5
+        assert measure_apply_fold(P312, 1, f.values, 1).is_zero_at_precision()
 
     def test_rejects_bad_input_as_the_fold_does(self):
-        f = CylinderFunction(1, 5, 0, (PadicNum.one(3, 8),))
-        for fn in (measure_apply, measure_apply_fold):
-            with pytest.raises(ValueError, match="prime mismatch"):
-                fn(BernoulliParams(5, 1, 2), f, 8)
-            with pytest.raises(ValueError, match="relative precision"):
-                fn(P312, char_fn(ClopenSet(1, 3, 0, 0), 8), 0)
+        f = CylinderFunction(1, 5, 0, (1,))
+        for fn in (integral, measure_apply, norm_bound_check):
+            with pytest.raises(ValueError, match="does not match the measure parameters"):
+                fn(BernoulliParams(5, 2, 3), f)
+        g = char_fn(ClopenSet(1, 3, 0, 0))
+        with pytest.raises(ValueError, match="relative precision"):
+            measure_apply(P312, g, 0)
+        with pytest.raises(ValueError, match="relative precision"):
+            measure_apply_fold(P312, 0, g.values, 0)
 
 
 class TestExtendByZero:
     def test_example(self):
-        one = PadicNum.one(3, 8)
-        f = units_cylinder(1, 3, 1, {1: one, 2: one})
-        assert f.values[0].is_exact_zero()
-        assert f.values[1].unit == 1 and f.values[2].unit == 1
+        f = units_cylinder(1, 3, 1, {1: 1, 2: Fraction(1, 2)})
+        assert f.values == (0, 1, Fraction(1, 2))
 
     def test_idempotent(self):
-        one = PadicNum.one(3, 8)
-        f = units_cylinder(1, 3, 1, {1: one, 2: one})
+        f = units_cylinder(1, 3, 1, {1: 1, 2: 1})
         g = units_cylinder(f.d, f.p, f.level, f.values)
-        assert all((g.values[a] == f.values[a]) for a in range(3))
+        assert g.values == f.values
 
     def test_support_is_unit_partition(self):
         rng = random.Random(5)
@@ -688,18 +675,18 @@ class TestExtendByZero:
         g = units_cylinder(f.d, f.p, f.level, f.values)
         units, nonunits = partition_range(2, 5, 1)
         for a in nonunits:
-            assert g.values[a].is_exact_zero()
+            assert g.values[a] == 0
         for a in units:
             assert g.values[a] == f.values[a]
 
 
 class TestNormBound:
     def test_char_fn_example(self):
-        lhs, rhs, ok = norm_bound_check(P312, char_fn(ClopenSet(1, 3, 1, 1), 8))
+        lhs, rhs, ok = norm_bound_check(P312, char_fn(ClopenSet(1, 3, 1, 1)))
         assert ok and lhs == 1 and rhs == 3
 
     def test_zero_function(self):
-        f = CylinderFunction(1, 3, 1, (PadicNum.exact_zero(3),) * 3)
+        f = CylinderFunction(1, 3, 1, (0,) * 3)
         lhs, rhs, ok = norm_bound_check(P312, f)
         assert ok and lhs == 0
 
@@ -707,36 +694,31 @@ class TestNormBound:
         rng = random.Random(13)
         params = BernoulliParams(5, 2, 3)
         K = norm_bound_constant(5, 3)
-        for kinds in (("zero",), ("zero", "pez"), ("zero", "finite"), ("pez", "finite")):
+        for zero_share in (0, 0.5, 1):
             for level in (0, 1, 2):
-                f = mixed_cylinder(rng, 5, 2, level, kinds)
+                f = rational_cylinder(rng, 5, 2, level, zero_share)
                 _, rhs, _ = norm_bound_check(params, f)
-                assert rhs == K * max(v.norm() for v in f.values)
+                assert rhs == K * max(PadicNum.from_rational(5, v).norm() for v in f.values)
                 assert type(rhs) is Fraction
-        assert norm_bound_check(P312, mixed_cylinder(rng, 3, 1, 2, ("zero",)))[1] == 0
+        assert norm_bound_check(P312, rational_cylinder(rng, 3, 1, 2, 1))[1] == 0
         # an entry counts where E_c vanishes, as E_c(1, 1) does at c = 3
-        zero = PadicNum.exact_zero(5)
-        f = CylinderFunction(1, 5, 1, (zero, PadicNum.from_unit(5, -2, 1, 8), zero, zero, zero))
+        f = CylinderFunction(1, 5, 1, (0, Fraction(1, 25), 0, 0, 0))
         assert norm_bound_check(BernoulliParams(5, 1, 3), f) == (0, 25 * K, True)
 
     @settings(max_examples=300, deadline=None)
     @given(p=st.sampled_from((3, 5, 7, 11)), d=st.integers(1, 6), c=st.integers(2, 40),
-           level=st.integers(0, 3), relprec=st.integers(1, 12),
-           kinds=st.sampled_from([("zero",), ("pez",), ("finite",), ("zero", "pez"),
-                                  ("zero", "finite"), ("pez", "finite"),
-                                  ("zero", "pez", "finite")]),
+           level=st.integers(0, 3), zero_share=st.sampled_from((0, 0.1, 0.5, 1)),
            seed=st.integers(0, 2**32))
-    def test_matches_two_pass_oracle(self, p, d, c, level, relprec, kinds, seed):
+    def test_matches_two_pass_oracle(self, p, d, c, level, zero_share, seed):
         # odd c gives entries with 2 E_c = 0, which the integral skips but ||f|| reads
         assume(math.gcd(d, p) == 1 and math.gcd(c, d * p) == 1)
         params = BernoulliParams(p, d, c)
-        f = mixed_cylinder(random.Random(seed), p, d, level, kinds)
-        assert norm_bound_check(params, f, relprec) == \
-            norm_bound_check_two_pass(params, f, relprec)
+        f = rational_cylinder(random.Random(seed), p, d, level, zero_share)
+        assert norm_bound_check(params, f) == norm_bound_check_two_pass(params, f)
 
     def test_warm_verdict_makes_no_fraction(self, monkeypatch):
-        # the verdict is a cached function of (p, c, the integral's stored
-        # valuation, the least valuation of f): a warm call makes no Fraction
+        # the verdict is a cached function of (p, c, the integral's valuation,
+        # the least valuation of f): a warm call makes no Fraction
         rng = random.Random(5)
         grid = (BernoulliParams(3, 1, 2), BernoulliParams(5, 2, 3), BernoulliParams(7, 1, 3))
         samples = [(params, suite_random_cylinder(rng, params.p, params.d, rng.randint(0, 2)))
@@ -785,6 +767,6 @@ class TestNormBound:
     def test_bound_constant(self):
         # K = 1 + |c| + |(c-1)/2| as exact rationals
         params = BernoulliParams(5, 1, 6)  # c-1 = 5 has valuation 1
-        f = char_fn(ClopenSet(1, 5, 1, 1), 8)
+        f = char_fn(ClopenSet(1, 5, 1, 1))
         _, rhs, _ = norm_bound_check(params, f)
         assert rhs == 1 + 1 + Fraction(1, 5)

@@ -294,7 +294,8 @@ def padic_with_json(draw):
 def test_state_is_the_value(a, b):
     for x, as_json in (a, b):
         _, v, unit, relprec = x.state()
-        kinds = (x.is_exact_zero(), x.is_zero_at_precision(), x.is_nonzero())
+        kinds = (x.is_exact_zero(), x.is_zero_at_precision(),
+                 x.valuation_is_exact and not x.is_exact_zero())
         assert kinds.count(True) == 1
         assert kinds == (v is None, v is not None and unit is None, unit is not None)
         assert x.to_json() == as_json
