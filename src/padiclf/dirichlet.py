@@ -128,10 +128,13 @@ _TEICH_CACHE: dict[tuple[int, int], dict[int, int]] = {}
 def teichmuller_int(p: int, a: int, relprec: int) -> int:
     """omega(a) mod p^relprec as a plain integer, for a unit a mod p.
 
-    a^(p^k) stabilizes mod p^(k+1), so the lift equals a^(p^(relprec-1))
-    reduced mod p^relprec: the unique (p-1)-st root of unity congruent
-    to a mod p.  p is checked when its cache entry is made, so a p that
-    fails never gets one.
+    omega(a) is the unique root of x^(p-1) = 1 congruent to a mod p.  It
+    is found by Newton's method from x = a: if x is right mod p^k then
+    x - (x^(p-1) - 1) / ((p-1) x^(p-2)) is right mod p^(2k), and as
+    x^(p-1) = 1 mod p^k the inverse of the derivative may be taken as
+    x / (p-1).  So it takes O(log relprec) steps, where a^(p^(relprec-1)),
+    the same lift, takes O(relprec log p) multiplications.  p is checked
+    when its cache entry is made, so a p that fails never gets one.
     """
     cache = _TEICH_CACHE.get((p, relprec))
     if cache is None:
@@ -141,7 +144,12 @@ def teichmuller_int(p: int, a: int, relprec: int) -> int:
     if a == 0:
         raise NotAUnit(f"{a} is not a unit modulo {p}")
     if a not in cache:
-        cache[a] = pow(a, p ** (relprec - 1), p**relprec)
+        x, k = a, 1
+        while k < relprec:
+            k = min(2 * k, relprec)
+            mod = p**k
+            x = (x - (pow(x, p - 1, mod) - 1) * x * pow(p - 1, -1, mod)) % mod
+        cache[a] = x
     return cache[a]
 
 
@@ -152,9 +160,26 @@ def _is_one_or_prime(n: int) -> bool:
         return False
 
 
+def _strip(n: int, f: int) -> tuple[int, int]:
+    """(e, n / f^e) with f^e exactly dividing n, in O(log e) divisions:
+    n is divided by f, f^2, f^4, ... while each divides, then by the
+    same powers downwards wherever one still does."""
+    e, powers = 0, [f]
+    while n % powers[-1] == 0:
+        n //= powers[-1]
+        e += 1 << (len(powers) - 1)
+        powers.append(powers[-1] ** 2)
+    for i in range(len(powers) - 2, -1, -1):
+        if n % powers[i] == 0:
+            n //= powers[i]
+            e += 1 << i
+    return e, n
+
+
 def _factorize(n: int) -> dict[int, int]:
     """{prime: exponent} for n >= 1, by trial division, primes increasing.
 
+    Each prime found is stripped by _strip, in O(log exponent) divisions.
     The division stops once the cofactor is 1 or prime; a cofactor not
     known to be either when the divisor passes MAX_TRIAL_DIVISOR raises
     CostLimitExceeded.
@@ -168,9 +193,7 @@ def _factorize(n: int) -> dict[int, int]:
                 f"factoring {n} would need trial division past {MAX_TRIAL_DIVISOR}"
             )
         if n % f == 0:
-            while n % f == 0:
-                out[f] = out.get(f, 0) + 1
-                n //= f
+            out[f], n = _strip(n, f)
             done = _is_one_or_prime(n)
         f += 1 if f == 2 else 2
     if n > 1:

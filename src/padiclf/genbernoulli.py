@@ -31,11 +31,12 @@ from fractions import Fraction
 
 from .bernoulli import ProgressionPowerSum, bernoulli_poly_int
 from .dirichlet import DirichletCharacter, char_power, make_teich_char, teichmuller_int
-from .errors import NotMultipleOfConductor
+from .errors import CostLimitExceeded, NotMultipleOfConductor
 from .modarith import units_of
 from .padic import DEFAULT_RELPREC, PadicNum, split_p_power
 
 __all__ = [
+    "MAX_HORNER_BITS",
     "chi_omega_minus_k",
     "general_bernoulli_coeffs",
     "general_bernoulli",
@@ -44,6 +45,9 @@ __all__ = [
     "twisted_mean_limit",
     "unit_power_sum",
 ]
+
+# The largest int, in bits, that _unit_sum's Horner's rule may build.
+MAX_HORNER_BITS = 1_500_000
 
 
 def chi_omega_minus_k(chi: DirichletCharacter, k: int) -> DirichletCharacter:
@@ -106,20 +110,36 @@ def _omega_sum(p: int, coeffs: dict, window: int) -> int:
     return sum(c * teichmuller_int(p, t, window) for t, c in coeffs.items()) % p**window
 
 
-def _embed_label_sum(p: int, coeffs: dict, relprec: int) -> PadicNum:
-    """Embed sum_t c_t * omega(t) keeping the full relative precision.
+def _embed_label_sum(p: int, coeffs: dict, relprec: int, den: int = 1) -> PadicNum:
+    """Embed (1/den) sum_t c_t * omega(t) at exactly relprec absolute digits.
 
     Denominators are cleared first so the roots of unity are combined in
-    one integer window; a term-by-term embedding would shed a digit for
-    every power of p in a coefficient denominator.
+    one integer window, relprec plus the valuation of the common
+    denominator; a term-by-term embedding would shed a digit for every
+    power of p in a coefficient denominator.
     """
     if not coeffs:
         return PadicNum.exact_zero(p)
-    den = math.lcm(*(c.denominator for c in coeffs.values()))
-    window = relprec + split_p_power(p, den)[0]
-    total = _omega_sum(p, {t: int(c * den) for t, c in coeffs.items()}, window)
+    common = math.lcm(*(c.denominator for c in coeffs.values()))
+    window = relprec + split_p_power(p, den * common)[0]
+    total = _omega_sum(p, {t: int(c * common) for t, c in coeffs.items()}, window)
     s = PadicNum.from_int_mod(p, total, window)
-    return s * PadicNum.from_rational(p, Fraction(1, den), window)
+    return s * PadicNum.from_rational(p, Fraction(1, den * common), window)
+
+
+def _times_one_minus(p: int, coeffs: dict, r: int, u: int) -> dict:
+    """(1 - r omega(u)) times a label sum, u a unit mod p: omega(u) moves label t to u t mod p."""
+    moved = {u * t % p: r * c for t, c in coeffs.items()}
+    return {t: coeffs.get(t, 0) - moved.get(t, 0) for t in coeffs.keys() | moved.keys()}
+
+
+def _euler_label_sum(psi: DirichletCharacter, k: int) -> tuple[dict, int]:
+    """(1 - psi(p) p^(k-1)) B_(k,psi) as integers over one denominator, psi extended by zero."""
+    p, coeffs = psi.p, general_bernoulli_coeffs(psi, k)
+    den = math.lcm(*(c.denominator for c in coeffs.values()))
+    r, u = (p ** (k - 1), psi.label(p)) if psi.conductor() % p else (0, 1)
+    nums = {t: c.numerator * (den // c.denominator) for t, c in coeffs.items()}
+    return _times_one_minus(p, nums, r, u), den
 
 
 def general_bernoulli(chi: DirichletCharacter, m: int,
@@ -182,7 +202,9 @@ def _unit_sum(psi: DirichletCharacter, d: int, j: int, k: int, relprec: int,
     weighted differences w (H(u1) - H(u0)) are added up per label of psi,
     each label's total is an exact multiple of div and takes one
     `% mod // div`, and each label is lifted once.  Cost:
-    O(phi(L) * min(c, D/L + 1) * k) integer operations, whatever j.
+    O(phi(L) * min(c, D/L + 1) * k) integer operations, whatever j, on
+    ints of up to about (k + 1) log2(D) bits; a sum whose ints would pass
+    MAX_HORNER_BITS raises CostLimitExceeded before any is built.
     """
     p = psi.p
     c = len(weights)
@@ -190,8 +212,13 @@ def _unit_sum(psi: DirichletCharacter, d: int, j: int, k: int, relprec: int,
     L = math.lcm(psi.level, d * p)
     step = c * L
     # built first: a degree past bernoulli.MAX_BERNOULLI_DEGREE is refused
-    # before the label table is
+    # before the size of the ints or the label table is
     power_sum = ProgressionPowerSum(k, step, p**relprec)
+    bits = (k + 1) * D.bit_length()
+    if bits > MAX_HORNER_BITS:
+        raise CostLimitExceeded(
+            f"a unit sum of degree {k} at level {j} would run Horner's rule on ints "
+            f"of about {bits} bits, over the limit of {MAX_HORNER_BITS}")
     horner, mod, div = power_sum.horner, power_sum.mod, power_sum.div
     labels, q = psi.labels, psi.level
     by_label: dict[int, int] = {}
@@ -233,11 +260,9 @@ def twisted_mean_truncation(chi: DirichletCharacter, k: int, j: int,
 def twisted_mean_limit(chi: DirichletCharacter, k: int,
                        relprec: int = DEFAULT_RELPREC) -> PadicNum:
     """The limit target (1 - chi omega^(-k)(p) p^(k-1)) * B_(k, chi omega^(-k))."""
-    p = chi.p
     _twist_preconditions(chi, k, 1)
-    psi = chi_omega_minus_k(chi, k)
-    at_p = psi.asso_eval(p % psi.level, relprec) * PadicNum.from_rational(p, p ** (k - 1), relprec)
-    return (PadicNum.one(p, relprec) - at_p) * general_bernoulli(psi, k, relprec)
+    nums, den = _euler_label_sum(chi_omega_minus_k(chi, k), k)
+    return _embed_label_sum(chi.p, nums, relprec, den)
 
 
 def unit_power_sum(chi: DirichletCharacter, k: int, j: int,

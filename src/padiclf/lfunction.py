@@ -35,7 +35,7 @@ closed form
     (1/n) * (1 - chi(c) <c>^n) * (1 - chi omega^(-n)(p) p^(n-1))
          * B_(n, chi omega^(-n))
 
-computed through the generalized Bernoulli module; the weight on the
+computed as one exact label sum, embedded once; the weight on the
 integral side is <a>^(n-1) while the absorbed c-factor uses exponent n,
 an off-by-one that is mirrored deliberately.  Because sign conventions
 for the measure differ across the classical literature, the verifier
@@ -45,13 +45,12 @@ the bundled suite insists on a single sign across all cases.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
-from .dirichlet import DirichletCharacter, teichmuller_int
-from .errors import InsufficientPrecision, LevelTooLow, NotCoprime
-from .genbernoulli import _unit_sum, chi_omega_minus_k, twisted_mean_limit
+from .dirichlet import DirichletCharacter
+from .errors import InsufficientPrecision, LevelTooLow
+from .genbernoulli import (_embed_label_sum, _euler_label_sum, _times_one_minus, _unit_sum,
+                           chi_omega_minus_k)
 from .measure import BernoulliParams
 from .padic import DEFAULT_RELPREC, PadicNum
 
@@ -60,7 +59,6 @@ __all__ = [
     "LpParams",
     "EvalReport",
     "VerifyReport",
-    "principal_unit_power",
     "riemann_sum",
     "p_adic_L",
     "special_value_closed_form",
@@ -166,16 +164,6 @@ class VerifyReport:
         }
 
 
-def principal_unit_power(p: int, lift: int, k: int, relprec: int) -> PadicNum:
-    """<lift>^k = (omega^(-1)(lift) * lift)^k for an integer lift coprime to p."""
-    if math.gcd(lift, p) != 1:
-        raise NotCoprime(f"{lift} is not a p-adic unit for p={p}")
-    P = p**relprec
-    t = teichmuller_int(p, lift % p, relprec)
-    base = lift * pow(t, -1, P) % P
-    return PadicNum.from_unit(p, 0, pow(base, k, P), relprec)
-
-
 def riemann_sum(params: LpParams, w: Weight, j: int, relprec: int | None = None) -> PadicNum:
     """The level-j sum of chi omega^(-1)(a) <a>^k E_c(j, a) over units a mod D = d*p^j.
 
@@ -227,19 +215,18 @@ def special_value_closed_form(params: LpParams, n: int,
                               relprec: int | None = None) -> PadicNum:
     """The closed-form target at the weight-(n-1) evaluation, n >= 1:
 
-    (1/n)(1 - chi(c) <c>^n)(1 - chi omega^(-n)(p) p^(n-1)) B_(n, chi omega^(-n)),
+    R = (1/n)(1 - chi(c) <c>^n)(1 - chi omega^(-n)(p) p^(n-1)) B_(n, chi omega^(-n)),
 
-    the last two factors being genbernoulli.twisted_mean_limit(chi, n).
-    The Euler-type factor at p uses the extension by zero, so it
-    degenerates to 1 when p divides the twisted conductor.
+    one exact label sum embedded at relprec absolute digits (params.relprec when
+    None); chi(c) <c>^n = c^n omega(s); the factor at p is 1 if p | cond chi omega^(-n).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     N = relprec if relprec is not None else params.relprec
-    p, c = params.p, params.c
-    chi = params.chi
-    c_factor = PadicNum.one(p, N) - chi.value(c % chi.level, N) * principal_unit_power(p, c, n, N)
-    return PadicNum.from_rational(p, Fraction(1, n), N) * c_factor * twisted_mean_limit(chi, n, N)
+    p, c, chi = params.p, params.c, params.chi
+    s = chi.label(c) * pow(c, -n, p) % p
+    nums, den = _euler_label_sum(chi_omega_minus_k(chi, n), n)
+    return _embed_label_sum(p, _times_one_minus(p, nums, c**n, s), N, n * den)
 
 
 def _certified_valuation(diff: PadicNum, threshold: int):

@@ -26,9 +26,15 @@ from padiclf.cli import (
     _cmd_verify,
 )
 from padiclf.dirichlet import teichmuller_int
-from padiclf.errors import LevelTooLow, NotAUnit, NotMultipleOfConductor, UnsupportedOrder
-from padiclf.genbernoulli import chi_omega_minus_k
-from padiclf.lfunction import LpParams, principal_unit_power
+from padiclf.errors import (
+    LevelTooLow,
+    NotAUnit,
+    NotCoprime,
+    NotMultipleOfConductor,
+    UnsupportedOrder,
+)
+from padiclf.genbernoulli import chi_omega_minus_k, general_bernoulli
+from padiclf.lfunction import LpParams
 from padiclf.measure import (
     CylinderFunction,
     bernoulli_distribution,
@@ -187,6 +193,34 @@ class TableCharacter:
         first = {a: self.labels[crt_combine(m, n, a, 1)] for a in units_of(m)}
         second = {b: self.labels[crt_combine(m, n, 1, b)] for b in units_of(n)}
         return TableCharacter(self.p, m, first), TableCharacter(self.p, n, second)
+
+
+def principal_unit_power(p: int, lift: int, k: int, relprec: int) -> PadicNum:
+    """<lift>^k = (omega^(-1)(lift) * lift)^k for an integer lift coprime to p."""
+    if math.gcd(lift, p) != 1:
+        raise NotCoprime(f"{lift} is not a p-adic unit for p={p}")
+    P = p**relprec
+    t = teichmuller_int(p, lift % p, relprec)
+    base = lift * pow(t, -1, P) % P
+    return PadicNum.from_unit(p, 0, pow(base, k, P), relprec)
+
+
+def teichmuller_pow(p: int, a: int, relprec: int) -> int:
+    """omega(a) mod p^relprec as a^(p^(relprec-1)), which stabilizes mod p^relprec."""
+    return pow(a, p ** (relprec - 1), p**relprec)
+
+
+def special_value_closed_form_padic(params, n: int, relprec: int | None = None) -> PadicNum:
+    """(1/n)(1 - chi(c) <c>^n)(1 - chi omega^(-n)(p) p^(n-1)) B_(n, chi omega^(-n)) as
+    a product of PadicNum factors, each embedded at relative precision relprec
+    (params.relprec when None); the factor at p extends chi omega^(-n) by zero."""
+    N = relprec if relprec is not None else params.relprec
+    p, c, chi = params.p, params.c, params.chi
+    psi = chi_omega_minus_k(chi, n)
+    at_p = psi.asso_eval(p % psi.level, N) * PadicNum.from_rational(p, p ** (n - 1), N)
+    c_factor = PadicNum.one(p, N) - chi.value(c % chi.level, N) * principal_unit_power(p, c, n, N)
+    return (PadicNum.from_rational(p, Fraction(1, n), N) * c_factor
+            * (PadicNum.one(p, N) - at_p) * general_bernoulli(psi, n, N))
 
 
 def weight_eval(p: int, w, a: int, relprec: int) -> PadicNum:

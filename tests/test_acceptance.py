@@ -7,6 +7,8 @@ the underlying checks live in padiclf.suite and are shared with the
 
 import pytest
 
+from padiclf import measure, suite
+from padiclf.padic import PadicNum
 from padiclf.suite import ALL_CRITERIA
 
 SEED = 0
@@ -59,3 +61,28 @@ def test_compatibility_detail_is_pinned():
         "division_variant_counterexamples": [(3, 1, 2, 0, 0), (3, 1, 2, 1, 0),
                                              (3, 1, 2, 1, 1)],
     }
+
+
+def test_criterion_7_fails_on_a_refinement_that_changes_the_integral(monkeypatch):
+    refine = measure.CylinderFunction.refine_level
+
+    def doubled(f, level):
+        g = refine(f, level)
+        return measure.CylinderFunction(g.d, g.p, g.level, [2 * v for v in g.values])
+
+    monkeypatch.setattr(measure.CylinderFunction, "refine_level", doubled)
+    passed, detail = suite._c7_locally_constant_integration(SEED)
+    assert not passed
+    assert detail["failures"] and all(f[0] == "cylinder" for f in detail["failures"])
+
+
+def test_criterion_7_fails_on_a_riemann_sum_that_varies_with_the_level(monkeypatch):
+    riemann_sum = suite.riemann_sum
+
+    def drifting(params, w, j):
+        return riemann_sum(params, w, j) + PadicNum.from_rational(params.p, j, params.relprec)
+
+    monkeypatch.setattr(suite, "riemann_sum", drifting)
+    passed, detail = suite._c7_locally_constant_integration(SEED)
+    assert not passed
+    assert [f[0] for f in detail["failures"]] == ["level-1 integrand sums not constant"]

@@ -44,6 +44,12 @@ ALLOWED = {
     "padic.PadicNum.appr": (
         "the projection Z_p -> Z/p^nZ (the Lean appr), through which tests pin the "
         "ring homomorphism and the tower of quotients"),
+    "dirichlet.DirichletCharacter.asso_eval": (
+        "the extension by zero of a character (the Lean asso_dirichlet_character), "
+        "through which the PadicNum oracles read the Euler factor and the integrand"),
+    "genbernoulli.general_bernoulli": (
+        "B_(m,chi) in Q_p, through which tests pin the generalized Bernoulli numbers "
+        "and the closed-form oracle embeds them; perfbench/spans.py wraps it by name"),
     "modarith.partition_range": (
         "splits range(d*p^x) by coprimality to d*p, which at level 0 is not units_of"),
 }

@@ -314,6 +314,16 @@ def test_units_past_the_int_string_limit_are_refused_before_any_work(capsys, mon
                        "decimal digits, Python's limit on converting an int to a string\n")
 
 
+def test_an_exploding_horner_accumulator_is_refused(capsys):
+    # (k + 1) log2(5^6000) is about 2.8 * 10^7 bits at k = 1999
+    code, out, err = run_cli(capsys, "lp-eval", "--p", "5", "--d", "1", "--m", "1",
+                             "--char", "omega^2", "--c", "2", "--weight-k", "1999",
+                             "--prec", "6000", "--jmax", "6000")
+    assert (code, out) == (2, "")
+    assert err == ("error: a unit sum of degree 1999 at level 6000 would run Horner's rule "
+                   "on ints of about 27864000 bits, over the limit of 1500000\n")
+
+
 def test_units_inside_the_int_string_limit_are_printed(capsys):
     genbernoulli = ["genbernoulli", "--p", "5", "--char", "triv", "--n", "2"]
     with int_str_limit(640):

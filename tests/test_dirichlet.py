@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import factorize_trial
+from oracles import factorize_trial, teichmuller_pow
 from padiclf import dirichlet
 from padiclf.dirichlet import (
     DirichletCharacter,
@@ -56,6 +56,13 @@ class TestTeichmuller:
                 assert w % p == a
                 assert pow(w, p - 1, mod) == 1
 
+    @settings(max_examples=200, deadline=None)
+    @given(p=st.sampled_from([3, 5, 7, 11, 13, 101, 1009]), a=st.integers(1, 10**6),
+           relprec=st.integers(1, 60))
+    def test_newton_lift_matches_the_power(self, p, a, relprec):
+        if a % p:
+            assert teichmuller_int(p, a, relprec) == teichmuller_pow(p, a % p, relprec)
+
     def test_minus_one(self):
         for p in (3, 5, 7, 11):
             assert teichmuller_int(p, p - 1, 6) == p**6 - 1
@@ -94,6 +101,17 @@ class TestFactorize:
     @given(st.integers(1, 10**6 - 1))
     def test_matches_trial_division(self, n):
         assert dirichlet._factorize(n) == factorize_trial(n)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(st.integers(0, 3000), min_size=4, max_size=4),
+           st.sampled_from([1, 11, 13 * 17, 10**9 + 7]))
+    def test_large_exponents(self, exponents, cofactor):
+        n = cofactor
+        for q, e in zip((2, 3, 5, 7), exponents):
+            n *= q**e
+        want = {q: e for q, e in zip((2, 3, 5, 7), exponents) if e}
+        want.update(factorize_trial(cofactor))
+        assert dirichlet._factorize(n) == want
 
     def test_stops_at_a_prime_cofactor(self):
         # the safe prime 1000000000000007243 = 2 q + 1 with q prime

@@ -7,9 +7,12 @@ from hypothesis import strategies as st
 from oracles import general_bernoulli_coeffs_fraction
 from padiclf.bernoulli import bernoulli
 from padiclf.dirichlet import DirichletCharacter, char_power, make_teich_char, trivial_character
-from padiclf.errors import NotMultipleOfConductor
+from padiclf import genbernoulli
+from padiclf.errors import CostLimitExceeded, NotMultipleOfConductor
 from padiclf.genbernoulli import (
+    MAX_HORNER_BITS,
     _embed_label_sum,
+    _unit_sum,
     chi_omega_minus_k,
     general_bernoulli,
     general_bernoulli_coeffs,
@@ -213,3 +216,22 @@ class TestTwistedMeans:
             twisted_mean_truncation(QUAD3, 2, 2)
         with pytest.raises(ValueError, match="k"):
             twisted_mean_truncation(self.chi, 0, 2)
+
+
+class TestHornerLimit:
+    def test_refused_just_past_the_limit_before_any_sum(self, monkeypatch):
+        class Started(Exception):
+            pass
+
+        def started(*args):
+            raise Started
+
+        monkeypatch.setattr(genbernoulli, "units_of", started)
+        # 5^431 has 1001 bits: (k + 1) * 1001 is 1499498 at k = 1497, 1500499 at k = 1498
+        assert MAX_HORNER_BITS == 1_500_000
+        assert (5**431).bit_length() == 1001
+        omega = make_teich_char(5)
+        with pytest.raises(Started):
+            _unit_sum(omega, 1, 431, 1497, 4)
+        with pytest.raises(CostLimitExceeded, match="about 1500499 bits, over the limit"):
+            _unit_sum(omega, 1, 431, 1498, 4)

@@ -1,24 +1,30 @@
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import integrand_eval, measure_apply_fold, weight_eval
-from padiclf.dirichlet import char_power, make_teich_char
+from oracles import (
+    integrand_eval,
+    measure_apply_fold,
+    principal_unit_power,
+    special_value_closed_form_padic,
+    weight_eval,
+)
+from padiclf.dirichlet import DirichletCharacter, char_power, make_teich_char
 from padiclf.errors import InsufficientPrecision, LevelTooLow, NotCoprime
 from padiclf.genbernoulli import chi_omega_minus_k
 from padiclf.lfunction import (
     LpParams,
     Weight,
     p_adic_L,
-    principal_unit_power,
     riemann_sum,
     special_value_closed_form,
     verify_interpolation,
 )
 from padiclf.measure import BernoulliParams
-from padiclf.modarith import partition_range
+from padiclf.modarith import partition_range, units_of
 from padiclf.padic import PadicNum, eq_mod
 
 
@@ -287,3 +293,42 @@ def test_claimed_digits_match_closed_form(point, k, relprec, j_max):
     value = p_adic_L(params, Weight(k)).value
     assert eq_mod(value, special_value_closed_form(params, k + 1, 30), value.abs_precision)
     assert value.abs_precision == min(relprec, j_max)
+
+
+# the real primitive characters mod 3 and mod 4, both odd
+TAME = {1: {0: 1}, 3: {1: 1, 2: -1}, 4: {1: 1, 3: -1}}
+
+
+@st.composite
+def closed_form_points(draw):
+    """(p, d, e, c, m): chi is the real character mod d times omega^e, at
+    level d p^m, even, so e is odd exactly when d > 1."""
+    p = draw(st.sampled_from([3, 5, 7, 11, 13]))
+    d = draw(st.sampled_from([d for d in TAME if d % p]))
+    e = draw(st.sampled_from(range(d > 1, p - 1, 2)))
+    c = draw(st.sampled_from([c for c in range(2, 30) if math.gcd(c, d * p) == 1]))
+    return p, d, e, c, draw(st.integers(1, 2))
+
+
+# chi omega^(-n) trivial; p dividing its conductor; tame with chi_3(5) = -1;
+# p | cond at d = 4
+@example(point=(5, 1, 2, 2, 1), n=2, N=12)
+@example(point=(5, 1, 2, 2, 1), n=4, N=12)
+@example(point=(5, 3, 1, 2, 1), n=1, N=7)
+@example(point=(3, 4, 1, 5, 2), n=8, N=1)
+@example(point=(7, 3, 1, 20, 1), n=1, N=1)
+@given(point=closed_form_points(), n=st.integers(1, 8), N=st.integers(1, 20))
+@settings(max_examples=150, deadline=None)
+def test_closed_form_matches_the_padic_product(point, n, N):
+    # the label sum carries exactly N absolute digits, and agrees with the
+    # PadicNum product of its factors on every digit both certify; the
+    # product certifies more than N digits only where two of its factors
+    # are divisible by p, as at (7, 3, 1, 20, 1), n = 1, N = 1
+    p, d, e, c, m = point
+    table = {a: TAME[d][a % d] * pow(a, e, p) for a in units_of(d * p)}
+    chi = DirichletCharacter(p, d * p, table).change_level(d * p**m)
+    params = LpParams(p=p, d=d, c=c, m=m, chi=chi, relprec=N, j_max=max(N, m))
+    got = special_value_closed_form(params, n)
+    want = special_value_closed_form_padic(params, n)
+    assert got.abs_precision == N
+    assert eq_mod(got, want, min(N, want.abs_precision))
