@@ -40,9 +40,9 @@ from .dirichlet import parse_character_spec
 from .errors import PadicLFError
 from .genbernoulli import _embed_label_sum, _exact_label_sum, general_bernoulli_coeffs
 from .lfunction import LpParams, Weight, p_adic_L, verify_interpolation
-from .measure import BernoulliParams, compatibility_failures
+from .measure import BernoulliParams, compatibility_failures, random_bound_checks
 from .modarith import require_odd_prime
-from .padic import DEFAULT_RELPREC
+from .padic import DEFAULT_RELPREC, split_p_power
 
 USAGE_ERROR = 2
 
@@ -130,12 +130,15 @@ def _cmd_genbernoulli(args) -> int:
     require_odd_prime(args.p)
     if args.n < 0:
         raise ValueError("n must be >= 0")
+    # the embed's window has at least prec digits: refused before any work
     _require_printable_units(args.p, args.prec)
     chi = parse_character_spec(args.char, args.p)
-    # one coefficient dict gives both the p-adic value and the exact Fraction
-    coeffs = general_bernoulli_coeffs(chi, args.n)
-    value = _embed_label_sum(chi.p, coeffs, args.prec)
-    exact = _exact_label_sum(chi.p, coeffs)
+    # one label sum gives both the p-adic value and the exact Fraction
+    nums, den = general_bernoulli_coeffs(chi, args.n)
+    # the unit has at most prec + v_p(den) digits, the embed's window
+    _require_printable_units(args.p, args.prec + split_p_power(args.p, den)[0])
+    value = _embed_label_sum(chi.p, nums, den, args.prec)
+    exact = _exact_label_sum(chi.p, nums, den)
     _emit({
         "p": args.p,
         "char": args.char,
@@ -168,8 +171,8 @@ def _cmd_measure_check(args) -> int:
          "coarse": _frac_str(coarse), "refined_sum": _frac_str(fine)}
         for m, x, coarse, fine in compatibility_failures(params, args.max_level)
     ]
-    samples = suite_mod.random_bound_checks(random.Random(args.seed), params,
-                                            min(args.max_level, 3), 100)
+    samples = random_bound_checks(random.Random(args.seed), params,
+                                  min(args.max_level, 3), 100)
     for i, (_, lhs, rhs, ok) in enumerate(samples):
         if not ok:
             counterexamples.append({

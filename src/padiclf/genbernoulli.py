@@ -7,8 +7,9 @@ conductor f and any positive multiple F of f,
 
 independently of F (the conductor-f extension by zero of chi0 is used
 inside the sum, so terms at gcd(a, f) > 1 vanish).  The sum is exposed
-both as an exact rational coefficient vector keyed by the mod-p value
-labels, and embedded into Q_p.
+both as integers keyed by the mod-p value labels over one denominator,
+and embedded into Q_p by _embed, which builds every PadicNum that this
+module and padiclf.lfunction return.
 
 The finite-level checks: the truncated twisted power mean
 
@@ -62,22 +63,22 @@ def chi_omega_minus_k(chi: DirichletCharacter, k: int) -> DirichletCharacter:
     return psi
 
 
-def general_bernoulli_coeffs(chi: DirichletCharacter, m: int, F: int | None = None) -> dict:
-    """Exact rational coefficients of B_(m,chi) grouped by value label.
+def general_bernoulli_coeffs(chi: DirichletCharacter, m: int, F: int | None = None) -> tuple:
+    """B_(m,chi) as integers grouped by value label over one denominator.
 
-    Returns {t: c_t} with B_(m,chi) = sum_t omega(t) * c_t, where
-    c_t = F^(m-1) * sum of B_m(a/F) over 1 <= a <= F whose primitive
-    character value has label t.  Zero coefficients are dropped, so the
-    dict is independent of the multiple F chosen.
+    Returns (nums, den) with B_(m,chi) = sum_t omega(t) * nums[t] / den,
+    where nums[t] / den = F^(m-1) * sum of B_m(a/F) over 1 <= a <= F whose
+    primitive character value has label t.  Zero labels are dropped and
+    gcd(den, *nums) = 1 with den > 0, so the pair is independent of F.
 
     Expanding B_m(a/F) = sum_i C(m,i) * B_i * (a/F)^(m-i) gives
 
-        c_t = sum over the same a of sum_i C(m,i) * B_i * F^(i-1) * a^(m-i).
+        nums[t] / den = sum over the same a of sum_i C(m,i) * B_i * F^(i-1) * a^(m-i).
 
-    With B_m(X)'s integer form (den, nums), C(m,i) * B_i = nums[m-i] / den,
-    so the weights are n_i / (den F) with n_i = nums[m-i] * F^i.  Each a
+    With B_m(X)'s integer form (den_m, nums_m), C(m,i) * B_i = nums_m[m-i] / den_m,
+    so the weights are n_i / (den_m F) with n_i = nums_m[m-i] * F^i.  Each a
     adds the integer h(a) = sum_i n_i a^(m-i), evaluated by Horner's rule,
-    to its label's total, and c_t is that total over den F.
+    to its label's total, and the totals over den_m F are then reduced.
     """
     chi0 = chi.associated_primitive()
     f = chi0.level
@@ -101,70 +102,72 @@ def general_bernoulli_coeffs(chi: DirichletCharacter, m: int, F: int | None = No
         for n in weights:
             h = h * a + n
         totals[t] = totals.get(t, 0) + h
-    return {t: Fraction(h, den * F) for t, h in totals.items() if h}
+    g = math.gcd(den * F, *totals.values())
+    return {t: h // g for t, h in totals.items() if h}, den * F // g
 
 
-def _omega_sum(p: int, coeffs: dict, window: int) -> int:
-    """sum_t c_t * omega(t) mod p^window for integer coefficients c_t,
+def _omega_sum(p: int, nums: dict, window: int) -> int:
+    """sum_t nums[t] * omega(t) mod p^window for integers nums[t],
     one Teichmuller lift per label t."""
-    return sum(c * teichmuller_int(p, t, window) for t, c in coeffs.items()) % p**window
+    return sum(n * teichmuller_int(p, t, window) for t, n in nums.items()) % p**window
 
 
-def _embed_label_sum(p: int, coeffs: dict, relprec: int, den: int = 1) -> PadicNum:
-    """Embed (1/den) sum_t c_t * omega(t) at exactly relprec absolute digits.
+def _embed(p: int, total: int, N: int, den: int = 1) -> PadicNum:
+    """total / den at N absolute digits, from total known mod p^(N + v) where
+    den = p^v u, u a unit: total u^(-1) mod p^(N + v), shifted by p^(-v)."""
+    v, u = split_p_power(p, den)
+    return PadicNum.from_int_mod(p, total * pow(u, -1, p ** (N + v)), N + v, shift=-v)
 
-    Denominators are cleared first so the roots of unity are combined in
-    one integer window, relprec plus the valuation of the common
-    denominator; a term-by-term embedding would shed a digit for every
-    power of p in a coefficient denominator.
+
+def _embed_label_sum(p: int, nums: dict, den: int, N: int) -> PadicNum:
+    """(1/den) sum_t nums[t] * omega(t) at exactly N absolute digits.
+
+    The roots of unity are combined in one integer window, N plus the
+    valuation of den, and _embed divides by den once; a term-by-term
+    embedding would shed a digit for every power of p in den.
     """
-    if not coeffs:
+    if not nums:
         return PadicNum.exact_zero(p)
-    common = math.lcm(*(c.denominator for c in coeffs.values()))
-    window = relprec + split_p_power(p, den * common)[0]
-    total = _omega_sum(p, {t: int(c * common) for t, c in coeffs.items()}, window)
-    s = PadicNum.from_int_mod(p, total, window)
-    return s * PadicNum.from_rational(p, Fraction(1, den * common), window)
+    return _embed(p, _omega_sum(p, nums, N + split_p_power(p, den)[0]), N, den)
 
 
-def _times_one_minus(p: int, coeffs: dict, r: int, u: int) -> dict:
+def _times_one_minus(p: int, nums: dict, r: int, u: int) -> dict:
     """(1 - r omega(u)) times a label sum, u a unit mod p: omega(u) moves label t to u t mod p."""
-    moved = {u * t % p: r * c for t, c in coeffs.items()}
-    return {t: coeffs.get(t, 0) - moved.get(t, 0) for t in coeffs.keys() | moved.keys()}
+    moved = {u * t % p: r * n for t, n in nums.items()}
+    return {t: nums.get(t, 0) - moved.get(t, 0) for t in nums.keys() | moved.keys()}
 
 
 def _euler_label_sum(psi: DirichletCharacter, k: int) -> tuple[dict, int]:
     """(1 - psi(p) p^(k-1)) B_(k,psi) as integers over one denominator, psi extended by zero."""
-    p, coeffs = psi.p, general_bernoulli_coeffs(psi, k)
-    den = math.lcm(*(c.denominator for c in coeffs.values()))
+    p = psi.p
+    nums, den = general_bernoulli_coeffs(psi, k)
     r, u = (p ** (k - 1), psi.label(p)) if psi.conductor() % p else (0, 1)
-    nums = {t: c.numerator * (den // c.denominator) for t, c in coeffs.items()}
     return _times_one_minus(p, nums, r, u), den
 
 
 def general_bernoulli(chi: DirichletCharacter, m: int,
                       relprec: int = DEFAULT_RELPREC) -> PadicNum:
     """B_(m,chi) as a p-adic number (conductor-length sum)."""
-    return _embed_label_sum(chi.p, general_bernoulli_coeffs(chi, m), relprec)
+    return _embed_label_sum(chi.p, *general_bernoulli_coeffs(chi, m), relprec)
 
 
-def _exact_label_sum(p: int, coeffs: dict):
-    """sum_t c_t * omega(t) as a Fraction when every label t is +-1 mod p, else None."""
-    acc = Fraction(0)
-    for t, c in coeffs.items():
+def _exact_label_sum(p: int, nums: dict, den: int):
+    """(1/den) sum_t nums[t] * omega(t) as a Fraction if every label t is +-1 mod p, else None."""
+    acc = 0
+    for t, n in nums.items():
         if t % p == 1:
-            acc += c
+            acc += n
         elif t % p == p - 1:
-            acc -= c
+            acc -= n
         else:
             return None
-    return acc
+    return Fraction(acc, den)
 
 
 def general_bernoulli_exact(chi: DirichletCharacter, m: int,
                             F: int | None = None):
     """B_(m,chi) as an exact Fraction when all values are +-1, else None."""
-    return _exact_label_sum(chi.p, general_bernoulli_coeffs(chi, m, F))
+    return _exact_label_sum(chi.p, *general_bernoulli_coeffs(chi, m, F))
 
 
 def _twist_preconditions(chi: DirichletCharacter, k: int, j: int):
@@ -250,11 +253,9 @@ def twisted_mean_truncation(chi: DirichletCharacter, k: int, j: int,
     should supply relprec at least j plus the valuation they intend to
     resolve.
     """
-    p = chi.p
     d, _ = _twist_preconditions(chi, k, j)
     s = _unit_sum(chi_omega_minus_k(chi, k), d, j, k, relprec)
-    return (PadicNum.from_int_mod(p, s, relprec)
-            * PadicNum.from_rational(p, Fraction(1, d * p**j), relprec))
+    return _embed(chi.p, s, relprec - j, d * chi.p**j)
 
 
 def twisted_mean_limit(chi: DirichletCharacter, k: int,
@@ -262,7 +263,7 @@ def twisted_mean_limit(chi: DirichletCharacter, k: int,
     """The limit target (1 - chi omega^(-k)(p) p^(k-1)) * B_(k, chi omega^(-k))."""
     _twist_preconditions(chi, k, 1)
     nums, den = _euler_label_sum(chi_omega_minus_k(chi, k), k)
-    return _embed_label_sum(chi.p, nums, relprec, den)
+    return _embed_label_sum(chi.p, nums, den, relprec)
 
 
 def unit_power_sum(chi: DirichletCharacter, k: int, j: int,
@@ -274,5 +275,4 @@ def unit_power_sum(chi: DirichletCharacter, k: int, j: int,
     d, _ = _twist_preconditions(chi, k, j)
     if k % 2:
         raise ValueError("k must be even (parity mismatch otherwise)")
-    s = _unit_sum(chi_omega_minus_k(chi, k), d, j, k - 1, relprec)
-    return PadicNum.from_int_mod(chi.p, s, relprec)
+    return _embed(chi.p, _unit_sum(chi_omega_minus_k(chi, k), d, j, k - 1, relprec), relprec)

@@ -49,8 +49,8 @@ from dataclasses import dataclass, field
 
 from .dirichlet import DirichletCharacter
 from .errors import InsufficientPrecision, LevelTooLow
-from .genbernoulli import (_embed_label_sum, _euler_label_sum, _times_one_minus, _unit_sum,
-                           chi_omega_minus_k)
+from .genbernoulli import (_embed, _embed_label_sum, _euler_label_sum, _times_one_minus,
+                           _unit_sum, chi_omega_minus_k)
 from .measure import BernoulliParams
 from .padic import DEFAULT_RELPREC, PadicNum
 
@@ -179,13 +179,12 @@ def riemann_sum(params: LpParams, w: Weight, j: int, relprec: int | None = None)
     """
     if j < params.m:
         raise LevelTooLow(f"integration level {j} is below the character level {params.m}")
-    p, c, k = params.p, params.c, w.k
+    c, k = params.c, w.k
     N = params.relprec if relprec is None else relprec
-    P = p**N
     # 2 E_c at the carry t is c - 1 - 2t
     total = _unit_sum(chi_omega_minus_k(params.chi, k + 1), params.d, j, k, N,
                       range(c - 1, -c - 1, -2))
-    return PadicNum.from_int_mod(p, total * pow(2, -1, P) % P, N)
+    return _embed(params.p, total, N, 2)
 
 
 def p_adic_L(params: LpParams, w: Weight) -> EvalReport:
@@ -226,7 +225,7 @@ def special_value_closed_form(params: LpParams, n: int,
     p, c, chi = params.p, params.c, params.chi
     s = chi.label(c) * pow(c, -n, p) % p
     nums, den = _euler_label_sum(chi_omega_minus_k(chi, n), n)
-    return _embed_label_sum(p, _times_one_minus(p, nums, c**n, s), N, n * den)
+    return _embed_label_sum(p, _times_one_minus(p, nums, c**n, s), n * den, N)
 
 
 def _certified_valuation(diff: PadicNum, threshold: int):

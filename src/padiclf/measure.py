@@ -65,15 +65,19 @@ least valuation of f, v_p(gcd(nums)) - v_p(den) (math.inf when f is 0).
 It is kept in a bounded cache keyed by them, so a sample pays one dot
 product, one gcd, their valuations and one lookup; the Fractions p^(-v), K p^(-least)
 and their comparison are made once per distinct key.  norm_bound_check is
-the bound on a given cylinder function.  measure-check and suite criterion
-6 build none: suite.random_bound_checks draws all of a call's samples at
-levels 0 .. max_level (min(--max-level, 3) for measure-check) and
-integrates each random entry as it is drawn, exactly, into one integer: L
-times the rational 2 sum f(a) E_c(a), with L = lcm(1..60) a common
-denominator of every drawn entry, from per-level tables of the weights
-L/den * 2 E_c.  The verdict is read at that integer's valuation less
-v_p(2 L), the integral's exact valuation, so a sample builds no PadicNum,
-and it is tested against norm_bound_check.
+the bound on a given cylinder function.
+
+The sampler of measure-check and suite criteria 6 and 7 is the last part
+of this module.  random_cylinder draws one random cylinder function
+(criterion 7).  measure-check and criterion 6 build none: one call of
+random_bound_checks draws all of its samples at levels 0 .. max_level
+(min(--max-level, 3) for measure-check) and integrates each random entry
+as it is drawn, exactly, into one integer: L times the rational
+2 sum f(a) E_c(a), with L = lcm(1..60) a common denominator of every
+drawn entry, from per-level tables of the weights L/den * 2 E_c.  The
+verdict is read at that integer's valuation less v_p(2 L), the
+integral's exact valuation, so a sample builds no PadicNum, and it is
+tested against norm_bound_check.
 
 compatibility_failures sweeps in one pass over integer tables.  Its table
 hook values(params, n) gives the doubled values 2 mu(n, a) at
@@ -118,6 +122,8 @@ __all__ = [
     "units_cylinder",
     "norm_bound_constant",
     "norm_bound_check",
+    "random_cylinder",
+    "random_bound_checks",
 ]
 
 
@@ -201,10 +207,6 @@ class CylinderFunction:
         """The entries nums[a] / den as Fractions."""
         den = self.den
         return tuple(Fraction(n, den) for n in self.nums)
-
-    @property
-    def modulus(self) -> int:
-        return self.d * self.p**self.level
 
     def refine_level(self, level: int) -> "CylinderFunction":
         """Represent the same function on the finer quotient at `level`."""
@@ -402,3 +404,117 @@ def norm_bound_check(params: BernoulliParams, f: CylinderFunction):
     v = None if doubled == 0 else split_p_power(p, doubled)[0] - split_p_power(p, 2 * den)[0]
     least = math.inf if g == 0 else split_p_power(p, g)[0] - split_p_power(p, den)[0]
     return _bound_verdict(p, params.c, v, least)
+
+
+# random_cylinder's draws: num in [-999, 999] and den in [1, 60]
+_NUM_LOW, _NUM_COUNT = -999, 1999
+_DEN_LOW, _DEN_COUNT = 1, 60
+_NUM_BITS, _DEN_BITS = _NUM_COUNT.bit_length(), _DEN_COUNT.bit_length()
+# L = lcm(1..60), which every drawn den divides, and L // den at each den index
+_DEN_LCM = math.lcm(*range(_DEN_LOW, _DEN_LOW + _DEN_COUNT))
+_DEN_SCALES = tuple(_DEN_LCM // den for den in range(_DEN_LOW, _DEN_LOW + _DEN_COUNT))
+
+
+# a sample's least valuation starts at _NO_ENTRY, which no v of a drawn
+# entry reaches; num = 0 is stored at _ZERO_NUM, above it less any v_p(den)
+_NO_ENTRY, _ZERO_NUM = 1 << 29, (1 << 29) + 8
+
+
+@functools.lru_cache(maxsize=16)
+def _draw_valuations(p: int) -> tuple:
+    """(v_p(num) at each num index, _ZERO_NUM for num = 0; v_p(den) at each
+    den index; v_p(2 L)), which random_bound_checks reads."""
+    nums = tuple(split_p_power(p, n)[0] if n else _ZERO_NUM
+                 for n in range(_NUM_LOW, _NUM_LOW + _NUM_COUNT))
+    dens = tuple(split_p_power(p, n)[0] for n in range(_DEN_LOW, _DEN_LOW + _DEN_COUNT))
+    return nums, dens, split_p_power(p, 2 * _DEN_LCM)[0]
+
+
+@functools.lru_cache(maxsize=32)
+def _weighted_carry_table(params: BernoulliParams, level: int) -> tuple:
+    """At index a, the weights (L // den) * 2 E_c(level, a) at each den
+    index, None where 2 E_c(a) = 0.  Residues of one value share one tuple,
+    so there are at most c weight objects."""
+    two_es = carry_table(params, level)
+    weights = {x: tuple(scale * x for scale in _DEN_SCALES) if x else None
+               for x in set(two_es)}
+    return tuple(map(weights.__getitem__, two_es))
+
+
+def _check_level(level: int) -> None:
+    """Refuse a draw at level < 0 before the rng is read."""
+    if level < 0:
+        raise LevelOrder(f"level must be >= 0, got {level}")
+
+
+def random_cylinder(rng, p, d, level) -> CylinderFunction:
+    """A table at `level`: 0 with probability 1/10, otherwise the rational
+    num/den with num in [-999, 999] and den in [1, 60].
+
+    Each entry draws rng.random() and, unless that makes it zero, num and
+    then den, each by rejection sampling on rng.getrandbits(k) with k the
+    bit length of the range's size.  That is how random.Random.randrange
+    draws, so the entries and the rng state after them are those of
+    rng.randrange(-999, 1000) and rng.randrange(1, 61).  Each entry is
+    stored as the numerator num * (L // den) over L = lcm(1..60).  A
+    negative level is refused with LevelOrder.
+    """
+    _check_level(level)
+    uniform, getrandbits = rng.random, rng.getrandbits
+    nums = []
+    for _ in range(d * p**level):
+        if uniform() < 0.1:
+            nums.append(0)
+            continue
+        i = getrandbits(_NUM_BITS)
+        while i >= _NUM_COUNT:
+            i = getrandbits(_NUM_BITS)
+        j = getrandbits(_DEN_BITS)
+        while j >= _DEN_COUNT:
+            j = getrandbits(_DEN_BITS)
+        nums.append((i + _NUM_LOW) * _DEN_SCALES[j])
+    return CylinderFunction._of(d, p, level, tuple(nums), _DEN_LCM)
+
+
+def random_bound_checks(rng, params: BernoulliParams, max_level: int, count: int) -> list:
+    """count samples (level, lhs, rhs, ok): level as rng.randint(0, max_level)
+    draws it, and (lhs, rhs, ok) = norm_bound_check(params, random_cylinder(rng,
+    p, d, level)), leaving rng as those calls leave it.
+
+    Each entry makes random_cylinder's draws and is integrated as it is
+    drawn, exactly: acc gains num * (L // den) * 2 E_c(a) from
+    _weighted_carry_table, so acc is L = lcm(1..60) times 2 sum f(a) E_c(a),
+    and the integral's valuation is v_p(acc) - v_p(2 L).  A negative
+    max_level is refused before any draw.
+    """
+    _check_level(max_level)
+    p, c = params.p, params.c
+    num_vals, den_vals, v_two_lcm = _draw_valuations(p)
+    tables = [_weighted_carry_table(params, level) for level in range(max_level + 1)]
+    uniform, getrandbits, levels, samples = rng.random, rng.getrandbits, len(tables), []
+    num_bits, num_count, num_low = _NUM_BITS, _NUM_COUNT, _NUM_LOW
+    den_bits, den_count, level_bits = _DEN_BITS, _DEN_COUNT, levels.bit_length()
+    for _ in range(count):
+        level = getrandbits(level_bits)
+        while level >= levels:
+            level = getrandbits(level_bits)
+        least = _NO_ENTRY
+        acc = 0
+        for weights in tables[level]:
+            if uniform() < 0.1:
+                continue
+            i = getrandbits(num_bits)
+            while i >= num_count:
+                i = getrandbits(num_bits)
+            j = getrandbits(den_bits)
+            while j >= den_count:
+                j = getrandbits(den_bits)
+            v = num_vals[i] - den_vals[j]
+            if v < least:
+                least = v
+            if weights is not None:
+                acc += weights[j] * (i + num_low)
+        samples.append((level, *_bound_verdict(
+            p, c, split_p_power(p, acc)[0] - v_two_lcm if acc else None,
+            math.inf if least == _NO_ENTRY else least)))
+    return samples

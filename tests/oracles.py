@@ -342,8 +342,15 @@ def general_bernoulli_coeffs_fraction(chi, m: int, F: int | None = None) -> dict
     return {t: scale * c for t, c in coeffs.items() if c != 0}
 
 
+def embed_product(p: int, total: int, N: int, den: int = 1) -> PadicNum:
+    """genbernoulli._embed as a PadicNum product: total, known mod p^W with
+    W = N + v_p(den), times 1/den embedded at relative precision W."""
+    W = N + split_p_power(p, den)[0]
+    return PadicNum.from_int_mod(p, total, W) * PadicNum.from_rational(p, Fraction(1, den), W)
+
+
 def random_cylinder_fraction(rng, p, d, level) -> CylinderFunction:
-    """suite.random_cylinder with every entry drawn by randint and built as a
+    """measure.random_cylinder with every entry drawn by randint and built as a
     Fraction."""
     vals = []
     for _ in range(d * p**level):

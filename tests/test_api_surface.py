@@ -7,8 +7,11 @@ in the function's own body, in an unused function or in an allow-listed
 one does not count, nor do __all__ and __init__.py.  The rest are paper
 objects that tests pin a theorem through, listed in ALLOWED with the
 reason they stay; brute-force forms belong in tests/oracles.py and thin
-wrappers are deleted.  Names are matched as identifiers, so a method
-counts as used when any attribute of that name is read.
+wrappers are deleted.  A function counts as read where its name is read,
+bare or as an attribute; a method or property only where an attribute of
+its name is read (x.name), so a variable or a stored attribute of the
+same name does not count.  Names are matched without their class, so a
+method counts as used when any attribute of that name is read.
 """
 
 import ast
@@ -41,6 +44,13 @@ ALLOWED = {
     "padic.eq_mod": (
         "congruence mod p^n of two p-adic values that both carry n digits, through "
         "which tests compare a value with its oracle on the digits both certify"),
+    "padic.PadicNum.from_rational": (
+        "the embedding of a rational at a relative precision, through which "
+        "measure_apply embeds the exact integral and tests state their oracles; "
+        "perfbench/spans.py wraps it by name"),
+    "padic.PadicNum.unit": (
+        "the public accessor of a returned value's unit part, through which tests "
+        "read the digits of a value"),
     "padic.PadicNum.appr": (
         "the projection Z_p -> Z/p^nZ (the Lean appr), through which tests pin the "
         "ring homomorphism and the tower of quotients"),
@@ -60,19 +70,22 @@ def _is_dunder(name: str) -> bool:
 
 
 def _definitions(tree: ast.Module, module: str):
-    """(qualified name, bare name) of each top-level function and non-dunder method."""
+    """(qualified name, (kind, bare name)) of each top-level function and
+    non-dunder method, kind being "name" for a function and "attr" for a method."""
     for node in tree.body:
         if isinstance(node, ast.FunctionDef):
-            yield f"{module}.{node.name}", node.name
+            yield f"{module}.{node.name}", ("name", node.name)
         elif isinstance(node, ast.ClassDef):
             for sub in node.body:
                 if isinstance(sub, ast.FunctionDef) and not _is_dunder(sub.name):
-                    yield f"{module}.{node.name}.{sub.name}", sub.name
+                    yield f"{module}.{node.name}.{sub.name}", ("attr", sub.name)
 
 
 class _References(ast.NodeVisitor):
     """Identifiers read anywhere, each with the outermost function it sits in
-    (None at module or class level)."""
+    (None at module or class level), keyed by ("attr", name) for an
+    attribute read and by ("name", name) for both a bare and an attribute
+    read."""
 
     def __init__(self):
         self.found: dict[str, set] = {}
@@ -83,14 +96,17 @@ class _References(ast.NodeVisitor):
         self.generic_visit(node)
         self._inside.pop()
 
-    def _add(self, name: str) -> None:
-        self.found.setdefault(name, set()).add(self._inside[0] if self._inside else None)
+    def _add(self, key: tuple) -> None:
+        self.found.setdefault(key, set()).add(self._inside[0] if self._inside else None)
 
     def visit_Name(self, node):
-        self._add(node.id)
+        if isinstance(node.ctx, ast.Load):
+            self._add(("name", node.id))
 
     def visit_Attribute(self, node):
-        self._add(node.attr)
+        if isinstance(node.ctx, ast.Load):
+            self._add(("name", node.attr))
+            self._add(("attr", node.attr))
         self.generic_visit(node)
 
 
@@ -109,13 +125,13 @@ def unreferenced() -> list[str]:
     grew = True
     while grew:
         grew = False
-        for _, name in defs:
-            if name not in used and any(
+        for _, key in defs:
+            if key[1] not in used and any(
                     ctx is None or _is_dunder(ctx) or ctx in used
-                    for ctx in refs.found.get(name, ())):
-                used.add(name)
+                    for ctx in refs.found.get(key, ())):
+                used.add(key[1])
                 grew = True
-    return [qual for qual, name in defs if name not in used]
+    return [qual for qual, (_, name) in defs if name not in used]
 
 
 def test_every_function_is_called_or_allowed():

@@ -338,6 +338,26 @@ def test_units_inside_the_int_string_limit_are_printed(capsys):
         assert (code, err) == (0, "") and json.loads(out)["value"]["relprec"] == 7000
 
 
+def test_genbernoulli_units_carry_the_valuation_of_the_denominator(capsys, monkeypatch):
+    # B_12 = -691/2730 has valuation -1 at 5, so its unit to --prec absolute
+    # digits is known mod 5^(prec + 1); as 5^915 < 10^640 < 5^916 the last
+    # --prec printed under the limit 640 is 914, and 915 is refused before
+    # the embed
+    argv = ["genbernoulli", "--p", "5", "--char", "triv", "--n", "12"]
+    with int_str_limit(640):
+        code, out, err = run_cli(capsys, "--prec", "914", *argv)
+        assert (code, err) == (0, "") and json.loads(out)["value"]["relprec"] == 915
+
+        def embed(*args):
+            raise AssertionError("the embed started")
+
+        monkeypatch.setattr(cli, "_embed_label_sum", embed)
+        code, out, err = run_cli(capsys, "--prec", "915", *argv)
+    assert (code, out) == (2, "")
+    assert err == ("error: a 5-adic unit to 916 digits can have more than 640 decimal "
+                   "digits, Python's limit on converting an int to a string\n")
+
+
 @pytest.mark.parametrize("n", [0, 7, 10**599, -(10**600), 10**4300 - 1, -(10**5000) // 7,
                                3**20000],
                          ids=["0", "7", "10^599", "-10^600", "10^4300-1", "-10^5000/7", "3^20000"])

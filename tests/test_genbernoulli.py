@@ -1,16 +1,18 @@
+import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import general_bernoulli_coeffs_fraction
+from oracles import embed_product, general_bernoulli_coeffs_fraction
 from padiclf.bernoulli import bernoulli
 from padiclf.dirichlet import DirichletCharacter, char_power, make_teich_char, trivial_character
 from padiclf import genbernoulli
 from padiclf.errors import CostLimitExceeded, NotMultipleOfConductor
 from padiclf.genbernoulli import (
     MAX_HORNER_BITS,
+    _embed,
     _embed_label_sum,
     _unit_sum,
     chi_omega_minus_k,
@@ -22,7 +24,7 @@ from padiclf.genbernoulli import (
     unit_power_sum,
 )
 from padiclf.modarith import units_of
-from padiclf.padic import PadicNum, eq_mod
+from padiclf.padic import PadicNum, eq_mod, rational_valuation
 from test_character_validation import genuine_tables
 
 QUAD3 = DirichletCharacter(5, 3, {1: 1, 2: 4})
@@ -68,16 +70,38 @@ class TestGeneralBernoulli:
     @settings(max_examples=150, deadline=None)
     @given(table=genuine_tables(), m=st.integers(0, 8))
     def test_matches_fraction_oracle(self, table, m):
+        # the reduced pair is the oracle's Fractions over their least common
+        # denominator, at each multiple F of the conductor
         chi = DirichletCharacter(*table)
         f = chi.conductor()
         for F in (f, 2 * f, 3 * f):
-            assert general_bernoulli_coeffs(chi, m, F) == \
+            nums, den = general_bernoulli_coeffs(chi, m, F)
+            assert den > 0 and math.gcd(den, *nums.values()) == 1 and all(nums.values())
+            assert {t: Fraction(n, den) for t, n in nums.items()} == \
                 general_bernoulli_coeffs_fraction(chi, m, F)
+
+    @settings(max_examples=100, deadline=None)
+    @given(table=genuine_tables(), m=st.integers(0, 8), N=st.integers(1, 12))
+    def test_embedded_value_is_the_exact_value_at_n_digits(self, table, m, N):
+        # where B_(m,chi) is rational, its embedding carries exactly N
+        # absolute digits, so N - v relative ones for a value of valuation v;
+        # labels that cancel leave O(p^N), no labels the exact zero
+        chi = DirichletCharacter(*table)
+        exact, value = general_bernoulli_exact(chi, m), general_bernoulli(chi, m, N)
+        if exact is None:
+            return
+        if exact == 0 and value.is_exact_zero():
+            return
+        v = rational_valuation(chi.p, exact)
+        if v >= N:
+            assert value == PadicNum.zero_at_precision(chi.p, N)
+        else:
+            assert value == PadicNum.from_rational(chi.p, exact, N - v)
 
     def test_f_independence_embedded(self):
         om3 = char_power(make_teich_char(5), 3)
         a = general_bernoulli(om3, 3, 10)
-        b = _embed_label_sum(5, general_bernoulli_coeffs(om3, 3, 15), 10)
+        b = _embed_label_sum(5, *general_bernoulli_coeffs(om3, 3, 15), 10)
         assert a == b
 
     def test_rejects_non_multiple(self):
@@ -121,11 +145,35 @@ class TestGeneralBernoulli:
         for k in (1, 3):
             chi = char_power(om, k)  # odd character
             for m in (2, 4, 6):
-                coeffs = general_bernoulli_coeffs(chi, m)
+                nums, _ = general_bernoulli_coeffs(chi, m)
                 # omega(1)=1, omega(4)=-1, omega(3)=-omega(2); coefficients of the
                 # basis elements 1 and omega(2) must vanish separately
-                assert coeffs.get(1, Fraction(0)) == coeffs.get(4, Fraction(0))
-                assert coeffs.get(2, Fraction(0)) == coeffs.get(3, Fraction(0))
+                assert nums.get(1, 0) == nums.get(4, 0)
+                assert nums.get(2, 0) == nums.get(3, 0)
+
+
+@st.composite
+def embed_cases(draw):
+    """(p, total, N, den): den often a power of p, N often at most v_p(den),
+    total often 0 mod p^(N + v_p(den))."""
+    p = draw(st.sampled_from([3, 5, 7, 11]))
+    v = draw(st.integers(0, 6))
+    den = p**v * draw(st.sampled_from([1, 1, 2, 4, 7, 10, 13, 60]).filter(lambda u: u % p))
+    N = draw(st.integers(1, 12))
+    W = N + v
+    total = draw(st.one_of(st.just(0), st.integers(-p**(W + 2), p**(W + 2)),
+                           st.integers(-p**4, p**4).map(lambda x: x * p**W)))
+    return p, total, N, den
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=embed_cases())
+@example(case=(5, 0, 1, 5**3))
+@example(case=(3, 3**7, 2, 3**5))
+@example(case=(7, 1, 1, 7**2 * 13))
+def test_embed_matches_the_padic_product(case):
+    # the same state, digits and precision, as the PadicNum product it replaced
+    assert _embed(*case).state() == embed_product(*case).state()
 
 
 @st.composite

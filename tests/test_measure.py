@@ -17,13 +17,15 @@ from oracles import (
     norm_bound_check_two_pass,
     random_cylinder_fraction,
 )
-from padiclf import cli, measure, suite
+from padiclf import cli, measure
 from padiclf.errors import CostLimitExceeded, LevelOrder, NotCoprime
 from padiclf.measure import (
+    _DEN_LCM,
     MAX_SWEEP_EVALUATIONS,
     BernoulliParams,
     ClopenSet,
     CylinderFunction,
+    _weighted_carry_table,
     bernoulli_distribution,
     carry_table,
     char_fn,
@@ -36,16 +38,12 @@ from padiclf.measure import (
     measure_apply,
     norm_bound_check,
     norm_bound_constant,
+    random_bound_checks,
+    random_cylinder as measure_random_cylinder,
     units_cylinder,
 )
 from padiclf.modarith import partition_range
 from padiclf.padic import PadicNum, eq_mod, rational_valuation
-from padiclf.suite import (
-    _DEN_LCM,
-    _weighted_carry_table,
-    random_bound_checks,
-    random_cylinder as suite_random_cylinder,
-)
 
 P312 = BernoulliParams(3, 1, 2)
 # the (p, d, c) grid of suite criterion 5, swept there at levels 0-3
@@ -383,7 +381,7 @@ class TestSuiteRandomCylinder:
     def test_matches_fraction_oracle(self, p, d, level, seed):
         # the same entries from the same draws, leaving the rng in the same state
         rng, oracle_rng = random.Random(seed), random.Random(seed)
-        f = suite_random_cylinder(rng, p, d, level)
+        f = measure_random_cylinder(rng, p, d, level)
         g = random_cylinder_fraction(oracle_rng, p, d, level)
         assert (f.d, f.p, f.level) == (g.d, g.p, g.level) == (d, p, level)
         assert f.den == _DEN_LCM and f.values == g.values
@@ -396,7 +394,7 @@ class TestSuiteRandomCylinder:
         # on the drawn function and on its refinement one level up
         assume(math.gcd(d, p) == 1 and math.gcd(c, d * p) == 1)
         params = BernoulliParams(p, d, c)
-        f = suite_random_cylinder(random.Random(seed), p, d, level)
+        f = measure_random_cylinder(random.Random(seed), p, d, level)
         for g in (f, f.refine_level(level + 1)):
             assert norm_bound_check(params, g) == norm_bound_check_two_pass(params, g)
             exact = integral_fract(params, g)
@@ -413,7 +411,7 @@ class TestSuiteRandomCylinder:
             init(self, *args)
 
         monkeypatch.setattr(PadicNum, "__init__", counted)
-        f = suite_random_cylinder(random.Random(1), 5, 2, 3)
+        f = measure_random_cylinder(random.Random(1), 5, 2, 3)
         lhs, rhs, ok = norm_bound_check(BernoulliParams(5, 2, 3), f)
         assert ok and rhs > 0 and len(f.nums) == 250
         assert built == []
@@ -422,7 +420,7 @@ class TestSuiteRandomCylinder:
         rng = random.Random(1)
         state = rng.getstate()
         with pytest.raises(LevelOrder, match="level must be >= 0, got -1"):
-            suite_random_cylinder(rng, 5, 1, -1)
+            measure_random_cylinder(rng, 5, 1, -1)
         assert rng.getstate() == state
 
 
@@ -473,7 +471,7 @@ class TestRandomBoundCheck:
         expected = []
         for _ in range(count):
             level = oracle_rng.randint(0, max_level)
-            f = suite_random_cylinder(oracle_rng, p, d, level)
+            f = measure_random_cylinder(oracle_rng, p, d, level)
             expected.append((level, *norm_bound_check(params, f)))
         assert random_bound_checks(rng, params, max_level, count) == expected
         assert rng.getstate() == oracle_rng.getstate()
@@ -494,7 +492,7 @@ class TestRandomBoundCheck:
         assert rng.getstate() == oracle_rng.getstate()
         rng, capped = random.Random(seed), 0
         for _ in range(count):
-            f = suite_random_cylinder(rng, p, d, rng.randint(0, max_level))
+            f = measure_random_cylinder(rng, p, d, rng.randint(0, max_level))
             _, w, unit, _ = measure_apply_fold(params, f.level, f.values, relprec).state()
             if unit is None and w is not None and rational_valuation(p, integral(params, f)) > w:
                 capped += 1
@@ -516,7 +514,7 @@ class TestRandomBoundCheck:
             drawn.append(random_bound_checks(*args))
             return drawn[-1]
 
-        monkeypatch.setattr(suite, "random_bound_checks", recorded)
+        monkeypatch.setattr(cli, "random_bound_checks", recorded)
         for argv_prec in (prec, 1000):
             assert cli.main(["--prec", str(argv_prec), "--seed", str(seed), "measure-check",
                              "--p", str(p), "--d", str(d), "--c", str(c)]) == 0
@@ -721,7 +719,7 @@ class TestNormBound:
         # the least valuation of f): a warm call makes no Fraction
         rng = random.Random(5)
         grid = (BernoulliParams(3, 1, 2), BernoulliParams(5, 2, 3), BernoulliParams(7, 1, 3))
-        samples = [(params, suite_random_cylinder(rng, params.p, params.d, rng.randint(0, 2)))
+        samples = [(params, measure_random_cylinder(rng, params.p, params.d, rng.randint(0, 2)))
                    for params in (grid[i % 3] for i in range(100))]
         verdicts = [norm_bound_check(params, f) for params, f in samples]
         assert all(ok for _, _, ok in verdicts) and any(lhs != 0 for lhs, _, _ in verdicts)
