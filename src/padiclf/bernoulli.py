@@ -182,9 +182,6 @@ class ProgressionPowerSum:
         if step < 1:
             raise ValueError("step must be >= 1")
         den, nums = bernoulli_poly_int(k + 1)
-        self.k = k
-        self.step = step
-        self.modulus = modulus
         self.div = step * (k + 1) * den
         self.mod = mod = modulus * self.div
         # H's coefficients nums[i] * step^(k+1-i), highest power first

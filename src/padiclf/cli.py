@@ -41,7 +41,6 @@ from .errors import PadicLFError
 from .genbernoulli import _embed_label_sum, _exact_label_sum, general_bernoulli_coeffs
 from .lfunction import LpParams, Weight, p_adic_L, verify_interpolation
 from .measure import BernoulliParams, compatibility_failures, random_bound_checks
-from .modarith import require_odd_prime
 from .padic import DEFAULT_RELPREC, split_p_power
 
 USAGE_ERROR = 2
@@ -99,25 +98,13 @@ def _require_printable_units(p: int, digits: int) -> None:
 
 
 def _make_lp_params(args) -> LpParams:
-    # validate (p, d, c) before the level d*p^m is built from them, and only here
-    measure_params = BernoulliParams(args.p, args.d, args.c)
-    if args.m < 1:
-        raise ValueError("m must be >= 1")
-    level = args.d * args.p**args.m
-    chi = parse_character_spec(args.char, args.p)
-    if level % chi.level:
-        raise ValueError(
-            f"character level {chi.level} does not divide d*p^m = {level}"
-        )
-    chi = chi.change_level(level)
-    return LpParams(p=args.p, d=args.d, c=args.c, m=args.m, chi=chi,
+    return LpParams(p=args.p, d=args.d, c=args.c, m=args.m,
+                    chi=parse_character_spec(args.char, args.p),
                     relprec=args.prec, j_min=args.jmin, j_max=args.jmax,
-                    target_valuation=args.target, bernoulli_params=measure_params)
+                    target_valuation=args.target)
 
 
 def _cmd_bernoulli(args) -> int:
-    if args.n < 0:
-        raise ValueError("n must be >= 0")
     _emit({
         "n": args.n,
         "value": _frac_str(bernoulli(args.n)),
@@ -127,12 +114,9 @@ def _cmd_bernoulli(args) -> int:
 
 
 def _cmd_genbernoulli(args) -> int:
-    require_odd_prime(args.p)
-    if args.n < 0:
-        raise ValueError("n must be >= 0")
-    # the embed's window has at least prec digits: refused before any work
-    _require_printable_units(args.p, args.prec)
     chi = parse_character_spec(args.char, args.p)
+    # the embed's window has at least prec digits: refused before any sum
+    _require_printable_units(args.p, args.prec)
     # one label sum gives both the p-adic value and the exact Fraction
     nums, den = general_bernoulli_coeffs(chi, args.n)
     # the unit has at most prec + v_p(den) digits, the embed's window
@@ -150,7 +134,6 @@ def _cmd_genbernoulli(args) -> int:
 
 
 def _cmd_char_info(args) -> int:
-    require_odd_prime(args.p)
     chi = parse_character_spec(args.char, args.p)
     _emit({
         "p": chi.p,

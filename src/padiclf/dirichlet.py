@@ -160,26 +160,10 @@ def _is_one_or_prime(n: int) -> bool:
         return False
 
 
-def _strip(n: int, f: int) -> tuple[int, int]:
-    """(e, n / f^e) with f^e exactly dividing n, in O(log e) divisions:
-    n is divided by f, f^2, f^4, ... while each divides, then by the
-    same powers downwards wherever one still does."""
-    e, powers = 0, [f]
-    while n % powers[-1] == 0:
-        n //= powers[-1]
-        e += 1 << (len(powers) - 1)
-        powers.append(powers[-1] ** 2)
-    for i in range(len(powers) - 2, -1, -1):
-        if n % powers[i] == 0:
-            n //= powers[i]
-            e += 1 << i
-    return e, n
-
-
 def _factorize(n: int) -> dict[int, int]:
     """{prime: exponent} for n >= 1, by trial division, primes increasing.
 
-    Each prime found is stripped by _strip, in O(log exponent) divisions.
+    Each prime found is stripped by split_p_power, in O(log exponent) divisions.
     The division stops once the cofactor is 1 or prime; a cofactor not
     known to be either when the divisor passes MAX_TRIAL_DIVISOR raises
     CostLimitExceeded.
@@ -193,7 +177,7 @@ def _factorize(n: int) -> dict[int, int]:
                 f"factoring {n} would need trial division past {MAX_TRIAL_DIVISOR}"
             )
         if n % f == 0:
-            out[f], n = _strip(n, f)
+            out[f], n = split_p_power(f, n)
             done = _is_one_or_prime(n)
         f += 1 if f == 2 else 2
     if n > 1:
@@ -643,8 +627,10 @@ def parse_character_spec(spec: str, p: int, relprec: int | None = None) -> Diric
     "triv" is the trivial character mod 1; "omega^k" is the k-th power of
     the Teichmuller character at level p.  change_level lifts either.
     A character is exact: relprec is never read, and is accepted because
-    perfbench/reference.py passes it.
+    perfbench/reference.py passes it.  p is checked first, so a bad p is
+    refused before a table file is read.
     """
+    require_odd_prime(p)
     spec = spec.strip()
     if spec == "triv":
         return trivial_character(p, 1)

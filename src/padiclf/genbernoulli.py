@@ -207,21 +207,29 @@ def _unit_sum(psi: DirichletCharacter, d: int, j: int, k: int, relprec: int,
     `% mod // div`, and each label is lifted once.  Cost:
     O(phi(L) * min(c, D/L + 1) * k) integer operations, whatever j, on
     ints of up to about (k + 1) log2(D) bits; a sum whose ints would pass
-    MAX_HORNER_BITS raises CostLimitExceeded before any is built.
+    MAX_HORNER_BITS raises CostLimitExceeded before any is built, and
+    before D is built when the lower bound (k + 1) j (log2(p) rounded down)
+    already passes it.
     """
     p = psi.p
     c = len(weights)
-    D = d * p**j
     L = math.lcm(psi.level, d * p)
     step = c * L
     # built first: a degree past bernoulli.MAX_BERNOULLI_DEGREE is refused
     # before the size of the ints or the label table is
     power_sum = ProgressionPowerSum(k, step, p**relprec)
-    bits = (k + 1) * D.bit_length()
+    # D >= p^j >= 2^(j (b - 1)), b = p.bit_length(): a level this lower bound
+    # refuses is never built
+    bits = (k + 1) * j * (p.bit_length() - 1)
+    size = f"more than {bits}"
+    if bits <= MAX_HORNER_BITS:
+        D = d * p**j
+        bits = (k + 1) * D.bit_length()
+        size = f"about {bits}"
     if bits > MAX_HORNER_BITS:
         raise CostLimitExceeded(
             f"a unit sum of degree {k} at level {j} would run Horner's rule on ints "
-            f"of about {bits} bits, over the limit of {MAX_HORNER_BITS}")
+            f"of {size} bits, over the limit of {MAX_HORNER_BITS}")
     horner, mod, div = power_sum.horner, power_sum.mod, power_sum.div
     labels, q = psi.labels, psi.level
     by_label: dict[int, int] = {}

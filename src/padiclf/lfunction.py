@@ -1,9 +1,9 @@
 """The p-adic L-function as a Riemann-sum integral against the Bernoulli measure.
 
-For an even character chi of level d*p^m (m >= 1, d dividing the
-conductor) the integrand over the unit space is chi omega^(-1)(a) times
-the integer-power weight <a>^k, where <a> = omega^(-1)(a) * a is the
-principal-unit part of a.  The level-j Riemann sum is
+For an even character chi of level dividing d*p^m (m >= 1, d dividing
+the conductor), read through its primitive character, the integrand over
+the unit space is chi omega^(-1)(a) times the integer-power weight <a>^k,
+where <a> = omega^(-1)(a) * a is the principal-unit part of a.  The level-j Riemann sum is
 
     S_j = sum over units a mod d*p^j of integrand(a) * E_c(j, a)
 
@@ -52,7 +52,7 @@ from .errors import InsufficientPrecision, LevelTooLow
 from .genbernoulli import (_embed, _embed_label_sum, _euler_label_sum, _times_one_minus,
                            _unit_sum, chi_omega_minus_k)
 from .measure import BernoulliParams
-from .padic import DEFAULT_RELPREC, PadicNum
+from .padic import DEFAULT_RELPREC, PadicNum, split_p_power
 
 __all__ = [
     "Weight",
@@ -79,7 +79,16 @@ class Weight:
 
 @dataclass
 class LpParams:
-    """Everything an L-value evaluation needs, validated up front."""
+    """Everything an L-value evaluation needs, validated up front.
+
+    The checks run cheapest first, so a bad call is refused before any
+    power of p is built: (p, d, c) as measure.BernoulliParams checks them;
+    m >= 1; j_max >= m; chi over p; the level of chi dividing d*p^m, read
+    through split_p_power; chi even; d dividing the conductor of chi.
+    chi is never lifted to d*p^m: every sum and the closed form read it
+    through chi_omega_minus_k and label, which go to its primitive
+    character, so any level dividing d*p^m gives the same values.
+    """
 
     p: int
     d: int
@@ -90,29 +99,23 @@ class LpParams:
     j_min: int = 1
     j_max: int = 7
     target_valuation: int = 4
-    # (p, d, c) as the measure's parameters; given when already validated
-    bernoulli_params: BernoulliParams | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        given = self.bernoulli_params
-        if given is None:
-            self.bernoulli_params = BernoulliParams(self.p, self.d, self.c)
-        elif (given.p, given.d, given.c) != (self.p, self.d, self.c):
-            raise ValueError("bernoulli parameters differ from (p, d, c)")
+        BernoulliParams(self.p, self.d, self.c)
         if self.m < 1:
             raise ValueError("m must be >= 1")
+        if self.j_max < self.m:
+            raise ValueError(f"j_max={self.j_max} is below the character level m={self.m}")
         if self.chi.p != self.p:
             raise ValueError("character lives over a different prime")
-        if self.chi.level != self.d * self.p**self.m:
-            raise ValueError(
-                f"character level {self.chi.level} != d*p^m = {self.d * self.p ** self.m}"
-            )
+        v, tame = split_p_power(self.p, self.chi.level)
+        if v > self.m or self.d % tame:
+            raise ValueError(f"character level {self.chi.level} does not divide "
+                             f"d*p^m = {self.d}*{self.p}^{self.m}")
         if not self.chi.is_even():
             raise ValueError("chi must be even")
         if self.chi.conductor() % self.d:
             raise ValueError("d must divide the conductor of chi")
-        if self.j_max < self.m:
-            raise ValueError(f"j_max={self.j_max} is below the character level m={self.m}")
 
 
 @dataclass

@@ -51,15 +51,30 @@ DEFAULT_RELPREC = 8
 
 
 def split_p_power(p: int, n: int) -> tuple[int, int]:
-    """(v, n / p^v) for a nonzero integer n, where v = v_p(n), and p >= 2."""
+    """(v, n / p^v) for a nonzero integer n, where v = v_p(n), and p >= 2.
+
+    O(log v) divisions: once by p, then by p, p^2, p^4, ... while each
+    divides, then by the same powers downwards wherever one still does.
+    """
     if p < 2:
         raise ValueError(f"p must be >= 2, got {p}")
     if n == 0:
         raise ValueError("0 has no p-adic valuation to split off")
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
+    if n % p:
+        return 0, n
+    n //= p
+    v, q, e, powers = 1, p, 1, []
+    while n % q == 0:
+        n //= q
+        v += e
+        powers.append(q)
+        q *= q
+        e *= 2
+    for q in reversed(powers):
+        e //= 2
+        if n % q == 0:
+            n //= q
+            v += e
     return v, n
 
 

@@ -105,9 +105,13 @@ def test_char_info(capsys):
 
 
 def test_invalid_prime_rejected(capsys):
-    code, out, err = run_cli(capsys, "char-info", "--p", "4", "--char", "triv")
-    assert code == 2 and out == ""
-    assert "odd prime" in err
+    # p is checked before the digits of its units are
+    for argv in (["char-info", "--p", "4", "--char", "triv"],
+                 ["--prec", str(10**9), "genbernoulli", "--p", "4", "--char", "triv",
+                  "--n", "2"]):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert "odd prime" in err
 
 
 def test_bad_table_names_pair(capsys, tmp_path):
@@ -315,13 +319,62 @@ def test_units_past_the_int_string_limit_are_refused_before_any_work(capsys, mon
 
 
 def test_an_exploding_horner_accumulator_is_refused(capsys):
-    # (k + 1) log2(5^6000) is about 2.8 * 10^7 bits at k = 1999
+    # (k + 1) log2(5^6000) is about 2.8 * 10^7 bits at k = 1999, and more than
+    # (k + 1) * 6000 * 2 = 2.4 * 10^7, the bound 5^6000 >= 2^12000 gives
     code, out, err = run_cli(capsys, "lp-eval", "--p", "5", "--d", "1", "--m", "1",
                              "--char", "omega^2", "--c", "2", "--weight-k", "1999",
                              "--prec", "6000", "--jmax", "6000")
     assert (code, out) == (2, "")
     assert err == ("error: a unit sum of degree 1999 at level 6000 would run Horner's rule "
-                   "on ints of about 27864000 bits, over the limit of 1500000\n")
+                   "on ints of more than 24000000 bits, over the limit of 1500000\n")
+
+
+def test_a_huge_level_is_refused_before_it_is_built(capsys):
+    # 5^(10^7) >= 2^(2 * 10^7), so the ints of a degree-2 sum there have more
+    # than 6 * 10^7 bits: refused by that bound, before the level is built
+    m = str(10**7)
+    code, out, err = run_cli(capsys, "lp-eval", "--p", "5", "--d", "1", "--m", m,
+                             "--char", "omega^2", "--c", "2", "--weight-k", "2", "--jmax", m)
+    assert (code, out) == (2, "")
+    assert err == (f"error: a unit sum of degree 2 at level {m} would run Horner's rule "
+                   "on ints of more than 60000000 bits, over the limit of 1500000\n")
+
+
+@pytest.mark.parametrize("command, weight", [("lp-eval", "--weight-k"), ("verify", "--n")])
+def test_a_level_past_the_default_jmax_is_refused_at_once(capsys, command, weight):
+    code, out, err = run_cli(capsys, command, "--p", "5", "--d", "1", "--m", "2000000",
+                             "--char", "omega^2", "--c", "2", weight, "2")
+    assert (code, out, err) == (2, "", "error: j_max=7 is below the character level "
+                                       "m=2000000\n")
+
+
+@pytest.mark.parametrize("command, weight", [("lp-eval", "--weight-k"), ("verify", "--n")])
+def test_lp_call_reads_chi_at_its_own_level(capsys, monkeypatch, tmp_path,
+                                             empty_character_caches, command, weight):
+    # chi is never lifted to d*p^m: no change of level, and no generators
+    # of d*p^m are asked for
+    def lifted(self, m):
+        raise AssertionError(f"chi lifted to level {m}")
+
+    seen = []
+    generators = dirichlet._generators
+
+    def recorded(n):
+        seen.append(n)
+        return generators(n)
+
+    monkeypatch.setattr(dirichlet.DirichletCharacter, "change_level", lifted)
+    monkeypatch.setattr(dirichlet, "_generators", recorded)
+    # chi_4 omega at level 20, the real character mod 4 times omega
+    path = tmp_path / "chi4-omega.json"
+    path.write_text(json.dumps({"p": 5, "modulus": 20, "entries": {
+        str(a): (1 if a % 4 == 1 else -1) * a % 5
+        for a in range(20) if a % 2 and a % 5}}))
+    for d, char in (("1", "omega^2"), ("4", f"table:{path}")):
+        code, out, err = run_cli(capsys, command, "--p", "5", "--d", d, "--m", "3",
+                                 "--char", char, "--c", "3", weight, "2")
+        assert (code, err) == (0, "")
+        assert int(d) * 5**3 not in seen
 
 
 def test_units_inside_the_int_string_limit_are_printed(capsys):
@@ -527,8 +580,8 @@ def test_lp_eval_odd_character_rejected(capsys):
 
 @pytest.mark.parametrize("command, weight", [("lp-eval", "--weight-k"), ("verify", "--n")])
 def test_lp_call_checks_p_d_c_once(capsys, monkeypatch, command, weight):
-    # the CLI checks (p, d, c) before it builds the level d*p^m and hands
-    # the BernoulliParams to LpParams, which then builds none
+    # LpParams checks (p, d, c) first, as the one owner of the call's checks;
+    # the CLI checks nothing of it itself
     checked = []
     post_init = measure.BernoulliParams.__post_init__
 

@@ -283,3 +283,12 @@ class TestHornerLimit:
             _unit_sum(omega, 1, 431, 1497, 4)
         with pytest.raises(CostLimitExceeded, match="about 1500499 bits, over the limit"):
             _unit_sum(omega, 1, 431, 1498, 4)
+
+    def test_refused_by_its_lower_bound_before_the_level_is_built(self):
+        # 5^j >= 2^(2 j): at j = 10^7 and k = 1 the ints have more than
+        # 2 * 10^7 * 2 bits, refused before 5^(10^7) is built
+        omega = make_teich_char(5)
+        with pytest.raises(CostLimitExceeded,
+                           match="degree 1 at level 10000000 would run Horner's rule on "
+                                 "ints of more than 40000000 bits, over the limit"):
+            _unit_sum(omega, 1, 10**7, 1, 4)

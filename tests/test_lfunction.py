@@ -70,25 +70,27 @@ class TestLpParams:
         chi = omega2()
         with pytest.raises(ValueError, match="odd prime"):
             LpParams(p=4, d=1, c=2, m=1, chi=chi)
+        with pytest.raises(ValueError, match="level 25 does not divide"):
+            LpParams(p=5, d=1, c=2, m=1, chi=chi.change_level(25))
+        with pytest.raises(ValueError, match="level 15 does not divide"):
+            LpParams(p=5, d=1, c=2, m=1, chi=chi.change_level(15))
+        with pytest.raises(ValueError, match="even"):
+            LpParams(p=5, d=1, c=2, m=1, chi=make_teich_char(5))
+        with pytest.raises(ValueError, match="j_max=1 is below the character level m=2"):
+            LpParams(p=5, d=1, c=2, m=2, chi=chi, j_max=1)
+        # any level dividing d*p^m is taken as it is
+        for level in (5, 25):
+            assert LpParams(p=5, d=1, c=2, m=2, chi=chi.change_level(level)).chi.level == level
+
+    def test_bad_p_d_c_is_refused(self):
+        # (p, d, c) as the measure checks them, before anything else is
+        chi = omega2()
         with pytest.raises(NotCoprime):
             LpParams(p=5, d=5, c=2, m=1, chi=chi)
         with pytest.raises(NotCoprime):
             LpParams(p=5, d=1, c=10, m=1, chi=chi)
-        with pytest.raises(ValueError, match="level"):
-            LpParams(p=5, d=1, c=2, m=2, chi=chi)
-        with pytest.raises(ValueError, match="even"):
-            LpParams(p=5, d=1, c=2, m=1, chi=make_teich_char(5))
-        with pytest.raises(ValueError, match="j_max"):
-            LpParams(p=5, d=1, c=2, m=2, chi=omega2().change_level(25), j_max=1)
-
-    def test_bernoulli_params(self):
-        # built from (p, d, c) unless given; a given one must match them
-        chi = omega2()
-        assert LpParams(p=5, d=1, c=2, m=1, chi=chi).bernoulli_params == BernoulliParams(5, 1, 2)
-        given = BernoulliParams(5, 1, 2)
-        assert LpParams(p=5, d=1, c=2, m=1, chi=chi, bernoulli_params=given).bernoulli_params is given
-        with pytest.raises(ValueError, match="bernoulli parameters differ"):
-            LpParams(p=5, d=1, c=2, m=1, chi=chi, bernoulli_params=BernoulliParams(5, 1, 3))
+        with pytest.raises(ValueError, match="c must be >= 2"):
+            LpParams(p=5, d=1, c=1, m=0, chi=chi)
 
     def test_d_must_divide_conductor(self):
         chi = omega2().change_level(15)
@@ -332,3 +334,37 @@ def test_closed_form_matches_the_padic_product(point, n, N):
     want = special_value_closed_form_padic(params, n)
     assert got.abs_precision == N
     assert eq_mod(got, want, min(N, want.abs_precision))
+
+
+@st.composite
+def level_points(draw):
+    """(p, d, e, c, m, m'): chi is the real character mod d times omega^e, even,
+    as a `table:` file of modulus d p gives it, and 1 <= m <= m' <= 4."""
+    p = draw(st.sampled_from([3, 5, 7]))
+    d = draw(st.sampled_from([d for d in (1, 3, 4) if d % p]))
+    e = draw(st.sampled_from(range(d > 1, p - 1, 2)))
+    c = draw(st.sampled_from([c for c in range(2, 30) if math.gcd(c, d * p) == 1]))
+    m_top = draw(st.integers(1, 4))
+    return p, d, e, c, draw(st.integers(1, m_top)), m_top
+
+
+@given(point=level_points(), k=st.integers(0, 4), relprec=st.integers(1, 6),
+       target=st.integers(1, 6))
+@settings(max_examples=40, deadline=None)
+def test_reports_do_not_depend_on_the_level_chi_is_given_at(point, k, relprec, target):
+    # the values read chi through its primitive character, and the level
+    # used through params.m: relprec below m' makes J = m' whatever the
+    # level of chi
+    p, d, e, c, m, m_top = point
+    table = {a: TAME[d][a % d] * pow(a, e, p) for a in units_of(d * p)}
+    chi = DirichletCharacter(p, d * p, table)
+    target = min(target, relprec)
+
+    def reports(level):
+        params = LpParams(p=p, d=d, c=c, m=m_top, chi=chi.change_level(level),
+                          relprec=relprec, j_max=m_top + 2, target_valuation=target)
+        return p_adic_L(params, Weight(k)), verify_interpolation(params, k + 2)
+
+    own = reports(d * p)
+    assert reports(d * p**m) == own
+    assert reports(d * p**m_top) == own

@@ -2,7 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from padiclf.errors import DivisionByZero, InsufficientPrecision
@@ -247,6 +247,18 @@ def test_p_below_two_is_refused():
 def test_split_p_power_matches_oracle(p, n):
     v, u = split_p_power(p, n)
     assert v == nu_oracle(p, n) and p**v * u == n and u % p != 0
+
+
+# e around powers of 2, where the upward squaring stops and the downward
+# pass must add every bit of the rest
+@example(p=3, u=2, e=1)
+@example(p=5, u=-7, e=255)
+@example(p=7, u=1, e=256)
+@settings(max_examples=100, deadline=None)
+@given(p=small_primes, u=st.integers(-10**6, 10**6).filter(bool), e=st.integers(0, 2000))
+def test_split_p_power_at_large_valuations(p, u, e):
+    v, w = split_p_power(p, u * p**e)
+    assert (v, w) == (e + nu_oracle(p, u), u // p ** nu_oracle(p, u))
 
 
 def test_norm_values():
