@@ -45,10 +45,9 @@ __all__ = [
     "ProgressionPowerSum",
 ]
 
-# The largest n for which B_n and B_n(X) are computed; even, so that the
-# table ends at it.  bernoulli --n at this n prints every numerator in
-# fewer than 4300 digits, Python's default limit for converting an int to
-# a string; ProgressionPowerSum(k) reaches it at k = MAX_BERNOULLI_DEGREE - 1.
+# The largest n for which B_n and B_n(X) are computed, a bound on the time
+# the tangent-number table takes to grow; even, so that the table ends at
+# it.  ProgressionPowerSum(k) reaches it at k = MAX_BERNOULLI_DEGREE - 1.
 MAX_BERNOULLI_DEGREE = 2000
 # the table grows to the next multiple of this degree (even)
 _BLOCK = 64
@@ -148,31 +147,26 @@ def bernoulli_poly_eval(n: int, q) -> Fraction:
     return Fraction(acc, den * b**n)
 
 
-def _horner(coeffs, y: int) -> int:
-    acc = 0
-    for h in coeffs:
-        acc = acc * y + h
-    return acc
-
-
 class ProgressionPowerSum:
-    """Sums of k-th powers over an arithmetic progression, mod a modulus.
+    """Faulhaber's closed form of a sum of k-th powers over an arithmetic
+    progression, mod a modulus, as three integers: horner, mod and div.
 
-    Calling the object on integers u0 <= u1 with u1 = u0 (mod step)
-    returns the sum of u^k over u = u0, u0 + step, ..., u1 - step, reduced
-    mod `modulus`, in O(k) integer operations whatever the number of
-    terms.  Faulhaber's formula at x = u0 / step,
+    For integers u0 <= u1 with u1 = u0 (mod step), the sum of u^k over
+    u = u0, u0 + step, ..., u1 - step, reduced mod `modulus`, is
+    (H(u1) - H(u0)) % mod // div, O(k) integer operations whatever the
+    number of terms, where H's coefficients are `horner`, highest power
+    first.  Faulhaber's formula at x = u0 / step,
 
         sum_{0 <= s < n} (x + s)^k = (B_(k+1)(x + n) - B_(k+1)(x)) / (k + 1),
 
     becomes sum = (H(u1) - H(u0)) / div with div = step * (k + 1) * den
     and H(y) = den * step^(k+1) * B_(k+1)(y / step), where den is that of
-    B_(k+1)'s integer form, so that H has integer coefficients.  H's
-    coefficients are reduced mod mod = div * modulus once, here; H
-    itself is evaluated by Horner's rule on unreduced ints, with no
-    reduction per step.  H(u1) - H(u0) is an exact multiple of div, and so
-    is any integer combination of such differences, so a caller that adds
-    many of them (genbernoulli._unit_sum, per label) makes one exact
+    B_(k+1)'s integer form, so that H has integer coefficients.  They are
+    reduced mod mod = div * modulus once, here; the one caller,
+    genbernoulli._unit_sum, evaluates H by Horner's rule on unreduced
+    ints, with no reduction per step.  H(u1) - H(u0) is an exact multiple
+    of div, and so is any integer combination of such differences, so
+    _unit_sum, which adds many of them per label, makes one exact
     `% mod // div` for the whole sum.
     """
 
@@ -190,6 +184,3 @@ class ProgressionPowerSum:
             horner.append(num * step_power % mod)
             step_power *= step
         self.horner = horner
-
-    def __call__(self, u0: int, u1: int) -> int:
-        return (_horner(self.horner, u1) - _horner(self.horner, u0)) % self.mod // self.div

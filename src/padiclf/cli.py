@@ -1,8 +1,12 @@
 """Command-line front end.
 
-stdout carries exactly one JSON document per invocation; anything
-human-oriented goes to stderr.  Exit codes: 0 success or verification
-pass, 1 verification failure, 2 usage or validation error.
+stdout carries exactly one JSON document per invocation, written by
+_emit, the one output path: an exact rational is the string "n/d" and
+every int prints at any length.  The one bound on --prec is
+MAX_UNIT_DIGITS: a call whose p-adic units could have more decimal
+digits is refused before any work.  Anything human-oriented goes to
+stderr.  Exit codes: 0 success or verification pass, 1 verification
+failure, 2 usage or validation error.
 
 The command line is read from one flag table: GLOBAL_FLAGS, given before
 the command, and COMMANDS, which maps each command to its function, its
@@ -37,69 +41,63 @@ from types import SimpleNamespace
 from . import suite as suite_mod
 from .bernoulli import bernoulli, bernoulli_poly
 from .dirichlet import parse_character_spec
-from .errors import PadicLFError
+from .errors import CostLimitExceeded, PadicLFError
 from .genbernoulli import _embed_label_sum, _exact_label_sum, general_bernoulli_coeffs
 from .lfunction import LpParams, Weight, p_adic_L, verify_interpolation
 from .measure import BernoulliParams, compatibility_failures, random_bound_checks
-from .padic import DEFAULT_RELPREC, split_p_power
+from .padic import DEFAULT_RELPREC
 
 USAGE_ERROR = 2
 
 
+# the most decimal digits a printed p-adic unit may have, and so the one
+# bound on --prec: the default of Python's limit on str(int), so that the
+# calls refused are those refused at that default, whatever the setting
+MAX_UNIT_DIGITS = 4300
+
+
+def _fraction_str(obj) -> str:
+    if isinstance(obj, Fraction):
+        return f"{obj.numerator}/{obj.denominator}"
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+
+
 def _emit(obj) -> None:
-    sys.stdout.write(json.dumps(obj) + "\n")
-
-
-# fewer digits than the least limit Python allows on converting an int to
-# a string (640), so that each block converts
-_BLOCK_DIGITS = 600
-
-
-def _int_str(n: int) -> str:
-    """str(n) at any length.  Past sys.get_int_max_str_digits() (4300 by
-    default) str() refuses, a guard meant for parsing untrusted strings,
-    so a longer n is written 600 digits at a time."""
+    """Write obj as one JSON line, a Fraction as "n/d".  Python refuses to
+    convert an int of more than sys.get_int_max_str_digits() digits to a
+    string, a guard meant for parsing untrusted text; it is lifted only
+    while obj is written, so that every int prints at any length while a
+    table file is still read under it."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
-        return str(n)
-    except ValueError:
-        pass
-    sign, n = ("-", -n) if n < 0 else ("", n)
-    block = 10**_BLOCK_DIGITS
-    blocks = []
-    while n >= block:
-        n, r = divmod(n, block)
-        blocks.append(f"{r:0{_BLOCK_DIGITS}d}")
-    return sign + str(n) + "".join(reversed(blocks))
-
-
-def _frac_str(q: Fraction) -> str:
-    return f"{_int_str(q.numerator)}/{_int_str(q.denominator)}"
+        text = json.dumps(obj, default=_fraction_str)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    sys.stdout.write(text + "\n")
 
 
 def _require_printable_units(p: int, digits: int) -> None:
-    """Refuse, before any work, units mod p^digits that str() may not write.
+    """Refuse, before any work, units mod p^digits that can have more than
+    MAX_UNIT_DIGITS decimal digits, that is p^digits > 10^MAX_UNIT_DIGITS.
 
-    PadicNum.to_json writes a unit, which is below p^digits, as a JSON
-    number, and str() refuses an int of more than limit =
-    sys.get_int_max_str_digits() digits (0: no limit); so p^digits must be
-    at most 10^limit.  With b = p.bit_length(), p^digits < 2^(b digits),
-    which is at most 10^limit when b digits 0.30103 <= limit (log10 2 <
-    0.30103), and p^digits >= 2^((b - 1) digits), which is over 10^limit
-    when (b - 1) digits >= 4 limit.  Only between the two is p^digits built.
+    With b = p.bit_length(), p^digits < 2^(b digits), which is at most
+    10^MAX_UNIT_DIGITS when b digits 0.30103 <= MAX_UNIT_DIGITS (log10 2 <
+    0.30103), and p^digits >= 2^((b - 1) digits), which is over it when
+    (b - 1) digits >= 4 MAX_UNIT_DIGITS.  Only between the two is p^digits
+    built.
     """
-    limit = sys.get_int_max_str_digits()
     b = p.bit_length()
-    if not limit or b * digits * 30103 <= limit * 100000:
+    if b * digits * 30103 <= MAX_UNIT_DIGITS * 100000:
         return
-    if (b - 1) * digits >= 4 * limit or p**digits > 10**limit:
-        raise ValueError(
-            f"a {p}-adic unit to {digits} digits can have more than {limit} decimal "
-            f"digits, Python's limit on converting an int to a string")
+    if (b - 1) * digits >= 4 * MAX_UNIT_DIGITS or p**digits > 10**MAX_UNIT_DIGITS:
+        raise CostLimitExceeded(
+            f"a {p}-adic unit to {digits} digits can have more than {MAX_UNIT_DIGITS} "
+            f"decimal digits, the most that is printed")
 
 
 def _make_lp_params(args) -> LpParams:
-    return LpParams(p=args.p, d=args.d, c=args.c, m=args.m,
-                    chi=parse_character_spec(args.char, args.p),
+    return LpParams(p=args.p, d=args.d, c=args.c, m=args.m, chi=args.char,
                     relprec=args.prec, j_min=args.jmin, j_max=args.jmax,
                     target_valuation=args.target)
 
@@ -107,20 +105,19 @@ def _make_lp_params(args) -> LpParams:
 def _cmd_bernoulli(args) -> int:
     _emit({
         "n": args.n,
-        "value": _frac_str(bernoulli(args.n)),
-        "poly": [_frac_str(c) for c in bernoulli_poly(args.n)],
+        "value": bernoulli(args.n),
+        "poly": bernoulli_poly(args.n),
     })
     return 0
 
 
 def _cmd_genbernoulli(args) -> int:
     chi = parse_character_spec(args.char, args.p)
-    # the embed's window has at least prec digits: refused before any sum
+    # refused on prec, before any sum; the v_p(den) digits more that the
+    # unit carries are printed as the others are
     _require_printable_units(args.p, args.prec)
     # one label sum gives both the p-adic value and the exact Fraction
     nums, den = general_bernoulli_coeffs(chi, args.n)
-    # the unit has at most prec + v_p(den) digits, the embed's window
-    _require_printable_units(args.p, args.prec + split_p_power(args.p, den)[0])
     value = _embed_label_sum(chi.p, nums, den, args.prec)
     exact = _exact_label_sum(chi.p, nums, den)
     _emit({
@@ -128,7 +125,7 @@ def _cmd_genbernoulli(args) -> int:
         "char": args.char,
         "n": args.n,
         "value": value.to_json(),
-        "exact": _frac_str(exact) if exact is not None else None,
+        "exact": exact,
     })
     return 0
 
@@ -151,7 +148,7 @@ def _cmd_measure_check(args) -> int:
     params = BernoulliParams(args.p, args.d, args.c)
     counterexamples = [
         {"kind": "compatibility", "level": m, "x": x,
-         "coarse": _frac_str(coarse), "refined_sum": _frac_str(fine)}
+         "coarse": coarse, "refined_sum": fine}
         for m, x, coarse, fine in compatibility_failures(params, args.max_level)
     ]
     samples = random_bound_checks(random.Random(args.seed), params,
@@ -160,7 +157,7 @@ def _cmd_measure_check(args) -> int:
         if not ok:
             counterexamples.append({
                 "kind": "boundedness", "sample": i,
-                "lhs": _frac_str(lhs), "rhs": _frac_str(rhs),
+                "lhs": lhs, "rhs": rhs,
             })
     _emit({
         "p": args.p, "d": args.d, "c": args.c, "max_level": args.max_level,

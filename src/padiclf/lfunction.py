@@ -47,7 +47,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .dirichlet import DirichletCharacter
+from .dirichlet import DirichletCharacter, parse_character_spec
 from .errors import InsufficientPrecision, LevelTooLow
 from .genbernoulli import (_embed, _embed_label_sum, _euler_label_sum, _times_one_minus,
                            _unit_sum, chi_omega_minus_k)
@@ -82,9 +82,12 @@ class LpParams:
     """Everything an L-value evaluation needs, validated up front.
 
     The checks run cheapest first, so a bad call is refused before any
-    power of p is built: (p, d, c) as measure.BernoulliParams checks them;
-    m >= 1; j_max >= m; chi over p; the level of chi dividing d*p^m, read
-    through split_p_power; chi even; d dividing the conductor of chi.
+    power of p is built or any table file read: (p, d, c) as
+    measure.BernoulliParams checks them; m >= 1; j_max >= m; then chi,
+    given as a character or as a spec string that
+    dirichlet.parse_character_spec reads only now: chi over p; its level
+    dividing d*p^m, read through split_p_power; chi even; d dividing its
+    conductor.
     chi is never lifted to d*p^m: every sum and the closed form read it
     through chi_omega_minus_k and label, which go to its primitive
     character, so any level dividing d*p^m gives the same values.
@@ -94,7 +97,7 @@ class LpParams:
     d: int
     c: int
     m: int
-    chi: DirichletCharacter
+    chi: DirichletCharacter | str
     relprec: int = DEFAULT_RELPREC
     j_min: int = 1
     j_max: int = 7
@@ -106,6 +109,8 @@ class LpParams:
             raise ValueError("m must be >= 1")
         if self.j_max < self.m:
             raise ValueError(f"j_max={self.j_max} is below the character level m={self.m}")
+        if isinstance(self.chi, str):
+            self.chi = parse_character_spec(self.chi, self.p)
         if self.chi.p != self.p:
             raise ValueError("character lives over a different prime")
         v, tame = split_p_power(self.p, self.chi.level)

@@ -9,7 +9,7 @@ import pytest
 
 import padiclf
 from padiclf import cli, dirichlet, lfunction, measure, modarith
-from padiclf.cli import COMMANDS, GLOBAL_FLAGS, _int_str, main, parse_argv
+from padiclf.cli import COMMANDS, GLOBAL_FLAGS, main, parse_argv
 from padiclf.padic import PadicNum
 
 
@@ -302,20 +302,23 @@ def test_genbernoulli_prints_an_exact_value_past_the_int_string_limit(capsys):
 ], ids=["genbernoulli", "verify", "lp-eval"])
 def test_units_past_the_int_string_limit_are_refused_before_any_work(capsys, monkeypatch,
                                                                       argv):
-    # 5^915 < 10^640 < 5^916 and 5^6151 < 10^4300 < 5^6152, so a unit mod
-    # 5^916 can have 641 digits; 640 is the least limit Python allows,
-    # 4300 its default.  At 10^9 digits no power of 5 is built
+    # 5^6151 < 10^4300 < 5^6152, so a unit mod 5^6152 can pass MAX_UNIT_DIGITS;
+    # the bound is the same whatever Python's own limit on str(int) is (0:
+    # none, 640 the least it allows, 4300 its default).  At 10^9 digits no
+    # power of 5 is built
     def work(*args):
         raise AssertionError("the computation started")
 
     for name in ("general_bernoulli_coeffs", "p_adic_L", "verify_interpolation"):
         monkeypatch.setattr(cli, name, work)
-    for limit, prec in ((640, 916), (4300, 6152), (4300, 10**9)):
-        with int_str_limit(limit):
-            code, out, err = run_cli(capsys, "--prec", str(prec), *argv)
-        assert (code, out) == (2, "")
-        assert err == (f"error: a 5-adic unit to {prec} digits can have more than {limit} "
-                       "decimal digits, Python's limit on converting an int to a string\n")
+    assert cli.MAX_UNIT_DIGITS == 4300
+    for limit in (0, 640, 4300):
+        for prec in (6152, 10**9):
+            with int_str_limit(limit):
+                code, out, err = run_cli(capsys, "--prec", str(prec), *argv)
+            assert (code, out) == (2, "")
+            assert err == (f"error: a 5-adic unit to {prec} digits can have more than 4300 "
+                           "decimal digits, the most that is printed\n")
 
 
 def test_an_exploding_horner_accumulator_is_refused(capsys):
@@ -378,46 +381,61 @@ def test_lp_call_reads_chi_at_its_own_level(capsys, monkeypatch, tmp_path,
 
 
 def test_units_inside_the_int_string_limit_are_printed(capsys):
-    genbernoulli = ["genbernoulli", "--p", "5", "--char", "triv", "--n", "2"]
+    # 5^915 < 10^640 < 5^916: under Python's least limit on str(int), 640,
+    # units mod 5^916, which can have 641 digits, print all the same
+    genbernoulli = ["genbernoulli", "--p", "5", "--char", "triv"]
     with int_str_limit(640):
-        code, out, err = run_cli(capsys, "--prec", "915", *genbernoulli)
-        assert (code, err) == (0, "") and json.loads(out)["value"]["relprec"] == 915
+        code, out, err = run_cli(capsys, "--prec", "916", *genbernoulli, "--n", "2")
+        assert (code, err) == (0, "")
+        with int_str_limit(0):
+            assert json.loads(out)["value"]["relprec"] == 916
+        # B_12 has valuation -1 at 5: its unit to 915 absolute digits has 916
+        code, out, err = run_cli(capsys, "--prec", "915", *genbernoulli, "--n", "12")
+        assert (code, err) == (0, "")
+        with int_str_limit(0):
+            assert json.loads(out)["value"]["relprec"] == 916
         # lp-eval prints min(prec, jmax) digits, 7 at the default --jmax
         code, out, err = run_cli(capsys, "--prec", "916", "lp-eval", "--p", "5", "--d", "1",
                                  "--m", "1", "--char", "omega^2", "--c", "2", "--weight-k", "2")
         assert (code, err) == (0, "") and json.loads(out)["value"]["relprec"] == 7
+        assert sys.get_int_max_str_digits() == 640
+
+
+def test_genbernoulli_units_carry_the_valuation_of_the_denominator(capsys):
+    # B_12 = -691/2730 has valuation -1 at 5, so its unit to 6151 absolute
+    # digits is known mod 5^6152 and has 4301 digits: the bound reads
+    # --prec alone, so it prints
+    code, out, err = run_cli(capsys, "--prec", "6151", "genbernoulli", "--p", "5",
+                             "--char", "triv", "--n", "12")
+    assert (code, err) == (0, "")
     with int_str_limit(0):
-        code, out, err = run_cli(capsys, "--prec", "7000", *genbernoulli)
-        assert (code, err) == (0, "") and json.loads(out)["value"]["relprec"] == 7000
-
-
-def test_genbernoulli_units_carry_the_valuation_of_the_denominator(capsys, monkeypatch):
-    # B_12 = -691/2730 has valuation -1 at 5, so its unit to --prec absolute
-    # digits is known mod 5^(prec + 1); as 5^915 < 10^640 < 5^916 the last
-    # --prec printed under the limit 640 is 914, and 915 is refused before
-    # the embed
-    argv = ["genbernoulli", "--p", "5", "--char", "triv", "--n", "12"]
-    with int_str_limit(640):
-        code, out, err = run_cli(capsys, "--prec", "914", *argv)
-        assert (code, err) == (0, "") and json.loads(out)["value"]["relprec"] == 915
-
-        def embed(*args):
-            raise AssertionError("the embed started")
-
-        monkeypatch.setattr(cli, "_embed_label_sum", embed)
-        code, out, err = run_cli(capsys, "--prec", "915", *argv)
-    assert (code, out) == (2, "")
-    assert err == ("error: a 5-adic unit to 916 digits can have more than 640 decimal "
-                   "digits, Python's limit on converting an int to a string\n")
+        obj = json.loads(out)
+    assert obj["exact"] == "-691/2730" and obj["value"]["relprec"] == 6152
+    assert obj["value"]["unit"] >= 10**4300
+    expected = PadicNum.from_rational(5, Fraction(-691, 2730), 6152)
+    assert (expected.abs_precision, expected.to_json()) == (6151, obj["value"])
 
 
 @pytest.mark.parametrize("n", [0, 7, 10**599, -(10**600), 10**4300 - 1, -(10**5000) // 7,
                                3**20000],
                          ids=["0", "7", "10^599", "-10^600", "10^4300-1", "-10^5000/7", "3^20000"])
-def test_int_str_writes_every_length(n):
+def test_int_str_writes_every_length(capsys, n):
+    # _emit writes every int and every Fraction at any length, under
+    # Python's least limit on str(int), and leaves that limit as it was
     with int_str_limit(0):
-        expected = str(n)
-    assert _int_str(n) == expected
+        expected = f'[{n}, "{n}/7"]\n' if n % 7 else f'[{n}, "{n // 7}/1"]\n'
+    with int_str_limit(640):
+        cli._emit([n, Fraction(n, 7)])
+        assert sys.get_int_max_str_digits() == 640
+    assert capsys.readouterr().out == expected
+
+
+def test_emit_restores_the_int_string_limit_when_writing_fails(capsys):
+    with int_str_limit(640):
+        with pytest.raises(TypeError, match="object is not JSON serializable"):
+            cli._emit([10**1000, object()])
+        assert sys.get_int_max_str_digits() == 640
+    assert capsys.readouterr().out == ""
 
 
 def test_parser_reused_across_calls(capsys):
@@ -595,6 +613,28 @@ def test_lp_call_checks_p_d_c_once(capsys, monkeypatch, command, weight):
                                  "--char", "omega^2", "--c", "2", weight, "2")
         assert (code, err) == (0, "")
     assert checked == [(5, 1, 2)] * 2
+
+
+@pytest.mark.parametrize("flags, message", [
+    (("--m", "0", "--c", "2"), "m must be >= 1"),
+    (("--m", "1", "--c", "1"), "c must be >= 2"),
+    (("--m", "8", "--c", "2"), "j_max=7 is below the character level m=8"),
+], ids=["m", "c", "jmax"])
+@pytest.mark.parametrize("command, weight", [("lp-eval", "--weight-k"), ("verify", "--n")])
+def test_lp_call_checks_its_scalars_before_reading_a_table(capsys, monkeypatch, tmp_path,
+                                                           command, weight, flags, message):
+    # LpParams parses --char after (p, d, c), m and j_max, so a call that
+    # one of them refuses never reads the table file
+    def load(path):
+        raise AssertionError(f"{path} read")
+
+    monkeypatch.setattr(dirichlet, "load_table_character", load)
+    path = tmp_path / "omega2.json"
+    path.write_text(json.dumps({"p": 5, "modulus": 5,
+                                "entries": {"1": 1, "2": 4, "3": 4, "4": 1}}))
+    code, out, err = run_cli(capsys, command, "--p", "5", "--d", "1", *flags,
+                             "--char", f"table:{path}", weight, "1")
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("command, weight", [("lp-eval", "--weight-k"), ("verify", "--n")])

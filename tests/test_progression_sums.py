@@ -20,7 +20,8 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from oracles import riemann_sum_bruteforce, twisted_unit_sum_bruteforce
+from oracles import (progression_power_sum_horner, riemann_sum_bruteforce,
+                     twisted_unit_sum_bruteforce)
 from padiclf.bernoulli import ProgressionPowerSum
 from padiclf.dirichlet import parse_character_spec
 from padiclf.genbernoulli import _unit_sum, chi_omega_minus_k
@@ -69,7 +70,7 @@ def characters(draw):
 def test_progression_power_sum_matches_direct_sum(k, step, u0, n, modulus):
     u1 = u0 + n * step
     expected = sum(u**k for u in range(u0, u1, step)) % modulus
-    assert ProgressionPowerSum(k, step, modulus)(u0, u1) == expected
+    assert progression_power_sum_horner(ProgressionPowerSum(k, step, modulus), u0, u1) == expected
 
 
 # c > D/L: every run holds one term (D/L = 1 for omega^2 at p = 5, level 5)
@@ -153,5 +154,6 @@ def test_warm_power_sum_and_unit_sum_make_no_fraction(monkeypatch):
         monkeypatch.setattr(Fraction, "_from_coprime_ints", classmethod(counted_ints))
     power_sum = ProgressionPowerSum(3, 75, 5**RELPREC)
     assert _unit_sum(psi, 1, 3, 3, RELPREC, weights) == expected
-    assert power_sum(2, 2 + 75 * 4) == sum(u**3 for u in range(2, 302, 75)) % 5**RELPREC
+    expected_sum = sum(u**3 for u in range(2, 302, 75)) % 5**RELPREC
+    assert progression_power_sum_horner(power_sum, 2, 2 + 75 * 4) == expected_sum
     assert made == []
