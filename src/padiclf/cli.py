@@ -32,7 +32,6 @@ one `error:` line on stderr and exits 2.
 from __future__ import annotations
 
 import json
-import random
 import re
 import sys
 from fractions import Fraction
@@ -44,7 +43,7 @@ from .dirichlet import parse_character_spec
 from .errors import CostLimitExceeded, PadicLFError
 from .genbernoulli import _embed_label_sum, _exact_label_sum, general_bernoulli_coeffs
 from .lfunction import LpParams, Weight, p_adic_L, verify_interpolation
-from .measure import BernoulliParams, compatibility_failures, random_bound_checks
+from .measure import BernoulliParams, boundedness_failures, compatibility_failures
 from .padic import DEFAULT_RELPREC
 
 USAGE_ERROR = 2
@@ -151,14 +150,10 @@ def _cmd_measure_check(args) -> int:
          "coarse": coarse, "refined_sum": fine}
         for m, x, coarse, fine in compatibility_failures(params, args.max_level)
     ]
-    samples = random_bound_checks(random.Random(args.seed), params,
-                                  min(args.max_level, 3), 100)
-    for i, (_, lhs, rhs, ok) in enumerate(samples):
-        if not ok:
-            counterexamples.append({
-                "kind": "boundedness", "sample": i,
-                "lhs": lhs, "rhs": rhs,
-            })
+    counterexamples += [
+        {"kind": "boundedness", "level": m, "x": x, "lhs": lhs, "rhs": rhs}
+        for m, x, lhs, rhs in boundedness_failures(params, args.max_level)
+    ]
     _emit({
         "p": args.p, "d": args.d, "c": args.c, "max_level": args.max_level,
         "pass": not counterexamples,
@@ -226,8 +221,8 @@ COMMANDS = {
                       "--n": (int, REQUIRED)}),
     "char-info": (_cmd_char_info, "level, conductor, parity of a character",
                   {"--p": (int, REQUIRED), "--char": (str, REQUIRED)}),
-    "measure-check": (_cmd_measure_check, "compatibility to --max-level, boundedness of "
-                      "100 random cylinders at levels 0..min(--max-level, 3)",
+    "measure-check": (_cmd_measure_check, "compatibility and boundedness of E_c "
+                      "at levels 0..--max-level",
                       {"--p": (int, REQUIRED), "--d": (int, REQUIRED),
                        "--c": (int, REQUIRED), "--max-level": (int, 3)}),
     "lp-eval": (_cmd_lp_eval, "evaluate the p-adic L-function at a weight",

@@ -59,25 +59,15 @@ gcd(c, D) = 1, the carry is t = -a D^(-1) mod c, so carry_table is at most
 c constant slices a = r, r + c, r + 2c, ... and needs no per-residue
 arithmetic.
 
-norm_bound_check's verdict (lhs, rhs, ok) is a function of four integers
-alone: p, c, the integral's valuation (None for the exact zero) and the
-least valuation of f, v_p(gcd(nums)) - v_p(den) (math.inf when f is 0).
-It is kept in a bounded cache keyed by them, so a sample pays one dot
-product, one gcd, their valuations and one lookup; the Fractions p^(-v), K p^(-least)
-and their comparison are made once per distinct key.  norm_bound_check is
-the bound on a given cylinder function.
-
-The sampler of measure-check and suite criteria 6 and 7 is the last part
-of this module.  random_cylinder draws one random cylinder function
-(criterion 7).  measure-check and criterion 6 build none: one call of
-random_bound_checks draws all of its samples at levels 0 .. max_level
-(min(--max-level, 3) for measure-check) and integrates each random entry
-as it is drawn, exactly, into one integer: L times the rational
-2 sum f(a) E_c(a), with L = lcm(1..60) a common denominator of every
-drawn entry, from per-level tables of the weights L/den * 2 E_c.  The
-verdict is read at that integer's valuation less v_p(2 L), the
-integral's exact valuation, so a sample builds no PadicNum, and it is
-tested against norm_bound_check.
+The measure is bounded: ||E_c(f)|| <= K ||f|| for every cylinder function
+f, with K = norm_bound_constant(p, c).  boundedness_failures states this
+exactly, level by level, on the clopen basis: f = sum f(a) char_fn(U_a)
+gives ||E_c(f)|| <= ||f|| max_a ||E_c(U_a)|| by the ultrametric
+inequality, and f = char_fn(U_a) has ||f|| = 1, so the bound holds at a
+level exactly when ||E_c(U_a)|| <= K at each of its residues a.  Every
+2 E_c(U_a) is an integer and p is odd, so ||E_c(U_a)|| <= 1 < K and it
+finds no failure.  norm_bound_check is the bound on one given f.
+random_cylinder draws one random cylinder function (suite criterion 7).
 
 compatibility_failures sweeps in one pass over integer tables.  Its table
 hook values(params, n) gives the doubled values 2 mu(n, a) at
@@ -102,7 +92,7 @@ from fractions import Fraction
 
 from .errors import CostLimitExceeded, LevelOrder, NotCoprime
 from .modarith import partition_range, require_odd_prime
-from .padic import DEFAULT_RELPREC, PadicNum, rational_valuation, split_p_power
+from .padic import DEFAULT_RELPREC, PadicNum, rational_valuation
 
 __all__ = [
     "BernoulliParams",
@@ -122,8 +112,8 @@ __all__ = [
     "units_cylinder",
     "norm_bound_constant",
     "norm_bound_check",
+    "boundedness_failures",
     "random_cylinder",
-    "random_bound_checks",
 ]
 
 
@@ -295,8 +285,27 @@ def carry_table(params: BernoulliParams, level: int) -> tuple:
     return tuple(table)
 
 
-# The most distribution values one compatibility sweep may read.
+# The most distribution values one sweep may read.
 MAX_SWEEP_EVALUATIONS = 2_000_000
+
+
+def _check_sweep(params: BernoulliParams, max_level: int, sweep: str) -> None:
+    """Refuse a sweep of the levels 0 to max_level: a negative max_level with
+    ValueError, and up front with CostLimitExceeded one where the bound
+    (p + 1) * d * sum_(m <= max_level) p^m on the values a compatibility
+    sweep reads exceeds MAX_SWEEP_EVALUATIONS."""
+    if max_level < 0:
+        raise ValueError(f"max_level must be >= 0, got {max_level}")
+    p, d = params.p, params.d
+    # the exponent is capped so that a huge max_level costs nothing to refuse
+    top = min(max_level, 64)
+    evaluations = (p + 1) * d * (p ** (top + 1) - 1) // (p - 1)
+    if evaluations > MAX_SWEEP_EVALUATIONS:
+        more = "more than " if top < max_level else ""
+        raise CostLimitExceeded(
+            f"a {sweep} sweep to level {max_level} needs {more}{evaluations} "
+            f"E_c evaluations, over the limit of {MAX_SWEEP_EVALUATIONS}"
+        )
 
 
 def compatibility_failures(params: BernoulliParams, max_level: int,
@@ -307,23 +316,11 @@ def compatibility_failures(params: BernoulliParams, max_level: int,
 
     `values(params, n)` is the level-n table of doubled distribution values
     2 mu(n, a) at a = 0 .. d*p^n - 1; it defaults to carry_table, the genuine
-    2 E_c.  The sweep reads it once at each level 0 to max_level + 1.  A
-    sweep whose bound (p + 1) * d * sum_(m <= max_level) p^m on the values
-    read exceeds MAX_SWEEP_EVALUATIONS is refused up front with
-    CostLimitExceeded.
+    2 E_c.  The sweep reads it once at each level 0 to max_level + 1, and is
+    refused by _check_sweep.
     """
-    if max_level < 0:
-        raise ValueError(f"max_level must be >= 0, got {max_level}")
+    _check_sweep(params, max_level, "compatibility")
     p, d = params.p, params.d
-    # the exponent is capped so that a huge max_level costs nothing to refuse
-    top = min(max_level, 64)
-    evaluations = (p + 1) * d * (p ** (top + 1) - 1) // (p - 1)
-    if evaluations > MAX_SWEEP_EVALUATIONS:
-        more = "more than " if top < max_level else ""
-        raise CostLimitExceeded(
-            f"a compatibility sweep to level {max_level} needs {more}{evaluations} "
-            f"E_c evaluations, over the limit of {MAX_SWEEP_EVALUATIONS}"
-        )
     failures = []
     coarse = values(params, 0)
     for m in range(max_level + 1):
@@ -338,17 +335,38 @@ def compatibility_failures(params: BernoulliParams, max_level: int,
     return failures
 
 
-def _doubled_sum(params: BernoulliParams, f: CylinderFunction) -> int:
-    """2 den times the integral of f: sum_a nums[a] * 2 E_c(level, a)."""
-    if (f.d, f.p) != (params.d, params.p):
-        raise ValueError("cylinder function does not match the measure parameters")
-    return sum(map(operator.mul, f.nums, carry_table(params, f.level)))
+def boundedness_failures(params: BernoulliParams, max_level: int,
+                         values=carry_table) -> list[tuple]:
+    """Every (m, x, lhs, K) with m <= max_level and x mod d*p^m where the norm
+    lhs = ||mu(U_x)|| of the level-m basic clopen set at x exceeds
+    K = norm_bound_constant(p, c), both as Fractions: the bound
+    ||mu(f)|| <= K ||f|| fails on some f at level m exactly there (module
+    docstring).
+
+    `values` is the table hook of compatibility_failures; p is odd, so
+    ||mu|| = ||2 mu||.  A norm is made once per distinct value of a level's
+    table, at most c of them for carry_table, and the residues are read only
+    at a level where one exceeds K.  The genuine E_c gives [].  The levels
+    0 to max_level are refused by _check_sweep.
+    """
+    _check_sweep(params, max_level, "boundedness")
+    p = params.p
+    bound = norm_bound_constant(p, params.c)
+    failures = []
+    for m in range(max_level + 1):
+        table = values(params, m)
+        norms = {v: _norm(p, v) for v in set(table)}
+        if any(norm > bound for norm in norms.values()):
+            failures += [(m, x, norms[v], bound) for x, v in enumerate(table) if norms[v] > bound]
+    return failures
 
 
 def integral(params: BernoulliParams, f: CylinderFunction) -> Fraction:
     """The exact integral sum_a f(a) E_c(level, a), one dot product with
     carry_table (module docstring).  Refining f gives the same rational."""
-    return Fraction(_doubled_sum(params, f), 2 * f.den)
+    if (f.d, f.p) != (params.d, params.p):
+        raise ValueError("cylinder function does not match the measure parameters")
+    return Fraction(sum(map(operator.mul, f.nums, carry_table(params, f.level))), 2 * f.den)
 
 
 def measure_apply(params: BernoulliParams, f: CylinderFunction,
@@ -379,31 +397,23 @@ def norm_bound_constant(p: int, c: int) -> Fraction:
     return 2 + Fraction(1, p ** rational_valuation(p, c - 1))
 
 
-@functools.lru_cache(maxsize=256)
-def _bound_verdict(p: int, c: int, v, least) -> tuple:
-    """(lhs, rhs, ok) for an integral of valuation v (None when it is 0) and
-    a function of least valuation `least` (math.inf when every entry is 0)."""
-    lhs = Fraction(0) if v is None else Fraction(p) ** -v
-    sup = Fraction(0) if least == math.inf else Fraction(p) ** -least
-    rhs = norm_bound_constant(p, c) * sup
-    return lhs, rhs, lhs <= rhs
+def _norm(p: int, q) -> Fraction:
+    """The p-adic norm of a rational, 0 for 0."""
+    return Fraction(0) if q == 0 else Fraction(p) ** -rational_valuation(p, q)
 
 
 def norm_bound_check(params: BernoulliParams, f: CylinderFunction):
     """Check the measure bound ||E_c(f)|| <= K * ||f|| with exact rational
     p-adic norms and K = norm_bound_constant(p, c).  Returns (lhs, rhs, ok).
 
-    ||E_c(f)|| is p^(-w) for the exact valuation w of the integral, or 0 when
-    it is 0; ||f|| is p^(-v) for the least valuation v of an entry,
-    v_p(gcd(nums)) - v_p(den), or 0 when every entry is 0.  The verdict
-    depends on p, c, w and v alone and is read from a bounded cache keyed by
-    them, so the Fractions and their comparison are made once per distinct key.
+    ||E_c(f)|| is the norm of the exact integral; ||f|| is p^(-v) for the
+    least valuation v of an entry, v_p(gcd(nums)) - v_p(den), or 0 when
+    every entry is 0.
     """
-    p, den = params.p, f.den
-    doubled, g = _doubled_sum(params, f), math.gcd(*f.nums)
-    v = None if doubled == 0 else split_p_power(p, doubled)[0] - split_p_power(p, 2 * den)[0]
-    least = math.inf if g == 0 else split_p_power(p, g)[0] - split_p_power(p, den)[0]
-    return _bound_verdict(p, params.c, v, least)
+    p = params.p
+    lhs = _norm(p, integral(params, f))
+    rhs = norm_bound_constant(p, params.c) * _norm(p, Fraction(math.gcd(*f.nums), f.den))
+    return lhs, rhs, lhs <= rhs
 
 
 # random_cylinder's draws: num in [-999, 999] and den in [1, 60]
@@ -413,38 +423,6 @@ _NUM_BITS, _DEN_BITS = _NUM_COUNT.bit_length(), _DEN_COUNT.bit_length()
 # L = lcm(1..60), which every drawn den divides, and L // den at each den index
 _DEN_LCM = math.lcm(*range(_DEN_LOW, _DEN_LOW + _DEN_COUNT))
 _DEN_SCALES = tuple(_DEN_LCM // den for den in range(_DEN_LOW, _DEN_LOW + _DEN_COUNT))
-
-
-# a sample's least valuation starts at _NO_ENTRY, which no v of a drawn
-# entry reaches; num = 0 is stored at _ZERO_NUM, above it less any v_p(den)
-_NO_ENTRY, _ZERO_NUM = 1 << 29, (1 << 29) + 8
-
-
-@functools.lru_cache(maxsize=16)
-def _draw_valuations(p: int) -> tuple:
-    """(v_p(num) at each num index, _ZERO_NUM for num = 0; v_p(den) at each
-    den index; v_p(2 L)), which random_bound_checks reads."""
-    nums = tuple(split_p_power(p, n)[0] if n else _ZERO_NUM
-                 for n in range(_NUM_LOW, _NUM_LOW + _NUM_COUNT))
-    dens = tuple(split_p_power(p, n)[0] for n in range(_DEN_LOW, _DEN_LOW + _DEN_COUNT))
-    return nums, dens, split_p_power(p, 2 * _DEN_LCM)[0]
-
-
-@functools.lru_cache(maxsize=32)
-def _weighted_carry_table(params: BernoulliParams, level: int) -> tuple:
-    """At index a, the weights (L // den) * 2 E_c(level, a) at each den
-    index, None where 2 E_c(a) = 0.  Residues of one value share one tuple,
-    so there are at most c weight objects."""
-    two_es = carry_table(params, level)
-    weights = {x: tuple(scale * x for scale in _DEN_SCALES) if x else None
-               for x in set(two_es)}
-    return tuple(map(weights.__getitem__, two_es))
-
-
-def _check_level(level: int) -> None:
-    """Refuse a draw at level < 0 before the rng is read."""
-    if level < 0:
-        raise LevelOrder(f"level must be >= 0, got {level}")
 
 
 def random_cylinder(rng, p, d, level) -> CylinderFunction:
@@ -459,7 +437,8 @@ def random_cylinder(rng, p, d, level) -> CylinderFunction:
     stored as the numerator num * (L // den) over L = lcm(1..60).  A
     negative level is refused with LevelOrder.
     """
-    _check_level(level)
+    if level < 0:
+        raise LevelOrder(f"level must be >= 0, got {level}")
     uniform, getrandbits = rng.random, rng.getrandbits
     nums = []
     for _ in range(d * p**level):
@@ -475,46 +454,3 @@ def random_cylinder(rng, p, d, level) -> CylinderFunction:
         nums.append((i + _NUM_LOW) * _DEN_SCALES[j])
     return CylinderFunction._of(d, p, level, tuple(nums), _DEN_LCM)
 
-
-def random_bound_checks(rng, params: BernoulliParams, max_level: int, count: int) -> list:
-    """count samples (level, lhs, rhs, ok): level as rng.randint(0, max_level)
-    draws it, and (lhs, rhs, ok) = norm_bound_check(params, random_cylinder(rng,
-    p, d, level)), leaving rng as those calls leave it.
-
-    Each entry makes random_cylinder's draws and is integrated as it is
-    drawn, exactly: acc gains num * (L // den) * 2 E_c(a) from
-    _weighted_carry_table, so acc is L = lcm(1..60) times 2 sum f(a) E_c(a),
-    and the integral's valuation is v_p(acc) - v_p(2 L).  A negative
-    max_level is refused before any draw.
-    """
-    _check_level(max_level)
-    p, c = params.p, params.c
-    num_vals, den_vals, v_two_lcm = _draw_valuations(p)
-    tables = [_weighted_carry_table(params, level) for level in range(max_level + 1)]
-    uniform, getrandbits, levels, samples = rng.random, rng.getrandbits, len(tables), []
-    num_bits, num_count, num_low = _NUM_BITS, _NUM_COUNT, _NUM_LOW
-    den_bits, den_count, level_bits = _DEN_BITS, _DEN_COUNT, levels.bit_length()
-    for _ in range(count):
-        level = getrandbits(level_bits)
-        while level >= levels:
-            level = getrandbits(level_bits)
-        least = _NO_ENTRY
-        acc = 0
-        for weights in tables[level]:
-            if uniform() < 0.1:
-                continue
-            i = getrandbits(num_bits)
-            while i >= num_count:
-                i = getrandbits(num_bits)
-            j = getrandbits(den_bits)
-            while j >= den_count:
-                j = getrandbits(den_bits)
-            v = num_vals[i] - den_vals[j]
-            if v < least:
-                least = v
-            if weights is not None:
-                acc += weights[j] * (i + num_low)
-        samples.append((level, *_bound_verdict(
-            p, c, split_p_power(p, acc)[0] - v_two_lcm if acc else None,
-            math.inf if least == _NO_ENTRY else least)))
-    return samples

@@ -37,10 +37,10 @@ from .genbernoulli import (
 from .lfunction import LpParams, Weight, riemann_sum, verify_interpolation
 from .measure import (
     BernoulliParams,
+    boundedness_failures,
     compatibility_failures,
     div_by_c_table,
     integral,
-    random_bound_checks,
     random_cylinder,
 )
 from .modarith import divisors, units_of
@@ -246,14 +246,10 @@ def _c5_distribution_compatibility(seed):
 # ---------------------------------------------------------------- criterion 6
 
 def _c6_boundedness(seed):
-    rng = random.Random(seed)
-    failures = []
-    for p, d, c, max_level in ((3, 1, 2, 3), (5, 2, 3, 3), (7, 4, 3, 2)):
-        for level, lhs, rhs, ok in random_bound_checks(rng, BernoulliParams(p, d, c),
-                                                       max_level, 200):
-            if not ok:
-                failures.append((p, d, c, level, str(lhs), str(rhs)))
-    return not failures, {"samples_per_set": 200, "failures": failures}
+    failures = [(p, d, c, m, x, str(lhs), str(rhs))
+                for p, d, c, max_level in ((3, 1, 2, 3), (5, 2, 3, 3), (7, 4, 3, 2))
+                for m, x, lhs, rhs in boundedness_failures(BernoulliParams(p, d, c), max_level)]
+    return not failures, {"failures": failures}
 
 
 # ---------------------------------------------------------------- criterion 7

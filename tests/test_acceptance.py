@@ -5,6 +5,9 @@ the underlying checks live in padiclf.suite and are shared with the
 `padiclf suite` CLI command.
 """
 
+import functools
+from fractions import Fraction
+
 import pytest
 
 from padiclf import measure, suite
@@ -61,6 +64,20 @@ def test_compatibility_detail_is_pinned():
         "division_variant_counterexamples": [(3, 1, 2, 0, 0), (3, 1, 2, 1, 0),
                                              (3, 1, 2, 1, 1)],
     }
+
+
+def test_criterion_6_fails_on_a_measure_divided_by_p(monkeypatch):
+    def ec_over_p(params, n):
+        return tuple(Fraction(v, params.p) for v in measure.carry_table(params, n))
+
+    monkeypatch.setattr(suite, "boundedness_failures",
+                        functools.partial(measure.boundedness_failures, values=ec_over_p))
+    passed, detail = suite._c6_boundedness(SEED)
+    assert not passed
+    # ||E_c(U) / p|| = p exceeds K = 2 + p^(-v_p(c-1)) at p = 5 and 7, not at
+    # (p, c) = (3, 2), where both are 3
+    assert {f[:3] for f in detail["failures"]} == {(5, 2, 3), (7, 4, 3)}
+    assert detail["failures"][0] == (5, 2, 3, 0, 0, "5", "3")
 
 
 def test_criterion_7_fails_on_a_refinement_that_changes_the_integral(monkeypatch):

@@ -36,8 +36,9 @@ ALLOWED = {
         "the integral E_c(f) as an element of Q_p, the exact integral embedded at "
         "a relative precision; perfbench/spans.py wraps it by name"),
     "measure.norm_bound_check": (
-        "the bound on a given cylinder function; the reference random_bound_checks "
-        "is tested against; perfbench/spans.py wraps it by name"),
+        "the bound ||E_c(f)|| <= K ||f|| on one given cylinder function, which "
+        "boundedness_failures proves for every f at a level; perfbench/spans.py "
+        "wraps it by name"),
     "padic.PadicNum.norm": (
         "the p-adic norm, through which the two-pass oracle and the boundedness "
         "tests state ||E_c(f)|| <= K ||f||; norm_bound_check reads it from valuations"),

@@ -1,4 +1,5 @@
 import contextlib
+import functools
 import json
 import os
 import subprocess
@@ -492,6 +493,32 @@ def test_measure_check_refuses_bad_max_level(capsys, argv, message):
     code, out, err = run_cli(capsys, "measure-check", *argv)
     assert (code, out, err) == (2, "", message)
 
+
+
+def test_measure_check_reports_an_unbounded_reading(capsys, monkeypatch):
+    # with the boundedness check reading E_c / p, the 41 residues of levels 0
+    # to 2 where E_c is not 0 are counterexamples, ||E_c(U) / p|| = 5 > K = 3
+    def ec_over_p(params, n):
+        return tuple(Fraction(v, params.p) for v in measure.carry_table(params, n))
+
+    monkeypatch.setattr(cli, "boundedness_failures",
+                        functools.partial(measure.boundedness_failures, values=ec_over_p))
+    code, out, err = run_cli(capsys, "measure-check", "--p", "5", "--d", "2", "--c", "3",
+                             "--max-level", "2")
+    obj = json.loads(out)
+    assert (code, err, obj["pass"]) == (1, "", False)
+    assert len(obj["counterexamples"]) == 41
+    assert obj["counterexamples"][0] == {"kind": "boundedness", "level": 0, "x": 0,
+                                         "lhs": "5/1", "rhs": "3/1"}
+    assert {(e["kind"], e["lhs"], e["rhs"]) for e in obj["counterexamples"]} == \
+        {("boundedness", "5/1", "3/1")}
+
+
+def test_measure_check_does_not_read_the_seed(capsys):
+    argv = ("measure-check", "--p", "7", "--d", "4", "--c", "3", "--max-level", "3")
+    first = run_cli(capsys, "--seed", "0", *argv)
+    assert first[0] == 0 and json.loads(first[1])["pass"] is True
+    assert run_cli(capsys, "--seed", "12345", *argv) == first
 
 def test_lp_eval_report(capsys):
     code, out, _ = run_cli(capsys, "lp-eval", "--p", "5", "--d", "1", "--m", "1",

@@ -1,10 +1,9 @@
-import hashlib
 import math
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
@@ -17,7 +16,7 @@ from oracles import (
     norm_bound_check_two_pass,
     random_cylinder_fraction,
 )
-from padiclf import cli, measure
+from padiclf import measure
 from padiclf.errors import CostLimitExceeded, LevelOrder, NotCoprime
 from padiclf.measure import (
     _DEN_LCM,
@@ -25,8 +24,8 @@ from padiclf.measure import (
     BernoulliParams,
     ClopenSet,
     CylinderFunction,
-    _weighted_carry_table,
     bernoulli_distribution,
+    boundedness_failures,
     carry_table,
     char_fn,
     compatibility_failures,
@@ -38,12 +37,11 @@ from padiclf.measure import (
     measure_apply,
     norm_bound_check,
     norm_bound_constant,
-    random_bound_checks,
     random_cylinder as measure_random_cylinder,
     units_cylinder,
 )
 from padiclf.modarith import partition_range
-from padiclf.padic import PadicNum, eq_mod, rational_valuation
+from padiclf.padic import PadicNum, eq_mod
 
 P312 = BernoulliParams(3, 1, 2)
 # the (p, d, c) grid of suite criterion 5, swept there at levels 0-3
@@ -277,6 +275,77 @@ class TestSweepLimit:
             compatibility_failures(P312, 10**9, started)
 
 
+def ec_over_p(params, n):
+    """The doubled values of the reading E_c / p at level n: unbounded, as
+    ||E_c(U) / p|| = p ||E_c(U)|| exceeds K wherever E_c(U) is a p-adic unit."""
+    return tuple(Fraction(v, params.p) for v in carry_table(params, n))
+
+
+def boundedness_failures_bruteforce(params, max_level, dist):
+    """measure.boundedness_failures residue by residue: the PadicNum norm of
+    dist at each x, against K."""
+    K = norm_bound_constant(params.p, params.c)
+    return [(m, x, norm, K)
+            for m in range(max_level + 1) for x in range(params.d * params.p**m)
+            if (norm := PadicNum.from_rational(params.p, dist(params, m, x)).norm()) > K]
+
+
+class TestBoundedness:
+    @settings(max_examples=100, deadline=None)
+    @given(p=st.sampled_from((3, 5, 7, 11, 13)), d=st.integers(1, 6),
+           c=st.integers(2, 60), max_level=st.integers(0, 3))
+    def test_genuine_measure_is_bounded(self, p, d, c, max_level):
+        assume(math.gcd(d, p) == 1 and math.gcd(c, d * p) == 1)
+        params = BernoulliParams(p, d, c)
+        assert boundedness_failures(params, max_level) == []
+        assert boundedness_failures_bruteforce(params, max_level, bernoulli_distribution) == []
+
+    def test_measure_over_p_fails_where_the_oracle_does(self):
+        # ||E_c(U) / p|| = p exceeds K = 2 + p^(-v_p(c-1)) unless p = 3 and
+        # c - 1 is a unit, where both are 3
+        def dist(pr, n, a):
+            return bernoulli_distribution(pr, n, a) / pr.p
+
+        for params in C5_GRID:
+            failures = boundedness_failures(params, 3, ec_over_p)
+            assert failures == boundedness_failures_bruteforce(params, 3, dist)
+            assert bool(failures) == (params.p > 3 or (params.c - 1) % 3 == 0)
+            assert all(type(lhs) is Fraction for _, _, lhs, _ in failures)
+
+    def test_measure_over_p_counterexamples(self):
+        # 2 E_c(U) is 2, 0 or -2 at c = 3, so ||E_c(U) / p|| is 5 or 0 and K = 3:
+        # the 41 residues of levels 0 to 2 where E_c(U) is not 0
+        params = BernoulliParams(5, 2, 3)
+        failures = boundedness_failures(params, 2, ec_over_p)
+        assert len(failures) == 41
+        assert {(lhs, K) for _, _, lhs, K in failures} == {(5, 3)}
+        assert [(m, x) for m, x, _, _ in failures] == [
+            (m, x) for m in range(3) for x in range(2 * 5**m)
+            if bernoulli_distribution(params, m, x) != 0]
+        assert failures[:2] == [(0, 0, 5, 3), (1, 0, 5, 3)]
+
+    def test_norms_made_once_per_distinct_value(self, monkeypatch):
+        # 2 E_c takes the c = 3 values 2, 0, -2 on each of the 1600 residues
+        # of levels 0 to 3: 12 norms, not 1600
+        norms, norm = [], measure._norm
+
+        def counted(p, q):
+            norms.append(q)
+            return norm(p, q)
+
+        monkeypatch.setattr(measure, "_norm", counted)
+        assert boundedness_failures(BernoulliParams(7, 4, 3), 3) == []
+        assert sorted(norms) == sorted([-2, 0, 2] * 4)
+
+    def test_refused_as_the_compatibility_sweep_is(self):
+        with pytest.raises(ValueError, match="max_level must be >= 0, got -1"):
+            boundedness_failures(P312, -1)
+        with pytest.raises(CostLimitExceeded,
+                           match=r"a boundedness sweep to level 5 needs 2039232 E_c"):
+            boundedness_failures(BernoulliParams(7, 13, 2), 5)
+        assert boundedness_failures(BernoulliParams(7, 12, 5), 5) == []
+
+
 class TestEquiClass:
     def test_examples(self):
         assert equi_class(1, 3, 1, 2, 1) == [1, 4, 7]
@@ -421,143 +490,6 @@ class TestSuiteRandomCylinder:
         state = rng.getstate()
         with pytest.raises(LevelOrder, match="level must be >= 0, got -1"):
             measure_random_cylinder(rng, 5, 1, -1)
-        assert rng.getstate() == state
-
-
-# draws (p, d, c, max_level, relprec, seed, count) at which the PadicNum fold
-# at relprec 1 or 2 stores some sample's integral as O(p^W) with W below its
-# exact valuation: the samples where a verdict capped at W and the exact one
-# differ
-CAPPED_DRAWS = [(3, 2, 5, 3, 1, 2, 3), (5, 1, 2, 2, 2, 136, 3), (7, 2, 3, 2, 1, 5, 3)]
-
-
-def with_capped_examples(test):
-    """test with each of CAPPED_DRAWS, less its relprec, as a hypothesis example."""
-    names = ("p", "d", "c", "max_level", "relprec", "seed", "count")
-    for draw in CAPPED_DRAWS:
-        kwargs = dict(zip(names, draw))
-        del kwargs["relprec"]
-        test = example(**kwargs)(test)
-    return test
-
-
-def exact_integrals(rng, params, max_level, count):
-    """(level, the exact integral) of each of count samples, drawn by randint
-    and random as Fractions, as random_bound_checks draws them."""
-    p, d = params.p, params.d
-    samples = []
-    for _ in range(count):
-        level = rng.randint(0, max_level)
-        exact = sum((Fraction(rng.randint(-999, 999), rng.randint(1, 60))
-                     * bernoulli_distribution_fract(params, level, a)
-                     for a in range(d * p**level) if rng.random() >= 0.1), Fraction(0))
-        samples.append((level, exact))
-    return samples
-
-
-class TestRandomBoundCheck:
-    @settings(max_examples=150, deadline=None)
-    @given(p=st.sampled_from((3, 5, 7, 11)), d=st.integers(1, 4), c=st.integers(2, 40),
-           max_level=st.integers(0, 3), seed=st.integers(0, 2**32), count=st.integers(1, 3))
-    @with_capped_examples
-    # the one entry drawn is num = 0, an exact zero that sets neither ||f|| nor the integral
-    @example(p=3, d=1, c=2, max_level=0, seed=427, count=1)
-    def test_matches_the_bound_on_the_drawn_cylinder(self, p, d, c, max_level, seed, count):
-        # each sample's level as randint draws it and its verdict on the
-        # cylinder random_cylinder draws, from the same draws
-        assume(math.gcd(d, p) == 1 and math.gcd(c, d * p) == 1)
-        params = BernoulliParams(p, d, c)
-        rng, oracle_rng = random.Random(seed), random.Random(seed)
-        expected = []
-        for _ in range(count):
-            level = oracle_rng.randint(0, max_level)
-            f = measure_random_cylinder(oracle_rng, p, d, level)
-            expected.append((level, *norm_bound_check(params, f)))
-        assert random_bound_checks(rng, params, max_level, count) == expected
-        assert rng.getstate() == oracle_rng.getstate()
-
-    @pytest.mark.parametrize("p, d, c, max_level, relprec, seed, count", CAPPED_DRAWS)
-    def test_capped_draws_reach_the_cap(self, p, d, c, max_level, relprec, seed, count):
-        # every sample's lhs is p^(-v) for the exact valuation v of its
-        # integral, from the same draws as Fractions by randint and random,
-        # and some sample's exact valuation passes the O(p^W) that the fold
-        # at relprec stores, so a verdict capped at W would differ
-        params = BernoulliParams(p, d, c)
-        rng, oracle_rng = random.Random(seed), random.Random(seed)
-        samples = random_bound_checks(rng, params, max_level, count)
-        for (level, lhs, _, _), (exact_level, exact) in zip(
-                samples, exact_integrals(oracle_rng, params, max_level, count)):
-            assert level == exact_level
-            assert lhs == (0 if exact == 0 else Fraction(p) ** -rational_valuation(p, exact))
-        assert rng.getstate() == oracle_rng.getstate()
-        rng, capped = random.Random(seed), 0
-        for _ in range(count):
-            f = measure_random_cylinder(rng, p, d, rng.randint(0, max_level))
-            _, w, unit, _ = measure_apply_fold(params, f.level, f.values, relprec).state()
-            if unit is None and w is not None and rational_valuation(p, integral(params, f)) > w:
-                capped += 1
-        assert capped
-
-    @pytest.mark.parametrize("seed, prec, p, d, c, digest", [
-        (5, 8, 7, 4, 3, "c496642e171bd8e798ce530d6cf95c0923bdc4adfd2efd2247f84329b878ea14"),
-        (9, 1, 5, 2, 3, "da105c9f205ada6e51b7aabf2036d6bd46eaca7587813885d07899b95b10e6c7"),
-    ])
-    def test_measure_check_verdicts_are_pinned(self, capsys, monkeypatch, seed, prec,
-                                               p, d, c, digest):
-        # the (lhs, rhs, ok) of all 100 samples of `--prec prec --seed seed
-        # measure-check --p p --d d --c c --max-level 3`, which a passing run
-        # does not print, at that --prec and at --prec 1000; the draws are
-        # randrange's on every Python
-        drawn = []
-
-        def recorded(*args):
-            drawn.append(random_bound_checks(*args))
-            return drawn[-1]
-
-        monkeypatch.setattr(cli, "random_bound_checks", recorded)
-        for argv_prec in (prec, 1000):
-            assert cli.main(["--prec", str(argv_prec), "--seed", str(seed), "measure-check",
-                             "--p", str(p), "--d", str(d), "--c", str(c)]) == 0
-        capsys.readouterr()
-        assert drawn[0] == drawn[1] and len(drawn[0]) == 100
-        text = "".join(f"{lhs} {rhs} {ok}\n" for _, lhs, rhs, ok in drawn[0])
-        assert hashlib.sha256(text.encode()).hexdigest() == digest
-
-    @pytest.mark.parametrize("params", C5_GRID + [BernoulliParams(5, 3, 37)])
-    def test_weighted_carry_table(self, params):
-        # one shared weights tuple per distinct nonzero value of 2 E_c: at most c
-        for level in range(4):
-            table = _weighted_carry_table(params, level)
-            assert len(table) == params.d * params.p**level
-            assert len({id(weights) for weights in table}) <= params.c
-            for a, weights in enumerate(table):
-                two_e = 2 * bernoulli_distribution(params, level, a)
-                if two_e == 0:
-                    assert weights is None
-                else:
-                    assert weights == tuple(_DEN_LCM // den * two_e for den in range(1, 61))
-
-    def test_builds_no_padicnum(self, monkeypatch):
-        # samples of up to 2 * 5^3 entries read their verdicts off exact integers
-        built = []
-        init = PadicNum.__init__
-
-        def counted(self, *args):
-            built.append(args)
-            init(self, *args)
-
-        monkeypatch.setattr(PadicNum, "__init__", counted)
-        samples = random_bound_checks(random.Random(0), BernoulliParams(5, 2, 3), 3, 8)
-        assert {level for level, _, _, _ in samples} == {0, 1, 2, 3}
-        assert all(ok and rhs > 0 for _, _, rhs, ok in samples)
-        assert built == []
-
-    def test_refused_before_any_draw(self):
-        # at max_level -1 the level draw would read getrandbits(0) = 0 forever
-        rng = random.Random(1)
-        state = rng.getstate()
-        with pytest.raises(LevelOrder, match="level must be >= 0, got -1"):
-            random_bound_checks(rng, BernoulliParams(5, 1, 2), -1, 5)
         assert rng.getstate() == state
 
 
@@ -713,36 +645,6 @@ class TestNormBound:
         params = BernoulliParams(p, d, c)
         f = rational_cylinder(random.Random(seed), p, d, level, zero_share)
         assert norm_bound_check(params, f) == norm_bound_check_two_pass(params, f)
-
-    def test_warm_verdict_makes_no_fraction(self, monkeypatch):
-        # the verdict is a cached function of (p, c, the integral's valuation,
-        # the least valuation of f): a warm call makes no Fraction
-        rng = random.Random(5)
-        grid = (BernoulliParams(3, 1, 2), BernoulliParams(5, 2, 3), BernoulliParams(7, 1, 3))
-        samples = [(params, measure_random_cylinder(rng, params.p, params.d, rng.randint(0, 2)))
-                   for params in (grid[i % 3] for i in range(100))]
-        verdicts = [norm_bound_check(params, f) for params, f in samples]
-        assert all(ok for _, _, ok in verdicts) and any(lhs != 0 for lhs, _, _ in verdicts)
-        measure._bound_verdict.cache_clear()
-        assert [norm_bound_check(params, f) for params, f in samples] == verdicts
-        made = []
-        new = Fraction.__new__
-
-        def counted(cls, *args, **kwargs):
-            made.append(args)
-            return new(cls, *args, **kwargs)
-
-        monkeypatch.setattr(Fraction, "__new__", staticmethod(counted))
-        if "_from_coprime_ints" in vars(Fraction):  # arithmetic bypasses __new__ on 3.12+
-            from_ints = vars(Fraction)["_from_coprime_ints"].__func__
-
-            def counted_ints(cls, *args):
-                made.append(args)
-                return from_ints(cls, *args)
-
-            monkeypatch.setattr(Fraction, "_from_coprime_ints", classmethod(counted_ints))
-        assert [norm_bound_check(params, f) for params, f in samples] == verdicts
-        assert made == []
 
     def test_randomized_sweep(self):
         rng = random.Random(0)
