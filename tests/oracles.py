@@ -93,6 +93,13 @@ def bernoulli_distribution_div_by_c_fract(params, n: int, a: int) -> Fraction:
     )
 
 
+def bernoulli_distribution_over_p(params, n: int, a: int) -> Fraction:
+    """E_c(n, a) / p: a compatible reading that is not bounded, since
+    ||E_c(U) / p|| = p ||E_c(U)|| exceeds K wherever E_c(U) is a p-adic unit,
+    unless p = 3 and c - 1 is a unit, where both are 3."""
+    return bernoulli_distribution(params, n, a) / params.p
+
+
 def validate_bruteforce(p: int, level: int, labels: dict) -> None:
     """Check a label table {unit a: t} mod level as a character into mu_(p-1).
 
@@ -394,6 +401,16 @@ def compatibility_failures_bruteforce(params, max_level: int,
             if coarse != fine:
                 failures.append((m, x, coarse, fine))
     return failures
+
+
+def boundedness_failures_bruteforce(params, max_level: int,
+                                    dist=bernoulli_distribution) -> list[tuple]:
+    """measure.boundedness_failures residue by residue: the PadicNum norm of
+    dist at every x at every level, against K."""
+    K = norm_bound_constant(params.p, params.c)
+    return [(m, x, norm, K)
+            for m in range(max_level + 1) for x in range(params.d * params.p**m)
+            if (norm := PadicNum.from_rational(params.p, dist(params, m, x)).norm()) > K]
 
 
 def factorize_trial(n: int) -> dict[int, int]:

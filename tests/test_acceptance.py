@@ -6,10 +6,10 @@ the underlying checks live in padiclf.suite and are shared with the
 """
 
 import functools
-from fractions import Fraction
 
 import pytest
 
+from oracles import bernoulli_distribution_over_p, level_table
 from padiclf import measure, suite
 from padiclf.padic import PadicNum
 from padiclf.suite import ALL_CRITERIA
@@ -67,15 +67,11 @@ def test_compatibility_detail_is_pinned():
 
 
 def test_criterion_6_fails_on_a_measure_divided_by_p(monkeypatch):
-    def ec_over_p(params, n):
-        return tuple(Fraction(v, params.p) for v in measure.carry_table(params, n))
-
-    monkeypatch.setattr(suite, "boundedness_failures",
-                        functools.partial(measure.boundedness_failures, values=ec_over_p))
+    monkeypatch.setattr(suite, "boundedness_failures", functools.partial(
+        measure.boundedness_failures, values=level_table(bernoulli_distribution_over_p)))
     passed, detail = suite._c6_boundedness(SEED)
     assert not passed
-    # ||E_c(U) / p|| = p exceeds K = 2 + p^(-v_p(c-1)) at p = 5 and 7, not at
-    # (p, c) = (3, 2), where both are 3
+    # the reading fails at p = 5 and 7, not at (p, c) = (3, 2)
     assert {f[:3] for f in detail["failures"]} == {(5, 2, 3), (7, 4, 3)}
     assert detail["failures"][0] == (5, 2, 3, 0, 0, "5", "3")
 

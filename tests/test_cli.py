@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 import padiclf
+from oracles import bernoulli_distribution_over_p, level_table
 from padiclf import cli, dirichlet, lfunction, measure, modarith
 from padiclf.cli import COMMANDS, GLOBAL_FLAGS, main, parse_argv
 from padiclf.padic import PadicNum
@@ -498,11 +499,8 @@ def test_measure_check_refuses_bad_max_level(capsys, argv, message):
 def test_measure_check_reports_an_unbounded_reading(capsys, monkeypatch):
     # with the boundedness check reading E_c / p, the 41 residues of levels 0
     # to 2 where E_c is not 0 are counterexamples, ||E_c(U) / p|| = 5 > K = 3
-    def ec_over_p(params, n):
-        return tuple(Fraction(v, params.p) for v in measure.carry_table(params, n))
-
-    monkeypatch.setattr(cli, "boundedness_failures",
-                        functools.partial(measure.boundedness_failures, values=ec_over_p))
+    monkeypatch.setattr(cli, "boundedness_failures", functools.partial(
+        measure.boundedness_failures, values=level_table(bernoulli_distribution_over_p)))
     code, out, err = run_cli(capsys, "measure-check", "--p", "5", "--d", "2", "--c", "3",
                              "--max-level", "2")
     obj = json.loads(out)

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from oracles import (
     bernoulli_distribution_div_by_c_fract,
     bernoulli_distribution_fract,
+    bernoulli_distribution_over_p,
+    boundedness_failures_bruteforce,
     compatibility_failures_bruteforce,
     integral_fract,
     level_table,
@@ -275,21 +277,6 @@ class TestSweepLimit:
             compatibility_failures(P312, 10**9, started)
 
 
-def ec_over_p(params, n):
-    """The doubled values of the reading E_c / p at level n: unbounded, as
-    ||E_c(U) / p|| = p ||E_c(U)|| exceeds K wherever E_c(U) is a p-adic unit."""
-    return tuple(Fraction(v, params.p) for v in carry_table(params, n))
-
-
-def boundedness_failures_bruteforce(params, max_level, dist):
-    """measure.boundedness_failures residue by residue: the PadicNum norm of
-    dist at each x, against K."""
-    K = norm_bound_constant(params.p, params.c)
-    return [(m, x, norm, K)
-            for m in range(max_level + 1) for x in range(params.d * params.p**m)
-            if (norm := PadicNum.from_rational(params.p, dist(params, m, x)).norm()) > K]
-
-
 class TestBoundedness:
     @settings(max_examples=100, deadline=None)
     @given(p=st.sampled_from((3, 5, 7, 11, 13)), d=st.integers(1, 6),
@@ -298,17 +285,13 @@ class TestBoundedness:
         assume(math.gcd(d, p) == 1 and math.gcd(c, d * p) == 1)
         params = BernoulliParams(p, d, c)
         assert boundedness_failures(params, max_level) == []
-        assert boundedness_failures_bruteforce(params, max_level, bernoulli_distribution) == []
+        assert boundedness_failures_bruteforce(params, max_level) == []
 
     def test_measure_over_p_fails_where_the_oracle_does(self):
-        # ||E_c(U) / p|| = p exceeds K = 2 + p^(-v_p(c-1)) unless p = 3 and
-        # c - 1 is a unit, where both are 3
-        def dist(pr, n, a):
-            return bernoulli_distribution(pr, n, a) / pr.p
-
+        over_p = bernoulli_distribution_over_p
         for params in C5_GRID:
-            failures = boundedness_failures(params, 3, ec_over_p)
-            assert failures == boundedness_failures_bruteforce(params, 3, dist)
+            failures = boundedness_failures(params, 3, level_table(over_p))
+            assert failures == boundedness_failures_bruteforce(params, 3, over_p)
             assert bool(failures) == (params.p > 3 or (params.c - 1) % 3 == 0)
             assert all(type(lhs) is Fraction for _, _, lhs, _ in failures)
 
@@ -316,7 +299,7 @@ class TestBoundedness:
         # 2 E_c(U) is 2, 0 or -2 at c = 3, so ||E_c(U) / p|| is 5 or 0 and K = 3:
         # the 41 residues of levels 0 to 2 where E_c(U) is not 0
         params = BernoulliParams(5, 2, 3)
-        failures = boundedness_failures(params, 2, ec_over_p)
+        failures = boundedness_failures(params, 2, level_table(bernoulli_distribution_over_p))
         assert len(failures) == 41
         assert {(lhs, K) for _, _, lhs, K in failures} == {(5, 3)}
         assert [(m, x) for m, x, _, _ in failures] == [
