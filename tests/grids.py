@@ -14,6 +14,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 from collections import Counter
 
 from padiclf import cli
@@ -25,6 +26,33 @@ def run_cli(argv: list[str]) -> tuple[int, str, str]:
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv)
     return code, out.getvalue(), err.getvalue()
+
+
+def _refused(code: int, out: str, err: str) -> bool:
+    """Exit 2, nothing on stdout and one `error:` line on stderr."""
+    return code == 2 and out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+
+def _run_grid(argvs, answered_ok) -> tuple[Counter, list, str]:
+    """(the count of calls by exit code, the argvs that break the contract,
+    the first 16 hex digits of the sha256 of every argv, exit code, stdout
+    and stderr) over argvs.
+
+    The contract: a call exits 0 with one JSON document that answered_ok
+    accepts and nothing on stderr, or is refused.
+    """
+    cases, failures, digest = Counter(), [], hashlib.sha256()
+    for argv in argvs:
+        code, out, err = run_cli(argv)
+        cases[code] += 1
+        digest.update(json.dumps([argv, code, out, err]).encode() + b"\n")
+        if code == 0:
+            ok = err == "" and answered_ok(argv, json.loads(out))
+        else:
+            ok = _refused(code, out, err)
+        if not ok:
+            failures.append(argv)
+    return cases, failures, digest.hexdigest()[:16]
 
 
 def measure_check_argvs() -> list[list[str]]:
@@ -40,29 +68,71 @@ def measure_check_argvs() -> list[list[str]]:
 
 
 def measure_check_grid() -> tuple[Counter, list, str]:
-    """(the count of calls by exit code, the argvs that break the contract,
-    the first 16 hex digits of the sha256 of every argv, exit code, stdout
-    and stderr) over measure_check_argvs().
+    """_run_grid over measure_check_argvs(): the genuine E_c passes, so
+    every answer passes."""
+    return _run_grid(measure_check_argvs(), lambda argv, obj: obj["pass"] is True)
 
-    The contract: the genuine E_c passes, so a call exits 0 with one JSON
-    document that passes and nothing on stderr, or is refused with exit 2,
-    nothing on stdout and one `error:` line on stderr.
-    """
-    cases, failures, digest = Counter(), [], hashlib.sha256()
-    for argv in measure_check_argvs():
-        code, out, err = run_cli(argv)
-        cases[code] += 1
-        digest.update(json.dumps([argv, code, out, err]).encode() + b"\n")
-        if code == 0:
-            ok = err == "" and json.loads(out)["pass"] is True
-        else:
-            ok = code == 2 and out == "" and err.startswith("error: ") and err.count("\n") == 1
-        if not ok:
-            failures.append(argv)
-    return cases, failures, digest.hexdigest()[:16]
+
+def interpolation_argvs() -> list[list[str]]:
+    """`verify --p p --d 1 --m 1 --char omega^e --c c --n n --prec 12
+    --jmax 12` over p in {3, 5, 7, 11, 13}, every even e < p - 1, c from 2
+    to 15 prime to p, and n from 2 to 8: every even character of
+    conductor 1 or p at once."""
+    return [["verify", "--p", str(p), "--d", "1", "--m", "1", "--char", f"omega^{e}",
+             "--c", str(c), "--n", str(n), "--prec", "12", "--jmax", "12"]
+            for p in (3, 5, 7, 11, 13) for e in range(0, p - 1, 2)
+            for c in range(2, 16) if c % p for n in range(2, 9)]
+
+
+def _interpolates(argv, obj) -> bool:
+    return obj["pass"] is True and obj["sign"] == "+"
+
+
+def interpolation_grid() -> tuple[Counter, list, str]:
+    """_run_grid over interpolation_argvs(): the integral at weight n - 1
+    agrees with the closed form at n, with sign +, in every call."""
+    return _run_grid(interpolation_argvs(), _interpolates)
+
+
+def level_rule_argvs() -> list[list[str]]:
+    """`lp-eval ... --weight-k 2` and `verify ... --n 2` with `--p p --d 1
+    --m 1 --char omega^2 --c 2` over p in {3, 5, 7}, --prec in {2, 6, 12},
+    --jmin in {1, 3, 9}, --jmax in {1, 2, 3, 5, 8} and --target in
+    {1, 3, 4, 8}: level ranges empty and not, and precisions below and
+    above the target."""
+    return [[command, "--p", str(p), "--d", "1", "--m", "1", "--char", "omega^2",
+             "--c", "2", weight, "2", "--prec", str(prec), "--jmin", str(jmin),
+             "--jmax", str(jmax), "--target", str(target)]
+            for command, weight in (("lp-eval", "--weight-k"), ("verify", "--n"))
+            for p in (3, 5, 7) for prec in (2, 6, 12) for jmin in (1, 3, 9)
+            for jmax in (1, 2, 3, 5, 8) for target in (1, 3, 4, 8)]
+
+
+def _certified_digits(value: dict) -> float:
+    """The absolute precision of a PadicNum from its JSON form."""
+    if value.get("zero"):
+        return math.inf
+    if "zero_to_precision" in value:
+        return value["zero_to_precision"]
+    return value["valuation"] + value["relprec"]
+
+
+def _answers_to_target(argv, obj) -> bool:
+    if argv[0] == "verify":
+        return _interpolates(argv, obj)
+    return _certified_digits(obj["value"]) >= int(argv[argv.index("--target") + 1])
+
+
+def level_rule_grid() -> tuple[Counter, list, str]:
+    """_run_grid over level_rule_argvs(): every answer certifies --target
+    digits, and every verify answer passes with sign +."""
+    return _run_grid(level_rule_argvs(), _answers_to_target)
 
 
 if __name__ == "__main__":
-    cases, failures, digest = measure_check_grid()
-    print(json.dumps({"grid": "measure-check", "cases": dict(sorted(cases.items())),
-                      "failures": failures, "digest": digest}))
+    for name, grid in (("measure-check", measure_check_grid),
+                       ("interpolation", interpolation_grid),
+                       ("level-rule", level_rule_grid)):
+        cases, failures, digest = grid()
+        print(json.dumps({"grid": name, "cases": dict(sorted(cases.items())),
+                          "failures": failures, "digest": digest}))

@@ -1,4 +1,4 @@
-from grids import measure_check_grid
+from grids import interpolation_grid, level_rule_grid, measure_check_grid
 
 
 def test_measure_check_grid_is_pinned():
@@ -7,3 +7,18 @@ def test_measure_check_grid_is_pinned():
     cases, failures, digest = measure_check_grid()
     assert (cases, failures) == ({0: 1095, 2: 1866}, [])
     assert digest == "143b4abffd454655"
+
+
+def test_interpolation_grid_is_pinned():
+    # 1470 argvs, every one a pass with sign +
+    cases, failures, digest = interpolation_grid()
+    assert (cases, failures) == ({0: 1470}, [])
+    assert digest == "b39022f529835a1b"
+
+
+def test_level_rule_grid_is_pinned():
+    # 1080 argvs; the 54 lp-eval answers that certify fewer digits than
+    # --target and the 54 verify calls that fail for it break the contract
+    cases, failures, digest = level_rule_grid()
+    assert (cases, len(failures)) == ({0: 330, 1: 54, 2: 696}, 108)
+    assert digest == "130a32a929991151"
