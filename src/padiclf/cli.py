@@ -164,8 +164,7 @@ def _cmd_measure_check(args) -> int:
 
 def _cmd_lp_eval(args) -> int:
     params = _make_lp_params(args)
-    # the value is certified to min(prec, J) digits, and J <= jmax
-    _require_printable_units(params.p, min(args.prec, args.jmax))
+    _require_printable_units(params.p, params.digits)
     report = p_adic_L(params, Weight(args.weight_k))
     _emit(report.to_json())
     return 0

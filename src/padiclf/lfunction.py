@@ -25,9 +25,11 @@ section 5.2 and Theorem 5.11.
 Certified precision: on a level-j clopen a + d p^j Z_p with j >= m the
 factor psi is constant and <x>^k = <a>^k mod p^j, while E_c is
 p-integral on every clopen, so S_j agrees with the L-value mod p^j
-(Washington, ch. 12).  p_adic_L therefore computes a single sum S_J,
-with J = relprec clamped into [max(j_min, m), j_max], and returns it at
-absolute precision min(relprec, J): every digit it claims is proved.
+(Washington, ch. 12).  A call therefore certifies LpParams.digits =
+min(relprec, j_max) digits, known from its arguments alone: p_adic_L
+refuses a call whose digits fall short of target_valuation before any
+sum, and otherwise computes the single sum S_J at J = max(digits, j_min,
+m), mod p^digits.  Every digit it claims is proved.
 
 The interpolation property at negative integers is checked against the
 closed form
@@ -45,7 +47,7 @@ the bundled suite insists on a single sign across all cases.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .dirichlet import DirichletCharacter, parse_character_spec
 from .errors import InsufficientPrecision, LevelTooLow
@@ -83,7 +85,8 @@ class LpParams:
 
     The checks run cheapest first, so a bad call is refused before any
     power of p is built or any table file read: (p, d, c) as
-    measure.BernoulliParams checks them; m >= 1; j_max >= m; then chi,
+    measure.BernoulliParams checks them; m >= 1; a level range
+    [max(j_min, m), j_max] that is not empty; then chi,
     given as a character or as a spec string that
     dirichlet.parse_character_spec reads only now: chi over p; its level
     dividing d*p^m, read through split_p_power; chi even; d dividing its
@@ -107,8 +110,8 @@ class LpParams:
         BernoulliParams(self.p, self.d, self.c)
         if self.m < 1:
             raise ValueError("m must be >= 1")
-        if self.j_max < self.m:
-            raise ValueError(f"j_max={self.j_max} is below the character level m={self.m}")
+        if self.j_max < max(self.j_min, self.m):
+            raise ValueError(f"j_max={self.j_max} is below max(j_min={self.j_min}, m={self.m})")
         if isinstance(self.chi, str):
             self.chi = parse_character_spec(self.chi, self.p)
         if self.chi.p != self.p:
@@ -122,22 +125,21 @@ class LpParams:
         if self.chi.conductor() % self.d:
             raise ValueError("d must divide the conductor of chi")
 
+    @property
+    def digits(self) -> int:
+        """The digits an L-value is certified to: min(relprec, j_max)."""
+        return min(self.relprec, self.j_max)
+
 
 @dataclass
 class EvalReport:
-    """An L-value S_J at its certified precision; converged when that
-    precision reaches the target valuation."""
+    """An L-value: the sum S_J at J = level_used, mod p^digits."""
 
     value: PadicNum
     level_used: int
-    converged: bool
 
     def to_json(self) -> dict:
-        return {
-            "value": self.value.to_json(),
-            "level_used": self.level_used,
-            "converged": self.converged,
-        }
+        return {"value": self.value.to_json(), "level_used": self.level_used}
 
 
 @dataclass
@@ -155,11 +157,8 @@ class VerifyReport:
     sign: str | None
     valuation_of_difference: int | None
     passed: bool
-    valuation_is_exact: bool | None = None
-    converged: bool = True
-    level_used: int | None = None
-    valuation_minus: int | None = field(default=None, repr=False)
-    valuation_plus: int | None = field(default=None, repr=False)
+    valuation_is_exact: bool | None
+    level_used: int
 
     def to_json(self) -> dict:
         return {
@@ -196,26 +195,21 @@ def riemann_sum(params: LpParams, w: Weight, j: int, relprec: int | None = None)
 
 
 def p_adic_L(params: LpParams, w: Weight) -> EvalReport:
-    """The L-value as the single Riemann sum S_J, certified mod p^min(relprec, J).
+    """The L-value as the single Riemann sum S_J, certified mod p^params.digits.
 
-    S_J agrees with the L-value mod p^J for every J >= m (module
-    docstring), so J is relprec clamped into [max(j_min, m), j_max]: the
-    lowest level certified to all relprec tracked digits, within the
-    allowed range.  S_J is summed mod p^min(relprec, J) alone, as the
-    digits past J are not certified.  The report is converged when the
-    certified precision min(relprec, J) reaches target_valuation.
+    A call whose digits fall short of target_valuation is refused with
+    InsufficientPrecision before any sum.  S_J agrees with the L-value mod
+    p^J for every J >= m (module docstring), so J = max(digits, j_min, m)
+    is the lowest level of the range that certifies every digit; it is at
+    most j_max, as LpParams checks.  S_J is summed mod p^digits alone.
     """
-    if params.relprec < params.target_valuation:
+    digits = params.digits
+    if digits < params.target_valuation:
         raise InsufficientPrecision(
-            f"relprec={params.relprec} cannot certify valuation {params.target_valuation}"
-        )
-    start = max(params.j_min, params.m)
-    if start > params.j_max:
-        raise ValueError(f"empty level range: start {start} > j_max {params.j_max}")
-    J = min(max(params.relprec, start), params.j_max)
-    digits = min(params.relprec, J)
-    return EvalReport(value=riemann_sum(params, w, J, digits),
-                      level_used=J, converged=digits >= params.target_valuation)
+            f"min(relprec={params.relprec}, j_max={params.j_max}) = {digits} certified "
+            f"digits do not reach the target valuation {params.target_valuation}")
+    J = max(digits, params.j_min, params.m)
+    return EvalReport(value=riemann_sum(params, w, J, digits), level_used=J)
 
 
 def special_value_closed_form(params: LpParams, n: int,
@@ -225,15 +219,16 @@ def special_value_closed_form(params: LpParams, n: int,
     R = (1/n)(1 - chi(c) <c>^n)(1 - chi omega^(-n)(p) p^(n-1)) B_(n, chi omega^(-n)),
 
     one exact label sum embedded at relprec absolute digits (params.relprec when
-    None); chi(c) <c>^n = c^n omega(s); the factor at p is 1 if p | cond chi omega^(-n).
+    None); chi(c) <c>^n = c^n chi omega^(-n)(c); the factor at p is 1 if
+    p | cond chi omega^(-n).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     N = relprec if relprec is not None else params.relprec
-    p, c, chi = params.p, params.c, params.chi
-    s = chi.label(c) * pow(c, -n, p) % p
-    nums, den = _euler_label_sum(chi_omega_minus_k(chi, n), n)
-    return _embed_label_sum(p, _times_one_minus(p, nums, c**n, s), n * den, N)
+    p, c = params.p, params.c
+    psi = chi_omega_minus_k(params.chi, n)
+    nums, den = _euler_label_sum(psi, n)
+    return _embed_label_sum(p, _times_one_minus(p, nums, c**n, psi.label(c)), n * den, N)
 
 
 def _certified_valuation(diff: PadicNum, threshold: int):
@@ -249,17 +244,13 @@ def verify_interpolation(params: LpParams, n: int) -> VerifyReport:
 
     Exactly one of L - R, L + R must reach params.target_valuation; the
     winning sign is reported so a caller can pin it across a whole suite.
-    A non-converged integral propagates as a failed report.
+    A call whose certified digits fall short of the target is refused by
+    p_adic_L, before any sum or the closed form.
     """
     if n < 2:
         raise ValueError("n must be >= 2")
     report = p_adic_L(params, Weight(n - 1))
     rhs = special_value_closed_form(params, n)
-    if not report.converged:
-        return VerifyReport(
-            lhs=report.value, rhs=rhs, sign=None, valuation_of_difference=None,
-            passed=False, converged=False, level_used=report.level_used,
-        )
     lhs = report.value
     minus, plus = lhs - rhs, lhs + rhs
     v_minus, ok_minus = _certified_valuation(minus, params.target_valuation)
@@ -272,7 +263,5 @@ def verify_interpolation(params: LpParams, n: int) -> VerifyReport:
         sign, vdiff, exact = "-", v_plus, plus.valuation_is_exact
     return VerifyReport(
         lhs=lhs, rhs=rhs, sign=sign, valuation_of_difference=vdiff,
-        passed=sign is not None, valuation_is_exact=exact,
-        converged=True, level_used=report.level_used,
-        valuation_minus=v_minus, valuation_plus=v_plus,
+        passed=sign is not None, valuation_is_exact=exact, level_used=report.level_used,
     )

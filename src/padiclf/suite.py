@@ -316,14 +316,12 @@ def _c10_interpolation(seed):
     chi5 = char_power(make_teich_char(5), 2)
     for c in (2, 3):
         for n in (2, 4):
-            params = LpParams(p=5, d=1, c=c, m=1, chi=chi5, relprec=12,
-                              j_min=1, j_max=7, target_valuation=4)
+            params = LpParams(p=5, d=1, c=c, m=1, chi=chi5, relprec=12)
             rep = verify_interpolation(params, n)
             results.append(("p=5", c, n, rep))
     chi3 = char_power(make_teich_char(3), 0)
     for n in (2, 4):
-        params = LpParams(p=3, d=1, c=2, m=1, chi=chi3, relprec=12,
-                          j_min=1, j_max=9, target_valuation=4)
+        params = LpParams(p=3, d=1, c=2, m=1, chi=chi3, relprec=12, j_max=9)
         rep = verify_interpolation(params, n)
         results.append(("p=3", 2, n, rep))
     signs = {rep.sign for _, _, _, rep in results}
@@ -339,7 +337,6 @@ def _c10_interpolation(seed):
                 "valuation_of_difference": rep.valuation_of_difference,
                 "valuation_is_exact": rep.valuation_is_exact,
                 "level_used": rep.level_used,
-                "converged": rep.converged,
             }
             for grid, c, n, rep in results
         ],

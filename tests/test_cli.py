@@ -349,8 +349,8 @@ def test_a_huge_level_is_refused_before_it_is_built(capsys):
 def test_a_level_past_the_default_jmax_is_refused_at_once(capsys, command, weight):
     code, out, err = run_cli(capsys, command, "--p", "5", "--d", "1", "--m", "2000000",
                              "--char", "omega^2", "--c", "2", weight, "2")
-    assert (code, out, err) == (2, "", "error: j_max=7 is below the character level "
-                                       "m=2000000\n")
+    assert (code, out, err) == (2, "", "error: j_max=7 is below max(j_min=1, "
+                                       "m=2000000)\n")
 
 
 @pytest.mark.parametrize("command, weight", [("lp-eval", "--weight-k"), ("verify", "--n")])
@@ -524,8 +524,8 @@ def test_lp_eval_report(capsys):
                            "--prec", "12", "--jmax", "7", "--target", "4")
     assert code == 0
     obj = json.loads(out)
-    assert obj["converged"] is True
-    assert set(obj) == {"value", "level_used", "converged"}
+    assert set(obj) == {"value", "level_used"}
+    assert obj["level_used"] == 7 and obj["value"]["relprec"] == 7
 
 
 def test_verify_pass_exit_zero(capsys):
@@ -592,7 +592,8 @@ def test_high_levels_at_p11_finish(capsys):
     code, out, _ = run_cli(capsys, "lp-eval", *args, "--weight-k", "3")
     assert code == 0
     report = json.loads(out)
-    assert report["converged"] is True and 9 <= report["level_used"] <= 12
+    # 8 digits certified, summed at the first level of the range
+    assert report["level_used"] == 9 and report["value"]["relprec"] == 8
     code, out, _ = run_cli(capsys, "verify", *args, "--n", "4")
     assert code == 0
     obj = json.loads(out)
@@ -600,12 +601,19 @@ def test_high_levels_at_p11_finish(capsys):
     assert obj["lhs"] == report["value"]
 
 
-def test_verify_failing_target_exit_one(capsys):
-    code, out, _ = run_cli(capsys, "verify", "--p", "5", "--d", "1", "--m", "1",
-                           "--char", "omega^2", "--c", "3", "--n", "2",
-                           "--prec", "12", "--jmax", "3", "--target", "8")
-    assert code == 1
-    assert json.loads(out)["pass"] is False
+@pytest.mark.parametrize("command, weight", [("lp-eval", "--weight-k"), ("verify", "--n")])
+def test_a_call_short_of_target_is_refused_before_any_sum(capsys, monkeypatch, command,
+                                                           weight):
+    # min(prec, jmax) = 3 digits cannot reach --target 8
+    def summed(*args):
+        raise AssertionError("a sum was taken")
+
+    monkeypatch.setattr(lfunction, "riemann_sum", summed)
+    code, out, err = run_cli(capsys, command, "--p", "5", "--d", "1", "--m", "1",
+                             "--char", "omega^2", "--c", "3", weight, "2",
+                             "--prec", "12", "--jmax", "3", "--target", "8")
+    assert (code, out, err) == (2, "", "error: min(relprec=12, j_max=3) = 3 certified digits "
+                                       "do not reach the target valuation 8\n")
 
 
 def test_verify_odd_character_rejected(capsys):
@@ -643,13 +651,14 @@ def test_lp_call_checks_p_d_c_once(capsys, monkeypatch, command, weight):
 @pytest.mark.parametrize("flags, message", [
     (("--m", "0", "--c", "2"), "m must be >= 1"),
     (("--m", "1", "--c", "1"), "c must be >= 2"),
-    (("--m", "8", "--c", "2"), "j_max=7 is below the character level m=8"),
-], ids=["m", "c", "jmax"])
+    (("--m", "8", "--c", "2"), "j_max=7 is below max(j_min=1, m=8)"),
+    (("--m", "1", "--c", "2", "--jmin", "9", "--jmax", "8"), "j_max=8 is below max(j_min=9, m=1)"),
+], ids=["m", "c", "jmax", "jmin"])
 @pytest.mark.parametrize("command, weight", [("lp-eval", "--weight-k"), ("verify", "--n")])
 def test_lp_call_checks_its_scalars_before_reading_a_table(capsys, monkeypatch, tmp_path,
                                                            command, weight, flags, message):
-    # LpParams parses --char after (p, d, c), m and j_max, so a call that
-    # one of them refuses never reads the table file
+    # LpParams parses --char after (p, d, c), m and the level range, so a
+    # call that one of them refuses never reads the table file
     def load(path):
         raise AssertionError(f"{path} read")
 
@@ -812,9 +821,9 @@ def test_lp_eval_sums_only_the_certified_digits(capsys, monkeypatch):
 
 
 def test_verify_builds_the_twist_table_once(capsys, monkeypatch, empty_character_caches):
-    # riemann_sum at weight n - 1 and twisted_mean_limit at n both read
-    # chi omega^(-n) = omega^4, which is made and tabled once; the other
-    # table is chi = omega^2 itself, read for chi(c) in the closed form
+    # riemann_sum at weight n - 1 and the closed form at n, both its
+    # B_(n, chi omega^(-n)) and its chi(c) <c>^n, read only chi omega^(-n) =
+    # omega^4, which is made and tabled once; chi = omega^2 is never tabled
     built = []
     build = dirichlet._label_table
 
@@ -827,7 +836,7 @@ def test_verify_builds_the_twist_table_once(capsys, monkeypatch, empty_character
                              "--char", "omega^2", "--c", "3", "--n", "4", "--prec", "8")
     assert (code, err) == (0, "")
     assert json.loads(out)["pass"] is True
-    assert built == [(7, (4,)), (7, (2,))]
+    assert built == [(7, (4,))]
 
 
 def test_outputs_do_not_depend_on_the_order_of_calls(capsys, tmp_path):

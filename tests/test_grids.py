@@ -17,8 +17,7 @@ def test_interpolation_grid_is_pinned():
 
 
 def test_level_rule_grid_is_pinned():
-    # 1080 argvs; the 54 lp-eval answers that certify fewer digits than
-    # --target and the 54 verify calls that fail for it break the contract
+    # 1080 argvs; a call that cannot certify --target digits is refused
     cases, failures, digest = level_rule_grid()
-    assert (cases, len(failures)) == ({0: 330, 1: 54, 2: 696}, 108)
-    assert digest == "130a32a929991151"
+    assert (cases, failures) == ({0: 276, 2: 804}, [])
+    assert digest == "756ccd970523a2b2"

@@ -12,6 +12,7 @@ from oracles import (
     special_value_closed_form_padic,
     weight_eval,
 )
+from padiclf import lfunction
 from padiclf.dirichlet import DirichletCharacter, char_power, make_teich_char
 from padiclf.errors import InsufficientPrecision, LevelTooLow, NotCoprime
 from padiclf.genbernoulli import chi_omega_minus_k
@@ -76,8 +77,10 @@ class TestLpParams:
             LpParams(p=5, d=1, c=2, m=1, chi=chi.change_level(15))
         with pytest.raises(ValueError, match="even"):
             LpParams(p=5, d=1, c=2, m=1, chi=make_teich_char(5))
-        with pytest.raises(ValueError, match="j_max=1 is below the character level m=2"):
+        with pytest.raises(ValueError, match=r"j_max=1 is below max\(j_min=1, m=2\)"):
             LpParams(p=5, d=1, c=2, m=2, chi=chi, j_max=1)
+        with pytest.raises(ValueError, match=r"j_max=7 is below max\(j_min=8, m=1\)"):
+            LpParams(p=5, d=1, c=2, m=1, chi=chi, j_min=8)
         # any level dividing d*p^m is taken as it is
         for level in (5, 25):
             assert LpParams(p=5, d=1, c=2, m=2, chi=chi.change_level(level)).chi.level == level
@@ -168,30 +171,49 @@ class TestRiemannSum:
         assert eq_mod(acc, split, min(acc.abs_precision, split.abs_precision))
 
 
+def refuse_every_sum(monkeypatch):
+    def summed(*args, **kwargs):
+        raise AssertionError("a sum was taken")
+
+    monkeypatch.setattr(lfunction, "riemann_sum", summed)
+    monkeypatch.setattr(lfunction, "special_value_closed_form", summed)
+
+
 class TestPAdicL:
     def test_locally_constant_converges_at_floor(self):
         params = main_params()
         report = p_adic_L(params, Weight(0))
-        assert report.converged and report.level_used == 7
+        assert (report.level_used, report.value.abs_precision) == (7, 7)
+
+    def test_level_is_the_least_that_certifies_every_digit(self):
+        # J = max(min(relprec, j_max), j_min, m)
+        for relprec, j_min, m, J in ((12, 1, 1, 7), (5, 1, 1, 5), (5, 6, 1, 6), (5, 1, 3, 5),
+                                     (2, 1, 3, 3), (2, 4, 3, 4)):
+            chi = omega2().change_level(5**m)
+            params = LpParams(p=5, d=1, c=2, m=m, chi=chi, relprec=relprec, j_min=j_min,
+                              target_valuation=2)
+            assert p_adic_L(params, Weight(1)).level_used == J
 
     def test_insufficient_precision_guard(self):
-        params = main_params(relprec=3, target=4)
-        with pytest.raises(InsufficientPrecision):
-            p_adic_L(params, Weight(1))
-        report = p_adic_L(main_params(relprec=4, target=4), Weight(1))
-        assert report.converged and report.value.abs_precision == 4
+        # the certified digits are min(relprec, j_max), whichever is short
+        for relprec, j_max in ((3, 7), (12, 3)):
+            with pytest.raises(InsufficientPrecision, match=(
+                    rf"min\(relprec={relprec}, j_max={j_max}\) = 3 certified digits do not "
+                    r"reach the target valuation 4")):
+                p_adic_L(main_params(relprec=relprec, j_max=j_max, target=4), Weight(1))
+        for relprec, j_max in ((4, 7), (12, 4)):
+            report = p_adic_L(main_params(relprec=relprec, j_max=j_max, target=4), Weight(1))
+            assert report.value.abs_precision == 4
 
-    def test_not_converged_report(self):
-        params = main_params(c=3, j_max=3, target=8)
-        report = p_adic_L(params, Weight(1))
-        assert not report.converged
-        assert report.level_used == 3 and report.value is not None
+    def test_short_digits_are_refused_before_any_sum(self, monkeypatch):
+        refuse_every_sum(monkeypatch)
+        with pytest.raises(InsufficientPrecision):
+            p_adic_L(main_params(c=3, j_max=3, target=8), Weight(1))
 
     def test_report_json_shape(self):
         report = p_adic_L(main_params(), Weight(1))
         obj = report.to_json()
-        assert set(obj) == {"value", "level_used", "converged"}
-        assert obj["value"] == report.value.to_json()
+        assert obj == {"value": report.value.to_json(), "level_used": 7}
 
     def test_increment_valuations_nondecreasing(self):
         for c, k in ((3, 1), (3, 3), (2, 3)):
@@ -260,15 +282,16 @@ class TestVerify:
         with pytest.raises(ValueError):
             verify_interpolation(main_params(), 1)
 
-    def test_failure_propagates_not_converged(self):
-        params = main_params(c=3, j_max=3, target=8)
-        report = verify_interpolation(params, 2)
-        assert not report.passed and not report.converged and report.sign is None
+    def test_short_digits_are_refused_before_any_sum(self, monkeypatch):
+        refuse_every_sum(monkeypatch)
+        with pytest.raises(InsufficientPrecision):
+            verify_interpolation(main_params(c=3, j_max=3, target=8), 2)
 
     def test_wrong_sign_never_clears(self):
         report = verify_interpolation(main_params(c=3), 2)
         assert report.passed
-        assert report.valuation_minus >= 4 and report.valuation_plus == 0
+        assert (report.lhs - report.rhs).valuation() >= 4
+        assert (report.lhs + report.rhs).valuation() == 0
 
 
 @st.composite
@@ -280,9 +303,10 @@ def grid_points(draw):
 
 
 # every digit p_adic_L claims must be a digit of the closed form, whatever
-# the level range and precision; at the two examples a rule that stopped
-# once level increments looked small claimed 12 digits, of which only 6
-# and 3 were right
+# the level range and precision, and a call certifying fewer digits than
+# the target is refused; at the two examples a rule that stopped once
+# level increments looked small claimed 12 digits, of which only 6 and 3
+# were right
 @example(point=(5, 2, 3), k=1, relprec=12, j_max=7)
 @example(point=(5, 0, 7), k=1, relprec=12, j_max=8)
 @given(point=grid_points(), k=st.integers(0, 4), relprec=st.integers(4, 12),
@@ -292,6 +316,10 @@ def test_claimed_digits_match_closed_form(point, k, relprec, j_max):
     p, e, c = point
     chi = char_power(make_teich_char(p), e)
     params = LpParams(p=p, d=1, c=c, m=1, chi=chi, relprec=relprec, j_max=j_max)
+    if min(relprec, j_max) < params.target_valuation:
+        with pytest.raises(InsufficientPrecision):
+            p_adic_L(params, Weight(k))
+        return
     value = p_adic_L(params, Weight(k)).value
     assert eq_mod(value, special_value_closed_form(params, k + 1, 30), value.abs_precision)
     assert value.abs_precision == min(relprec, j_max)
@@ -354,15 +382,21 @@ def level_points(draw):
 def test_reports_do_not_depend_on_the_level_chi_is_given_at(point, k, relprec, target):
     # the values read chi through its primitive character, and the level
     # used through params.m: relprec below m' makes J = m' whatever the
-    # level of chi
+    # level of chi; a target past min(relprec, m' + 2) is refused at every
+    # level
     p, d, e, c, m, m_top = point
     table = {a: TAME[d][a % d] * pow(a, e, p) for a in units_of(d * p)}
     chi = DirichletCharacter(p, d * p, table)
-    target = min(target, relprec)
 
     def reports(level):
         params = LpParams(p=p, d=d, c=c, m=m_top, chi=chi.change_level(level),
                           relprec=relprec, j_max=m_top + 2, target_valuation=target)
+        if target > min(relprec, m_top + 2):
+            with pytest.raises(InsufficientPrecision):
+                p_adic_L(params, Weight(k))
+            with pytest.raises(InsufficientPrecision):
+                verify_interpolation(params, k + 2)
+            return None
         return p_adic_L(params, Weight(k)), verify_interpolation(params, k + 2)
 
     own = reports(d * p)
