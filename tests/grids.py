@@ -14,7 +14,10 @@ import contextlib
 import hashlib
 import io
 import json
+import math
+import tempfile
 from collections import Counter
+from pathlib import Path
 
 from padiclf import cli
 
@@ -27,10 +30,12 @@ def run_cli(argv: list[str]) -> tuple[int, str, str]:
     return code, out.getvalue(), err.getvalue()
 
 
-def _run_grid(argvs, answered_ok) -> tuple[Counter, list, str]:
+def _run_grid(argvs, answered_ok, tmp: str = "") -> tuple[Counter, list, str]:
     """(the count of calls by exit code, the argvs that break the contract,
     the first 16 hex digits of the sha256 of every argv, exit code, stdout
-    and stderr) over argvs.
+    and stderr) over argvs.  A nonempty tmp, the directory of the files the
+    argvs read, is written as `<tmp>` in the digest, which so does not
+    depend on where the files are.
 
     The contract: a call exits 0 with one JSON document that answered_ok
     accepts and nothing on stderr, or is refused with exit 2, nothing on
@@ -40,7 +45,8 @@ def _run_grid(argvs, answered_ok) -> tuple[Counter, list, str]:
     for argv in argvs:
         code, out, err = run_cli(argv)
         cases[code] += 1
-        digest.update(json.dumps([argv, code, out, err]).encode() + b"\n")
+        line = json.dumps([argv, code, out, err])
+        digest.update((line.replace(tmp, "<tmp>") if tmp else line).encode() + b"\n")
         if code == 0:
             ok = err == "" and answered_ok(argv, json.loads(out))
         else:
@@ -122,10 +128,57 @@ def level_rule_grid() -> tuple[Counter, list, str]:
     return _run_grid(level_rule_argvs(), _answers_to_target)
 
 
+# chi_d(a) for the real primitive character mod d in {1, 3, 4, 8}; mod 8 it is
+# the even one, the Kronecker symbol (8/a)
+_REAL_CHARACTER = {1: lambda a: 1, 3: lambda a: 1 if a % 3 == 1 else -1,
+                   4: lambda a: 1 if a % 4 == 1 else -1,
+                   8: lambda a: 1 if a % 8 in (1, 7) else -1}
+
+
+def character_tables() -> list[tuple[int, int, int, dict]]:
+    """(p, d, e, table) for chi_d omega^e at level d p, with p in {3, 5, 7,
+    11, 13}, d in {1, 3, 4, 8} prime to p, every e < p - 1, chi_d the real
+    primitive character mod d, and table {"a": chi_d(a) a^e mod p} over
+    the units a mod d p: the residue label of each value."""
+    return [(p, d, e, {str(a): _REAL_CHARACTER[d](a) * pow(a, e, p) % p
+                       for a in range(d * p) if math.gcd(a, d * p) == 1})
+            for p in (3, 5, 7, 11, 13) for d in (1, 3, 4, 8) if math.gcd(d, p) == 1
+            for e in range(p - 1)]
+
+
+def character_argvs(tmp: str) -> list[list[str]]:
+    """Over the characters of character_tables(), each written to a table
+    file in the directory tmp: `char-info`, `--prec 12 genbernoulli --n n`
+    for n from 1 to 6, and, for an even character, `verify --d d --m 1
+    --c c --n n --prec 12 --jmax 12` for c in {2, 3, 7, 11} prime to d p
+    and n from 2 to 5."""
+    argvs = []
+    for p, d, e, table in character_tables():
+        path = Path(tmp, f"chi{d}-omega{e}-p{p}.json")
+        path.write_text(json.dumps({"p": p, "modulus": d * p, "entries": table}))
+        char = ["--p", str(p), "--char", f"table:{path}"]
+        argvs.append(["char-info", *char])
+        argvs += [["--prec", "12", "genbernoulli", *char, "--n", str(n)] for n in range(1, 7)]
+        if table[str(d * p - 1)] == 1:
+            argvs += [["verify", *char, "--d", str(d), "--m", "1", "--c", str(c), "--n", str(n),
+                       "--prec", "12", "--jmax", "12"]
+                      for c in (2, 3, 7, 11) if math.gcd(c, d * p) == 1 for n in range(2, 6)]
+    return argvs
+
+
+def character_grid() -> tuple[Counter, list, str]:
+    """_run_grid over character_argvs(): every call answers, and every
+    verify answer passes with sign +."""
+    with tempfile.TemporaryDirectory() as tmp:
+        return _run_grid(character_argvs(tmp),
+                         lambda argv, obj: argv[0] != "verify" or _interpolates(argv, obj), tmp)
+
+
 if __name__ == "__main__":
     for name, grid in (("measure-check", measure_check_grid),
                        ("interpolation", interpolation_grid),
-                       ("level-rule", level_rule_grid)):
+                       ("level-rule", level_rule_grid),
+                       ("character", character_grid)):
         cases, failures, digest = grid()
         print(json.dumps({"grid": name, "cases": dict(sorted(cases.items())),
                           "failures": failures, "digest": digest}))

@@ -1,4 +1,4 @@
-from grids import interpolation_grid, level_rule_grid, measure_check_grid
+from grids import character_grid, interpolation_grid, level_rule_grid, measure_check_grid
 
 
 def test_measure_check_grid_is_pinned():
@@ -21,3 +21,12 @@ def test_level_rule_grid_is_pinned():
     cases, failures, digest = level_rule_grid()
     assert (cases, failures) == ({0: 276, 2: 804}, [])
     assert digest == "756ccd970523a2b2"
+
+
+def test_character_grid_is_pinned():
+    # 1670 argvs over 134 table characters chi_d omega^e at level d p: every
+    # call answers, every verify passes with sign +, and the residue labels
+    # char-info prints are the file's
+    cases, failures, digest = character_grid()
+    assert (cases, failures) == ({0: 1670}, [])
+    assert digest == "5ed4a16e0f6a6158"
