@@ -1,9 +1,10 @@
 """Dirichlet characters on (Z/nZ)^x valued in the (p-1)-st roots of unity of Z_p^x.
 
-Every admissible value is the Teichmuller lift omega(t) of a unique unit
-t mod p, its label.  Through the CRT, (Z/nZ)^x is the product of the unit
-groups of the prime powers q^a exactly dividing n, generated by a
-primitive root g_q for odd q, by -1 for 4, and by -1 and 5 (of order
+Every admissible value is omega(r)^e, r the least primitive root mod p,
+for a unique e mod p - 1, its label; a table file and char-info write it
+as the residue r^e mod p.  Through the CRT, (Z/nZ)^x is the product of
+the unit groups of the prime powers q^a exactly dividing n, generated by
+a primitive root g_q for odd q, by -1 for 4, and by -1 and 5 (of order
 2^(a-2)) for 2^a with a >= 3 (Washington, Introduction to Cyclotomic
 Fields, ch. 3); each is lifted with 1 in the other slots.  g_q is the
 least primitive root mod q, plus q when its (q-1)-st power is 1 mod q^2,
@@ -11,7 +12,7 @@ so that it generates (Z/q^aZ)^x for every a: one root serves every power
 of q.
 
 A character is exact: it carries no precision, and each evaluation
-(value, asso_eval, those of padiclf.genbernoulli) takes its own.
+(asso_eval, those of padiclf.genbernoulli) takes its own.
 
 A character is a value, and one value is one object, so that what a
 character keeps (its label table, conductor, primitive character and
@@ -56,27 +57,28 @@ number of primes dividing the level:
   generators of the conductor, a change of level downwards.
 
 Label tables are built only where one is read: `labels` and `to_json` at
-the character's own level, and the point values (label, value,
-asso_eval) from the table of the associated primitive character at the
-conductor.  Building one walks the powers of each generator in turn,
-O(phi(level)).  A table of more than MAX_TABLE_UNITS entries, and a
-modulus or p - 1 that trial division up to MAX_TRIAL_DIVISOR does not
-factor, raise CostLimitExceeded instead of running for hours.
+the character's own level, and the point values (label, asso_eval) from
+the table of the associated primitive character at the conductor.
+Building one walks the powers of each generator in turn, adding
+exponents, O(phi(level)).  A table of more than MAX_TABLE_UNITS entries,
+and a modulus or p - 1 that trial division up to MAX_TRIAL_DIVISOR does
+not factor, raise CostLimitExceeded instead of running for hours.
 
 A table given to the constructor is checked in one O(phi(n)) pass once
-it is known to hold exactly the units, nonzero labels and 1 -> 1:
-UnsupportedOrder is raised where a label at a generator has an order not
-dividing its generator's, the exponents are read off the labels at the
-generators (O(ord g) steps each, never O(p)), and the table these
-exponents generate must equal the input.  On a mismatch the error names
-a pair (a, g), g a generator, with chi(a g) != chi(a) chi(g).  The table
-is built from 1 by steps a -> a g, each from a unit built earlier, so at
-the first unit z, in the order built, where the two tables differ, the
-step a -> z = a g starts where they agree, and the input fails at
-(a, g); trying a = z g^(-1) for each generator g finds such a pair.  Since
-phi(n) >= sqrt(n/2) for every n, a table with fewer entries is refused
-as incomplete before n is factored, naming the first missing units found
-by scanning upwards.
+it is known to hold exactly the units, nonzero residues and 1 -> 1:
+UnsupportedOrder is raised where a residue at a generator has an order
+not dividing its generator's; each residue is then read as an exponent
+in one walk of mu_w, w the lcm of gcd(ord g, p - 1) over the generators
+(O(w), w <= phi(n), never O(p)), and the table the exponents at the
+generators generate must equal the input so read.  On a mismatch the
+error names a pair (a, g), g a generator, with chi(a g) != chi(a) chi(g).
+The table is built from 1 by steps a -> a g, each from a unit built
+earlier, so at the first unit z, in the order built, where the two
+tables differ, the step a -> z = a g starts where they agree, and the
+input fails at (a, g); trying a = z g^(-1) for each generator g finds
+such a pair.  Since phi(n) >= sqrt(n/2) for every n, a table with fewer
+entries is refused as incomplete before n is factored, naming the first
+missing units found by scanning upwards.
 
 The unique character mod 1 is even, has conductor 1, and evaluates to 1
 everywhere (including at 0, the sole element of Z/1Z, which is a unit).
@@ -206,18 +208,9 @@ def _root(p: int) -> int:
     return _primitive_root(p) % p
 
 
-def _exponent(p: int, t: int, order: int) -> int:
-    """e with r^e = t mod p, given t^order = 1 mod p.
-
-    t^d = 1 for d = gcd(order, p - 1), so e is a multiple j (p-1)/d with
-    0 <= j < d: O(order) steps, never O(p).
-    """
-    d = math.gcd(order, p - 1)
-    step = pow(_root(p), (p - 1) // d, p)
-    j, x = 0, 1
-    while x != t:
-        j, x = j + 1, x * step % p
-    return j * ((p - 1) // d)
+def _root_power(p: int, e: int) -> int:
+    """r^e mod p, the residue of omega(r)^e; 1, with p - 1 unfactored, when p - 1 | e."""
+    return pow(_root(p), e, p) if e % (p - 1) else 1
 
 
 @functools.lru_cache(maxsize=256)
@@ -249,8 +242,8 @@ def _generators(n: int) -> tuple[tuple[int, int, int, int], ...]:
 def _label_table(p: int, n: int, gens, exponents) -> dict[int, int]:
     """{unit a mod n: label} of the character with these exponents on gens.
 
-    Multiplies the units reached so far by each power of one generator
-    after another, so every unit is reached once: O(phi(n)).  A table of
+    Walks the powers of one generator after another, multiplying units and
+    adding exponents, so every unit is reached once: O(phi(n)).  A table of
     more than MAX_TABLE_UNITS entries raises CostLimitExceeded unbuilt.
     """
     units = math.prod(order for *_, order in gens)
@@ -258,15 +251,14 @@ def _label_table(p: int, n: int, gens, exponents) -> dict[int, int]:
         raise CostLimitExceeded(
             f"a label table mod {n} has {units} entries, over the limit of {MAX_TABLE_UNITS}"
         )
-    keys, labels = [1 % n], [1]
+    keys, labels = [1 % n], [0]
     for (_, _, g, order), e in zip(gens, exponents):
-        t = pow(_root(p), e, p)
-        g_pows, t_pows = [1], [1]
+        g_pows, e_multiples = [1], [0]
         for _ in range(order - 1):
             g_pows.append(g_pows[-1] * g % n)
-            t_pows.append(t_pows[-1] * t % p)
+            e_multiples.append((e_multiples[-1] + e) % (p - 1))
         keys = [a * x % n for x in g_pows for a in keys]
-        labels = [s * y % p for y in t_pows for s in labels]
+        labels = [(s + y) % (p - 1) for y in e_multiples for s in labels]
     return dict(zip(keys, labels))
 
 
@@ -299,12 +291,12 @@ def _require_prime_level(p: int, level: int) -> None:
 
 
 class DirichletCharacter:
-    """A character of (Z/levelZ)^x with values omega(label) in mu_(p-1),
+    """A character of (Z/levelZ)^x with values omega(r)^label in mu_(p-1),
     stored as its exponents on the generators of the level."""
 
     def __init__(self, p: int, level: int, labels: dict, *, _reduced: bool = False):
-        """The character with the label table {unit: t}, checked as the
-        module docstring says.  _reduced is for the table-file reader,
+        """The character with the residue table {unit: t}, chi = omega(t), checked
+        as the module docstring says.  _reduced is for the table-file reader,
         which has checked p and level and made labels {int: t mod p}."""
         if not _reduced:
             _require_prime_level(p, level)
@@ -343,16 +335,22 @@ class DirichletCharacter:
                     f"value at the generator {g} has order not dividing "
                     f"ord({g}) = {order}: no character into mu_{p - 1} takes it"
                 )
-        exponents = tuple(_exponent(p, labels[g], order) for _, _, g, order in gens)
+        # every value lies in mu_w: one walk of it gives each residue's exponent
+        w = math.lcm(*(math.gcd(order, p - 1) for *_, order in gens))
+        step, x, exponent = _root_power(p, (p - 1) // w), 1, {}
+        for e in range(0, p - 1, (p - 1) // w):
+            exponent[x], x = e, x * step % p
+        exponents = tuple(exponent[labels[g]] for _, _, g, _ in gens)
+        converted = dict(zip(labels, map(exponent.get, labels.values())))
         table = _label_table(p, n, gens, exponents)
-        if table != labels:
-            z = next(z for z, t in table.items() if labels[z] != t)
+        if table != converted:
+            z = next(z for z, e in table.items() if converted[z] != e)
             pairs = ((z * pow(g, -1, n) % n, g) for _, _, g, _ in gens)
             a, g = next((a, g) for a, g in pairs if (labels[a] * labels[g] - labels[z]) % p)
             raise ValueError(
                 f"character table is not multiplicative at the pair ({a}, {g})"
             )
-        self._set(p, n, exponents, labels)
+        self._set(p, n, exponents, converted)
 
     @classmethod
     @functools.lru_cache(maxsize=INTERNED_CHARACTERS)
@@ -386,29 +384,26 @@ class DirichletCharacter:
     # ---------------- evaluation ----------------
 
     def label(self, a) -> int:
-        """The mod-p label t with chi(a) = omega(t), for a unit a."""
+        """The exponent e, mod p - 1, with chi(a) = omega(r)^e, for a unit a."""
         a %= self.level
         if math.gcd(a, self.level) != 1:
             raise NotAUnit(f"{a} is not a unit modulo {self.level}")
         prim = self.associated_primitive()
         return prim.labels[a % prim.level]
 
-    def value(self, a, relprec: int = DEFAULT_RELPREC) -> PadicNum:
-        """chi(a) as a p-adic unit at relative precision relprec, for a unit a."""
-        t = teichmuller_int(self.p, self.label(a), relprec)
-        return PadicNum.from_unit(self.p, 0, t, relprec)
-
     def asso_eval(self, x, relprec: int = DEFAULT_RELPREC) -> PadicNum:
-        """Extension by zero: chi on units, exact zero elsewhere."""
+        """Extension by zero: exact zero off the units, and at a unit x with
+        exponent e, omega(r)^e = omega(r^e) at relative precision relprec."""
         x %= self.level
-        if math.gcd(x, self.level) == 1:
-            return self.value(x, relprec)
-        return PadicNum.exact_zero(self.p)
+        if math.gcd(x, self.level) != 1:
+            return PadicNum.exact_zero(self.p)
+        t = teichmuller_int(self.p, _root_power(self.p, self.label(x)), relprec)
+        return PadicNum.from_unit(self.p, 0, t, relprec)
 
     @property
     def labels(self) -> dict:
-        """The label table {unit: t} at the level, built on first read;
-        treat as read-only."""
+        """The label table {unit: e}, chi(a) = omega(r)^e with e mod p - 1,
+        at the level, built on first read; treat as read-only."""
         if self._labels is None:
             self._labels = _label_table(self.p, self.level, self._gens, self.exponents)
         return self._labels
@@ -498,10 +493,12 @@ class DirichletCharacter:
         )
 
     def to_json(self) -> dict:
+        """The table-file form: each value omega(r)^e as its residue r^e mod p."""
+        residue = {e: _root_power(self.p, e) for e in set(self.labels.values())}
         return {
             "p": self.p,
             "modulus": self.level,
-            "entries": {str(a): t for a, t in sorted(self.labels.items())},
+            "entries": {str(a): residue[e] for a, e in sorted(self.labels.items())},
         }
 
 

@@ -7,9 +7,9 @@ conductor f and any positive multiple F of f,
 
 independently of F (the conductor-f extension by zero of chi0 is used
 inside the sum, so terms at gcd(a, f) > 1 vanish).  The sum is exposed
-both as integers keyed by the mod-p value labels over one denominator,
-and embedded into Q_p by _embed, which builds every PadicNum that this
-module and padiclf.lfunction return.
+both as integers keyed by the value labels, exponents e of omega(r)^e,
+over one denominator, and embedded into Q_p by _embed, which builds every
+PadicNum that this module and padiclf.lfunction return.
 
 The finite-level checks: the truncated twisted power mean
 
@@ -31,7 +31,8 @@ from collections.abc import Sequence
 from fractions import Fraction
 
 from .bernoulli import ProgressionPowerSum, bernoulli_poly_int
-from .dirichlet import DirichletCharacter, char_power, make_teich_char, teichmuller_int
+from .dirichlet import (DirichletCharacter, _root_power, char_power, make_teich_char,
+                        teichmuller_int)
 from .errors import CostLimitExceeded, NotMultipleOfConductor
 from .modarith import units_of
 from .padic import DEFAULT_RELPREC, PadicNum, split_p_power
@@ -66,7 +67,7 @@ def chi_omega_minus_k(chi: DirichletCharacter, k: int) -> DirichletCharacter:
 def general_bernoulli_coeffs(chi: DirichletCharacter, m: int, F: int | None = None) -> tuple:
     """B_(m,chi) as integers grouped by value label over one denominator.
 
-    Returns (nums, den) with B_(m,chi) = sum_t omega(t) * nums[t] / den,
+    Returns (nums, den) with B_(m,chi) = sum_t omega(r)^t * nums[t] / den,
     where nums[t] / den = F^(m-1) * sum of B_m(a/F) over 1 <= a <= F whose
     primitive character value has label t.  Zero labels are dropped and
     gcd(den, *nums) = 1 with den > 0, so the pair is independent of F.
@@ -107,9 +108,17 @@ def general_bernoulli_coeffs(chi: DirichletCharacter, m: int, F: int | None = No
 
 
 def _omega_sum(p: int, nums: dict, window: int) -> int:
-    """sum_t nums[t] * omega(t) mod p^window for integers nums[t],
-    one Teichmuller lift per label t."""
-    return sum(n * teichmuller_int(p, t, window) for t, n in nums.items()) % p**window
+    """sum_e nums[e] * omega(r)^e mod p^window for integers nums[e], e mod p - 1:
+    with g = gcd(p - 1, every e), sum_i nums[i g] zeta^i for zeta = omega(r^g),
+    one Teichmuller lift, by Horner's rule over i <= max(e) / g < ord zeta,
+    mod p^window at each step.  When every e is 0 no root is made."""
+    mod, g = p**window, math.gcd(p - 1, *nums)
+    if g == p - 1:
+        return sum(nums.values()) % mod
+    zeta, acc = teichmuller_int(p, _root_power(p, g), window), 0
+    for i in range(max(nums) // g, -1, -1):
+        acc = (acc * zeta + nums.get(i * g, 0)) % mod
+    return acc
 
 
 def _embed(p: int, total: int, N: int, den: int = 1) -> PadicNum:
@@ -120,7 +129,7 @@ def _embed(p: int, total: int, N: int, den: int = 1) -> PadicNum:
 
 
 def _embed_label_sum(p: int, nums: dict, den: int, N: int) -> PadicNum:
-    """(1/den) sum_t nums[t] * omega(t) at exactly N absolute digits.
+    """(1/den) sum_e nums[e] * omega(r)^e at exactly N absolute digits.
 
     The roots of unity are combined in one integer window, N plus the
     valuation of den, and _embed divides by den once; a term-by-term
@@ -131,9 +140,9 @@ def _embed_label_sum(p: int, nums: dict, den: int, N: int) -> PadicNum:
     return _embed(p, _omega_sum(p, nums, N + split_p_power(p, den)[0]), N, den)
 
 
-def _times_one_minus(p: int, nums: dict, r: int, u: int) -> dict:
-    """(1 - r omega(u)) times a label sum, u a unit mod p: omega(u) moves label t to u t mod p."""
-    moved = {u * t % p: r * n for t, n in nums.items()}
+def _times_one_minus(p: int, nums: dict, s: int, u: int) -> dict:
+    """(1 - s omega(r)^u) times a label sum: omega(r)^u moves exponent e to e + u mod p - 1."""
+    moved = {(e + u) % (p - 1): s * n for e, n in nums.items()}
     return {t: nums.get(t, 0) - moved.get(t, 0) for t in nums.keys() | moved.keys()}
 
 
@@ -141,8 +150,8 @@ def _euler_label_sum(psi: DirichletCharacter, k: int) -> tuple[dict, int]:
     """(1 - psi(p) p^(k-1)) B_(k,psi) as integers over one denominator, psi extended by zero."""
     p = psi.p
     nums, den = general_bernoulli_coeffs(psi, k)
-    r, u = (p ** (k - 1), psi.label(p)) if psi.conductor() % p else (0, 1)
-    return _times_one_minus(p, nums, r, u), den
+    s, u = (p ** (k - 1), psi.label(p)) if psi.conductor() % p else (0, 0)
+    return _times_one_minus(p, nums, s, u), den
 
 
 def general_bernoulli(chi: DirichletCharacter, m: int,
@@ -152,16 +161,12 @@ def general_bernoulli(chi: DirichletCharacter, m: int,
 
 
 def _exact_label_sum(p: int, nums: dict, den: int):
-    """(1/den) sum_t nums[t] * omega(t) as a Fraction if every label t is +-1 mod p, else None."""
-    acc = 0
-    for t, n in nums.items():
-        if t % p == 1:
-            acc += n
-        elif t % p == p - 1:
-            acc -= n
-        else:
-            return None
-    return Fraction(acc, den)
+    """(1/den) sum_e nums[e] * omega(r)^e as a Fraction if every value
+    omega(r)^e is +-1, e in {0, (p - 1)/2}, else None."""
+    half = (p - 1) // 2
+    if nums.keys() - {0, half}:
+        return None
+    return Fraction(nums.get(0, 0) - nums.get(half, 0), den)
 
 
 def general_bernoulli_exact(chi: DirichletCharacter, m: int,
@@ -204,7 +209,7 @@ def _unit_sum(psi: DirichletCharacter, d: int, j: int, k: int, relprec: int,
     Horner's rule on unreduced ints, with no reduction per step; the
     weighted differences w (H(u1) - H(u0)) are added up per label of psi,
     each label's total is an exact multiple of div and takes one
-    `% mod // div`, and each label is lifted once.  Cost:
+    `% mod // div`, and the label sum takes one lift (_omega_sum).  Cost:
     O(phi(L) * min(c, D/L + 1) * k) integer operations, whatever j, on
     ints of up to about (k + 1) log2(D) bits; a sum whose ints would pass
     MAX_HORNER_BITS raises CostLimitExceeded before any is built, and

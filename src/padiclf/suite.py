@@ -21,6 +21,7 @@ from .bernoulli import (
 )
 from .dirichlet import (
     DirichletCharacter,
+    _root_power,
     char_power,
     make_teich_char,
     teichmuller_int,
@@ -133,21 +134,18 @@ def factors_through(chi: DirichletCharacter, d: int) -> bool:
 def conductor_bruteforce(chi: DirichletCharacter) -> int:
     """Oracle: least divisor of the level at which a restriction can be
     constructed by unit-class constancy of the label table and verified
-    to extend back."""
+    to extend back; the restriction is given to the constructor as residues."""
     table = chi.labels
     for dd in divisors(chi.level):
         labels = {}
-        ok = True
         for u in units_of(dd):
             seen = {table[a] for a in range(chi.level)
                     if a % dd == u and math.gcd(a, chi.level) == 1}
             if len(seen) != 1:
-                ok = False
                 break
-            labels[u] = seen.pop()
-        if ok:
-            cand = DirichletCharacter(chi.p, dd, labels)
-            if cand.change_level(chi.level) == chi:
+            labels[u] = _root_power(chi.p, seen.pop())
+        else:
+            if DirichletCharacter(chi.p, dd, labels).change_level(chi.level) == chi:
                 return dd
     raise AssertionError("a character always factors through its own level")
 

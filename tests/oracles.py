@@ -202,6 +202,28 @@ class TableCharacter:
         return TableCharacter(self.p, m, first), TableCharacter(self.p, n, second)
 
 
+@functools.cache
+def least_primitive_root(p: int) -> int:
+    """The least r in [2, p) whose powers mod the odd prime p give every unit,
+    by trial division of p - 1."""
+    primes = factorize_trial(p - 1)
+    return next(r for r in range(2, p) if all(pow(r, (p - 1) // q, p) != 1 for q in primes))
+
+
+def residue_table(p: int, table: dict) -> dict:
+    """{a: r^e mod p} for an exponent table {a: e}, r the least primitive root
+    mod p: the residue t with omega(t) = omega(r)^e, as a table file holds it."""
+    r = least_primitive_root(p)
+    return {a: pow(r, e, p) for a, e in table.items()}
+
+
+def omega_sum_per_label(p: int, nums: dict, window: int) -> int:
+    """sum_e nums[e] * omega(r)^e mod p^window for integers nums[e], one
+    Teichmuller lift of the residue r^e per exponent e."""
+    r = least_primitive_root(p)
+    return sum(n * teichmuller_int(p, pow(r, e, p), window) for e, n in nums.items()) % p**window
+
+
 def principal_unit_power(p: int, lift: int, k: int, relprec: int) -> PadicNum:
     """<lift>^k = (omega^(-1)(lift) * lift)^k for an integer lift coprime to p."""
     if math.gcd(lift, p) != 1:
@@ -225,7 +247,7 @@ def special_value_closed_form_padic(params, n: int, relprec: int | None = None) 
     p, c, chi = params.p, params.c, params.chi
     psi = chi_omega_minus_k(chi, n)
     at_p = psi.asso_eval(p % psi.level, N) * PadicNum.from_rational(p, p ** (n - 1), N)
-    c_factor = PadicNum.one(p, N) - chi.value(c % chi.level, N) * principal_unit_power(p, c, n, N)
+    c_factor = PadicNum.one(p, N) - chi.asso_eval(c, N) * principal_unit_power(p, c, n, N)
     return (PadicNum.from_rational(p, Fraction(1, n), N) * c_factor
             * (PadicNum.one(p, N) - at_p) * general_bernoulli(psi, n, N))
 
@@ -257,7 +279,7 @@ def riemann_sum_bruteforce(params, w, j: int) -> PadicNum:
     P = p**N
     psi = chi_omega_minus_k(params.chi, 1)
     q = psi.level
-    psi_label = psi.labels
+    psi_label = residue_table(p, psi.labels)
     omega_of = {t: teichmuller_int(p, t, N) for t in set(psi_label.values())}
     teich_inv = {r: pow(teichmuller_int(p, r, N), -1, P) for r in range(1, p)}
     D = d * p**j
@@ -299,7 +321,7 @@ def twisted_unit_sum_bruteforce(chi, k: int, j: int, exponent: int,
     psi = chi_omega_minus_k(chi, k)
     q = psi.level
     P = p**relprec
-    labels = psi.labels
+    labels = residue_table(p, psi.labels)
     omega_of = {t: teichmuller_int(p, t, relprec) for t in set(labels.values())}
     dp = d * p
     total = 0

@@ -1,5 +1,6 @@
 import contextlib
 import functools
+import hashlib
 import json
 import os
 import subprocess
@@ -926,6 +927,10 @@ def test_p_minus_one_beyond_trial_division_is_refused(capsys, tmp_path):
                    f"{dirichlet.MAX_TRIAL_DIVISOR}\n")
     code, out, err = run_cli(capsys, "char-info", "--p", str(p), "--char", "triv")
     assert (code, err) == (0, "")
+    # nor does its Bernoulli label sum, whose exponents are all 0
+    code, out, err = run_cli(capsys, "genbernoulli", "--p", str(p), "--char", "triv", "--n", "2")
+    assert (code, err) == (0, "")
+    assert hashlib.md5(out.encode()).hexdigest() == "c1e0cda4f8807396593c9d763555c6c6"
 
 
 def test_table_of_omega_k_over_large_p_is_refused(capsys):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import embed_product, general_bernoulli_coeffs_fraction
+from oracles import embed_product, general_bernoulli_coeffs_fraction, omega_sum_per_label
 from padiclf.bernoulli import bernoulli
 from padiclf.dirichlet import DirichletCharacter, char_power, make_teich_char, trivial_character
 from padiclf import genbernoulli
@@ -14,6 +14,8 @@ from padiclf.genbernoulli import (
     MAX_HORNER_BITS,
     _embed,
     _embed_label_sum,
+    _euler_label_sum,
+    _omega_sum,
     _unit_sum,
     chi_omega_minus_k,
     general_bernoulli,
@@ -146,10 +148,11 @@ class TestGeneralBernoulli:
             chi = char_power(om, k)  # odd character
             for m in (2, 4, 6):
                 nums, _ = general_bernoulli_coeffs(chi, m)
-                # omega(1)=1, omega(4)=-1, omega(3)=-omega(2); coefficients of the
-                # basis elements 1 and omega(2) must vanish separately
-                assert nums.get(1, 0) == nums.get(4, 0)
-                assert nums.get(2, 0) == nums.get(3, 0)
+                # nums is keyed by exponents of omega(r): omega(r)^0 = 1,
+                # omega(r)^2 = -1, omega(r)^3 = -omega(r); coefficients of the
+                # basis elements 1 and omega(r) must vanish separately
+                assert nums.get(0, 0) == nums.get(2, 0)
+                assert nums.get(1, 0) == nums.get(3, 0)
 
 
 @st.composite
@@ -205,11 +208,57 @@ def test_equal_characters_evaluate_alike(chars, n, twist, relprec):
     chi = chars[0]
     units = units_of(chi.level)
     want = (general_bernoulli(chi, n, relprec), twisted_mean_limit(chi, twist, relprec),
-            [chi.value(a, relprec) for a in units])
+            [chi.asso_eval(a, relprec) for a in units])
     assert all(v.relprec == relprec for v in want[2])
     for psi in chars[1:]:
         assert (general_bernoulli(psi, n, relprec), twisted_mean_limit(psi, twist, relprec),
-                [psi.value(a, relprec) for a in units]) == want
+                [psi.asso_eval(a, relprec) for a in units]) == want
+
+
+@st.composite
+def label_sums(draw):
+    """(p, nums): the label sum of B_(m, chi), or of (1 - chi(p) p^(m-1)) B_(m, chi),
+    for the primitive chi = omega^k or chi_4 omega^k, chi_4 the character mod 4
+    of order 2."""
+    p = draw(st.sampled_from([3, 5, 7, 11, 13, 101, 10007]))
+    chi = char_power(make_teich_char(p), draw(st.integers(0, p - 2))).associated_primitive()
+    if draw(st.booleans()):
+        chi = chi * DirichletCharacter(p, 4, {1: 1, 3: p - 1})
+    label_sum = draw(st.sampled_from([general_bernoulli_coeffs, _euler_label_sum]))
+    return p, label_sum(chi, draw(st.integers(1, 4)))[0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=label_sums(), window=st.integers(1, 40))
+def test_omega_sum_matches_one_lift_per_label(case, window):
+    # Horner's rule in one root of unity against a lift of every label
+    p, nums = case
+    assert _omega_sum(p, nums, window) == omega_sum_per_label(p, nums, window)
+
+
+def test_a_label_sum_lifts_one_root(monkeypatch):
+    # one Teichmuller lift per label sum, however many labels it has, and
+    # none when every value is 1
+    lifts = []
+    lift = genbernoulli.teichmuller_int
+
+    def counted(p, a, relprec):
+        lifts.append(a)
+        return lift(p, a, relprec)
+
+    monkeypatch.setattr(genbernoulli, "teichmuller_int", counted)
+    omega = make_teich_char(101)
+    for k, m in ((1, 1), (2, 2), (25, 3), (50, 2)):
+        assert not general_bernoulli(char_power(omega, k), m, 20).is_exact_zero()
+    omega2 = char_power(omega, 2)
+    twisted_mean_truncation(omega2, 4, 2, 20)
+    twisted_mean_limit(omega2, 4, 20)
+    assert len(lifts) == 6
+    # chi omega^(-2) is trivial
+    general_bernoulli(trivial_character(101), 2, 20)
+    twisted_mean_truncation(omega2, 2, 2, 20)
+    twisted_mean_limit(omega2, 2, 20)
+    assert len(lifts) == 6
 
 
 class TestTwistedMeans:

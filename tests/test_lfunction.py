@@ -117,7 +117,7 @@ class TestIntegrand:
         params = main_params()
         psi = chi_omega_minus_k(params.chi, 1)
         got = integrand_eval(params, Weight(3), 2, 7)
-        expected = psi.value(7 % 5, 12) * principal_unit_power(5, 7, 3, 12)
+        expected = psi.asso_eval(7, 12) * principal_unit_power(5, 7, 3, 12)
         assert got == expected
 
     def test_level_too_low(self):
