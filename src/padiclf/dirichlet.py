@@ -251,14 +251,14 @@ def _label_table(p: int, n: int, gens, exponents) -> dict[int, int]:
         raise CostLimitExceeded(
             f"a label table mod {n} has {units} entries, over the limit of {MAX_TABLE_UNITS}"
         )
-    keys, labels = [1 % n], [0]
+    keys, labels, m = [1 % n], [0], p - 1
     for (_, _, g, order), e in zip(gens, exponents):
         g_pows, e_multiples = [1], [0]
         for _ in range(order - 1):
             g_pows.append(g_pows[-1] * g % n)
-            e_multiples.append((e_multiples[-1] + e) % (p - 1))
+            e_multiples.append((e_multiples[-1] + e) % m)
         keys = [a * x % n for x in g_pows for a in keys]
-        labels = [(s + y) % (p - 1) for y in e_multiples for s in labels]
+        labels = [(s + y) % m for y in e_multiples for s in labels]
     return dict(zip(keys, labels))
 
 

@@ -34,8 +34,8 @@ def _run_grid(argvs, answered_ok, tmp: str = "") -> tuple[Counter, list, str]:
     """(the count of calls by exit code, the argvs that break the contract,
     the first 16 hex digits of the sha256 of every argv, exit code, stdout
     and stderr) over argvs.  A nonempty tmp, the directory of the files the
-    argvs read, is written as `<tmp>` in the digest, which so does not
-    depend on where the files are.
+    argvs read, is hashed as `<tmp>`, so that the digest does not depend
+    on where the files are.
 
     The contract: a call exits 0 with one JSON document that answered_ok
     accepts and nothing on stderr, or is refused with exit 2, nothing on
