@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 import random
 from fractions import Fraction
@@ -427,6 +429,21 @@ class TestCylinders:
 
 
 class TestSuiteRandomCylinder:
+    def test_random_cylinder_draws_are_pinned(self):
+        # 360 draws and the rng state after each: criterion 7 sees the same
+        # functions from the same seed, whatever way they are drawn
+        digest = hashlib.sha256()
+        for seed in range(10):
+            for p in (3, 5, 7):
+                for d in (1, 2, 4):
+                    for level in range(4):
+                        rng = random.Random(seed)
+                        f = measure_random_cylinder(rng, p, d, level)
+                        line = json.dumps([seed, p, d, level, [str(v) for v in f.values],
+                                           rng.random()])
+                        digest.update(line.encode() + b"\n")
+        assert digest.hexdigest()[:16] == "ce37cc8ad1e626d6"
+
     @settings(max_examples=150, deadline=None)
     @given(p=st.sampled_from((3, 5, 7, 11)), d=st.sampled_from((1, 2, 4)),
            level=st.integers(0, 3), seed=st.integers(0, 2**32))
