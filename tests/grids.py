@@ -19,7 +19,12 @@ import tempfile
 from collections import Counter
 from pathlib import Path
 
+from oracles import riemann_sum_bruteforce, twisted_unit_sum_bruteforce
 from padiclf import cli
+from padiclf.dirichlet import DirichletCharacter
+from padiclf.genbernoulli import _unit_sum, chi_omega_minus_k
+from padiclf.lfunction import LpParams, Weight, riemann_sum
+from padiclf.padic import PadicNum
 
 
 def run_cli(argv: list[str]) -> tuple[int, str, str]:
@@ -174,11 +179,55 @@ def character_grid() -> tuple[Counter, list, str]:
                          lambda argv, obj: argv[0] != "verify" or _interpolates(argv, obj), tmp)
 
 
+def kernel_cases() -> list[tuple]:
+    """(p, d, e, chi, j) over the even characters chi = chi_d omega^e of
+    character_tables() with p in {3, 5, 7, 11} and d in {1, 3, 4}, and the
+    levels j from 1 to 4 with d p^j <= 3000."""
+    return [(p, d, e, chi, j)
+            for p, d, e, table in character_tables()
+            if p <= 11 and d <= 4 and table[str(d * p - 1)] == 1
+            for chi in [DirichletCharacter(p, d * p, {int(a): t for a, t in table.items()})]
+            for j in range(1, 5) if d * p**j <= 3000]
+
+
+def kernel_grid() -> tuple[Counter, list, str]:
+    """The progression-sum kernel genbernoulli._unit_sum against the brute
+    oracles, relprec 8, over kernel_cases(): riemann_sum(params, Weight(k),
+    j) at k = 0 .. 6 and c in {2, 3, 11} prime to d p, against
+    riemann_sum_bruteforce; and the twisted sum _unit_sum(chi omega^(-k),
+    d, j, e, 8) at k in {2, 4, 6} and e in {k, k - 1}, against
+    twisted_unit_sum_bruteforce.  Returns (the count of cases by kind, the
+    cases that differ from their oracle, the first 16 hex digits of the
+    sha256 of every case and its value's state)."""
+    cases, failures, digest = Counter(), [], hashlib.sha256()
+
+    def check(case, fast, slow):
+        cases[case[0]] += 1
+        digest.update(json.dumps([case, fast.state()]).encode() + b"\n")
+        if fast != slow:
+            failures.append(case)
+
+    for p, d, e, chi, j in kernel_cases():
+        for c in (2, 3, 11):
+            if math.gcd(c, d * p) == 1:
+                params = LpParams(p=p, d=d, c=c, m=1, chi=chi, relprec=8, j_max=j)
+                for k in range(7):
+                    check(("riemann", p, d, e, j, c, k), riemann_sum(params, Weight(k), j),
+                          riemann_sum_bruteforce(params, Weight(k), j))
+        for k in (2, 4, 6):
+            psi = chi_omega_minus_k(chi, k)
+            for x in (k, k - 1):
+                check(("twisted", p, d, e, j, k, x),
+                      PadicNum.from_int_mod(p, _unit_sum(psi, d, j, x, 8), 8),
+                      twisted_unit_sum_bruteforce(chi, k, j, x, 8))
+    return cases, failures, digest.hexdigest()[:16]
+
 if __name__ == "__main__":
     for name, grid in (("measure-check", measure_check_grid),
                        ("interpolation", interpolation_grid),
                        ("level-rule", level_rule_grid),
-                       ("character", character_grid)):
+                       ("character", character_grid),
+                       ("kernel", kernel_grid)):
         cases, failures, digest = grid()
         print(json.dumps({"grid": name, "cases": dict(sorted(cases.items())),
                           "failures": failures, "digest": digest}))

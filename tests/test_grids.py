@@ -1,4 +1,5 @@
-from grids import character_grid, interpolation_grid, level_rule_grid, measure_check_grid
+from grids import (character_grid, interpolation_grid, kernel_grid, level_rule_grid,
+                   measure_check_grid)
 
 
 def test_measure_check_grid_is_pinned():
@@ -30,3 +31,11 @@ def test_character_grid_is_pinned():
     cases, failures, digest = character_grid()
     assert (cases, failures) == ({0: 1670}, [])
     assert digest == "5ed4a16e0f6a6158"
+
+
+def test_kernel_grid_is_pinned():
+    # 1912 kernel sums over 32 even characters chi_d omega^e, each equal to
+    # its brute oracle; the mutation y1 = end in _unit_sum fails 914
+    cases, failures, digest = kernel_grid()
+    assert (cases, failures) == ({"riemann": 1330, "twisted": 582}, [])
+    assert digest == "dff6a65db2cadffb"
