@@ -21,7 +21,8 @@ The polynomials are
 
 kept per degree in integer form (den, nums): den is the least common
 denominator of the coefficients and nums[i] / den is that of X^i.
-bernoulli_poly gives the same coefficients as a tuple of Fractions.
+bernoulli_poly gives the same coefficients as a tuple of Fractions, made
+anew from the integer form on each call.
 
 Faulhaber's formula turns them into closed-form power sums over an
 arithmetic progression (ProgressionPowerSum).  The one progression-sum
@@ -122,16 +123,11 @@ def bernoulli_poly_int(n: int) -> tuple:
     return form
 
 
-_BPOLY: dict[int, tuple] = {}
-
-
 def bernoulli_poly(n: int) -> tuple:
     """The degree-n Bernoulli polynomial B_n(X) as the tuple of its exact
     coefficients, that of X^i at index i (monic, so of length n + 1)."""
-    if n not in _BPOLY:
-        den, nums = bernoulli_poly_int(n)
-        _BPOLY[n] = tuple(Fraction(num, den) for num in nums)
-    return _BPOLY[n]
+    den, nums = bernoulli_poly_int(n)
+    return tuple(Fraction(num, den) for num in nums)
 
 
 def bernoulli_poly_eval(n: int, q) -> Fraction:

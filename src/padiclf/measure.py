@@ -67,7 +67,7 @@ inequality, and f = char_fn(U_a) has ||f|| = 1, so the bound holds at a
 level exactly when ||E_c(U_a)|| <= K at each of its residues a.  Every
 2 E_c(U_a) is an integer and p is odd, so ||E_c(U_a)|| <= 1 < K and it
 finds no failure.  norm_bound_check is the bound on one given f.
-random_cylinder draws one random cylinder function (suite criterion 7).
+random_cylinder draws one cylinder function by randrange (suite criterion 7).
 
 compatibility_failures sweeps in one pass over integer tables.  Its table
 hook values(params, n) gives the doubled values 2 mu(n, a) at
@@ -416,41 +416,13 @@ def norm_bound_check(params: BernoulliParams, f: CylinderFunction):
     return lhs, rhs, lhs <= rhs
 
 
-# random_cylinder's draws: num in [-999, 999] and den in [1, 60]
-_NUM_LOW, _NUM_COUNT = -999, 1999
-_DEN_LOW, _DEN_COUNT = 1, 60
-_NUM_BITS, _DEN_BITS = _NUM_COUNT.bit_length(), _DEN_COUNT.bit_length()
-# L = lcm(1..60), which every drawn den divides, and L // den at each den index
-_DEN_LCM = math.lcm(*range(_DEN_LOW, _DEN_LOW + _DEN_COUNT))
-_DEN_SCALES = tuple(_DEN_LCM // den for den in range(_DEN_LOW, _DEN_LOW + _DEN_COUNT))
-
-
 def random_cylinder(rng, p, d, level) -> CylinderFunction:
-    """A table at `level`: 0 with probability 1/10, otherwise the rational
-    num/den with num in [-999, 999] and den in [1, 60].
-
-    Each entry draws rng.random() and, unless that makes it zero, num and
-    then den, each by rejection sampling on rng.getrandbits(k) with k the
-    bit length of the range's size.  That is how random.Random.randrange
-    draws, so the entries and the rng state after them are those of
-    rng.randrange(-999, 1000) and rng.randrange(1, 61).  Each entry is
-    stored as the numerator num * (L // den) over L = lcm(1..60).  A
-    negative level is refused with LevelOrder.
-    """
+    """A table at `level`: each entry is 0 when rng.random() < 1/10, and
+    otherwise Fraction(rng.randrange(-999, 1000), rng.randrange(1, 61)); a
+    negative level is refused with LevelOrder before any draw."""
     if level < 0:
         raise LevelOrder(f"level must be >= 0, got {level}")
-    uniform, getrandbits = rng.random, rng.getrandbits
-    nums = []
-    for _ in range(d * p**level):
-        if uniform() < 0.1:
-            nums.append(0)
-            continue
-        i = getrandbits(_NUM_BITS)
-        while i >= _NUM_COUNT:
-            i = getrandbits(_NUM_BITS)
-        j = getrandbits(_DEN_BITS)
-        while j >= _DEN_COUNT:
-            j = getrandbits(_DEN_BITS)
-        nums.append((i + _NUM_LOW) * _DEN_SCALES[j])
-    return CylinderFunction._of(d, p, level, tuple(nums), _DEN_LCM)
+    return CylinderFunction(d, p, level, [
+        0 if rng.random() < 0.1 else Fraction(rng.randrange(-999, 1000), rng.randrange(1, 61))
+        for _ in range(d * p**level)])
 

@@ -83,10 +83,11 @@ class Criterion:
 
 def _c1_bernoulli_identities(seed):
     failures = []
+    polys = [bernoulli_poly(k) for k in range(21)]
     for n in range(21):
         # (n+1) X^n = sum_(k<=n) C(n+1,k) B_k(X), coefficient by coefficient
         lhs = [0] * n + [n + 1]
-        rhs = [sum(comb(n + 1, k) * bernoulli_poly(k)[i] for k in range(i, n + 1))
+        rhs = [sum(comb(n + 1, k) * polys[k][i] for k in range(i, n + 1))
                for i in range(n + 1)]
         if lhs != rhs:
             failures.append(("power-sum identity", n))

@@ -36,7 +36,6 @@ from padiclf.errors import (
 from padiclf.genbernoulli import chi_omega_minus_k, general_bernoulli
 from padiclf.lfunction import LpParams
 from padiclf.measure import (
-    CylinderFunction,
     bernoulli_distribution,
     distribution_refine_sum,
     norm_bound_constant,
@@ -389,18 +388,6 @@ def embed_product(p: int, total: int, N: int, den: int = 1) -> PadicNum:
     W = N + v_p(den), times 1/den embedded at relative precision W."""
     W = N + split_p_power(p, den)[0]
     return PadicNum.from_int_mod(p, total, W) * PadicNum.from_rational(p, Fraction(1, den), W)
-
-
-def random_cylinder_fraction(rng, p, d, level) -> CylinderFunction:
-    """measure.random_cylinder with every entry drawn by randint and built as a
-    Fraction."""
-    vals = []
-    for _ in range(d * p**level):
-        if rng.random() < 0.1:
-            vals.append(0)
-        else:
-            vals.append(Fraction(rng.randint(-999, 999), rng.randint(1, 60)))
-    return CylinderFunction(d, p, level, vals)
 
 
 def level_table(dist):

@@ -131,8 +131,7 @@ class TestDegreeLimit:
         def started():
             raise Started
 
-        for name, empty in (("_TABLE", [(1, 1)]), ("_COLUMN", []),
-                            ("_BPOLY_INT", {}), ("_BPOLY", {})):
+        for name, empty in (("_TABLE", [(1, 1)]), ("_COLUMN", []), ("_BPOLY_INT", {})):
             monkeypatch.setattr(bernoulli_module, name, empty)
         monkeypatch.setattr(bernoulli_module, "_next_tangent", started)
         return Started

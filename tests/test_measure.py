@@ -18,12 +18,10 @@ from oracles import (
     level_table,
     measure_apply_fold,
     norm_bound_check_two_pass,
-    random_cylinder_fraction,
 )
 from padiclf import measure
 from padiclf.errors import CostLimitExceeded, LevelOrder, NotCoprime
 from padiclf.measure import (
-    _DEN_LCM,
     MAX_SWEEP_EVALUATIONS,
     BernoulliParams,
     ClopenSet,
@@ -443,18 +441,6 @@ class TestSuiteRandomCylinder:
                                            rng.random()])
                         digest.update(line.encode() + b"\n")
         assert digest.hexdigest()[:16] == "ce37cc8ad1e626d6"
-
-    @settings(max_examples=150, deadline=None)
-    @given(p=st.sampled_from((3, 5, 7, 11)), d=st.sampled_from((1, 2, 4)),
-           level=st.integers(0, 3), seed=st.integers(0, 2**32))
-    def test_matches_fraction_oracle(self, p, d, level, seed):
-        # the same entries from the same draws, leaving the rng in the same state
-        rng, oracle_rng = random.Random(seed), random.Random(seed)
-        f = measure_random_cylinder(rng, p, d, level)
-        g = random_cylinder_fraction(oracle_rng, p, d, level)
-        assert (f.d, f.p, f.level) == (g.d, g.p, g.level) == (d, p, level)
-        assert f.den == _DEN_LCM and f.values == g.values
-        assert rng.getstate() == oracle_rng.getstate()
 
     @settings(max_examples=60, deadline=None)
     @given(p=st.sampled_from((3, 5, 7, 11)), d=st.integers(1, 4), c=st.integers(2, 40),
