@@ -222,6 +222,7 @@ def kernel_grid() -> tuple[Counter, list, str]:
                       twisted_unit_sum_bruteforce(chi, k, j, x, 8))
     return cases, failures, digest.hexdigest()[:16]
 
+
 if __name__ == "__main__":
     for name, grid in (("measure-check", measure_check_grid),
                        ("interpolation", interpolation_grid),
