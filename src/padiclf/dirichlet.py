@@ -560,9 +560,9 @@ def load_table_character(path: str) -> DirichletCharacter:
     the Teichmuller lift of t_a.  A top level or entries that are not
     objects, and a p, modulus or t_a that is not an integer (a float, a
     string, null, true or false), raise ValueError, and so do an object
-    that repeats a key and two keys that name one residue ("2" and
-    " 02").  The constructor checks the table in one pass (module
-    docstring), naming an offending pair (a, g).
+    that repeats a key, two keys that name one residue ("2" and " 02")
+    and JSON nested past the recursion limit.  The constructor checks the
+    table in one pass (module docstring), naming an offending pair (a, g).
 
     The file is read on every call.  A text of at most
     MAX_CACHED_TABLE_TEXT (2048) characters is the key under which the
@@ -591,7 +591,10 @@ def _table_character(text: str) -> DirichletCharacter:
 
     lru_cache keeps results only, so an error is raised afresh each time.
     """
-    obj = json.loads(text, object_pairs_hook=_refuse_repeated_keys)
+    try:
+        obj = json.loads(text, object_pairs_hook=_refuse_repeated_keys)
+    except RecursionError:
+        raise ValueError("a character table file nests JSON past Python's recursion limit") from None
     if not isinstance(obj, dict):
         raise ValueError("a character table file must hold a JSON object")
     for key in ("p", "modulus", "entries"):

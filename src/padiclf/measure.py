@@ -55,18 +55,20 @@ integrates one term by term in PadicNum arithmetic.
 
 carry_table(params, level) holds 2 E_c(level, a) for every a, built once
 per (params, level) and kept in a bounded cache.  Since a = c b - D t with
-gcd(c, D) = 1, the carry is t = -a D^(-1) mod c, so carry_table is at most
-c constant slices a = r, r + c, r + 2c, ... and needs no per-residue
-arithmetic.
+gcd(c, D) = 1, the carry is t = -a D^(-1) mod c, so carry_table is periodic
+with period c: one period of min(c, D) values, repeated and cut to D, with
+no per-residue arithmetic.
 
 The measure is bounded: ||E_c(f)|| <= K ||f|| for every cylinder function
 f, with K = norm_bound_constant(p, c).  boundedness_failures states this
 exactly, level by level, on the clopen basis: f = sum f(a) char_fn(U_a)
 gives ||E_c(f)|| <= ||f|| max_a ||E_c(U_a)|| by the ultrametric
 inequality, and f = char_fn(U_a) has ||f|| = 1, so the bound holds at a
-level exactly when ||E_c(U_a)|| <= K at each of its residues a.  Every
-2 E_c(U_a) is an integer and p is odd, so ||E_c(U_a)|| <= 1 < K and it
-finds no failure.  norm_bound_check is the bound on one given f.
+level exactly when ||E_c(U_a)|| <= K at each of its residues a.  As K >= 2
+and a value whose denominator is prime to p has norm at most 1, a norm is
+made only where p divides a denominator: never for the genuine E_c, whose
+2 E_c(U_a) are integers (p is odd).  norm_bound_check is the bound on one
+given f.
 random_cylinder draws one cylinder function by randrange (suite criterion 7).
 
 compatibility_failures sweeps in one pass over integer tables.  Its table
@@ -274,15 +276,14 @@ def carry_table(params: BernoulliParams, level: int) -> tuple:
     """2 E_c(level, a) = c - 1 - 2t at index a, for a mod D = d*p^level.
 
     The carry t of a = c b - D t is fixed by a mod c: t = -a D^(-1) mod c.
-    So the table is at most c constant slices a = r, r + c, r + 2c, ...
+    So the table is periodic with period c: its first min(c, D) entries,
+    repeated and cut to length D.
     """
     c = params.c
     D = params.d * params.p**level
     d_inv = pow(D, -1, c)
-    table = [0] * D
-    for r in range(min(c, D)):
-        table[r::c] = [c - 1 - 2 * (-r * d_inv % c)] * len(range(r, D, c))
-    return tuple(table)
+    period = tuple(c - 1 - 2 * (-r * d_inv % c) for r in range(min(c, D)))
+    return (period * (D // c + 1))[:D]
 
 
 # The most distribution values one sweep may read.
@@ -326,8 +327,8 @@ def compatibility_failures(params: BernoulliParams, max_level: int,
     for m in range(max_level + 1):
         step = d * p**m
         fine = values(params, m + 1)
-        refined = list(map(sum, zip(*(fine[k * step:(k + 1) * step] for k in range(p)))))
-        if any(map(operator.ne, coarse, refined)):
+        refined = tuple(map(sum, zip(*(fine[k * step:(k + 1) * step] for k in range(p)))))
+        if refined != tuple(coarse):
             failures += [(m, x, Fraction(value, 2), Fraction(total, 2))
                          for x, (value, total) in enumerate(zip(coarse, refined))
                          if value != total]
@@ -344,10 +345,12 @@ def boundedness_failures(params: BernoulliParams, max_level: int,
     docstring).
 
     `values` is the table hook of compatibility_failures; p is odd, so
-    ||mu|| = ||2 mu||.  A norm is made once per distinct value of a level's
-    table, at most c of them for carry_table, and the residues are read only
-    at a level where one exceeds K.  The genuine E_c gives [].  The levels
-    0 to max_level are refused by _check_sweep.
+    ||mu|| = ||2 mu||.  A value whose denominator is prime to p has norm
+    at most 1, below K >= 2, so a norm is made only for a distinct value of
+    a level's table whose denominator p divides: none for the integer
+    carry_table, whose E_c gives [].  The residues are read only at a level
+    where one of those norms exceeds K.  The levels 0 to max_level are
+    refused by _check_sweep.
     """
     _check_sweep(params, max_level, "boundedness")
     p = params.p
@@ -355,9 +358,10 @@ def boundedness_failures(params: BernoulliParams, max_level: int,
     failures = []
     for m in range(max_level + 1):
         table = values(params, m)
-        norms = {v: _norm(p, v) for v in set(table)}
-        if any(norm > bound for norm in norms.values()):
-            failures += [(m, x, norms[v], bound) for x, v in enumerate(table) if norms[v] > bound]
+        past = {v: norm for v in set(table)
+                if v.denominator % p == 0 and (norm := _norm(p, v)) > bound}
+        if past:
+            failures += [(m, x, past[v], bound) for x, v in enumerate(table) if v in past]
     return failures
 
 

@@ -176,6 +176,25 @@ def test_a_table_file_is_checked_again_when_its_text_changes(capsys, tmp_path):
     assert run_cli(capsys, *argv) == first
 
 
+# json.loads raises RecursionError past the recursion limit, at any nesting
+@pytest.mark.parametrize("text", [
+    "[" * 100000 + "]" * 100000,
+    '{"p": 5, "modulus": 5, "entries": ' + '{"a": ' * 5000 + "1" + "}" * 5000 + "}",
+], ids=["nested-lists", "nested-entries"])
+@pytest.mark.parametrize("argv", [
+    ["char-info", "--p", "5"],
+    ["genbernoulli", "--p", "5", "--n", "1"],
+    ["lp-eval", "--p", "5", "--d", "1", "--m", "1", "--c", "2", "--weight-k", "2"],
+    ["verify", "--p", "5", "--d", "1", "--m", "1", "--c", "3", "--n", "4"],
+], ids=["char-info", "genbernoulli", "lp-eval", "verify"])
+def test_a_table_file_nested_too_deeply_is_a_usage_error(capsys, tmp_path, text, argv):
+    path = tmp_path / "deep.json"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, *argv, "--char", f"table:{path}")
+    assert (code, out, err) == (
+        2, "", "error: a character table file nests JSON past Python's recursion limit\n")
+
+
 # json.dumps cannot write a repeated key, so these files are written as text;
 # at the first two, int() reads both keys as one residue
 @pytest.mark.parametrize("entries, message", [

@@ -3,6 +3,7 @@ import json
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
@@ -309,7 +310,9 @@ class TestBoundedness:
 
     def test_norms_made_once_per_distinct_value(self, monkeypatch):
         # 2 E_c takes the c = 3 values 2, 0, -2 on each of the 1600 residues
-        # of levels 0 to 3: 12 norms, not 1600
+        # of levels 0 to 3.  Their denominators are prime to 7, so the
+        # genuine E_c makes no norm; E_c / 7 makes one for each of 2/7 and
+        # -2/7 at each level, and none for 0
         norms, norm = [], measure._norm
 
         def counted(p, q):
@@ -317,8 +320,31 @@ class TestBoundedness:
             return norm(p, q)
 
         monkeypatch.setattr(measure, "_norm", counted)
-        assert boundedness_failures(BernoulliParams(7, 4, 3), 3) == []
-        assert sorted(norms) == sorted([-2, 0, 2] * 4)
+        params = BernoulliParams(7, 4, 3)
+        assert boundedness_failures(params, 3) == []
+        assert norms == []
+        failures = boundedness_failures(params, 3, level_table(bernoulli_distribution_over_p))
+        assert len(failures) == 1600 - sum(v == 0 for m in range(4) for v in carry_table(params, m))
+        assert sorted(norms) == sorted([Fraction(-2, 7), Fraction(2, 7)] * 4)
+
+    @settings(max_examples=60, deadline=None)
+    @given(p=st.sampled_from((3, 5, 7, 11, 13)), d=st.integers(1, 6),
+           c=st.integers(2, 60), max_level=st.integers(0, 3),
+           q=st.sampled_from((2, 3, 5, 7, 11, 13, None)))
+    def test_denominators_prime_to_p_make_no_norm(self, p, d, c, max_level, q):
+        # E_c / q for a prime q != p, or E_c / (p + 1) for q None: Fraction
+        # values whose denominators are prime to p, so norms of at most 1 < K
+        assume(math.gcd(d, p) == 1 and math.gcd(c, d * p) == 1 and q != p)
+        params = BernoulliParams(p, d, c)
+        q = p + 1 if q is None else q
+
+        def over_q(pr, n, a):
+            return bernoulli_distribution(pr, n, a) / q
+
+        with mock.patch.object(measure, "_norm", wraps=measure._norm) as norm:
+            failures = boundedness_failures(params, max_level, level_table(over_q))
+        assert norm.call_count == 0
+        assert failures == boundedness_failures_bruteforce(params, max_level, over_q) == []
 
     def test_refused_as_the_compatibility_sweep_is(self):
         with pytest.raises(ValueError, match="max_level must be >= 0, got -1"):
