@@ -594,7 +594,8 @@ def _table_character(text: str) -> DirichletCharacter:
     try:
         obj = json.loads(text, object_pairs_hook=_refuse_repeated_keys)
     except RecursionError:
-        raise ValueError("a character table file nests JSON past Python's recursion limit") from None
+        raise ValueError(
+            "a character table file nests JSON past Python's recursion limit") from None
     if not isinstance(obj, dict):
         raise ValueError("a character table file must hold a JSON object")
     for key in ("p", "modulus", "entries"):

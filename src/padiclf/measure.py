@@ -345,11 +345,10 @@ def boundedness_failures(params: BernoulliParams, max_level: int,
     docstring).
 
     `values` is the table hook of compatibility_failures; p is odd, so
-    ||mu|| = ||2 mu||.  A value whose denominator is prime to p has norm
-    at most 1, below K >= 2, so a norm is made only for a distinct value of
-    a level's table whose denominator p divides: none for the integer
-    carry_table, whose E_c gives [].  The residues are read only at a level
-    where one of those norms exceeds K.  The levels 0 to max_level are
+    ||mu|| = ||2 mu||.  A norm is made only for a distinct value of a
+    level's table whose denominator p divides (module docstring), none for
+    carry_table, and the residues are read only at a level where one
+    exceeds K.  The genuine E_c gives [].  The levels 0 to max_level are
     refused by _check_sweep.
     """
     _check_sweep(params, max_level, "boundedness")

@@ -324,7 +324,8 @@ class TestBoundedness:
         assert boundedness_failures(params, 3) == []
         assert norms == []
         failures = boundedness_failures(params, 3, level_table(bernoulli_distribution_over_p))
-        assert len(failures) == 1600 - sum(v == 0 for m in range(4) for v in carry_table(params, m))
+        zeros = sum(v == 0 for m in range(4) for v in carry_table(params, m))
+        assert len(failures) == 1600 - zeros
         assert sorted(norms) == sorted([Fraction(-2, 7), Fraction(2, 7)] * 4)
 
     @settings(max_examples=60, deadline=None)
