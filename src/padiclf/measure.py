@@ -327,8 +327,8 @@ def compatibility_failures(params: BernoulliParams, max_level: int,
     for m in range(max_level + 1):
         step = d * p**m
         fine = values(params, m + 1)
-        refined = tuple(map(sum, zip(*(fine[k * step:(k + 1) * step] for k in range(p)))))
-        if refined != tuple(coarse):
+        refined = list(map(sum, zip(*(fine[k * step:(k + 1) * step] for k in range(p)))))
+        if any(map(operator.ne, coarse, refined)):
             failures += [(m, x, Fraction(value, 2), Fraction(total, 2))
                          for x, (value, total) in enumerate(zip(coarse, refined))
                          if value != total]

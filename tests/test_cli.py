@@ -176,10 +176,12 @@ def test_a_table_file_is_checked_again_when_its_text_changes(capsys, tmp_path):
     assert run_cli(capsys, *argv) == first
 
 
-# json.loads raises RecursionError past the recursion limit, at any nesting
+# json.loads raises RecursionError past its nesting limit: sys.getrecursionlimit()
+# (1000) up to Python 3.11, the C recursion limit (10000 on Linux) on 3.12 and
+# 3.13; 100000 levels is past both
 @pytest.mark.parametrize("text", [
     "[" * 100000 + "]" * 100000,
-    '{"p": 5, "modulus": 5, "entries": ' + '{"a": ' * 5000 + "1" + "}" * 5000 + "}",
+    '{"p": 5, "modulus": 5, "entries": ' + '{"a": ' * 100000 + "1" + "}" * 100000 + "}",
 ], ids=["nested-lists", "nested-entries"])
 @pytest.mark.parametrize("argv", [
     ["char-info", "--p", "5"],
