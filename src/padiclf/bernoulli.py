@@ -11,7 +11,8 @@ and Secant numbers", 2011): their triangle T_j^(k) = (j-k) T_(j-1)^(k)
 + (j-k+2) T_j^(k-1), from T_j^(1) = (j-1)! to T_j = T_j^(j), takes
 O(m^2) multiply-adds by small integers and no division.  The triangle is
 walked column by column, so the table of B_n, as reduced integer pairs
-(numerator, denominator), grows in blocks without recomputing a column.
+(numerator, denominator), grows to the even degree asked for and later
+continues from there without recomputing a column.
 It grows only to MAX_BERNOULLI_DEGREE; a B_n past it raises
 CostLimitExceeded before any work.
 
@@ -50,8 +51,6 @@ __all__ = [
 # the tangent-number table takes to grow; even, so that the table ends at
 # it.  ProgressionPowerSum(k) reaches it at k = MAX_BERNOULLI_DEGREE - 1.
 MAX_BERNOULLI_DEGREE = 2000
-# the table grows to the next multiple of this degree (even)
-_BLOCK = 64
 
 _TABLE = [(1, 1)]  # (numerator, denominator) of B_0, B_1, ..., B_(2m) for some m
 _COLUMN: list[int] = []  # T_m^(k) for k = 1..m at the last tangent number m
@@ -72,15 +71,14 @@ def _next_tangent() -> int:
 
 
 def _table(n: int) -> list:
-    """_TABLE, first grown to the next multiple of _BLOCK degrees if it
-    stops short of B_n; CostLimitExceeded past MAX_BERNOULLI_DEGREE."""
+    """_TABLE, first grown to B_n, or B_(n+1) for odd n, if it stops short
+    of B_n; CostLimitExceeded past MAX_BERNOULLI_DEGREE."""
     if n < len(_TABLE):
         return _TABLE
     if n > MAX_BERNOULLI_DEGREE:
         raise CostLimitExceeded(
             f"B_{n} is past the maximum Bernoulli degree {MAX_BERNOULLI_DEGREE}")
-    top = min(-(-n // _BLOCK) * _BLOCK, MAX_BERNOULLI_DEGREE)
-    while len(_TABLE) <= top:
+    while len(_TABLE) <= n:
         m = len(_TABLE) // 2 + 1
         num, den = (-1) ** (m - 1) * 2 * m * _next_tangent(), 4**m * (4**m - 1)
         g = math.gcd(num, den)

@@ -43,7 +43,7 @@ from .dirichlet import parse_character_spec
 from .errors import CostLimitExceeded, PadicLFError
 from .genbernoulli import _embed_label_sum, _exact_label_sum, general_bernoulli_coeffs
 from .lfunction import LpParams, Weight, p_adic_L, verify_interpolation
-from .measure import BernoulliParams, boundedness_failures, compatibility_failures
+from .measure import BernoulliParams, measure_failures
 from .padic import DEFAULT_RELPREC
 
 USAGE_ERROR = 2
@@ -144,15 +144,16 @@ def _cmd_char_info(args) -> int:
 
 
 def _cmd_measure_check(args) -> int:
-    params = BernoulliParams(args.p, args.d, args.c)
+    compatibility, boundedness = measure_failures(
+        BernoulliParams(args.p, args.d, args.c), args.max_level)
     counterexamples = [
         {"kind": "compatibility", "level": m, "x": x,
          "coarse": coarse, "refined_sum": fine}
-        for m, x, coarse, fine in compatibility_failures(params, args.max_level)
+        for m, x, coarse, fine in compatibility
     ]
     counterexamples += [
         {"kind": "boundedness", "level": m, "x": x, "lhs": lhs, "rhs": rhs}
-        for m, x, lhs, rhs in boundedness_failures(params, args.max_level)
+        for m, x, lhs, rhs in boundedness
     ]
     _emit({
         "p": args.p, "d": args.d, "c": args.c, "max_level": args.max_level,

@@ -231,21 +231,18 @@ def special_value_closed_form(params: LpParams, n: int,
     return _embed_label_sum(p, _times_one_minus(p, nums, c**n, psi.label(c)), n * den, N)
 
 
-def _certified_valuation(diff: PadicNum, threshold: int):
-    """(valuation lower bound, certified >= threshold) for a difference."""
-    if diff.is_exact_zero():
-        return None, True
-    v = diff.valuation()
-    return v, v >= threshold
-
-
 def verify_interpolation(params: LpParams, n: int) -> VerifyReport:
     """Compare the integral at weight n-1 with the closed form at n (n >= 2).
 
-    Exactly one of L - R, L + R must reach params.target_valuation; the
-    winning sign is reported so a caller can pin it across a whole suite.
-    A call whose certified digits fall short of the target is refused by
-    p_adic_L, before any sum or the closed form.
+    The winning sign is the one whose difference, L - R for + and L + R
+    for -, provably has the larger valuation: its valuation, or the lower
+    bound where it vanished at the working precision, exceeds the other's
+    exact one.  Their difference is 2R, so at most one sign wins.  The call
+    passes when the winner reaches params.target_valuation, which also
+    holds where v(R) reaches the target; the sign is reported so a caller
+    can pin it across a whole suite.  A call whose certified digits fall
+    short of the target is refused by p_adic_L, before any sum or the
+    closed form.
     """
     if n < 2:
         raise ValueError("n must be >= 2")
@@ -253,14 +250,12 @@ def verify_interpolation(params: LpParams, n: int) -> VerifyReport:
     rhs = special_value_closed_form(params, n)
     lhs = report.value
     minus, plus = lhs - rhs, lhs + rhs
-    v_minus, ok_minus = _certified_valuation(minus, params.target_valuation)
-    v_plus, ok_plus = _certified_valuation(plus, params.target_valuation)
-    if ok_minus == ok_plus:
-        sign, vdiff, exact = None, None, None
-    elif ok_minus:
-        sign, vdiff, exact = "+", v_minus, minus.valuation_is_exact
-    else:
-        sign, vdiff, exact = "-", v_plus, plus.valuation_is_exact
+    sign, vdiff, exact = None, None, None
+    for winner, diff, other in (("+", minus, plus), ("-", plus, minus)):
+        if (other.valuation_is_exact and diff.valuation() > other.valuation()
+                and diff.valuation() >= params.target_valuation):
+            sign, exact = winner, diff.valuation_is_exact
+            vdiff = None if diff.is_exact_zero() else diff.valuation()
     return VerifyReport(
         lhs=lhs, rhs=rhs, sign=sign, valuation_of_difference=vdiff,
         passed=sign is not None, valuation_is_exact=exact, level_used=report.level_used,

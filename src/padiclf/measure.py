@@ -36,7 +36,7 @@ tests call them, because tests pin properties of the measure through them:
   * units_cylinder, a function on the units extended by zero;
   * equi_class, the fibre of reduction (the Lean equi_class), and
     distribution_refine_sum, the sum over it, which state compatibility
-    residue by residue; the tests hold compatibility_failures to them.
+    residue by residue; the tests hold measure_failures to them.
 
 Rational step functions.  E_c takes values in (1/2)Z, so the integral of
 a step function with rational values is an exact rational, one dot
@@ -60,26 +60,26 @@ with period c: one period of min(c, D) values, repeated and cut to D, with
 no per-residue arithmetic.
 
 The measure is bounded: ||E_c(f)|| <= K ||f|| for every cylinder function
-f, with K = norm_bound_constant(p, c).  boundedness_failures states this
-exactly, level by level, on the clopen basis: f = sum f(a) char_fn(U_a)
-gives ||E_c(f)|| <= ||f|| max_a ||E_c(U_a)|| by the ultrametric
-inequality, and f = char_fn(U_a) has ||f|| = 1, so the bound holds at a
-level exactly when ||E_c(U_a)|| <= K at each of its residues a.  As K >= 2
-and a value whose denominator is prime to p has norm at most 1, a norm is
-made only where p divides a denominator: never for the genuine E_c, whose
-2 E_c(U_a) are integers (p is odd).  norm_bound_check is the bound on one
-given f.
+f, with K = norm_bound_constant(p, c).  This is exact level by level on the
+clopen basis: f = sum f(a) char_fn(U_a) gives ||E_c(f)|| <= ||f|| max_a
+||E_c(U_a)|| by the ultrametric inequality, and f = char_fn(U_a) has
+||f|| = 1, so the bound holds at a level exactly when ||E_c(U_a)|| <= K at
+each of its residues a.  norm_bound_check is the bound on one given f.
 random_cylinder draws one cylinder function by randrange (suite criterion 7).
 
-compatibility_failures sweeps in one pass over integer tables.  Its table
-hook values(params, n) gives the doubled values 2 mu(n, a) at
-a = 0 .. d p^n - 1 of the reading mu under test; the genuine E_c is
-carry_table itself and the division reading is div_by_c_table, the
-constant c - 1.  The sweep reads each level 0 to max_level + 1 once; the
-refined sums of level m are the sums over k < p of the slices
+measure_failures checks both properties, compatibility and boundedness, in
+one sweep over integer tables.  Its table hook values(params, n) gives the
+doubled values 2 mu(n, a) at a = 0 .. d p^n - 1 of the reading mu under
+test; the genuine E_c is carry_table itself and the division reading is
+div_by_c_table, the constant c - 1.  The sweep reads each level 0 to
+max_level + 1 once and takes both verdicts on a level from that one read.
+The refined sums of level m are the sums over k < p of the slices
 [k d p^m, (k + 1) d p^m) of level m + 1, because the lifts of x mod d p^m
-are x + k d p^m.  A Fraction is made only for a failure it reports, and
-the carry tables it reads are the ones the integral reuses.
+are x + k d p^m.  As K >= 2 and a value whose denominator is prime to p has
+norm at most 1, K and a norm are made only where p divides a denominator:
+never for the genuine E_c, whose 2 E_c(U_a) are integers (p is odd).  A
+Fraction is made only for a failure it reports, and the carry tables it
+reads are the ones the integral reuses.
 """
 
 from __future__ import annotations
@@ -106,7 +106,7 @@ __all__ = [
     "bernoulli_distribution",
     "div_by_c_table",
     "distribution_refine_sum",
-    "compatibility_failures",
+    "measure_failures",
     "MAX_SWEEP_EVALUATIONS",
     "carry_table",
     "integral",
@@ -114,7 +114,6 @@ __all__ = [
     "units_cylinder",
     "norm_bound_constant",
     "norm_bound_check",
-    "boundedness_failures",
     "random_cylinder",
 ]
 
@@ -250,7 +249,7 @@ def bernoulli_distribution(params: BernoulliParams, n: int, a: int) -> Fraction:
 
 def div_by_c_table(params: BernoulliParams, n: int) -> tuple:
     """The rival reading {A/D} - c {A/(cD)} + (c-1)/2 at level n, doubled, as a
-    table hook of compatibility_failures; it fails compatibility.
+    table hook of measure_failures; it fails compatibility.
 
     It is the constant c - 1: 0 <= A < D < cD gives {A/(cD)} = A/(cD),
     so the first two terms cancel.  Its refined sum is p (c-1).
@@ -290,11 +289,17 @@ def carry_table(params: BernoulliParams, level: int) -> tuple:
 MAX_SWEEP_EVALUATIONS = 2_000_000
 
 
-def _check_sweep(params: BernoulliParams, max_level: int, sweep: str) -> None:
-    """Refuse a sweep of the levels 0 to max_level: a negative max_level with
-    ValueError, and up front with CostLimitExceeded one where the bound
-    (p + 1) * d * sum_(m <= max_level) p^m on the values a compatibility
-    sweep reads exceeds MAX_SWEEP_EVALUATIONS."""
+def measure_failures(params: BernoulliParams, max_level: int,
+                     values=carry_table) -> tuple[list, list]:
+    """(compatibility, boundedness): every (m, x, coarse, fine) with
+    m <= max_level and x mod d*p^m where the level-m value differs from the
+    refined sum, and every (m, x, ||mu(U_x)||, K) where the norm of the basic
+    clopen set exceeds K, all as Fractions, in one sweep of the table hook
+    `values` (module docstring).  A negative max_level is refused with
+    ValueError, and up front with CostLimitExceeded a sweep whose bound
+    (p + 1) * d * sum_(m <= max_level) p^m on the values it reads exceeds
+    MAX_SWEEP_EVALUATIONS.
+    """
     if max_level < 0:
         raise ValueError(f"max_level must be >= 0, got {max_level}")
     p, d = params.p, params.d
@@ -304,64 +309,27 @@ def _check_sweep(params: BernoulliParams, max_level: int, sweep: str) -> None:
     if evaluations > MAX_SWEEP_EVALUATIONS:
         more = "more than " if top < max_level else ""
         raise CostLimitExceeded(
-            f"a {sweep} sweep to level {max_level} needs {more}{evaluations} "
+            f"a sweep to level {max_level} needs {more}{evaluations} "
             f"E_c evaluations, over the limit of {MAX_SWEEP_EVALUATIONS}"
         )
-
-
-def compatibility_failures(params: BernoulliParams, max_level: int,
-                           values=carry_table) -> list[tuple]:
-    """Every (m, x, coarse, fine) with m <= max_level and x mod d*p^m where the
-    level-m value `coarse` differs from the refined sum `fine`, both reported
-    as Fractions.
-
-    `values(params, n)` is the level-n table of doubled distribution values
-    2 mu(n, a) at a = 0 .. d*p^n - 1; it defaults to carry_table, the genuine
-    2 E_c.  The sweep reads it once at each level 0 to max_level + 1, and is
-    refused by _check_sweep.
-    """
-    _check_sweep(params, max_level, "compatibility")
-    p, d = params.p, params.d
-    failures = []
+    compatibility, boundedness = [], []
     coarse = values(params, 0)
     for m in range(max_level + 1):
+        # ||mu|| = ||2 mu|| as p is odd
+        suspects = [v for v in set(coarse) if v.denominator % p == 0]
+        if suspects:
+            bound = norm_bound_constant(p, params.c)
+            past = {v: norm for v in suspects if (norm := _norm(p, v)) > bound}
+            boundedness += [(m, x, past[v], bound) for x, v in enumerate(coarse) if v in past]
         step = d * p**m
         fine = values(params, m + 1)
         refined = list(map(sum, zip(*(fine[k * step:(k + 1) * step] for k in range(p)))))
         if any(map(operator.ne, coarse, refined)):
-            failures += [(m, x, Fraction(value, 2), Fraction(total, 2))
-                         for x, (value, total) in enumerate(zip(coarse, refined))
-                         if value != total]
+            compatibility += [(m, x, Fraction(value, 2), Fraction(total, 2))
+                              for x, (value, total) in enumerate(zip(coarse, refined))
+                              if value != total]
         coarse = fine
-    return failures
-
-
-def boundedness_failures(params: BernoulliParams, max_level: int,
-                         values=carry_table) -> list[tuple]:
-    """Every (m, x, lhs, K) with m <= max_level and x mod d*p^m where the norm
-    lhs = ||mu(U_x)|| of the level-m basic clopen set at x exceeds
-    K = norm_bound_constant(p, c), both as Fractions: the bound
-    ||mu(f)|| <= K ||f|| fails on some f at level m exactly there (module
-    docstring).
-
-    `values` is the table hook of compatibility_failures; p is odd, so
-    ||mu|| = ||2 mu||.  A norm is made only for a distinct value of a
-    level's table whose denominator p divides (module docstring), none for
-    carry_table, and the residues are read only at a level where one
-    exceeds K.  The genuine E_c gives [].  The levels 0 to max_level are
-    refused by _check_sweep.
-    """
-    _check_sweep(params, max_level, "boundedness")
-    p = params.p
-    bound = norm_bound_constant(p, params.c)
-    failures = []
-    for m in range(max_level + 1):
-        table = values(params, m)
-        past = {v: norm for v in set(table)
-                if v.denominator % p == 0 and (norm := _norm(p, v)) > bound}
-        if past:
-            failures += [(m, x, past[v], bound) for x, v in enumerate(table) if v in past]
-    return failures
+    return compatibility, boundedness
 
 
 def integral(params: BernoulliParams, f: CylinderFunction) -> Fraction:
@@ -393,7 +361,6 @@ def units_cylinder(d: int, p: int, level: int, unit_values) -> CylinderFunction:
     return CylinderFunction(d, p, level, values)
 
 
-@functools.lru_cache(maxsize=64)
 def norm_bound_constant(p: int, c: int) -> Fraction:
     """K = 1 + ||c|| + ||(c-1)/2||, which is 2 + p^(-v_p(c-1)) as c and 2 are
     prime to p."""

@@ -38,10 +38,9 @@ from .genbernoulli import (
 from .lfunction import LpParams, Weight, riemann_sum, verify_interpolation
 from .measure import (
     BernoulliParams,
-    boundedness_failures,
-    compatibility_failures,
     div_by_c_table,
     integral,
+    measure_failures,
     random_cylinder,
 )
 from .modarith import divisors, units_of
@@ -232,8 +231,8 @@ def _c5_distribution_compatibility(seed):
                     continue
                 params = BernoulliParams(p, d, c)
                 failures += [(p, d, c, m, x)
-                             for m, x, _, _ in compatibility_failures(params, 3)]
-                variant = compatibility_failures(params, 3, div_by_c_table)
+                             for m, x, _, _ in measure_failures(params, 3)[0]]
+                variant = measure_failures(params, 3, div_by_c_table)[0]
                 variant_failed_on += [(p, d, c, m, x) for m, x, _, _ in variant]
     diagnostic_ok = bool(variant_failed_on)
     return (not failures) and diagnostic_ok, {
@@ -247,7 +246,7 @@ def _c5_distribution_compatibility(seed):
 def _c6_boundedness(seed):
     failures = [(p, d, c, m, x, str(lhs), str(rhs))
                 for p, d, c, max_level in ((3, 1, 2, 3), (5, 2, 3, 3), (7, 4, 3, 2))
-                for m, x, lhs, rhs in boundedness_failures(BernoulliParams(p, d, c), max_level)]
+                for m, x, lhs, rhs in measure_failures(BernoulliParams(p, d, c), max_level)[1]]
     return not failures, {"failures": failures}
 
 

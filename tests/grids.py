@@ -19,12 +19,19 @@ import tempfile
 from collections import Counter
 from pathlib import Path
 
-from oracles import riemann_sum_bruteforce, twisted_unit_sum_bruteforce
+from fractions import Fraction
+
+from oracles import (
+    general_bernoulli_coeffs_fraction,
+    riemann_sum_bruteforce,
+    special_value_closed_form_padic,
+    twisted_unit_sum_bruteforce,
+)
 from padiclf import cli
 from padiclf.dirichlet import DirichletCharacter
-from padiclf.genbernoulli import _unit_sum, chi_omega_minus_k
-from padiclf.lfunction import LpParams, Weight, riemann_sum
-from padiclf.padic import PadicNum
+from padiclf.genbernoulli import _unit_sum, chi_omega_minus_k, general_bernoulli_coeffs
+from padiclf.lfunction import LpParams, Weight, riemann_sum, special_value_closed_form
+from padiclf.padic import PadicNum, eq_mod
 
 
 def run_cli(argv: list[str]) -> tuple[int, str, str]:
@@ -179,6 +186,11 @@ def character_grid() -> tuple[Counter, list, str]:
                          lambda argv, obj: argv[0] != "verify" or _interpolates(argv, obj), tmp)
 
 
+def _character(p: int, d: int, table: dict) -> DirichletCharacter:
+    """The character of a character_tables() entry, at its level d p."""
+    return DirichletCharacter(p, d * p, {int(a): t for a, t in table.items()})
+
+
 def kernel_cases() -> list[tuple]:
     """(p, d, e, chi, j) over the even characters chi = chi_d omega^e of
     character_tables() with p in {3, 5, 7, 11} and d in {1, 3, 4}, and the
@@ -186,7 +198,7 @@ def kernel_cases() -> list[tuple]:
     return [(p, d, e, chi, j)
             for p, d, e, table in character_tables()
             if p <= 11 and d <= 4 and table[str(d * p - 1)] == 1
-            for chi in [DirichletCharacter(p, d * p, {int(a): t for a, t in table.items()})]
+            for chi in [_character(p, d, table)]
             for j in range(1, 5) if d * p**j <= 3000]
 
 
@@ -223,12 +235,50 @@ def kernel_grid() -> tuple[Counter, list, str]:
     return cases, failures, digest.hexdigest()[:16]
 
 
+def closed_form_grid() -> tuple[Counter, list, str]:
+    """The closed form against its Fraction and PadicNum oracles over every
+    character chi = chi_d omega^e of character_tables() and n from 1 to 8:
+    general_bernoulli_coeffs(chi, n) against general_bernoulli_coeffs_fraction,
+    and, for an even chi, special_value_closed_form(params, n) at relprec 12
+    with c in {2, 3, 7, 11} prime to d p, which must carry exactly 12 digits
+    and agree with special_value_closed_form_padic on every digit both
+    certify.  Returns (the count of cases by kind, the cases that differ
+    from their oracle, the first 16 hex digits of the sha256 of every case
+    and its output)."""
+    cases, failures, digest = Counter(), [], hashlib.sha256()
+
+    def check(case, output, ok):
+        cases[case[0]] += 1
+        digest.update(json.dumps([case, output]).encode() + b"\n")
+        if not ok:
+            failures.append(case)
+
+    for p, d, e, table in character_tables():
+        chi = _character(p, d, table)
+        even = table[str(d * p - 1)] == 1
+        for n in range(1, 9):
+            nums, den = general_bernoulli_coeffs(chi, n)
+            check(("coeffs", p, d, e, n), [sorted(nums.items()), den],
+                  {t: Fraction(num, den) for t, num in nums.items()}
+                  == general_bernoulli_coeffs_fraction(chi, n))
+            for c in (2, 3, 7, 11) if even else ():
+                if math.gcd(c, d * p) == 1:
+                    params = LpParams(p=p, d=d, c=c, m=1, chi=chi, relprec=12, j_max=12)
+                    got = special_value_closed_form(params, n)
+                    want = special_value_closed_form_padic(params, n)
+                    check(("closed-form", p, d, e, c, n), got.state(),
+                          got.abs_precision == 12
+                          and eq_mod(got, want, min(12, want.abs_precision)))
+    return cases, failures, digest.hexdigest()[:16]
+
+
 if __name__ == "__main__":
     for name, grid in (("measure-check", measure_check_grid),
                        ("interpolation", interpolation_grid),
                        ("level-rule", level_rule_grid),
                        ("character", character_grid),
-                       ("kernel", kernel_grid)):
+                       ("kernel", kernel_grid),
+                       ("closed-form", closed_form_grid)):
         cases, failures, digest = grid()
         print(json.dumps({"grid": name, "cases": dict(sorted(cases.items())),
                           "failures": failures, "digest": digest}))

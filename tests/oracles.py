@@ -391,7 +391,7 @@ def embed_product(p: int, total: int, N: int, den: int = 1) -> PadicNum:
 
 
 def level_table(dist):
-    """The table hook of measure.compatibility_failures for a per-residue dist:
+    """The table hook of measure.measure_failures for a per-residue dist:
     level n -> the doubled values 2 dist(params, n, a) at every a mod d*p^n."""
     def table(params, n: int) -> list:
         return [2 * dist(params, n, a) for a in range(params.d * params.p**n)]
@@ -400,7 +400,7 @@ def level_table(dist):
 
 def compatibility_failures_bruteforce(params, max_level: int,
                                       dist=bernoulli_distribution) -> list[tuple]:
-    """measure.compatibility_failures residue by residue: dist at x against
+    """measure.measure_failures(...)[0] residue by residue: dist at x against
     distribution_refine_sum over the fibre of x, for every x at every level."""
     failures = []
     for m in range(max_level + 1):
@@ -414,7 +414,7 @@ def compatibility_failures_bruteforce(params, max_level: int,
 
 def boundedness_failures_bruteforce(params, max_level: int,
                                     dist=bernoulli_distribution) -> list[tuple]:
-    """measure.boundedness_failures residue by residue: the PadicNum norm of
+    """measure.measure_failures(...)[1] residue by residue: the PadicNum norm of
     dist at every x at every level, against K."""
     K = norm_bound_constant(params.p, params.c)
     return [(m, x, norm, K)

@@ -67,8 +67,8 @@ def test_compatibility_detail_is_pinned():
 
 
 def test_criterion_6_fails_on_a_measure_divided_by_p(monkeypatch):
-    monkeypatch.setattr(suite, "boundedness_failures", functools.partial(
-        measure.boundedness_failures, values=level_table(bernoulli_distribution_over_p)))
+    monkeypatch.setattr(suite, "measure_failures", functools.partial(
+        measure.measure_failures, values=level_table(bernoulli_distribution_over_p)))
     passed, detail = suite._c6_boundedness(SEED)
     assert not passed
     # the reading fails at p = 5 and 7, not at (p, c) = (3, 2)

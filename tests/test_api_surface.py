@@ -37,7 +37,7 @@ ALLOWED = {
         "a relative precision; perfbench/spans.py wraps it by name"),
     "measure.norm_bound_check": (
         "the bound ||E_c(f)|| <= K ||f|| on one given cylinder function, which "
-        "boundedness_failures proves for every f at a level; perfbench/spans.py "
+        "measure_failures proves for every f at a level; perfbench/spans.py "
         "wraps it by name"),
     "padic.PadicNum.norm": (
         "the p-adic norm, through which the two-pass oracle and the boundedness "

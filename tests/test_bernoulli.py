@@ -155,10 +155,22 @@ class TestDegreeLimit:
         with pytest.raises(CostLimitExceeded, match="B_20000 is past"):
             bernoulli(20000)
 
-    def test_table_grows_in_blocks(self, monkeypatch):
+    def test_table_grows_to_n(self, monkeypatch):
         monkeypatch.setattr(bernoulli_module, "_TABLE", [(1, 1)])
         monkeypatch.setattr(bernoulli_module, "_COLUMN", [])
+        made, next_tangent = [], bernoulli_module._next_tangent
+
+        def counted():
+            made.append(len(bernoulli_module._COLUMN) + 1)
+            return next_tangent()
+
+        monkeypatch.setattr(bernoulli_module, "_next_tangent", counted)
         assert bernoulli(2) == Fraction(1, 6)
-        assert len(bernoulli_module._TABLE) == 65 and len(bernoulli_module._COLUMN) == 32
-        assert bernoulli(65) == 0
-        assert len(bernoulli_module._TABLE) == 129
+        assert len(bernoulli_module._TABLE) == 3 and len(bernoulli_module._COLUMN) == 1
+        # an odd degree grows the table to the even one after it, continuing
+        # from the kept column: each tangent number T_m is made once
+        assert bernoulli(7) == 0
+        assert len(bernoulli_module._TABLE) == 9 and made == [1, 2, 3, 4]
+        assert bernoulli(8) == Fraction(-1, 30) and bernoulli(1) == Fraction(-1, 2)
+        assert bernoulli(12) == Fraction(-691, 2730)
+        assert len(bernoulli_module._TABLE) == 13 and made == [1, 2, 3, 4, 5, 6]

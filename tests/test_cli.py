@@ -505,11 +505,11 @@ def test_measure_check_invalid_params(capsys):
      "error: max_level must be >= 0, got -1\n"),
     # 8*4*(7^10-1)/6 evaluations; this argv used to hang
     (("--p", "7", "--d", "4", "--c", "3", "--max-level", "9"),
-     "error: a compatibility sweep to level 9 needs 1506534656 E_c evaluations, "
+     "error: a sweep to level 9 needs 1506534656 E_c evaluations, "
      "over the limit of 2000000\n"),
     # just past the limit: 8*13*(7^6-1)/6 = 2039232
     (("--p", "7", "--d", "13", "--c", "2", "--max-level", "5"),
-     "error: a compatibility sweep to level 5 needs 2039232 E_c evaluations, "
+     "error: a sweep to level 5 needs 2039232 E_c evaluations, "
      "over the limit of 2000000\n"),
 ])
 def test_measure_check_refuses_bad_max_level(capsys, argv, message):
@@ -519,10 +519,10 @@ def test_measure_check_refuses_bad_max_level(capsys, argv, message):
 
 
 def test_measure_check_reports_an_unbounded_reading(capsys, monkeypatch):
-    # with the boundedness check reading E_c / p, the 41 residues of levels 0
-    # to 2 where E_c is not 0 are counterexamples, ||E_c(U) / p|| = 5 > K = 3
-    monkeypatch.setattr(cli, "boundedness_failures", functools.partial(
-        measure.boundedness_failures, values=level_table(bernoulli_distribution_over_p)))
+    # with the sweep reading E_c / p, still a distribution, the 41 residues of
+    # levels 0 to 2 where E_c is not 0 are counterexamples, ||E_c(U) / p|| = 5 > K = 3
+    monkeypatch.setattr(cli, "measure_failures", functools.partial(
+        measure.measure_failures, values=level_table(bernoulli_distribution_over_p)))
     code, out, err = run_cli(capsys, "measure-check", "--p", "5", "--d", "2", "--c", "3",
                              "--max-level", "2")
     obj = json.loads(out)

@@ -1,5 +1,5 @@
-from grids import (character_grid, interpolation_grid, kernel_grid, level_rule_grid,
-                   measure_check_grid)
+from grids import (character_grid, closed_form_grid, interpolation_grid, kernel_grid,
+                   level_rule_grid, measure_check_grid)
 
 
 def test_measure_check_grid_is_pinned():
@@ -39,3 +39,12 @@ def test_kernel_grid_is_pinned():
     cases, failures, digest = kernel_grid()
     assert (cases, failures) == ({"riemann": 1330, "twisted": 582}, [])
     assert digest == "dff6a65db2cadffb"
+
+
+def test_closed_form_grid_is_pinned():
+    # 1072 label sums B_(n,chi) over the 134 characters chi_d omega^e, n = 1..8,
+    # and 1464 closed forms of the even ones, each equal to its oracle; the
+    # mutation that drops the Euler factor in _euler_label_sum fails 204
+    cases, failures, digest = closed_form_grid()
+    assert (cases, failures) == ({"coeffs": 1072, "closed-form": 1464}, [])
+    assert digest == "3df6bbbaa626b891"

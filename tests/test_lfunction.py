@@ -287,6 +287,21 @@ class TestVerify:
         with pytest.raises(InsufficientPrecision):
             verify_interpolation(main_params(c=3, j_max=3, target=8), 2)
 
+    @pytest.mark.parametrize("p, e", [(37, 32), (59, 44), (67, 58)])
+    def test_passes_where_both_signs_reach_the_target(self, p, e):
+        # (p, e) is an irregular pair, p | B_e, so p | B_(n, omega^(e-n)) / n by
+        # Kummer's congruence, v(R) >= 1, and both L - R and L + R reach
+        # target 1.  The sign is +, whose difference provably has the larger
+        # valuation: L - R vanishes at all 4 digits, L + R = 2R mod p^4 does not
+        params = LpParams(p=p, d=1, c=2, m=1, chi=char_power(make_teich_char(p), e),
+                          relprec=4, j_min=1, j_max=4, target_valuation=1)
+        for n in range(2, 8):
+            report = verify_interpolation(params, n)
+            plus = report.lhs + report.rhs
+            assert 1 <= plus.valuation() < 4 and plus.valuation_is_exact
+            assert (report.passed, report.sign) == (True, "+")
+            assert (report.valuation_of_difference, report.valuation_is_exact) == (4, False)
+
     def test_wrong_sign_never_clears(self):
         report = verify_interpolation(main_params(c=3), 2)
         assert report.passed

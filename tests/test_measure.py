@@ -28,16 +28,15 @@ from padiclf.measure import (
     ClopenSet,
     CylinderFunction,
     bernoulli_distribution,
-    boundedness_failures,
     carry_table,
     char_fn,
-    compatibility_failures,
     cylinder_decompose,
     distribution_refine_sum,
     div_by_c_table,
     equi_class,
     integral,
     measure_apply,
+    measure_failures,
     norm_bound_check,
     norm_bound_constant,
     random_cylinder as measure_random_cylinder,
@@ -184,10 +183,9 @@ class TestDistribution:
                 assert div_by_c_table(params, m) == (2 * half,) * (d * p**m)
                 for x in range(d * p**m):
                     assert bernoulli_distribution_div_by_c_fract(params, m, x) == half
-            failures = compatibility_failures(params, 3, div_by_c_table)
-            assert failures == [(m, x, half, p * half)
-                                for m in range(4) for x in range(d * p**m)]
-            assert compatibility_failures(params, 3) == []
+            failures = [(m, x, half, p * half) for m in range(4) for x in range(d * p**m)]
+            assert measure_failures(params, 3, div_by_c_table) == (failures, [])
+            assert measure_failures(params, 3) == ([], [])
 
     def test_shifted_denominator_fails_compatibility(self):
         # the one-level-down denominator reading is not a distribution
@@ -214,10 +212,11 @@ class TestSweep:
     def test_matches_residue_by_residue_oracle(self, reading):
         dist, table = READINGS[reading]
         for params in C5_GRID:
-            expected = compatibility_failures_bruteforce(params, 3, dist)
-            assert compatibility_failures(params, 3, level_table(dist)) == expected
+            expected = (compatibility_failures_bruteforce(params, 3, dist),
+                        boundedness_failures_bruteforce(params, 3, dist))
+            assert measure_failures(params, 3, level_table(dist)) == expected
             if table is not None:
-                assert compatibility_failures(params, 3, table) == expected
+                assert measure_failures(params, 3, table) == expected
 
     @settings(max_examples=40, deadline=None)
     @given(p=st.sampled_from((3, 5, 7, 11, 13)), d=st.sampled_from((1, 2, 4)),
@@ -225,23 +224,37 @@ class TestSweep:
     def test_integer_sweep_matches_bruteforce(self, p, d, c, max_level):
         assume(math.gcd(c, d * p) == 1)
         params = BernoulliParams(p, d, c)
-        assert compatibility_failures(params, max_level) == \
-            compatibility_failures_bruteforce(params, max_level) == []
+        assert measure_failures(params, max_level) == ([], [])
+        assert compatibility_failures_bruteforce(params, max_level) == []
         # and it reports every residue where the division reading fails
         half = Fraction(c - 1, 2)
-        assert compatibility_failures(params, max_level, div_by_c_table) == \
-            [(m, x, half, p * half) for m in range(max_level + 1) for x in range(d * p**m)]
+        assert measure_failures(params, max_level, div_by_c_table) == (
+            [(m, x, half, p * half) for m in range(max_level + 1) for x in range(d * p**m)], [])
 
     def test_reads_each_level_once(self):
         seen = []
 
-        def counted(params, n):
-            seen.append(n)
-            return carry_table(params, n)
+        def counted(table):
+            def read(params, n):
+                seen.append(n)
+                return table(params, n)
+            return read
 
         params = BernoulliParams(5, 2, 3)
-        assert compatibility_failures(params, 2, counted) == []
+        assert measure_failures(params, 2, counted(carry_table)) == ([], [])
         assert seen == [0, 1, 2, 3]
+        # the division reading over p, the constant (c - 1)/p = 2/5, fails both
+        # properties at every residue, and both verdicts come from the same reads
+        seen.clear()
+
+        def div_by_c_over_p(pr, n):
+            return [Fraction(v, pr.p) for v in div_by_c_table(pr, n)]
+
+        compatibility, boundedness = measure_failures(params, 2, counted(div_by_c_over_p))
+        assert seen == [0, 1, 2, 3]
+        residues = [(m, x) for m in range(3) for x in range(2 * 5**m)]
+        assert compatibility == [(m, x, Fraction(1, 5), 1) for m, x in residues]
+        assert boundedness == [(m, x, 5, 3) for m, x in residues]
 
 
 class TestCarryTable:
@@ -258,8 +271,8 @@ class TestCarryTable:
 
 class TestSweepLimit:
     def test_negative_level_refused(self):
-        with pytest.raises(ValueError, match="max_level must be >= 0"):
-            compatibility_failures(P312, -1)
+        with pytest.raises(ValueError, match="max_level must be >= 0, got -1"):
+            measure_failures(P312, -1)
 
     def test_refused_just_past_the_limit_before_any_evaluation(self):
         class Started(Exception):
@@ -271,11 +284,12 @@ class TestSweepLimit:
         # (p+1) d sum_{m<=5} 7^m is 1882368 at d = 12, 2039232 at d = 13
         assert MAX_SWEEP_EVALUATIONS == 2_000_000
         with pytest.raises(Started):
-            compatibility_failures(BernoulliParams(7, 12, 5), 5, started)
-        with pytest.raises(CostLimitExceeded, match=r"needs 2039232 E_c"):
-            compatibility_failures(BernoulliParams(7, 13, 2), 5, started)
+            measure_failures(BernoulliParams(7, 12, 5), 5, started)
+        assert measure_failures(BernoulliParams(7, 12, 5), 5) == ([], [])
+        with pytest.raises(CostLimitExceeded, match=r"^a sweep to level 5 needs 2039232 E_c"):
+            measure_failures(BernoulliParams(7, 13, 2), 5, started)
         with pytest.raises(CostLimitExceeded, match=r"level 1000000000 needs more than"):
-            compatibility_failures(P312, 10**9, started)
+            measure_failures(P312, 10**9, started)
 
 
 class TestBoundedness:
@@ -285,13 +299,15 @@ class TestBoundedness:
     def test_genuine_measure_is_bounded(self, p, d, c, max_level):
         assume(math.gcd(d, p) == 1 and math.gcd(c, d * p) == 1)
         params = BernoulliParams(p, d, c)
-        assert boundedness_failures(params, max_level) == []
+        assert measure_failures(params, max_level)[1] == []
         assert boundedness_failures_bruteforce(params, max_level) == []
 
     def test_measure_over_p_fails_where_the_oracle_does(self):
         over_p = bernoulli_distribution_over_p
         for params in C5_GRID:
-            failures = boundedness_failures(params, 3, level_table(over_p))
+            # E_c / p is still a distribution: only the bound fails
+            compatibility, failures = measure_failures(params, 3, level_table(over_p))
+            assert compatibility == []
             assert failures == boundedness_failures_bruteforce(params, 3, over_p)
             assert bool(failures) == (params.p > 3 or (params.c - 1) % 3 == 0)
             assert all(type(lhs) is Fraction for _, _, lhs, _ in failures)
@@ -300,7 +316,7 @@ class TestBoundedness:
         # 2 E_c(U) is 2, 0 or -2 at c = 3, so ||E_c(U) / p|| is 5 or 0 and K = 3:
         # the 41 residues of levels 0 to 2 where E_c(U) is not 0
         params = BernoulliParams(5, 2, 3)
-        failures = boundedness_failures(params, 2, level_table(bernoulli_distribution_over_p))
+        failures = measure_failures(params, 2, level_table(bernoulli_distribution_over_p))[1]
         assert len(failures) == 41
         assert {(lhs, K) for _, _, lhs, K in failures} == {(5, 3)}
         assert [(m, x) for m, x, _, _ in failures] == [
@@ -312,21 +328,29 @@ class TestBoundedness:
         # 2 E_c takes the c = 3 values 2, 0, -2 on each of the 1600 residues
         # of levels 0 to 3.  Their denominators are prime to 7, so the
         # genuine E_c makes no norm; E_c / 7 makes one for each of 2/7 and
-        # -2/7 at each level, and none for 0
+        # -2/7 at each level, and none for 0; K is made only at a level that
+        # makes a norm
         norms, norm = [], measure._norm
+        bounds, bound = [], measure.norm_bound_constant
 
         def counted(p, q):
             norms.append(q)
             return norm(p, q)
 
+        def counted_bound(p, c):
+            bounds.append((p, c))
+            return bound(p, c)
+
         monkeypatch.setattr(measure, "_norm", counted)
+        monkeypatch.setattr(measure, "norm_bound_constant", counted_bound)
         params = BernoulliParams(7, 4, 3)
-        assert boundedness_failures(params, 3) == []
-        assert norms == []
-        failures = boundedness_failures(params, 3, level_table(bernoulli_distribution_over_p))
+        assert measure_failures(params, 3) == ([], [])
+        assert norms == [] and bounds == []
+        failures = measure_failures(params, 3, level_table(bernoulli_distribution_over_p))[1]
         zeros = sum(v == 0 for m in range(4) for v in carry_table(params, m))
         assert len(failures) == 1600 - zeros
         assert sorted(norms) == sorted([Fraction(-2, 7), Fraction(2, 7)] * 4)
+        assert bounds == [(7, 3)] * 4
 
     @settings(max_examples=60, deadline=None)
     @given(p=st.sampled_from((3, 5, 7, 11, 13)), d=st.integers(1, 6),
@@ -343,17 +367,10 @@ class TestBoundedness:
             return bernoulli_distribution(pr, n, a) / q
 
         with mock.patch.object(measure, "_norm", wraps=measure._norm) as norm:
-            failures = boundedness_failures(params, max_level, level_table(over_q))
+            failures = measure_failures(params, max_level, level_table(over_q))[1]
         assert norm.call_count == 0
         assert failures == boundedness_failures_bruteforce(params, max_level, over_q) == []
 
-    def test_refused_as_the_compatibility_sweep_is(self):
-        with pytest.raises(ValueError, match="max_level must be >= 0, got -1"):
-            boundedness_failures(P312, -1)
-        with pytest.raises(CostLimitExceeded,
-                           match=r"a boundedness sweep to level 5 needs 2039232 E_c"):
-            boundedness_failures(BernoulliParams(7, 13, 2), 5)
-        assert boundedness_failures(BernoulliParams(7, 12, 5), 5) == []
 
 
 class TestEquiClass:
