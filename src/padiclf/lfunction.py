@@ -41,8 +41,9 @@ computed as one exact label sum, embedded once; the weight on the
 integral side is <a>^(n-1) while the absorbed c-factor uses exponent n,
 an off-by-one that is mirrored deliberately.  Because sign conventions
 for the measure differ across the classical literature, the verifier
-measures both nu(L - R) and nu(L + R), accepts exactly one of them, and
-the bundled suite insists on a single sign across all cases.
+measures both nu(L - R) and nu(L + R), accepts exactly one of them (or
+both where L and R vanish to the target), and the bundled suite insists
+on a single decided sign across all cases.
 """
 
 from __future__ import annotations
@@ -146,10 +147,12 @@ class EvalReport:
 class VerifyReport:
     """Outcome of one interpolation check at a negative integer.
 
-    valuation_of_difference is the valuation of the winning difference
-    L -+ R, or None when it is the exact zero; valuation_is_exact is False
-    when the difference vanished at the working precision, so that the
-    valuation is only a lower bound.
+    sign is "+", "-", "both" where no sign wins but both differences reach
+    the target, or None where the check fails.  valuation_of_difference is
+    the valuation of the winning difference L -+ R, or None when it is the
+    exact zero or no sign wins; valuation_is_exact is False when the
+    difference vanished at the working precision, so that the valuation is
+    only a lower bound.
     """
 
     lhs: PadicNum
@@ -240,9 +243,10 @@ def verify_interpolation(params: LpParams, n: int) -> VerifyReport:
     exact one.  Their difference is 2R, so at most one sign wins.  The call
     passes when the winner reaches params.target_valuation, which also
     holds where v(R) reaches the target; the sign is reported so a caller
-    can pin it across a whole suite.  A call whose certified digits fall
-    short of the target is refused by p_adic_L, before any sum or the
-    closed form.
+    can pin it across a whole suite.  Where L and R both vanish to the
+    target neither sign is provable, yet both congruences hold: the call
+    passes with the sign "both".  A call whose certified digits fall short
+    of the target is refused by p_adic_L, before any sum or the closed form.
     """
     if n < 2:
         raise ValueError("n must be >= 2")
@@ -256,6 +260,8 @@ def verify_interpolation(params: LpParams, n: int) -> VerifyReport:
                 and diff.valuation() >= params.target_valuation):
             sign, exact = winner, diff.valuation_is_exact
             vdiff = None if diff.is_exact_zero() else diff.valuation()
+    if sign is None and min(minus.valuation(), plus.valuation()) >= params.target_valuation:
+        sign = "both"
     return VerifyReport(
         lhs=lhs, rhs=rhs, sign=sign, valuation_of_difference=vdiff,
         passed=sign is not None, valuation_is_exact=exact, level_used=report.level_used,

@@ -53,11 +53,11 @@ values, such as a character's Teichmuller lifts on the units, is not a
 CylinderFunction; the test oracle tests/oracles.py::measure_apply_fold
 integrates one term by term in PadicNum arithmetic.
 
-carry_table(params, level) holds 2 E_c(level, a) for every a, built once
-per (params, level) and kept in a bounded cache.  Since a = c b - D t with
-gcd(c, D) = 1, the carry is t = -a D^(-1) mod c, so carry_table is periodic
-with period c: one period of min(c, D) values, repeated and cut to D, with
-no per-residue arithmetic.
+carry_period(params, n) holds 2 E_c(n, a) at a = 0 .. min(c, D) - 1.
+Since a = c b - D t with gcd(c, D) = 1, the carry is t = -a D^(-1) mod c,
+so the level's values repeat with period c: carry_period is the whole
+level, read at a mod c.  carry_table(params, level), which the integral
+reads, is that period repeated and cut to D.
 
 The measure is bounded: ||E_c(f)|| <= K ||f|| for every cylinder function
 f, with K = norm_bound_constant(p, c).  This is exact level by level on the
@@ -68,23 +68,25 @@ each of its residues a.  norm_bound_check is the bound on one given f.
 random_cylinder draws one cylinder function by randrange (suite criterion 7).
 
 measure_failures checks both properties, compatibility and boundedness, in
-one sweep over integer tables.  Its table hook values(params, n) gives the
-doubled values 2 mu(n, a) at a = 0 .. d p^n - 1 of the reading mu under
-test; the genuine E_c is carry_table itself and the division reading is
-div_by_c_table, the constant c - 1.  The sweep reads each level 0 to
-max_level + 1 once and takes both verdicts on a level from that one read.
-The refined sums of level m are the sums over k < p of the slices
-[k d p^m, (k + 1) d p^m) of level m + 1, because the lifts of x mod d p^m
-are x + k d p^m.  As K >= 2 and a value whose denominator is prime to p has
-norm at most 1, K and a norm are made only where p divides a denominator:
-never for the genuine E_c, whose 2 E_c(U_a) are integers (p is odd).  A
-Fraction is made only for a failure it reports, and the carry tables it
-reads are the ones the integral reuses.
+one sweep over the periods.  Its table hook values(params, n) gives the
+doubled values 2 mu(n, a) at a = 0 .. min(c, D) - 1 of the reading mu under
+test, which must depend only on a mod c, as E_c, E_c/p, the division and the
+shifted-denominator readings do; the genuine E_c is carry_period and the
+division reading is div_by_c_period, the constant c - 1.  The sweep reads
+each level 0 to max_level + 1 once, refuses a read that is not one period,
+and takes both verdicts on a level from that one read.  The lifts of x mod
+D are x + k D for k < p, so the refined sum of the class r of level m is
+sum_(k < p) fine[(r + k D) mod len(fine)], with fine the period of level
+m + 1: a level costs O(p min(c, D)), not O(d p^(m+1)).  As K >= 2 and a
+value whose denominator is prime to p has norm at most 1, K and a norm are
+made only where p divides a denominator: never for the genuine E_c, whose
+2 E_c(U_a) are integers (p is odd).  A failing class is expanded into its
+(m, x) tuples, in x order, and a Fraction is made, only for a failure it
+reports.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import numbers
 import operator
@@ -104,10 +106,11 @@ __all__ = [
     "cylinder_decompose",
     "equi_class",
     "bernoulli_distribution",
-    "div_by_c_table",
+    "div_by_c_period",
     "distribution_refine_sum",
     "measure_failures",
     "MAX_SWEEP_EVALUATIONS",
+    "carry_period",
     "carry_table",
     "integral",
     "measure_apply",
@@ -247,14 +250,14 @@ def bernoulli_distribution(params: BernoulliParams, n: int, a: int) -> Fraction:
     return Fraction(c - 1 - 2 * (c * (pow(c, -1, D) * a % D) // D), 2)
 
 
-def div_by_c_table(params: BernoulliParams, n: int) -> tuple:
+def div_by_c_period(params: BernoulliParams, n: int) -> tuple:
     """The rival reading {A/D} - c {A/(cD)} + (c-1)/2 at level n, doubled, as a
     table hook of measure_failures; it fails compatibility.
 
     It is the constant c - 1: 0 <= A < D < cD gives {A/(cD)} = A/(cD),
     so the first two terms cancel.  Its refined sum is p (c-1).
     """
-    return (params.c - 1,) * (params.d * params.p**n)
+    return (params.c - 1,) * min(params.c, params.d * params.p**n)
 
 
 def distribution_refine_sum(params: BernoulliParams, m: int, x: int,
@@ -270,39 +273,45 @@ def distribution_refine_sum(params: BernoulliParams, m: int, x: int,
     )
 
 
-@functools.lru_cache(maxsize=32)
-def carry_table(params: BernoulliParams, level: int) -> tuple:
-    """2 E_c(level, a) = c - 1 - 2t at index a, for a mod D = d*p^level.
+def carry_period(params: BernoulliParams, n: int) -> tuple:
+    """2 E_c(n, a) = c - 1 - 2t at a = 0 .. min(c, D) - 1, D = d*p^n.
 
     The carry t of a = c b - D t is fixed by a mod c: t = -a D^(-1) mod c.
-    So the table is periodic with period c: its first min(c, D) entries,
-    repeated and cut to length D.
+    So these values repeat with period c through the level.
     """
     c = params.c
-    D = params.d * params.p**level
+    D = params.d * params.p**n
     d_inv = pow(D, -1, c)
-    period = tuple(c - 1 - 2 * (-r * d_inv % c) for r in range(min(c, D)))
-    return (period * (D // c + 1))[:D]
+    return tuple(c - 1 - 2 * (-r * d_inv % c) for r in range(min(c, D)))
 
 
-# The most distribution values one sweep may read.
+def carry_table(params: BernoulliParams, level: int) -> tuple:
+    """2 E_c(level, a) at index a, for a mod D = d*p^level: carry_period
+    repeated and cut to length D."""
+    D = params.d * params.p**level
+    return (carry_period(params, level) * (D // params.c + 1))[:D]
+
+
+# The most (m, x) tuples a failing reading may list, counted as the values
+# a sweep of whole level tables would read.
 MAX_SWEEP_EVALUATIONS = 2_000_000
 
 
 def measure_failures(params: BernoulliParams, max_level: int,
-                     values=carry_table) -> tuple[list, list]:
+                     values=carry_period) -> tuple[list, list]:
     """(compatibility, boundedness): every (m, x, coarse, fine) with
     m <= max_level and x mod d*p^m where the level-m value differs from the
     refined sum, and every (m, x, ||mu(U_x)||, K) where the norm of the basic
-    clopen set exceeds K, all as Fractions, in one sweep of the table hook
-    `values` (module docstring).  A negative max_level is refused with
+    clopen set exceeds K, all as Fractions, read from one period of the
+    table hook `values` per level (module docstring).  A read whose length
+    is not min(c, d*p^n) and a negative max_level are refused with
     ValueError, and up front with CostLimitExceeded a sweep whose bound
-    (p + 1) * d * sum_(m <= max_level) p^m on the values it reads exceeds
-    MAX_SWEEP_EVALUATIONS.
+    (p + 1) * d * sum_(m <= max_level) p^m on the tuples a failing reading
+    lists exceeds MAX_SWEEP_EVALUATIONS.
     """
     if max_level < 0:
         raise ValueError(f"max_level must be >= 0, got {max_level}")
-    p, d = params.p, params.d
+    p, d, c = params.p, params.d, params.c
     # the exponent is capped so that a huge max_level costs nothing to refuse
     top = min(max_level, 64)
     evaluations = (p + 1) * d * (p ** (top + 1) - 1) // (p - 1)
@@ -312,22 +321,35 @@ def measure_failures(params: BernoulliParams, max_level: int,
             f"a sweep to level {max_level} needs {more}{evaluations} "
             f"E_c evaluations, over the limit of {MAX_SWEEP_EVALUATIONS}"
         )
+
+    def period(n):
+        read, length = values(params, n), min(c, d * p**n)
+        if len(read) != length:
+            raise ValueError(f"the table hook gave {len(read)} values at level {n}, "
+                             f"not one period of min(c, d*p^n) = {length}")
+        return read
+
     compatibility, boundedness = [], []
-    coarse = values(params, 0)
+    coarse = period(0)
     for m in range(max_level + 1):
+        D = d * p**m
+        fine = period(m + 1)
+        # len(coarse) is c or D, so the value at x is coarse[x % len(coarse)];
+        # a class is expanded into its residues x only where it fails.
         # ||mu|| = ||2 mu|| as p is odd
         suspects = [v for v in set(coarse) if v.denominator % p == 0]
         if suspects:
-            bound = norm_bound_constant(p, params.c)
+            bound = norm_bound_constant(p, c)
             past = {v: norm for v in suspects if (norm := _norm(p, v)) > bound}
-            boundedness += [(m, x, past[v], bound) for x, v in enumerate(coarse) if v in past]
-        step = d * p**m
-        fine = values(params, m + 1)
-        refined = list(map(sum, zip(*(fine[k * step:(k + 1) * step] for k in range(p)))))
+            boundedness += [(m, x, past[v], bound) for x in range(D)
+                            if (v := coarse[x % len(coarse)]) in past]
+        # the lifts of x are x + k D, k < p, at level m + 1
+        refined = [sum(fine[(r + k * D) % len(fine)] for k in range(p))
+                   for r in range(len(coarse))]
         if any(map(operator.ne, coarse, refined)):
-            compatibility += [(m, x, Fraction(value, 2), Fraction(total, 2))
-                              for x, (value, total) in enumerate(zip(coarse, refined))
-                              if value != total]
+            compatibility += [(m, x, Fraction(coarse[r], 2), Fraction(refined[r], 2))
+                              for x in range(D)
+                              if coarse[r := x % len(coarse)] != refined[r]]
         coarse = fine
     return compatibility, boundedness
 

@@ -390,12 +390,13 @@ def embed_product(p: int, total: int, N: int, den: int = 1) -> PadicNum:
     return PadicNum.from_int_mod(p, total, W) * PadicNum.from_rational(p, Fraction(1, den), W)
 
 
-def level_table(dist):
-    """The table hook of measure.measure_failures for a per-residue dist:
-    level n -> the doubled values 2 dist(params, n, a) at every a mod d*p^n."""
-    def table(params, n: int) -> list:
-        return [2 * dist(params, n, a) for a in range(params.d * params.p**n)]
-    return table
+def level_period(dist):
+    """The table hook of measure.measure_failures for a per-residue dist that
+    depends only on a mod c: level n -> the doubled values 2 dist(params, n, a)
+    at a = 0 .. min(c, d*p^n) - 1."""
+    def period(params, n: int) -> list:
+        return [2 * dist(params, n, a) for a in range(min(params.c, params.d * params.p**n))]
+    return period
 
 
 def compatibility_failures_bruteforce(params, max_level: int,

@@ -9,7 +9,7 @@ import functools
 
 import pytest
 
-from oracles import bernoulli_distribution_over_p, level_table
+from oracles import bernoulli_distribution_over_p, level_period
 from padiclf import measure, suite
 from padiclf.padic import PadicNum
 from padiclf.suite import ALL_CRITERIA
@@ -68,7 +68,7 @@ def test_compatibility_detail_is_pinned():
 
 def test_criterion_6_fails_on_a_measure_divided_by_p(monkeypatch):
     monkeypatch.setattr(suite, "measure_failures", functools.partial(
-        measure.measure_failures, values=level_table(bernoulli_distribution_over_p)))
+        measure.measure_failures, values=level_period(bernoulli_distribution_over_p)))
     passed, detail = suite._c6_boundedness(SEED)
     assert not passed
     # the reading fails at p = 5 and 7, not at (p, c) = (3, 2)
@@ -99,3 +99,21 @@ def test_criterion_7_fails_on_a_riemann_sum_that_varies_with_the_level(monkeypat
     passed, detail = suite._c7_locally_constant_integration(SEED)
     assert not passed
     assert [f[0] for f in detail["failures"]] == ["level-1 integrand sums not constant"]
+
+
+def test_criterion_10_counts_decided_signs_only(monkeypatch):
+    # "both" passes a case but does not vote for the global sign, and with no
+    # decided sign at all the criterion fails rather than pass vacuously
+    verify = suite.verify_interpolation
+    for first, expected in (("+", (True, "+")), ("both", (False, None))):
+        signs = iter([first] + ["both"] * 5)
+
+        def relabelled(params, n):
+            report = verify(params, n)
+            report.sign = next(signs)
+            return report
+
+        monkeypatch.setattr(suite, "verify_interpolation", relabelled)
+        passed, detail = suite._c10_interpolation(SEED)
+        assert (passed, detail["global_sign"]) == expected
+        assert [case["sign"] for case in detail["cases"]] == [first] + ["both"] * 5

@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 import padiclf
-from oracles import bernoulli_distribution_over_p, level_table
+from oracles import bernoulli_distribution_over_p, level_period
 from padiclf import cli, dirichlet, lfunction, measure, modarith
 from padiclf.cli import COMMANDS, GLOBAL_FLAGS, main, parse_argv
 from padiclf.padic import PadicNum
@@ -522,7 +522,7 @@ def test_measure_check_reports_an_unbounded_reading(capsys, monkeypatch):
     # with the sweep reading E_c / p, still a distribution, the 41 residues of
     # levels 0 to 2 where E_c is not 0 are counterexamples, ||E_c(U) / p|| = 5 > K = 3
     monkeypatch.setattr(cli, "measure_failures", functools.partial(
-        measure.measure_failures, values=level_table(bernoulli_distribution_over_p)))
+        measure.measure_failures, values=level_period(bernoulli_distribution_over_p)))
     code, out, err = run_cli(capsys, "measure-check", "--p", "5", "--d", "2", "--c", "3",
                              "--max-level", "2")
     obj = json.loads(out)
@@ -571,6 +571,22 @@ def test_verify_valuation_is_a_lower_bound(capsys):
     obj = json.loads(out)
     assert obj["valuation_of_difference"] == 7
     assert obj["valuation_is_exact"] is False
+
+
+@pytest.mark.parametrize("p, e", [(37, 32), (59, 44), (67, 58)])
+@pytest.mark.parametrize("n", ["2", "3"])
+def test_verify_passes_where_both_sides_vanish(capsys, p, e, n):
+    # at an irregular pair v(R) >= 1, and with one certified digit L and R are
+    # both zero to precision 1: neither sign is provable, both congruences
+    # hold to the target, so the call passes with the sign "both"
+    code, out, _ = run_cli(capsys, "verify", "--p", str(p), "--d", "1", "--m", "1",
+                           "--char", f"omega^{e}", "--c", "2", "--n", n,
+                           "--prec", "1", "--jmax", "1", "--target", "1")
+    assert code == 0
+    zero = {"p": p, "zero_to_precision": 1}
+    assert json.loads(out) == {"lhs": zero, "rhs": zero, "sign": "both",
+                               "valuation_of_difference": None,
+                               "valuation_is_exact": None, "pass": True}
 
 
 def test_level_3125_matches_level_5(capsys):

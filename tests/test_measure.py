@@ -16,7 +16,7 @@ from oracles import (
     boundedness_failures_bruteforce,
     compatibility_failures_bruteforce,
     integral_fract,
-    level_table,
+    level_period,
     measure_apply_fold,
     norm_bound_check_two_pass,
 )
@@ -28,11 +28,12 @@ from padiclf.measure import (
     ClopenSet,
     CylinderFunction,
     bernoulli_distribution,
+    carry_period,
     carry_table,
     char_fn,
     cylinder_decompose,
     distribution_refine_sum,
-    div_by_c_table,
+    div_by_c_period,
     equi_class,
     integral,
     measure_apply,
@@ -180,11 +181,11 @@ class TestDistribution:
         for params in C5_GRID:
             p, d, half = params.p, params.d, Fraction(params.c - 1, 2)
             for m in range(4):
-                assert div_by_c_table(params, m) == (2 * half,) * (d * p**m)
+                assert div_by_c_period(params, m) == (2 * half,) * min(params.c, d * p**m)
                 for x in range(d * p**m):
                     assert bernoulli_distribution_div_by_c_fract(params, m, x) == half
             failures = [(m, x, half, p * half) for m in range(4) for x in range(d * p**m)]
-            assert measure_failures(params, 3, div_by_c_table) == (failures, [])
+            assert measure_failures(params, 3, div_by_c_period) == (failures, [])
             assert measure_failures(params, 3) == ([], [])
 
     def test_shifted_denominator_fails_compatibility(self):
@@ -199,10 +200,10 @@ class TestDistribution:
 
 
 # each reading of the distribution as a per-residue form, with the level
-# table the library sweeps for it where it has one
+# period the library sweeps for it where it has one
 READINGS = {
-    "bernoulli_distribution": (bernoulli_distribution, carry_table),
-    "bernoulli_distribution_div_by_c": (bernoulli_distribution_div_by_c_fract, div_by_c_table),
+    "bernoulli_distribution": (bernoulli_distribution, carry_period),
+    "bernoulli_distribution_div_by_c": (bernoulli_distribution_div_by_c_fract, div_by_c_period),
     "shifted_denominator": (shifted_denominator, None),
 }
 
@@ -210,13 +211,13 @@ READINGS = {
 class TestSweep:
     @pytest.mark.parametrize("reading", list(READINGS))
     def test_matches_residue_by_residue_oracle(self, reading):
-        dist, table = READINGS[reading]
+        dist, period = READINGS[reading]
         for params in C5_GRID:
             expected = (compatibility_failures_bruteforce(params, 3, dist),
                         boundedness_failures_bruteforce(params, 3, dist))
-            assert measure_failures(params, 3, level_table(dist)) == expected
-            if table is not None:
-                assert measure_failures(params, 3, table) == expected
+            assert measure_failures(params, 3, level_period(dist)) == expected
+            if period is not None:
+                assert measure_failures(params, 3, period) == expected
 
     @settings(max_examples=40, deadline=None)
     @given(p=st.sampled_from((3, 5, 7, 11, 13)), d=st.sampled_from((1, 2, 4)),
@@ -228,33 +229,67 @@ class TestSweep:
         assert compatibility_failures_bruteforce(params, max_level) == []
         # and it reports every residue where the division reading fails
         half = Fraction(c - 1, 2)
-        assert measure_failures(params, max_level, div_by_c_table) == (
+        assert measure_failures(params, max_level, div_by_c_period) == (
             [(m, x, half, p * half) for m in range(max_level + 1) for x in range(d * p**m)], [])
 
     def test_reads_each_level_once(self):
         seen = []
 
-        def counted(table):
+        def counted(period):
             def read(params, n):
-                seen.append(n)
-                return table(params, n)
+                values = period(params, n)
+                seen.append((n, len(values)))
+                return values
             return read
 
-        params = BernoulliParams(5, 2, 3)
-        assert measure_failures(params, 2, counted(carry_table)) == ([], [])
-        assert seen == [0, 1, 2, 3]
+        # the costliest cell of the measure benchmark: one period of c = 3
+        # values at each of the levels 0 to 4, where whole level tables would
+        # be 4 * (1 + 7 + 49 + 343 + 2401) = 11204 values
+        assert measure_failures(BernoulliParams(7, 4, 3), 3, counted(carry_period)) == ([], [])
+        assert seen == [(n, 3) for n in range(5)]
+        assert sum(length for _, length in seen) == 15
         # the division reading over p, the constant (c - 1)/p = 2/5, fails both
         # properties at every residue, and both verdicts come from the same reads
         seen.clear()
+        params = BernoulliParams(5, 2, 3)
 
         def div_by_c_over_p(pr, n):
-            return [Fraction(v, pr.p) for v in div_by_c_table(pr, n)]
+            return [Fraction(v, pr.p) for v in div_by_c_period(pr, n)]
 
         compatibility, boundedness = measure_failures(params, 2, counted(div_by_c_over_p))
-        assert seen == [0, 1, 2, 3]
+        assert seen == [(0, 2), (1, 3), (2, 3), (3, 3)]
         residues = [(m, x) for m in range(3) for x in range(2 * 5**m)]
         assert compatibility == [(m, x, Fraction(1, 5), 1) for m, x in residues]
         assert boundedness == [(m, x, 5, 3) for m, x in residues]
+
+    def test_whole_tables_refused(self):
+        # a hook that returns a whole level table, or any read that is not
+        # one period of min(c, d*p^n) values, is refused
+        params = BernoulliParams(5, 2, 3)
+        with pytest.raises(ValueError, match=r"gave 10 values at level 1, not one period "
+                                             r"of min\(c, d\*p\^n\) = 3"):
+            measure_failures(params, 2, carry_table)
+        with pytest.raises(ValueError, match="gave 2 values at level 1"):
+            measure_failures(params, 2, lambda pr, n: carry_period(pr, 0))
+
+    @settings(max_examples=30, deadline=None)
+    @given(p=st.sampled_from((3, 5, 7, 11, 13)), d=st.integers(1, 6),
+           c=st.integers(2, 60), max_level=st.integers(0, 3),
+           q=st.sampled_from((2, 3, 5, 7, 11, 13)))
+    def test_periods_match_bruteforce(self, p, d, c, max_level, q):
+        # c up to 60 exceeds d p^m at low levels, where a period is the
+        # whole level; every reading depends only on a mod c
+        assume(math.gcd(d, p) == 1 and math.gcd(c, d * p) == 1)
+        params = BernoulliParams(p, d, c)
+
+        def over_q(pr, n, a):
+            return bernoulli_distribution(pr, n, a) / q
+
+        for dist in (bernoulli_distribution, bernoulli_distribution_div_by_c_fract,
+                     bernoulli_distribution_over_p, over_q, shifted_denominator):
+            assert measure_failures(params, max_level, level_period(dist)) == (
+                compatibility_failures_bruteforce(params, max_level, dist),
+                boundedness_failures_bruteforce(params, max_level, dist))
 
 
 class TestCarryTable:
@@ -306,7 +341,7 @@ class TestBoundedness:
         over_p = bernoulli_distribution_over_p
         for params in C5_GRID:
             # E_c / p is still a distribution: only the bound fails
-            compatibility, failures = measure_failures(params, 3, level_table(over_p))
+            compatibility, failures = measure_failures(params, 3, level_period(over_p))
             assert compatibility == []
             assert failures == boundedness_failures_bruteforce(params, 3, over_p)
             assert bool(failures) == (params.p > 3 or (params.c - 1) % 3 == 0)
@@ -316,7 +351,7 @@ class TestBoundedness:
         # 2 E_c(U) is 2, 0 or -2 at c = 3, so ||E_c(U) / p|| is 5 or 0 and K = 3:
         # the 41 residues of levels 0 to 2 where E_c(U) is not 0
         params = BernoulliParams(5, 2, 3)
-        failures = measure_failures(params, 2, level_table(bernoulli_distribution_over_p))[1]
+        failures = measure_failures(params, 2, level_period(bernoulli_distribution_over_p))[1]
         assert len(failures) == 41
         assert {(lhs, K) for _, _, lhs, K in failures} == {(5, 3)}
         assert [(m, x) for m, x, _, _ in failures] == [
@@ -346,7 +381,7 @@ class TestBoundedness:
         params = BernoulliParams(7, 4, 3)
         assert measure_failures(params, 3) == ([], [])
         assert norms == [] and bounds == []
-        failures = measure_failures(params, 3, level_table(bernoulli_distribution_over_p))[1]
+        failures = measure_failures(params, 3, level_period(bernoulli_distribution_over_p))[1]
         zeros = sum(v == 0 for m in range(4) for v in carry_table(params, m))
         assert len(failures) == 1600 - zeros
         assert sorted(norms) == sorted([Fraction(-2, 7), Fraction(2, 7)] * 4)
@@ -367,7 +402,7 @@ class TestBoundedness:
             return bernoulli_distribution(pr, n, a) / q
 
         with mock.patch.object(measure, "_norm", wraps=measure._norm) as norm:
-            failures = measure_failures(params, max_level, level_table(over_q))[1]
+            failures = measure_failures(params, max_level, level_period(over_q))[1]
         assert norm.call_count == 0
         assert failures == boundedness_failures_bruteforce(params, max_level, over_q) == []
 
