@@ -334,8 +334,7 @@ def measure_failures(params: BernoulliParams, max_level: int,
     for m in range(max_level + 1):
         D = d * p**m
         fine = period(m + 1)
-        # len(coarse) is c or D, so the value at x is coarse[x % len(coarse)];
-        # a class is expanded into its residues x only where it fails.
+        # len(coarse) is c or D, so the value at x is coarse[x % len(coarse)].
         # ||mu|| = ||2 mu|| as p is odd
         suspects = [v for v in set(coarse) if v.denominator % p == 0]
         if suspects:
