@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import subprocess
 import sys
@@ -34,3 +35,28 @@ def test_a_a_pair_schema_and_digests(tmp_path):
     base, change = (report["sides"][s]["runs"][0] for s in ("base", "change"))
     assert base["digest"] == change["digest"]
     assert (base["first"], change["first"]) == (True, False)
+
+
+def test_exits_1_when_digests_differ(tmp_path, monkeypatch):
+    spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "tools" / "bench_pairs.py")
+    bench_pairs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_pairs)
+    digests = iter(["a", "a", "b", "c"])
+
+    def fake_run(tree, workload, seed, seconds):
+        return {"python": "3", "nproc": 1, "src_lines": 1}, {
+            "seed": seed, "digest": next(digests), "correct": True, "failed": 0,
+            "metrics": dict.fromkeys(METRICS, 1.0)}
+
+    monkeypatch.setattr(bench_pairs, "_run", fake_run)
+    monkeypatch.chdir(tmp_path)
+    argv = ["--label", "x", "--workload", "measure", "--base", str(ROOT),
+            "--change", str(ROOT), "--seeds", "1", "2", "--seconds", "1"]
+    assert bench_pairs.main(argv) == 1
+    report = json.loads((tmp_path / "BENCH_x.json").read_text())
+    assert report["digests_equal"] is False
+    # ties count for neither side
+    assert report["change_won"] == dict.fromkeys(METRICS, 0)
+    # the second pair runs the change first
+    assert [r["first"] for r in report["sides"]["change"]["runs"]] == [False, True]
+    assert [r["digest"] for r in report["sides"]["change"]["runs"]] == ["a", "b"]
