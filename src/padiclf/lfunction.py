@@ -90,8 +90,8 @@ class LpParams:
     [max(j_min, m), j_max] that is not empty; then chi,
     given as a character or as a spec string that
     dirichlet.parse_character_spec reads only now: chi over p; its level
-    dividing d*p^m, read through split_p_power; chi even; d dividing its
-    conductor.
+    dividing d*p^m, read through split_p_power; d dividing its conductor.
+    chi may be even or odd; p_adic_L answers an odd chi with the exact zero.
     chi is never lifted to d*p^m: every sum and the closed form read it
     through chi_omega_minus_k and label, which go to its primitive
     character, so any level dividing d*p^m gives the same values.
@@ -121,8 +121,6 @@ class LpParams:
         if v > self.m or self.d % tame:
             raise ValueError(f"character level {self.chi.level} does not divide "
                              f"d*p^m = {self.d}*{self.p}^{self.m}")
-        if not self.chi.is_even():
-            raise ValueError("chi must be even")
         if self.chi.conductor() % self.d:
             raise ValueError("d must divide the conductor of chi")
 
@@ -205,6 +203,11 @@ def p_adic_L(params: LpParams, w: Weight) -> EvalReport:
     p^J for every J >= m (module docstring), so J = max(digits, j_min, m)
     is the lowest level of the range that certifies every digit; it is at
     most j_max, as LpParams checks.  S_J is summed mod p^digits alone.
+
+    For an odd chi the L-value is the exact zero, returned without a sum:
+    the integrand chi omega^(-1)(a) <a>^k is even and 2 E_c(j, -a) =
+    -2 E_c(j, a) at every unit a, so every S_j vanishes, at every precision
+    (Washington, section 5.2).  level_used is still J.
     """
     digits = params.digits
     if digits < params.target_valuation:
@@ -212,6 +215,8 @@ def p_adic_L(params: LpParams, w: Weight) -> EvalReport:
             f"min(relprec={params.relprec}, j_max={params.j_max}) = {digits} certified "
             f"digits do not reach the target valuation {params.target_valuation}")
     J = max(digits, params.j_min, params.m)
+    if not params.chi.is_even():
+        return EvalReport(value=PadicNum.exact_zero(params.p), level_used=J)
     return EvalReport(value=riemann_sum(params, w, J, digits), level_used=J)
 
 

@@ -54,10 +54,11 @@ CylinderFunction; the test oracle tests/oracles.py::measure_apply_fold
 integrates one term by term in PadicNum arithmetic.
 
 carry_period(params, n) holds 2 E_c(n, a) at a = 0 .. min(c, D) - 1.
-Since a = c b - D t with gcd(c, D) = 1, the carry is t = -a D^(-1) mod c,
-so the level's values repeat with period c: carry_period is the whole
-level, read at a mod c.  carry_table(params, level), which the integral
-reads, is that period repeated and cut to D.
+Since a = c b - D t with gcd(c, D) = 1, the carry is t = a u mod c with
+u = -D^(-1) mod c, so the level's values repeat with period c:
+carry_period is the whole level, read at a mod c, and needs only D mod c.
+carry_table(params, level), which the integral reads, is that period
+repeated and cut to D.
 
 The measure is bounded: ||E_c(f)|| <= K ||f|| for every cylinder function
 f, with K = norm_bound_constant(p, c).  This is exact level by level on the
@@ -76,13 +77,18 @@ division reading is div_by_c_period, the constant c - 1.  The sweep reads
 each level 0 to max_level + 1 once, refuses a read that is not one period,
 and takes both verdicts on a level from that one read.  The lifts of x mod
 D are x + k D for k < p, so the refined sum of the class r of level m is
-sum_(k < p) fine[(r + k D) mod len(fine)], with fine the period of level
-m + 1: a level costs O(p min(c, D)), not O(d p^(m+1)).  As K >= 2 and a
-value whose denominator is prime to p has norm at most 1, K and a norm are
-made only where p divides a denominator: never for the genuine E_c, whose
-2 E_c(U_a) are integers (p is odd).  A failing class is expanded into its
-(m, x) tuples, in x order, and a Fraction is made, only for a failure it
-reports.
+sum_(k < p) fine[(r + k s) mod len(fine)], with fine the period of level
+m + 1 and s = D mod len(fine).  That is one slice, ext[r : r + p s : s],
+of ext, fine repeated until it holds the index r + (p - 1) s: a level costs
+O(p min(c, D)) steps in C, not O(d p^(m+1)).  As K >= 2 and a value whose
+denominator is prime to p has norm at most 1, K and a norm are made only
+where p divides a denominator: never for the genuine E_c, whose 2 E_c(U_a)
+are integers (p is odd).  A failing class is expanded into its (m, x)
+tuples, in x order, and a Fraction is made, only for a failure it reports.
+The sweep is refused on the work it does: up front when the values it reads
+plus the terms it sums pass MAX_SWEEP_EVALUATIONS, and at a failing level
+when the tuples listed would pass it, counted class by class before any is
+built.
 """
 
 from __future__ import annotations
@@ -257,7 +263,7 @@ def div_by_c_period(params: BernoulliParams, n: int) -> tuple:
     It is the constant c - 1: 0 <= A < D < cD gives {A/(cD)} = A/(cD),
     so the first two terms cancel.  Its refined sum is p (c-1).
     """
-    return (params.c - 1,) * min(params.c, params.d * params.p**n)
+    return (params.c - 1,) * _period_length(params, n)
 
 
 def distribution_refine_sum(params: BernoulliParams, m: int, x: int,
@@ -273,16 +279,23 @@ def distribution_refine_sum(params: BernoulliParams, m: int, x: int,
     )
 
 
+def _period_length(params: BernoulliParams, n: int) -> int:
+    """min(c, d*p^n), the number of values a level's period holds.  As p > 2,
+    p^n > c once n >= c.bit_length(), so no power of p past that is built."""
+    return min(params.c, params.d * params.p ** min(n, params.c.bit_length()))
+
+
 def carry_period(params: BernoulliParams, n: int) -> tuple:
     """2 E_c(n, a) = c - 1 - 2t at a = 0 .. min(c, D) - 1, D = d*p^n.
 
-    The carry t of a = c b - D t is fixed by a mod c: t = -a D^(-1) mod c.
-    So these values repeat with period c through the level.
+    The carry t of a = c b - D t is fixed by a mod c: t = a u mod c with
+    u = -D^(-1) mod c, a unit read from D mod c.  So these values repeat
+    with period c through the level, and the period is doubled[a u mod c]
+    for doubled = (c - 1, c - 3, .., 1 - c), the values at t = 0 .. c - 1.
     """
     c = params.c
-    D = params.d * params.p**n
-    d_inv = pow(D, -1, c)
-    return tuple(c - 1 - 2 * (-r * d_inv % c) for r in range(min(c, D)))
+    u = -pow(params.d * pow(params.p, n, c), -1, c) % c
+    return tuple([c - 1 - 2 * (r * u % c) for r in range(_period_length(params, n))])
 
 
 def carry_table(params: BernoulliParams, level: int) -> tuple:
@@ -292,9 +305,20 @@ def carry_table(params: BernoulliParams, level: int) -> tuple:
     return (carry_period(params, level) * (D // params.c + 1))[:D]
 
 
-# The most (m, x) tuples a failing reading may list, counted as the values
-# a sweep of whole level tables would read.
+# The most work a sweep may do: the period values it reads plus the terms of
+# its refined sums, counted up front, and the (m, x) tuples a failing reading
+# lists, counted at each failing level before they are built.
 MAX_SWEEP_EVALUATIONS = 2_000_000
+
+
+def _periods_total(params: BernoulliParams, levels: int) -> int:
+    """sum_(n < levels) min(c, d*p^n) in closed form: d (p^k - 1)/(p - 1) over
+    the k levels below c, whose period is the whole level, then c a level."""
+    p, d, c = params.p, params.d, params.c
+    k = 0
+    while k < levels and d * p**k < c:
+        k += 1
+    return d * (p**k - 1) // (p - 1) + c * (levels - k)
 
 
 def measure_failures(params: BernoulliParams, max_level: int,
@@ -305,25 +329,24 @@ def measure_failures(params: BernoulliParams, max_level: int,
     clopen set exceeds K, all as Fractions, read from one period of the
     table hook `values` per level (module docstring).  A read whose length
     is not min(c, d*p^n) and a negative max_level are refused with
-    ValueError, and up front with CostLimitExceeded a sweep whose bound
-    (p + 1) * d * sum_(m <= max_level) p^m on the tuples a failing reading
-    lists exceeds MAX_SWEEP_EVALUATIONS.
+    ValueError.  CostLimitExceeded refuses, up front, a sweep whose values
+    read, sum_(n <= max_level + 1) min(c, d*p^n), plus terms summed,
+    p sum_(m <= max_level) min(c, d*p^m), exceed MAX_SWEEP_EVALUATIONS, and,
+    at the first level where they would exceed it, the (m, x) tuples of a
+    failing reading, counted before they are built.
     """
     if max_level < 0:
         raise ValueError(f"max_level must be >= 0, got {max_level}")
     p, d, c = params.p, params.d, params.c
-    # the exponent is capped so that a huge max_level costs nothing to refuse
-    top = min(max_level, 64)
-    evaluations = (p + 1) * d * (p ** (top + 1) - 1) // (p - 1)
-    if evaluations > MAX_SWEEP_EVALUATIONS:
-        more = "more than " if top < max_level else ""
+    reads = _periods_total(params, max_level + 2)
+    terms = p * _periods_total(params, max_level + 1)
+    if reads + terms > MAX_SWEEP_EVALUATIONS:
         raise CostLimitExceeded(
-            f"a sweep to level {max_level} needs {more}{evaluations} "
-            f"E_c evaluations, over the limit of {MAX_SWEEP_EVALUATIONS}"
-        )
+            f"a sweep to level {max_level} reads {reads} values and sums {terms} "
+            f"terms, over the limit of {MAX_SWEEP_EVALUATIONS}")
 
     def period(n):
-        read, length = values(params, n), min(c, d * p**n)
+        read, length = values(params, n), _period_length(params, n)
         if len(read) != length:
             raise ValueError(f"the table hook gave {len(read)} values at level {n}, "
                              f"not one period of min(c, d*p^n) = {length}")
@@ -332,23 +355,36 @@ def measure_failures(params: BernoulliParams, max_level: int,
     compatibility, boundedness = [], []
     coarse = period(0)
     for m in range(max_level + 1):
-        D = d * p**m
         fine = period(m + 1)
-        # len(coarse) is c or D, so the value at x is coarse[x % len(coarse)].
+        # len(coarse) is c or D = d p^m, so the value at x is coarse[x % n].
         # ||mu|| = ||2 mu|| as p is odd
-        suspects = [v for v in set(coarse) if v.denominator % p == 0]
-        if suspects:
+        n, past = len(coarse), {}
+        if suspects := [v for v in set(coarse) if v.denominator % p == 0]:
             bound = norm_bound_constant(p, c)
             past = {v: norm for v in suspects if (norm := _norm(p, v)) > bound}
-            boundedness += [(m, x, past[v], bound) for x in range(D)
-                            if (v := coarse[x % len(coarse)]) in past]
-        # the lifts of x are x + k D, k < p, at level m + 1
-        refined = [sum(fine[(r + k * D) % len(fine)] for k in range(p))
-                   for r in range(len(coarse))]
-        if any(map(operator.ne, coarse, refined)):
+        # the lifts x + k D, k < p, of the class r lie in the classes r + k s
+        # of fine, s = D mod len(fine), which is never 0 (len(fine) is c,
+        # prime to D, or p D); in fine repeated past r + (p - 1) s they are
+        # the slice ext[r : r + p s : s]
+        s = d * pow(p, m, len(fine)) % len(fine)
+        ext = fine * ((n - 1 + (p - 1) * s) // len(fine) + 1)
+        refined = [sum(ext[r:r + p * s:s]) for r in range(n)]
+        if past or any(map(operator.ne, coarse, refined)):
+            failing = ([r for r in range(n) if coarse[r] in past]
+                       + [r for r in range(n) if coarse[r] != refined[r]])
+            # the class r holds the x = r, r + n, .. below D
+            D = d * p**m
+            listed = (len(compatibility) + len(boundedness)
+                      + sum((D - 1 - r) // n + 1 for r in failing))
+            if listed > MAX_SWEEP_EVALUATIONS:
+                raise CostLimitExceeded(
+                    f"the failures of a sweep to level {m} are {listed} (m, x) tuples, "
+                    f"over the limit of {MAX_SWEEP_EVALUATIONS}")
+            if past:
+                boundedness += [(m, x, past[v], bound) for x in range(D)
+                                if (v := coarse[x % n]) in past]
             compatibility += [(m, x, Fraction(coarse[r], 2), Fraction(refined[r], 2))
-                              for x in range(D)
-                              if coarse[r := x % len(coarse)] != refined[r]]
+                              for x in range(D) if coarse[r := x % n] != refined[r]]
         coarse = fine
     return compatibility, boundedness
 

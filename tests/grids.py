@@ -186,6 +186,57 @@ def character_grid() -> tuple[Counter, list, str]:
                          lambda argv, obj: argv[0] != "verify" or _interpolates(argv, obj), tmp)
 
 
+def odd_character_argvs(tmp: str) -> list[list[str]]:
+    """`lp-eval --weight-k k` for k in {0, 1, 2, 5} and `verify --n n` for n
+    in {2, 3}, each with `--d d --m 1 --c c --prec 10 --jmax 10` and c in
+    {2, 3, 7, 11} prime to d p, over every odd character: omega^e for odd
+    e < p - 1 (d = 1) and the odd tame chi_d omega^e of character_tables()
+    (d > 1), each written to a table file in the directory tmp."""
+    argvs = []
+    for p, d, e, table in character_tables():
+        if table[str(d * p - 1)] == 1:
+            continue
+        if d == 1:
+            char = ["--p", str(p), "--char", f"omega^{e}"]
+        else:
+            path = Path(tmp, f"chi{d}-omega{e}-p{p}.json")
+            path.write_text(json.dumps({"p": p, "modulus": d * p, "entries": table}))
+            char = ["--p", str(p), "--char", f"table:{path}"]
+        for c in (2, 3, 7, 11):
+            if math.gcd(c, d * p) == 1:
+                level = [*char, "--d", str(d), "--m", "1", "--c", str(c),
+                         "--prec", "10", "--jmax", "10"]
+                argvs += [["lp-eval", *level, "--weight-k", str(k)] for k in (0, 1, 2, 5)]
+                argvs += [["verify", *level, "--n", str(n)] for n in (2, 3)]
+    return argvs
+
+
+def _vanishes(argv, obj) -> bool:
+    """An odd chi: lp-eval answers the exact zero at level 10, and the
+    kernel's own sum there is 0 to its 10 digits; verify passes with the
+    exact zero on the left and the sign "both"."""
+    def arg(flag):
+        return argv[argv.index(flag) + 1]
+
+    p = int(arg("--p"))
+    if argv[0] == "verify":
+        return (obj["pass"] is True and obj["sign"] == "both"
+                and obj["lhs"] == {"p": p, "zero": True})
+    params = LpParams(p=p, d=int(arg("--d")), c=int(arg("--c")), m=1, chi=arg("--char"),
+                      relprec=10, j_max=10)
+    kernel = riemann_sum(params, Weight(int(arg("--weight-k"))), 10, 10)
+    return (obj == {"value": {"p": p, "zero": True}, "level_used": 10}
+            and kernel.is_zero_at_precision() and kernel.abs_precision == 10)
+
+
+def odd_character_grid() -> tuple[Counter, list, str]:
+    """_run_grid over odd_character_argvs(): every answer is the exact zero
+    that the kernel's sum confirms to its digits, and every verify passes
+    with the sign "both"."""
+    with tempfile.TemporaryDirectory() as tmp:
+        return _run_grid(odd_character_argvs(tmp), _vanishes, tmp)
+
+
 def _character(p: int, d: int, table: dict) -> DirichletCharacter:
     """The character of a character_tables() entry, at its level d p."""
     return DirichletCharacter(p, d * p, {int(a): t for a, t in table.items()})
@@ -277,6 +328,7 @@ if __name__ == "__main__":
                        ("interpolation", interpolation_grid),
                        ("level-rule", level_rule_grid),
                        ("character", character_grid),
+                       ("odd-character", odd_character_grid),
                        ("kernel", kernel_grid),
                        ("closed-form", closed_form_grid)):
         cases, failures, digest = grid()

@@ -503,18 +503,31 @@ def test_measure_check_invalid_params(capsys):
 @pytest.mark.parametrize("argv, message", [
     (("--p", "7", "--d", "4", "--c", "3", "--max-level", "-1"),
      "error: max_level must be >= 0, got -1\n"),
-    # 8*4*(7^10-1)/6 evaluations; this argv used to hang
-    (("--p", "7", "--d", "4", "--c", "3", "--max-level", "9"),
-     "error: a sweep to level 9 needs 1506534656 E_c evaluations, "
-     "over the limit of 2000000\n"),
-    # just past the limit: 8*13*(7^6-1)/6 = 2039232
-    (("--p", "7", "--d", "13", "--c", "2", "--max-level", "5"),
-     "error: a sweep to level 5 needs 2039232 E_c evaluations, "
-     "over the limit of 2000000\n"),
+    # a huge level is refused at no cost: 2 (L + 1) + 1 values read, 3 (2 L + 1)
+    # terms summed
+    (("--p", "3", "--d", "1", "--c", "2", "--max-level", "1000000000"),
+     "error: a sweep to level 1000000000 reads 2000000003 values and sums 6000000003 "
+     "terms, over the limit of 2000000\n"),
+    # just past the limit: 8 L + 6 = 2000006 at L = 250000, where 249999 answers
+    (("--p", "3", "--d", "1", "--c", "2", "--max-level", "250000"),
+     "error: a sweep to level 250000 reads 500003 values and sums 1500003 "
+     "terms, over the limit of 2000000\n"),
 ])
 def test_measure_check_refuses_bad_max_level(capsys, argv, message):
     code, out, err = run_cli(capsys, "measure-check", *argv)
     assert (code, out, err) == (2, "", message)
+
+
+@pytest.mark.parametrize("argv", [("--p", "7", "--d", "4", "--c", "3", "--max-level", "9"),
+                                  ("--p", "7", "--d", "13", "--c", "2", "--max-level", "5"),
+                                  ("--p", "3", "--d", "1", "--c", "2", "--max-level", "40")])
+def test_measure_check_answers_past_whole_table_size(capsys, argv):
+    # refused while the limit counted whole level tables ((p + 1) d sum p^m
+    # values: 1506534656, 2039232 and more than 10^19); the sweep reads one
+    # period of c values a level, so each answers
+    code, out, err = run_cli(capsys, "measure-check", *argv)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["pass"] is True
 
 
 
@@ -654,17 +667,24 @@ def test_a_call_short_of_target_is_refused_before_any_sum(capsys, monkeypatch, c
                                        "do not reach the target valuation 8\n")
 
 
-def test_verify_odd_character_rejected(capsys):
-    code, _, err = run_cli(capsys, "verify", "--p", "5", "--d", "1", "--m", "1",
-                           "--char", "omega^1", "--c", "2", "--n", "2")
-    assert code == 2 and "even" in err
+def test_verify_odd_character_passes_with_both_signs(capsys):
+    # L = 0 exactly and R = 0 to every digit: neither sign is provable and
+    # both congruences hold
+    code, out, err = run_cli(capsys, "verify", "--p", "5", "--d", "1", "--m", "1",
+                             "--char", "omega^1", "--c", "2", "--n", "2")
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert report["lhs"] == {"p": 5, "zero": True}
+    assert (report["sign"], report["pass"]) == ("both", True)
 
 
-def test_lp_eval_odd_character_rejected(capsys):
-    # LpParams makes the evenness check; the CLI passes its error through
+def test_lp_eval_odd_character_answers_the_exact_zero(capsys):
+    # L_p vanishes for odd chi: the exact zero, {"zero": true}, not a zero
+    # to some precision
     code, out, err = run_cli(capsys, "lp-eval", "--p", "5", "--d", "1", "--m", "1",
                              "--char", "omega^1", "--c", "2", "--weight-k", "1")
-    assert (code, out, err) == (2, "", "error: chi must be even\n")
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {"value": {"p": 5, "zero": True}, "level_used": 7}
 
 
 @pytest.mark.parametrize("command, weight", [("lp-eval", "--weight-k"), ("verify", "--n")])

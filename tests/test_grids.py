@@ -1,5 +1,5 @@
 from grids import (character_grid, closed_form_grid, interpolation_grid, kernel_grid,
-                   level_rule_grid, measure_check_grid)
+                   level_rule_grid, measure_check_grid, odd_character_grid)
 
 
 def test_measure_check_grid_is_pinned():
@@ -31,6 +31,15 @@ def test_character_grid_is_pinned():
     cases, failures, digest = character_grid()
     assert (cases, failures) == ({0: 1670}, [])
     assert digest == "5ed4a16e0f6a6158"
+
+
+def test_odd_character_grid_is_pinned():
+    # 1098 argvs over the 67 odd characters omega^e and chi_d omega^e: each
+    # lp-eval answers the exact zero, which the kernel's own sum at level 10
+    # confirms to its 10 digits, and each verify passes with the sign "both"
+    cases, failures, digest = odd_character_grid()
+    assert (cases, failures) == ({0: 1098}, [])
+    assert digest == "7dd94f844efc9afd"
 
 
 def test_kernel_grid_is_pinned():

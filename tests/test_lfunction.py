@@ -75,8 +75,8 @@ class TestLpParams:
             LpParams(p=5, d=1, c=2, m=1, chi=chi.change_level(25))
         with pytest.raises(ValueError, match="level 15 does not divide"):
             LpParams(p=5, d=1, c=2, m=1, chi=chi.change_level(15))
-        with pytest.raises(ValueError, match="even"):
-            LpParams(p=5, d=1, c=2, m=1, chi=make_teich_char(5))
+        # an odd chi is taken: p_adic_L answers it with the exact zero
+        assert not LpParams(p=5, d=1, c=2, m=1, chi=make_teich_char(5)).chi.is_even()
         with pytest.raises(ValueError, match=r"j_max=1 is below max\(j_min=1, m=2\)"):
             LpParams(p=5, d=1, c=2, m=2, chi=chi, j_max=1)
         with pytest.raises(ValueError, match=r"j_max=7 is below max\(j_min=8, m=1\)"):
@@ -377,6 +377,60 @@ def test_closed_form_matches_the_padic_product(point, n, N):
     want = special_value_closed_form_padic(params, n)
     assert got.abs_precision == N
     assert eq_mod(got, want, min(N, want.abs_precision))
+
+
+def odd_character(p, d, e, m):
+    """The real character mod d times omega^e at level d p^m, for e of the
+    parity that makes it odd: chi_3 and chi_4 are odd, chi_1 even."""
+    assert e % 2 == (d == 1)
+    table = {a: TAME[d][a % d] * pow(a, e, p) for a in units_of(d * p)}
+    return DirichletCharacter(p, d * p, table).change_level(d * p**m)
+
+
+@st.composite
+def odd_points(draw):
+    """(p, d, e, c, m) with chi_d omega^e odd."""
+    p = draw(st.sampled_from([3, 5, 7, 11, 13]))
+    d = draw(st.sampled_from([d for d in TAME if d % p]))
+    e = draw(st.sampled_from(range(d == 1, p - 1, 2)))
+    c = draw(st.sampled_from([c for c in range(2, 30) if math.gcd(c, d * p) == 1]))
+    return p, d, e, c, draw(st.integers(1, 2))
+
+
+# c = 2, where the carry takes two values; c = 29 past D/L = 3 at d = 4, p = 3
+@example(point=(5, 1, 1, 2, 1), k=0, j=1, N=12)
+@example(point=(3, 4, 0, 29, 1), k=3, j=1, N=5)
+@given(point=odd_points(), k=st.integers(0, 6), j=st.integers(0, 3), N=st.integers(1, 12))
+@settings(max_examples=120, deadline=None)
+def test_kernel_sum_vanishes_at_odd_characters(point, k, j, N):
+    # the integrand chi omega^(-1)(a) <a>^k is even and 2 E_c(-a) = -2 E_c(a)
+    # at every unit a, so the kernel's Riemann sum at level J vanishes to
+    # every digit it carries up to J: the representatives a and D - a of a
+    # and -a give powers a^k and (D - a)^k that agree only mod D = d p^J.
+    # p_adic_L sums at J >= its digits, so it answers odd chi from this fact
+    p, d, e, c, m = point
+    J = m + j
+    N = min(N, J)
+    params = LpParams(p=p, d=d, c=c, m=m, chi=odd_character(p, d, e, m), relprec=N,
+                      j_max=J)
+    value = riemann_sum(params, Weight(k), J, N)
+    assert value.is_zero_at_precision() and value.abs_precision == N
+
+
+def test_odd_character_is_the_exact_zero_without_a_sum(monkeypatch):
+    def no_sum(*args):
+        raise AssertionError("p_adic_L summed at an odd chi")
+
+    monkeypatch.setattr(lfunction, "riemann_sum", no_sum)
+    for p, d, e, c in ((5, 1, 1, 2), (7, 1, 3, 2), (5, 3, 2, 2), (7, 4, 0, 3)):
+        params = LpParams(p=p, d=d, c=c, m=1, chi=odd_character(p, d, e, 1), relprec=6,
+                          j_max=6)
+        report = p_adic_L(params, Weight(2))
+        assert report.value.is_exact_zero() and report.level_used == 6
+        assert report.to_json()["value"] == {"p": p, "zero": True}
+        # a call that could not certify the target is refused as an even one is
+        with pytest.raises(InsufficientPrecision):
+            p_adic_L(LpParams(p=p, d=d, c=c, m=1, chi=params.chi, relprec=3), Weight(2))
 
 
 @st.composite

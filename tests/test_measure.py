@@ -292,6 +292,56 @@ class TestSweep:
                 boundedness_failures_bruteforce(params, max_level, dist))
 
 
+    # (p, d, c) with D = d p^m against c at the levels m = 0 .. 3: pD <= c
+    # (the periods are whole levels), D < c <= pD, and c <= D
+    SLICE_CELLS = {
+        "pD<=c": [(3, 1, 29), (5, 2, 53)],
+        "D<c<=pD": [(5, 1, 7), (7, 2, 9), (3, 1, 29)],
+        "c<=D": [(3, 2, 5), (7, 4, 3)],
+    }
+
+    @pytest.mark.parametrize("cell", [cell for cells in SLICE_CELLS.values() for cell in cells])
+    def test_slices_match_bruteforce(self, cell):
+        # each refined sum is one slice of the next period repeated: held to
+        # the residue-by-residue oracles for every reading, the Fraction ones
+        # (E_c/p and E_c/q) among them, from hooks that return lists and
+        # tuples alike
+        params = BernoulliParams(*cell)
+        p = params.p
+
+        def over(q):
+            return lambda pr, n, a: bernoulli_distribution(pr, n, a) / q
+
+        readings = [bernoulli_distribution, bernoulli_distribution_div_by_c_fract,
+                    bernoulli_distribution_over_p, shifted_denominator]
+        readings += [over(q) for q in (2, 3, 11) if q != p]
+        for dist in readings:
+            expected = (compatibility_failures_bruteforce(params, 3, dist),
+                        boundedness_failures_bruteforce(params, 3, dist))
+            as_list = level_period(dist)
+            assert measure_failures(params, 3, as_list) == expected
+            assert measure_failures(params, 3, lambda pr, n: tuple(as_list(pr, n))) == expected
+
+    def test_cells_reach_each_case(self):
+        def cases(p, d, c):
+            return {"pD<=c" if p * D <= c else "D<c<=pD" if D < c else "c<=D"
+                    for D in (d * p**m for m in range(4))}
+
+        for case, cells in self.SLICE_CELLS.items():
+            assert all(case in cases(*cell) for cell in cells)
+
+    @settings(max_examples=300, deadline=None)
+    @given(p=st.sampled_from((3, 5, 7, 11, 13, 101)), d=st.integers(1, 60),
+           c=st.integers(2, 10**6), m=st.integers(0, 30))
+    def test_slice_step_is_never_zero(self, p, d, c, m):
+        # s = D mod len(fine) with len(fine) = min(c, p D): c is prime to D
+        # and at least 2, and p D > D, so no slice step is 0 and the sweep
+        # needs no case for it
+        assume(math.gcd(d, p) == 1 and math.gcd(c, d * p) == 1)
+        D = d * p**m
+        assert D % min(c, p * D) != 0
+
+
 class TestCarryTable:
     @settings(max_examples=200, deadline=None)
     @given(params=st.sampled_from(C5_GRID + [BernoulliParams(5, 3, 101),
@@ -303,6 +353,37 @@ class TestCarryTable:
         for a, two_e in enumerate(table):
             assert two_e == 2 * bernoulli_distribution(params, level, a)
 
+    @settings(max_examples=200, deadline=None)
+    @given(params=st.sampled_from(C5_GRID + [BernoulliParams(5, 3, 101), BernoulliParams(7, 1, 400),
+                                             BernoulliParams(3, 2, 10007)]),
+           level=st.integers(0, 80))
+    def test_period_matches_distribution(self, params, level):
+        # one period, min(c, D) values, read from D mod c alone: the whole
+        # level where D < c, and at levels whose p^level is far past c
+        period = carry_period(params, level)
+        assert type(period) is tuple
+        assert period == tuple(2 * bernoulli_distribution(params, level, a)
+                               for a in range(min(params.c, params.d * params.p**level)))
+
+
+def sweep_work(params, max_level):
+    """(values read, terms summed) of a sweep, level by level: one period of
+    min(c, d p^n) values at each level n <= max_level + 1, and p terms for
+    each class of the periods of the levels m <= max_level."""
+    lengths, length = [], min(params.c, params.d)
+    for _ in range(max_level + 2):
+        lengths.append(length)
+        length = min(params.c, length * params.p)
+    return sum(lengths), params.p * sum(lengths[:-1])
+
+
+class Started(Exception):
+    pass
+
+
+def started(*args):
+    raise Started
+
 
 class TestSweepLimit:
     def test_negative_level_refused(self):
@@ -310,21 +391,103 @@ class TestSweepLimit:
             measure_failures(P312, -1)
 
     def test_refused_just_past_the_limit_before_any_evaluation(self):
-        class Started(Exception):
-            pass
-
-        def started(*args):
-            raise Started
-
-        # (p+1) d sum_{m<=5} 7^m is 1882368 at d = 12, 2039232 at d = 13
+        # at (3, 1, 2) a sweep to level L reads 1 + 2 (L + 1) values and sums
+        # 3 (1 + 2 L) terms, 8 L + 6 in all: 1999998 at L = 249999 starts
+        # the sweep, 2000006 at L = 250000 is refused before any read, and
+        # so is a huge level, at no cost
         assert MAX_SWEEP_EVALUATIONS == 2_000_000
+        assert sweep_work(P312, 249999) == (500001, 1499997)
         with pytest.raises(Started):
-            measure_failures(BernoulliParams(7, 12, 5), 5, started)
-        assert measure_failures(BernoulliParams(7, 12, 5), 5) == ([], [])
-        with pytest.raises(CostLimitExceeded, match=r"^a sweep to level 5 needs 2039232 E_c"):
-            measure_failures(BernoulliParams(7, 13, 2), 5, started)
-        with pytest.raises(CostLimitExceeded, match=r"level 1000000000 needs more than"):
+            measure_failures(P312, 249999, started)
+        with pytest.raises(CostLimitExceeded, match=r"^a sweep to level 250000 reads 500003 "
+                                                    r"values and sums 1500003 terms, over "
+                                                    r"the limit of 2000000$"):
+            measure_failures(P312, 250000, started)
+        with pytest.raises(CostLimitExceeded, match=r"^a sweep to level 1000000000 reads "
+                                                    r"2000000003 values and sums 6000000003"):
             measure_failures(P312, 10**9, started)
+
+    def test_whole_table_size_is_not_refused(self):
+        # the old bound, (p + 1) d sum_(m <= L) p^m values of whole level
+        # tables, refused (7, 13, 2) at level 5 (2039232) and (3, 1, 2) at
+        # level 40; the sweep reads 2 values a level at both
+        assert measure_failures(BernoulliParams(7, 13, 2), 5) == ([], [])
+        assert measure_failures(P312, 40) == ([], [])
+
+    @settings(max_examples=200, deadline=None)
+    @given(p=st.sampled_from((3, 5, 7, 11, 101)), d=st.integers(1, 50),
+           c=st.integers(2, 10**6), max_level=st.integers(0, 40))
+    def test_work_is_the_periods_read_and_the_terms_summed(self, p, d, c, max_level):
+        # the closed form of the bound against the level-by-level sum: a
+        # sweep inside the limit starts reading, one past it is refused
+        # before any read, naming both counts
+        assume(math.gcd(d, p) == 1 and math.gcd(c, d * p) == 1)
+        params = BernoulliParams(p, d, c)
+        reads, terms = sweep_work(params, max_level)
+        if reads + terms <= MAX_SWEEP_EVALUATIONS:
+            with pytest.raises(Started):
+                measure_failures(params, max_level, started)
+        else:
+            with pytest.raises(CostLimitExceeded, match=rf"^a sweep to level {max_level} reads "
+                                                        rf"{reads} values and sums {terms} terms"):
+                measure_failures(params, max_level, started)
+
+    def test_failing_listing_refused_before_it_is_built(self, monkeypatch):
+        # the division reading fails at every residue, so a sweep to level L
+        # at (3, 1, 2) lists sum_(m <= L) 3^m tuples: 40 to level 3 and 121
+        # to level 4, which reads 11 values and sums 27 terms.  Under a
+        # limit of 40 the level-4 tuples are counted, not built: only the
+        # 2 Fractions of each of the 40 tuples of levels 0 to 3 are made
+        made = []
+
+        def counted(*args):
+            made.append(args)
+            return Fraction(*args)
+
+        monkeypatch.setattr(measure, "MAX_SWEEP_EVALUATIONS", 40)
+        monkeypatch.setattr(measure, "Fraction", counted)
+        assert sweep_work(P312, 4) == (11, 27)
+        assert len(measure_failures(P312, 3, div_by_c_period)[0]) == 40
+        made.clear()
+        with pytest.raises(CostLimitExceeded, match=r"^the failures of a sweep to level 4 are "
+                                                    r"121 \(m, x\) tuples, over the limit of 40$"):
+            measure_failures(P312, 4, div_by_c_period)
+        assert len(made) == 2 * 40
+
+    def test_listing_counts_both_kinds(self, monkeypatch):
+        # the division reading over p fails both properties at each of the
+        # 2 + 10 + 50 residues of levels 0 to 2 at (5, 2, 3): 124 tuples
+        params = BernoulliParams(5, 2, 3)
+
+        def div_by_c_over_p(pr, n):
+            return [Fraction(v, pr.p) for v in div_by_c_period(pr, n)]
+
+        monkeypatch.setattr(measure, "MAX_SWEEP_EVALUATIONS", 124)
+        compatibility, boundedness = measure_failures(params, 2, div_by_c_over_p)
+        assert len(compatibility) == len(boundedness) == 62
+        monkeypatch.setattr(measure, "MAX_SWEEP_EVALUATIONS", 123)
+        with pytest.raises(CostLimitExceeded, match=r"level 2 are 124 \(m, x\) tuples"):
+            measure_failures(params, 2, div_by_c_over_p)
+        # a reading that fails at one class lists only that class's residues:
+        # at (5, 1, 10007) the value of the class 1 of level 8 is off by 1,
+        # which fails at its 40 residues below 5^8 and at the 40 residues of
+        # level 7 with a lift in it, where the whole tables of levels 0 to 8
+        # would be 6 (5^9 - 1)/4 = 2929686 values
+        c, D7 = 10007, 5**7
+        monkeypatch.setattr(measure, "MAX_SWEEP_EVALUATIONS", 2_000_000)
+
+        def one_class_off(pr, n):
+            values = list(carry_period(pr, n))
+            if n == 8:
+                values[1] += 2
+            return values
+
+        compatibility, boundedness = measure_failures(BernoulliParams(5, 1, c), 8,
+                                                      one_class_off)
+        expected = ([(7, x) for x in range(D7) if any((x + k * D7) % c == 1 for k in range(5))]
+                    + [(8, x) for x in range(1, 5 * D7, c)])
+        assert len(expected) == 80 and boundedness == []
+        assert [(m, x) for m, x, _, _ in compatibility] == expected
 
 
 class TestBoundedness:
