@@ -282,7 +282,8 @@ def distribution_refine_sum(params: BernoulliParams, m: int, x: int,
 def _period_length(params: BernoulliParams, n: int) -> int:
     """min(c, d*p^n), the number of values a level's period holds.  As p > 2,
     p^n > c once n >= c.bit_length(), so no power of p past that is built."""
-    return min(params.c, params.d * params.p ** min(n, params.c.bit_length()))
+    c = params.c
+    return c if n >= c.bit_length() else min(c, params.d * params.p**n)
 
 
 def carry_period(params: BernoulliParams, n: int) -> tuple:
@@ -345,17 +346,20 @@ def measure_failures(params: BernoulliParams, max_level: int,
             f"a sweep to level {max_level} reads {reads} values and sums {terms} "
             f"terms, over the limit of {MAX_SWEEP_EVALUATIONS}")
 
-    def period(n):
-        read, length = values(params, n), _period_length(params, n)
+    def period(n, length):
+        read = values(params, n)
         if len(read) != length:
             raise ValueError(f"the table hook gave {len(read)} values at level {n}, "
                              f"not one period of min(c, d*p^n) = {length}")
         return read
 
     compatibility, boundedness = [], []
-    coarse = period(0)
+    length = min(c, d)
+    coarse = period(0, length)
     for m in range(max_level + 1):
-        fine = period(m + 1)
+        # min(c, d p^(m+1)) from min(c, d p^m)
+        length = min(c, length * p)
+        fine = period(m + 1, length)
         # len(coarse) is c or D = d p^m, so the value at x is coarse[x % n].
         # ||mu|| = ||2 mu|| as p is odd
         n, past = len(coarse), {}
