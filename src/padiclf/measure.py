@@ -374,21 +374,22 @@ def measure_failures(params: BernoulliParams, max_level: int,
         ext = fine * ((n - 1 + (p - 1) * s) // len(fine) + 1)
         refined = [sum(ext[r:r + p * s:s]) for r in range(n)]
         if past or any(map(operator.ne, coarse, refined)):
-            failing = ([r for r in range(n) if coarse[r] in past]
-                       + [r for r in range(n) if coarse[r] != refined[r]])
+            unbounded = [r for r in range(n) if coarse[r] in past]
+            incompatible = [r for r in range(n) if coarse[r] != refined[r]]
             # the class r holds the x = r, r + n, .. below D
             D = d * p**m
             listed = (len(compatibility) + len(boundedness)
-                      + sum((D - 1 - r) // n + 1 for r in failing))
+                      + sum((D - 1 - r) // n + 1 for r in unbounded + incompatible))
             if listed > MAX_SWEEP_EVALUATIONS:
                 raise CostLimitExceeded(
                     f"the failures of a sweep to level {m} are {listed} (m, x) tuples, "
                     f"over the limit of {MAX_SWEEP_EVALUATIONS}")
-            if past:
+            if unbounded:
                 boundedness += [(m, x, past[v], bound) for x in range(D)
                                 if (v := coarse[x % n]) in past]
-            compatibility += [(m, x, Fraction(coarse[r], 2), Fraction(refined[r], 2))
-                              for x in range(D) if coarse[r := x % n] != refined[r]]
+            if incompatible:
+                compatibility += [(m, x, Fraction(coarse[r], 2), Fraction(refined[r], 2))
+                                  for x in range(D) if coarse[r := x % n] != refined[r]]
         coarse = fine
     return compatibility, boundedness
 
