@@ -9,7 +9,10 @@ independently of F (the conductor-f extension by zero of chi0 is used
 inside the sum, so terms at gcd(a, f) > 1 vanish).  The sum is exposed
 both as integers keyed by the value labels, exponents e of omega(r)^e,
 over one denominator, and embedded into Q_p by _embed, which builds every
-PadicNum that this module and padiclf.lfunction return.
+PadicNum that this module and padiclf.lfunction return.  A label sum is
+folded (_fold) onto the labels below (p - 1)/2 before it is read, so one
+that is exactly 0 is the exact zero, and one whose values are all +-1 is
+a Fraction.
 
 The finite-level checks: the truncated twisted power mean
 
@@ -128,13 +131,28 @@ def _embed(p: int, total: int, N: int, den: int = 1) -> PadicNum:
     return PadicNum.from_int_mod(p, total * pow(u, -1, p ** (N + v)), N + v, shift=-v)
 
 
+def _fold(p: int, nums: dict) -> dict:
+    """A label sum with every label below (p - 1)/2: omega(r)^((p-1)/2) = -1,
+    so nums[e] moves to e - (p - 1)/2 with its sign flipped for e >= (p - 1)/2,
+    and labels whose total is 0 are dropped.  A sum that is exactly 0 folds
+    to {}, and one whose values are all +-1 to label 0 alone."""
+    half, folded = (p - 1) // 2, {}
+    for e, n in nums.items():
+        if e >= half:
+            e, n = e - half, -n
+        folded[e] = folded.get(e, 0) + n
+    return {e: n for e, n in folded.items() if n}
+
+
 def _embed_label_sum(p: int, nums: dict, den: int, N: int) -> PadicNum:
-    """(1/den) sum_e nums[e] * omega(r)^e at exactly N absolute digits.
+    """(1/den) sum_e nums[e] * omega(r)^e at exactly N absolute digits, and
+    the exact zero when the folded sum (_fold) is empty.
 
     The roots of unity are combined in one integer window, N plus the
     valuation of den, and _embed divides by den once; a term-by-term
     embedding would shed a digit for every power of p in den.
     """
+    nums = _fold(p, nums)
     if not nums:
         return PadicNum.exact_zero(p)
     return _embed(p, _omega_sum(p, nums, N + split_p_power(p, den)[0]), N, den)
@@ -161,18 +179,18 @@ def general_bernoulli(chi: DirichletCharacter, m: int,
 
 
 def _exact_label_sum(p: int, nums: dict, den: int):
-    """(1/den) sum_e nums[e] * omega(r)^e as a Fraction if every value
-    omega(r)^e is +-1, e in {0, (p - 1)/2}, else None."""
-    half = (p - 1) // 2
-    if nums.keys() - {0, half}:
+    """(1/den) sum_e nums[e] * omega(r)^e as a Fraction if the folded sum
+    (_fold) has no label but 0, else None."""
+    nums = _fold(p, nums)
+    if nums.keys() - {0}:
         return None
-    return Fraction(nums.get(0, 0) - nums.get(half, 0), den)
+    return Fraction(nums.get(0, 0), den)
 
 
-def general_bernoulli_exact(chi: DirichletCharacter, m: int,
-                            F: int | None = None):
-    """B_(m,chi) as an exact Fraction when all values are +-1, else None."""
-    return _exact_label_sum(chi.p, *general_bernoulli_coeffs(chi, m, F))
+def general_bernoulli_exact(chi: DirichletCharacter, m: int):
+    """B_(m,chi) as an exact Fraction when its folded label sum has no label
+    but 0, as when every value is +-1, else None."""
+    return _exact_label_sum(chi.p, *general_bernoulli_coeffs(chi, m))
 
 
 def _twist_preconditions(chi: DirichletCharacter, k: int, j: int):

@@ -23,13 +23,13 @@ fractional part, {A/D} - c {A/(cD)} + (c - 1)/2, is the constant
 A cylinder (locally constant) function at level n is a function on the
 finite quotient Z/(d p^n)Z.  CylinderFunction takes rational values: it
 stores their integer numerators `nums` over one positive denominator `den`,
-indexed by the residue a = 0 .. d p^n - 1, the format of the carry tables
-below, and `values` returns them as Fractions.  Refining the level repeats
-the numerators and keeps den.  Eight paper objects stay although only
-tests call them, because tests pin properties of the measure through them:
+indexed by the residue a = 0 .. d p^n - 1, and `values` returns them as
+Fractions.  Refining the level repeats the numerators and keeps den.
+Eight paper objects stay although only tests call them, because tests pin
+properties of the measure through them:
   * measure_apply, the integral E_c(f) as an element of Q_p;
   * bernoulli_distribution, the value E_c(n, a) at one residue, which the
-    carry tables and the oracles are checked against;
+    carry periods and the oracles are checked against;
   * ClopenSet and char_fn, a basic clopen set U and its characteristic
     function, whose integral is the distribution value E_c(U);
   * cylinder_decompose, the clopen decomposition f = sum f(a) char_fn(U_a);
@@ -40,9 +40,11 @@ tests call them, because tests pin properties of the measure through them:
 
 Rational step functions.  E_c takes values in (1/2)Z, so the integral of
 a step function with rational values is an exact rational, one dot
-product with the level's carry table:
+product with the level's carry period (below):
 
-    integral(params, f) = sum_a nums[a] * carry_table[a] / (2 den).
+    integral(params, f) = sum_a nums[a] * period[a mod len(period)] / (2 den)
+
+with period = carry_period(params, f.level).
 
 Refining f does not change it (distribution compatibility).  Each reader
 of an integral reads this one: measure_apply embeds it once, with
@@ -57,8 +59,7 @@ carry_period(params, n) holds 2 E_c(n, a) at a = 0 .. min(c, D) - 1.
 Since a = c b - D t with gcd(c, D) = 1, the carry is t = a u mod c with
 u = -D^(-1) mod c, so the level's values repeat with period c:
 carry_period is the whole level, read at a mod c, and needs only D mod c.
-carry_table(params, level), which the integral reads, is that period
-repeated and cut to D.
+The integral and the sweep below both read the level in this one form.
 
 The measure is bounded: ||E_c(f)|| <= K ||f|| for every cylinder function
 f, with K = norm_bound_constant(p, c).  This is exact level by level on the
@@ -93,6 +94,7 @@ built.
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 import operator
@@ -117,7 +119,6 @@ __all__ = [
     "measure_failures",
     "MAX_SWEEP_EVALUATIONS",
     "carry_period",
-    "carry_table",
     "integral",
     "measure_apply",
     "units_cylinder",
@@ -165,12 +166,12 @@ class ClopenSet:
 class CylinderFunction:
     """A locally constant function at a level with rational values, stored as
     the integer numerators `nums` over one positive denominator `den`, with
-    f(a) = nums[a] / den at the residues a = 0 .. d*p^level - 1, indexed by a:
-    the format of carry_table.  Any sequence of ints and Fractions of that
-    length is taken as the values; anything else, such as a dict (which
-    iterates over its keys) or a PadicNum entry, is refused.  `values`
-    returns the entries as Fractions, and _of builds a function from its
-    numerators and denominator unchecked.
+    f(a) = nums[a] / den at the residues a = 0 .. d*p^level - 1, indexed by
+    a.  Any sequence of ints and Fractions of that length is taken as the
+    values; anything else, such as a dict (which iterates over its keys) or
+    a PadicNum entry, is refused.  `values` returns the entries as
+    Fractions, and _of builds a function from its numerators and
+    denominator unchecked.
     """
 
     def __init__(self, d: int, p: int, level: int, values: Sequence):
@@ -299,13 +300,6 @@ def carry_period(params: BernoulliParams, n: int) -> tuple:
     return tuple([c - 1 - 2 * (r * u % c) for r in range(_period_length(params, n))])
 
 
-def carry_table(params: BernoulliParams, level: int) -> tuple:
-    """2 E_c(level, a) at index a, for a mod D = d*p^level: carry_period
-    repeated and cut to length D."""
-    D = params.d * params.p**level
-    return (carry_period(params, level) * (D // params.c + 1))[:D]
-
-
 # The most work a sweep may do: the period values it reads plus the terms of
 # its refined sums, counted up front, and the (m, x) tuples a failing reading
 # lists, counted at each failing level before they are built.
@@ -395,11 +389,13 @@ def measure_failures(params: BernoulliParams, max_level: int,
 
 
 def integral(params: BernoulliParams, f: CylinderFunction) -> Fraction:
-    """The exact integral sum_a f(a) E_c(level, a), one dot product with
-    carry_table (module docstring).  Refining f gives the same rational."""
+    """The exact integral sum_a f(a) E_c(level, a), one dot product of f.nums
+    with carry_period read at a mod len(period) (module docstring).
+    Refining f gives the same rational."""
     if (f.d, f.p) != (params.d, params.p):
         raise ValueError("cylinder function does not match the measure parameters")
-    return Fraction(sum(map(operator.mul, f.nums, carry_table(params, f.level))), 2 * f.den)
+    period = carry_period(params, f.level)
+    return Fraction(sum(map(operator.mul, f.nums, itertools.cycle(period))), 2 * f.den)
 
 
 def measure_apply(params: BernoulliParams, f: CylinderFunction,

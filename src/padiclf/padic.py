@@ -89,8 +89,8 @@ def rational_valuation(p: int, q) -> int | float:
 class PadicNum:
     """An element of Q_p tracked to finite precision.
 
-    Construct through the classmethods (from_rational, from_int_mod,
-    exact_zero, zero_at_precision, one); the raw constructor is internal.
+    Construct through the classmethods (exact_zero, zero_at_precision,
+    from_unit, from_rational, from_int_mod); the raw constructor is internal.
     """
 
     __slots__ = ("p", "_v", "_unit", "_relprec")
@@ -120,10 +120,6 @@ class PadicNum:
         if unit % p == 0:
             raise ValueError(f"{unit} is not a unit modulo {p}")
         return cls(p, v, unit, relprec)
-
-    @classmethod
-    def one(cls, p: int, relprec: int = DEFAULT_RELPREC) -> "PadicNum":
-        return cls.from_unit(p, 0, 1, relprec)
 
     @classmethod
     def from_rational(cls, p: int, q, relprec: int = DEFAULT_RELPREC) -> "PadicNum":
@@ -266,27 +262,6 @@ class PadicNum:
             )
         mod = self.p**self._relprec
         return PadicNum.from_unit(self.p, -self._v, pow(self._unit, -1, mod), self._relprec)
-
-    def __truediv__(self, other: "PadicNum") -> "PadicNum":
-        return self * other.inverse()
-
-    def __pow__(self, k: int) -> "PadicNum":
-        if not isinstance(k, int):
-            raise TypeError("exponent must be an integer")
-        if k < 0:
-            return self.inverse() ** (-k)
-        if self._v is None:
-            if k == 0:
-                raise ValueError("0^0 is undefined here")
-            return self
-        if self._unit is None:
-            if k == 0:
-                raise ValueError("cannot raise O(p^T) to the power 0")
-            return PadicNum.zero_at_precision(self.p, k * self._v)
-        if k == 0:
-            return PadicNum.one(self.p, self._relprec)
-        mod = self.p**self._relprec
-        return PadicNum.from_unit(self.p, k * self._v, pow(self._unit, k, mod), self._relprec)
 
     # ---------------- projections ----------------
 

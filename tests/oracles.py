@@ -246,9 +246,10 @@ def special_value_closed_form_padic(params, n: int, relprec: int | None = None) 
     p, c, chi = params.p, params.c, params.chi
     psi = chi_omega_minus_k(chi, n)
     at_p = psi.asso_eval(p % psi.level, N) * PadicNum.from_rational(p, p ** (n - 1), N)
-    c_factor = PadicNum.one(p, N) - chi.asso_eval(c, N) * principal_unit_power(p, c, n, N)
+    one = PadicNum.from_unit(p, 0, 1, N)
+    c_factor = one - chi.asso_eval(c, N) * principal_unit_power(p, c, n, N)
     return (PadicNum.from_rational(p, Fraction(1, n), N) * c_factor
-            * (PadicNum.one(p, N) - at_p) * general_bernoulli(psi, n, N))
+            * (one - at_p) * general_bernoulli(psi, n, N))
 
 
 def weight_eval(p: int, w, a: int, relprec: int) -> PadicNum:

@@ -12,12 +12,26 @@ bare or as an attribute; a method or property only where an attribute of
 its name is read (x.name), so a variable or a stored attribute of the
 same name does not count.  Names are matched without their class, so a
 method counts as used when any attribute of that name is read.
+
+Operator dunders, which an expression applies without naming them, have a
+table of their own, OPERATORS: each one a src/padiclf class defines is
+listed with a function that applies it, or with the perfbench/spans.py
+target that wraps it.
+
+The library names that perfbench/ reads must resolve: every entry of
+perfbench/spans.py's TARGETS, read from the file without importing it,
+and the few keyword and positional arguments its other modules pass.
 """
 
 import ast
+import dataclasses
+import importlib
+import inspect
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "padiclf"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "padiclf"
+SPANS = ROOT / "perfbench" / "spans.py"
 
 ALLOWED = {
     "dirichlet.decompose_coprime": "the CRT split of characters",
@@ -45,6 +59,9 @@ ALLOWED = {
     "padic.eq_mod": (
         "congruence mod p^n of two p-adic values that both carry n digits, through "
         "which tests compare a value with its oracle on the digits both certify"),
+    "padic.PadicNum.inverse": (
+        "the inverse in Q_p, through which tests pin x^(-1) x = 1; perfbench/spans.py "
+        "wraps it by name"),
     "padic.PadicNum.from_rational": (
         "the embedding of a rational at a relative precision, through which "
         "measure_apply embeds the exact integral and tests state their oracles; "
@@ -142,3 +159,89 @@ def test_every_function_is_called_or_allowed():
 def test_allow_list_is_current():
     # an allowed name that gained a caller, or was deleted, leaves the list
     assert sorted(set(ALLOWED) - set(unreferenced())) == []
+
+
+# The dunders Python calls for an arithmetic or bitwise operator
+OPERATOR_DUNDERS = {
+    f"__{prefix}{op}__"
+    for op in ("add", "sub", "mul", "matmul", "truediv", "floordiv", "mod", "pow",
+               "lshift", "rshift", "and", "xor", "or")
+    for prefix in ("", "r", "i")
+} | {"__neg__", "__pos__", "__abs__", "__invert__"}
+
+# Each operator dunder a src/padiclf class defines: the function that
+# applies it, "perfbench wraps it" where no library function does, or, for
+# a paper object that only tests apply, the reason it stays
+OPERATORS = {
+    "padic.PadicNum.__add__": "lfunction.verify_interpolation",
+    "padic.PadicNum.__neg__": "padic.PadicNum.__sub__",
+    "padic.PadicNum.__sub__": "lfunction.verify_interpolation",
+    "padic.PadicNum.__mul__": "perfbench wraps it",
+    "dirichlet.DirichletCharacter.__mul__": "genbernoulli.chi_omega_minus_k",
+    "measure.CylinderFunction.__add__": (
+        "the clopen decomposition f = sum f(a) char_fn(U_a) is stated with it"),
+}
+
+
+def _functions() -> set[str]:
+    """The qualified name of every top-level function and method of
+    src/padiclf, dunders too."""
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.FunctionDef):
+                found.add(f"{path.stem}.{node.name}")
+            elif isinstance(node, ast.ClassDef):
+                found |= {f"{path.stem}.{node.name}.{sub.name}" for sub in node.body
+                          if isinstance(sub, ast.FunctionDef)}
+    return found
+
+
+def spans_targets() -> list[tuple]:
+    """perfbench/spans.py's TARGETS, read with ast.literal_eval."""
+    for node in ast.parse(SPANS.read_text()).body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "TARGETS" for t in node.targets):
+            return ast.literal_eval(node.value)
+    raise AssertionError("perfbench/spans.py assigns no TARGETS")
+
+
+def test_every_operator_is_in_the_table():
+    # a defined operator the table lacks, or an entry whose dunder is gone
+    defined = {q for q in _functions() if q.rsplit(".", 1)[1] in OPERATOR_DUNDERS}
+    assert sorted(defined ^ set(OPERATORS)) == []
+
+
+def test_every_operator_site_is_current():
+    # a site is a function that still exists, or a target that still wraps
+    # the dunder; a reason (a phrase) is not checked
+    functions = _functions()
+    wrapped = {f"{module}.{attr}" for module, attr, _, _ in spans_targets()}
+    for dunder, site in OPERATORS.items():
+        if site == "perfbench wraps it":
+            assert dunder in wrapped, dunder
+        elif " " not in site:
+            assert site in functions, (dunder, site)
+
+
+def test_perfbench_targets_resolve():
+    # each entry as the tracer resolves it: a method on its class's own
+    # __dict__, a function as a module attribute
+    for module, attr, _, _ in spans_targets():
+        mod = importlib.import_module(f"padiclf.{module}")
+        if "." in attr:
+            cls_name, meth = attr.split(".")
+            assert meth in vars(getattr(mod, cls_name)), (module, attr)
+        else:
+            assert callable(getattr(mod, attr, None)), (module, attr)
+
+
+def test_perfbench_arguments_resolve():
+    # perfbench/spans.py reads params.j_min; perfbench/reference.py passes
+    # j_max= and relprec= by keyword and calls the closed form with three
+    # positional arguments
+    from padiclf.dirichlet import parse_character_spec
+    from padiclf.lfunction import LpParams, special_value_closed_form
+    assert {"j_min", "j_max"} <= {field.name for field in dataclasses.fields(LpParams)}
+    inspect.signature(parse_character_spec).bind("omega^2", 5, relprec=8)
+    inspect.signature(special_value_closed_form).bind(None, 2, 8)

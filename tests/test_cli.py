@@ -72,6 +72,21 @@ def test_genbernoulli(capsys):
     assert obj["value"]["valuation"] == 0
 
 
+def test_an_exact_zero_label_sum_prints_as_the_exact_zero(capsys):
+    # B_(2, omega) at p = 3 vanishes by parity, its two labels cancelling:
+    # the value is the exact zero, beside the exact value 0
+    code, out, _ = run_cli(capsys, "--prec", "12", "genbernoulli", "--p", "3",
+                           "--char", "omega^1", "--n", "2")
+    obj = json.loads(out)
+    assert (code, obj["value"], obj["exact"]) == (0, {"p": 3, "zero": True}, "0/1")
+    # and so does B_(2, omega^(-1)) in the closed form of an odd character
+    code, out, _ = run_cli(capsys, "verify", "--p", "7", "--d", "1", "--m", "1",
+                           "--char", "omega^1", "--c", "3", "--n", "2",
+                           "--prec", "8", "--jmax", "8")
+    obj = json.loads(out)
+    assert (code, obj["lhs"], obj["rhs"]) == (0, {"p": 7, "zero": True}, {"p": 7, "zero": True})
+
+
 def test_genbernoulli_table_char(capsys, tmp_path):
     path = tmp_path / "chi.json"
     path.write_text(json.dumps({"p": 5, "modulus": 3, "entries": {"1": 1, "2": 4}}))

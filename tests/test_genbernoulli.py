@@ -15,6 +15,7 @@ from padiclf.genbernoulli import (
     _embed,
     _embed_label_sum,
     _euler_label_sum,
+    _exact_label_sum,
     _omega_sum,
     _unit_sum,
     chi_omega_minus_k,
@@ -53,10 +54,11 @@ class TestGeneralBernoulli:
         assert eq_mod(v, PadicNum.from_rational(5, Fraction(-1, 3), 8), 8)
 
     def test_multiple_formula_examples(self):
+        # B_(m,chi) from the sum over any multiple F of the conductor
         triv = trivial_character(5, 1)
-        assert general_bernoulli_exact(triv, 2, F=2) == Fraction(1, 6)
-        assert general_bernoulli_exact(QUAD3, 1, F=3) == Fraction(-1, 3)
-        assert general_bernoulli_exact(QUAD3, 1, F=6) == Fraction(-1, 3)
+        assert _exact_label_sum(5, *general_bernoulli_coeffs(triv, 2, 2)) == Fraction(1, 6)
+        assert _exact_label_sum(5, *general_bernoulli_coeffs(QUAD3, 1, 3)) == Fraction(-1, 3)
+        assert _exact_label_sum(5, *general_bernoulli_coeffs(QUAD3, 1, 6)) == Fraction(-1, 3)
 
     def test_f_independence_as_coefficients(self):
         test_set = [trivial_character(5, 1), QUAD3,
@@ -86,13 +88,14 @@ class TestGeneralBernoulli:
     @given(table=genuine_tables(), m=st.integers(0, 8), N=st.integers(1, 12))
     def test_embedded_value_is_the_exact_value_at_n_digits(self, table, m, N):
         # where B_(m,chi) is rational, its embedding carries exactly N
-        # absolute digits, so N - v relative ones for a value of valuation v;
-        # labels that cancel leave O(p^N), no labels the exact zero
+        # absolute digits, so N - v relative ones for a value of valuation v,
+        # and an exact 0 is the exact zero
         chi = DirichletCharacter(*table)
         exact, value = general_bernoulli_exact(chi, m), general_bernoulli(chi, m, N)
         if exact is None:
             return
-        if exact == 0 and value.is_exact_zero():
+        if exact == 0:
+            assert value.is_exact_zero()
             return
         v = rational_valuation(chi.p, exact)
         if v >= N:
@@ -125,21 +128,25 @@ class TestGeneralBernoulli:
         assert general_bernoulli_exact(trivial_character(5, 1), 0) == 1
 
     def test_parity_vanishing(self):
-        # B_(m,chi) = 0 for m >= 1 unless chi(-1) = (-1)^m, except (trivial, m=1)
-        om = make_teich_char(5)
-        chars = [QUAD3] + [char_power(om, k) for k in range(4)]
+        # B_(m,chi) = 0 for m >= 1 unless chi(-1) = (-1)^m, except (trivial, m=1);
+        # a zero is exact: the labels e and e + (p - 1)/2 cancel (_fold), so
+        # the value is the exact zero and the exact value 0, whatever the
+        # order of chi
+        chars = [QUAD3]
+        for p in (3, 5, 7, 11, 13):
+            om = make_teich_char(p)
+            chars += [char_power(om, k) for k in range(p - 1)]
         for chi in chars:
             sign = 1 if chi.is_even() else -1
-            for m in range(1, 7):
+            for m in range(1, 9):
                 if chi.conductor() == 1 and m == 1:
                     continue
-                expected_zero = sign != (-1) ** m
                 exact = general_bernoulli_exact(chi, m)
-                if exact is not None:
-                    assert (exact == 0) == expected_zero, (chi, m)
-                elif expected_zero:
-                    v = general_bernoulli(chi, m, 10)
-                    assert v.is_exact_zero() or v.is_zero_at_precision(), (chi, m)
+                if sign != (-1) ** m:
+                    assert exact == 0, (chi, m)
+                    assert general_bernoulli(chi, m, 10).is_exact_zero(), (chi, m)
+                else:
+                    assert exact != 0, (chi, m)
 
     def test_parity_vanishing_exact_for_irrational_values(self):
         # exact oracle over the Q-basis {1, i} of the 4th roots of unity at p=5
@@ -236,9 +243,22 @@ def test_omega_sum_matches_one_lift_per_label(case, window):
     assert _omega_sum(p, nums, window) == omega_sum_per_label(p, nums, window)
 
 
+@pytest.mark.parametrize("p, nums, folded", [
+    (3, {0: 5, 1: 5}, {}),
+    (3, {1: 4}, {0: -4}),
+    (7, {0: 2, 3: 5, 1: 4, 4: 4}, {0: -3}),
+    (7, {2: 1, 5: -1, 4: 6}, {2: 2, 1: -6}),
+    (11, {}, {}),
+])
+def test_fold_moves_labels_below_half_with_the_sign_flipped(p, nums, folded):
+    # omega(r)^((p-1)/2) = -1, and labels whose total is 0 are dropped
+    assert genbernoulli._fold(p, nums) == folded
+
+
 def test_a_label_sum_lifts_one_root(monkeypatch):
     # one Teichmuller lift per label sum, however many labels it has, and
-    # none when every value is 1
+    # none when every value is +-1: omega^50 mod 101 is the quadratic
+    # character, whose label sum folds to label 0 (_fold)
     lifts = []
     lift = genbernoulli.teichmuller_int
 
@@ -253,12 +273,12 @@ def test_a_label_sum_lifts_one_root(monkeypatch):
     omega2 = char_power(omega, 2)
     twisted_mean_truncation(omega2, 4, 2, 20)
     twisted_mean_limit(omega2, 4, 20)
-    assert len(lifts) == 6
+    assert len(lifts) == 5
     # chi omega^(-2) is trivial
     general_bernoulli(trivial_character(101), 2, 20)
     twisted_mean_truncation(omega2, 2, 2, 20)
     twisted_mean_limit(omega2, 2, 20)
-    assert len(lifts) == 6
+    assert len(lifts) == 5
 
 
 class TestTwistedMeans:

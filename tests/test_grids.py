@@ -27,19 +27,21 @@ def test_level_rule_grid_is_pinned():
 def test_character_grid_is_pinned():
     # 1670 argvs over 134 table characters chi_d omega^e at level d p: every
     # call answers, every verify passes with sign +, and the residue labels
-    # char-info prints are the file's
+    # char-info prints are the file's; a B_(n,chi) that is exactly 0 prints
+    # as the exact zero, with the exact value "0/1"
     cases, failures, digest = character_grid()
     assert (cases, failures) == ({0: 1670}, [])
-    assert digest == "5ed4a16e0f6a6158"
+    assert digest == "706a5d63ba437368"
 
 
 def test_odd_character_grid_is_pinned():
     # 1098 argvs over the 67 odd characters omega^e and chi_d omega^e: each
     # lp-eval answers the exact zero, which the kernel's own sum at level 10
-    # confirms to its 10 digits, and each verify passes with the sign "both"
+    # confirms to its 10 digits, and each verify passes with the sign "both";
+    # a closed form that is exactly 0 prints as the exact zero
     cases, failures, digest = odd_character_grid()
     assert (cases, failures) == ({0: 1098}, [])
-    assert digest == "7dd94f844efc9afd"
+    assert digest == "d2b305af8e7bb423"
 
 
 def test_kernel_grid_is_pinned():
@@ -52,8 +54,9 @@ def test_kernel_grid_is_pinned():
 
 def test_closed_form_grid_is_pinned():
     # 1072 label sums B_(n,chi) over the 134 characters chi_d omega^e, n = 1..8,
-    # and 1464 closed forms of the even ones, each equal to its oracle; the
-    # mutation that drops the Euler factor in _euler_label_sum fails 204
+    # and 1464 closed forms of the even ones, each equal to its oracle, or
+    # the exact zero where its Euler factor is 0; the mutation that drops
+    # the Euler factor in _euler_label_sum fails 204
     cases, failures, digest = closed_form_grid()
     assert (cases, failures) == ({"coeffs": 1072, "closed-form": 1464}, [])
-    assert digest == "3df6bbbaa626b891"
+    assert digest == "97c1a10e92d29aa4"

@@ -15,7 +15,7 @@ from oracles import (
 from padiclf import lfunction
 from padiclf.dirichlet import DirichletCharacter, char_power, make_teich_char
 from padiclf.errors import InsufficientPrecision, LevelTooLow, NotCoprime
-from padiclf.genbernoulli import chi_omega_minus_k
+from padiclf.genbernoulli import chi_omega_minus_k, twisted_mean_limit
 from padiclf.lfunction import (
     LpParams,
     Weight,
@@ -40,7 +40,7 @@ def main_params(c=2, relprec=12, j_max=7, target=4):
 
 class TestWeight:
     def test_k_zero_is_one(self):
-        assert weight_eval(5, Weight(0), 7, 6) == PadicNum.one(5, 6)
+        assert weight_eval(5, Weight(0), 7, 6) == PadicNum.from_unit(5, 0, 1, 6)
 
     def test_example_value(self):
         # <2> = 2 * omega(2)^(-1) = 2 * 68 = 11 mod 125
@@ -55,7 +55,7 @@ class TestWeight:
         for lift in (2, 3, 7, 11, 124):
             for k in (1, 2, 5):
                 v = principal_unit_power(5, lift, k, 8)
-                assert (v - PadicNum.one(5, 8)).valuation() >= 1
+                assert (v - PadicNum.from_unit(5, 0, 1, 8)).valuation() >= 1
 
     def test_rejects_nonunit(self):
         with pytest.raises(NotCoprime):
@@ -270,7 +270,7 @@ class TestVerify:
         assert report.passed and report.sign == "+"
         assert report.valuation_of_difference >= 4
         # the value itself is exactly 1 here
-        assert eq_mod(report.lhs, PadicNum.one(5, 12), report.lhs.abs_precision)
+        assert eq_mod(report.lhs, PadicNum.from_unit(5, 0, 1, 12), report.lhs.abs_precision)
 
     def test_json_schema(self):
         report = verify_interpolation(main_params(), 2)
@@ -368,15 +368,34 @@ def test_closed_form_matches_the_padic_product(point, n, N):
     # the label sum carries exactly N absolute digits, and agrees with the
     # PadicNum product of its factors on every digit both certify; the
     # product certifies more than N digits only where two of its factors
-    # are divisible by p, as at (7, 3, 1, 20, 1), n = 1, N = 1
+    # are divisible by p.  Where the Euler factor 1 - psi(p) p^(n-1) is 0,
+    # at n = 1 with psi(p) = 1 as at (7, 3, 1, 20, 1), the label sum is the
+    # exact zero, and the product vanishes to every digit it certifies
     p, d, e, c, m = point
     table = {a: TAME[d][a % d] * pow(a, e, p) for a in units_of(d * p)}
     chi = DirichletCharacter(p, d * p, table).change_level(d * p**m)
     params = LpParams(p=p, d=d, c=c, m=m, chi=chi, relprec=N, j_max=max(N, m))
     got = special_value_closed_form(params, n)
     want = special_value_closed_form_padic(params, n)
-    assert got.abs_precision == N
-    assert eq_mod(got, want, min(N, want.abs_precision))
+    if got.is_exact_zero():
+        assert want.is_zero_at_precision()
+    else:
+        assert got.abs_precision == N
+        assert eq_mod(got, want, min(N, want.abs_precision))
+
+
+@pytest.mark.parametrize("p, d, c", [(7, 3, 2), (7, 3, 20), (13, 3, 2), (5, 4, 3)])
+def test_a_vanishing_euler_factor_gives_the_exact_zero(p, d, c):
+    # chi = chi_d omega is even, and at n = 1 psi = chi omega^(-1) = chi_d has
+    # conductor d and psi(p) = chi_d(p) = 1, so 1 - psi(p) p^0 = 0: the
+    # closed form and the twisted-mean limit are both exactly 0
+    table = {a: TAME[d][a % d] * pow(a, 1, p) for a in units_of(d * p)}
+    chi = DirichletCharacter(p, d * p, table)
+    assert TAME[d][p % d] == 1
+    params = LpParams(p=p, d=d, c=c, m=1, chi=chi, relprec=12, j_max=12)
+    assert special_value_closed_form(params, 1) == PadicNum.exact_zero(p)
+    assert twisted_mean_limit(chi, 1, 12) == PadicNum.exact_zero(p)
+    assert special_value_closed_form_padic(params, 1).is_zero_at_precision()
 
 
 def odd_character(p, d, e, m):

