@@ -15,7 +15,6 @@ from .bernoulli import (
 from .dirichlet import (
     DirichletCharacter,
     char_power,
-    decompose_coprime,
     load_table_character,
     make_teich_char,
     parse_character_spec,
@@ -54,19 +53,14 @@ from .lfunction import (
 )
 from .measure import (
     BernoulliParams,
-    ClopenSet,
     CylinderFunction,
     bernoulli_distribution,
-    char_fn,
-    cylinder_decompose,
     distribution_refine_sum,
-    equi_class,
     integral,
     measure_apply,
     norm_bound_check,
-    units_cylinder,
 )
-from .modarith import crt_combine, partition_range, units_of
-from .padic import DEFAULT_RELPREC, PadicNum, eq_mod, rational_valuation
+from .modarith import crt_combine, units_of
+from .padic import DEFAULT_RELPREC, PadicNum, rational_valuation
 
 __version__ = "0.1.0"

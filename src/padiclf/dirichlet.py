@@ -11,8 +11,8 @@ least primitive root mod q, plus q when its (q-1)-st power is 1 mod q^2,
 so that it generates (Z/q^aZ)^x for every a: one root serves every power
 of q.
 
-A character is exact: it carries no precision, and each evaluation
-(asso_eval, those of padiclf.genbernoulli) takes its own.
+A character is exact: it carries no precision, and each evaluation in
+padiclf.genbernoulli takes its own.
 
 A character is a value, and one value is one object, so that what a
 character keeps (its label table, conductor, primitive character and
@@ -57,8 +57,8 @@ number of primes dividing the level:
   generators of the conductor, a change of level downwards.
 
 Label tables are built only where one is read: `labels` and `to_json` at
-the character's own level, and the point values (label, asso_eval) from
-the table of the associated primitive character at the conductor.
+the character's own level, and `label` from the table of the associated
+primitive character at the conductor.
 Building one walks the powers of each generator in turn, adding
 exponents, O(phi(level)).  A table of more than MAX_TABLE_UNITS entries,
 and a modulus or p - 1 that trial division up to MAX_TRIAL_DIVISOR does
@@ -82,10 +82,6 @@ missing units found by scanning upwards.
 
 The unique character mod 1 is even, has conductor 1, and evaluates to 1
 everywhere (including at 0, the sole element of Z/1Z, which is a unit).
-
-decompose_coprime stays although only tests call it: it is the CRT split
-of a character of level m*n into characters of levels m and n, and a test
-pins that their product recovers the character.
 """
 
 from __future__ import annotations
@@ -96,9 +92,9 @@ import json
 import math
 import operator
 
-from .errors import CostLimitExceeded, NotAUnit, NotCoprime, NotDivisible, UnsupportedOrder
+from .errors import CostLimitExceeded, NotAUnit, NotDivisible, UnsupportedOrder
 from .modarith import crt_combine, is_prime, require_odd_prime
-from .padic import DEFAULT_RELPREC, PadicNum, split_p_power
+from .padic import split_p_power
 
 __all__ = [
     "MAX_TRIAL_DIVISOR",
@@ -108,7 +104,6 @@ __all__ = [
     "trivial_character",
     "make_teich_char",
     "char_power",
-    "decompose_coprime",
     "parse_character_spec",
     "load_table_character",
 ]
@@ -341,16 +336,15 @@ class DirichletCharacter:
         for e in range(0, p - 1, (p - 1) // w):
             exponent[x], x = e, x * step % p
         exponents = tuple(exponent[labels[g]] for _, _, g, _ in gens)
-        converted = dict(zip(labels, map(exponent.get, labels.values())))
         table = _label_table(p, n, gens, exponents)
-        if table != converted:
-            z = next(z for z, e in table.items() if converted[z] != e)
+        z = next((z for z, e in table.items() if exponent.get(labels[z]) != e), None)
+        if z is not None:
             pairs = ((z * pow(g, -1, n) % n, g) for _, _, g, _ in gens)
             a, g = next((a, g) for a, g in pairs if (labels[a] * labels[g] - labels[z]) % p)
             raise ValueError(
                 f"character table is not multiplicative at the pair ({a}, {g})"
             )
-        self._set(p, n, exponents, converted)
+        self._set(p, n, exponents, table)
 
     @classmethod
     @functools.lru_cache(maxsize=INTERNED_CHARACTERS)
@@ -390,15 +384,6 @@ class DirichletCharacter:
             raise NotAUnit(f"{a} is not a unit modulo {self.level}")
         prim = self.associated_primitive()
         return prim.labels[a % prim.level]
-
-    def asso_eval(self, x, relprec: int = DEFAULT_RELPREC) -> PadicNum:
-        """Extension by zero: exact zero off the units, and at a unit x with
-        exponent e, omega(r)^e = omega(r^e) at relative precision relprec."""
-        x %= self.level
-        if math.gcd(x, self.level) != 1:
-            return PadicNum.exact_zero(self.p)
-        t = teichmuller_int(self.p, _root_power(self.p, self.label(x)), relprec)
-        return PadicNum.from_unit(self.p, 0, t, relprec)
 
     @property
     def labels(self) -> dict:
@@ -523,22 +508,6 @@ def char_power(chi: DirichletCharacter, k: int) -> DirichletCharacter:
         raise ValueError("use a nonnegative exponent (orders are finite)")
     m = chi.p - 1
     return DirichletCharacter._of(chi.p, chi.level, tuple(e * k % m for e in chi.exponents))
-
-
-def decompose_coprime(chi: DirichletCharacter, m: int, n: int):
-    """Split a character of level m*n (m, n coprime) into CRT factors.
-
-    Returns (chi1 of level m, chi2 of level n) with chi1(a) = chi(a, 1)
-    and chi2(b) = chi(1, b) through the CRT isomorphism: the exponents
-    at the generators of m and of n.  The product of their level-mn
-    extensions is chi, and chi1 is primitive whenever m divides the
-    conductor.
-    """
-    if math.gcd(m, n) != 1:
-        raise NotCoprime(f"gcd({m}, {n}) != 1")
-    if chi.level != m * n:
-        raise ValueError(f"character has level {chi.level}, expected {m * n}")
-    return chi._at(m), chi._at(n)
 
 
 def _refuse_repeated_keys(pairs: list) -> dict:

@@ -25,18 +25,17 @@ finite quotient Z/(d p^n)Z.  CylinderFunction takes rational values: it
 stores their integer numerators `nums` over one positive denominator `den`,
 indexed by the residue a = 0 .. d p^n - 1, and `values` returns them as
 Fractions.  Refining the level repeats the numerators and keeps den.
-Eight paper objects stay although only tests call them, because tests pin
-properties of the measure through them:
-  * measure_apply, the integral E_c(f) as an element of Q_p;
+Four functions stay although no command calls them, because the traced
+benchmark run (perfbench/spans.py) wraps them by name:
   * bernoulli_distribution, the value E_c(n, a) at one residue, which the
     carry periods and the oracles are checked against;
-  * ClopenSet and char_fn, a basic clopen set U and its characteristic
-    function, whose integral is the distribution value E_c(U);
-  * cylinder_decompose, the clopen decomposition f = sum f(a) char_fn(U_a);
-  * units_cylinder, a function on the units extended by zero;
-  * equi_class, the fibre of reduction (the Lean equi_class), and
-    distribution_refine_sum, the sum over it, which state compatibility
-    residue by residue; the tests hold measure_failures to them.
+  * distribution_refine_sum, the sum of the level-(m+1) values over the p
+    lifts of a residue, which states compatibility residue by residue; the
+    tests hold measure_failures to it;
+  * measure_apply, the integral E_c(f) as an element of Q_p;
+  * norm_bound_check, the bound on one given f (below).
+The paper objects that tests pin theorems through, such as a basic clopen
+set and its characteristic function, live in tests/paper.py.
 
 Rational step functions.  E_c takes values in (1/2)Z, so the integral of
 a step function with rational values is an exact rational, one dot
@@ -63,10 +62,11 @@ The integral and the sweep below both read the level in this one form.
 
 The measure is bounded: ||E_c(f)|| <= K ||f|| for every cylinder function
 f, with K = norm_bound_constant(p, c).  This is exact level by level on the
-clopen basis: f = sum f(a) char_fn(U_a) gives ||E_c(f)|| <= ||f|| max_a
-||E_c(U_a)|| by the ultrametric inequality, and f = char_fn(U_a) has
-||f|| = 1, so the bound holds at a level exactly when ||E_c(U_a)|| <= K at
-each of its residues a.  norm_bound_check is the bound on one given f.
+clopen basis: f = sum f(a) 1_(U_a), with 1_(U_a) the characteristic
+function of the basic clopen set U_a at a, gives ||E_c(f)|| <= ||f||
+max_a ||E_c(U_a)|| by the ultrametric inequality, and f = 1_(U_a) has
+||f|| = 1, so the bound holds at a level exactly when ||E_c(U_a)|| <= K
+at each of its residues a.  norm_bound_check is the bound on one given f.
 random_cylinder draws one cylinder function by randrange (suite criterion 7).
 
 measure_failures checks both properties, compatibility and boundedness, in
@@ -103,16 +103,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import CostLimitExceeded, LevelOrder, NotCoprime
-from .modarith import partition_range, require_odd_prime
+from .modarith import require_odd_prime
 from .padic import DEFAULT_RELPREC, PadicNum, rational_valuation
 
 __all__ = [
     "BernoulliParams",
-    "ClopenSet",
     "CylinderFunction",
-    "char_fn",
-    "cylinder_decompose",
-    "equi_class",
     "bernoulli_distribution",
     "div_by_c_period",
     "distribution_refine_sum",
@@ -121,7 +117,6 @@ __all__ = [
     "carry_period",
     "integral",
     "measure_apply",
-    "units_cylinder",
     "norm_bound_constant",
     "norm_bound_check",
     "random_cylinder",
@@ -146,21 +141,6 @@ class BernoulliParams:
             raise ValueError("c must be >= 2")
         if math.gcd(self.c, self.d * self.p) != 1:
             raise NotCoprime(f"gcd(c={self.c}, dp={self.d * self.p}) != 1")
-
-
-@dataclass(frozen=True)
-class ClopenSet:
-    """The basic clopen set at level n: the fiber over base in [0, d*p^n)."""
-
-    d: int
-    p: int
-    level: int
-    base: int
-
-    def __post_init__(self):
-        if not 0 <= self.base < self.d * self.p**self.level:
-            raise ValueError(f"base {self.base} is not reduced modulo "
-                             f"{self.d}*{self.p}^{self.level}")
 
 
 class CylinderFunction:
@@ -217,37 +197,8 @@ class CylinderFunction:
         return CylinderFunction._of(self.d, self.p, level,
                                     self.nums * self.p ** (level - self.level), self.den)
 
-    def __add__(self, other: "CylinderFunction") -> "CylinderFunction":
-        if (self.d, self.p) != (other.d, other.p):
-            raise ValueError("cylinder functions live on different spaces")
-        lev = max(self.level, other.level)
-        f, g = self.refine_level(lev), other.refine_level(lev)
-        return CylinderFunction(self.d, self.p, lev, tuple(map(operator.add, f.values, g.values)))
-
     def __repr__(self):
         return f"CylinderFunction(d={self.d}, p={self.p}, level={self.level})"
-
-
-def char_fn(clopen: ClopenSet) -> CylinderFunction:
-    """Characteristic function of a basic clopen set: 1 on it, 0 elsewhere."""
-    nums = [0] * (clopen.d * clopen.p**clopen.level)
-    nums[clopen.base] = 1
-    return CylinderFunction._of(clopen.d, clopen.p, clopen.level, tuple(nums), 1)
-
-
-def cylinder_decompose(f: CylinderFunction):
-    """Write f as sum of f(a) * char_fn(U_a) over the level's clopen basis."""
-    return [(v, ClopenSet(f.d, f.p, f.level, a)) for a, v in enumerate(f.values)]
-
-
-def equi_class(d: int, p: int, n: int, m: int, a: int) -> list[int]:
-    """The residues mod d*p^m, increasing, that reduce to a in [0, d*p^n)."""
-    if m < n:
-        raise LevelOrder(f"target level {m} is below source level {n}")
-    step = d * p**n
-    if not 0 <= a < step:
-        raise ValueError(f"{a} is not reduced modulo {step}")
-    return list(range(a, d * p**m, step))
 
 
 def bernoulli_distribution(params: BernoulliParams, n: int, a: int) -> Fraction:
@@ -273,11 +224,8 @@ def distribution_refine_sum(params: BernoulliParams, m: int, x: int,
 
     Equals dist(params, m, x) exactly for the genuine distribution.
     """
-    d, p = params.d, params.p
-    return sum(
-        (dist(params, m + 1, y) for y in equi_class(d, p, m, m + 1, x % (d * p**m))),
-        Fraction(0),
-    )
+    D = params.d * params.p**m
+    return sum((dist(params, m + 1, y) for y in range(x % D, params.p * D, D)), Fraction(0))
 
 
 def _period_length(params: BernoulliParams, n: int) -> int:
@@ -405,18 +353,6 @@ def measure_apply(params: BernoulliParams, f: CylinderFunction,
     if relprec < 1:
         raise ValueError("relative precision must be >= 1")
     return PadicNum.from_rational(params.p, integral(params, f), relprec)
-
-
-def units_cylinder(d: int, p: int, level: int, unit_values) -> CylinderFunction:
-    """Build a total table from rational values given on the units, zero elsewhere.
-
-    unit_values is indexed by residue: a dict over the units, or a whole
-    table such as another cylinder function's values.
-    """
-    values = [0] * (d * p**level)
-    for a in partition_range(d, p, level)[0]:
-        values[a] = unit_values[a]
-    return CylinderFunction(d, p, level, values)
 
 
 def norm_bound_constant(p: int, c: int) -> Fraction:

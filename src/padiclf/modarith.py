@@ -1,4 +1,4 @@
-"""Exact modular arithmetic: units, CRT, primality and coprimality partitions.
+"""Exact modular arithmetic: units, CRT, primality and divisors.
 
 All moduli are arbitrary-precision Python ints and representatives are
 always the least nonnegative residue.  Z/1Z is the one-point ring whose
@@ -17,7 +17,6 @@ from .padic import split_p_power
 __all__ = [
     "crt_combine",
     "units_of",
-    "partition_range",
     "is_prime",
     "require_odd_prime",
     "divisors",
@@ -38,17 +37,6 @@ def units_of(n: int) -> list[int]:
     if n < 1:
         raise ValueError("modulus must be a positive integer")
     return [a for a in range(n) if math.gcd(a, n) == 1]
-
-
-def partition_range(d: int, p: int, x: int) -> tuple[list[int], list[int]]:
-    """Split [0, d*p^x) into representatives coprime to d*p and the rest."""
-    if math.gcd(d, p) != 1:
-        raise NotCoprime(f"gcd({d}, {p}) != 1")
-    dp = d * p
-    units, nonunits = [], []
-    for a in range(d * p**x):
-        (units if math.gcd(a, dp) == 1 else nonunits).append(a)
-    return units, nonunits
 
 
 # Miller-Rabin on the 13 primes up to 41 decides primality exactly below

@@ -9,8 +9,8 @@ precision.  Two zero-like states are kept distinct:
     remembers only the absolute precision T it is known to vanish at.
 
 The second state is what a p-adic Riemann sum produces when all tracked
-digits cancel; comparing it at precision beyond T raises
-InsufficientPrecision instead of silently answering.
+digits cancel; inverting it raises InsufficientPrecision instead of
+silently answering.
 
 A PadicNum's slots are (p, v, unit, relprec), exactly what state()
 returns, and state() round-trips through the raw constructor:
@@ -42,7 +42,6 @@ from .errors import DivisionByZero, InsufficientPrecision
 __all__ = [
     "PadicNum",
     "DEFAULT_RELPREC",
-    "eq_mod",
     "rational_valuation",
     "split_p_power",
 ]
@@ -171,12 +170,6 @@ class PadicNum:
             raise ValueError("relative precision is only defined for nonzero values")
         return self._relprec
 
-    @property
-    def unit(self) -> int:
-        if self._unit is None:
-            raise ValueError("unit part is only defined for nonzero values")
-        return self._unit
-
     def valuation(self):
         """nu_p of the value.
 
@@ -196,13 +189,6 @@ class PadicNum:
         """The slots (p, v, unit, relprec) in one read, for loops over many
         values; the None pattern is the kind (module docstring)."""
         return self.p, self._v, self._unit, self._relprec
-
-    def norm(self) -> Fraction:
-        """p-adic norm p^(-nu) as an exact rational (an upper bound for O(p^T))."""
-        if self._v is None:
-            return Fraction(0)
-        v = self._v
-        return Fraction(1, self.p**v) if v >= 0 else Fraction(self.p ** (-v))
 
     # ---------------- arithmetic ----------------
 
@@ -263,28 +249,6 @@ class PadicNum:
         mod = self.p**self._relprec
         return PadicNum.from_unit(self.p, -self._v, pow(self._unit, -1, mod), self._relprec)
 
-    # ---------------- projections ----------------
-
-    def appr(self, n: int) -> int:
-        """The unique natural in [0, p^n) congruent to the value mod p^n.
-
-        Requires a p-adic integer (valuation >= 0) and n within the
-        absolute precision.
-        """
-        if n < 0:
-            raise ValueError("n must be >= 0")
-        if self._v is None:
-            return 0
-        if n > self.abs_precision:
-            raise InsufficientPrecision(
-                f"requested {n} digits, absolute precision is {self.abs_precision}"
-            )
-        if self._unit is None:
-            return 0
-        if self._v < 0:
-            raise ValueError("appr is defined only for nonnegative valuation")
-        return (self._unit * self.p**self._v) % self.p**n
-
     # ---------------- comparison, serialization, display ----------------
 
     def __eq__(self, other) -> bool:
@@ -315,24 +279,3 @@ class PadicNum:
             return f"O({self.p}^{self._v})"
         return f"{self._unit}*{self.p}^{self._v} + O({self.p}^{self.abs_precision})"
 
-
-def eq_mod(x: PadicNum, y: PadicNum, threshold: int) -> bool:
-    """True iff nu_p(x - y) >= threshold.
-
-    Both operands must carry at least `threshold` digits of absolute
-    precision, otherwise the question is not decidable and
-    InsufficientPrecision is raised.
-    """
-    x._require_same_prime(y)
-    if x.abs_precision < threshold or y.abs_precision < threshold:
-        raise InsufficientPrecision(
-            f"operands carry fewer than {threshold} digits of absolute precision"
-        )
-    d = x - y
-    if d.is_exact_zero():
-        return True
-    if d.is_zero_at_precision() and d.valuation() < threshold:
-        raise InsufficientPrecision(
-            f"difference vanished at precision {d.valuation()} < {threshold}"
-        )
-    return d.valuation() >= threshold

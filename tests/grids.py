@@ -31,7 +31,8 @@ from padiclf import cli
 from padiclf.dirichlet import DirichletCharacter
 from padiclf.genbernoulli import _unit_sum, chi_omega_minus_k, general_bernoulli_coeffs
 from padiclf.lfunction import LpParams, Weight, riemann_sum, special_value_closed_form
-from padiclf.padic import PadicNum, eq_mod
+from padiclf.padic import PadicNum
+from paper import eq_mod
 
 
 def run_cli(argv: list[str]) -> tuple[int, str, str]:

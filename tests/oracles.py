@@ -42,6 +42,7 @@ from padiclf.measure import (
 )
 from padiclf.modarith import crt_combine, divisors, units_of
 from padiclf.padic import DEFAULT_RELPREC, PadicNum, split_p_power
+from paper import asso_dirichlet_character, norm
 
 
 _BPRIME = [Fraction(1)]  # B'_0, extended on demand
@@ -245,9 +246,10 @@ def special_value_closed_form_padic(params, n: int, relprec: int | None = None) 
     N = relprec if relprec is not None else params.relprec
     p, c, chi = params.p, params.c, params.chi
     psi = chi_omega_minus_k(chi, n)
-    at_p = psi.asso_eval(p % psi.level, N) * PadicNum.from_rational(p, p ** (n - 1), N)
+    at_p = (asso_dirichlet_character(psi, p % psi.level, N)
+            * PadicNum.from_rational(p, p ** (n - 1), N))
     one = PadicNum.from_unit(p, 0, 1, N)
-    c_factor = one - chi.asso_eval(c, N) * principal_unit_power(p, c, n, N)
+    c_factor = one - asso_dirichlet_character(chi, c, N) * principal_unit_power(p, c, n, N)
     return (PadicNum.from_rational(p, Fraction(1, n), N) * c_factor
             * (one - at_p) * general_bernoulli(psi, n, N))
 
@@ -269,7 +271,7 @@ def integrand_eval(params, w, j: int, a: int) -> PadicNum:
     if not 0 <= a < params.d * params.p**j:
         raise ValueError(f"{a} is not reduced modulo {params.d}*{params.p}^{j}")
     psi = chi_omega_minus_k(params.chi, 1)
-    chi_val = psi.asso_eval(a % psi.level, params.relprec)
+    chi_val = asso_dirichlet_character(psi, a % psi.level, params.relprec)
     return chi_val * principal_unit_power(params.p, a, w.k, params.relprec)
 
 
@@ -358,9 +360,9 @@ def norm_bound_check_two_pass(params, f) -> tuple:
     """measure.norm_bound_check from integral_fract and ||f|| read in a second
     pass over the entries, with PadicNum norms."""
     p = params.p
-    lhs = PadicNum.from_rational(p, integral_fract(params, f)).norm()
+    lhs = norm(PadicNum.from_rational(p, integral_fract(params, f)))
     rhs = norm_bound_constant(p, params.c) * max(
-        PadicNum.from_rational(p, v).norm() for v in f.values)
+        norm(PadicNum.from_rational(p, v)) for v in f.values)
     return lhs, rhs, lhs <= rhs
 
 
@@ -419,9 +421,9 @@ def boundedness_failures_bruteforce(params, max_level: int,
     """measure.measure_failures(...)[1] residue by residue: the PadicNum norm of
     dist at every x at every level, against K."""
     K = norm_bound_constant(params.p, params.c)
-    return [(m, x, norm, K)
+    return [(m, x, size, K)
             for m in range(max_level + 1) for x in range(params.d * params.p**m)
-            if (norm := PadicNum.from_rational(params.p, dist(params, m, x)).norm()) > K]
+            if (size := norm(PadicNum.from_rational(params.p, dist(params, m, x)))) > K]
 
 
 def factorize_trial(n: int) -> dict[int, int]:

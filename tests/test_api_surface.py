@@ -1,17 +1,20 @@
 """Code that nothing in the library calls should go.
 
-Every top-level function and every method (dunders aside) of src/padiclf
-must be used: referenced at module or class level, in a dunder method
-(Python calls those), or in a function that is itself used.  A reference
-in the function's own body, in an unused function or in an allow-listed
-one does not count, nor do __all__ and __init__.py.  The rest are paper
-objects that tests pin a theorem through, listed in ALLOWED with the
-reason they stay; brute-force forms belong in tests/oracles.py and thin
-wrappers are deleted.  A function counts as read where its name is read,
-bare or as an attribute; a method or property only where an attribute of
-its name is read (x.name), so a variable or a stored attribute of the
-same name does not count.  Names are matched without their class, so a
-method counts as used when any attribute of that name is read.
+Every top-level function and class (the exceptions of errors.py aside,
+which callers catch by name) and every method (dunders aside) of
+src/padiclf must be used: referenced at module or class level, in a
+dunder method (Python calls those), or in a function that is itself used.
+A reference in the function's own body, in an unused function or in an
+allow-listed one does not count, nor do __all__ and __init__.py.  The
+rest are the names perfbench/spans.py wraps, listed in ALLOWED with the
+reason they stay, and nothing else: a paper object that tests pin a
+theorem through belongs in tests/paper.py, a brute-force form in
+tests/oracles.py, and thin wrappers are deleted.  A function or class
+counts as read where its name is read, bare or as an attribute; a method
+or property only where an attribute of its name is read (x.name), so a
+variable or a stored attribute of the same name does not count.  Names
+are matched without their class, so a method counts as used when any
+attribute of that name is read.
 
 Operator dunders, which an expression applies without naming them, have a
 table of their own, OPERATORS: each one a src/padiclf class defines is
@@ -34,18 +37,12 @@ PACKAGE = ROOT / "src" / "padiclf"
 SPANS = ROOT / "perfbench" / "spans.py"
 
 ALLOWED = {
-    "dirichlet.decompose_coprime": "the CRT split of characters",
-    "measure.char_fn": "the characteristic function of a clopen set",
-    "measure.cylinder_decompose": "the clopen decomposition f = sum f(a) char_fn(U_a)",
-    "measure.units_cylinder": "a function on the units extended by zero to the level",
     "measure.bernoulli_distribution": (
         "the paper's E_c(n, a) at one residue, and the reference the oracles and "
-        "the carry-table tests check against"),
-    "measure.equi_class": (
-        "the fibre of reduction from level m down to level n, the Lean equi_class"),
+        "the carry-period tests check against; perfbench/spans.py wraps it by name"),
     "measure.distribution_refine_sum": (
-        "the sum over a fibre that compatibility equates to the coarse value; "
-        "the traced benchmark run (perfbench/spans.py) wraps it by name"),
+        "the sum over the lifts of a residue that compatibility equates to the coarse "
+        "value; perfbench/spans.py wraps it by name"),
     "measure.measure_apply": (
         "the integral E_c(f) as an element of Q_p, the exact integral embedded at "
         "a relative precision; perfbench/spans.py wraps it by name"),
@@ -53,12 +50,6 @@ ALLOWED = {
         "the bound ||E_c(f)|| <= K ||f|| on one given cylinder function, which "
         "measure_failures proves for every f at a level; perfbench/spans.py "
         "wraps it by name"),
-    "padic.PadicNum.norm": (
-        "the p-adic norm, through which the two-pass oracle and the boundedness "
-        "tests state ||E_c(f)|| <= K ||f||; norm_bound_check reads it from valuations"),
-    "padic.eq_mod": (
-        "congruence mod p^n of two p-adic values that both carry n digits, through "
-        "which tests compare a value with its oracle on the digits both certify"),
     "padic.PadicNum.inverse": (
         "the inverse in Q_p, through which tests pin x^(-1) x = 1; perfbench/spans.py "
         "wraps it by name"),
@@ -66,20 +57,9 @@ ALLOWED = {
         "the embedding of a rational at a relative precision, through which "
         "measure_apply embeds the exact integral and tests state their oracles; "
         "perfbench/spans.py wraps it by name"),
-    "padic.PadicNum.unit": (
-        "the public accessor of a returned value's unit part, through which tests "
-        "read the digits of a value"),
-    "padic.PadicNum.appr": (
-        "the projection Z_p -> Z/p^nZ (the Lean appr), through which tests pin the "
-        "ring homomorphism and the tower of quotients"),
-    "dirichlet.DirichletCharacter.asso_eval": (
-        "the extension by zero of a character (the Lean asso_dirichlet_character), "
-        "through which the PadicNum oracles read the Euler factor and the integrand"),
     "genbernoulli.general_bernoulli": (
         "B_(m,chi) in Q_p, through which tests pin the generalized Bernoulli numbers "
         "and the closed-form oracle embeds them; perfbench/spans.py wraps it by name"),
-    "modarith.partition_range": (
-        "splits range(d*p^x) by coprimality to d*p, which at level 0 is not units_of"),
 }
 
 
@@ -88,12 +68,15 @@ def _is_dunder(name: str) -> bool:
 
 
 def _definitions(tree: ast.Module, module: str):
-    """(qualified name, (kind, bare name)) of each top-level function and
-    non-dunder method, kind being "name" for a function and "attr" for a method."""
+    """(qualified name, (kind, bare name)) of each top-level function, class
+    outside errors.py and non-dunder method, kind being "name" for a function
+    or class and "attr" for a method."""
     for node in tree.body:
         if isinstance(node, ast.FunctionDef):
             yield f"{module}.{node.name}", ("name", node.name)
         elif isinstance(node, ast.ClassDef):
+            if module != "errors":
+                yield f"{module}.{node.name}", ("name", node.name)
             for sub in node.body:
                 if isinstance(sub, ast.FunctionDef) and not _is_dunder(sub.name):
                     yield f"{module}.{node.name}.{sub.name}", ("attr", sub.name)
@@ -170,16 +153,13 @@ OPERATOR_DUNDERS = {
 } | {"__neg__", "__pos__", "__abs__", "__invert__"}
 
 # Each operator dunder a src/padiclf class defines: the function that
-# applies it, "perfbench wraps it" where no library function does, or, for
-# a paper object that only tests apply, the reason it stays
+# applies it, or "perfbench wraps it" where no library function does
 OPERATORS = {
     "padic.PadicNum.__add__": "lfunction.verify_interpolation",
     "padic.PadicNum.__neg__": "padic.PadicNum.__sub__",
     "padic.PadicNum.__sub__": "lfunction.verify_interpolation",
     "padic.PadicNum.__mul__": "perfbench wraps it",
     "dirichlet.DirichletCharacter.__mul__": "genbernoulli.chi_omega_minus_k",
-    "measure.CylinderFunction.__add__": (
-        "the clopen decomposition f = sum f(a) char_fn(U_a) is stated with it"),
 }
 
 
@@ -206,6 +186,12 @@ def spans_targets() -> list[tuple]:
     raise AssertionError("perfbench/spans.py assigns no TARGETS")
 
 
+def test_allowed_is_only_what_perfbench_wraps():
+    # a paper object that no command runs lives in tests/paper.py, not here
+    wrapped = {f"{module}.{attr}" for module, attr, _, _ in spans_targets()}
+    assert sorted(set(ALLOWED) - wrapped) == []
+
+
 def test_every_operator_is_in_the_table():
     # a defined operator the table lacks, or an entry whose dunder is gone
     defined = {q for q in _functions() if q.rsplit(".", 1)[1] in OPERATOR_DUNDERS}
@@ -214,13 +200,13 @@ def test_every_operator_is_in_the_table():
 
 def test_every_operator_site_is_current():
     # a site is a function that still exists, or a target that still wraps
-    # the dunder; a reason (a phrase) is not checked
+    # the dunder
     functions = _functions()
     wrapped = {f"{module}.{attr}" for module, attr, _, _ in spans_targets()}
     for dunder, site in OPERATORS.items():
         if site == "perfbench wraps it":
             assert dunder in wrapped, dunder
-        elif " " not in site:
+        else:
             assert site in functions, (dunder, site)
 
 

@@ -37,10 +37,15 @@ def test_a_a_pair_schema_and_digests(tmp_path):
     assert (base["first"], change["first"]) == (True, False)
 
 
-def test_exits_1_when_digests_differ(tmp_path, monkeypatch):
+def _load_bench_pairs():
     spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "tools" / "bench_pairs.py")
     bench_pairs = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench_pairs)
+    return bench_pairs
+
+
+def test_exits_1_when_digests_differ(tmp_path, monkeypatch):
+    bench_pairs = _load_bench_pairs()
     digests = iter(["a", "a", "b", "c"])
 
     def fake_run(tree, workload, seed, seconds):
@@ -60,3 +65,28 @@ def test_exits_1_when_digests_differ(tmp_path, monkeypatch):
     # the second pair runs the change first
     assert [r["first"] for r in report["sides"]["change"]["runs"]] == [False, True]
     assert [r["digest"] for r in report["sides"]["change"]["runs"]] == ["a", "b"]
+
+
+def test_exits_1_when_a_run_fails(tmp_path, monkeypatch, capsys):
+    # equal digests, but the change run reads correct false with 2 failed
+    # operations: the file is written, the run is named, and the exit is 1
+    bench_pairs = _load_bench_pairs()
+    results = iter([(True, 0), (False, 2)])
+
+    def fake_run(tree, workload, seed, seconds):
+        correct, failed = next(results)
+        return {"python": "3", "nproc": 1, "src_lines": 1}, {
+            "seed": seed, "digest": "a", "correct": correct, "failed": failed,
+            "metrics": dict.fromkeys(METRICS, 1.0)}
+
+    monkeypatch.setattr(bench_pairs, "_run", fake_run)
+    monkeypatch.chdir(tmp_path)
+    argv = ["--label", "x", "--workload", "measure", "--base", str(ROOT),
+            "--change", str(ROOT), "--seeds", "1", "--seconds", "1"]
+    assert bench_pairs.main(argv) == 1
+    assert capsys.readouterr().err == \
+        "error: the change run at seed 1 reads correct False, failed 2\n"
+    report = json.loads((tmp_path / "BENCH_x.json").read_text())
+    assert report["digests_equal"] is True
+    assert [(r["correct"], r["failed"]) for r in report["sides"]["change"]["runs"]] == \
+        [(False, 2)]

@@ -18,13 +18,9 @@ from hypothesis import strategies as st
 
 from oracles import TableCharacter, residue_table
 from padiclf import dirichlet
-from padiclf.dirichlet import (
-    DirichletCharacter,
-    char_power,
-    decompose_coprime,
-    trivial_character,
-)
+from padiclf.dirichlet import DirichletCharacter, char_power, trivial_character
 from padiclf.suite import conductor_bruteforce
+from paper import decompose_coprime
 from test_character_validation import check_against_oracle, genuine_tables, prime_powers
 
 PRIMES = (3, 5, 7, 11)

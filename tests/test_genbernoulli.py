@@ -27,7 +27,8 @@ from padiclf.genbernoulli import (
     unit_power_sum,
 )
 from padiclf.modarith import units_of
-from padiclf.padic import PadicNum, eq_mod, rational_valuation
+from padiclf.padic import PadicNum, rational_valuation
+from paper import asso_dirichlet_character, eq_mod
 from test_character_validation import genuine_tables
 
 QUAD3 = DirichletCharacter(5, 3, {1: 1, 2: 4})
@@ -215,11 +216,11 @@ def test_equal_characters_evaluate_alike(chars, n, twist, relprec):
     chi = chars[0]
     units = units_of(chi.level)
     want = (general_bernoulli(chi, n, relprec), twisted_mean_limit(chi, twist, relprec),
-            [chi.asso_eval(a, relprec) for a in units])
+            [asso_dirichlet_character(chi, a, relprec) for a in units])
     assert all(v.relprec == relprec for v in want[2])
     for psi in chars[1:]:
         assert (general_bernoulli(psi, n, relprec), twisted_mean_limit(psi, twist, relprec),
-                [psi.asso_eval(a, relprec) for a in units]) == want
+                [asso_dirichlet_character(psi, a, relprec) for a in units]) == want
 
 
 @st.composite

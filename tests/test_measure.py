@@ -25,25 +25,30 @@ from padiclf.errors import CostLimitExceeded, LevelOrder, NotCoprime
 from padiclf.measure import (
     MAX_SWEEP_EVALUATIONS,
     BernoulliParams,
-    ClopenSet,
     CylinderFunction,
     bernoulli_distribution,
     carry_period,
-    char_fn,
-    cylinder_decompose,
     distribution_refine_sum,
     div_by_c_period,
-    equi_class,
     integral,
     measure_apply,
     measure_failures,
     norm_bound_check,
     norm_bound_constant,
     random_cylinder as measure_random_cylinder,
+)
+from padiclf.padic import PadicNum
+from paper import (
+    ClopenSet,
+    add,
+    char_fn,
+    cylinder_decompose,
+    eq_mod,
+    equi_class,
+    norm,
+    partition_range,
     units_cylinder,
 )
-from padiclf.modarith import partition_range
-from padiclf.padic import PadicNum, eq_mod
 
 P312 = BernoulliParams(3, 1, 2)
 # the (p, d, c) grid of suite criterion 5, swept there at levels 0-3
@@ -637,7 +642,7 @@ class TestCylinders:
                 for coeff, clopen in cylinder_decompose(f):
                     g = char_fn(clopen)
                     term = CylinderFunction(g.d, g.p, g.level, [coeff * v for v in g.values])
-                    acc = term if acc is None else acc + term
+                    acc = term if acc is None else add(acc, term)
                 assert acc.values == f.values
 
     @settings(max_examples=150, deadline=None)
@@ -753,7 +758,8 @@ class TestMeasureApply:
             g = random_cylinder(rng, 5, 1, 1)
             alpha = Fraction(rng.randint(1, 50), rng.randint(1, 9))
             alpha_f = CylinderFunction(f.d, f.p, f.level, [alpha * v for v in f.values])
-            assert integral(params, alpha_f + g) == alpha * integral(params, f) + integral(params, g)
+            assert integral(params, add(alpha_f, g)) == \
+                alpha * integral(params, f) + integral(params, g)
 
     @settings(max_examples=300, deadline=None)
     @given(p=st.sampled_from((3, 5, 7, 11)), d=st.integers(1, 6), c=st.integers(2, 40),
@@ -860,7 +866,7 @@ class TestNormBound:
             for level in (0, 1, 2):
                 f = rational_cylinder(rng, 5, 2, level, zero_share)
                 _, rhs, _ = norm_bound_check(params, f)
-                assert rhs == K * max(PadicNum.from_rational(5, v).norm() for v in f.values)
+                assert rhs == K * max(norm(PadicNum.from_rational(5, v)) for v in f.values)
                 assert type(rhs) is Fraction
         assert norm_bound_check(P312, rational_cylinder(rng, 3, 1, 2, 1))[1] == 0
         # an entry counts where E_c vanishes, as E_c(1, 1) does at c = 3
@@ -893,8 +899,8 @@ class TestNormBound:
         for params in C5_GRID + more:
             p, c = params.p, params.c
             assert norm_bound_constant(p, c) == (
-                1 + PadicNum.from_rational(p, c).norm()
-                + PadicNum.from_rational(p, Fraction(c - 1, 2)).norm())
+                1 + norm(PadicNum.from_rational(p, c))
+                + norm(PadicNum.from_rational(p, Fraction(c - 1, 2))))
 
     def test_bound_constant(self):
         # K = 1 + |c| + |(c-1)/2| as exact rationals

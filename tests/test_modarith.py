@@ -11,9 +11,9 @@ from padiclf.modarith import (
     crt_combine,
     divisors,
     is_prime,
-    partition_range,
     units_of,
 )
+from paper import partition_range
 
 
 def phi_by_factorization(n):

@@ -14,7 +14,10 @@ From each run it keeps the environment (line 1), the digest (line 2), and
 written to the current directory, holds every run, each side's median and
 quartiles per metric, and per metric the number of pairs the change won
 (ties count for neither; BENCHMARK.json gives which way is better).  The
-exit code is 1 if the two sides' digests differ at some seed, else 0.
+exit code is 1 if the two sides' digests differ at some seed, or if a run
+of either side is not `correct` or has `failed > 0`, which perfbench/run.py
+itself exits 0 on; each such run is named on stderr by side and seed.  The
+file is written either way.
 """
 
 from __future__ import annotations
@@ -112,6 +115,11 @@ def main(argv=None) -> int:
         wins[name] = sum(sign * (c["metrics"][name] - b["metrics"][name]) > 0
                          for b, c in zip(runs["base"], runs["change"]))
     same = all(b["digest"] == c["digest"] for b, c in zip(runs["base"], runs["change"]))
+    bad = [(side, r) for side in SIDES for r in runs[side]
+           if not r["correct"] or r["failed"] > 0]
+    for side, r in bad:
+        print(f"error: the {side} run at seed {r['seed']} reads correct {r['correct']}, "
+              f"failed {r['failed']}", file=sys.stderr)
     report = {
         "label": args.label,
         "workload": args.workload,
@@ -132,7 +140,7 @@ def main(argv=None) -> int:
         } for side in SIDES},
     }
     Path(f"BENCH_{args.label}.json").write_text(json.dumps(report, indent=1) + "\n")
-    return 0 if same else 1
+    return 0 if same and not bad else 1
 
 
 if __name__ == "__main__":
