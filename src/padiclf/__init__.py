@@ -45,7 +45,6 @@ from .lfunction import (
     EvalReport,
     LpParams,
     VerifyReport,
-    Weight,
     p_adic_L,
     riemann_sum,
     special_value_closed_form,

@@ -42,7 +42,7 @@ from .bernoulli import bernoulli, bernoulli_poly
 from .dirichlet import parse_character_spec
 from .errors import CostLimitExceeded, PadicLFError
 from .genbernoulli import _embed_label_sum, _exact_label_sum, general_bernoulli_coeffs
-from .lfunction import LpParams, Weight, p_adic_L, verify_interpolation
+from .lfunction import LpParams, p_adic_L, verify_interpolation
 from .measure import BernoulliParams, measure_failures
 from .padic import DEFAULT_RELPREC
 
@@ -166,7 +166,7 @@ def _cmd_measure_check(args) -> int:
 def _cmd_lp_eval(args) -> int:
     params = _make_lp_params(args)
     _require_printable_units(params.p, params.digits)
-    report = p_adic_L(params, Weight(args.weight_k))
+    report = p_adic_L(params, args.weight_k)
     _emit(report.to_json())
     return 0
 

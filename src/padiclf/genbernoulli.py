@@ -204,7 +204,7 @@ def _twist_preconditions(chi: DirichletCharacter, k: int, j: int):
         raise ValueError("the twist exponent k must be >= 1")
     if j < 1:
         raise ValueError("the level j must be >= 1")
-    return d, m
+    return d
 
 
 def _unit_sum(psi: DirichletCharacter, d: int, j: int, k: int, relprec: int,
@@ -284,7 +284,7 @@ def twisted_mean_truncation(chi: DirichletCharacter, k: int, j: int,
     should supply relprec at least j plus the valuation they intend to
     resolve.
     """
-    d, _ = _twist_preconditions(chi, k, j)
+    d = _twist_preconditions(chi, k, j)
     s = _unit_sum(chi_omega_minus_k(chi, k), d, j, k, relprec)
     return _embed(chi.p, s, relprec - j, d * chi.p**j)
 
@@ -303,7 +303,7 @@ def unit_power_sum(chi: DirichletCharacter, k: int, j: int,
 
     Odd k makes chi omega^(-k) odd (for even chi) and is rejected.
     """
-    d, _ = _twist_preconditions(chi, k, j)
+    d = _twist_preconditions(chi, k, j)
     if k % 2:
         raise ValueError("k must be even (parity mismatch otherwise)")
     return _embed(chi.p, _unit_sum(chi_omega_minus_k(chi, k), d, j, k - 1, relprec), relprec)

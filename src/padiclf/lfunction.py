@@ -58,7 +58,6 @@ from .measure import BernoulliParams
 from .padic import DEFAULT_RELPREC, PadicNum, split_p_power
 
 __all__ = [
-    "Weight",
     "LpParams",
     "EvalReport",
     "VerifyReport",
@@ -67,17 +66,6 @@ __all__ = [
     "special_value_closed_form",
     "verify_interpolation",
 ]
-
-
-@dataclass(frozen=True)
-class Weight:
-    """The weight a -> <a>^k on p-adic units (trivial on the tame part)."""
-
-    k: int
-
-    def __post_init__(self):
-        if self.k < 0:
-            raise ValueError("weight exponent must be >= 0")
 
 
 @dataclass
@@ -172,7 +160,7 @@ class VerifyReport:
         }
 
 
-def riemann_sum(params: LpParams, w: Weight, j: int, relprec: int | None = None) -> PadicNum:
+def riemann_sum(params: LpParams, k: int, j: int, relprec: int | None = None) -> PadicNum:
     """The level-j sum of chi omega^(-1)(a) <a>^k E_c(j, a) over units a mod D = d*p^j.
 
     Every term is p-integral (E_c lands in Z + (c-1)/2 and the integrand
@@ -187,7 +175,7 @@ def riemann_sum(params: LpParams, w: Weight, j: int, relprec: int | None = None)
     """
     if j < params.m:
         raise LevelTooLow(f"integration level {j} is below the character level {params.m}")
-    c, k = params.c, w.k
+    c = params.c
     N = params.relprec if relprec is None else relprec
     # 2 E_c at the carry t is c - 1 - 2t
     total = _unit_sum(chi_omega_minus_k(params.chi, k + 1), params.d, j, k, N,
@@ -195,20 +183,24 @@ def riemann_sum(params: LpParams, w: Weight, j: int, relprec: int | None = None)
     return _embed(params.p, total, N, 2)
 
 
-def p_adic_L(params: LpParams, w: Weight) -> EvalReport:
-    """The L-value as the single Riemann sum S_J, certified mod p^params.digits.
+def p_adic_L(params: LpParams, k: int) -> EvalReport:
+    """The L-value at the weight a -> <a>^k, k >= 0, as the single Riemann
+    sum S_J, certified mod p^params.digits.
 
-    A call whose digits fall short of target_valuation is refused with
-    InsufficientPrecision before any sum.  S_J agrees with the L-value mod
-    p^J for every J >= m (module docstring), so J = max(digits, j_min, m)
-    is the lowest level of the range that certifies every digit; it is at
-    most j_max, as LpParams checks.  S_J is summed mod p^digits alone.
+    A negative k is refused with ValueError first, then a call whose digits
+    fall short of target_valuation with InsufficientPrecision, before any
+    sum.  S_J agrees with the L-value mod p^J for every J >= m (module
+    docstring), so J = max(digits, j_min, m) is the lowest level of the
+    range that certifies every digit; it is at most j_max, as LpParams
+    checks.  S_J is summed mod p^digits alone.
 
     For an odd chi the L-value is the exact zero, returned without a sum:
     the integrand chi omega^(-1)(a) <a>^k is even and 2 E_c(j, -a) =
     -2 E_c(j, a) at every unit a, so every S_j vanishes, at every precision
     (Washington, section 5.2).  level_used is still J.
     """
+    if k < 0:
+        raise ValueError("weight exponent must be >= 0")
     digits = params.digits
     if digits < params.target_valuation:
         raise InsufficientPrecision(
@@ -217,7 +209,7 @@ def p_adic_L(params: LpParams, w: Weight) -> EvalReport:
     J = max(digits, params.j_min, params.m)
     if not params.chi.is_even():
         return EvalReport(value=PadicNum.exact_zero(params.p), level_used=J)
-    return EvalReport(value=riemann_sum(params, w, J, digits), level_used=J)
+    return EvalReport(value=riemann_sum(params, k, J, digits), level_used=J)
 
 
 def special_value_closed_form(params: LpParams, n: int,
@@ -255,7 +247,7 @@ def verify_interpolation(params: LpParams, n: int) -> VerifyReport:
     """
     if n < 2:
         raise ValueError("n must be >= 2")
-    report = p_adic_L(params, Weight(n - 1))
+    report = p_adic_L(params, n - 1)
     rhs = special_value_closed_form(params, n)
     lhs = report.value
     minus, plus = lhs - rhs, lhs + rhs

@@ -288,20 +288,17 @@ def measure_failures(params: BernoulliParams, max_level: int,
             f"a sweep to level {max_level} reads {reads} values and sums {terms} "
             f"terms, over the limit of {MAX_SWEEP_EVALUATIONS}")
 
-    def period(n, length):
-        read = values(params, n)
+    def period(n):
+        read, length = values(params, n), _period_length(params, n)
         if len(read) != length:
             raise ValueError(f"the table hook gave {len(read)} values at level {n}, "
                              f"not one period of min(c, d*p^n) = {length}")
         return read
 
     compatibility, boundedness = [], []
-    length = min(c, d)
-    coarse = period(0, length)
+    coarse = period(0)
     for m in range(max_level + 1):
-        # min(c, d p^(m+1)) from min(c, d p^m)
-        length = min(c, length * p)
-        fine = period(m + 1, length)
+        fine = period(m + 1)
         # len(coarse) is c or D = d p^m, so the value at x is coarse[x % n].
         # ||mu|| = ||2 mu|| as p is odd
         n, past = len(coarse), {}

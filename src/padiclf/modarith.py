@@ -28,7 +28,7 @@ def crt_combine(d: int, q: int, a: int, b: int) -> int:
     if math.gcd(d, q) != 1:
         raise NotCoprime(f"gcd({d}, {q}) != 1")
     # x = a + d*t with t chosen so x = b mod q; pow(d, -1, 1) == 0 covers q == 1
-    t = ((b - a) * pow(d, -1, q)) % q if q > 1 else 0
+    t = ((b - a) * pow(d, -1, q)) % q
     return (a + d * t) % (d * q)
 
 

@@ -30,7 +30,7 @@ from oracles import (
 from padiclf import cli
 from padiclf.dirichlet import DirichletCharacter
 from padiclf.genbernoulli import _unit_sum, chi_omega_minus_k, general_bernoulli_coeffs
-from padiclf.lfunction import LpParams, Weight, riemann_sum, special_value_closed_form
+from padiclf.lfunction import LpParams, riemann_sum, special_value_closed_form
 from padiclf.padic import PadicNum
 from paper import eq_mod
 
@@ -225,7 +225,7 @@ def _vanishes(argv, obj) -> bool:
                 and obj["lhs"] == {"p": p, "zero": True})
     params = LpParams(p=p, d=int(arg("--d")), c=int(arg("--c")), m=1, chi=arg("--char"),
                       relprec=10, j_max=10)
-    kernel = riemann_sum(params, Weight(int(arg("--weight-k"))), 10, 10)
+    kernel = riemann_sum(params, int(arg("--weight-k")), 10, 10)
     return (obj == {"value": {"p": p, "zero": True}, "level_used": 10}
             and kernel.is_zero_at_precision() and kernel.abs_precision == 10)
 
@@ -256,8 +256,8 @@ def kernel_cases() -> list[tuple]:
 
 def kernel_grid() -> tuple[Counter, list, str]:
     """The progression-sum kernel genbernoulli._unit_sum against the brute
-    oracles, relprec 8, over kernel_cases(): riemann_sum(params, Weight(k),
-    j) at k = 0 .. 6 and c in {2, 3, 11} prime to d p, against
+    oracles, relprec 8, over kernel_cases(): riemann_sum(params, k, j)
+    at k = 0 .. 6 and c in {2, 3, 11} prime to d p, against
     riemann_sum_bruteforce; and the twisted sum _unit_sum(chi omega^(-k),
     d, j, e, 8) at k in {2, 4, 6} and e in {k, k - 1}, against
     twisted_unit_sum_bruteforce.  Returns (the count of cases by kind, the
@@ -276,8 +276,8 @@ def kernel_grid() -> tuple[Counter, list, str]:
             if math.gcd(c, d * p) == 1:
                 params = LpParams(p=p, d=d, c=c, m=1, chi=chi, relprec=8, j_max=j)
                 for k in range(7):
-                    check(("riemann", p, d, e, j, c, k), riemann_sum(params, Weight(k), j),
-                          riemann_sum_bruteforce(params, Weight(k), j))
+                    check(("riemann", p, d, e, j, c, k), riemann_sum(params, k, j),
+                          riemann_sum_bruteforce(params, k, j))
         for k in (2, 4, 6):
             psi = chi_omega_minus_k(chi, k)
             for x in (k, k - 1):

@@ -254,15 +254,15 @@ def special_value_closed_form_padic(params, n: int, relprec: int | None = None) 
             * (one - at_p) * general_bernoulli(psi, n, N))
 
 
-def weight_eval(p: int, w, a: int, relprec: int) -> PadicNum:
+def weight_eval(p: int, k: int, a: int, relprec: int) -> PadicNum:
     """<a>^k at a unit a, the least representative of its residue mod d*p^j.
 
     The result lies in 1 + pZ_p, so it is 1 whenever k = 0.
     """
-    return principal_unit_power(p, a, w.k, relprec)
+    return principal_unit_power(p, a, k, relprec)
 
 
-def integrand_eval(params, w, j: int, a: int) -> PadicNum:
+def integrand_eval(params, k: int, j: int, a: int) -> PadicNum:
     """chi omega^(-1)(a) * <a>^k at a unit a mod d*p^j, j >= m, given by its
     least representative: the per-unit integrand that riemann_sum regroups
     into progressions."""
@@ -272,10 +272,10 @@ def integrand_eval(params, w, j: int, a: int) -> PadicNum:
         raise ValueError(f"{a} is not reduced modulo {params.d}*{params.p}^{j}")
     psi = chi_omega_minus_k(params.chi, 1)
     chi_val = asso_dirichlet_character(psi, a % psi.level, params.relprec)
-    return chi_val * principal_unit_power(params.p, a, w.k, params.relprec)
+    return chi_val * principal_unit_power(params.p, a, k, params.relprec)
 
 
-def riemann_sum_bruteforce(params, w, j: int) -> PadicNum:
+def riemann_sum_bruteforce(params, k: int, j: int) -> PadicNum:
     """sum of chi omega^(-1)(a) <a>^k E_c(j, a) over units a mod d*p^j, mod p^relprec."""
     p, d, c, N = params.p, params.d, params.c, params.relprec
     P = p**N
@@ -288,7 +288,6 @@ def riemann_sum_bruteforce(params, w, j: int) -> PadicNum:
     cinv = pow(c, -1, D)
     inv2 = pow(2, -1, P)
     dp = d * p
-    k = w.k
     total = 0
     for a in range(D):
         if math.gcd(a, dp) != 1:

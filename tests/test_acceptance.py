@@ -11,6 +11,7 @@ import pytest
 
 from oracles import bernoulli_distribution_over_p, level_period
 from padiclf import measure, suite
+from padiclf.dirichlet import DirichletCharacter
 from padiclf.padic import PadicNum
 from padiclf.suite import ALL_CRITERIA
 
@@ -76,6 +77,29 @@ def test_criterion_6_fails_on_a_measure_divided_by_p(monkeypatch):
     assert detail["failures"][0] == (5, 2, 3, 0, 0, "5", "3")
 
 
+def least_prime_factor(n):
+    return next(q for q in range(2, n + 1) if n % q == 0)
+
+
+@pytest.mark.parametrize("wrong", [
+    lambda chi, f: chi.level,
+    lambda chi, f: 1,
+    lambda chi, f: f * least_prime_factor(chi.level // f) if chi.level > f else f,
+    lambda chi, f: f // least_prime_factor(f) if f > 1 else f,
+], ids=["level", "one", "f-times-q", "f-over-q"])
+def test_criterion_3_fails_on_a_wrong_conductor(monkeypatch, wrong):
+    conductor = DirichletCharacter.conductor
+
+    def wrong_conductor(chi):
+        # associated_primitive caches its result on interned characters:
+        # record each one's cache here, so teardown restores it
+        monkeypatch.setattr(chi, "_prim", chi._prim)
+        return wrong(chi, conductor(chi))
+
+    monkeypatch.setattr(DirichletCharacter, "conductor", wrong_conductor)
+    assert not suite._c3_conductors(SEED)[0]
+
+
 def test_criterion_7_fails_on_a_refinement_that_changes_the_integral(monkeypatch):
     refine = measure.CylinderFunction.refine_level
 
@@ -92,8 +116,8 @@ def test_criterion_7_fails_on_a_refinement_that_changes_the_integral(monkeypatch
 def test_criterion_7_fails_on_a_riemann_sum_that_varies_with_the_level(monkeypatch):
     riemann_sum = suite.riemann_sum
 
-    def drifting(params, w, j):
-        return riemann_sum(params, w, j) + PadicNum.from_rational(params.p, j, params.relprec)
+    def drifting(params, k, j):
+        return riemann_sum(params, k, j) + PadicNum.from_rational(params.p, j, params.relprec)
 
     monkeypatch.setattr(suite, "riemann_sum", drifting)
     passed, detail = suite._c7_locally_constant_integration(SEED)

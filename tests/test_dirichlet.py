@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import factorize_trial, residue_table, teichmuller_pow
+from oracles import TableCharacter, factorize_trial, residue_table, teichmuller_pow
 from padiclf import dirichlet
 from padiclf.dirichlet import (
     DirichletCharacter,
@@ -24,7 +24,7 @@ from padiclf.errors import (
 )
 from padiclf.modarith import units_of
 from padiclf.padic import DEFAULT_RELPREC
-from padiclf.suite import conductor_bruteforce, factors_through
+from padiclf.suite import factors_through
 from paper import asso_dirichlet_character, decompose_coprime, unit
 
 
@@ -234,7 +234,8 @@ class TestConductor:
                     chars.append(chi.change_level(chi.level * 6))
         chars.append(DirichletCharacter(5, 8, {1: 1, 3: 4, 5: 4, 7: 1}))
         for chi in chars:
-            assert chi.conductor() == conductor_bruteforce(chi)
+            table = TableCharacter(chi.p, chi.level, residue_table(chi.p, chi.labels))
+            assert chi.conductor() == table.conductor()
 
     def test_change_level_preserves_conductor(self):
         quad3 = DirichletCharacter(5, 3, {1: 1, 2: 4})

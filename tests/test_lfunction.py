@@ -18,7 +18,6 @@ from padiclf.errors import InsufficientPrecision, LevelTooLow, NotCoprime
 from padiclf.genbernoulli import chi_omega_minus_k, twisted_mean_limit
 from padiclf.lfunction import (
     LpParams,
-    Weight,
     p_adic_L,
     riemann_sum,
     special_value_closed_form,
@@ -41,16 +40,16 @@ def main_params(c=2, relprec=12, j_max=7, target=4):
 
 class TestWeight:
     def test_k_zero_is_one(self):
-        assert weight_eval(5, Weight(0), 7, 6) == PadicNum.from_unit(5, 0, 1, 6)
+        assert weight_eval(5, 0, 7, 6) == PadicNum.from_unit(5, 0, 1, 6)
 
     def test_example_value(self):
         # <2> = 2 * omega(2)^(-1) = 2 * 68 = 11 mod 125
-        v = weight_eval(5, Weight(1), 2, 3)
+        v = weight_eval(5, 1, 2, 3)
         assert unit(v) == 11
         assert unit(v) % 5 == 1
 
     def test_one_fixed(self):
-        assert unit(weight_eval(5, Weight(3), 1, 6)) == 1
+        assert unit(weight_eval(5, 3, 1, 6)) == 1
 
     def test_lands_in_principal_units(self):
         for lift in (2, 3, 7, 11, 124):
@@ -63,8 +62,9 @@ class TestWeight:
             principal_unit_power(5, 10, 1, 6)
 
     def test_negative_exponent_rejected(self):
-        with pytest.raises(ValueError):
-            Weight(-1)
+        # refused ahead of the precision check, which relprec=2 would fail
+        with pytest.raises(ValueError, match="weight exponent must be >= 0"):
+            p_adic_L(main_params(relprec=2), -1)
 
 
 class TestLpParams:
@@ -112,12 +112,12 @@ class TestIntegrand:
         # chi = omega: chi * omega^(-1) is trivial, weight 0 integrand is 1...
         # omega is odd, so build the even square and check at a = 1 instead
         params = main_params()
-        assert unit(integrand_eval(params, Weight(2), 1, 1)) == 1
+        assert unit(integrand_eval(params, 2, 1, 1)) == 1
 
     def test_matches_factor_product(self):
         params = main_params()
         psi = chi_omega_minus_k(params.chi, 1)
-        got = integrand_eval(params, Weight(3), 2, 7)
+        got = integrand_eval(params, 3, 2, 7)
         expected = asso_dirichlet_character(psi, 7, 12) * principal_unit_power(5, 7, 3, 12)
         assert got == expected
 
@@ -125,7 +125,7 @@ class TestIntegrand:
         params = LpParams(p=5, d=1, c=2, m=2, chi=omega2().change_level(25),
                           relprec=12, j_max=5)
         with pytest.raises(LevelTooLow):
-            integrand_eval(params, Weight(1), 1, 2)
+            integrand_eval(params, 1, 1, 2)
 
 
 class TestRiemannSum:
@@ -133,11 +133,11 @@ class TestRiemannSum:
         params = LpParams(p=5, d=1, c=2, m=2, chi=omega2().change_level(25),
                           relprec=10, j_max=5)
         with pytest.raises(LevelTooLow):
-            riemann_sum(params, Weight(1), 1)
+            riemann_sum(params, 1, 1)
 
     def test_locally_constant_weight_is_level_independent(self):
         params = main_params()
-        sums = [riemann_sum(params, Weight(0), j) for j in range(1, 5)]
+        sums = [riemann_sum(params, 0, j) for j in range(1, 5)]
         assert all(s == sums[0] for s in sums)
 
     def test_cross_check_against_measure_apply(self):
@@ -151,7 +151,7 @@ class TestRiemannSum:
             for a in partition_range(1, 5, j)[0]:
                 values[a] = asso_dirichlet_character(psi, a % psi.level, 10)
             via_measure = measure_apply_fold(bp, j, values, 10)
-            via_sum = riemann_sum(params, Weight(0), j)
+            via_sum = riemann_sum(params, 0, j)
             assert eq_mod(via_sum, via_measure,
                           min(via_sum.abs_precision, via_measure.abs_precision))
 
@@ -165,10 +165,10 @@ class TestRiemannSum:
         from padiclf.measure import bernoulli_distribution
         acc = PadicNum.exact_zero(5)
         for a in units:
-            term = (integrand_eval(params, Weight(1), 2, a)
-                    + integrand_eval(params, Weight(2), 2, a))
+            term = (integrand_eval(params, 1, 2, a)
+                    + integrand_eval(params, 2, 2, a))
             acc = acc + term * PadicNum.from_rational(5, bernoulli_distribution(bp, 2, a), 10)
-        split = riemann_sum(params, Weight(1), 2) + riemann_sum(params, Weight(2), 2)
+        split = riemann_sum(params, 1, 2) + riemann_sum(params, 2, 2)
         assert eq_mod(acc, split, min(acc.abs_precision, split.abs_precision))
 
 
@@ -183,7 +183,7 @@ def refuse_every_sum(monkeypatch):
 class TestPAdicL:
     def test_locally_constant_converges_at_floor(self):
         params = main_params()
-        report = p_adic_L(params, Weight(0))
+        report = p_adic_L(params, 0)
         assert (report.level_used, report.value.abs_precision) == (7, 7)
 
     def test_level_is_the_least_that_certifies_every_digit(self):
@@ -193,7 +193,7 @@ class TestPAdicL:
             chi = omega2().change_level(5**m)
             params = LpParams(p=5, d=1, c=2, m=m, chi=chi, relprec=relprec, j_min=j_min,
                               target_valuation=2)
-            assert p_adic_L(params, Weight(1)).level_used == J
+            assert p_adic_L(params, 1).level_used == J
 
     def test_insufficient_precision_guard(self):
         # the certified digits are min(relprec, j_max), whichever is short
@@ -201,25 +201,25 @@ class TestPAdicL:
             with pytest.raises(InsufficientPrecision, match=(
                     rf"min\(relprec={relprec}, j_max={j_max}\) = 3 certified digits do not "
                     r"reach the target valuation 4")):
-                p_adic_L(main_params(relprec=relprec, j_max=j_max, target=4), Weight(1))
+                p_adic_L(main_params(relprec=relprec, j_max=j_max, target=4), 1)
         for relprec, j_max in ((4, 7), (12, 4)):
-            report = p_adic_L(main_params(relprec=relprec, j_max=j_max, target=4), Weight(1))
+            report = p_adic_L(main_params(relprec=relprec, j_max=j_max, target=4), 1)
             assert report.value.abs_precision == 4
 
     def test_short_digits_are_refused_before_any_sum(self, monkeypatch):
         refuse_every_sum(monkeypatch)
         with pytest.raises(InsufficientPrecision):
-            p_adic_L(main_params(c=3, j_max=3, target=8), Weight(1))
+            p_adic_L(main_params(c=3, j_max=3, target=8), 1)
 
     def test_report_json_shape(self):
-        report = p_adic_L(main_params(), Weight(1))
+        report = p_adic_L(main_params(), 1)
         obj = report.to_json()
         assert obj == {"value": report.value.to_json(), "level_used": 7}
 
     def test_increment_valuations_nondecreasing(self):
         for c, k in ((3, 1), (3, 3), (2, 3)):
             params = main_params(c=c)
-            sums = [riemann_sum(params, Weight(k), j) for j in range(1, 7)]
+            sums = [riemann_sum(params, k, j) for j in range(1, 7)]
             vals = [(sums[i + 1] - sums[i]).valuation() for i in range(5)]
             assert all(b >= a for a, b in zip(vals, vals[1:])), (c, k, vals)
 
@@ -334,9 +334,9 @@ def test_claimed_digits_match_closed_form(point, k, relprec, j_max):
     params = LpParams(p=p, d=1, c=c, m=1, chi=chi, relprec=relprec, j_max=j_max)
     if min(relprec, j_max) < params.target_valuation:
         with pytest.raises(InsufficientPrecision):
-            p_adic_L(params, Weight(k))
+            p_adic_L(params, k)
         return
-    value = p_adic_L(params, Weight(k)).value
+    value = p_adic_L(params, k).value
     assert eq_mod(value, special_value_closed_form(params, k + 1, 30), value.abs_precision)
     assert value.abs_precision == min(relprec, j_max)
 
@@ -433,7 +433,7 @@ def test_kernel_sum_vanishes_at_odd_characters(point, k, j, N):
     N = min(N, J)
     params = LpParams(p=p, d=d, c=c, m=m, chi=odd_character(p, d, e, m), relprec=N,
                       j_max=J)
-    value = riemann_sum(params, Weight(k), J, N)
+    value = riemann_sum(params, k, J, N)
     assert value.is_zero_at_precision() and value.abs_precision == N
 
 
@@ -445,12 +445,12 @@ def test_odd_character_is_the_exact_zero_without_a_sum(monkeypatch):
     for p, d, e, c in ((5, 1, 1, 2), (7, 1, 3, 2), (5, 3, 2, 2), (7, 4, 0, 3)):
         params = LpParams(p=p, d=d, c=c, m=1, chi=odd_character(p, d, e, 1), relprec=6,
                           j_max=6)
-        report = p_adic_L(params, Weight(2))
+        report = p_adic_L(params, 2)
         assert report.value.is_exact_zero() and report.level_used == 6
         assert report.to_json()["value"] == {"p": p, "zero": True}
         # a call that could not certify the target is refused as an even one is
         with pytest.raises(InsufficientPrecision):
-            p_adic_L(LpParams(p=p, d=d, c=c, m=1, chi=params.chi, relprec=3), Weight(2))
+            p_adic_L(LpParams(p=p, d=d, c=c, m=1, chi=params.chi, relprec=3), 2)
 
 
 @st.composite
@@ -482,11 +482,11 @@ def test_reports_do_not_depend_on_the_level_chi_is_given_at(point, k, relprec, t
                           relprec=relprec, j_max=m_top + 2, target_valuation=target)
         if target > min(relprec, m_top + 2):
             with pytest.raises(InsufficientPrecision):
-                p_adic_L(params, Weight(k))
+                p_adic_L(params, k)
             with pytest.raises(InsufficientPrecision):
                 verify_interpolation(params, k + 2)
             return None
-        return p_adic_L(params, Weight(k)), verify_interpolation(params, k + 2)
+        return p_adic_L(params, k), verify_interpolation(params, k + 2)
 
     own = reports(d * p)
     assert reports(d * p**m) == own

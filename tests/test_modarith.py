@@ -47,6 +47,12 @@ class TestCrt:
         assert crt_combine(2, 9, 1, 2) == 11
         # any representatives of the components give the least residue
         assert crt_combine(3, 5, -2, 12) == 7
+        # q = 1, as _generators combines at every prime-power level: every b
+        # is congruent mod 1, so the residue is a mod d
+        assert crt_combine(9, 1, 4, 0) == 4
+        assert crt_combine(9, 1, 4, 7) == 4
+        assert crt_combine(9, 1, -5, -3) == 4
+        assert crt_combine(1, 1, 0, 0) == 0
 
     def test_not_coprime(self):
         with pytest.raises(NotCoprime):

@@ -25,7 +25,7 @@ from oracles import (progression_power_sum_horner, riemann_sum_bruteforce,
 from padiclf.bernoulli import ProgressionPowerSum
 from padiclf.dirichlet import parse_character_spec
 from padiclf.genbernoulli import _unit_sum, chi_omega_minus_k
-from padiclf.lfunction import LpParams, Weight, riemann_sum
+from padiclf.lfunction import LpParams, riemann_sum
 from padiclf.padic import PadicNum
 
 RELPREC = 10
@@ -92,10 +92,10 @@ def test_riemann_sum_matches_oracle(table_dir, char, c, k, dj):
     # w = 2 E_c: the carry t weighs c - 1 - 2t
     twice = _unit_sum(chi_omega_minus_k(chi, k + 1), d, j, k, RELPREC, range(c - 1, -c - 1, -2))
     fast = PadicNum.from_int_mod(p, twice * pow(2, -1, P), RELPREC)
-    slow = riemann_sum_bruteforce(params, Weight(k), j)
+    slow = riemann_sum_bruteforce(params, k, j)
     assert fast == slow
     assert fast.abs_precision == slow.abs_precision
-    assert riemann_sum(params, Weight(k), j) == slow
+    assert riemann_sum(params, k, j) == slow
 
 
 # j < m: the sum runs below the level d*p^m of the character
