@@ -9,7 +9,7 @@ import functools
 
 import pytest
 
-from oracles import bernoulli_distribution_over_p, level_period
+from oracles import bernoulli_distribution_over_p, factorize_trial, level_period
 from padiclf import measure, suite
 from padiclf.dirichlet import DirichletCharacter
 from padiclf.padic import PadicNum
@@ -77,15 +77,11 @@ def test_criterion_6_fails_on_a_measure_divided_by_p(monkeypatch):
     assert detail["failures"][0] == (5, 2, 3, 0, 0, "5", "3")
 
 
-def least_prime_factor(n):
-    return next(q for q in range(2, n + 1) if n % q == 0)
-
-
 @pytest.mark.parametrize("wrong", [
     lambda chi, f: chi.level,
     lambda chi, f: 1,
-    lambda chi, f: f * least_prime_factor(chi.level // f) if chi.level > f else f,
-    lambda chi, f: f // least_prime_factor(f) if f > 1 else f,
+    lambda chi, f: f * min(factorize_trial(chi.level // f)) if chi.level > f else f,
+    lambda chi, f: f // min(factorize_trial(f)) if f > 1 else f,
 ], ids=["level", "one", "f-times-q", "f-over-q"])
 def test_criterion_3_fails_on_a_wrong_conductor(monkeypatch, wrong):
     conductor = DirichletCharacter.conductor
