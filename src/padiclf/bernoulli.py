@@ -26,9 +26,10 @@ bernoulli_poly gives the same coefficients as a tuple of Fractions, made
 anew from the integer form on each call.
 
 Faulhaber's formula turns them into closed-form power sums over an
-arithmetic progression (ProgressionPowerSum).  The one progression-sum
-kernel, genbernoulli._unit_sum, is built on it: that is how the Riemann
-sums and the twisted unit sums avoid visiting every residue.
+arithmetic progression (ProgressionPowerSum).  The residue pass of the
+one progression-sum kernel, genbernoulli._residue_pass, is built on it:
+that is how the Riemann sums and the twisted unit sums avoid visiting
+every residue.
 """
 
 from __future__ import annotations
@@ -157,11 +158,12 @@ class ProgressionPowerSum:
     and H(y) = den * step^(k+1) * B_(k+1)(y / step), where den is that of
     B_(k+1)'s integer form, so that H has integer coefficients.  They are
     reduced mod mod = div * modulus once, here; the one caller,
-    genbernoulli._unit_sum, evaluates H by Horner's rule on unreduced
+    genbernoulli._residue_pass, evaluates H by Horner's rule on unreduced
     ints, with no reduction per step.  H(u1) - H(u0) is an exact multiple
-    of div, and so is any integer combination of such differences, so
-    _unit_sum, which adds many of them per label, makes one exact
-    `% mod // div` for the whole sum.
+    of div, and so is any integer combination of such differences, and
+    so is its residue mod mod: the pass reduces its total at each unit
+    mod L once, and genbernoulli._unit_sum, which adds those totals per
+    label, makes one exact `% mod // div` per label.
     """
 
     def __init__(self, k: int, step: int, modulus: int):

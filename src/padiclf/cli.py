@@ -61,6 +61,10 @@ def _fraction_str(obj) -> str:
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
+# json.dumps(obj, default=...) would build an encoder on every call
+_ENCODER = json.JSONEncoder(default=_fraction_str)
+
+
 def _emit(obj) -> None:
     """Write obj as one JSON line, a Fraction as "n/d".  Python refuses to
     convert an int of more than sys.get_int_max_str_digits() digits to a
@@ -70,7 +74,7 @@ def _emit(obj) -> None:
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
-        text = json.dumps(obj, default=_fraction_str)
+        text = _ENCODER.encode(obj)
     finally:
         sys.set_int_max_str_digits(limit)
     sys.stdout.write(text + "\n")

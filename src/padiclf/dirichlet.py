@@ -533,7 +533,8 @@ def load_table_character(path: str) -> DirichletCharacter:
     and JSON nested past the recursion limit.  The constructor checks the
     table in one pass (module docstring), naming an offending pair (a, g).
 
-    The file is read on every call.  A text of at most
+    The file is read as UTF-8 whatever the locale, and one that is not
+    UTF-8 raises ValueError.  It is read on every call.  A text of at most
     MAX_CACHED_TABLE_TEXT (2048) characters is the key under which the
     checked character is kept: the last CACHED_TABLE_TEXTS (32) such
     texts read, so a file that changes in any byte is checked again, and
@@ -547,8 +548,8 @@ def load_table_character(path: str) -> DirichletCharacter:
     the process would grow, a page at a time, through the calls that
     fill the cache.
     """
-    with open(path) as fh:
-        text = fh.read()
+    with open(path, "rb") as fh:
+        text = fh.read().decode()
     if len(text) > MAX_CACHED_TABLE_TEXT:
         return _table_character.__wrapped__(text)
     return _table_character(text)

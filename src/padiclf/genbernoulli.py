@@ -22,13 +22,20 @@ approaches (1 - chi omega^(-k)(p) p^(k-1)) * B_(k, chi omega^(-k)) as j
 grows, and the bare unit power sum with exponent k - 1 approaches 0;
 both are computed at a given level so valuation growth can be observed.
 Both are sums over the units a mod d p^j, and so is the Riemann sum of
-padiclf.lfunction: all three go through _unit_sum, the one kernel that
-regroups such a sum into residue progressions summed in closed form
-(Washington, Introduction to Cyclotomic Fields, section 5.2 and ch. 12).
+padiclf.lfunction: all three go through _unit_sum, the one kernel.  It
+splits such a sum in two.  The residue pass (_residue_pass) does not
+depend on the character: it sums the weighted a^k over each residue
+class mod c L in closed form and totals them per unit x mod L, L =
+lcm(level, dp).  The projection adds those totals by the character's
+label at x.  The last RESIDUE_PASSES passes are kept, so every character
+at one (p, d, c, j, k, relprec) costs one pass and a projection each
+(Washington, Introduction to Cyclotomic Fields, section 5.2, ch. 6 and
+ch. 12).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Sequence
 from fractions import Fraction
@@ -218,29 +225,26 @@ def _unit_sum(psi: DirichletCharacter, d: int, j: int, k: int, relprec: int,
     So 2 E_c is range(c - 1, -c - 1, -2), and weights = (1,) is w = 1,
     with c = 1, t = 0 and b = a.
 
-    With L = lcm(level of psi, dp), b runs over the progressions r + L s
-    (r a unit mod L), each ending at its first term >= D.  On each run of
-    s sharing one t, a = c r - D t + c L s is a progression of step c L
-    on which psi takes its value at c r mod L (this needs L | D when
-    c > 1), and the sum of a^k over it is (H(u1) - H(u0)) / div in the
-    closed form of bernoulli.ProgressionPowerSum.  H is evaluated by
-    Horner's rule on unreduced ints, with no reduction per step; the
-    weighted differences w (H(u1) - H(u0)) are added up per label of psi,
-    each label's total is an exact multiple of div and takes one
-    `% mod // div`, and the label sum takes one lift (_omega_sum).  Cost:
-    O(phi(L) * min(c, D/L + 1) * k) integer operations, whatever j, on
-    ints of up to about (k + 1) log2(D) bits; a sum whose ints would pass
-    MAX_HORNER_BITS raises CostLimitExceeded before any is built, and
-    before D is built when the lower bound (k + 1) j (log2(p) rounded down)
-    already passes it.
+    It is a projection of the residue pass (_residue_pass) at
+    L = lcm(level of psi, dp): psi(a) depends only on a mod L, so the
+    pass's total at each unit x mod L is added to psi's label at x, each
+    label's total takes one `% mod // div`, and the label sum takes one
+    lift (_omega_sum).  A second character at the same (p, d, c, j, k,
+    relprec) reads the pass from its cache and costs only this
+    projection, O(phi(L)).  Every refusal runs before the pass is looked
+    up: a negative k or a degree past bernoulli.MAX_BERNOULLI_DEGREE,
+    then a sum whose ints would pass MAX_HORNER_BITS, refused with
+    CostLimitExceeded before D is built when the lower bound
+    (k + 1) j (log2(p) rounded down) already passes it, then psi's label
+    table.
     """
     p = psi.p
-    c = len(weights)
-    L = math.lcm(psi.level, d * p)
-    step = c * L
-    # built first: a degree past bernoulli.MAX_BERNOULLI_DEGREE is refused
-    # before the size of the ints or the label table is
-    power_sum = ProgressionPowerSum(k, step, p**relprec)
+    # a negative k, then a degree past bernoulli.MAX_BERNOULLI_DEGREE, is
+    # refused before the size of the ints or the label table is, as
+    # ProgressionPowerSum would; B_(k+1)(X) is kept, so a warm check is a lookup
+    if k < 0:
+        raise ValueError("k must be >= 0")
+    bernoulli_poly_int(k + 1)
     # D >= p^j >= 2^(j (b - 1)), b = p.bit_length(): a level this lower bound
     # refuses is never built
     bits = (k + 1) * j * (p.bit_length() - 1)
@@ -253,27 +257,64 @@ def _unit_sum(psi: DirichletCharacter, d: int, j: int, k: int, relprec: int,
         raise CostLimitExceeded(
             f"a unit sum of degree {k} at level {j} would run Horner's rule on ints "
             f"of {size} bits, over the limit of {MAX_HORNER_BITS}")
-    horner, mod, div = power_sum.horner, power_sum.mod, power_sum.div
     labels, q = psi.labels, psi.level
+    units, totals, mod, div = _residue_pass(p, math.lcm(q, d * p), D, k, relprec, weights)
     by_label: dict[int, int] = {}
-    for r in units_of(L):
-        label = labels[c * r % q]
-        acc = by_label.get(label, 0)
-        # y = c*b runs over c*r + step*s up to c times the first r + L*s >= D
-        y, end = c * r, c * (r - (r - D) // L * L)
-        while y < end:
-            t = y // D
-            # the first y of the progression at or past (t+1)*D, capped at end
-            y1 = min(end, y + -((y - (t + 1) * D) // step) * step)
-            u0, u1 = y - t * D, y1 - t * D
+    for x, h in zip(units, totals):
+        t = labels[x % q]
+        by_label[t] = by_label.get(t, 0) + h
+    return _omega_sum(p, {t: h % mod // div for t, h in by_label.items()}, relprec)
+
+
+# The residue passes kept, the last RESIDUE_PASSES computed: at worst 128
+# passes, each holding phi(L) ints below its mod (ProgressionPowerSum).
+RESIDUE_PASSES = 128
+
+
+@functools.lru_cache(maxsize=RESIDUE_PASSES)
+def _residue_pass(p: int, L: int, D: int, k: int, relprec: int,
+                  weights: Sequence[int]) -> tuple:
+    """(units, totals, mod, div): for each unit x mod L, the sum of w(a) a^k
+    over the a < D with a = x (mod L), times div, reduced mod mod, where
+    (mod, div) are those of bernoulli.ProgressionPowerSum(k, c L, p^relprec)
+    and w, c = len(weights) are as in _unit_sum; weights is a range or a
+    tuple, so that it can be part of the key.  It does not depend on
+    the character: it is the level-D Stickelberger element of E_c (or of
+    1) against a^k (Washington, Introduction to Cyclotomic Fields, ch. 6
+    and ch. 12), and every character of level dividing L is a projection
+    of it (_unit_sum).
+
+    Put M = c L.  Each rho = x, x + L, ... below min(M, D) is one class
+    mod M, holding the terms a = rho + M s < D, on which the carry is
+    t = rho u mod c with u = -D^(-1) mod c (padiclf.measure.carry_period).
+    With X = M floor(D/M), its sum of a^k is (H(u1) - H(u0)) / div in the
+    closed form of ProgressionPowerSum, with u0 = rho and u1 = rho + X + M
+    when rho < D mod M, else rho + X.  H is evaluated by Horner's rule on
+    unreduced ints, and each unit's weighted total is reduced mod mod
+    once: an exact multiple of div stays one mod mod = div p^relprec.
+    Cost: O(phi(L) * min(c, D/L + 1) * k) integer operations, whatever j,
+    on ints of up to about (k + 1) log2(D) bits.
+    """
+    c = len(weights)
+    M = c * L
+    power_sum = ProgressionPowerSum(k, M, p**relprec)
+    horner, mod = power_sum.horner, power_sum.mod
+    u = -pow(D, -1, c) % c
+    X = D // M * M
+    rest, end = D - X, min(M, D)
+    units = tuple(units_of(L))
+    totals = []
+    for x in units:
+        acc = 0
+        for rho in range(x, end, L):
+            u1 = rho + X + M if rho < rest else rho + X
             h0 = h1 = 0
             for h in horner:
-                h0 = h0 * u0 + h
+                h0 = h0 * rho + h
                 h1 = h1 * u1 + h
-            acc += weights[t] * (h1 - h0)
-            y = y1
-        by_label[label] = acc
-    return _omega_sum(p, {t: h % mod // div for t, h in by_label.items()}, relprec)
+            acc += weights[rho * u % c] * (h1 - h0)
+        totals.append(acc % mod)
+    return units, tuple(totals), mod, power_sum.div
 
 
 def twisted_mean_truncation(chi: DirichletCharacter, k: int, j: int,

@@ -13,13 +13,16 @@ genbernoulli._unit_sum that the twisted unit sums also use.  As
 <a>^k = omega(a)^(-k) a^k, the summand is psi(a) a^k E_c(j, a) with
 psi = chi omega^(-(k+1)).  Put D = d*p^j and L = lcm(cond psi, dp),
 which divides D.  Take E_c in the carry form of the padiclf.measure
-docstring, through b = c^(-1) a mod D and its carry t; psi(a) depends
-only on c b mod L.  So b runs over r + L s (r a unit mod L,
-0 <= s < D/L); on each run of s with one value of t the summand is a
-degree-k polynomial in s, summed in closed form by Faulhaber's formula
-(bernoulli.ProgressionPowerSum).  One sum costs
-O(phi(L) * min(c, D/L) * k) integer operations, independent of j.  This
-is the regrouping behind Washington, Introduction to Cyclotomic Fields,
+docstring: a = c b - D t with b = c^(-1) a mod D, and the carry t
+depends only on a mod c.  So on each class of a mod c L, a progression
+of step c L, both psi(a) and E_c(j, a) are constant, and the sum of a^k
+over it is summed in closed form by Faulhaber's formula
+(bernoulli.ProgressionPowerSum).  These class sums, totalled per unit
+mod L, do not depend on psi: they are the residue pass, kept per
+(p, d, c, j, k, relprec), and psi is a projection of it.  One pass costs
+O(phi(L) * min(c, D/L + 1) * k) integer operations, independent of j,
+and each further character at that level O(phi(L)).  This is the
+regrouping behind Washington, Introduction to Cyclotomic Fields,
 section 5.2 and Theorem 5.11.
 
 Certified precision: on a level-j clopen a + d p^j Z_p with j >= m the
@@ -171,7 +174,8 @@ def riemann_sum(params: LpParams, k: int, j: int, relprec: int | None = None) ->
     As <a>^k = omega(a)^(-k) a^k, the sum is half the kernel sum
     genbernoulli._unit_sum with psi = chi omega^(-(k+1)) and w = 2 E_c,
     regrouped by the carry t of E_c (module docstring).
-    Cost: O(phi(L) * min(c, D/L) * k) integer operations, independent of j.
+    Cost: O(phi(L) * min(c, D/L + 1) * k) integer operations, independent
+    of j, or O(phi(L)) when the residue pass at this level is kept.
     """
     if j < params.m:
         raise LevelTooLow(f"integration level {j} is below the character level {params.m}")

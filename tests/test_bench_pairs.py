@@ -2,7 +2,10 @@ import importlib.util
 import json
 import subprocess
 import sys
+import tarfile
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 METRICS = {"ops_per_s", "op_p50_ms", "op_p90_ms", "setup_s", "peak_rss_mb"}
@@ -90,3 +93,30 @@ def test_exits_1_when_a_run_fails(tmp_path, monkeypatch, capsys):
     assert report["digests_equal"] is True
     assert [(r["correct"], r["failed"]) for r in report["sides"]["change"]["runs"]] == \
         [(False, 2)]
+
+
+def _head_or_skip():
+    try:
+        subprocess.run(["git", "rev-parse", "--verify", "HEAD^{commit}"], cwd=ROOT,
+                       capture_output=True, check=True)
+    except (OSError, subprocess.CalledProcessError):
+        pytest.skip("the tree is not a git checkout with a HEAD commit")
+
+
+@pytest.mark.parametrize("data_filter", [True, False])
+def test_tree_extracts_a_revision(tmp_path, monkeypatch, data_filter):
+    # a revision is archived and extracted; an interpreter whose tarfile has
+    # no data_filter (before 3.10.12 and 3.11.4) takes no filter keyword
+    _head_or_skip()
+    bench_pairs = _load_bench_pairs()
+    if not data_filter:
+        extractall = tarfile.TarFile.extractall
+
+        def old_extractall(self, path=".", members=None, *, numeric_owner=False):
+            return extractall(self, path, members, numeric_owner=numeric_owner)
+
+        monkeypatch.delattr(tarfile, "data_filter", raising=False)
+        monkeypatch.setattr(tarfile.TarFile, "extractall", old_extractall)
+    tree, commit = bench_pairs._tree("HEAD", str(tmp_path))
+    assert tree.parent == tmp_path and len(commit) == 40
+    assert (tree / "perfbench" / "run.py").is_file()

@@ -11,7 +11,7 @@ import pytest
 
 import padiclf
 from oracles import bernoulli_distribution_over_p, level_period
-from padiclf import cli, dirichlet, lfunction, measure, modarith
+from padiclf import cli, dirichlet, genbernoulli, lfunction, measure, modarith
 from padiclf.cli import COMMANDS, GLOBAL_FLAGS, main, parse_argv
 from padiclf.padic import PadicNum
 
@@ -23,10 +23,12 @@ def run_cli(capsys, *argv):
 
 
 def clear_character_caches():
-    # characters are interned and table files kept by text, so the tables
-    # that earlier calls in this process built would otherwise be reused
+    # characters are interned, table files kept by text and residue passes
+    # by their level, so the tables and passes that earlier calls in this
+    # process built would otherwise be reused
     dirichlet.DirichletCharacter._of.cache_clear()
     dirichlet._table_character.cache_clear()
+    genbernoulli._residue_pass.cache_clear()
 
 
 @pytest.fixture
@@ -189,6 +191,25 @@ def test_a_table_file_is_checked_again_when_its_text_changes(capsys, tmp_path):
         assert err.startswith("error: character table is not multiplicative at the pair (")
     path.write_text(good)
     assert run_cli(capsys, *argv) == first
+
+
+
+def test_a_table_file_is_read_as_utf8(capsys, tmp_path):
+    # the bytes are decoded as UTF-8 whatever the locale: under the C locale
+    # with UTF-8 mode off, whose encoding is ASCII, a non-ASCII key is still
+    # read, and refused as a key; a file that is not UTF-8 is a usage error
+    path = tmp_path / "chi.json"
+    path.write_bytes('{"p": 5, "modulus": 5, "entries": {"1": 1, "\u00e9": 2}}'.encode())
+    env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0",
+           "PYTHONPATH": os.path.dirname(os.path.dirname(padiclf.__file__))}
+    out = subprocess.run([sys.executable, "-m", "padiclf.cli", "char-info", "--p", "5",
+                          "--char", f"table:{path}"], env=env, capture_output=True, timeout=60)
+    assert (out.returncode, out.stdout) == (2, b"")
+    assert out.stderr == b"error: invalid literal for int() with base 10: '\\xe9'\n"
+    path.write_bytes(b'\xff{"p": 5, "modulus": 5, "entries": {"1": 1}}')
+    code, out, err = run_cli(capsys, "char-info", "--p", "5", "--char", f"table:{path}")
+    assert (code, out, err) == (
+        2, "", "error: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte\n")
 
 
 # json.loads raises RecursionError past its nesting limit: sys.getrecursionlimit()

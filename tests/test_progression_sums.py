@@ -24,7 +24,7 @@ from oracles import (progression_power_sum_horner, riemann_sum_bruteforce,
                      twisted_unit_sum_bruteforce)
 from padiclf.bernoulli import ProgressionPowerSum
 from padiclf.dirichlet import parse_character_spec
-from padiclf.genbernoulli import _unit_sum, chi_omega_minus_k
+from padiclf.genbernoulli import _residue_pass, _unit_sum, chi_omega_minus_k
 from padiclf.lfunction import LpParams, riemann_sum
 from padiclf.padic import PadicNum
 
@@ -40,10 +40,11 @@ def table_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("tables")
 
 
-def even_character(table_dir, p: int, d: int, m: int, e: int):
-    """chi_d * omega^e at level d*p^m, through a `table:` spec when d > 1."""
+def even_character(table_dir, p: int, d: int, m: int, e: int, table: bool = False):
+    """chi_d * omega^e at level d*p^m, through a `table:` spec when d > 1
+    or table is true."""
     level = d * p**m
-    if d == 1:
+    if d == 1 and not table:
         return parse_character_spec(f"omega^{e}", p, relprec=RELPREC).change_level(level)
     entries = {
         str(a): (-1 if a % d in REAL_MINUS[d] else 1) * pow(a, e, p) % p
@@ -96,6 +97,29 @@ def test_riemann_sum_matches_oracle(table_dir, char, c, k, dj):
     assert fast == slow
     assert fast.abs_precision == slow.abs_precision
     assert riemann_sum(params, k, j) == slow
+
+
+@example(p=5, d=1, c=2, k=2, j=2)
+@example(p=7, d=4, c=3, k=3, j=2)
+@settings(max_examples=20, deadline=None)
+@given(p=st.sampled_from([3, 5, 7, 11, 13]), d=st.sampled_from([1, 3, 4]),
+       c=st.integers(2, 200), k=st.integers(0, 6), j=st.integers(2, 3))
+def test_one_residue_pass_serves_every_character(table_dir, p, d, c, k, j):
+    # every even chi_d omega^e, and chi_d omega^e again through a table at
+    # level d*p^2, shares L = dp and so one pass: one miss, then only hits,
+    # and each projection equals the brute-force sum
+    assume(d != p and d * p**j <= MAX_ORACLE_TERMS)
+    while math.gcd(c, d * p) != 1:
+        c += 1
+    exponents = range(0 if d == 1 else 1, p - 1, 2)
+    chars = [(1, even_character(table_dir, p, d, 1, e)) for e in exponents]
+    chars.append((2, even_character(table_dir, p, d, 2, exponents[-1], table=True)))
+    _residue_pass.cache_clear()
+    for m, chi in chars:
+        params = LpParams(p=p, d=d, c=c, m=m, chi=chi, relprec=RELPREC, j_max=j)
+        assert riemann_sum(params, k, j) == riemann_sum_bruteforce(params, k, j)
+    info = _residue_pass.cache_info()
+    assert (info.misses, info.hits) == (1, len(chars) - 1)
 
 
 # j < m: the sum runs below the level d*p^m of the character

@@ -64,8 +64,11 @@ def _tree(source: str, scratch: str) -> tuple[Path, str | None]:
     commit = _git("rev-parse", "--verify", f"{source}^{{commit}}").stdout.decode().strip()
     dest = Path(tempfile.mkdtemp(dir=scratch))
     archive = _git("archive", "--format=tar", commit).stdout
+    # extractall takes filter only from Python 3.10.12 and 3.11.4, which
+    # also add tarfile.data_filter
+    safe = {"filter": "data"} if hasattr(tarfile, "data_filter") else {}
     with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
-        tar.extractall(dest, filter="data")
+        tar.extractall(dest, **safe)
     return dest, commit
 
 
