@@ -23,14 +23,10 @@ grows, and the bare unit power sum with exponent k - 1 approaches 0;
 both are computed at a given level so valuation growth can be observed.
 Both are sums over the units a mod d p^j, and so is the Riemann sum of
 padiclf.lfunction: all three go through _unit_sum, the one kernel.  It
-splits such a sum in two.  The residue pass (_residue_pass) does not
-depend on the character: it sums the weighted a^k over each residue
-class mod c L in closed form and totals them per unit x mod L, L =
-lcm(level, dp).  The projection adds those totals by the character's
-label at x.  The last RESIDUE_PASSES passes are kept, so every character
-at one (p, d, c, j, k, relprec) costs one pass and a projection each
-(Washington, Introduction to Cyclotomic Fields, section 5.2, ch. 6 and
-ch. 12).
+projects a residue pass (_residue_pass), which sums each residue class
+in closed form and does not depend on the character; the last
+RESIDUE_PASSES passes are kept (Washington, Introduction to Cyclotomic
+Fields, section 5.2, ch. 6 and ch. 12).
 """
 
 from __future__ import annotations
@@ -225,23 +221,17 @@ def _unit_sum(psi: DirichletCharacter, d: int, j: int, k: int, relprec: int,
     So 2 E_c is range(c - 1, -c - 1, -2), and weights = (1,) is w = 1,
     with c = 1, t = 0 and b = a.
 
-    It is a projection of the residue pass (_residue_pass) at
-    L = lcm(level of psi, dp): psi(a) depends only on a mod L, so the
-    pass's total at each unit x mod L is added to psi's label at x, each
-    label's total takes one `% mod // div`, and the label sum takes one
-    lift (_omega_sum).  A second character at the same (p, d, c, j, k,
-    relprec) reads the pass from its cache and costs only this
-    projection, O(phi(L)).  Every refusal runs before the pass is looked
-    up: a negative k or a degree past bernoulli.MAX_BERNOULLI_DEGREE,
-    then a sum whose ints would pass MAX_HORNER_BITS, refused with
-    CostLimitExceeded before D is built when the lower bound
-    (k + 1) j (log2(p) rounded down) already passes it, then psi's label
-    table.
+    psi(a) depends only on a mod L = lcm(level of psi, dp), so the sum is
+    a projection of the residue pass at L (_residue_pass): its total at
+    each unit x mod L goes to psi's label at x, each label's total takes
+    one `% mod // div`, and the label sum one lift (_omega_sum).  A kept
+    pass makes the sum O(phi(L)).  Every refusal comes before the pass:
+    a negative k or a degree past bernoulli.MAX_BERNOULLI_DEGREE; ints
+    past MAX_HORNER_BITS, refused before D is built when the lower bound
+    (k + 1) j (log2(p) rounded down) already passes it; psi's label table.
     """
     p = psi.p
-    # a negative k, then a degree past bernoulli.MAX_BERNOULLI_DEGREE, is
-    # refused before the size of the ints or the label table is, as
-    # ProgressionPowerSum would; B_(k+1)(X) is kept, so a warm check is a lookup
+    # ProgressionPowerSum's refusals; B_(k+1)(X) is kept, so once warm a lookup
     if k < 0:
         raise ValueError("k must be >= 0")
     bernoulli_poly_int(k + 1)
@@ -266,32 +256,26 @@ def _unit_sum(psi: DirichletCharacter, d: int, j: int, k: int, relprec: int,
     return _omega_sum(p, {t: h % mod // div for t, h in by_label.items()}, relprec)
 
 
-# The residue passes kept, the last RESIDUE_PASSES computed: at worst 128
-# passes, each holding phi(L) ints below its mod (ProgressionPowerSum).
+# The residue passes kept, keyed by their arguments (weights a range or a
+# tuple): at worst 128 passes, each holding phi(L) ints below its mod.
 RESIDUE_PASSES = 128
 
 
 @functools.lru_cache(maxsize=RESIDUE_PASSES)
 def _residue_pass(p: int, L: int, D: int, k: int, relprec: int,
                   weights: Sequence[int]) -> tuple:
-    """(units, totals, mod, div): for each unit x mod L, the sum of w(a) a^k
-    over the a < D with a = x (mod L), times div, reduced mod mod, where
-    (mod, div) are those of bernoulli.ProgressionPowerSum(k, c L, p^relprec)
-    and w, c = len(weights) are as in _unit_sum; weights is a range or a
-    tuple, so that it can be part of the key.  It does not depend on
-    the character: it is the level-D Stickelberger element of E_c (or of
-    1) against a^k (Washington, Introduction to Cyclotomic Fields, ch. 6
-    and ch. 12), and every character of level dividing L is a projection
-    of it (_unit_sum).
+    """(units, totals, mod, div): for each unit x mod L, div times the sum
+    of w(a) a^k over the a < D with a = x (mod L), reduced mod mod, with w
+    and c = len(weights) as in _unit_sum and (mod, div) those of
+    bernoulli.ProgressionPowerSum(k, c L, p^relprec).  No character enters:
+    it is the level-D Stickelberger element of E_c (or of 1) against a^k
+    (Washington, Introduction to Cyclotomic Fields, ch. 6 and ch. 12).
 
-    Put M = c L.  Each rho = x, x + L, ... below min(M, D) is one class
-    mod M, holding the terms a = rho + M s < D, on which the carry is
-    t = rho u mod c with u = -D^(-1) mod c (padiclf.measure.carry_period).
-    With X = M floor(D/M), its sum of a^k is (H(u1) - H(u0)) / div in the
-    closed form of ProgressionPowerSum, with u0 = rho and u1 = rho + X + M
-    when rho < D mod M, else rho + X.  H is evaluated by Horner's rule on
-    unreduced ints, and each unit's weighted total is reduced mod mod
-    once: an exact multiple of div stays one mod mod = div p^relprec.
+    Put M = c L.  Each rho = x, x + L, ... below min(M, D) is the class of
+    the terms a = rho + M s < D, whose carry is rho u mod c, u = -D^(-1)
+    mod c (padiclf.measure.carry_period).  With X = M floor(D/M), their sum
+    of a^k is (H(u1) - H(u0)) / div, u0 = rho and u1 = rho + X + M when
+    rho < D - X, else rho + X, H by Horner's rule on unreduced ints.
     Cost: O(phi(L) * min(c, D/L + 1) * k) integer operations, whatever j,
     on ints of up to about (k + 1) log2(D) bits.
     """
@@ -301,6 +285,7 @@ def _residue_pass(p: int, L: int, D: int, k: int, relprec: int,
     horner, mod = power_sum.horner, power_sum.mod
     u = -pow(D, -1, c) % c
     X = D // M * M
+    # a class from D on holds no term: for c past D/L the walk stops at D, not M
     rest, end = D - X, min(M, D)
     units = tuple(units_of(L))
     totals = []

@@ -46,7 +46,8 @@ def test_odd_character_grid_is_pinned():
 
 def test_kernel_grid_is_pinned():
     # 1912 kernel sums over 32 even characters chi_d omega^e, each equal to
-    # its brute oracle; the mutation y1 = end in _unit_sum fails 914
+    # its brute oracle; the mutation u1 = rho + X + M in _residue_pass, which
+    # drops a class's last-term test, fails 1283
     cases, failures, digest = kernel_grid()
     assert (cases, failures) == ({"riemann": 1330, "twisted": 582}, [])
     assert digest == "dff6a65db2cadffb"
