@@ -23,13 +23,9 @@ The polynomials are
 kept per degree in integer form (den, nums): den is the least common
 denominator of the coefficients and nums[i] / den is that of X^i.
 bernoulli_poly gives the same coefficients as a tuple of Fractions, made
-anew from the integer form on each call.
-
-Faulhaber's formula turns them into closed-form power sums over an
-arithmetic progression (ProgressionPowerSum).  The residue pass of the
-one progression-sum kernel, genbernoulli._residue_pass, is built on it:
-that is how the Riemann sums and the twisted unit sums avoid visiting
-every residue.
+anew from the integer form on each call.  The residue pass of the one
+progression-sum kernel, genbernoulli._residue_pass, reads the integer
+form of B_(k+1)(X) for Faulhaber's closed form of a sum of k-th powers.
 """
 
 from __future__ import annotations
@@ -45,12 +41,11 @@ __all__ = [
     "bernoulli_poly",
     "bernoulli_poly_int",
     "bernoulli_poly_eval",
-    "ProgressionPowerSum",
 ]
 
 # The largest n for which B_n and B_n(X) are computed, a bound on the time
 # the tangent-number table takes to grow; even, so that the table ends at
-# it.  ProgressionPowerSum(k) reaches it at k = MAX_BERNOULLI_DEGREE - 1.
+# it.  A unit sum of degree k reaches it at k = MAX_BERNOULLI_DEGREE - 1.
 MAX_BERNOULLI_DEGREE = 2000
 
 _TABLE = [(1, 1)]  # (numerator, denominator) of B_0, B_1, ..., B_(2m) for some m
@@ -141,42 +136,3 @@ def bernoulli_poly_eval(n: int, q) -> Fraction:
         b_power *= b
     return Fraction(acc, den * b**n)
 
-
-class ProgressionPowerSum:
-    """Faulhaber's closed form of a sum of k-th powers over an arithmetic
-    progression, mod a modulus, as three integers: horner, mod and div.
-
-    For integers u0 <= u1 with u1 = u0 (mod step), the sum of u^k over
-    u = u0, u0 + step, ..., u1 - step, reduced mod `modulus`, is
-    (H(u1) - H(u0)) % mod // div, O(k) integer operations whatever the
-    number of terms, where H's coefficients are `horner`, highest power
-    first.  Faulhaber's formula at x = u0 / step,
-
-        sum_{0 <= s < n} (x + s)^k = (B_(k+1)(x + n) - B_(k+1)(x)) / (k + 1),
-
-    becomes sum = (H(u1) - H(u0)) / div with div = step * (k + 1) * den
-    and H(y) = den * step^(k+1) * B_(k+1)(y / step), where den is that of
-    B_(k+1)'s integer form, so that H has integer coefficients.  They are
-    reduced mod mod = div * modulus once, here; the one caller,
-    genbernoulli._residue_pass, evaluates H by Horner's rule on unreduced
-    ints, with no reduction per step.  H(u1) - H(u0) is an exact multiple
-    of div, and so is any integer combination of such differences, and
-    so is its residue mod mod: the pass reduces its total at each unit
-    mod L once, and genbernoulli._unit_sum, which adds those totals per
-    label, makes one exact `% mod // div` per label.
-    """
-
-    def __init__(self, k: int, step: int, modulus: int):
-        if k < 0:
-            raise ValueError("k must be >= 0")
-        if step < 1:
-            raise ValueError("step must be >= 1")
-        den, nums = bernoulli_poly_int(k + 1)
-        self.div = step * (k + 1) * den
-        self.mod = mod = modulus * self.div
-        # H's coefficients nums[i] * step^(k+1-i), highest power first
-        horner, step_power = [], 1
-        for num in reversed(nums):
-            horner.append(num * step_power % mod)
-            step_power *= step
-        self.horner = horner

@@ -33,10 +33,11 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from collections.abc import Sequence
 from fractions import Fraction
 
-from .bernoulli import ProgressionPowerSum, bernoulli_poly_int
+from .bernoulli import bernoulli_poly_int
 from .dirichlet import (DirichletCharacter, _root_power, char_power, make_teich_char,
                         teichmuller_int)
 from .errors import CostLimitExceeded, NotMultipleOfConductor
@@ -228,12 +229,13 @@ def _unit_sum(psi: DirichletCharacter, d: int, j: int, k: int, relprec: int,
     pass makes the sum O(phi(L)).  Every refusal comes before the pass:
     a negative k or a degree past bernoulli.MAX_BERNOULLI_DEGREE; ints
     past MAX_HORNER_BITS, refused before D is built when the lower bound
-    (k + 1) j (log2(p) rounded down) already passes it; psi's label table.
+    (k + 1) j (log2(p) rounded down) already passes it; a c past
+    sys.maxsize, whose carries the pass cannot index; psi's label table.
     """
     p = psi.p
-    # ProgressionPowerSum's refusals; B_(k+1)(X) is kept, so once warm a lookup
     if k < 0:
         raise ValueError("k must be >= 0")
+    # the degree bound; B_(k+1)(X) is kept, so once warm a lookup
     bernoulli_poly_int(k + 1)
     # D >= p^j >= 2^(j (b - 1)), b = p.bit_length(): a level this lower bound
     # refuses is never built
@@ -247,6 +249,11 @@ def _unit_sum(psi: DirichletCharacter, d: int, j: int, k: int, relprec: int,
         raise CostLimitExceeded(
             f"a unit sum of degree {k} at level {j} would run Horner's rule on ints "
             f"of {size} bits, over the limit of {MAX_HORNER_BITS}")
+    try:
+        len(weights)
+    except OverflowError:
+        raise CostLimitExceeded(
+            f"c is past {sys.maxsize}, the largest c the residue pass walks") from None
     labels, q = psi.labels, psi.level
     units, totals, mod, div = _residue_pass(p, math.lcm(q, d * p), D, k, relprec, weights)
     by_label: dict[int, int] = {}
@@ -266,23 +273,35 @@ def _residue_pass(p: int, L: int, D: int, k: int, relprec: int,
                   weights: Sequence[int]) -> tuple:
     """(units, totals, mod, div): for each unit x mod L, div times the sum
     of w(a) a^k over the a < D with a = x (mod L), reduced mod mod, with w
-    and c = len(weights) as in _unit_sum and (mod, div) those of
-    bernoulli.ProgressionPowerSum(k, c L, p^relprec).  No character enters:
-    it is the level-D Stickelberger element of E_c (or of 1) against a^k
-    (Washington, Introduction to Cyclotomic Fields, ch. 6 and ch. 12).
+    and c = len(weights) as in _unit_sum.  No character enters: it is the
+    level-D Stickelberger element of E_c (or of 1) against a^k (Washington,
+    Introduction to Cyclotomic Fields, ch. 6 and ch. 12).
 
     Put M = c L.  Each rho = x, x + L, ... below min(M, D) is the class of
     the terms a = rho + M s < D, whose carry is rho u mod c, u = -D^(-1)
-    mod c (padiclf.measure.carry_period).  With X = M floor(D/M), their sum
-    of a^k is (H(u1) - H(u0)) / div, u0 = rho and u1 = rho + X + M when
-    rho < D - X, else rho + X, H by Horner's rule on unreduced ints.
+    mod c (padiclf.measure.carry_period).  With X = M floor(D/M), these a
+    run from u0 = rho to below u1 = rho + X + M when rho < D - X, else
+    rho + X.  Faulhaber's formula, sum_{0 <= s < n} (y + s)^k =
+    (B_(k+1)(y + n) - B_(k+1)(y)) / (k + 1) at y = u0 / M, makes their sum
+    of a^k (H(u1) - H(u0)) / div, with div = M (k + 1) den and H(u) = den
+    M^(k+1) B_(k+1)(u / M), den that of B_(k+1)'s integer form, so that H
+    has integer coefficients; they are reduced mod mod = p^relprec div and
+    H runs by Horner's rule on unreduced ints.  Any integer combination of
+    the H(u1) - H(u0) is a multiple of div, and so is its residue mod mod:
+    a unit's total is reduced once and _unit_sum divides once per label.
     Cost: O(phi(L) * min(c, D/L + 1) * k) integer operations, whatever j,
-    on ints of up to about (k + 1) log2(D) bits.
+    on ints of up to about (k + 1) log2(max(D, M)) bits.
     """
     c = len(weights)
     M = c * L
-    power_sum = ProgressionPowerSum(k, M, p**relprec)
-    horner, mod = power_sum.horner, power_sum.mod
+    den, nums = bernoulli_poly_int(k + 1)
+    div = M * (k + 1) * den
+    mod = p**relprec * div
+    # H's coefficients nums[i] M^(k+1-i), highest power first
+    horner, M_power = [], 1
+    for num in reversed(nums):
+        horner.append(num * M_power % mod)
+        M_power *= M
     u = -pow(D, -1, c) % c
     X = D // M * M
     # a class from D on holds no term: for c past D/L the walk stops at D, not M
@@ -299,7 +318,7 @@ def _residue_pass(p: int, L: int, D: int, k: int, relprec: int,
                 h1 = h1 * u1 + h
             acc += weights[rho * u % c] * (h1 - h0)
         totals.append(acc % mod)
-    return units, tuple(totals), mod, power_sum.div
+    return units, tuple(totals), mod, div
 
 
 def twisted_mean_truncation(chi: DirichletCharacter, k: int, j: int,

@@ -16,8 +16,8 @@ which divides D.  Take E_c in the carry form of the padiclf.measure
 docstring: a = c b - D t with b = c^(-1) a mod D, and the carry t
 depends only on a mod c.  So on each class of a mod c L, a progression
 of step c L, both psi(a) and E_c(j, a) are constant, and the sum of a^k
-over it is summed in closed form by Faulhaber's formula
-(bernoulli.ProgressionPowerSum).  These class sums, totalled per unit
+over it is summed in closed form by Faulhaber's formula, from the
+integer form of B_(k+1)(X).  These class sums, totalled per unit
 mod L, do not depend on psi: they are the residue pass, kept per
 (p, d, c, j, k, relprec), and psi is a projection of it.  One pass costs
 O(phi(L) * min(c, D/L + 1) * k) integer operations, independent of j,

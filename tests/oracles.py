@@ -301,19 +301,6 @@ def riemann_sum_bruteforce(params, k: int, j: int) -> PadicNum:
     return PadicNum.from_int_mod(p, total, N)
 
 
-def progression_power_sum_horner(power_sum, u0: int, u1: int) -> int:
-    """The sum of u^k over u = u0, u0 + step, ..., u1 - step, mod the
-    modulus, read off a ProgressionPowerSum as its docstring states:
-    (H(u1) - H(u0)) % mod // div, H by Horner's rule on its coefficients."""
-    def H(y):
-        acc = 0
-        for h in power_sum.horner:
-            acc = acc * y + h
-        return acc
-
-    return (H(u1) - H(u0)) % power_sum.mod // power_sum.div
-
-
 def twisted_unit_sum_bruteforce(chi, k: int, j: int, exponent: int,
                                 relprec: int) -> PadicNum:
     """sum of chi omega^(-k)(a) * a^exponent over units a mod d*p^j, mod p^relprec."""

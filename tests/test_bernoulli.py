@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from oracles import bernoulli_prime
 from padiclf.bernoulli import (
     MAX_BERNOULLI_DEGREE,
-    ProgressionPowerSum,
     bernoulli,
     bernoulli_poly,
     bernoulli_poly_eval,
@@ -18,7 +17,7 @@ from padiclf.bernoulli import (
 )
 from padiclf.dirichlet import make_teich_char
 from padiclf.errors import CostLimitExceeded
-from padiclf.genbernoulli import general_bernoulli_coeffs
+from padiclf.genbernoulli import _unit_sum, general_bernoulli_coeffs
 
 # the module, not the function the package exports under its name
 bernoulli_module = sys.modules["padiclf.bernoulli"]
@@ -138,15 +137,15 @@ class TestDegreeLimit:
 
     def test_refused_just_past_the_limit_before_any_work(self, fresh_table):
         assert MAX_BERNOULLI_DEGREE == 2000
+        chi = make_teich_char(5)
         at_limit = (lambda: bernoulli(2000), lambda: bernoulli_poly(2000),
                     lambda: bernoulli_poly_eval(2000, 1),
-                    lambda: ProgressionPowerSum(1999, 3, 7))
+                    lambda: _unit_sum(chi, 1, 1, 1999, 7))
         for call in at_limit:
             with pytest.raises(fresh_table):
                 call()
-        chi = make_teich_char(5)
         past = (lambda: bernoulli(2001), lambda: bernoulli_poly(2001),
-                lambda: ProgressionPowerSum(2000, 3, 7),
+                lambda: _unit_sum(chi, 1, 1, 2000, 7),
                 lambda: general_bernoulli_coeffs(chi, 2001))
         for call in past:
             with pytest.raises(CostLimitExceeded,

@@ -392,6 +392,28 @@ def test_an_exploding_horner_accumulator_is_refused(capsys):
                    "on ints of more than 24000000 bits, over the limit of 1500000\n")
 
 
+LARGEST_C = 2**63 - 1  # the largest c whose carry weights range has a len on a 64-bit build
+
+
+@pytest.mark.parametrize("command, weight", [("lp-eval", "--weight-k"), ("verify", "--n")])
+def test_a_c_past_what_the_pass_walks_is_refused(capsys, command, weight):
+    code, out, err = run_cli(capsys, command, "--p", "5", "--d", "1", "--m", "1",
+                             "--char", "omega^2", "--c", str(LARGEST_C + 4), weight, "2")
+    assert (code, out) == (2, "")
+    assert err == f"error: c is past {LARGEST_C}, the largest c the residue pass walks\n"
+
+
+@pytest.mark.parametrize("command, weight, digest", [
+    ("lp-eval", "--weight-k", "d1e3aa0355f2705efc8c557b2525703e"),
+    ("verify", "--n", "db443d490aab2bdc801a7676f94ffb2c"),
+])
+def test_the_largest_c_the_pass_walks_answers(capsys, command, weight, digest):
+    code, out, err = run_cli(capsys, command, "--p", "5", "--d", "1", "--m", "1",
+                             "--char", "omega^2", "--c", str(LARGEST_C), weight, "2")
+    assert (code, err) == (0, "")
+    assert hashlib.md5(out.encode()).hexdigest() == digest
+
+
 def test_a_huge_level_is_refused_before_it_is_built(capsys):
     # 5^(10^7) >= 2^(2 * 10^7), so the ints of a degree-2 sum there have more
     # than 6 * 10^7 bits: refused by that bound, before the level is built

@@ -4,7 +4,8 @@ genbernoulli._unit_sum regroups a sum over the units a mod d*p^j into
 arithmetic progressions summed by Faulhaber's formula.  With the weight
 2 E_c it is the Riemann sum, with the weight 1 the twisted unit sum; each
 is compared here with its term-by-term oracle in oracles.py for full
-PadicNum equality (value and precision).  Characters are chi_d * omega^e
+PadicNum equality (value and precision), and the per-unit totals of the
+residue pass beneath both with direct sums.  Characters are chi_d * omega^e
 at level d*p^m, with chi_d the real character of conductor d in {3, 4}
 given by a label table loaded through a `table:` spec, or trivial for
 d = 1.  p = 43 is the first prime above the Miller-Rabin bases, where
@@ -20,9 +21,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from oracles import (progression_power_sum_horner, riemann_sum_bruteforce,
-                     twisted_unit_sum_bruteforce)
-from padiclf.bernoulli import ProgressionPowerSum
+from oracles import riemann_sum_bruteforce, twisted_unit_sum_bruteforce
 from padiclf.dirichlet import parse_character_spec
 from padiclf.genbernoulli import _residue_pass, _unit_sum, chi_omega_minus_k
 from padiclf.lfunction import LpParams, riemann_sum
@@ -66,12 +65,33 @@ def characters(draw):
     return p, d, m, e
 
 
-@given(k=st.integers(0, 8), step=st.integers(1, 60), u0=st.integers(-10**6, 10**6),
-       n=st.integers(0, 40), modulus=st.sampled_from([1, 7, 3**10, 2**61 - 1]))
-def test_progression_power_sum_matches_direct_sum(k, step, u0, n, modulus):
-    u1 = u0 + n * step
-    expected = sum(u**k for u in range(u0, u1, step)) % modulus
-    assert progression_power_sum_horner(ProgressionPowerSum(k, step, modulus), u0, u1) == expected
+# c L > D: every class holds one term, its upper end rho + M past D; and
+# c = 1, one carry
+@example(p=5, L_over_p=1, j=1, k=3, c=7, relprec=4)
+@example(p=7, L_over_p=4, j=1, k=8, c=29, relprec=12)
+@example(p=3, L_over_p=2, j=2, k=0, c=1, relprec=1)
+@settings(max_examples=100, deadline=None)
+@given(p=st.sampled_from([3, 5, 7]), L_over_p=st.sampled_from([1, 2, 4]),
+       j=st.integers(1, 4), k=st.integers(0, 8), c=st.integers(1, 30),
+       relprec=st.integers(1, 12))
+def test_residue_pass_totals_match_direct_sums(p, L_over_p, j, k, c, relprec):
+    # at each unit x mod L, the pass's total over div is the sum of
+    # w(a) a^k over the a < D with a = x (mod L), for w = 2 E_c, whose carry
+    # t(a) = (c b - a) / D with b = c^(-1) a mod D weighs c - 1 - 2t(a),
+    # and for w = 1
+    L, D, P = L_over_p * p, L_over_p * p**j, p**relprec
+    while math.gcd(c, L) != 1:
+        c += 1
+    cinv = pow(c, -1, D)
+
+    def twice_E_c(a):
+        return c - 1 - 2 * ((c * (cinv * a % D) - a) // D)
+
+    for weights, w in ((range(c - 1, -c - 1, -2), twice_E_c), ((1,), lambda a: 1)):
+        units, totals, mod, div = _residue_pass.__wrapped__(p, L, D, k, relprec, weights)
+        assert units == tuple(x for x in range(L) if math.gcd(x, L) == 1)
+        for x, h in zip(units, totals):
+            assert h % mod // div == sum(w(a) * a**k for a in range(x, D, L)) % P
 
 
 # c > D/L: every run holds one term (D/L = 1 for omega^2 at p = 5, level 5)
@@ -97,6 +117,18 @@ def test_riemann_sum_matches_oracle(table_dir, char, c, k, dj):
     assert fast == slow
     assert fast.abs_precision == slow.abs_precision
     assert riemann_sum(params, k, j) == slow
+
+
+def test_riemann_sum_at_the_largest_c_the_pass_walks():
+    # c = 2^63 - 1, the largest c whose weights range(c - 1, -c - 1, -2) has a
+    # len on a 64-bit build: c L > D at every level, so each class holds one
+    # term, and the pass's ints are about (k + 1) log2(c L) bits long
+    c = 2**63 - 1
+    chi = parse_character_spec("omega^2", 5, relprec=RELPREC)
+    params = LpParams(p=5, d=1, c=c, m=1, chi=chi, relprec=RELPREC, j_max=5)
+    for j in (1, 3, 5):
+        for k in (0, 2, 5):
+            assert riemann_sum(params, k, j) == riemann_sum_bruteforce(params, k, j)
 
 
 @example(p=5, d=1, c=2, k=2, j=2)
@@ -152,14 +184,15 @@ def test_twisted_unit_sum_matches_oracle(table_dir, char, k, j, shift, c):
         assert fast.abs_precision == slow.abs_precision
 
 
-def test_warm_power_sum_and_unit_sum_make_no_fraction(monkeypatch):
+def test_warm_residue_pass_makes_no_fraction(monkeypatch):
     # the Horner coefficients come from the cached integer form of B_(k+1),
-    # and the kernel works in ints: once warm, neither makes a Fraction
+    # and the kernel works in ints: once B_(k+1) is warm, a pass miss and
+    # its projection make no Fraction
     chi = parse_character_spec("omega^2", 5).change_level(25)
     psi = chi_omega_minus_k(chi, 4)
     weights = range(2, -4, -2)
     expected = _unit_sum(psi, 1, 3, 3, RELPREC, weights)
-    ProgressionPowerSum(3, 75, 5**RELPREC)
+    _residue_pass.cache_clear()
     made = []
     new = Fraction.__new__
 
@@ -176,8 +209,6 @@ def test_warm_power_sum_and_unit_sum_make_no_fraction(monkeypatch):
             return from_ints(cls, *args)
 
         monkeypatch.setattr(Fraction, "_from_coprime_ints", classmethod(counted_ints))
-    power_sum = ProgressionPowerSum(3, 75, 5**RELPREC)
     assert _unit_sum(psi, 1, 3, 3, RELPREC, weights) == expected
-    expected_sum = sum(u**3 for u in range(2, 302, 75)) % 5**RELPREC
-    assert progression_power_sum_horner(power_sum, 2, 2 + 75 * 4) == expected_sum
+    assert _residue_pass.cache_info().misses == 1
     assert made == []
